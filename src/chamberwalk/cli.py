@@ -20,9 +20,8 @@ from .core import build_boolean, build_braid
 from .exact import (
     coupling_parameters,
     cutoff_prediction,
-    separation_profile,
+    distance_profiles,
     survival_exact_profile,
-    total_variation_profile,
 )
 from .gallery import (
     TsetlinSpec,
@@ -44,7 +43,7 @@ from .glauber import (
     ising_system,
     product_system,
 )
-from .walk import estimate_survival, survival_from_samples
+from .walk import estimate_survival
 
 SEED_ENV_VAR = "CHAMBERWALK_SEED"
 PRNG_NAME = "numpy-pcg64"
@@ -132,12 +131,10 @@ def parse_t_grid(spec):
 
 
 def _get_int(params, key, default=None):
-    if key not in params:
-        if default is None:
-            raise ConfigError(f"missing required parameter {key!r}")
-        return default
-    v = params[key]
-    return int(float(v)) if not isinstance(v, list) else int(v[0])
+    v = _get_float(params, key, default)
+    if not float(v).is_integer():
+        raise ConfigError(f"parameter {key!r} must be an integer, got {params[key]!r}")
+    return int(v)
 
 
 def _get_float(params, key, default=None):
@@ -146,7 +143,10 @@ def _get_float(params, key, default=None):
             raise ConfigError(f"missing required parameter {key!r}")
         return default
     v = params[key]
-    return float(v) if not isinstance(v, list) else float(v[0])
+    try:
+        return float(v)  # a list value raises TypeError
+    except (TypeError, ValueError):
+        raise ConfigError(f"parameter {key!r} must be one number, got {v!r}") from None
 
 
 def _get_weights(params, key, n=None):
@@ -268,25 +268,27 @@ def cmd_exact(args, params):
     if arr is None:
         raise ConfigError("family instance too large for exact mode")
     grid = parse_t_grid(args.t_grid)
-    sep = separation_profile(arr, w, grid)
-    tv = total_variation_profile(arr, w, grid)
+    dist = distance_profiles(arr, w, grid)
     surv = survival_exact_profile(arr, w, grid)
-    rows = [(t, sep[t], tv[t], surv[t], None, None) for t in grid]
+    rows = [(t, *dist[t], surv[t], None, None) for t in grid]
     write_csv(args.out, _meta(args, params), rows)
+
+
+def _mc_rows(args, arr, w, info, grid):
+    """CSV rows of the Monte Carlo survival estimate over grid, drawn with
+    the family's own T sampler when it has one."""
+    est = estimate_survival(
+        arr, w, grid, args.trials, args.seed, t_sampler=info["t_sampler"]
+    )
+    return [
+        (t, None, None, None, p, se)
+        for t, p, se in zip(est.t_values, est.p_hat, est.std_err)
+    ]
 
 
 def cmd_mc(args, params):
     arr, w, info = build_family(args.family, params)
-    grid = parse_t_grid(args.t_grid)
-    if info["t_sampler"] is not None:
-        samples = info["t_sampler"](args.trials, args.seed)
-        est = survival_from_samples(samples, grid, seed=args.seed)
-    else:
-        est = estimate_survival(arr, w, grid, args.trials, args.seed)
-    rows = [
-        (t, None, None, None, p, se)
-        for t, p, se in zip(est.t_values, est.p_hat, est.std_err)
-    ]
+    rows = _mc_rows(args, arr, w, info, parse_t_grid(args.t_grid))
     write_csv(args.out, _meta(args, params), rows)
 
 
@@ -300,8 +302,7 @@ def cmd_bounds(args, params):
     times = sorted(
         {max(0, math.ceil(report.lower_time)), math.ceil(report.upper_time)}
     )
-    samples = info["t_sampler"](args.trials, args.seed)
-    est = survival_from_samples(samples, times, seed=args.seed)
+    rows = _mc_rows(args, None, None, info, times)
     extra = [
         ("t_star", _fmt(report.t_star)),
         ("c", _fmt(c)),
@@ -311,10 +312,6 @@ def cmd_bounds(args, params):
         ("lower_value", _fmt(report.lower_value)),
         ("t_star_min_w", _fmt(report.t_star_min_w)),
         ("t_star_min_w_sq", _fmt(report.t_star_min_w_sq)),
-    ]
-    rows = [
-        (t, None, None, None, p, se)
-        for t, p, se in zip(est.t_values, est.p_hat, est.std_err)
     ]
     write_csv(args.out, _meta(args, params, extra), rows)
 
@@ -343,11 +340,7 @@ def cmd_cutoff(args, params):
         hi = math.ceil(pred.time + 4 * pred.window)
         step = max(1, (hi - lo) // 32)
         grid = list(range(lo, hi + 1, step))
-    if info["t_sampler"] is not None:
-        samples = info["t_sampler"](args.trials, args.seed)
-        est = survival_from_samples(samples, grid, seed=args.seed)
-    else:
-        est = estimate_survival(arr, w, grid, args.trials, args.seed)
+    rows = _mc_rows(args, arr, w, info, grid)
     extra = [
         ("b", _fmt(b)),
         ("d", _fmt(d)),
@@ -355,10 +348,6 @@ def cmd_cutoff(args, params):
         ("cutoff_time", _fmt(pred.time)),
         ("window", _fmt(pred.window)),
         ("assumptions_ok", pred.assumptions_ok),
-    ]
-    rows = [
-        (t, None, None, None, p, se)
-        for t, p, se in zip(est.t_values, est.p_hat, est.std_err)
     ]
     write_csv(args.out, _meta(args, params, extra), rows)
 
@@ -443,7 +432,10 @@ def _run(args):
         env = os.environ.get(SEED_ENV_VAR)
         args.seed = int(params.pop("seed", env if env is not None else 0))
     if "trials" in params:
-        args.trials = int(float(params.pop("trials")))
+        args.trials = _get_int(params, "trials")
+        del params["trials"]
+    if args.trials < 1:
+        raise ConfigError("trials must be >= 1")
     if args.command != "cutoff" and args.t_grid is None:
         raise ConfigError("missing t-grid")
     args.func(args, params)

@@ -79,7 +79,6 @@ class Arrangement:
     chambers: tuple
     faces: tuple | None
     family_tag: str
-    symmetry_certified: bool = False
     _chamber_index: dict = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -163,7 +162,6 @@ def build_boolean(n, face_limit=DEFAULT_FACE_LIMIT):
         chambers=chambers,
         faces=faces,
         family_tag=f"boolean({n})",
-        symmetry_certified=True,
     )
 
 
@@ -256,7 +254,6 @@ def build_braid(n, face_limit=DEFAULT_FACE_LIMIT):
         chambers=chambers,
         faces=faces,
         family_tag=f"braid({n})",
-        symmetry_certified=True,
     )
 
 
@@ -352,7 +349,6 @@ def build_custom(m, chambers, faces, validate=True):
         chambers=chambers,
         faces=faces,
         family_tag="custom",
-        symmetry_certified=False,
     )
 
 

@@ -35,8 +35,9 @@ def transition_matrix(arr, w, chamber_cap=DEFAULT_CHAMBER_CAP):
     return P
 
 
-def stationary_solve(arr, w, chamber_cap=DEFAULT_CHAMBER_CAP):
-    """Stationary probability vector: solves pi P = pi, sum(pi) = 1."""
+def _chain(arr, w, chamber_cap):
+    """One build of P and one solve of pi P = pi, sum(pi) = 1, for the
+    exact engine and the stationary solve alike."""
     if not check_separating(arr, w):
         raise ValueError("non-separating weights: stationary law not unique")
     P = transition_matrix(arr, w, chamber_cap)
@@ -48,7 +49,12 @@ def stationary_solve(arr, w, chamber_cap=DEFAULT_CHAMBER_CAP):
     residual = np.abs(pi @ P - pi).max()
     if residual > 1e-10:
         raise RuntimeError(f"stationary solve residual {residual:.3g} > 1e-10")
-    return pi
+    return P, pi
+
+
+def stationary_solve(arr, w, chamber_cap=DEFAULT_CHAMBER_CAP):
+    """Stationary probability vector: solves pi P = pi, sum(pi) = 1."""
+    return _chain(arr, w, chamber_cap)[1]
 
 
 def stationary_without_replacement(
@@ -112,18 +118,27 @@ def _power_profile(P, t_grid):
         yield t, Pt
 
 
-def separation_profile(arr, w, t_grid, chamber_cap=DEFAULT_CHAMBER_CAP):
-    """Exact separation distance s(t) over an integer time grid.
+def separation(Pt, pi):
+    """s = max over starts x0 of 1 - min over x of Pt(x0, x) / pi(x)."""
+    return float((1.0 - (Pt / pi[np.newaxis, :]).min(axis=1)).max())
 
-    s(t) = max over starts x0 of 1 - min over x of P^t(x0, x) / pi(x).
-    """
-    P = transition_matrix(arr, w, chamber_cap)
-    pi = stationary_solve(arr, w, chamber_cap)
+
+def distance_profiles(arr, w, t_grid, chamber_cap=DEFAULT_CHAMBER_CAP):
+    """Exact separation distance s(t) and worst-case total variation TV(t)
+    over an integer time grid, as {t: (s(t), TV(t))}, from one build of P,
+    one stationary solve and one walk of P^t."""
+    P, pi = _chain(arr, w, chamber_cap)
     out = {}
     for t, Pt in _power_profile(P, t_grid):
-        ratios = Pt / pi[np.newaxis, :]
-        out[t] = float((1.0 - ratios.min(axis=1)).max())
+        tv = 0.5 * np.abs(Pt - pi[np.newaxis, :]).sum(axis=1).max()
+        out[t] = (separation(Pt, pi), float(tv))
     return out
+
+
+def separation_profile(arr, w, t_grid, chamber_cap=DEFAULT_CHAMBER_CAP):
+    """Exact separation distance s(t) over an integer time grid."""
+    prof = distance_profiles(arr, w, t_grid, chamber_cap)
+    return {t: s for t, (s, _) in prof.items()}
 
 
 def separation_distance(arr, w, t, chamber_cap=DEFAULT_CHAMBER_CAP):
@@ -132,12 +147,8 @@ def separation_distance(arr, w, t, chamber_cap=DEFAULT_CHAMBER_CAP):
 
 def total_variation_profile(arr, w, t_grid, chamber_cap=DEFAULT_CHAMBER_CAP):
     """Exact worst-case total variation distance to stationarity on a grid."""
-    P = transition_matrix(arr, w, chamber_cap)
-    pi = stationary_solve(arr, w, chamber_cap)
-    out = {}
-    for t, Pt in _power_profile(P, t_grid):
-        out[t] = float(0.5 * np.abs(Pt - pi[np.newaxis, :]).sum(axis=1).max())
-    return out
+    prof = distance_profiles(arr, w, t_grid, chamber_cap)
+    return {t: tv for t, (_, tv) in prof.items()}
 
 
 def total_variation(arr, w, t, chamber_cap=DEFAULT_CHAMBER_CAP):
@@ -159,21 +170,22 @@ def survival_terms(arr, w, hyperplane_cap=DEFAULT_IE_HYPERPLANE_CAP):
             f"m={m} exceeds inclusion-exclusion cap {hyperplane_cap}; "
             "use Monte Carlo survival estimation"
         )
-    face_data = list(zip(w.zero_masks(), w.weights))
     terms = []
-
-    def extend(start, size, compatible):
-        for i in range(start, m):
-            bit = 1 << i
-            sub = [(mask, wt) for mask, wt in compatible if mask & bit]
-            if not sub:
-                continue
-            q = sum(wt for _, wt in sub)
-            terms.append((1 if (size + 1) % 2 == 1 else -1, q))
-            extend(i + 1, size + 1, sub)
-
-    extend(0, 0, face_data)
+    _extend_terms(terms, m, 0, 0, list(zip(w.zero_masks(), w.weights)))
     return terms
+
+
+def _extend_terms(terms, m, start, size, compatible):
+    """Append, depth first, the term of every set that adds hyperplanes from
+    start..m-1 to a set of the given size whose faces are ``compatible``."""
+    for i in range(start, m):
+        bit = 1 << i
+        sub = [(mask, wt) for mask, wt in compatible if mask & bit]
+        if not sub:
+            continue
+        q = sum(wt for _, wt in sub)
+        terms.append((1 if (size + 1) % 2 == 1 else -1, q))
+        _extend_terms(terms, m, i + 1, size + 1, sub)
 
 
 def survival_exact(arr, w, t, hyperplane_cap=DEFAULT_IE_HYPERPLANE_CAP):

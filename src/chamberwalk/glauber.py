@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CapacityError
+from .exact import _power_profile, separation
 
 DEFAULT_SITE_CAP = 12
 DEFAULT_STATE_CAP = 4096
@@ -155,6 +156,21 @@ def stationary_distribution(sys, state_cap=DEFAULT_STATE_CAP):
     return configs, p / p.sum()
 
 
+def _site_moves(sys, configs, index):
+    """(config index, site) -> [(next config index, prob)]: the heat-bath
+    update at that site, one entry per spin in spin order."""
+    moves = {}
+    for i, sigma in enumerate(configs):
+        for u in range(sys.n_sites):
+            row = []
+            for s, ps in zip(sys.spins, conditional_at_site(sys, sigma, u)):
+                cfg = list(sigma)
+                cfg[u] = s
+                row.append((index[tuple(cfg)], ps))
+            moves[i, u] = row
+    return moves
+
+
 def glauber_matrix(sys, state_cap=DEFAULT_STATE_CAP):
     """Exact transition matrix: pick a uniform site, resample from its
     conditional."""
@@ -162,13 +178,9 @@ def glauber_matrix(sys, state_cap=DEFAULT_STATE_CAP):
     index = {c: i for i, c in enumerate(configs)}
     n = sys.n_sites
     P = np.zeros((len(configs), len(configs)))
-    for i, sigma in enumerate(configs):
-        for u in range(n):
-            p = conditional_at_site(sys, sigma, u)
-            for s, ps in zip(sys.spins, p):
-                cfg = list(sigma)
-                cfg[u] = s
-                P[i, index[tuple(cfg)]] += ps / n
+    for (i, _), row in _site_moves(sys, configs, index).items():
+        for j, ps in row:
+            P[i, j] += ps / n
     return configs, pi, P
 
 
@@ -183,16 +195,9 @@ def glauber_separation_profile(sys, t_grid, state_cap=DEFAULT_STATE_CAP):
     configs, pi, P = glauber_matrix(sys, state_cap)
     index = {c: i for i, c in enumerate(configs)}
     i_top, i_bot = index[sys.top], index[sys.bottom]
-    Pt = np.eye(len(configs))
-    current = 0
     out = {}
-    for t in sorted(set(int(t) for t in t_grid)):
-        for _ in range(t - current):
-            Pt = Pt @ P
-        current = t
-        s_t = float((1.0 - (Pt / pi[np.newaxis, :]).min(axis=1)).max())
-        ratio = float(1.0 - Pt[i_top, i_bot] / pi[i_bot])
-        out[t] = (s_t, ratio)
+    for t, Pt in _power_profile(P, t_grid):
+        out[t] = (separation(Pt, pi), float(1.0 - Pt[i_top, i_bot] / pi[i_bot]))
     return out
 
 
@@ -226,7 +231,7 @@ def coverage_conditioned_profile(sys, t_grid, state_cap=DEFAULT_STATE_CAP):
     """Grid version of coverage_conditioned_law: evolves the joint
     (configuration, selected-site set) chain once and reads off every t.
     Returns (configs, {t: (conditional law, coverage probability)})."""
-    configs, pi, _ = glauber_matrix(sys, state_cap)
+    configs = sys.configurations(state_cap)
     index = {c: i for i, c in enumerate(configs)}
     n = sys.n_sites
     n_cfg = len(configs)
@@ -234,17 +239,7 @@ def coverage_conditioned_profile(sys, t_grid, state_cap=DEFAULT_STATE_CAP):
     # joint distribution over (config, touched-mask), started at (top, empty)
     joint = np.zeros((n_cfg, full + 1))
     joint[index[sys.top], 0] = 1.0
-    # precompute per-(config, site) update rows
-    moves = {}
-    for i, sigma in enumerate(configs):
-        for u in range(n):
-            p = conditional_at_site(sys, sigma, u)
-            row = []
-            for s, ps in zip(sys.spins, p):
-                cfg = list(sigma)
-                cfg[u] = s
-                row.append((index[tuple(cfg)], ps))
-            moves[i, u] = row
+    moves = _site_moves(sys, configs, index)
     out = {}
     t_grid = sorted(set(int(t) for t in t_grid))
     current = 0

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import chamberwalk.exact
+
 from chamberwalk.cli import ConfigError, main, parse_params, parse_t_grid
 
 
@@ -36,7 +38,23 @@ def test_parse_params_fractions_and_lists():
         parse_params(["oops"])
 
 
-def test_exact_tsetlin_uniform_values(tmp_path):
+def test_exact_tsetlin_uniform_values(tmp_path, monkeypatch):
+    # one exact command: one build of P and one stationary solve
+    counts = {"transition_matrix": 0, "lstsq": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        chamberwalk.exact,
+        "transition_matrix",
+        counted("transition_matrix", chamberwalk.exact.transition_matrix),
+    )
+    monkeypatch.setattr(np.linalg, "lstsq", counted("lstsq", np.linalg.lstsq))
     out = tmp_path / "exact.csv"
     run_cli(
         [
@@ -62,6 +80,7 @@ def test_exact_tsetlin_uniform_values(tmp_path):
     assert s2 == pytest.approx(1 / 3, abs=1e-9)
     assert surv2 == pytest.approx(s2, abs=1e-9)
     assert table[2][4] == "" and table[2][5] == ""
+    assert counts == {"transition_matrix": 1, "lstsq": 1}
 
 
 def test_mc_rerun_byte_identical(tmp_path):
@@ -248,6 +267,31 @@ def test_list_mode(capsys):
 def test_unknown_family_errors(tmp_path):
     with pytest.raises(SystemExit):
         main(["exact", "--family", "nope", "--t-grid", "1..3"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mc", "--family", "riffle", "--params", "n=3.7"],
+        ["mc", "--family", "riffle", "--params", "n=6,7"],
+        ["mc", "--family", "riffle", "--params", "n=abc"],
+        ["mc", "--family", "riffle", "--params", "n=6", "a=2.5"],
+        ["mc", "--family", "riffle", "--params", "n=6", "trials=2.5"],
+        ["mc", "--family", "hypercube-nonlocal", "--params", "n=8", "k=2",
+         "--trials", "0"],
+        ["mc", "--config", "run.cfg"],
+        ["glauber", "--family", "ising", "--params", "width=2", "height=2",
+         "beta=0.3,0.9"],
+    ],
+)
+def test_bad_numeric_params_exit_2(argv, tmp_path, monkeypatch):
+    # a parameter that takes one number is never truncated or cut to a list
+    # head, and a run never draws zero trials
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text("family=riffle\nn=4\ntrials=2.5\n")
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--t-grid", "1..3"])
+    assert exc.value.code == 2
 
 
 def test_missing_t_grid_errors():

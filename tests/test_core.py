@@ -59,7 +59,6 @@ def test_build_boolean_counts():
         assert arr.m == n
         assert arr.n_chambers == 2**n
         assert len(arr.faces) == 3**n
-        assert arr.symmetry_certified
     with pytest.raises(ValueError):
         cw.build_boolean(0)
 
@@ -137,6 +136,9 @@ def test_check_separating():
     from chamberwalk.core import violated_hyperplanes
 
     assert violated_hyperplanes(a2, w) == [1]
+    for exact in (cw.distance_profiles, cw.separation_profile):
+        with pytest.raises(ValueError, match="non-separating"):
+            exact(a2, w, range(1, 4))
     empty = cw.WeightedFaceSet((), np.array([]))
     assert not cw.check_separating(a2, empty)
 

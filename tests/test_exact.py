@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 
@@ -6,6 +7,7 @@ import pytest
 
 import chamberwalk as cw
 from chamberwalk.core import CapacityError
+from chamberwalk.exact import survival_terms
 
 
 def boolean2_uniform():
@@ -157,12 +159,40 @@ def test_total_variation_t0():
     assert cw.total_variation(arr, w, 0) == pytest.approx(1 - 1 / 4)
 
 
+def separate_loop_profiles(arr, w, t_grid):
+    """Oracle: s(t) and TV(t) from a P^t loop written out here, with the
+    same floating-point operations in the same order as the engine."""
+    P = cw.transition_matrix(arr, w)
+    pi = cw.stationary_solve(arr, w)
+    Pt, current, out = np.eye(P.shape[0]), 0, {}
+    for t in t_grid:
+        for _ in range(t - current):
+            Pt = Pt @ P
+        current = t
+        sep = float((1.0 - (Pt / pi[np.newaxis, :]).min(axis=1)).max())
+        tv = float(0.5 * np.abs(Pt - pi[np.newaxis, :]).sum(axis=1).max())
+        out[t] = (sep, tv)
+    return out
+
+
 def test_tv_below_separation():
-    for arr, w in [boolean2_uniform(), tsetlin([0.5, 0.3, 0.2])]:
+    for arr, w in [
+        boolean2_uniform(),
+        tsetlin([0.5, 0.3, 0.2]),
+        (cw.build_braid(4), cw.riffle_faces(4, 2)),
+        tsetlin([0.4, 0.3, 0.2, 0.1]),
+        (
+            cw.build_boolean(3),
+            cw.hypercube_nn_faces([0.1, 0.2, 0.15], [0.2, 0.25, 0.1]),
+        ),
+    ]:
         sep = cw.separation_profile(arr, w, range(1, 15))
         tv = cw.total_variation_profile(arr, w, range(1, 15))
         for t in range(1, 15):
             assert tv[t] <= sep[t] + 1e-12
+        both = cw.distance_profiles(arr, w, range(1, 15))
+        assert both == {t: (sep[t], tv[t]) for t in range(1, 15)}
+        assert both == separate_loop_profiles(arr, w, range(1, 15))
 
 
 def test_survival_exact_boolean2():
@@ -178,6 +208,19 @@ def test_survival_exact_boolean2():
 def test_survival_exact_tsetlin3():
     arr, w = tsetlin([1 / 3, 1 / 3, 1 / 3])
     assert cw.survival_exact(arr, w, 2) == pytest.approx(1 / 3, abs=1e-12)
+
+
+def test_survival_terms_leave_no_garbage():
+    arr, w = cw.build_braid(5), cw.riffle_faces(5, 2)
+    gc.collect()
+    gc.disable()
+    try:
+        terms = survival_terms(arr, w)
+        assert len(terms) == 2**10 - 1
+        del terms
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_survival_exact_capacity():

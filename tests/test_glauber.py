@@ -104,11 +104,34 @@ def test_grand_coupling_preserves_order(shape, beta):
                 assert all(x <= y for x, y in zip(a, b))
 
 
+def site_loop_matrix(sys_):
+    """Oracle: P by a direct loop over configs x sites x spins, adding into
+    P in the same order as the shared site-move table."""
+    configs = sys_.configurations()
+    index = {c: i for i, c in enumerate(configs)}
+    n = sys_.n_sites
+    P = np.zeros((len(configs), len(configs)))
+    for i, sigma in enumerate(configs):
+        for u in range(n):
+            p = cw.conditional_at_site(sys_, sigma, u)
+            for s, ps in zip(sys_.spins, p):
+                cfg = list(sigma)
+                cfg[u] = s
+                P[i, index[tuple(cfg)]] += ps / n
+    return P
+
+
 def test_glauber_matrix_stochastic_and_stationary():
-    for sys_ in (cw.ising_system(2, 2, 0.3), cw.ising_system(1, 4, 1.0)):
+    for sys_ in (
+        cw.ising_system(2, 2, 0.3),
+        cw.ising_system(1, 4, 1.0),
+        cw.ising_system(3, 2, 0.3, field=0.2),
+        cw.product_system(3, [0.2, 0.5, 0.7]),
+    ):
         _, pi, P = cw.glauber_matrix(sys_)
         assert np.allclose(P.sum(axis=1), 1.0, atol=1e-12)
         assert np.abs(pi @ P - pi).max() < 1e-10
+        assert np.array_equal(P, site_loop_matrix(sys_))
 
 
 def test_separation_t0_and_two_site_value():

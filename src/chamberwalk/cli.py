@@ -134,7 +134,8 @@ def _get_int(params, key, default=None):
     v = _get_float(params, key, default)
     if not float(v).is_integer():
         raise ConfigError(f"parameter {key!r} must be an integer, got {params[key]!r}")
-    return int(v)
+    raw = str(params.get(key, "")).strip()
+    return int(raw) if raw.isdigit() else int(v)  # digits stay exact past 2**53
 
 
 def _get_float(params, key, default=None):
@@ -196,20 +197,17 @@ def build_family(family, params):
         return arr, top_bottom_faces(n, weights), info
     if family == "hypercube-nn":
         n = _get_int(params, "n")
-        w_plus = _get_weights(params, "w_plus", None) if "w_plus" in params else None
-        w_minus = _get_weights(params, "w_minus", None) if "w_minus" in params else None
-        if w_plus is None:
-            w_plus = np.full(n, 1.0 / (2 * n))
-        if w_minus is None:
-            w_minus = np.full(n, 1.0 / (2 * n))
+        half = np.full(n, 1.0 / (2 * n))
+        w_plus = _get_weights(params, "w_plus") if "w_plus" in params else half
+        w_minus = _get_weights(params, "w_minus") if "w_minus" in params else half
         arr = build_boolean(n)
         return arr, hypercube_nn_faces(w_plus, w_minus), info
     if family == "hypercube-nonlocal":
         n, k = _get_int(params, "n"), _get_int(params, "k")
+        if not 1 < k <= n / 2:
+            raise ConfigError(f"hypercube-nonlocal needs 1 < k <= n/2, got n={n} k={k}")
         info["bd"] = kset_coupling_closed_form(n, k)
-        info["t_sampler"] = lambda trials, seed: sample_kset_coupon_T(
-            n, k, trials, seed
-        )
+        info["t_sampler"] = lambda trials, seed: sample_kset_coupon_T(n, k, trials, seed)
         arr = w = None
         if math.comb(n, k) * 2**k <= 100_000 and 2**n <= 10_000:
             arr = build_boolean(n)
@@ -429,8 +427,11 @@ def _run(args):
     else:
         params.pop("t", None), params.pop("t_grid", None)
     if args.seed is None:
-        env = os.environ.get(SEED_ENV_VAR)
-        args.seed = int(params.pop("seed", env if env is not None else 0))
+        params.setdefault("seed", os.environ.get(SEED_ENV_VAR, "0"))
+        args.seed = _get_int(params, "seed")
+        del params["seed"]
+    if args.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {args.seed}")
     if "trials" in params:
         args.trials = _get_int(params, "trials")
         del params["trials"]

@@ -23,6 +23,7 @@ from .core import (
 
 DEFAULT_ENUM_CAP = 1_000_000
 DEFAULT_TSETLIN_EXACT_CAP = 20
+_CHUNK_CELLS = 2**16  # trials x n cells per block of the weighted card sampler
 
 
 def _check_weights(weights):
@@ -320,34 +321,29 @@ def tsetlin_survival_profile(spec, t_grid, exact_cap=DEFAULT_TSETLIN_EXACT_CAP):
 def sample_card_collection_T(spec, trials, seed):
     """Monte Carlo samples of T = first time n-1 distinct cards are touched.
 
-    Uniform weights use the exact geometric decomposition (waiting times
-    between distinct cards are independent geometrics); general weights fall
-    back to direct per-trial simulation.
+    Exact in law: T sums the waits for new cards, and the wait after j
+    distinct cards is geometric with success probability the weight not yet
+    touched, (n-j)/n for equal weights.  Otherwise the order of first
+    touches is drawn first, by sorting exponential clocks E_i / w_i (the
+    Luce law); given it the waits are independent.
     """
     n = spec.n
     w = spec.card_weights
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
     if np.ptp(w) <= 1e-15:
-        total = np.zeros(trials, dtype=np.int64)
-        for j in range(n - 1):
-            total += rng.geometric((n - j) / n, size=trials)
-        return total
-    out = np.empty(trials, dtype=np.int64)
-    cdf = np.cumsum(w)
-    for k in range(trials):
-        touched = np.zeros(n, dtype=bool)
-        count, t = 0, 0
-        while count < n - 1:
-            block = np.searchsorted(cdf, rng.random(256))
-            for card in block:
-                t += 1
-                if not touched[card]:
-                    touched[card] = True
-                    count += 1
-                    if count == n - 1:
-                        break
-        out[k] = t
-    return out
+        waits = (rng.geometric((n - j) / n, size=trials) for j in range(n - 1))
+        return sum(waits, np.zeros(trials, dtype=np.int64))
+    rows = max(1, _CHUNK_CELLS // n)
+    blocks = [_weighted_card_T(w, min(rows, trials - lo), rng)
+              for lo in range(0, trials, rows)]
+    return np.concatenate([np.empty(0, dtype=np.int64), *blocks])
+
+
+def _weighted_card_T(w, trials, rng):
+    order = np.argsort(rng.standard_exponential((trials, len(w))) / w, axis=1)
+    untouched = np.cumsum(w[order][:, ::-1], axis=1)[:, ::-1]  # suffix sums
+    # over the full sum, the largest suffix, every probability stays <= 1
+    return rng.geometric(untouched[:, :-1] / untouched[:, :1]).sum(axis=1, dtype=np.int64)
 
 
 def sample_kset_coupon_T(m, k, trials, seed):
@@ -355,33 +351,29 @@ def sample_kset_coupon_T(m, k, trials, seed):
     of [m] per step; T = first time all m coupons are held.
 
     Matches the chamber-walk T for the non-local hypercube walk (signs never
-    matter for T).  Vectorized across trials.
+    matter for T).  Exact in law: the count c of coupons held jumps after a
+    geometric holding time with stay probability C(c,k)/C(m,k), by a
+    hypergeometric number of new coupons conditioned on >= 1.
     """
+    if not 1 <= k <= m:
+        raise ValueError(f"need 1 <= k <= m, got k={k}, m={m}")
+    total = math.comb(m, k)
+    moves = [total - math.comb(c, k) for c in range(m)]  # k-sets with a new coupon
+    leave = np.array([mv / total for mv in moves])
+    # P(jump <= x | jump >= 1) for x = 1..k-1, from exact integer counts
+    jump_cdf = np.array([
+        [cum / moves[c] for cum in itertools.accumulate(
+            math.comb(m - c, x) * math.comb(c, k - x) for x in range(1, k))]
+        for c in range(m)
+    ]).reshape(m, k - 1)
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
-    touched = np.zeros((trials, m), dtype=bool)
-    counts = np.zeros(trials, dtype=np.int64)
-    T = np.zeros(trials, dtype=np.int64)
-    active = np.arange(trials)
-    t = 0
-    while active.size:
-        t += 1
-        # uniform k-subset per active trial via a partial Fisher-Yates draw
-        picks = np.empty((active.size, k), dtype=np.int64)
-        chosen = np.full((active.size, k), -1, dtype=np.int64)
-        for j in range(k):
-            r = rng.integers(0, m - j, size=active.size)
-            # map r past the already-chosen values (k is small: direct fix-up)
-            for prev in range(j):
-                r += r >= np.sort(chosen[:, :j], axis=1)[:, prev]
-            chosen[:, j] = r
-            picks[:, j] = r
-        for j in range(k):
-            col = picks[:, j]
-            newly = ~touched[active, col]
-            touched[active, col] = True
-            counts[active] += newly
-        done = counts[active] == m
-        if done.any():
-            T[active[done]] = t
-            active = active[~done]
-    return T
+    out = np.empty(trials, dtype=np.int64)
+    idx = np.arange(trials)
+    held, t = np.zeros((2, trials), dtype=np.int64)
+    while idx.size:
+        t += rng.geometric(leave[held])
+        held += 1 + (jump_cdf[held] <= rng.random(idx.size)[:, None]).sum(axis=1)
+        going = held < m
+        out[idx[~going]] = t[~going]
+        idx, held, t = idx[going], held[going], t[going]
+    return out

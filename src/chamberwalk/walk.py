@@ -3,8 +3,11 @@
 T is the first step at which the product of the faces picked so far is a
 chamber.  Because the product's zero set is the intersection of the picked
 faces' zero sets, T only depends on which hyperplanes have been "cut" so
-far, so the sampler tracks the shrinking set of uncut hyperplanes instead
-of the full face product.
+far, so the samplers track the shrinking set of uncut hyperplanes instead
+of the full face product.  ``sample_T`` draws one T with a Python set;
+``sample_T_batch`` runs all trials at once, as rows of packed bit words,
+from one generator per call, so its output is deterministic in
+(seed, trials).
 """
 
 from __future__ import annotations
@@ -19,11 +22,7 @@ DEFAULT_STEP_CAP = 10**9
 
 
 def trial_rng(seed, trial):
-    """Deterministic per-trial generator: stream ``trial`` of root ``seed``.
-
-    Trials are reproducible and independent regardless of how they are
-    scheduled across workers.
-    """
+    """Reproducible, independent generator: stream ``trial`` of root ``seed``."""
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(trial,)))
 
 
@@ -70,26 +69,33 @@ def sample_T(arr, w, seed=None, rng=None, step_cap=DEFAULT_STEP_CAP):
 
 
 def sample_T_batch(arr, w, trials, seed, step_cap=DEFAULT_STEP_CAP):
-    """Array of T samples; trial k uses the (seed, k) stream."""
+    """Array of ``trials`` independent copies of T, deterministic in (seed, trials).
+
+    Each trial's uncut hyperplanes are a row of ceil(m/64) packed uint64
+    words.  Every step draws one face per still-active trial by inverse CDF
+    from one generator seeded with ``seed``, clears that face's support
+    bits, and retires the trials whose row is now zero.
+    """
     _require_separating(arr, w)
-    supports = w.supports()
-    n_faces = len(supports)
+    bits = np.zeros((len(w.faces) + 1, 64 * -(-arr.m // 64)), dtype=bool)
+    bits[0, : arr.m] = True  # every hyperplane starts uncut
+    bits[1:, : arr.m] = np.array(w.faces) == 0  # a pick keeps the ones it lies on
+    packed = np.packbits(bits, axis=1, bitorder="little").view("<u8")
+    uncut, keep = np.repeat(packed[:1], trials, axis=0), packed[1:]
+    cdf = np.cumsum(w.weights)
+    cdf /= cdf[-1]
+    rng = np.random.default_rng(seed)
     out = np.empty(trials, dtype=np.int64)
-    for k in range(trials):
-        rng = trial_rng(seed, k)
-        uncut = set(range(arr.m))
-        t = 0
-        # draw picks in blocks to amortize generator overhead
-        while uncut:
-            picks = rng.choice(n_faces, size=64, p=w.weights)
-            for p in picks:
-                t += 1
-                uncut.difference_update(supports[p])
-                if not uncut:
-                    break
-                if t > step_cap:
-                    raise RuntimeError(f"T exceeded the {step_cap}-step cap")
-        out[k] = t
+    active = np.arange(trials)
+    t = 0
+    while active.size:
+        t += 1
+        if t > step_cap:
+            raise RuntimeError(f"T exceeded the {step_cap}-step cap")
+        uncut &= keep[np.searchsorted(cdf, rng.random(active.size), side="right")]
+        done = ~uncut.any(axis=1)
+        out[active[done]] = t
+        active, uncut = active[~done], uncut[~done]
     return out
 
 
@@ -121,8 +127,8 @@ def survival_from_samples(samples, t_grid, seed=0):
 def estimate_survival(arr, w, t_grid, trials, seed, t_sampler=None):
     """Estimate P(T > t) over a grid from one T sample per trial.
 
-    ``t_sampler(trials, seed) -> array`` replaces the generic per-trial
-    sampler for families with a faster vectorized one; results stay
+    ``t_sampler(trials, seed) -> array`` replaces the generic face-pick
+    sampler for families whose T is a count chain; results stay
     deterministic in (seed, trials).
     """
     if trials < 1:

@@ -282,16 +282,44 @@ def test_unknown_family_errors(tmp_path):
         ["mc", "--config", "run.cfg"],
         ["glauber", "--family", "ising", "--params", "width=2", "height=2",
          "beta=0.3,0.9"],
+        ["mc", "--family", "riffle", "--params", "n=4", "seed=2.5"],
+        ["mc", "--config", "seed.cfg"],
+        ["mc", "--family", "riffle", "--params", "n=4", "seed=-1"],
+        ["mc", "--family", "riffle", "--params", "n=4", "--seed", "-1"],
+        ["env-seed", "mc", "--family", "riffle", "--params", "n=4"],
     ],
 )
 def test_bad_numeric_params_exit_2(argv, tmp_path, monkeypatch):
     # a parameter that takes one number is never truncated or cut to a list
-    # head, and a run never draws zero trials
+    # head, a run never draws zero trials, and a seed is a whole number >= 0
     monkeypatch.chdir(tmp_path)
     (tmp_path / "run.cfg").write_text("family=riffle\nn=4\ntrials=2.5\n")
+    (tmp_path / "seed.cfg").write_text("family=riffle\nn=4\nseed=2.5\n")
+    if argv[0] == "env-seed":
+        monkeypatch.setenv("CHAMBERWALK_SEED", "abc")
+        argv = argv[1:]
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--t-grid", "1..3"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("k", [0, 1, 300, 600])
+def test_hypercube_nonlocal_k_out_of_range_exit_2(k):
+    # k=0 once looped forever, k=600 raised from numpy, k=300 ran
+    with pytest.raises(SystemExit) as exc:
+        main(["mc", "--family", "hypercube-nonlocal", "--params", "n=512", f"k={k}",
+              "--trials", "10", "--t-grid", "1..3"])
+    assert exc.value.code == 2
+
+
+def test_seed_digits_stay_exact(tmp_path):
+    big = 2**64 + 1  # float(big) == 2**64
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    argv = ["mc", "--family", "tsetlin", "--t-grid", "1..5", "--trials", "200",
+            "--params", "weights=0.5,0.3,0.2"]
+    run_cli(argv + [f"seed={big}", "--out", str(a)])
+    run_cli(argv + ["--seed", str(big), "--out", str(b)])
+    assert a.read_bytes() == b.read_bytes()
 
 
 def test_missing_t_grid_errors():

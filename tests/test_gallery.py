@@ -270,6 +270,73 @@ def test_sample_kset_coupon_T_matches_exact():
         assert abs(p - exact[t]) < 4 * se
 
 
+def _assert_survival_within_4se(samples, exact):
+    for t, p in exact.items():
+        se = max(np.sqrt(p * (1 - p) / len(samples)), 1 / len(samples))
+        assert abs((samples > t).mean() - p) < 4 * se, (t, (samples > t).mean(), p)
+
+
+def test_sample_card_collection_T_skewed_matches_exact():
+    # one card 50 times lighter than the others
+    spec = cw.TsetlinSpec(np.array([50, 50, 50, 50, 1]) / 201)
+    T = cw.sample_card_collection_T(spec, 100_000, seed=71)
+    _assert_survival_within_4se(T, cw.tsetlin_survival_profile(spec, range(3, 30)))
+
+
+def test_sample_kset_coupon_T_k3_m7_matches_chain():
+    # jumps of 1 to 3 new coupons; for c < 3 a step always brings one
+    m, k = 7, 3
+    P = np.zeros((m + 1, m + 1))
+    for c in range(m + 1):
+        for x in range(k + 1):
+            P[c, min(c + x, m)] += math.comb(m - c, x) * math.comb(c, k - x) / math.comb(m, k)
+    law = np.eye(m + 1)[0]
+    exact = {}
+    for t in range(1, 21):
+        law = law @ P
+        exact[t] = 1.0 - law[m]
+    T = cw.sample_kset_coupon_T(m, k, 100_000, seed=72)
+    _assert_survival_within_4se(T, exact)
+
+
+def test_sample_kset_coupon_T_rejects_bad_k():
+    for k in (0, 8):
+        with pytest.raises(ValueError):
+            cw.sample_kset_coupon_T(7, k, 10, seed=0)
+    assert np.all(cw.sample_kset_coupon_T(7, 7, 10, seed=0) == 1)
+
+
+def test_samplers_repeat_for_fixed_seed_and_trials():
+    for spec in (cw.TsetlinSpec(np.full(100, 0.01)), cw.TsetlinSpec(np.arange(1, 101) / 5050)):
+        # 1000 trials of 100 cards span two blocks of the weighted path
+        a = cw.sample_card_collection_T(spec, 1000, seed=73)
+        assert a.shape == (1000,)
+        assert np.array_equal(a, cw.sample_card_collection_T(spec, 1000, seed=73))
+    a = cw.sample_kset_coupon_T(64, 2, 1000, seed=73)
+    assert np.array_equal(a, cw.sample_kset_coupon_T(64, 2, 1000, seed=73))
+
+
+def test_card_collection_small_n_both_paths():
+    from chamberwalk.gallery import _weighted_card_T
+
+    assert np.all(cw.sample_card_collection_T(cw.TsetlinSpec([1.0]), 50, seed=0) == 0)
+    rng = np.random.default_rng(0)
+    assert np.all(_weighted_card_T(np.array([1.0]), 50, rng) == 0)
+    for weights in ([0.5, 0.5], [0.3, 0.7]):
+        T = cw.sample_card_collection_T(cw.TsetlinSpec(weights), 50, seed=0)
+        assert np.all(T == 1)
+
+
+def test_card_collection_equal_weights_draw_for_draw():
+    n, trials, seed = 9, 500, 74
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
+    want = np.zeros(trials, dtype=np.int64)
+    for j in range(n - 1):
+        want += rng.geometric((n - j) / n, size=trials)
+    got = cw.sample_card_collection_T(cw.TsetlinSpec(np.full(n, 1 / n)), trials, seed)
+    assert np.array_equal(got, want)
+
+
 def test_riffle_sst_crossing_location():
     # for a=2, n=5 the survival curve crosses 1/2 near log2 C(5,2)
     arr = cw.build_braid(5)

@@ -143,3 +143,53 @@ def test_conditional_on_T_is_uniform():
         counts = [sum(1 for c in chambers if c == ch) for ch in arr.chambers]
         _, pval = stats.chisquare(counts)
         assert pval > 0.001
+
+
+def _assert_survival_within_4se(samples, exact):
+    for t, p in exact.items():
+        se = max(np.sqrt(p * (1 - p) / len(samples)), 1 / len(samples))
+        assert abs((samples > t).mean() - p) < 4 * se, (t, (samples > t).mean(), p)
+
+
+def test_sample_T_batch_second_packed_word():
+    # 70 hyperplanes need two uint64 words per trial; the uncut count is a
+    # coupon chain that cuts a new coordinate with probability u/70
+    m = 70
+    arr = cw.Arrangement(m=m, chambers=((1,) * m, (-1,) * m), faces=None,
+                         family_tag="boolean-70-two-chambers")
+    w = cw.hypercube_nn_faces(np.full(m, 0.3 / m), np.full(m, 0.7 / m))
+    samples = sample_T_batch(arr, w, 20_000, seed=61)
+    law = np.zeros(m + 1)
+    law[m] = 1.0
+    exact = {}
+    for t in range(1, 701):
+        u = np.arange(m + 1)
+        law = law * (1 - u / m) + np.append(law[1:] * u[1:] / m, 0.0)
+        if t in (150, 250, 350, 500, 700):
+            exact[t] = 1.0 - law[0]
+    _assert_survival_within_4se(samples, exact)
+
+
+@pytest.mark.parametrize(
+    "arr, w",
+    [
+        (cw.build_braid(5), cw.riffle_faces(5, 2)),
+        (cw.build_braid(5), cw.tsetlin_faces(cw.TsetlinSpec([0.35, 0.25, 0.2, 0.12, 0.08]))),
+    ],
+    ids=["riffle5", "tsetlin5-nonuniform"],
+)
+def test_sample_T_batch_matches_exact_survival(arr, w):
+    samples = sample_T_batch(arr, w, 50_000, seed=62)
+    _assert_survival_within_4se(samples, cw.survival_exact_profile(arr, w, range(1, 25)))
+
+
+def test_sample_T_batch_contract():
+    arr, w = _boolean2_uniform()
+    a = sample_T_batch(arr, w, 3000, seed=63)
+    assert np.array_equal(a, sample_T_batch(arr, w, 3000, seed=63))
+    # the cap admits T == step_cap and refuses anything longer
+    assert np.array_equal(a, sample_T_batch(arr, w, 3000, seed=63, step_cap=a.max()))
+    with pytest.raises(RuntimeError):
+        sample_T_batch(arr, w, 3000, seed=63, step_cap=a.max() - 1)
+    with pytest.raises(RuntimeError):
+        sample_T_batch(arr, w, 10, seed=63, step_cap=1)  # T >= 2 on boolean(2)

@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .core import build_boolean, build_braid
+from .core import CapacityError, build_boolean, build_braid
 from .exact import (
     coupling_parameters,
     cutoff_prediction,
@@ -60,7 +60,7 @@ FAMILIES = {
     "top-bottom": "random card to top or bottom; s(t) = P(T>t) under "
     "uniform card weights",
     "hypercube-nn": "weighted nearest-neighbor hypercube walk; "
-    "s(t) = P(T>t) when w_i^+ = w_i^-",
+    "s(t) = P(T>t) for any weights w_i^+, w_i^-",
     "hypercube-nonlocal": "flip k random coordinates; closed-form cutoff "
     "parameters b=k/n, d=k^2/n^2-k(n-k)/(n^2(n-1))",
     "ising": "ferromagnetic Ising Glauber dynamics (glauber mode; "
@@ -166,53 +166,57 @@ def build_family(family, params):
 
     info carries an optional fast T sampler and closed-form (b, d) for
     families with one; exact machinery uses the explicit (arr, w) pair.
+    The builders' own argument checks surface as ConfigError.
     """
     info = {"t_sampler": None, "bd": None}
-    if family == "tsetlin":
-        weights = _get_weights(params, "weights", _get_int(params, "n", 0) or None)
-        spec = TsetlinSpec(weights)
-        info["t_sampler"] = lambda trials, seed: sample_card_collection_T(spec, trials, seed)
-        info["spec"] = spec
-        n = spec.n
-        arr = w = None
-        if math.factorial(n) <= 10_000:
+    try:
+        if family == "tsetlin":
+            weights = _get_weights(params, "weights", _get_int(params, "n", 0) or None)
+            spec = TsetlinSpec(weights)
+            info["t_sampler"] = lambda trials, seed: sample_card_collection_T(spec, trials, seed)
+            info["spec"] = spec
+            n = spec.n
+            arr = w = None
+            if 2 <= n and math.factorial(n) <= 10_000:
+                arr = build_braid(n)
+                w = tsetlin_faces(spec)
+            return arr, w, info
+        if family == "riffle":
+            n = _get_int(params, "n")
+            a = _get_int(params, "a", 2)
+            info["bd"] = riffle_coupling_closed_form(a)
             arr = build_braid(n)
-            w = tsetlin_faces(spec)
-        return arr, w, info
-    if family == "riffle":
-        n = _get_int(params, "n")
-        a = _get_int(params, "a", 2)
-        info["bd"] = riffle_coupling_closed_form(a)
-        arr = build_braid(n)
-        return arr, riffle_faces(n, a), info
-    if family == "k-to-top":
-        n, k = _get_int(params, "n"), _get_int(params, "k")
-        info["bd"] = kset_coupling_closed_form(n, k)
-        arr = build_braid(n)
-        return arr, k_to_top_faces(n, k), info
-    if family == "top-bottom":
-        n = _get_int(params, "n")
-        weights = _get_weights(params, "weights", n)
-        arr = build_braid(n)
-        return arr, top_bottom_faces(n, weights), info
-    if family == "hypercube-nn":
-        n = _get_int(params, "n")
-        half = np.full(n, 1.0 / (2 * n))
-        w_plus = _get_weights(params, "w_plus") if "w_plus" in params else half
-        w_minus = _get_weights(params, "w_minus") if "w_minus" in params else half
-        arr = build_boolean(n)
-        return arr, hypercube_nn_faces(w_plus, w_minus), info
-    if family == "hypercube-nonlocal":
-        n, k = _get_int(params, "n"), _get_int(params, "k")
-        if not 1 < k <= n / 2:
-            raise ConfigError(f"hypercube-nonlocal needs 1 < k <= n/2, got n={n} k={k}")
-        info["bd"] = kset_coupling_closed_form(n, k)
-        info["t_sampler"] = lambda trials, seed: sample_kset_coupon_T(n, k, trials, seed)
-        arr = w = None
-        if math.comb(n, k) * 2**k <= 100_000 and 2**n <= 10_000:
+            return arr, riffle_faces(n, a), info
+        if family == "k-to-top":
+            n, k = _get_int(params, "n"), _get_int(params, "k")
+            info["bd"] = kset_coupling_closed_form(n, k)
+            arr = build_braid(n)
+            return arr, k_to_top_faces(n, k), info
+        if family == "top-bottom":
+            n = _get_int(params, "n")
+            weights = _get_weights(params, "weights", n)
+            arr = build_braid(n)
+            return arr, top_bottom_faces(n, weights), info
+        if family == "hypercube-nn":
+            n = _get_int(params, "n")
+            half = np.full(n, 1.0 / (2 * n))
+            w_plus = _get_weights(params, "w_plus") if "w_plus" in params else half
+            w_minus = _get_weights(params, "w_minus") if "w_minus" in params else half
             arr = build_boolean(n)
-            w = hypercube_nonlocal_faces(n, k)
-        return arr, w, info
+            return arr, hypercube_nn_faces(w_plus, w_minus), info
+        if family == "hypercube-nonlocal":
+            n, k = _get_int(params, "n"), _get_int(params, "k")
+            if not 1 < k <= n / 2:
+                raise ConfigError(f"hypercube-nonlocal needs 1 < k <= n/2, got n={n} k={k}")
+            info["bd"] = kset_coupling_closed_form(n, k)
+            info["t_sampler"] = lambda trials, seed: sample_kset_coupon_T(n, k, trials, seed)
+            arr = w = None
+            if math.comb(n, k) * 2**k <= 100_000 and 2**n <= 10_000:
+                arr = build_boolean(n)
+                w = hypercube_nonlocal_faces(n, k)
+            return arr, w, info
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     raise ConfigError(f"unknown family {family!r}; see the list subcommand")
 
 
@@ -406,7 +410,7 @@ def main(argv=None):
 
     try:
         return _run(args)
-    except ConfigError as exc:
+    except (ConfigError, CapacityError) as exc:
         parser.error(str(exc))
 
 

@@ -20,7 +20,7 @@ ZERO = 0
 _CHAR_TO_SIGN = {"+": PLUS, "-": MINUS, "0": ZERO}
 _SIGN_TO_CHAR = {PLUS: "+", MINUS: "-", ZERO: "0"}
 
-# Default caps for exact enumeration; large instances stay implicit.
+# Default caps on built-in chambers and on face products checked for closure.
 DEFAULT_FACE_LIMIT = 1_000_000
 DEFAULT_CLOSURE_PRODUCT_LIMIT = 1_000_000
 
@@ -70,9 +70,9 @@ def support(f):
 class Arrangement:
     """A central arrangement given combinatorially.
 
-    ``faces`` may be None for families whose face universe is too large to
-    enumerate; the chambers and the weighted faces are all that the walk and
-    the exact analysis ever touch.
+    ``faces`` is None for the built-in families and lists the face universe
+    only for custom arrangements: the chambers and the weighted faces are
+    all that the walk and the exact analysis ever touch.
     """
 
     m: int
@@ -148,19 +148,15 @@ def weighted_faces(pairs):
 
 def build_boolean(n, face_limit=DEFAULT_FACE_LIMIT):
     """Arrangement of the n coordinate hyperplanes: chambers are the 2^n
-    orthants, faces are {+,-,0}^n."""
+    orthants (at most ``face_limit``); the faces {+,-,0}^n are not listed."""
     if n < 1:
         raise ValueError("boolean arrangement needs n >= 1")
     if 2**n > face_limit:
         raise CapacityError(f"2^{n} chambers exceeds limit {face_limit}")
-    chambers = tuple(itertools.product((PLUS, MINUS), repeat=n))
-    faces = None
-    if 3**n <= face_limit:
-        faces = tuple(itertools.product((PLUS, MINUS, ZERO), repeat=n))
     return Arrangement(
         m=n,
-        chambers=chambers,
-        faces=faces,
+        chambers=tuple(itertools.product((PLUS, MINUS), repeat=n)),
+        faces=None,
         family_tag=f"boolean({n})",
     )
 
@@ -232,7 +228,8 @@ def fubini_number(n):
 
 def build_braid(n, face_limit=DEFAULT_FACE_LIMIT):
     """Braid arrangement on n cards: hyperplanes x_i = x_j, chambers are the
-    n! orderings, faces the ordered set partitions of {0, .., n-1}."""
+    n! orderings (at most ``face_limit``); the faces, ordered set partitions
+    of {0, .., n-1}, are not listed."""
     import math
 
     if n < 2:
@@ -243,16 +240,10 @@ def build_braid(n, face_limit=DEFAULT_FACE_LIMIT):
         partition_to_sign_vector([{x} for x in perm], n)
         for perm in itertools.permutations(range(n))
     )
-    faces = None
-    if fubini_number(n) <= face_limit:
-        faces = tuple(
-            partition_to_sign_vector(blocks, n)
-            for blocks in ordered_set_partitions(range(n))
-        )
     return Arrangement(
         m=braid_m(n),
         chambers=chambers,
-        faces=faces,
+        faces=None,
         family_tag=f"braid({n})",
     )
 
@@ -390,7 +381,8 @@ def load_arrangement_file(path):
 
 
 def write_arrangement_file(path, arr, w):
-    """Inverse of load_arrangement_file."""
+    """Inverse of load_arrangement_file, for an arrangement that lists its
+    faces (a custom one); raises CapacityError when ``faces`` is None."""
     if arr.faces is None:
         raise CapacityError("cannot serialize an implicit face universe")
     face_idx = {f: i for i, f in enumerate(arr.faces)}

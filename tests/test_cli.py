@@ -312,6 +312,33 @@ def test_hypercube_nonlocal_k_out_of_range_exit_2(k):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mc", "--family", "k-to-top", "--params", "n=4", "k=0"],
+        ["mc", "--family", "riffle", "--params", "n=1"],
+        ["mc", "--family", "hypercube-nn", "--params", "n=3", "w_plus=0.5,0.1,0.1"],
+        ["mc", "--family", "riffle", "--params", "n=10"],
+        ["exact", "--family", "riffle", "--params", "n=8"],
+    ],
+)
+def test_builder_and_capacity_errors_exit_2(argv):
+    # a face builder's ValueError or a CapacityError (10! chambers to build,
+    # 8! chambers for the exact engine) is a usage error, not a traceback
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--trials", "10", "--t-grid", "1..3"])
+    assert exc.value.code == 2
+
+
+def test_tsetlin_one_card_runs(tmp_path):
+    # one card is always in place: T == 0, so P(T > t) == 0 at every t
+    out = tmp_path / "one.csv"
+    run_cli(["mc", "--family", "tsetlin", "--params", "n=1", "--trials", "10",
+             "--t-grid", "1..3", "--out", str(out)])
+    _, _, rows = read_rows(out)
+    assert [r.split(",")[4:] for r in rows] == [["0", "0"]] * 3
+
+
 def test_seed_digits_stay_exact(tmp_path):
     big = 2**64 + 1  # float(big) == 2**64
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"

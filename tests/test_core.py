@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import chamberwalk as cw
+from chamberwalk.cli import main
 from chamberwalk.core import (
     ZERO,
     chamber_to_permutation,
@@ -12,6 +13,16 @@ from chamberwalk.core import (
     permutation_to_chamber,
     validate_closure,
 )
+
+
+def braid_universe(n):
+    """Every face of the braid arrangement, one per ordered set partition."""
+    return [cw.partition_to_sign_vector(b, n) for b in ordered_set_partitions(range(n))]
+
+
+def boolean_universe(n):
+    """Every face of the Boolean arrangement: {+,-,0}^n."""
+    return list(itertools.product((1, -1, 0), repeat=n))
 
 
 def test_face_product_example():
@@ -33,9 +44,8 @@ def test_is_chamber():
 
 @pytest.mark.parametrize("builder,n", [("boolean", 5), ("braid", 4)])
 def test_semigroup_laws_random(builder, n):
-    arr = cw.build_boolean(n) if builder == "boolean" else cw.build_braid(n)
+    faces = boolean_universe(n) if builder == "boolean" else braid_universe(n)
     rng = np.random.default_rng(1)
-    faces = arr.faces
     idx = rng.integers(0, len(faces), size=(10_000, 3))
     for i, j, k in idx:
         f, g, h = faces[i], faces[j], faces[k]
@@ -48,7 +58,7 @@ def test_semigroup_laws_random(builder, n):
 
 def test_chamber_absorption():
     arr = cw.build_braid(3)
-    for f in arr.faces:
+    for f in braid_universe(3):
         for c in arr.chambers:
             assert cw.is_chamber(cw.face_product(f, c))
 
@@ -56,9 +66,11 @@ def test_chamber_absorption():
 def test_build_boolean_counts():
     for n in (2, 3):
         arr = cw.build_boolean(n)
+        faces = boolean_universe(n)
         assert arr.m == n
         assert arr.n_chambers == 2**n
-        assert len(arr.faces) == 3**n
+        assert len(faces) == 3**n
+        assert set(arr.chambers) == {f for f in faces if cw.is_chamber(f)}
     with pytest.raises(ValueError):
         cw.build_boolean(0)
 
@@ -67,10 +79,12 @@ def test_build_braid_counts():
     # face counts cross-checked against direct ordered-set-partition enumeration
     for n, m, nch in [(2, 1, 2), (3, 3, 6), (4, 6, 24)]:
         arr = cw.build_braid(n)
+        faces = braid_universe(n)
         assert arr.m == m
         assert arr.n_chambers == nch
-        assert len(arr.faces) == sum(1 for _ in ordered_set_partitions(range(n)))
-        assert len(arr.faces) == fubini_number(n)
+        assert len(faces) == sum(1 for _ in ordered_set_partitions(range(n)))
+        assert len(faces) == fubini_number(n)
+        assert set(arr.chambers) == {f for f in faces if cw.is_chamber(f)}
     assert fubini_number(3) == 13
     assert fubini_number(4) == 75
     with pytest.raises(ValueError):
@@ -78,8 +92,7 @@ def test_build_braid_counts():
 
 
 def test_braid_faces_closed_under_product():
-    arr = cw.build_braid(4)
-    assert validate_closure(arr.faces) is None
+    assert validate_closure(braid_universe(4)) is None
 
 
 def test_partition_to_sign_vector():
@@ -158,7 +171,7 @@ def test_custom_arrangement_rejects_unclosed_faces():
 
 
 def test_arrangement_file_roundtrip(tmp_path):
-    arr = cw.build_boolean(2)
+    arr = cw.build_custom(2, cw.build_boolean(2).chambers, boolean_universe(2))
     w = cw.hypercube_nn_faces([0.3, 0.2], [0.25, 0.25])
     path = tmp_path / "bool2.arr"
     from chamberwalk.core import write_arrangement_file
@@ -174,8 +187,31 @@ def test_arrangement_file_roundtrip(tmp_path):
 
 
 def test_boolean_faces_all_zero_identity():
-    arr = cw.build_boolean(3)
     e = (ZERO,) * 3
-    for f in arr.faces:
+    for f in boolean_universe(3):
         assert cw.face_product(e, f) == f
         assert cw.face_product(f, e) == f
+
+
+def test_builtin_arrangements_list_no_faces(tmp_path, monkeypatch):
+    # the built-in families carry chambers only; nothing enumerates their faces
+    from chamberwalk.core import write_arrangement_file
+
+    for arr, w in (
+        (cw.build_braid(4), cw.riffle_faces(4, 2)),
+        (cw.build_boolean(3), cw.hypercube_nn_faces([1 / 6] * 3, [1 / 6] * 3)),
+    ):
+        assert arr.faces is None
+        with pytest.raises(cw.CapacityError):
+            write_arrangement_file(tmp_path / "x.arr", arr, w)
+
+    def boom(items):
+        raise AssertionError("face universe enumerated")
+
+    monkeypatch.setattr("chamberwalk.core.ordered_set_partitions", boom)
+    for argv in (
+        ["mc", "--family", "riffle", "--params", "n=5", "--t-grid", "1..8", "--trials", "50"],
+        ["cutoff", "--family", "riffle", "--params", "n=5", "--trials", "50"],
+        ["exact", "--family", "riffle", "--params", "n=4", "--t-grid", "1..3"],
+    ):
+        assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 0

@@ -355,3 +355,19 @@ def test_hypercube_symmetric_equality():
         surv = cw.survival_exact_profile(arr, w, range(1, 31))
         for t in range(1, 31):
             assert abs(sep[t] - surv[t]) <= 1e-9
+
+
+def test_hypercube_nn_equality_any_weights():
+    # the sign of a coordinate's first touch is independent of when it
+    # happens, so T is independent of the chamber the walk freezes at and
+    # s(t) = P(T > t) holds for every w+, w-, not only for w+ = w-
+    rng = np.random.default_rng(20)
+    grid = range(1, 40)
+    for n in (2, 3, 4):
+        for _ in range(3):
+            w = rng.random(2 * n) + 0.05
+            w /= w.sum()
+            arr, faces = cw.build_boolean(n), cw.hypercube_nn_faces(w[:n], w[n:])
+            sep = cw.separation_profile(arr, faces, grid)
+            surv = cw.survival_exact_profile(arr, faces, grid)
+            assert max(abs(sep[t] - surv[t]) for t in grid) <= 1e-12

@@ -17,12 +17,7 @@ import numpy as np
 
 from . import __version__
 from .core import CapacityError, build_boolean, build_braid
-from .exact import (
-    coupling_parameters,
-    cutoff_prediction,
-    distance_profiles,
-    survival_exact_profile,
-)
+from .exact import _profiles, coupling_parameters, cutoff_prediction, survival_exact_profile
 from .gallery import (
     TsetlinSpec,
     hypercube_nn_faces,
@@ -127,6 +122,8 @@ def parse_t_grid(spec):
             grid = [int(float(x)) for x in spec.split(",") if x.strip()]
     if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigError("t-grid must be nonempty and strictly increasing")
+    if grid[0] < 0:
+        raise ConfigError(f"t-grid times must be >= 0, got {grid[0]}")
     return grid
 
 
@@ -270,10 +267,11 @@ def cmd_exact(args, params):
     if arr is None:
         raise ConfigError("family instance too large for exact mode")
     grid = parse_t_grid(args.t_grid)
-    dist = distance_profiles(arr, w, grid)
+    path, dist = _profiles(arr, w, grid)
     surv = survival_exact_profile(arr, w, grid)
     rows = [(t, *dist[t], surv[t], None, None) for t in grid]
-    write_csv(args.out, _meta(args, params), rows)
+    extra = [("exact_path", path), ("chambers", arr.n_chambers)]
+    write_csv(args.out, _meta(args, params, extra), rows)
 
 
 def _mc_rows(args, arr, w, info, grid):
@@ -297,6 +295,7 @@ def cmd_mc(args, params):
 def cmd_bounds(args, params):
     if args.family != "tsetlin":
         raise ConfigError("bounds mode applies to the tsetlin family")
+    parse_t_grid(args.t_grid)  # checked like every grid, though bounds picks its own times
     _, _, info = build_family(args.family, params)
     spec = info["spec"]
     c = _get_float(params, "c", 3.0)

@@ -9,6 +9,7 @@ from C to F*C for a face F drawn from a weight measure.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -246,6 +247,24 @@ def build_braid(n, face_limit=DEFAULT_FACE_LIMIT):
         faces=None,
         family_tag=f"braid({n})",
     )
+
+
+def symmetry_generators(arr):
+    """Candidate symmetries (src, sign), acting by x -> sign * x[src]: the
+    card transposition (0 1) and the n-cycle for braid(n), each sign flip
+    for boolean(n), none for other arrangements.  Callers check them."""
+    tag = re.fullmatch(r"(braid|boolean)\((\d+)\)", arr.family_tag)
+    n = int(tag[2]) if tag else 0
+    if tag and tag[1] == "boolean" and arr.m == n:
+        return [(np.arange(n), np.where(np.arange(n) == i, -1, 1)) for i in range(n)]
+    if not tag or tag[1] != "braid" or arr.m != braid_m(n):
+        return []
+    idx, gens = braid_pair_index(n), []
+    for sigma in ((1, 0, *range(2, n)), (*range(1, n), 0)):
+        pre = [(sigma.index(a), sigma.index(b)) for a, b in idx]  # cards sent to a, b
+        gens.append((np.array([idx[min(p), max(p)] for p in pre]),
+                     np.array([1 if i < j else -1 for i, j in pre])))
+    return gens
 
 
 def permutation_to_chamber(perm):

@@ -15,32 +15,97 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CapacityError, check_separating, face_product, is_chamber
+from .core import symmetry_generators, weighted_faces
 from .walk import trial_rng
 
 DEFAULT_CHAMBER_CAP = 10_000
 DEFAULT_IE_HYPERPLANE_CAP = 20
 ENUM_ORDERING_FACE_CAP = 9
+_TABLE_CELLS = 2**20  # bytes of packed products in one block of faces
 
 
-def transition_matrix(arr, w, chamber_cap=DEFAULT_CHAMBER_CAP):
-    """Row-stochastic matrix P[C, D] = sum of w(F) over faces with FC = D."""
-    ell = arr.n_chambers
-    if ell > chamber_cap:
-        raise CapacityError(f"{ell} chambers exceeds exact-mode cap {chamber_cap}")
+def _signs(rows, m):
+    return np.array(rows, dtype=np.int8).reshape(len(rows), m)
+
+
+def _bits(x):
+    """Rows of signs as packed bits, one per hyperplane: set where x > 0."""
+    return np.packbits(x > 0, axis=-1)
+
+
+def _chamber_finder(arr, chamber_cap):
+    """Vectorized arr.chamber_index, once the chamber cap holds: the index of
+    each chamber given as _bits among arr's chambers, or -1 if it is none."""
+    if arr.n_chambers > chamber_cap:
+        raise CapacityError(f"{arr.n_chambers} chambers exceeds exact-mode cap {chamber_cap}")
+
+    def keys(bits):  # compared as raw bytes; with no hyperplanes all are equal
+        if not bits.shape[-1]:
+            return np.zeros(bits.shape[:-1], dtype="V1")
+        bits = np.ascontiguousarray(bits)
+        return bits.view(np.dtype((np.void, bits.shape[-1])))[..., 0]
+
+    order = np.argsort(known := keys(_bits(_signs(arr.chambers, arr.m))))
+    known = known[order]
+
+    def find(bits):
+        k = keys(bits)
+        pos = np.minimum(np.searchsorted(known, k), len(known) - 1)
+        return np.where(known[pos] == k, order[pos], -1)
+
+    return find
+
+
+def _product_table(arr, w, find):
+    """(faces, chambers) array of the index of F C, built on packed bits in
+    blocks of faces of at most _TABLE_CELLS bytes (one face at least); a
+    product that is not a chamber of arr raises ValueError."""
+    C, F = _bits(_signs(arr.chambers, arr.m)), _signs(w.faces, arr.m)
+    plus, on = _bits(F)[:, np.newaxis], np.packbits(F != 0, axis=1)[:, np.newaxis]
+    rows = max(1, _TABLE_CELLS // max(C.size, 1))
+    table = np.concatenate([np.empty((0, len(C)), dtype=np.intp)] + [
+        find(C & ~on[i:i + rows] | plus[i:i + rows]) for i in range(0, len(F), rows)])
+    if np.any(table < 0):
+        raise ValueError("a face product is not a chamber of the arrangement")
+    return table
+
+
+def transition_matrix(arr, w, chamber_cap=DEFAULT_CHAMBER_CAP, find=None):
+    """Row-stochastic matrix P[C, D] = sum of w(F) over faces with FC = D,
+    each cell summed in face order; find, if given, is _chamber_finder's."""
+    table, ell = _product_table(arr, w, find or _chamber_finder(arr, chamber_cap)), arr.n_chambers
     P = np.zeros((ell, ell))
-    for f, wt in zip(w.faces, w.weights):
-        for ci, c in enumerate(arr.chambers):
-            d = face_product(f, c)
-            P[ci, arr.chamber_index(d)] += wt
+    np.add.at(P, (np.tile(np.arange(ell), len(table)), table.ravel()), np.repeat(w.weights, ell))
     return P
 
 
-def _chain(arr, w, chamber_cap):
+def _symmetric(arr, w, find):
+    """True when symmetry_generators(arr) map the chambers onto themselves
+    and each weighted face to one of exactly equal total weight, and reach
+    every chamber from chamber 0: each row of P^t then relabels row 0, and
+    pi is uniform."""
+    w = weighted_faces(zip(w.faces, w.weights))  # a face listed twice has the sum
+    C, F = _signs(arr.chambers, arr.m), _signs(w.faces, arr.m)
+    weight, maps = dict(zip(w.faces, w.weights)), []
+    for src, sign in symmetry_generators(arr):
+        images = map(tuple, (sign * F[:, src]).tolist())
+        maps.append(find(_bits(sign * C[:, src])))
+        if maps[-1].min() < 0 or any(weight.get(g) != wt for g, wt in zip(images, w.weights)):
+            return False
+    seen, frontier = np.arange(len(C)) == 0, np.array([0])
+    while maps and frontier.size:
+        frontier = np.unique(np.concatenate([g[frontier] for g in maps]))
+        frontier = frontier[~seen[frontier]]
+        seen[frontier] = True
+    return bool(maps) and bool(seen.all())
+
+
+def _chain(arr, w, chamber_cap, find=None):
     """One build of P and one solve of pi P = pi, sum(pi) = 1, for the
     exact engine and the stationary solve alike."""
     if not check_separating(arr, w):
         raise ValueError("non-separating weights: stationary law not unique")
-    P = transition_matrix(arr, w, chamber_cap)
+    P = transition_matrix(arr, w, chamber_cap, find)
     ell = P.shape[0]
     A = np.vstack([P.T - np.eye(ell), np.ones((1, ell))])
     b = np.zeros(ell + 1)
@@ -106,16 +171,23 @@ def stationary_without_replacement(
     return pi, std_err
 
 
-def _power_profile(P, t_grid):
-    """Yield (t, P^t) along an increasing integer grid."""
+def _walk(state, step, t_grid):
+    """Yield (t, state after t steps) over the distinct times of t_grid in
+    increasing order; a negative time raises ValueError."""
     t_grid = sorted(set(int(t) for t in t_grid))
-    Pt = np.eye(P.shape[0])
+    if t_grid and t_grid[0] < 0:
+        raise ValueError(f"negative time {t_grid[0]} in the time grid")
     current = 0
     for t in t_grid:
         for _ in range(t - current):
-            Pt = Pt @ P
+            state = step(state)
         current = t
-        yield t, Pt
+        yield t, state
+
+
+def _power_profile(P, t_grid):
+    """Yield (t, P^t) along an increasing integer grid."""
+    return _walk(np.eye(P.shape[0]), lambda Pt: Pt @ P, t_grid)
 
 
 def separation(Pt, pi):
@@ -123,16 +195,41 @@ def separation(Pt, pi):
     return float((1.0 - (Pt / pi[np.newaxis, :]).min(axis=1)).max())
 
 
-def distance_profiles(arr, w, t_grid, chamber_cap=DEFAULT_CHAMBER_CAP):
-    """Exact separation distance s(t) and worst-case total variation TV(t)
-    over an integer time grid, as {t: (s(t), TV(t))}, from one build of P,
-    one stationary solve and one walk of P^t."""
-    P, pi = _chain(arr, w, chamber_cap)
+def _dense_profiles(arr, w, t_grid, chamber_cap=DEFAULT_CHAMBER_CAP, find=None):
+    """{t: (s(t), TV(t))} from one build of P, one stationary solve and one
+    walk of P^t from every start."""
+    P, pi = _chain(arr, w, chamber_cap, find)
     out = {}
     for t, Pt in _power_profile(P, t_grid):
         tv = 0.5 * np.abs(Pt - pi[np.newaxis, :]).sum(axis=1).max()
         out[t] = (separation(Pt, pi), float(tv))
     return out
+
+
+def _profiles(arr, w, t_grid, chamber_cap=DEFAULT_CHAMBER_CAP):
+    """(path, {t: (s(t), TV(t))}).  When _symmetric certifies the weights,
+    the path is 'one-start': only the law nu_t of the walk from chamber 0 is
+    evolved, nu_{t+1}[F C] += w(F) nu_t[C], and read against the uniform pi.
+    Any other input takes the 'dense' path, _dense_profiles."""
+    if not check_separating(arr, w):
+        raise ValueError("non-separating weights: stationary law not unique")
+    find = _chamber_finder(arr, chamber_cap)
+    if not _symmetric(arr, w, find):
+        return "dense", _dense_profiles(arr, w, t_grid, chamber_cap, find)
+    table, ell = _product_table(arr, w, find), arr.n_chambers
+
+    def step(nu):
+        return np.bincount(table.ravel(), (w.weights[:, np.newaxis] * nu).ravel(), ell)
+
+    return "one-start", {
+        t: (float(1.0 - ell * nu.min()), float(0.5 * np.abs(nu - 1.0 / ell).sum()))
+        for t, nu in _walk((np.arange(ell) == 0).astype(float), step, t_grid)}
+
+
+def distance_profiles(arr, w, t_grid, chamber_cap=DEFAULT_CHAMBER_CAP):
+    """Exact separation distance s(t) and worst-case total variation TV(t)
+    over an integer time grid, as {t: (s(t), TV(t))}; see _profiles."""
+    return _profiles(arr, w, t_grid, chamber_cap)[1]
 
 
 def separation_profile(arr, w, t_grid, chamber_cap=DEFAULT_CHAMBER_CAP):

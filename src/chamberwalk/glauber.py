@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CapacityError
-from .exact import _power_profile, separation
+from .exact import _power_profile, _walk, separation
 
 DEFAULT_SITE_CAP = 12
 DEFAULT_STATE_CAP = 4096
@@ -240,21 +240,18 @@ def coverage_conditioned_profile(sys, t_grid, state_cap=DEFAULT_STATE_CAP):
     joint = np.zeros((n_cfg, full + 1))
     joint[index[sys.top], 0] = 1.0
     moves = _site_moves(sys, configs, index)
+
+    def step(joint):
+        nxt = np.zeros_like(joint)
+        for i, mask in zip(*np.nonzero(joint)):
+            p0 = joint[i, mask]
+            for u in range(n):
+                for j, ps in moves[i, u]:
+                    nxt[j, mask | (1 << u)] += p0 * ps / n
+        return nxt
+
     out = {}
-    t_grid = sorted(set(int(t) for t in t_grid))
-    current = 0
-    for t in t_grid:
-        for _ in range(t - current):
-            nxt = np.zeros_like(joint)
-            nz_cfg, nz_mask = np.nonzero(joint)
-            for i, mask in zip(nz_cfg, nz_mask):
-                p0 = joint[i, mask]
-                for u in range(n):
-                    new_mask = mask | (1 << u)
-                    for j, ps in moves[i, u]:
-                        nxt[j, new_mask] += p0 * ps / n
-            joint = nxt
-        current = t
+    for t, joint in _walk(joint, step, t_grid):
         covered = joint[:, full]
         p_cov = covered.sum()
         if p_cov <= 0:

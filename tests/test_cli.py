@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -39,7 +43,7 @@ def test_parse_params_fractions_and_lists():
 
 
 def test_exact_tsetlin_uniform_values(tmp_path, monkeypatch):
-    # one exact command: one build of P and one stationary solve
+    # uniform card weights pass the symmetry check: one start, no P, no solve
     counts = {"transition_matrix": 0, "lstsq": 0}
 
     def counted(name, fn):
@@ -80,7 +84,14 @@ def test_exact_tsetlin_uniform_values(tmp_path, monkeypatch):
     assert s2 == pytest.approx(1 / 3, abs=1e-9)
     assert surv2 == pytest.approx(s2, abs=1e-9)
     assert table[2][4] == "" and table[2][5] == ""
+    assert counts == {"transition_matrix": 0, "lstsq": 0}
+    assert "# exact_path=one-start" in meta and "# chambers=6" in meta
+    # two weight classes: every start, from one build of P and one solve
+    run_cli(["exact", "--family", "tsetlin", "--params", "weights=1/4,1/4,1/2",
+             "--t-grid", "1..4", "--out", str(out)])
+    meta, _, _ = read_rows(out)
     assert counts == {"transition_matrix": 1, "lstsq": 1}
+    assert "# exact_path=dense" in meta and "# chambers=6" in meta
 
 
 def test_mc_rerun_byte_identical(tmp_path):
@@ -287,6 +298,11 @@ def test_unknown_family_errors(tmp_path):
         ["mc", "--family", "riffle", "--params", "n=4", "seed=-1"],
         ["mc", "--family", "riffle", "--params", "n=4", "--seed", "-1"],
         ["env-seed", "mc", "--family", "riffle", "--params", "n=4"],
+        ["exact", "--family", "riffle", "--params", "n=3", "--t-grid=-2..1"],
+        ["glauber", "--family", "ising", "--params", "width=2", "height=2",
+         "--t-grid=-2..1"],
+        ["mc", "--family", "riffle", "--params", "n=3", "--t-grid=-2..1"],
+        ["bounds", "--family", "tsetlin", "--params", "n=20", "c=1", "--t-grid=-2..1"],
     ],
 )
 def test_bad_numeric_params_exit_2(argv, tmp_path, monkeypatch):
@@ -299,7 +315,7 @@ def test_bad_numeric_params_exit_2(argv, tmp_path, monkeypatch):
         monkeypatch.setenv("CHAMBERWALK_SEED", "abc")
         argv = argv[1:]
     with pytest.raises(SystemExit) as exc:
-        main(argv + ["--t-grid", "1..3"])
+        main(argv[:1] + ["--t-grid", "1..3"] + argv[1:])  # a later --t-grid wins
     assert exc.value.code == 2
 
 
@@ -352,3 +368,12 @@ def test_seed_digits_stay_exact(tmp_path):
 def test_missing_t_grid_errors():
     with pytest.raises(SystemExit):
         main(["exact", "--family", "tsetlin", "--params", "n=3"])
+
+
+def test_python_dash_m_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(chamberwalk.exact.__file__))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-m", "chamberwalk", "list"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "available families:" in proc.stdout

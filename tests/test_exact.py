@@ -1,12 +1,14 @@
 import gc
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import chamberwalk as cw
-from chamberwalk.core import CapacityError
+from chamberwalk import exact
+from chamberwalk.core import CapacityError, symmetry_generators
 from chamberwalk.exact import survival_terms
 
 
@@ -192,7 +194,15 @@ def test_tv_below_separation():
             assert tv[t] <= sep[t] + 1e-12
         both = cw.distance_profiles(arr, w, range(1, 15))
         assert both == {t: (sep[t], tv[t]) for t in range(1, 15)}
-        assert both == separate_loop_profiles(arr, w, range(1, 15))
+        dense = exact._dense_profiles(arr, w, range(1, 15))
+        assert dense == separate_loop_profiles(arr, w, range(1, 15))
+        if exact._profiles(arr, w, [0])[0] == "dense":
+            assert both == dense
+        for t in range(1, 15):
+            assert np.abs(np.subtract(both[t], dense[t])).max() <= 1e-12
+    # the two symmetric inputs take the one-start path
+    assert [exact._profiles(*boolean2_uniform(), [0])[0],
+            exact._profiles(cw.build_braid(4), cw.riffle_faces(4, 2), [0])[0]] == ["one-start"] * 2
 
 
 def test_survival_exact_boolean2():
@@ -329,3 +339,133 @@ def test_equality_for_invariant_weights():
         surv = cw.survival_exact_profile(arr, w, grid)
         for t in grid:
             assert abs(surv[t] - sep[t]) <= 1e-9
+
+
+def loop_transition_matrix(arr, w):
+    """Oracle: P summed face by face, chamber by chamber, in Python."""
+    P = np.zeros((arr.n_chambers, arr.n_chambers))
+    for f, wt in zip(w.faces, w.weights):
+        for ci, c in enumerate(arr.chambers):
+            P[ci, arr.chamber_index(cw.face_product(f, c))] += wt
+    return P
+
+
+def test_transition_matrix_matches_loop_bitwise():
+    universe = list(itertools.product((1, -1, 0), repeat=3))
+    custom = cw.build_custom(3, cw.build_boolean(3).chambers, universe)
+    rng = np.random.default_rng(5)
+    for arr, w in [
+        tsetlin([0.45, 0.3, 0.15, 0.1]),
+        (cw.build_braid(4), cw.riffle_faces(4, 2)),
+        (custom, cw.WeightedFaceSet(tuple(universe), rng.dirichlet(np.ones(27)))),
+        (cw.build_custom(0, [()], [()]), cw.weighted_faces([((), 1.0)])),  # no hyperplanes
+    ]:
+        assert np.array_equal(cw.transition_matrix(arr, w), loop_transition_matrix(arr, w))
+
+
+def untouched_at_least(r, n, q, t):
+    """P(at least r of n symmetric items untouched after t steps), where a
+    given set of j items stays untouched in one step with probability q(j)."""
+    total = sum((-1) ** (j - r) * math.comb(j - 1, r - 1) * math.comb(n, j) * q(j) ** t
+                for j in range(r, n + 1))
+    return float(total)
+
+
+def riffle_separation(n, t):
+    """s(t) of the inverse 2-shuffle: 1 - prod_{i<n} (1 - i / 2^t)."""
+    return float(1 - math.prod(1 - Fraction(i, 2**t) for i in range(1, n)))
+
+
+def test_one_start_matches_closed_forms():
+    grid = range(0, 41)
+    cases = [(cw.build_braid(n), cw.riffle_faces(n, 2), lambda t, n=n: riffle_separation(n, t))
+             for n in (4, 5, 6)]
+    cases += [
+        (cw.build_braid(5), cw.top_bottom_faces(5),
+         lambda t: untouched_at_least(2, 5, lambda j: 1 - Fraction(j, 5), t)),
+        (cw.build_braid(5), cw.k_to_top_faces(5, 2), None),
+        (cw.build_boolean(5), cw.hypercube_nn_faces([0.1] * 5, [0.1] * 5),
+         lambda t: untouched_at_least(1, 5, lambda j: 1 - Fraction(j, 5), t)),
+        (cw.build_boolean(6), cw.hypercube_nonlocal_faces(6, 2),
+         lambda t: untouched_at_least(
+             1, 6, lambda j: Fraction(math.comb(6 - j, 2), math.comb(6, 2)), t)),
+    ]
+    for arr, w, closed in cases:
+        path, got = exact._profiles(arr, w, grid)
+        assert path == "one-start"
+        dense = exact._dense_profiles(arr, w, grid)
+        for t in grid:
+            want = dense[t][0] if closed is None else closed(t)
+            assert abs(got[t][0] - want) <= 1e-13, (arr.family_tag, t)
+            assert abs(got[t][1] - dense[t][1]) <= 1e-13, (arr.family_tag, t)
+        assert got[0] == (1.0, pytest.approx(1.0 - 1.0 / arr.n_chambers, abs=1e-15))
+
+
+def test_one_start_riffle7_without_lstsq(monkeypatch):
+    calls = []
+    lstsq = np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(1) or lstsq(*a, **k))
+    sep = cw.separation_profile(cw.build_braid(7), cw.riffle_faces(7, 2), range(1, 21))
+    assert calls == []
+    for t in range(1, 21):
+        assert abs(sep[t] - riffle_separation(7, t)) <= 1e-13
+
+
+def braid4_with_extra_orbit():
+    """braid(4)'s chambers plus the orbit of a cyclic sign vector (0 before
+    1 before 2 before 0), which no ordering of the cards gives."""
+    braid4 = cw.build_braid(4)
+    gens = symmetry_generators(braid4)
+    orbit, frontier = set(), [(1, -1, 1, 1, 1, 1)]
+    while frontier:
+        x = frontier.pop()
+        if x not in orbit:
+            orbit.add(x)
+            frontier += [tuple(int(v) for v in sign * np.array(x)[src]) for src, sign in gens]
+    return cw.Arrangement(m=6, chambers=braid4.chambers + tuple(sorted(orbit)),
+                          faces=None, family_tag="braid(4)")
+
+
+def test_certificate_rejects_asymmetric_inputs():
+    riffle4 = cw.riffle_faces(4, 2)
+    moved = riffle4.weights.copy()
+    i, j = [k for k, f in enumerate(riffle4.faces) if any(f)][:2]
+    moved[i] = np.nextafter(moved[i], 1.0)  # one ulp up, and one down elsewhere
+    moved[j] = np.nextafter(moved[j], 0.0)
+    universe = list(itertools.product((1, -1, 0), repeat=2))
+    missing = cw.Arrangement(m=6, chambers=cw.build_braid(4).chambers[1:], faces=None,
+                             family_tag="braid(4)")
+    for arr, w in [
+        tsetlin([0.3, 0.3, 0.2, 0.2]),
+        (cw.build_boolean(3), cw.hypercube_nn_faces([0.2] * 3, [0.4 / 3] * 3)),
+        (cw.build_braid(4), cw.WeightedFaceSet(riffle4.faces, moved)),
+        (cw.build_custom(2, cw.build_boolean(2).chambers, universe),
+         cw.hypercube_nn_faces([0.25, 0.25], [0.25, 0.25])),
+        (missing, riffle4),
+        (braid4_with_extra_orbit(), riffle4),
+    ]:
+        assert not exact._symmetric(arr, w, exact._chamber_finder(arr, exact.DEFAULT_CHAMBER_CAP))
+    with pytest.raises(ValueError, match="not a chamber"):
+        cw.transition_matrix(missing, riffle4)
+    with pytest.raises(ValueError, match="not a chamber"):
+        cw.distance_profiles(missing, riffle4, [1])
+
+
+def test_certificate_sums_a_face_listed_twice():
+    arr, grid = cw.build_boolean(1), range(0, 4)
+    lopsided = cw.WeightedFaceSet(((1,), (1,), (-1,)), [1 / 3] * 3)  # w(+) = 2/3, w(-) = 1/3
+    path, got = exact._profiles(arr, lopsided, grid)
+    assert path == "dense"
+    assert got == exact._dense_profiles(arr, lopsided, grid)
+    assert got[1] == pytest.approx((0.0, 0.0), abs=1e-12)  # one step reaches pi = (2/3, 1/3)
+    even = cw.WeightedFaceSet(((1,), (1,), (-1,)), [0.25, 0.25, 0.5])  # w(+) = w(-) = 1/2
+    path, got = exact._profiles(arr, even, grid)
+    assert path == "one-start"
+    assert got == {0: (1.0, 0.5), 1: (0.0, 0.0), 2: (0.0, 0.0), 3: (0.0, 0.0)}
+
+
+def test_negative_times_raise():
+    for arr, w in [boolean2_uniform(), tsetlin([0.5, 0.3, 0.2])]:
+        with pytest.raises(ValueError, match="negative time"):
+            cw.distance_profiles(arr, w, [-2, -1, 0, 1])
+        assert cw.separation_profile(arr, w, [0])[0] == 1.0

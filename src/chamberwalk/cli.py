@@ -311,6 +311,8 @@ def cmd_bounds(args, params):
         ("upper_value", _fmt(report.upper_value)),
         ("lower_time", _fmt(report.lower_time)),
         ("lower_value", _fmt(report.lower_value)),
+        ("upper_raw", _fmt(report.upper_raw)),
+        ("lower_raw", _fmt(report.lower_raw)),
         ("t_star_min_w", _fmt(report.t_star_min_w)),
         ("t_star_min_w_sq", _fmt(report.t_star_min_w_sq)),
     ]

@@ -2,13 +2,14 @@
 
 Transition matrix, stationary distribution (linear solve plus the
 sampling-without-replacement construction as an independent oracle),
-separation and total-variation distance, the inclusion-exclusion formula
-for P(T > t), and the coupling parameters b, d with the cutoff prediction
-they determine.
+separation and total-variation distance, the Möbius form of P(T > t) over
+the flats of the faces' zero sets, and the coupling parameters b, d with
+the cutoff prediction they determine.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -114,7 +115,12 @@ def _chain(arr, w, chamber_cap, find=None):
     residual = np.abs(pi @ P - pi).max()
     if residual > 1e-10:
         raise RuntimeError(f"stationary solve residual {residual:.3g} > 1e-10")
-    return P, pi
+    # pi charges only the walk's closed class: the chambers reachable from
+    # the product of all the weighted faces, a chamber every start reaches
+    charged = np.arange(ell) == arr.chamber_index(functools.reduce(face_product, w.faces))
+    while (grown := charged | (charged @ P > 0)).sum() > charged.sum():
+        charged = grown
+    return P, np.where(charged, pi, 0.0)
 
 
 def stationary_solve(arr, w, chamber_cap=DEFAULT_CHAMBER_CAP):
@@ -171,14 +177,18 @@ def stationary_without_replacement(
     return pi, std_err
 
 
-def _walk(state, step, t_grid):
-    """Yield (t, state after t steps) over the distinct times of t_grid in
-    increasing order; a negative time raises ValueError."""
+def _times(t_grid):
+    """The distinct times of t_grid, sorted; a negative one raises ValueError."""
     t_grid = sorted(set(int(t) for t in t_grid))
     if t_grid and t_grid[0] < 0:
         raise ValueError(f"negative time {t_grid[0]} in the time grid")
+    return t_grid
+
+
+def _walk(state, step, t_grid):
+    """Yield (t, state after t steps) over _times(t_grid)."""
     current = 0
-    for t in t_grid:
+    for t in _times(t_grid):
         for _ in range(t - current):
             state = step(state)
         current = t
@@ -191,8 +201,10 @@ def _power_profile(P, t_grid):
 
 
 def separation(Pt, pi):
-    """s = max over starts x0 of 1 - min over x of Pt(x0, x) / pi(x)."""
-    return float((1.0 - (Pt / pi[np.newaxis, :]).min(axis=1)).max())
+    """s = max over starts x0 of 1 - min over x with pi(x) > 0 of
+    Pt(x0, x) / pi(x)."""
+    ratio = np.divide(Pt, pi[np.newaxis, :], out=np.full_like(Pt, np.inf), where=pi > 0)
+    return float((1.0 - ratio.min(axis=1)).max())
 
 
 def _dense_profiles(arr, w, t_grid, chamber_cap=DEFAULT_CHAMBER_CAP, find=None):
@@ -252,14 +264,32 @@ def total_variation(arr, w, t, chamber_cap=DEFAULT_CHAMBER_CAP):
     return total_variation_profile(arr, w, [t], chamber_cap)[int(t)]
 
 
-def survival_terms(arr, w, hyperplane_cap=DEFAULT_IE_HYPERPLANE_CAP):
-    """Inclusion-exclusion terms for P(T > t).
+def _power_sums(c, q, t_grid, t_first):
+    """P(T > t) = sum_i c_i q_i^t over _times(t_grid), and 1.0 before t_first,
+    the first time T can take.  A sum outside [0, 1] by no more than its
+    rounding bound (t + 1) eps sum_i |c_i| q_i^t is put on the nearer edge;
+    one further outside, or a bound above 1e-9, raises ArithmeticError."""
+    c, q, out = np.asarray(c, dtype=float), np.asarray(q, dtype=float), {}
+    for t in _times(t_grid):
+        if t < t_first:
+            out[t] = 1.0
+            continue
+        terms = c * q**t
+        value, bound = terms.sum(), (t + 1) * np.finfo(float).eps * np.abs(terms).sum()
+        if bound > 1e-9 or not -bound <= value <= 1.0 + bound:
+            raise ArithmeticError(f"P(T > {t}) = {float(value)!r} with rounding bound {bound:.3g}")
+        out[t] = float(min(max(value, 0.0), 1.0))
+    return out
 
-    T > t iff some hyperplane is uncut, i.e. every face picked so far lies
-    on it.  With q_S = total weight of faces lying on every hyperplane in S,
-    P(T > t) = sum over nonempty S of (-1)^(|S|+1) q_S^t.  Returns a list of
-    (sign, q_S) pairs; subsets with q_S = 0 are pruned together with all
-    their supersets (q is monotone decreasing in S).
+
+def _mobius_form(arr, w, hyperplane_cap):
+    """Arrays (c, q) with P(T > t) = sum c_X q_X^t over the flats X != {}.
+
+    T > t iff every face picked so far lies on some hyperplane.  Over the sets
+    S of hyperplanes, superset transforms give q_S, the weight of the faces
+    on all of S, and the closure cl(S), the AND of their zero masks (all
+    hyperplanes if none, where q_S = 0).  As q_S = q_cl(S), the signs
+    (-1)^(|S|+1) summed per closure are c_X = -mu({}, X) (Rota), integers.
     """
     m = arr.m
     if m > hyperplane_cap:
@@ -267,38 +297,35 @@ def survival_terms(arr, w, hyperplane_cap=DEFAULT_IE_HYPERPLANE_CAP):
             f"m={m} exceeds inclusion-exclusion cap {hyperplane_cap}; "
             "use Monte Carlo survival estimation"
         )
-    terms = []
-    _extend_terms(terms, m, 0, 0, list(zip(w.zero_masks(), w.weights)))
-    return terms
+    masks = np.array(w.zero_masks(), dtype=np.int64)
+    q = np.bincount(masks, w.weights, minlength=1 << m)
+    cl = np.full(1 << m, (1 << m) - 1, dtype=np.int64)
+    cl[masks] = masks
+    odd = np.zeros(1 << m, dtype=bool)
+    for i in range(m):
+        qs, cls = q.reshape(-1, 2, 1 << i), cl.reshape(-1, 2, 1 << i)
+        qs[:, 0] += qs[:, 1]
+        cls[:, 0] &= cls[:, 1]
+        odd.reshape(-1, 2, 1 << i)[:, 1] ^= True
+    c = np.bincount(cl[1:], np.where(odd[1:], 1.0, -1.0), minlength=1 << m)
+    flats = np.flatnonzero((c != 0) & (q > 0))
+    return c[flats].astype(np.int64), q[flats]
 
 
-def _extend_terms(terms, m, start, size, compatible):
-    """Append, depth first, the term of every set that adds hyperplanes from
-    start..m-1 to a set of the given size whose faces are ``compatible``."""
-    for i in range(start, m):
-        bit = 1 << i
-        sub = [(mask, wt) for mask, wt in compatible if mask & bit]
-        if not sub:
-            continue
-        q = sum(wt for _, wt in sub)
-        terms.append((1 if (size + 1) % 2 == 1 else -1, q))
-        _extend_terms(terms, m, i + 1, size + 1, sub)
+def survival_terms(arr, w, hyperplane_cap=DEFAULT_IE_HYPERPLANE_CAP):
+    """The (c_X, q_X) pairs of _mobius_form, one per flat X != {}, with
+    P(T > t) = sum c_X q_X^t for t >= 1 and c_X = -mu({}, X)."""
+    return list(zip(*(a.tolist() for a in _mobius_form(arr, w, hyperplane_cap))))
 
 
 def survival_exact(arr, w, t, hyperplane_cap=DEFAULT_IE_HYPERPLANE_CAP):
-    """Exact P(T > t) by inclusion-exclusion over uncut hyperplanes."""
+    """Exact P(T > t) from the Möbius form over the flats."""
     return survival_exact_profile(arr, w, [t], hyperplane_cap)[int(t)]
 
 
 def survival_exact_profile(arr, w, t_grid, hyperplane_cap=DEFAULT_IE_HYPERPLANE_CAP):
-    terms = survival_terms(arr, w, hyperplane_cap)
-    signs = np.array([s for s, _ in terms], dtype=float)
-    qs = np.array([q for _, q in terms])
-    out = {}
-    for t in t_grid:
-        t = int(t)
-        out[t] = float(np.clip((signs * qs**t).sum(), 0.0, 1.0)) if t > 0 else 1.0
-    return out
+    """Exact P(T > t) over an integer time grid (T = 0 when m = 0)."""
+    return _power_sums(*_mobius_form(arr, w, hyperplane_cap), t_grid, min(arr.m, 1))
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from .core import (
     partition_to_sign_vector,
     weighted_faces,
 )
+from .exact import _power_sums
 
 DEFAULT_ENUM_CAP = 1_000_000
 DEFAULT_TSETLIN_EXACT_CAP = 20
@@ -221,6 +222,8 @@ class TsetlinBoundReport:
     lower_value: float
     upper_clamped: bool
     lower_clamped: bool
+    upper_raw: float  # the formulas' values before clamping into [0, 1]
+    lower_raw: float
     t_star_min_w: float
     t_star_min_w_sq: float
 
@@ -268,54 +271,33 @@ def tsetlin_bounds(spec, c, strict=True):
         lower_clamped=lower_value != lower_raw,
         t_star_min_w=t_star * min_w,
         t_star_min_w_sq=t_star * min_w_sq,
+        upper_raw=upper_raw,
+        lower_raw=lower_raw,
     )
 
 
-def _signed_subset_sums(weights):
-    """All (parity sign, subset weight sum) pairs over subsets of ``weights``."""
-    sums = np.array([0.0])
-    signs = np.array([1.0])
-    for w in weights:
-        sums = np.concatenate([sums, sums + w])
-        signs = np.concatenate([signs, -signs])
-    return signs, sums
-
-
 def tsetlin_survival_exact(spec, t, exact_cap=DEFAULT_TSETLIN_EXACT_CAP):
-    """Exact P(T > t) for T = first time n-1 distinct cards are touched.
-
-    P(T > t) = P(at least two cards untouched at t) = 1 - A(t) - B(t) with
-    A(t) = P(all touched) and B(t) = P(exactly one untouched), both by
-    inclusion-exclusion over card subsets.
-    """
+    """Exact P(T > t) for T = first time n-1 distinct cards are touched."""
     return tsetlin_survival_profile(spec, [t], exact_cap)[int(t)]
 
 
 def tsetlin_survival_profile(spec, t_grid, exact_cap=DEFAULT_TSETLIN_EXACT_CAP):
+    """P(T > t) = P(at least two cards untouched at t) in Möbius form: the sum
+    over card sets U with |U| >= 2 of (-1)^|U| (|U| - 1) w(rest)^t, where
+    w(rest) is the weight of the cards outside U."""
     n = spec.n
     if n > exact_cap:
         raise CapacityError(
             f"n={n} exceeds the 2^n cap {exact_cap}; use sample_card_collection_T"
         )
-    w = spec.card_weights
-    all_signs, all_sums = _signed_subset_sums(w)
-    per_card = []
-    for i in range(n):
-        others = np.delete(w, i)
-        s_signs, s_sums = _signed_subset_sums(others)
-        per_card.append((s_signs, w[i] + s_sums))
-    out = {}
-    for t in t_grid:
-        t = int(t)
-        if t < n - 1:
-            out[t] = 1.0
-            continue
-        A = float((all_signs * (1.0 - all_sums) ** t).sum())
-        B = 0.0
-        for s_signs, s_sums in per_card:
-            B += float((s_signs * (1.0 - s_sums) ** t).sum())
-        out[t] = float(np.clip(1.0 - A - B, 0.0, 1.0))
-    return out
+    weight, size = np.zeros(1 << n), np.zeros(1 << n, dtype=np.int64)
+    for i, wt in enumerate(spec.card_weights):  # subset sums, one card at a time
+        weight.reshape(-1, 2, 1 << i)[:, 1] += wt
+        size.reshape(-1, 2, 1 << i)[:, 1] += 1
+    sets = size >= 2
+    c = np.where(size % 2, 1 - size, size - 1)[sets]
+    # weight[::-1][U] = weight[2^n - 1 - U], the weight of the cards outside U
+    return _power_sums(c, weight[::-1][sets], t_grid, n - 1)
 
 
 def sample_card_collection_T(spec, trials, seed):

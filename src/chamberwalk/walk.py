@@ -85,8 +85,8 @@ def sample_T_batch(arr, w, trials, seed, step_cap=DEFAULT_STEP_CAP):
     cdf = np.cumsum(w.weights)
     cdf /= cdf[-1]
     rng = np.random.default_rng(seed)
-    out = np.empty(trials, dtype=np.int64)
-    active = np.arange(trials)
+    out = np.zeros(trials, dtype=np.int64)
+    active = np.arange(trials if arr.m else 0)  # no hyperplanes: T = 0
     t = 0
     while active.size:
         t += 1

@@ -377,3 +377,13 @@ def test_python_dash_m_runs_the_cli():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert "available families:" in proc.stdout
+
+
+def test_bounds_preamble_keeps_the_clamped_raw_values(tmp_path):
+    out = tmp_path / "bounds.csv"
+    run_cli(["bounds", "--family", "tsetlin", "--params", "n=10", "c=0.5", "--trials", "100",
+             "--t-grid", "1..2", "--out", str(out)])
+    meta, _, _ = read_rows(out)
+    kv = dict(m[2:].split("=", 1) for m in meta if "=" in m)
+    assert (kv["upper_value"], kv["lower_value"]) == ("1", "0")
+    assert (kv["upper_raw"], kv["lower_raw"]) == ("5.51570867246", "-5.91940384322")

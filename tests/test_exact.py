@@ -226,7 +226,7 @@ def test_survival_terms_leave_no_garbage():
     gc.disable()
     try:
         terms = survival_terms(arr, w)
-        assert len(terms) == 2**10 - 1
+        assert len(terms) == 51  # the non-bottom flats: partitions of 5 cards
         del terms
         assert gc.collect() == 0
     finally:
@@ -469,3 +469,50 @@ def test_negative_times_raise():
         with pytest.raises(ValueError, match="negative time"):
             cw.distance_profiles(arr, w, [-2, -1, 0, 1])
         assert cw.separation_profile(arr, w, [0])[0] == 1.0
+
+
+def test_survival_formulas_reject_negative_times():
+    arr, w = cw.build_braid(3), cw.riffle_faces(3, 2)
+    for survival in (lambda: cw.survival_exact_profile(arr, w, [-2, 0, 1]),
+                     lambda: cw.tsetlin_survival_profile(cw.TsetlinSpec([0.5, 0.3, 0.2]), [-2, 0]),
+                     lambda: cw.coupon_survival_uniform(3, -2)):
+        with pytest.raises(ValueError, match="negative time"):
+            survival()
+
+
+def test_no_hyperplanes_means_T_is_zero():
+    arr = cw.build_custom(0, [()], [()])
+    w = cw.weighted_faces([((), 1.0)])
+    assert cw.sample_T(arr, w, seed=3) == 0
+    assert cw.sample_T_batch(arr, w, 5, seed=3).tolist() == [0] * 5
+    assert cw.survival_exact(arr, w, 0) == 0.0
+    assert cw.survival_exact_profile(arr, w, [0, 1, 4]) == {0: 0.0, 1: 0.0, 4: 0.0}
+    assert survival_terms(arr, w) == []
+
+
+def test_survival_terms_count_flats_with_integer_coefficients():
+    # riffle lists the all-zero face, so its top flat has q > 0 and stays, and
+    # the coefficients sum to 1 (the form at t = 0); top-bottom drops its top
+    for arr, w, flats, total in [(cw.build_braid(6), cw.riffle_faces(6, 2), 202, 1),
+                                 (cw.build_braid(6), cw.top_bottom_faces(6), 56, -4)]:
+        terms = survival_terms(arr, w)
+        assert len(terms) == flats
+        assert all(type(c) is int and c != 0 and 0 < q < 1 for c, q in terms)
+        assert sum(c for c, _ in terms) == total
+
+
+def test_power_sums_snap_rounding_and_refuse_the_rest():
+    assert exact._power_sums([1, 1], [1.0, 2.0**-52], [0, 1], 1) == {0: 1.0, 1: 1.0}
+    with pytest.raises(ArithmeticError, match=r"P\(T > 1\) = 2.0 with"):
+        exact._power_sums([2], [1.0], [1], 1)
+    with pytest.raises(ArithmeticError, match="rounding bound"):
+        exact._power_sums([10**8, 1 - 10**8], [1.0, 1.0], [1], 1)
+
+
+def test_separation_reads_only_the_chambers_pi_charges():
+    # the products of these two faces reach two of braid(3)'s six chambers
+    arr = cw.build_braid(3)
+    w = cw.WeightedFaceSet(((0, 1, 1), (-1, -1, -1)), [0.5, 0.5])
+    assert cw.stationary_solve(arr, w) == pytest.approx([0, 0, 0.5, 0, 0, 0.5], abs=1e-15)
+    assert cw.separation_profile(arr, w, [1, 2, 3]) == pytest.approx(
+        {1: 1.0, 2: 0.5, 3: 0.25}, abs=1e-12)

@@ -200,3 +200,23 @@ def test_monotone_lower_bounds_values():
     assert big.tv_bound == pytest.approx(0.25)
     with pytest.raises(ValueError):
         cw.monotone_lower_bounds(9, 0.0)
+
+
+def _count_chain_survival(n, ts):
+    """P(some of n sites unpicked after t uniform picks), by evolving the law
+    of the number of distinct sites picked."""
+    law, k, out = np.zeros(n + 1), np.arange(n + 1), {}
+    law[0] = 1.0
+    for t in range(1, max(ts) + 1):
+        law = law * k / n + np.concatenate([[0.0], law[:-1] * (n - k[:-1]) / n])
+        if t in ts:
+            out[t] = 1.0 - law[n]
+    return out
+
+
+def test_coupon_survival_does_not_cancel_at_large_n():
+    want = _count_chain_survival(200, range(200, 401))
+    for t, p in want.items():
+        assert cw.coupon_survival_uniform(200, t) == pytest.approx(p, abs=1e-12)
+    assert cw.coupon_survival_uniform(1000, 1000) == pytest.approx(
+        _count_chain_survival(1000, [1000])[1000], abs=1e-12)

@@ -9,6 +9,7 @@ the cutoff prediction they determine.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 from dataclasses import dataclass
@@ -264,26 +265,63 @@ def total_variation(arr, w, t, chamber_cap=DEFAULT_CHAMBER_CAP):
     return total_variation_profile(arr, w, [t], chamber_cap)[int(t)]
 
 
-def _power_sums(c, q, t_grid, t_first):
-    """P(T > t) = sum_i c_i q_i^t over _times(t_grid), and 1.0 before t_first,
-    the first time T can take.  A sum outside [0, 1] by no more than its
-    rounding bound (t + 1) eps sum_i |c_i| q_i^t is put on the nearer edge;
-    one further outside, or a bound above 1e-9, raises ArithmeticError."""
-    c, q, out = np.asarray(c, dtype=float), np.asarray(q, dtype=float), {}
+def _power_sums(c, q, exact_q, t_grid, t_first):
+    """P(T > t) = sum_i c_i q_i^t over _times(t_grid), for integers c_i, and
+    1.0 before t_first, the first time T can take.  A float sum outside
+    [0, 1] by no more than its rounding bound (t + 1) eps sum_i |c_i| q_i^t
+    is put on the nearer edge.  Where it lies further out, the bound exceeds
+    1e-9 or a c_i exceeds the float range, the sum is taken over the exact
+    rates exact_q() = (integers a_i, d), q_i = a_i / d, as the integer ratio
+    sum_i c_i a_i^t / d^t, which Python rounds correctly."""
+    out, by_rate = {}, None
+    try:
+        cf, q = np.asarray(c, dtype=float), np.asarray(q, dtype=float)
+    except OverflowError:
+        cf = None
     for t in _times(t_grid):
         if t < t_first:
             out[t] = 1.0
             continue
-        terms = c * q**t
-        value, bound = terms.sum(), (t + 1) * np.finfo(float).eps * np.abs(terms).sum()
-        if bound > 1e-9 or not -bound <= value <= 1.0 + bound:
-            raise ArithmeticError(f"P(T > {t}) = {float(value)!r} with rounding bound {bound:.3g}")
-        out[t] = float(min(max(value, 0.0), 1.0))
+        if cf is not None:
+            terms = cf * q**t
+            value, bound = terms.sum(), (t + 1) * np.finfo(float).eps * np.abs(terms).sum()
+            if bound <= 1e-9 and -bound <= value <= 1.0 + bound:
+                out[t] = float(min(max(value, 0.0), 1.0))
+                continue
+        if by_rate is None:  # the terms of one rate share one power
+            (a, d), by_rate = exact_q(), collections.Counter()
+            for ai, ci in zip(a, map(int, c)):
+                by_rate[ai] += ci
+        out[t] = sum(ci * ai**t for ai, ci in by_rate.items()) / d**t
     return out
 
 
+def _superset(x, op):
+    """Fold x, indexed by the sets S of some m coordinates, in place by op
+    over the supersets of each S, one coordinate at a time."""
+    for i in range(x.size.bit_length() - 1):
+        xs = x.reshape(-1, 2, 1 << i)
+        op(xs[:, 0], xs[:, 1], out=xs[:, 0])
+    return x
+
+
+def _rates(masks, weights, m, keep, exact=False):
+    """q_S, the total weight of the masks that contain S, at the sets S in
+    keep: floats, or with exact=True (integers a_S, a_{}), the weights made
+    integers over one power of two and q_S = a_S / a_{} read against their
+    exact total."""
+    if not exact:
+        return _superset(np.bincount(masks, weights, minlength=1 << m), np.add)[keep]
+    ratios = [float(x).as_integer_ratio() for x in weights]
+    d = max(den for _, den in ratios)
+    a = np.zeros(1 << m, dtype=object)
+    np.add.at(a, masks, [num * (d // den) for num, den in ratios])
+    return _superset(a, np.add)[keep], a[0]
+
+
 def _mobius_form(arr, w, hyperplane_cap):
-    """Arrays (c, q) with P(T > t) = sum c_X q_X^t over the flats X != {}.
+    """Arrays (c, q) and the exact rates for _power_sums, with
+    P(T > t) = sum c_X q_X^t over the flats X != {}.
 
     T > t iff every face picked so far lies on some hyperplane.  Over the sets
     S of hyperplanes, superset transforms give q_S, the weight of the faces
@@ -298,24 +336,20 @@ def _mobius_form(arr, w, hyperplane_cap):
             "use Monte Carlo survival estimation"
         )
     masks = np.array(w.zero_masks(), dtype=np.int64)
-    q = np.bincount(masks, w.weights, minlength=1 << m)
+    q = _rates(masks, w.weights, m, slice(None))
     cl = np.full(1 << m, (1 << m) - 1, dtype=np.int64)
     cl[masks] = masks
-    odd = np.zeros(1 << m, dtype=bool)
-    for i in range(m):
-        qs, cls = q.reshape(-1, 2, 1 << i), cl.reshape(-1, 2, 1 << i)
-        qs[:, 0] += qs[:, 1]
-        cls[:, 0] &= cls[:, 1]
-        odd.reshape(-1, 2, 1 << i)[:, 1] ^= True
-    c = np.bincount(cl[1:], np.where(odd[1:], 1.0, -1.0), minlength=1 << m)
+    sign = np.where(np.bitwise_count(np.arange(1, 1 << m)) % 2, 1.0, -1.0)
+    c = np.bincount(_superset(cl, np.bitwise_and)[1:], sign, minlength=1 << m)
     flats = np.flatnonzero((c != 0) & (q > 0))
-    return c[flats].astype(np.int64), q[flats]
+    return c[flats].astype(np.int64), q[flats], functools.partial(
+        _rates, masks, w.weights, m, flats, exact=True)
 
 
 def survival_terms(arr, w, hyperplane_cap=DEFAULT_IE_HYPERPLANE_CAP):
     """The (c_X, q_X) pairs of _mobius_form, one per flat X != {}, with
     P(T > t) = sum c_X q_X^t for t >= 1 and c_X = -mu({}, X)."""
-    return list(zip(*(a.tolist() for a in _mobius_form(arr, w, hyperplane_cap))))
+    return list(zip(*(a.tolist() for a in _mobius_form(arr, w, hyperplane_cap)[:2])))
 
 
 def survival_exact(arr, w, t, hyperplane_cap=DEFAULT_IE_HYPERPLANE_CAP):

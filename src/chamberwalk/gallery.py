@@ -6,6 +6,7 @@ touched", and vectorized samplers for large instances.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ from .core import (
     partition_to_sign_vector,
     weighted_faces,
 )
-from .exact import _power_sums
+from .exact import _power_sums, _rates
 
 DEFAULT_ENUM_CAP = 1_000_000
 DEFAULT_TSETLIN_EXACT_CAP = 20
@@ -220,8 +221,6 @@ class TsetlinBoundReport:
     upper_value: float
     lower_time: float
     lower_value: float
-    upper_clamped: bool
-    lower_clamped: bool
     upper_raw: float  # the formulas' values before clamping into [0, 1]
     lower_raw: float
     t_star_min_w: float
@@ -267,8 +266,6 @@ def tsetlin_bounds(spec, c, strict=True):
         upper_value=upper_value,
         lower_time=t_star - 2.0 * c / min_w,
         lower_value=lower_value,
-        upper_clamped=upper_value != upper_raw,
-        lower_clamped=lower_value != lower_raw,
         t_star_min_w=t_star * min_w,
         t_star_min_w_sq=t_star * min_w_sq,
         upper_raw=upper_raw,
@@ -290,14 +287,13 @@ def tsetlin_survival_profile(spec, t_grid, exact_cap=DEFAULT_TSETLIN_EXACT_CAP):
         raise CapacityError(
             f"n={n} exceeds the 2^n cap {exact_cap}; use sample_card_collection_T"
         )
-    weight, size = np.zeros(1 << n), np.zeros(1 << n, dtype=np.int64)
-    for i, wt in enumerate(spec.card_weights):  # subset sums, one card at a time
-        weight.reshape(-1, 2, 1 << i)[:, 1] += wt
-        size.reshape(-1, 2, 1 << i)[:, 1] += 1
-    sets = size >= 2
+    size = np.bitwise_count(np.arange(1 << n)).astype(np.int64)
+    sets = np.flatnonzero(size >= 2)
+    # card i weighs on the sets U that miss it, so q_U is the weight outside U
+    masks = ((1 << n) - 1) ^ (1 << np.arange(n))
+    rates = functools.partial(_rates, masks, spec.card_weights, n, sets)
     c = np.where(size % 2, 1 - size, size - 1)[sets]
-    # weight[::-1][U] = weight[2^n - 1 - U], the weight of the cards outside U
-    return _power_sums(c, weight[::-1][sets], t_grid, n - 1)
+    return _power_sums(c, rates(), functools.partial(rates, exact=True), t_grid, n - 1)
 
 
 def sample_card_collection_T(spec, trials, seed):

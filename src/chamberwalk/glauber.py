@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CapacityError
-from .exact import _power_profile, _power_sums, _walk, separation
+from .exact import _power_profile, _power_sums, _times, _walk, separation
 
 DEFAULT_SITE_CAP = 12
 DEFAULT_STATE_CAP = 4096
@@ -203,16 +203,15 @@ def glauber_separation_profile(sys, t_grid, state_cap=DEFAULT_STATE_CAP):
 
 def coupon_survival_uniform(n, t):
     """P(some site unpicked after t uniform site selections), exactly:
-    sum_j (-1)^(j+1) C(n,j) (1 - j/n)^t.  Where the float sum's rounding
-    bound refuses it (see exact._power_sums), the integer ratio
-    sum_j (-1)^(j+1) C(n,j) (n-j)^t / n^t, which Python rounds correctly."""
+    sum_j (-1)^(j+1) C(n,j) ((n-j)/n)^t, through exact._power_sums with the
+    exact rates (n-j)/n."""
     if n < 1:
         raise ValueError("need n >= 1")
-    t, c = int(t), [(-1) ** (j + 1) * math.comb(n, j) for j in range(1, n)]
-    try:
-        return _power_sums(c, [(n - j) / n for j in range(1, n)], [t], n)[t]
-    except ArithmeticError:  # OverflowError too: a C(n,j) beyond float range
-        return sum(cj * (n - j) ** t for j, cj in enumerate(c, 1)) / n**t
+    if (t := _times([t])[0]) < n:
+        return 1.0
+    c = [(-1) ** (j + 1) * math.comb(n, j) for j in range(1, n)]
+    q = [(n - j) / n for j in range(1, n)]
+    return _power_sums(c, q, lambda: (range(n - 1, 0, -1), n), [t], n)[t]
 
 
 def coverage_conditioned_law(sys, t, state_cap=DEFAULT_STATE_CAP):

@@ -501,12 +501,20 @@ def test_survival_terms_count_flats_with_integer_coefficients():
         assert sum(c for c, _ in terms) == total
 
 
-def test_power_sums_snap_rounding_and_refuse_the_rest():
-    assert exact._power_sums([1, 1], [1.0, 2.0**-52], [0, 1], 1) == {0: 1.0, 1: 1.0}
-    with pytest.raises(ArithmeticError, match=r"P\(T > 1\) = 2.0 with"):
-        exact._power_sums([2], [1.0], [1], 1)
-    with pytest.raises(ArithmeticError, match="rounding bound"):
-        exact._power_sums([10**8, 1 - 10**8], [1.0, 1.0], [1], 1)
+def test_power_sums_snap_rounding_and_take_the_rest_exactly():
+    def unread():
+        raise AssertionError("exact rates read")
+
+    assert exact._power_sums([1, 1], [1.0, 2.0**-52], unread, [0, 1], 1) == {0: 1.0, 1: 1.0}
+    # 2^60 (3/4)^t cancels in floats with a bound far above 1e-9; in integers
+    # the two terms of rate 3/4 fold into one of coefficient 0
+    big = 2**60
+    assert exact._power_sums([1, big, -big], [0.5, 0.75, 0.75], lambda: ([2, 3, 3], 4),
+                             [1, 7], 1) == {1: 0.5, 7: 0.5**7}
+    # coefficients beyond the float range go to the integers at once
+    huge = 10**400
+    assert exact._power_sums([huge, 1 - huge], [0.5, 0.5], lambda: ([1, 1], 2),
+                             [3], 1) == {3: 0.125}
 
 
 def test_separation_reads_only_the_chambers_pi_charges():

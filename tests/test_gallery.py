@@ -180,6 +180,24 @@ def test_tsetlin_survival_exact_values():
         assert cw.tsetlin_survival_exact(spec_n, 1) == 1.0
 
 
+def test_tsetlin_survival_answers_where_the_float_sum_cancels():
+    # one heavy card among 20: the float sum's rounding bound exceeds 1e-9 up
+    # to t of about 90, so those times take the integer ratio
+    spec = cw.TsetlinSpec([0.9] + [0.1 / 19] * 19)
+    heavy, light = spec.card_weights[:2]
+    law = np.zeros((2, 20))  # (heavy card touched, light cards touched)
+    law[0, 0], k, want = 1.0, np.arange(20), {}
+    for t in range(1, 151):
+        fresh = np.zeros_like(law)
+        fresh[:, 1:] = law[:, :-1] * light * (19 - k[:-1])
+        law = law * light * k + fresh + np.stack([0 * k, heavy * law.sum(axis=0)])
+        want[t] = law[(1 - np.arange(2))[:, None] + 19 - k >= 2].sum()
+    got = cw.tsetlin_survival_profile(spec, [19, 40, 90, 150])
+    assert all(got[t] == pytest.approx(want[t], abs=1e-12) for t in got)
+    # the weights' float total is not exactly 1; the rates are read against it
+    assert all(0.0 <= p <= 1.0 for p in got.values())
+
+
 def test_tsetlin_survival_capacity():
     spec = cw.TsetlinSpec(np.full(25, 1 / 25))
     with pytest.raises(CapacityError):

@@ -220,3 +220,12 @@ def test_coupon_survival_does_not_cancel_at_large_n():
         assert cw.coupon_survival_uniform(200, t) == pytest.approx(p, abs=1e-12)
     assert cw.coupon_survival_uniform(1000, 1000) == pytest.approx(
         _count_chain_survival(1000, [1000])[1000], abs=1e-12)
+
+
+def test_coupon_survival_checks_t_before_any_binomial():
+    # C(1030, j) overflows a float; t < n still means no site is missed yet
+    assert cw.coupon_survival_uniform(1030, 0) == 1.0
+    assert cw.coupon_survival_uniform(1031, 0) == 1.0
+    assert cw.coupon_survival_uniform(1031, 1030) == 1.0
+    with pytest.raises(ValueError, match="negative time"):
+        cw.coupon_survival_uniform(1030, -2)

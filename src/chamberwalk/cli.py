@@ -104,22 +104,17 @@ def read_config_file(path):
 
 
 def parse_t_grid(spec):
-    """Parse '1..10', '0..40..2' or '1,2,5' into an increasing integer list."""
+    """Parse '1..10', '0..40..2' or '1,2,5' into an increasing integer list;
+    each token is a whole number, as _whole checks it."""
     if isinstance(spec, list):
-        grid = [int(x) for x in spec]
+        grid = [_whole(x, "t-grid time") for x in spec]
+    elif ".." in (spec := str(spec)):
+        parts = [_whole(x, "t-grid bound") for x in spec.split("..")]
+        if len(parts) > 3 or parts[2:] == [0]:
+            raise ConfigError(f"bad t-grid {spec!r}")
+        grid = list(range(parts[0], parts[1] + 1, *parts[2:]))
     else:
-        spec = str(spec)
-        if ".." in spec:
-            parts = spec.split("..")
-            if len(parts) == 2:
-                start, stop, step = int(parts[0]), int(parts[1]), 1
-            elif len(parts) == 3:
-                start, stop, step = int(parts[0]), int(parts[1]), int(parts[2])
-            else:
-                raise ConfigError(f"bad t-grid {spec!r}")
-            grid = list(range(start, stop + 1, step))
-        else:
-            grid = [int(float(x)) for x in spec.split(",") if x.strip()]
+        grid = [_whole(x, "t-grid time") for x in spec.split(",") if x.strip()]
     if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigError("t-grid must be nonempty and strictly increasing")
     if grid[0] < 0:
@@ -127,12 +122,23 @@ def parse_t_grid(spec):
     return grid
 
 
+def _number(v, what):
+    try:
+        return float(v)  # a list value raises TypeError
+    except (TypeError, ValueError):
+        raise ConfigError(f"{what} must be one number, got {v!r}") from None
+
+
+def _whole(v, what):
+    """v as an int; a fraction, an infinity or no number raises ConfigError."""
+    if not _number(v, what).is_integer():
+        raise ConfigError(f"{what} must be an integer, got {v!r}")
+    raw = str(v).strip()
+    return int(raw) if raw.isdigit() else int(float(v))  # digits stay exact past 2**53
+
+
 def _get_int(params, key, default=None):
-    v = _get_float(params, key, default)
-    if not float(v).is_integer():
-        raise ConfigError(f"parameter {key!r} must be an integer, got {params[key]!r}")
-    raw = str(params.get(key, "")).strip()
-    return int(raw) if raw.isdigit() else int(v)  # digits stay exact past 2**53
+    return _whole(params.get(key, _get_float(params, key, default)), f"parameter {key!r}")
 
 
 def _get_float(params, key, default=None):
@@ -140,11 +146,7 @@ def _get_float(params, key, default=None):
         if default is None:
             raise ConfigError(f"missing required parameter {key!r}")
         return default
-    v = params[key]
-    try:
-        return float(v)  # a list value raises TypeError
-    except (TypeError, ValueError):
-        raise ConfigError(f"parameter {key!r} must be one number, got {v!r}") from None
+    return _number(params[key], f"parameter {key!r}")
 
 
 def _get_weights(params, key, n=None):
@@ -218,15 +220,19 @@ def build_family(family, params):
 
 
 def build_glauber_family(family, params):
-    if family == "ising":
-        return ising_system(
-            _get_int(params, "width"),
-            _get_int(params, "height"),
-            _get_float(params, "beta", 0.0),
-            _get_float(params, "field", 0.0),
-        )
-    if family == "product":
-        return product_system(_get_int(params, "n"))
+    """The family's spin system; the builders' ValueErrors surface as ConfigError."""
+    try:
+        if family == "ising":
+            return ising_system(
+                _get_int(params, "width"),
+                _get_int(params, "height"),
+                _get_float(params, "beta", 0.0),
+                _get_float(params, "field", 0.0),
+            )
+        if family == "product":
+            return product_system(_get_int(params, "n"))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     raise ConfigError(f"unknown glauber family {family!r}")
 
 

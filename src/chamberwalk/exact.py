@@ -72,13 +72,26 @@ def _product_table(arr, w, find):
     return table
 
 
+def _matrix(succ, prob):
+    """The matrix of a successor table: P[i, succ[k, i]] += prob[k, i], with
+    prob broadcast to succ and k the leading axes, each cell summed in k order."""
+    ell = succ.shape[-1]
+    P, (rows, prob, _) = np.zeros((ell, ell)), np.broadcast_arrays(np.arange(ell), prob, succ)
+    np.add.at(P, (rows.ravel(), succ.ravel()), prob.ravel())
+    return P
+
+
+def _push(succ, prob, law):
+    """One step of a law along a successor table: sum of prob[k, i] law[i]
+    at succ[k, i], over the law.size states."""
+    return np.bincount(succ.ravel(), (prob * law).ravel(), law.size)
+
+
 def transition_matrix(arr, w, chamber_cap=DEFAULT_CHAMBER_CAP, find=None):
     """Row-stochastic matrix P[C, D] = sum of w(F) over faces with FC = D,
     each cell summed in face order; find, if given, is _chamber_finder's."""
-    table, ell = _product_table(arr, w, find or _chamber_finder(arr, chamber_cap)), arr.n_chambers
-    P = np.zeros((ell, ell))
-    np.add.at(P, (np.tile(np.arange(ell), len(table)), table.ravel()), np.repeat(w.weights, ell))
-    return P
+    table = _product_table(arr, w, find or _chamber_finder(arr, chamber_cap))
+    return _matrix(table, w.weights[:, np.newaxis])
 
 
 def _symmetric(arr, w, find):
@@ -230,10 +243,7 @@ def _profiles(arr, w, t_grid, chamber_cap=DEFAULT_CHAMBER_CAP):
     if not _symmetric(arr, w, find):
         return "dense", _dense_profiles(arr, w, t_grid, chamber_cap, find)
     table, ell = _product_table(arr, w, find), arr.n_chambers
-
-    def step(nu):
-        return np.bincount(table.ravel(), (w.weights[:, np.newaxis] * nu).ravel(), ell)
-
+    step = functools.partial(_push, table, w.weights[:, np.newaxis])
     return "one-start", {
         t: (float(1.0 - ell * nu.min()), float(0.5 * np.abs(nu - 1.0 / ell).sum()))
         for t, nu in _walk((np.arange(ell) == 0).astype(float), step, t_grid)}
@@ -373,30 +383,18 @@ class CouplingParameters:
 
 
 def coupling_parameters(arr, w):
-    """Exact b_i and d_ij from the explicit weighted faces.
+    """Exact b_i and d_ij from the explicit weighted faces, as products over
+    the faces' cut matrix (F_i != 0).
 
     The uniform values are set only when all entries agree within 1e-12,
     which is the regime where the cutoff prediction applies.
     """
-    m = arr.m
-    masks = w.zero_masks()
-    b = np.zeros(m)
-    d = np.zeros((m, m))
-    for mask, wt in zip(masks, w.weights):
-        for i in range(m):
-            if not (mask >> i) & 1:
-                b[i] += wt
-        for i in range(m):
-            if (mask >> i) & 1:
-                continue
-            for j in range(m):
-                if not (mask >> j) & 1 and j != i:
-                    d[i, j] += wt
-    off = d[~np.eye(m, dtype=bool)] if m > 1 else np.array([])
+    m, cut = arr.m, _signs(w.faces, arr.m) != 0
+    b = w.weights @ cut
+    d = (cut.T * w.weights) @ cut * ~np.eye(m, dtype=bool)
+    off = d[~np.eye(m, dtype=bool)]
     uniform_b = float(b[0]) if np.ptp(b) <= 1e-12 else None
-    uniform_d = None
-    if m > 1 and np.ptp(off) <= 1e-12:
-        uniform_d = float(off[0])
+    uniform_d = float(off[0]) if m > 1 and np.ptp(off) <= 1e-12 else None
     return CouplingParameters(b, d, uniform_b, uniform_d)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CapacityError
-from .exact import _power_profile, _power_sums, _times, _walk, separation
+from .exact import _matrix, _power_profile, _power_sums, _push, _times, _walk, separation
 
 DEFAULT_SITE_CAP = 12
 DEFAULT_STATE_CAP = 4096
@@ -61,6 +61,8 @@ def ising_system(width, height, beta, field=0.0, site_cap=DEFAULT_SITE_CAP):
     """Ferromagnetic Ising model on a width x height grid, free boundary."""
     if beta < 0:
         raise ValueError("antiferromagnetic coupling (beta < 0) is not monotone")
+    if min(width, height) < 1:
+        raise ValueError(f"need at least one site, got {width}x{height}")
     n = width * height
     if n > site_cap:
         raise CapacityError(f"{n} sites exceeds exact-mode cap {site_cap}")
@@ -78,6 +80,8 @@ def ising_system(width, height, beta, field=0.0, site_cap=DEFAULT_SITE_CAP):
 def product_system(n, probs_up=None):
     """Independent +-1 spins; sanity system with trivially monotone
     conditionals."""
+    if n < 1:
+        raise ValueError(f"need at least one site, got n={n}")
     if probs_up is None:
         probs_up = [0.5] * n
     probs_up = list(probs_up)
@@ -90,6 +94,11 @@ def product_system(n, probs_up=None):
     return MonotoneSystem(n_sites=n, spins=(-1, 1), log_weight=log_weight, name="product")
 
 
+def _softmax(logs, axis):
+    p = np.exp(logs - logs.max(axis=axis, keepdims=True))
+    return p / p.sum(axis=axis, keepdims=True)
+
+
 def conditional_at_site(sys, sigma, u):
     """Heat-bath conditional at site u given the rest of sigma; array over
     sys.spins in spin order."""
@@ -98,10 +107,7 @@ def conditional_at_site(sys, sigma, u):
         cfg = list(sigma)
         cfg[u] = s
         logs.append(sys.log_weight(tuple(cfg)))
-    logs = np.array(logs)
-    p = np.exp(logs - logs.max())
-    p /= p.sum()
-    return p
+    return _softmax(np.array(logs), 0)
 
 
 def glauber_step(sys, sigma, u, v):
@@ -120,14 +126,10 @@ def glauber_step(sys, sigma, u, v):
     return tuple(out)
 
 
-def _leq(a, b):
-    return all(x <= y for x, y in zip(a, b))
-
-
 def comparable_pairs(configs):
     for a in configs:
         for b in configs:
-            if a != b and _leq(a, b):
+            if a != b and all(x <= y for x, y in zip(a, b)):
                 yield a, b
 
 
@@ -137,51 +139,40 @@ def check_monotone(sys, state_cap=DEFAULT_STATE_CAP, tol=1e-12):
     For every comparable pair sigma <= tau and every site, the conditional
     at tau must dominate the one at sigma (its CDF pointwise below).
     Returns (True, None) or (False, witness) with the violating
-    (sigma, tau, site).
+    (sigma, tau, site), the first in comparable_pairs order, then site order.
     """
-    configs = sys.configurations(state_cap)
-    for sigma, tau in comparable_pairs(configs):
-        for u in range(sys.n_sites):
-            cdf_s = np.cumsum(conditional_at_site(sys, sigma, u))
-            cdf_t = np.cumsum(conditional_at_site(sys, tau, u))
-            if np.any(cdf_t > cdf_s + tol):
-                return False, (sigma, tau, u)
+    configs, _, _, prob = _heat_bath(sys, state_cap)
+    cdf, spins = np.cumsum(prob, axis=1), np.array(configs)
+    for a, sigma in enumerate(spins):
+        above = np.all(sigma <= spins, axis=1) & (np.arange(len(configs)) != a)
+        bad = np.any(cdf > cdf[:, :, [a]] + tol, axis=1)  # (site, tau)
+        if (taus := np.flatnonzero(above & bad.any(axis=0))).size:
+            return False, (configs[a], configs[taus[0]], int(np.argmax(bad[:, taus[0]])))
     return True, None
 
 
-def stationary_distribution(sys, state_cap=DEFAULT_STATE_CAP):
+def _heat_bath(sys, state_cap):
+    """(configs, pi, succ, prob) from one log_weight call per configuration:
+    succ[u, s, i] is configuration i (itertools.product order) with site u
+    set to spins[s], and prob[u, s, i] its heat-bath probability, computed as
+    conditional_at_site computes it."""
     configs = sys.configurations(state_cap)
     logs = np.array([sys.log_weight(c) for c in configs])
-    p = np.exp(logs - logs.max())
-    return configs, p / p.sum()
+    i, n_spins = np.arange(len(configs)), len(sys.spins)
+    place = n_spins ** np.arange(sys.n_sites - 1, -1, -1)[:, np.newaxis, np.newaxis]
+    succ = i - i // place % n_spins * place + np.arange(n_spins)[:, np.newaxis] * place
+    return configs, _softmax(logs, 0), succ, _softmax(logs[succ], 1)
 
 
-def _site_moves(sys, configs, index):
-    """(config index, site) -> [(next config index, prob)]: the heat-bath
-    update at that site, one entry per spin in spin order."""
-    moves = {}
-    for i, sigma in enumerate(configs):
-        for u in range(sys.n_sites):
-            row = []
-            for s, ps in zip(sys.spins, conditional_at_site(sys, sigma, u)):
-                cfg = list(sigma)
-                cfg[u] = s
-                row.append((index[tuple(cfg)], ps))
-            moves[i, u] = row
-    return moves
+def stationary_distribution(sys, state_cap=DEFAULT_STATE_CAP):
+    return _heat_bath(sys, state_cap)[:2]
 
 
 def glauber_matrix(sys, state_cap=DEFAULT_STATE_CAP):
     """Exact transition matrix: pick a uniform site, resample from its
-    conditional."""
-    configs, pi = stationary_distribution(sys, state_cap)
-    index = {c: i for i, c in enumerate(configs)}
-    n = sys.n_sites
-    P = np.zeros((len(configs), len(configs)))
-    for (i, _), row in _site_moves(sys, configs, index).items():
-        for j, ps in row:
-            P[i, j] += ps / n
-    return configs, pi, P
+    conditional; each cell summed in (site, spin) order."""
+    configs, pi, succ, prob = _heat_bath(sys, state_cap)
+    return configs, pi, _matrix(succ, prob / sys.n_sites)
 
 
 def glauber_separation_exact(sys, t, state_cap=DEFAULT_STATE_CAP):
@@ -193,12 +184,9 @@ def glauber_separation_exact(sys, t, state_cap=DEFAULT_STATE_CAP):
 
 def glauber_separation_profile(sys, t_grid, state_cap=DEFAULT_STATE_CAP):
     configs, pi, P = glauber_matrix(sys, state_cap)
-    index = {c: i for i, c in enumerate(configs)}
-    i_top, i_bot = index[sys.top], index[sys.bottom]
-    out = {}
-    for t, Pt in _power_profile(P, t_grid):
-        out[t] = (separation(Pt, pi), float(1.0 - Pt[i_top, i_bot] / pi[i_bot]))
-    return out
+    i_top, i_bot = configs.index(sys.top), configs.index(sys.bottom)
+    return {t: (separation(Pt, pi), float(1.0 - Pt[i_top, i_bot] / pi[i_bot]))
+            for t, Pt in _power_profile(P, t_grid)}
 
 
 def coupon_survival_uniform(n, t):
@@ -230,24 +218,17 @@ def coverage_conditioned_profile(sys, t_grid, state_cap=DEFAULT_STATE_CAP):
     """Grid version of coverage_conditioned_law: evolves the joint
     (configuration, selected-site set) chain once and reads off every t.
     Returns (configs, {t: (conditional law, coverage probability)})."""
-    configs = sys.configurations(state_cap)
-    index = {c: i for i, c in enumerate(configs)}
-    n = sys.n_sites
-    n_cfg = len(configs)
-    full = (1 << n) - 1
-    # joint distribution over (config, touched-mask), started at (top, empty)
-    joint = np.zeros((n_cfg, full + 1))
-    joint[index[sys.top], 0] = 1.0
-    moves = _site_moves(sys, configs, index)
+    configs, _, succ, prob = _heat_bath(sys, state_cap)
+    n, full = sys.n_sites, (1 << sys.n_sites) - 1
+    # joint law over (config, touched-mask), started at (top, empty); a move
+    # at site u takes (i, mask) to (succ[u, s, i], mask | 2^u)
+    joint = np.zeros((len(configs), full + 1))
+    joint[configs.index(sys.top), 0] = 1.0
+    to, rate = succ[..., np.newaxis] * (full + 1), prob[..., np.newaxis] / n
 
-    def step(joint):
-        nxt = np.zeros_like(joint)
-        for i, mask in zip(*np.nonzero(joint)):
-            p0 = joint[i, mask]
-            for u in range(n):
-                for j, ps in moves[i, u]:
-                    nxt[j, mask | (1 << u)] += p0 * ps / n
-        return nxt
+    def step(joint):  # one site at a time: |spins| joint-sized terms at once
+        return sum(_push(to[u] + (np.arange(full + 1) | 1 << u), rate[u], joint)
+                   for u in range(n)).reshape(joint.shape)
 
     out = {}
     for t, joint in _walk(joint, step, t_grid):

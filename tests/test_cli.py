@@ -303,6 +303,11 @@ def test_unknown_family_errors(tmp_path):
          "--t-grid=-2..1"],
         ["mc", "--family", "riffle", "--params", "n=3", "--t-grid=-2..1"],
         ["bounds", "--family", "tsetlin", "--params", "n=20", "c=1", "--t-grid=-2..1"],
+        ["mc", "--family", "riffle", "--params", "n=3", "--t-grid", "1.5,2.7"],
+        ["no-grid", "mc", "--config", "grid.cfg"],
+        ["mc", "--family", "riffle", "--params", "n=3", "--t-grid", "1..10..0"],
+        ["mc", "--family", "riffle", "--params", "n=3", "--t-grid", "1..x"],
+        ["exact", "--family", "riffle", "--params", "n=3", "--t-grid", "1e400,2"],
     ],
 )
 def test_bad_numeric_params_exit_2(argv, tmp_path, monkeypatch):
@@ -311,11 +316,15 @@ def test_bad_numeric_params_exit_2(argv, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "run.cfg").write_text("family=riffle\nn=4\ntrials=2.5\n")
     (tmp_path / "seed.cfg").write_text("family=riffle\nn=4\nseed=2.5\n")
+    (tmp_path / "grid.cfg").write_text("family=riffle\nn=3\nt=1.5,2.5\n")
+    grid = ["--t-grid", "1..3"]  # a later --t-grid wins
     if argv[0] == "env-seed":
         monkeypatch.setenv("CHAMBERWALK_SEED", "abc")
         argv = argv[1:]
+    if argv[0] == "no-grid":  # the times come from the config file
+        argv, grid = argv[1:], []
     with pytest.raises(SystemExit) as exc:
-        main(argv[:1] + ["--t-grid", "1..3"] + argv[1:])  # a later --t-grid wins
+        main(argv[:1] + grid + argv[1:])
     assert exc.value.code == 2
 
 
@@ -336,11 +345,15 @@ def test_hypercube_nonlocal_k_out_of_range_exit_2(k):
         ["mc", "--family", "hypercube-nn", "--params", "n=3", "w_plus=0.5,0.1,0.1"],
         ["mc", "--family", "riffle", "--params", "n=10"],
         ["exact", "--family", "riffle", "--params", "n=8"],
+        ["glauber", "--family", "ising", "--params", "width=2", "height=2", "beta=-0.5"],
+        ["glauber", "--family", "product", "--params", "n=0"],
+        ["glauber", "--family", "ising", "--params", "width=0", "height=3"],
     ],
 )
 def test_builder_and_capacity_errors_exit_2(argv):
-    # a face builder's ValueError or a CapacityError (10! chambers to build,
-    # 8! chambers for the exact engine) is a usage error, not a traceback
+    # a face or spin-system builder's ValueError or a CapacityError (10!
+    # chambers to build, 8! chambers for the exact engine) is a usage error,
+    # not a traceback
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--trials", "10", "--t-grid", "1..3"])
     assert exc.value.code == 2

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -88,6 +89,8 @@ def test_check_monotone_rejects_antiferromagnet():
     assert not ok
     sigma, tau, u = witness
     assert all(a <= b for a, b in zip(sigma, tau))
+    # the first violation in comparable_pairs order, then site order
+    assert witness == ((-1, -1), (-1, 1), 0)
 
 
 @pytest.mark.parametrize("shape,beta", [((2, 2), 0.0), ((2, 2), 0.3), ((2, 2), 1.0),
@@ -186,6 +189,67 @@ def test_coverage_conditioned_bound():
             assert law[idx[sys_.bottom]] <= piv[idx[sys_.bottom]] + 1e-9
             expect_cov = 1.0 - cw.coupon_survival_uniform(sys_.n_sites, t)
             assert p_cov == pytest.approx(expect_cov, abs=1e-10)
+
+
+def joint_loop_coverage(sys_, t_grid):
+    """Oracle: the joint (configuration, picked-site mask) chain stepped by a
+    loop over its nonzero cells x sites x spins, with conditional_at_site."""
+    configs = sys_.configurations()
+    index = {c: i for i, c in enumerate(configs)}
+    n, full = sys_.n_sites, (1 << sys_.n_sites) - 1
+    joint = np.zeros((len(configs), full + 1))
+    joint[index[sys_.top], 0] = 1.0
+    out = {}
+    for t in range(max(t_grid) + 1):
+        if t in t_grid:
+            covered = joint[:, full]
+            out[t] = (covered / covered.sum(), covered.sum())
+        nxt = np.zeros_like(joint)
+        for i, mask in zip(*np.nonzero(joint)):
+            for u in range(n):
+                p = cw.conditional_at_site(sys_, configs[i], u)
+                for s, ps in zip(sys_.spins, p):
+                    cfg = list(configs[i])
+                    cfg[u] = s
+                    nxt[index[tuple(cfg)], mask | (1 << u)] += joint[i, mask] * ps / n
+        joint = nxt
+    return out
+
+
+@pytest.mark.parametrize("sys_", [cw.ising_system(2, 2, 0.3), cw.ising_system(1, 4, 0.3),
+                                  cw.ising_system(3, 2, 0.3, field=0.2),
+                                  cw.product_system(3, [0.2, 0.5, 0.7])],
+                         ids=lambda s: s.name + str(s.n_sites))
+def test_coverage_matches_joint_chain_loop(sys_):
+    t_grid = list(range(sys_.n_sites, sys_.n_sites + 8))
+    want = joint_loop_coverage(sys_, t_grid)
+    configs, got = cw.coverage_conditioned_profile(sys_, t_grid)
+    assert configs == sys_.configurations()
+    for t in t_grid:
+        assert np.abs(got[t][0] - want[t][0]).max() <= 1e-14
+        assert got[t][1] == pytest.approx(want[t][1], abs=1e-14)
+
+
+def test_one_log_weight_call_per_configuration():
+    def counted(sys_):
+        def log_weight(sigma):
+            calls.append(sigma)
+            return sys_.log_weight(sigma)
+        return dataclasses.replace(sys_, log_weight=log_weight)
+
+    calls = []
+    cw.glauber_matrix(counted(cw.ising_system(5, 2, 0.3)))
+    assert len(calls) == len(set(calls)) == 1024
+    calls.clear()
+    cw.coverage_conditioned_profile(counted(cw.ising_system(3, 2, 0.3)), [6, 9])
+    assert len(calls) == len(set(calls)) == 64
+
+
+def test_systems_need_a_site():
+    for build in (lambda: cw.ising_system(0, 3, 0.3), lambda: cw.ising_system(2, -1, 0.3),
+                  lambda: cw.product_system(0)):
+        with pytest.raises(ValueError, match="at least one site"):
+            build()
 
 
 def test_monotone_lower_bounds_values():

@@ -9,6 +9,7 @@ is byte-identical for a fixed config and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -17,7 +18,8 @@ import numpy as np
 
 from . import __version__
 from .core import CapacityError, build_boolean, build_braid
-from .exact import _profiles, coupling_parameters, cutoff_prediction, survival_exact_profile
+from .exact import DEFAULT_CHAMBER_CAP, _profiles, coupling_parameters, cutoff_prediction
+from .exact import survival_exact_profile
 from .gallery import (
     TsetlinSpec,
     hypercube_nn_faces,
@@ -38,7 +40,7 @@ from .glauber import (
     ising_system,
     product_system,
 )
-from .walk import estimate_survival
+from .walk import sample_T_batch, survival_from_samples
 
 SEED_ENV_VAR = "CHAMBERWALK_SEED"
 PRNG_NAME = "numpy-pcg64"
@@ -161,62 +163,59 @@ def _get_weights(params, key, n=None):
 
 
 def build_family(family, params):
-    """Resolve a family name into (arrangement, weighted faces, info).
+    """Resolve a family name into (weighted faces, arrangement builder, info).
 
-    info carries an optional fast T sampler and closed-form (b, d) for
-    families with one; exact machinery uses the explicit (arr, w) pair.
-    The builders' own argument checks surface as ConfigError.
+    Only exact mode calls the builder, with its face_limit: a T sampler reads
+    the faces alone.  info carries the family's T sampler, (trials, seed) ->
+    samples, and the closed-form (b, d) of families with one.  tsetlin and
+    hypercube-nonlocal draw T without faces, so they list faces only for an
+    arrangement within exact mode's chamber cap (tsetlin's cutoff reads them
+    too).  The builders' own argument checks surface as ConfigError.
     """
-    info = {"t_sampler": None, "bd": None}
+    info = {"bd": None}
     try:
         if family == "tsetlin":
             weights = _get_weights(params, "weights", _get_int(params, "n", 0) or None)
-            spec = TsetlinSpec(weights)
+            info["spec"] = spec = TsetlinSpec(weights)
             info["t_sampler"] = lambda trials, seed: sample_card_collection_T(spec, trials, seed)
-            info["spec"] = spec
-            n = spec.n
-            arr = w = None
-            if 2 <= n and math.factorial(n) <= 10_000:
-                arr = build_braid(n)
+            n, w = spec.n, None
+            if 2 <= n and math.factorial(n) <= DEFAULT_CHAMBER_CAP:
                 w = tsetlin_faces(spec)
-            return arr, w, info
-        if family == "riffle":
+        elif family == "riffle":
             n = _get_int(params, "n")
             a = _get_int(params, "a", 2)
             info["bd"] = riffle_coupling_closed_form(a)
-            arr = build_braid(n)
-            return arr, riffle_faces(n, a), info
-        if family == "k-to-top":
+            w = riffle_faces(n, a)
+        elif family == "k-to-top":
             n, k = _get_int(params, "n"), _get_int(params, "k")
             info["bd"] = kset_coupling_closed_form(n, k)
-            arr = build_braid(n)
-            return arr, k_to_top_faces(n, k), info
-        if family == "top-bottom":
+            w = k_to_top_faces(n, k)
+        elif family == "top-bottom":
             n = _get_int(params, "n")
-            weights = _get_weights(params, "weights", n)
-            arr = build_braid(n)
-            return arr, top_bottom_faces(n, weights), info
-        if family == "hypercube-nn":
+            w = top_bottom_faces(n, _get_weights(params, "weights", n))
+        elif family == "hypercube-nn":
             n = _get_int(params, "n")
             half = np.full(n, 1.0 / (2 * n))
             w_plus = _get_weights(params, "w_plus") if "w_plus" in params else half
             w_minus = _get_weights(params, "w_minus") if "w_minus" in params else half
-            arr = build_boolean(n)
-            return arr, hypercube_nn_faces(w_plus, w_minus), info
-        if family == "hypercube-nonlocal":
+            if (w := hypercube_nn_faces(w_plus, w_minus)).m != n:
+                raise ConfigError(f"hypercube-nn needs n={n} weights in w_plus and w_minus")
+        elif family == "hypercube-nonlocal":
             n, k = _get_int(params, "n"), _get_int(params, "k")
             if not 1 < k <= n / 2:
                 raise ConfigError(f"hypercube-nonlocal needs 1 < k <= n/2, got n={n} k={k}")
             info["bd"] = kset_coupling_closed_form(n, k)
             info["t_sampler"] = lambda trials, seed: sample_kset_coupon_T(n, k, trials, seed)
-            arr = w = None
-            if math.comb(n, k) * 2**k <= 100_000 and 2**n <= 10_000:
-                arr = build_boolean(n)
+            w = None
+            if math.comb(n, k) * 2**k <= 100_000 and 2**n <= DEFAULT_CHAMBER_CAP:
                 w = hypercube_nonlocal_faces(n, k)
-            return arr, w, info
+        else:
+            raise ConfigError(f"unknown family {family!r}; see the list subcommand")
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    raise ConfigError(f"unknown family {family!r}; see the list subcommand")
+    info.setdefault("t_sampler", functools.partial(sample_T_batch, w))
+    build = build_boolean if family.startswith("hypercube") else build_braid
+    return w, functools.partial(build, n), info
 
 
 def build_glauber_family(family, params):
@@ -269,9 +268,10 @@ def _meta(args, params, extra=()):
 
 
 def cmd_exact(args, params):
-    arr, w, _ = build_family(args.family, params)
-    if arr is None:
+    w, arrangement, _ = build_family(args.family, params)
+    if w is None:
         raise ConfigError("family instance too large for exact mode")
+    arr = arrangement(face_limit=DEFAULT_CHAMBER_CAP)
     grid = parse_t_grid(args.t_grid)
     path, dist = _profiles(arr, w, grid)
     surv = survival_exact_profile(arr, w, grid)
@@ -280,12 +280,10 @@ def cmd_exact(args, params):
     write_csv(args.out, _meta(args, params, extra), rows)
 
 
-def _mc_rows(args, arr, w, info, grid):
+def _mc_rows(args, info, grid):
     """CSV rows of the Monte Carlo survival estimate over grid, drawn with
-    the family's own T sampler when it has one."""
-    est = estimate_survival(
-        arr, w, grid, args.trials, args.seed, t_sampler=info["t_sampler"]
-    )
+    the family's T sampler."""
+    est = survival_from_samples(info["t_sampler"](args.trials, args.seed), grid, seed=args.seed)
     return [
         (t, None, None, None, p, se)
         for t, p, se in zip(est.t_values, est.p_hat, est.std_err)
@@ -293,8 +291,8 @@ def _mc_rows(args, arr, w, info, grid):
 
 
 def cmd_mc(args, params):
-    arr, w, info = build_family(args.family, params)
-    rows = _mc_rows(args, arr, w, info, parse_t_grid(args.t_grid))
+    _, _, info = build_family(args.family, params)
+    rows = _mc_rows(args, info, parse_t_grid(args.t_grid))
     write_csv(args.out, _meta(args, params), rows)
 
 
@@ -309,7 +307,7 @@ def cmd_bounds(args, params):
     times = sorted(
         {max(0, math.ceil(report.lower_time)), math.ceil(report.upper_time)}
     )
-    rows = _mc_rows(args, None, None, info, times)
+    rows = _mc_rows(args, info, times)
     extra = [
         ("t_star", _fmt(report.t_star)),
         ("c", _fmt(c)),
@@ -326,11 +324,11 @@ def cmd_bounds(args, params):
 
 
 def cmd_cutoff(args, params):
-    arr, w, info = build_family(args.family, params)
+    w, _, info = build_family(args.family, params)
     if info["bd"] is not None:
         b, d = info["bd"]
-    elif arr is not None and w is not None:
-        cp = coupling_parameters(arr, w)
+    elif w is not None:
+        cp = coupling_parameters(w)
         if cp.uniform_b is None or cp.uniform_d is None:
             raise ConfigError("b or d not constant; no cutoff prediction")
         b, d = cp.uniform_b, cp.uniform_d
@@ -349,7 +347,7 @@ def cmd_cutoff(args, params):
         hi = math.ceil(pred.time + 4 * pred.window)
         step = max(1, (hi - lo) // 32)
         grid = list(range(lo, hi + 1, step))
-    rows = _mc_rows(args, arr, w, info, grid)
+    rows = _mc_rows(args, info, grid)
     extra = [
         ("b", _fmt(b)),
         ("d", _fmt(d)),

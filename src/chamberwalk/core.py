@@ -100,7 +100,8 @@ class Arrangement:
 
 @dataclass(frozen=True)
 class WeightedFaceSet:
-    """A probability measure on faces; only positive weights are listed."""
+    """A probability measure on faces; only positive weights are listed, and
+    at least one, so the number of hyperplanes m is that of the faces."""
 
     faces: tuple
     weights: np.ndarray
@@ -110,9 +111,11 @@ class WeightedFaceSet:
         object.__setattr__(self, "weights", w)
         if len(self.faces) != len(w):
             raise ValueError("faces and weights length mismatch")
-        if len(w) and np.any(w <= 0):
+        if not len(w):
+            raise ValueError("no weighted faces")
+        if np.any(w <= 0):
             raise ValueError("all listed weights must be strictly positive")
-        if len(w) and abs(w.sum() - 1.0) > 1e-12:
+        if abs(w.sum() - 1.0) > 1e-12:
             raise ValueError(f"weights sum to {w.sum()!r}, expected 1 within 1e-12")
         lengths = {len(f) for f in self.faces}
         if len(lengths) > 1:
@@ -120,7 +123,7 @@ class WeightedFaceSet:
 
     @property
     def m(self):
-        return len(self.faces[0]) if self.faces else 0
+        return len(self.faces[0])
 
     def supports(self):
         return [support(f) for f in self.faces]
@@ -291,23 +294,23 @@ def chamber_to_permutation(c, n):
     return tuple(perm)
 
 
-def violated_hyperplanes(arr, w):
+def violated_hyperplanes(w):
     """Hyperplanes not separated by the measure: indices i such that every
     positively weighted face has a zero coordinate at i."""
-    covered = [False] * arr.m
+    covered = [False] * w.m
     for f in w.faces:
         for i in support(f):
             covered[i] = True
     return [i for i, ok in enumerate(covered) if not ok]
 
 
-def check_separating(arr, w):
+def check_separating(w):
     """True iff every hyperplane has a positively weighted face not on it.
 
     Separation is exactly the condition for a unique
     stationary distribution and for T to be almost surely finite.
     """
-    return not violated_hyperplanes(arr, w)
+    return not violated_hyperplanes(w)
 
 
 def validate_closure(faces, product_limit=DEFAULT_CLOSURE_PRODUCT_LIMIT, seed=0):

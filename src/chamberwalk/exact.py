@@ -118,7 +118,7 @@ def _symmetric(arr, w, find):
 def _chain(arr, w, chamber_cap, find=None):
     """One build of P and one solve of pi P = pi, sum(pi) = 1, for the
     exact engine and the stationary solve alike."""
-    if not check_separating(arr, w):
+    if not check_separating(w):
         raise ValueError("non-separating weights: stationary law not unique")
     P = transition_matrix(arr, w, chamber_cap, find)
     ell = P.shape[0]
@@ -237,7 +237,7 @@ def _profiles(arr, w, t_grid, chamber_cap=DEFAULT_CHAMBER_CAP):
     the path is 'one-start': only the law nu_t of the walk from chamber 0 is
     evolved, nu_{t+1}[F C] += w(F) nu_t[C], and read against the uniform pi.
     Any other input takes the 'dense' path, _dense_profiles."""
-    if not check_separating(arr, w):
+    if not check_separating(w):
         raise ValueError("non-separating weights: stationary law not unique")
     find = _chamber_finder(arr, chamber_cap)
     if not _symmetric(arr, w, find):
@@ -280,7 +280,7 @@ def _power_sums(c, q, exact_q, t_grid, t_first):
     1.0 before t_first, the first time T can take.  A float sum outside
     [0, 1] by no more than its rounding bound (t + 1) eps sum_i |c_i| q_i^t
     is put on the nearer edge.  Where it lies further out, the bound exceeds
-    1e-9 or a c_i exceeds the float range, the sum is taken over the exact
+    1e-12 or a c_i exceeds the float range, the sum is taken over the exact
     rates exact_q() = (integers a_i, d), q_i = a_i / d, as the integer ratio
     sum_i c_i a_i^t / d^t, which Python rounds correctly."""
     out, by_rate = {}, None
@@ -295,12 +295,12 @@ def _power_sums(c, q, exact_q, t_grid, t_first):
         if cf is not None:
             terms = cf * q**t
             value, bound = terms.sum(), (t + 1) * np.finfo(float).eps * np.abs(terms).sum()
-            if bound <= 1e-9 and -bound <= value <= 1.0 + bound:
+            if bound <= 1e-12 and -bound <= value <= 1.0 + bound:
                 out[t] = float(min(max(value, 0.0), 1.0))
                 continue
         if by_rate is None:  # the terms of one rate share one power
             (a, d), by_rate = exact_q(), collections.Counter()
-            for ai, ci in zip(a, map(int, c)):
+            for ai, ci in zip(map(int, a), map(int, c)):
                 by_rate[ai] += ci
         out[t] = sum(ci * ai**t for ai, ci in by_rate.items()) / d**t
     return out
@@ -324,9 +324,11 @@ def _rates(masks, weights, m, keep, exact=False):
         return _superset(np.bincount(masks, weights, minlength=1 << m), np.add)[keep]
     ratios = [float(x).as_integer_ratio() for x in weights]
     d = max(den for _, den in ratios)
-    a = np.zeros(1 << m, dtype=object)
-    np.add.at(a, masks, [num * (d // den) for num, den in ratios])
-    return _superset(a, np.add)[keep], a[0]
+    nums = [num * (d // den) for num, den in ratios]
+    # no a_S exceeds the sum of all: Python integers only past int64
+    a = np.zeros(1 << m, dtype=np.int64 if sum(nums) < 2**63 else object)
+    np.add.at(a, masks, nums)
+    return _superset(a, np.add)[keep], int(a[0])
 
 
 def _mobius_form(arr, w, hyperplane_cap):
@@ -382,14 +384,14 @@ class CouplingParameters:
     uniform_d: float | None
 
 
-def coupling_parameters(arr, w):
+def coupling_parameters(w):
     """Exact b_i and d_ij from the explicit weighted faces, as products over
     the faces' cut matrix (F_i != 0).
 
     The uniform values are set only when all entries agree within 1e-12,
     which is the regime where the cutoff prediction applies.
     """
-    m, cut = arr.m, _signs(w.faces, arr.m) != 0
+    m, cut = w.m, _signs(w.faces, w.m) != 0
     b = w.weights @ cut
     d = (cut.T * w.weights) @ cut * ~np.eye(m, dtype=bool)
     off = d[~np.eye(m, dtype=bool)]

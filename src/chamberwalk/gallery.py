@@ -70,8 +70,8 @@ def riffle_faces(n, a, enum_cap=DEFAULT_ENUM_CAP):
     """Inverse a-shuffle faces: mark each card with a value in {0..a-1}
     uniformly; the face is the ordered partition by increasing mark with
     empty marks collapsed.  Weight = (#mark functions inducing it) / a^n."""
-    if a < 2:
-        raise ValueError("need a >= 2")
+    if n < 2 or a < 2:
+        raise ValueError(f"riffle faces need n >= 2 and a >= 2, got n={n} a={a}")
     if a**n > enum_cap:
         raise CapacityError(
             f"a^n = {a**n} mark functions exceeds cap {enum_cap}; "
@@ -135,8 +135,8 @@ def top_bottom_faces(n, card_weights=None):
     if card_weights is None:
         card_weights = np.full(n, 1.0 / n)
     w = _check_weights(card_weights)
-    if len(w) != n:
-        raise ValueError("need one weight per card")
+    if n < 2 or len(w) != n:
+        raise ValueError(f"top-bottom faces need n >= 2 and one weight per card, got n={n}")
     rest_all = set(range(n))
     pairs = []
     for c, wt in enumerate(w):

@@ -197,7 +197,8 @@ def coupon_survival_uniform(n, t):
         raise ValueError("need n >= 1")
     if (t := _times([t])[0]) < n:
         return 1.0
-    c = [(-1) ** (j + 1) * math.comb(n, j) for j in range(1, n)]
+    # c_j = -c_{j-1} (n - j + 1) / j, an exact division: c_j = (-1)^(j+1) C(n, j)
+    c = list(itertools.accumulate(range(1, n), lambda c, j: -c * (n - j + 1) // j, initial=-1))[1:]
     q = [(n - j) / n for j in range(1, n)]
     return _power_sums(c, q, lambda: (range(n - 1, 0, -1), n), [t], n)[t]
 

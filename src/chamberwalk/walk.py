@@ -26,14 +26,14 @@ def trial_rng(seed, trial):
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(trial,)))
 
 
-def _require_separating(arr, w):
-    if not check_separating(arr, w):
+def _require_separating(w):
+    if not check_separating(w):
         raise ValueError("weights do not separate the hyperplanes; T may be infinite")
 
 
-def simulate_chamber_at(arr, w, x0, t, seed):
+def simulate_chamber_at(w, x0, t, seed):
     """State of the walk started at chamber x0 after t steps, C^t = F^t...F^1 x0."""
-    _require_separating(arr, w)
+    _require_separating(w)
     x0 = tuple(x0)
     if not is_chamber(x0):
         raise ValueError("starting state must be a chamber")
@@ -45,17 +45,17 @@ def simulate_chamber_at(arr, w, x0, t, seed):
     return current
 
 
-def sample_T(arr, w, seed=None, rng=None, step_cap=DEFAULT_STEP_CAP):
+def sample_T(w, seed=None, rng=None, step_cap=DEFAULT_STEP_CAP):
     """Draw one copy of T by i.i.d. face picks from w.
 
     Each pick removes its support from the set of uncut hyperplanes; T is
     the first step at which that set empties.
     """
-    _require_separating(arr, w)
+    _require_separating(w)
     if rng is None:
         rng = np.random.default_rng(seed)
     supports = w.supports()
-    uncut = set(range(arr.m))
+    uncut = set(range(w.m))
     t = 0
     while uncut:
         t += 1
@@ -68,7 +68,7 @@ def sample_T(arr, w, seed=None, rng=None, step_cap=DEFAULT_STEP_CAP):
     return t
 
 
-def sample_T_batch(arr, w, trials, seed, step_cap=DEFAULT_STEP_CAP):
+def sample_T_batch(w, trials, seed, step_cap=DEFAULT_STEP_CAP):
     """Array of ``trials`` independent copies of T, deterministic in (seed, trials).
 
     Each trial's uncut hyperplanes are a row of ceil(m/64) packed uint64
@@ -76,17 +76,17 @@ def sample_T_batch(arr, w, trials, seed, step_cap=DEFAULT_STEP_CAP):
     from one generator seeded with ``seed``, clears that face's support
     bits, and retires the trials whose row is now zero.
     """
-    _require_separating(arr, w)
-    bits = np.zeros((len(w.faces) + 1, 64 * -(-arr.m // 64)), dtype=bool)
-    bits[0, : arr.m] = True  # every hyperplane starts uncut
-    bits[1:, : arr.m] = np.array(w.faces) == 0  # a pick keeps the ones it lies on
+    _require_separating(w)
+    bits = np.zeros((len(w.faces) + 1, 64 * -(-w.m // 64)), dtype=bool)
+    bits[0, : w.m] = True  # every hyperplane starts uncut
+    bits[1:, : w.m] = np.array(w.faces) == 0  # a pick keeps the ones it lies on
     packed = np.packbits(bits, axis=1, bitorder="little").view("<u8")
     uncut, keep = np.repeat(packed[:1], trials, axis=0), packed[1:]
     cdf = np.cumsum(w.weights)
     cdf /= cdf[-1]
     rng = np.random.default_rng(seed)
     out = np.zeros(trials, dtype=np.int64)
-    active = np.arange(trials if arr.m else 0)  # no hyperplanes: T = 0
+    active = np.arange(trials if w.m else 0)  # no hyperplanes: T = 0
     t = 0
     while active.size:
         t += 1
@@ -124,17 +124,9 @@ def survival_from_samples(samples, t_grid, seed=0):
     )
 
 
-def estimate_survival(arr, w, t_grid, trials, seed, t_sampler=None):
-    """Estimate P(T > t) over a grid from one T sample per trial.
-
-    ``t_sampler(trials, seed) -> array`` replaces the generic face-pick
-    sampler for families whose T is a count chain; results stay
-    deterministic in (seed, trials).
-    """
+def estimate_survival(w, t_grid, trials, seed):
+    """Estimate P(T > t) over a grid from sample_T_batch's T samples, one per
+    trial; deterministic in (seed, trials)."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if t_sampler is not None:
-        samples = t_sampler(trials, seed)
-    else:
-        samples = sample_T_batch(arr, w, trials, seed)
-    return survival_from_samples(samples, t_grid, seed=seed)
+    return survival_from_samples(sample_T_batch(w, trials, seed), t_grid, seed=seed)

@@ -202,16 +202,14 @@ def test_criterion_05_stationary_two_oracle():
 
 
 def test_criterion_06_coupling_parameters():
-    cp = cw.coupling_parameters(cw.build_braid(4), cw.riffle_faces(4, 2))
+    cp = cw.coupling_parameters(cw.riffle_faces(4, 2))
     ok = cp.uniform_b == 0.5 and cp.uniform_d == 0.25
     detail = [f"riffle b={cp.uniform_b} d={cp.uniform_d}"]
     for n, k in [(4, 2), (6, 2), (6, 3)]:
         b, d = cw.kset_coupling_closed_form(n, k)
         ok = ok and b == k / n
         ok = ok and d == k**2 / n**2 - k * (n - k) / (n**2 * (n - 1))
-        cp = cw.coupling_parameters(
-            cw.build_boolean(n), cw.hypercube_nonlocal_faces(n, k)
-        )
+        cp = cw.coupling_parameters(cw.hypercube_nonlocal_faces(n, k))
         ok = (
             ok
             and abs(cp.uniform_b - b) <= 1e-12

@@ -343,20 +343,56 @@ def test_hypercube_nonlocal_k_out_of_range_exit_2(k):
         ["mc", "--family", "k-to-top", "--params", "n=4", "k=0"],
         ["mc", "--family", "riffle", "--params", "n=1"],
         ["mc", "--family", "hypercube-nn", "--params", "n=3", "w_plus=0.5,0.1,0.1"],
-        ["mc", "--family", "riffle", "--params", "n=10"],
+        ["mc", "--family", "riffle", "--params", "n=21"],
         ["exact", "--family", "riffle", "--params", "n=8"],
         ["glauber", "--family", "ising", "--params", "width=2", "height=2", "beta=-0.5"],
         ["glauber", "--family", "product", "--params", "n=0"],
         ["glauber", "--family", "ising", "--params", "width=0", "height=3"],
+        ["mc", "--family", "hypercube-nn", "--params", "n=5", "w_plus=1/4,1/4",
+         "w_minus=1/4,1/4"],
     ],
 )
-def test_builder_and_capacity_errors_exit_2(argv):
-    # a face or spin-system builder's ValueError or a CapacityError (10!
-    # chambers to build, 8! chambers for the exact engine) is a usage error,
-    # not a traceback
+def test_builder_and_capacity_errors_exit_2(argv, monkeypatch):
+    # a face or spin-system builder's ValueError, a weight list that does not
+    # match n, or a CapacityError (2^21 riffle mark functions, 8! chambers for
+    # the exact engine) is a usage error, not a traceback, and it comes
+    # before any braid chamber is built
+    def enumerated(*args):
+        raise AssertionError("braid chambers enumerated")
+
+    monkeypatch.setattr("chamberwalk.core.partition_to_sign_vector", enumerated)
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--trials", "10", "--t-grid", "1..3"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mc", "--family", "riffle", "--params", "n=10"],
+        ["mc", "--family", "k-to-top", "--params", "n=5", "k=2"],
+        ["mc", "--family", "top-bottom", "--params", "n=5"],
+        ["mc", "--family", "hypercube-nn", "--params", "n=25"],
+        ["mc", "--family", "tsetlin", "--params", "n=4"],
+        ["mc", "--family", "hypercube-nonlocal", "--params", "n=8", "k=2"],
+        ["cutoff", "--family", "riffle", "--params", "n=12"],
+        ["cutoff", "--family", "tsetlin", "--params", "n=3"],
+        ["cutoff", "--family", "hypercube-nn", "--params", "n=4"],
+        ["bounds", "--family", "tsetlin", "--params", "n=10", "c=0.5"],
+    ],
+)
+def test_monte_carlo_builds_no_arrangement(argv, tmp_path, monkeypatch):
+    # T depends only on the weighted faces: mc, cutoff and bounds never build
+    # an arrangement, so riffle at n=10 (10! chambers) and hypercube-nn at
+    # n=25 (2^25) run
+    def built(*args, **kwargs):
+        raise AssertionError("arrangement built")
+
+    for builder in ("build_braid", "build_boolean"):
+        monkeypatch.setattr(f"chamberwalk.cli.{builder}", built)
+    run_cli(argv + ["--trials", "200", "--t-grid", "1..3", "--out", str(tmp_path / "mc.csv")])
+    _, _, rows = read_rows(tmp_path / "mc.csv")
+    assert rows
 
 
 def test_tsetlin_one_card_runs(tmp_path):

@@ -139,21 +139,20 @@ def test_braid_product_matches_pop_shuffle():
 
 
 def test_check_separating():
-    b3 = cw.build_braid(3)
     tf = cw.tsetlin_faces(cw.TsetlinSpec([1 / 3, 1 / 3, 1 / 3]))
-    assert cw.check_separating(b3, tf)
+    assert cw.check_separating(tf)
 
     a2 = cw.build_boolean(2)
     w = cw.WeightedFaceSet(((1, 0),), np.array([1.0]))
-    assert not cw.check_separating(a2, w)
+    assert not cw.check_separating(w)
     from chamberwalk.core import violated_hyperplanes
 
-    assert violated_hyperplanes(a2, w) == [1]
+    assert violated_hyperplanes(w) == [1]
     for exact in (cw.distance_profiles, cw.separation_profile):
         with pytest.raises(ValueError, match="non-separating"):
             exact(a2, w, range(1, 4))
-    empty = cw.WeightedFaceSet((), np.array([]))
-    assert not cw.check_separating(a2, empty)
+    with pytest.raises(ValueError, match="no weighted faces"):
+        cw.WeightedFaceSet((), np.array([]))
 
 
 def test_weighted_face_set_validation():

@@ -242,23 +242,21 @@ def test_survival_exact_capacity():
 def test_survival_mc_agreement():
     for arr, w in [boolean2_uniform(), tsetlin([0.5, 0.3, 0.2])]:
         grid = [1, 2, 3, 5, 8]
-        est = cw.estimate_survival(arr, w, grid, trials=50_000, seed=17)
+        est = cw.estimate_survival(w, grid, trials=50_000, seed=17)
         exact = cw.survival_exact_profile(arr, w, grid)
         for t, p, se in zip(est.t_values, est.p_hat, est.std_err):
             assert abs(p - exact[int(t)]) <= 4 * max(se, 1e-4)
 
 
 def test_coupling_parameters_riffle():
-    arr = cw.build_braid(4)
-    cp = cw.coupling_parameters(arr, cw.riffle_faces(4, 2))
+    cp = cw.coupling_parameters(cw.riffle_faces(4, 2))
     assert cp.uniform_b == 0.5
     assert cp.uniform_d == 0.25
 
 
 def test_coupling_parameters_bounds_invariant():
-    arr = cw.build_braid(4)
-    cp = cw.coupling_parameters(arr, cw.k_to_top_faces(4, 2))
-    m = arr.m
+    cp = cw.coupling_parameters(cw.k_to_top_faces(4, 2))
+    m = len(cp.b_per_hyperplane)
     for i in range(m):
         assert 0 <= cp.b_per_hyperplane[i] <= 1
         for j in range(m):
@@ -269,8 +267,7 @@ def test_coupling_parameters_bounds_invariant():
 def test_coupling_parameters_hypercube_nonlocal():
     # enumeration agrees with the closed form b=k/n, d=k(k-1)/(n(n-1))
     for n, k in [(4, 2), (6, 2), (6, 3)]:
-        arr = cw.build_boolean(n)
-        cp = cw.coupling_parameters(arr, cw.hypercube_nonlocal_faces(n, k))
+        cp = cw.coupling_parameters(cw.hypercube_nonlocal_faces(n, k))
         b, d = cw.kset_coupling_closed_form(n, k)
         assert cp.uniform_b == pytest.approx(b, abs=1e-12)
         assert cp.uniform_d == pytest.approx(d, abs=1e-12)
@@ -282,8 +279,7 @@ def test_k_to_top_braid_enumeration_value():
     # closed form: a pair hyperplane is cut iff exactly one of its cards is
     # in the chosen k-set, so b = 2k(n-k)/(n(n-1)).
     n, k = 4, 2
-    arr = cw.build_braid(n)
-    cp = cw.coupling_parameters(arr, cw.k_to_top_faces(n, k))
+    cp = cw.coupling_parameters(cw.k_to_top_faces(n, k))
     assert cp.uniform_b == pytest.approx(2 * k * (n - k) / (n * (n - 1)), abs=1e-12)
     assert cp.uniform_d is None  # d depends on whether the pairs share a card
 
@@ -483,8 +479,8 @@ def test_survival_formulas_reject_negative_times():
 def test_no_hyperplanes_means_T_is_zero():
     arr = cw.build_custom(0, [()], [()])
     w = cw.weighted_faces([((), 1.0)])
-    assert cw.sample_T(arr, w, seed=3) == 0
-    assert cw.sample_T_batch(arr, w, 5, seed=3).tolist() == [0] * 5
+    assert cw.sample_T(w, seed=3) == 0
+    assert cw.sample_T_batch(w, 5, seed=3).tolist() == [0] * 5
     assert cw.survival_exact(arr, w, 0) == 0.0
     assert cw.survival_exact_profile(arr, w, [0, 1, 4]) == {0: 0.0, 1: 0.0, 4: 0.0}
     assert survival_terms(arr, w) == []

@@ -279,9 +279,9 @@ def _count_chain_survival(n, ts):
 
 
 def test_coupon_survival_does_not_cancel_at_large_n():
-    want = _count_chain_survival(200, range(200, 401))
-    for t, p in want.items():
-        assert cw.coupon_survival_uniform(200, t) == pytest.approx(p, abs=1e-12)
+    for n, grid in ((200, range(200, 401)), (60, range(60, 737))):
+        for t, p in _count_chain_survival(n, grid).items():
+            assert cw.coupon_survival_uniform(n, t) == pytest.approx(p, abs=1e-12), (n, t)
     assert cw.coupon_survival_uniform(1000, 1000) == pytest.approx(
         _count_chain_survival(1000, [1000])[1000], abs=1e-12)
 

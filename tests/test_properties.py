@@ -27,7 +27,7 @@ def walks(draw, max_faces=8):
     faces = draw(st.lists(st.sampled_from(universe), min_size=1, max_size=max_faces, unique=True))
     raw = draw(st.lists(st.floats(0.05, 1.0), min_size=len(faces), max_size=len(faces)))
     w = cw.WeightedFaceSet(tuple(faces), np.array(raw) / sum(raw))
-    assume(cw.check_separating(arr, w))
+    assume(cw.check_separating(w))
     return arr, w
 
 

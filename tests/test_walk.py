@@ -8,34 +8,32 @@ from chamberwalk.walk import sample_T_batch, trial_rng
 
 
 def _boolean2_uniform():
-    arr = cw.build_boolean(2)
-    w = cw.hypercube_nn_faces([0.25, 0.25], [0.25, 0.25])
-    return arr, w
+    return cw.hypercube_nn_faces([0.25, 0.25], [0.25, 0.25])
 
 
 def test_simulate_t0_returns_start():
-    arr, w = _boolean2_uniform()
-    assert cw.simulate_chamber_at(arr, w, (1, -1), 0, seed=3) == (1, -1)
+    w = _boolean2_uniform()
+    assert cw.simulate_chamber_at(w, (1, -1), 0, seed=3) == (1, -1)
 
 
 def test_simulate_rejects_non_chamber():
-    arr, w = _boolean2_uniform()
+    w = _boolean2_uniform()
     with pytest.raises(ValueError):
-        cw.simulate_chamber_at(arr, w, (1, 0), 4, seed=3)
+        cw.simulate_chamber_at(w, (1, 0), 4, seed=3)
 
 
 def test_simulate_deterministic():
     arr = cw.build_braid(3)
     w = cw.tsetlin_faces(cw.TsetlinSpec([1 / 3, 1 / 3, 1 / 3]))
     x0 = arr.chambers[0]
-    a = cw.simulate_chamber_at(arr, w, x0, 25, seed=11)
-    b = cw.simulate_chamber_at(arr, w, x0, 25, seed=11)
+    a = cw.simulate_chamber_at(w, x0, 25, seed=11)
+    b = cw.simulate_chamber_at(w, x0, 25, seed=11)
     assert a == b
 
 
 def test_long_run_law_uniform():
     # symmetry forces the uniform stationary law on the 4 orthants
-    arr, w = _boolean2_uniform()
+    arr, w = cw.build_boolean(2), _boolean2_uniform()
     counts = {c: 0 for c in arr.chambers}
     rng = np.random.default_rng(5)
     trials = 100_000
@@ -55,32 +53,30 @@ def test_long_run_law_uniform():
 
 def test_sample_T_mean_boolean2():
     # two-coupon collector at rate 1/2 per coupon: E[T] = 3
-    arr, w = _boolean2_uniform()
-    samples = sample_T_batch(arr, w, 100_000, seed=9)
+    w = _boolean2_uniform()
+    samples = sample_T_batch(w, 100_000, seed=9)
     se = samples.std() / np.sqrt(len(samples))
     assert abs(samples.mean() - 3.0) < 3 * se
 
 
 def test_sample_T_is_one_when_chamber_face_drawn_first():
-    arr = cw.build_boolean(1)
     w = cw.weighted_faces([((1,), 0.6), ((-1,), 0.4)])
     for k in range(50):
-        assert cw.sample_T(arr, w, rng=trial_rng(0, k)) == 1
+        assert cw.sample_T(w, rng=trial_rng(0, k)) == 1
 
 
 def test_tsetlin3_T_equals_2_probability():
     # T=2 iff the second card differs from the first: probability 2/3
-    arr = cw.build_braid(3)
     w = cw.tsetlin_faces(cw.TsetlinSpec([1 / 3, 1 / 3, 1 / 3]))
-    samples = sample_T_batch(arr, w, 100_000, seed=2)
+    samples = sample_T_batch(w, 100_000, seed=2)
     p = (samples == 2).mean()
     se = np.sqrt(p * (1 - p) / len(samples))
     assert abs(p - 2 / 3) < 3 * se
 
 
 def test_survival_estimate_contract():
-    arr, w = _boolean2_uniform()
-    est = cw.estimate_survival(arr, w, [0, 1, 2, 4, 8], trials=50_000, seed=4)
+    w = _boolean2_uniform()
+    est = cw.estimate_survival(w, [0, 1, 2, 4, 8], trials=50_000, seed=4)
     assert est.p_hat[0] == 1.0  # T >= 1 always
     assert np.all(np.diff(est.p_hat) <= 0)
     assert np.all((est.p_hat >= 0) & (est.p_hat <= 1))
@@ -90,26 +86,25 @@ def test_survival_estimate_contract():
 
 
 def test_survival_estimate_empty_grid():
-    arr, w = _boolean2_uniform()
+    w = _boolean2_uniform()
     with pytest.raises(ValueError):
-        cw.estimate_survival(arr, w, [], trials=10, seed=0)
+        cw.estimate_survival(w, [], trials=10, seed=0)
 
 
 def test_survival_estimate_deterministic():
-    arr, w = _boolean2_uniform()
-    a = cw.estimate_survival(arr, w, [1, 2, 3], trials=2000, seed=123)
-    b = cw.estimate_survival(arr, w, [1, 2, 3], trials=2000, seed=123)
+    w = _boolean2_uniform()
+    a = cw.estimate_survival(w, [1, 2, 3], trials=2000, seed=123)
+    b = cw.estimate_survival(w, [1, 2, 3], trials=2000, seed=123)
     assert np.array_equal(a.p_hat, b.p_hat)
 
 
 def test_uncut_tracking_matches_full_product():
     # T from the uncut set must equal the first step where the explicit
     # face product becomes a chamber
-    arr = cw.build_braid(3)
     w = cw.tsetlin_faces(cw.TsetlinSpec([0.5, 0.3, 0.2]))
     for k in range(1000):
         rng = trial_rng(77, k)
-        T = cw.sample_T(arr, w, rng=trial_rng(77, k))
+        T = cw.sample_T(w, rng=trial_rng(77, k))
         rng = trial_rng(77, k)
         prod = None
         first_chamber = None
@@ -155,10 +150,8 @@ def test_sample_T_batch_second_packed_word():
     # 70 hyperplanes need two uint64 words per trial; the uncut count is a
     # coupon chain that cuts a new coordinate with probability u/70
     m = 70
-    arr = cw.Arrangement(m=m, chambers=((1,) * m, (-1,) * m), faces=None,
-                         family_tag="boolean-70-two-chambers")
     w = cw.hypercube_nn_faces(np.full(m, 0.3 / m), np.full(m, 0.7 / m))
-    samples = sample_T_batch(arr, w, 20_000, seed=61)
+    samples = sample_T_batch(w, 20_000, seed=61)
     law = np.zeros(m + 1)
     law[m] = 1.0
     exact = {}
@@ -179,17 +172,17 @@ def test_sample_T_batch_second_packed_word():
     ids=["riffle5", "tsetlin5-nonuniform"],
 )
 def test_sample_T_batch_matches_exact_survival(arr, w):
-    samples = sample_T_batch(arr, w, 50_000, seed=62)
+    samples = sample_T_batch(w, 50_000, seed=62)
     _assert_survival_within_4se(samples, cw.survival_exact_profile(arr, w, range(1, 25)))
 
 
 def test_sample_T_batch_contract():
-    arr, w = _boolean2_uniform()
-    a = sample_T_batch(arr, w, 3000, seed=63)
-    assert np.array_equal(a, sample_T_batch(arr, w, 3000, seed=63))
+    w = _boolean2_uniform()
+    a = sample_T_batch(w, 3000, seed=63)
+    assert np.array_equal(a, sample_T_batch(w, 3000, seed=63))
     # the cap admits T == step_cap and refuses anything longer
-    assert np.array_equal(a, sample_T_batch(arr, w, 3000, seed=63, step_cap=a.max()))
+    assert np.array_equal(a, sample_T_batch(w, 3000, seed=63, step_cap=a.max()))
     with pytest.raises(RuntimeError):
-        sample_T_batch(arr, w, 3000, seed=63, step_cap=a.max() - 1)
+        sample_T_batch(w, 3000, seed=63, step_cap=a.max() - 1)
     with pytest.raises(RuntimeError):
-        sample_T_batch(arr, w, 10, seed=63, step_cap=1)  # T >= 2 on boolean(2)
+        sample_T_batch(w, 10, seed=63, step_cap=1)  # T >= 2 on boolean(2)

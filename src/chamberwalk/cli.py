@@ -9,6 +9,7 @@ is byte-identical for a fixed config and seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import math
 import os
@@ -162,15 +163,27 @@ def _get_weights(params, key, n=None):
     return np.asarray(v, dtype=float)
 
 
-def build_family(family, params):
-    """Resolve a family name into (weighted faces, arrangement builder, info).
+def _usage_errors(fn, *args):
+    """fn with args bound, each call made once and cached; its ValueErrors
+    surface as ConfigError."""
+    @functools.cache
+    def call(*more):
+        try:
+            return fn(*args, *more)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+    return call
 
-    Only exact mode calls the builder, with its face_limit: a T sampler reads
-    the faces alone.  info carries the family's T sampler, (trials, seed) ->
-    samples, and the closed-form (b, d) of families with one.  tsetlin and
-    hypercube-nonlocal draw T without faces, so they list faces only for an
-    arrangement within exact mode's chamber cap (tsetlin's cutoff reads them
-    too).  The builders' own argument checks surface as ConfigError.
+
+def build_family(family, params):
+    """Resolve a family name into (faces, arrangement, info).
+
+    faces() lists the weighted faces on first use; arrangement(face_limit)
+    builds the arrangement of at most face_limit chambers, and only exact
+    mode calls it.  info carries the family's T sampler, (trials, seed) ->
+    samples, which reads no faces for tsetlin and hypercube-nonlocal, and
+    the closed-form (b, d) of families with one.  Argument errors, here or
+    in the builders, surface as ConfigError.
     """
     info = {"bd": None}
     try:
@@ -178,44 +191,43 @@ def build_family(family, params):
             weights = _get_weights(params, "weights", _get_int(params, "n", 0) or None)
             info["spec"] = spec = TsetlinSpec(weights)
             info["t_sampler"] = lambda trials, seed: sample_card_collection_T(spec, trials, seed)
-            n, w = spec.n, None
-            if 2 <= n and math.factorial(n) <= DEFAULT_CHAMBER_CAP:
-                w = tsetlin_faces(spec)
+            n, listing = spec.n, (tsetlin_faces, spec)
         elif family == "riffle":
             n = _get_int(params, "n")
             a = _get_int(params, "a", 2)
             info["bd"] = riffle_coupling_closed_form(a)
-            w = riffle_faces(n, a)
+            listing = (riffle_faces, n, a)
         elif family == "k-to-top":
             n, k = _get_int(params, "n"), _get_int(params, "k")
             info["bd"] = kset_coupling_closed_form(n, k)
-            w = k_to_top_faces(n, k)
+            listing = (k_to_top_faces, n, k)
         elif family == "top-bottom":
             n = _get_int(params, "n")
-            w = top_bottom_faces(n, _get_weights(params, "weights", n))
+            listing = (top_bottom_faces, n, _get_weights(params, "weights", n))
         elif family == "hypercube-nn":
-            n = _get_int(params, "n")
+            if (n := _get_int(params, "n")) < 1:
+                raise ConfigError(f"hypercube-nn needs n >= 1, got n={n}")
             half = np.full(n, 1.0 / (2 * n))
             w_plus = _get_weights(params, "w_plus") if "w_plus" in params else half
             w_minus = _get_weights(params, "w_minus") if "w_minus" in params else half
-            if (w := hypercube_nn_faces(w_plus, w_minus)).m != n:
+            if not len(w_plus) == len(w_minus) == n:
                 raise ConfigError(f"hypercube-nn needs n={n} weights in w_plus and w_minus")
+            listing = (hypercube_nn_faces, w_plus, w_minus)
         elif family == "hypercube-nonlocal":
             n, k = _get_int(params, "n"), _get_int(params, "k")
             if not 1 < k <= n / 2:
                 raise ConfigError(f"hypercube-nonlocal needs 1 < k <= n/2, got n={n} k={k}")
             info["bd"] = kset_coupling_closed_form(n, k)
             info["t_sampler"] = lambda trials, seed: sample_kset_coupon_T(n, k, trials, seed)
-            w = None
-            if math.comb(n, k) * 2**k <= 100_000 and 2**n <= DEFAULT_CHAMBER_CAP:
-                w = hypercube_nonlocal_faces(n, k)
+            listing = (hypercube_nonlocal_faces, n, k)
         else:
             raise ConfigError(f"unknown family {family!r}; see the list subcommand")
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    info.setdefault("t_sampler", functools.partial(sample_T_batch, w))
+    faces = _usage_errors(*listing)
+    info.setdefault("t_sampler", lambda trials, seed: sample_T_batch(faces(), trials, seed))
     build = build_boolean if family.startswith("hypercube") else build_braid
-    return w, functools.partial(build, n), info
+    return faces, _usage_errors(build, n), info
 
 
 def build_glauber_family(family, params):
@@ -268,10 +280,8 @@ def _meta(args, params, extra=()):
 
 
 def cmd_exact(args, params):
-    w, arrangement, _ = build_family(args.family, params)
-    if w is None:
-        raise ConfigError("family instance too large for exact mode")
-    arr = arrangement(face_limit=DEFAULT_CHAMBER_CAP)
+    faces, arrangement, _ = build_family(args.family, params)
+    arr, w = arrangement(DEFAULT_CHAMBER_CAP), faces()  # no face listed past the cap
     grid = parse_t_grid(args.t_grid)
     path, dist = _profiles(arr, w, grid)
     surv = survival_exact_profile(arr, w, grid)
@@ -308,37 +318,21 @@ def cmd_bounds(args, params):
         {max(0, math.ceil(report.lower_time)), math.ceil(report.upper_time)}
     )
     rows = _mc_rows(args, info, times)
-    extra = [
-        ("t_star", _fmt(report.t_star)),
-        ("c", _fmt(c)),
-        ("upper_time", _fmt(report.upper_time)),
-        ("upper_value", _fmt(report.upper_value)),
-        ("lower_time", _fmt(report.lower_time)),
-        ("lower_value", _fmt(report.lower_value)),
-        ("upper_raw", _fmt(report.upper_raw)),
-        ("lower_raw", _fmt(report.lower_raw)),
-        ("t_star_min_w", _fmt(report.t_star_min_w)),
-        ("t_star_min_w_sq", _fmt(report.t_star_min_w_sq)),
-    ]
+    extra = [(k, _fmt(v)) for k, v in dataclasses.asdict(report).items()]  # in field order
     write_csv(args.out, _meta(args, params, extra), rows)
 
 
 def cmd_cutoff(args, params):
-    w, _, info = build_family(args.family, params)
+    faces, _, info = build_family(args.family, params)
     if info["bd"] is not None:
         b, d = info["bd"]
-    elif w is not None:
-        cp = coupling_parameters(w)
+    else:
+        cp = coupling_parameters(faces())
         if cp.uniform_b is None or cp.uniform_d is None:
             raise ConfigError("b or d not constant; no cutoff prediction")
         b, d = cp.uniform_b, cp.uniform_d
-    else:
-        raise ConfigError("no closed-form b, d for this family instance")
-    if args.family in ("hypercube-nn", "hypercube-nonlocal"):
-        m = _get_int(params, "n")
-    else:
-        n = _get_int(params, "n")
-        m = n * (n - 1) // 2
+    n = _get_int(params, "n")
+    m = n if args.family.startswith("hypercube") else n * (n - 1) // 2
     pred = cutoff_prediction(b, d, m)
     if args.t_grid:
         grid = parse_t_grid(args.t_grid)

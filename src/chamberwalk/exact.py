@@ -24,6 +24,7 @@ DEFAULT_CHAMBER_CAP = 10_000
 DEFAULT_IE_HYPERPLANE_CAP = 20
 ENUM_ORDERING_FACE_CAP = 9
 _TABLE_CELLS = 2**20  # bytes of packed products in one block of faces
+_PAIR_CELLS = 2**20  # entries of the m x m pair matrix of coupling_parameters
 
 
 def _signs(rows, m):
@@ -300,7 +301,7 @@ def _power_sums(c, q, exact_q, t_grid, t_first):
                 continue
         if by_rate is None:  # the terms of one rate share one power
             (a, d), by_rate = exact_q(), collections.Counter()
-            for ai, ci in zip(map(int, a), map(int, c)):
+            for ai, ci in zip(a, map(int, c)):
                 by_rate[ai] += ci
         out[t] = sum(ci * ai**t for ai, ci in by_rate.items()) / d**t
     return out
@@ -324,11 +325,9 @@ def _rates(masks, weights, m, keep, exact=False):
         return _superset(np.bincount(masks, weights, minlength=1 << m), np.add)[keep]
     ratios = [float(x).as_integer_ratio() for x in weights]
     d = max(den for _, den in ratios)
-    nums = [num * (d // den) for num, den in ratios]
-    # no a_S exceeds the sum of all: Python integers only past int64
-    a = np.zeros(1 << m, dtype=np.int64 if sum(nums) < 2**63 else object)
-    np.add.at(a, masks, nums)
-    return _superset(a, np.add)[keep], int(a[0])
+    a = np.zeros(1 << m, dtype=object)
+    np.add.at(a, masks, [num * (d // den) for num, den in ratios])
+    return _superset(a, np.add)[keep], a[0]
 
 
 def _mobius_form(arr, w, hyperplane_cap):
@@ -389,9 +388,12 @@ def coupling_parameters(w):
     the faces' cut matrix (F_i != 0).
 
     The uniform values are set only when all entries agree within 1e-12,
-    which is the regime where the cutoff prediction applies.
+    which is the regime where the cutoff prediction applies.  More than
+    _PAIR_CELLS pairs raise CapacityError.
     """
-    m, cut = w.m, _signs(w.faces, w.m) != 0
+    if (m := w.m) ** 2 > _PAIR_CELLS:
+        raise CapacityError(f"m={m} hyperplanes: {m}^2 pairs exceeds cap {_PAIR_CELLS}")
+    cut = _signs(w.faces, m) != 0
     b = w.weights @ cut
     d = (cut.T * w.weights) @ cut * ~np.eye(m, dtype=bool)
     off = d[~np.eye(m, dtype=bool)]

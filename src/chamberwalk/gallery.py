@@ -18,14 +18,23 @@ from .core import (
     MINUS,
     PLUS,
     ZERO,
+    braid_m,
     partition_to_sign_vector,
     weighted_faces,
 )
 from .exact import _power_sums, _rates
 
-DEFAULT_ENUM_CAP = 1_000_000
+DEFAULT_ENUM_CAP = 10_000_000  # sign entries, faces x hyperplanes, one face list enumerates
 DEFAULT_TSETLIN_EXACT_CAP = 20
 _CHUNK_CELLS = 2**16  # trials x n cells per block of the weighted card sampler
+
+
+def _check_entries(faces, m, enum_cap, hint=""):
+    """Refuse a list of faces x m sign entries above enum_cap before listing a face."""
+    if faces * m > enum_cap:
+        raise CapacityError(
+            f"{faces} faces x {m} hyperplanes exceeds the cap of {enum_cap} sign entries{hint}"
+        )
 
 
 def _check_weights(weights):
@@ -53,11 +62,12 @@ class TsetlinSpec:
         return len(self.card_weights)
 
 
-def tsetlin_faces(spec):
+def tsetlin_faces(spec, enum_cap=DEFAULT_ENUM_CAP):
     """Faces {j}{rest} with weight w_j on the braid arrangement."""
     n = spec.n
     if n < 2:
         raise ValueError("tsetlin faces need n >= 2")
+    _check_entries(n, braid_m(n), enum_cap, "; use sample_card_collection_T")
     rest_all = set(range(n))
     pairs = []
     for j, wt in enumerate(spec.card_weights):
@@ -72,11 +82,7 @@ def riffle_faces(n, a, enum_cap=DEFAULT_ENUM_CAP):
     empty marks collapsed.  Weight = (#mark functions inducing it) / a^n."""
     if n < 2 or a < 2:
         raise ValueError(f"riffle faces need n >= 2 and a >= 2, got n={n} a={a}")
-    if a**n > enum_cap:
-        raise CapacityError(
-            f"a^n = {a**n} mark functions exceeds cap {enum_cap}; "
-            "use riffle_mark_sampler for implicit sampling"
-        )
+    _check_entries(a**n, braid_m(n), enum_cap, "; use riffle_mark_sampler for implicit sampling")
     total = a**n
     pairs = []
     for marks in itertools.product(range(a), repeat=n):
@@ -102,16 +108,19 @@ def riffle_mark_sampler(n, a, rng):
 def riffle_coupling_closed_form(a):
     """b and d for the inverse a-shuffle (any n): the probability two given
     cards get different marks, resp. pairwise for two card pairs."""
+    if a < 2:
+        raise ValueError(f"riffle needs a >= 2, got a={a}")
     b = 1.0 - 1.0 / a
     d = (1.0 - 1.0 / a) ** 2
     return b, d
 
 
-def k_to_top_faces(n, k):
+def k_to_top_faces(n, k, enum_cap=DEFAULT_ENUM_CAP):
     """Uniform weight on faces {S}{rest} with |S| = k."""
     if not 1 <= k < n:
         raise ValueError("need 1 <= k < n")
     total = math.comb(n, k)
+    _check_entries(total, braid_m(n), enum_cap)
     pairs = []
     for S in itertools.combinations(range(n), k):
         blocks = [set(S), set(range(n)) - set(S)]
@@ -122,12 +131,14 @@ def k_to_top_faces(n, k):
 def kset_coupling_closed_form(n, k):
     """b = k/n and d = k^2/n^2 - k(n-k)/(n^2 (n-1)); shared by k-to-top on
     the braid arrangement and the non-local hypercube walk."""
+    if not 1 <= k < n:
+        raise ValueError(f"need 1 <= k < n, got n={n} k={k}")
     b = k / n
     d = k**2 / n**2 - k * (n - k) / (n**2 * (n - 1))
     return b, d
 
 
-def top_bottom_faces(n, card_weights=None):
+def top_bottom_faces(n, card_weights=None, enum_cap=DEFAULT_ENUM_CAP):
     """Move a random card to top or bottom, each side with probability 1/2.
 
     Faces {c}{rest} and {rest}{c}, each with weight w_c / 2 (uniform case:
@@ -137,6 +148,7 @@ def top_bottom_faces(n, card_weights=None):
     w = _check_weights(card_weights)
     if n < 2 or len(w) != n:
         raise ValueError(f"top-bottom faces need n >= 2 and one weight per card, got n={n}")
+    _check_entries(2 * n, braid_m(n), enum_cap)
     rest_all = set(range(n))
     pairs = []
     for c, wt in enumerate(w):
@@ -147,18 +159,15 @@ def top_bottom_faces(n, card_weights=None):
     return weighted_faces(pairs)
 
 
-def hypercube_nn_faces(w_plus, w_minus):
+def hypercube_nn_faces(w_plus, w_minus, enum_cap=DEFAULT_ENUM_CAP):
     """Weighted nearest-neighbor hypercube walk: faces e_i^+/- with a single
     nonzero coordinate."""
     wp = np.asarray(w_plus, dtype=float)
     wm = np.asarray(w_minus, dtype=float)
     if len(wp) != len(wm):
         raise ValueError("w_plus and w_minus length mismatch")
-    if np.any(wp <= 0) or np.any(wm <= 0):
-        raise ValueError("face weights must be strictly positive")
-    if abs(wp.sum() + wm.sum() - 1.0) > 1e-12:
-        raise ValueError("weights must sum to 1")
-    n = len(wp)
+    n = len(wp)  # WeightedFaceSet checks the weights: positive, summing to 1
+    _check_entries(2 * n, n, enum_cap)
     pairs = []
     for i in range(n):
         e_plus = tuple(PLUS if j == i else ZERO for j in range(n))
@@ -174,10 +183,7 @@ def hypercube_nonlocal_faces(n, k, enum_cap=DEFAULT_ENUM_CAP):
     if not 1 < k <= n / 2:
         raise ValueError("need 1 < k <= n/2")
     count = math.comb(n, k) * 2**k
-    if count > enum_cap:
-        raise CapacityError(
-            f"{count} faces exceeds cap {enum_cap}; use sample_kset_coupon_T"
-        )
+    _check_entries(count, n, enum_cap, "; use sample_kset_coupon_T")
     pairs = []
     for S in itertools.combinations(range(n), k):
         for signs in itertools.product((PLUS, MINUS), repeat=k):

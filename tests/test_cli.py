@@ -350,13 +350,23 @@ def test_hypercube_nonlocal_k_out_of_range_exit_2(k):
         ["glauber", "--family", "ising", "--params", "width=0", "height=3"],
         ["mc", "--family", "hypercube-nn", "--params", "n=5", "w_plus=1/4,1/4",
          "w_minus=1/4,1/4"],
+        ["mc", "--family", "k-to-top", "--params", "n=30", "k=15"],
+        ["mc", "--family", "top-bottom", "--params", "n=5000"],
+        ["mc", "--family", "hypercube-nn", "--params", "n=100000"],
+        ["cutoff", "--family", "top-bottom", "--params", "n=50"],
+        ["exact", "--family", "tsetlin", "--params", "n=1"],
+        ["mc", "--family", "riffle", "--params", "n=5", "a=0"],
+        ["mc", "--family", "hypercube-nn", "--params", "n=0"],
+        ["cutoff", "--family", "k-to-top", "--params", "n=1", "k=1"],
     ],
 )
 def test_builder_and_capacity_errors_exit_2(argv, monkeypatch):
     # a face or spin-system builder's ValueError, a weight list that does not
-    # match n, or a CapacityError (2^21 riffle mark functions, 8! chambers for
-    # the exact engine) is a usage error, not a traceback, and it comes
-    # before any braid chamber is built
+    # match n, or a CapacityError is a usage error, not a traceback, and it
+    # comes before any braid chamber is built.  The caps: 2^21 riffle mark
+    # functions, C(30,15) k-to-top faces, 10^4 top-bottom and 2*10^5
+    # hypercube-nn faces each exceed 10^7 sign entries; 1225^2 hyperplane
+    # pairs for cutoff's coupling parameters; 8! chambers for the exact engine
     def enumerated(*args):
         raise AssertionError("braid chambers enumerated")
 

@@ -274,6 +274,16 @@ def test_coupling_parameters_hypercube_nonlocal():
         assert d == pytest.approx(k * (k - 1) / (n * (n - 1)), abs=1e-15)
 
 
+def test_coupling_parameters_pair_cap():
+    # the m x m pair matrix is refused past 2^20 entries, before it is built
+    def faces(m):
+        return cw.hypercube_nn_faces(np.full(m, 0.5 / m), np.full(m, 0.5 / m))
+
+    assert cw.coupling_parameters(faces(1024)).uniform_b == pytest.approx(1 / 1024)
+    with pytest.raises(CapacityError):
+        cw.coupling_parameters(faces(1025))
+
+
 def test_k_to_top_braid_enumeration_value():
     # On the braid arrangement the face-weight sums differ from the k/n
     # closed form: a pair hyperplane is cut iff exactly one of its cards is

@@ -47,6 +47,24 @@ def test_riffle_capacity():
         cw.riffle_faces(30, 2, enum_cap=1000)
 
 
+@pytest.mark.parametrize(
+    "build, entries",
+    [
+        (lambda cap: cw.tsetlin_faces(cw.TsetlinSpec([1 / 4] * 4), enum_cap=cap), 4 * 6),
+        (lambda cap: cw.riffle_faces(4, 2, enum_cap=cap), 2**4 * 6),
+        (lambda cap: cw.k_to_top_faces(4, 2, enum_cap=cap), 6 * 6),
+        (lambda cap: cw.top_bottom_faces(4, enum_cap=cap), 8 * 6),
+        (lambda cap: cw.hypercube_nn_faces([1 / 8] * 4, [1 / 8] * 4, enum_cap=cap), 8 * 4),
+        (lambda cap: cw.hypercube_nonlocal_faces(4, 2, enum_cap=cap), 24 * 4),
+    ],
+)
+def test_face_lists_refuse_past_their_cap(build, entries):
+    # the cap counts the sign entries enumerated, faces x hyperplanes
+    build(entries)
+    with pytest.raises(CapacityError):
+        build(entries - 1)
+
+
 def test_riffle_sampler_matches_enumeration():
     n, a = 3, 2
     w = cw.riffle_faces(n, a)

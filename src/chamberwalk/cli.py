@@ -283,10 +283,10 @@ def cmd_exact(args, params):
     faces, arrangement, _ = build_family(args.family, params)
     arr, w = arrangement(DEFAULT_CHAMBER_CAP), faces()  # no face listed past the cap
     grid = parse_t_grid(args.t_grid)
-    path, dist = _profiles(arr, w, grid)
+    path, starts, dist = _profiles(arr, w, grid)
     surv = survival_exact_profile(arr, w, grid)
     rows = [(t, *dist[t], surv[t], None, None) for t in grid]
-    extra = [("exact_path", path), ("chambers", arr.n_chambers)]
+    extra = [("exact_path", path), ("chambers", arr.n_chambers), ("starts", starts)]
     write_csv(args.out, _meta(args, params, extra), rows)
 
 
@@ -356,12 +356,13 @@ def cmd_cutoff(args, params):
 def cmd_glauber(args, params):
     sys_ = build_glauber_family(args.family, params)
     grid = parse_t_grid(args.t_grid)
-    prof = glauber_separation_profile(sys_, grid)
+    stats = {}
+    prof = glauber_separation_profile(sys_, grid, stats=stats)
     rows = [
         (t, prof[t][0], None, coupon_survival_uniform(sys_.n_sites, t), None, None)
         for t in grid
     ]
-    write_csv(args.out, _meta(args, params), rows)
+    write_csv(args.out, _meta(args, params, list(stats.items())), rows)
 
 
 def cmd_list(args, params):

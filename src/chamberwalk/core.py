@@ -253,9 +253,9 @@ def build_braid(n, face_limit=DEFAULT_FACE_LIMIT):
 
 
 def symmetry_generators(arr):
-    """Candidate symmetries (src, sign), acting by x -> sign * x[src]: the
-    card transposition (0 1) and the n-cycle for braid(n), each sign flip
-    for boolean(n), none for other arrangements.  Callers check them."""
+    """Candidate symmetries (src, sign), acting by x -> sign * x[src]: each
+    card transposition for braid(n), each sign flip for boolean(n), none for
+    other arrangements.  Callers check them."""
     tag = re.fullmatch(r"(braid|boolean)\((\d+)\)", arr.family_tag)
     n = int(tag[2]) if tag else 0
     if tag and tag[1] == "boolean" and arr.m == n:
@@ -263,8 +263,9 @@ def symmetry_generators(arr):
     if not tag or tag[1] != "braid" or arr.m != braid_m(n):
         return []
     idx, gens = braid_pair_index(n), []
-    for sigma in ((1, 0, *range(2, n)), (*range(1, n), 0)):
-        pre = [(sigma.index(a), sigma.index(b)) for a, b in idx]  # cards sent to a, b
+    for a, b in idx:
+        swap = {a: b, b: a}
+        pre = [(swap.get(i, i), swap.get(j, j)) for i, j in idx]  # cards sent to i, j
         gens.append((np.array([idx[min(p), max(p)] for p in pre]),
                      np.array([1 if i < j else -1 for i, j in pre])))
     return gens

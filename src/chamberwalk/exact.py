@@ -18,7 +18,6 @@ import numpy as np
 
 from .core import CapacityError, check_separating, face_product, is_chamber
 from .core import symmetry_generators, weighted_faces
-from .walk import trial_rng
 
 DEFAULT_CHAMBER_CAP = 10_000
 DEFAULT_IE_HYPERPLANE_CAP = 20
@@ -95,38 +94,48 @@ def transition_matrix(arr, w, chamber_cap=DEFAULT_CHAMBER_CAP, find=None):
     return _matrix(table, w.weights[:, np.newaxis])
 
 
-def _symmetric(arr, w, find):
-    """True when symmetry_generators(arr) map the chambers onto themselves
-    and each weighted face to one of exactly equal total weight, and reach
-    every chamber from chamber 0: each row of P^t then relabels row 0, and
-    pi is uniform."""
-    w = weighted_faces(zip(w.faces, w.weights))  # a face listed twice has the sum
+def _symmetries(arr, w, find):
+    """The chamber permutations of the candidates symmetry_generators(arr)
+    that pass the check: each maps the chambers onto the chambers and each
+    weighted face to one of exactly equal total weight (a face listed twice
+    weighs the sum of its entries), so that P(gx, gy) = P(x, y)."""
+    w = weighted_faces(zip(w.faces, w.weights))
     C, F = _signs(arr.chambers, arr.m), _signs(w.faces, arr.m)
     weight, maps = dict(zip(w.faces, w.weights)), []
     for src, sign in symmetry_generators(arr):
-        images = map(tuple, (sign * F[:, src]).tolist())
-        maps.append(find(_bits(sign * C[:, src])))
-        if maps[-1].min() < 0 or any(weight.get(g) != wt for g, wt in zip(images, w.weights)):
-            return False
-    seen, frontier = np.arange(len(C)) == 0, np.array([0])
-    while maps and frontier.size:
-        frontier = np.unique(np.concatenate([g[frontier] for g in maps]))
-        frontier = frontier[~seen[frontier]]
-        seen[frontier] = True
-    return bool(maps) and bool(seen.all())
+        g, images = find(_bits(sign * C[:, src])), map(tuple, (sign * F[:, src]).tolist())
+        if g.min() >= 0 and all(weight.get(f) == wt for f, wt in zip(images, w.weights)):
+            maps.append(g)
+    return maps
 
 
-def _chain(arr, w, chamber_cap, find=None):
-    """One build of P and one solve of pi P = pi, sum(pi) = 1, for the
-    exact engine and the stationary solve alike."""
+def _orbits(maps, n):
+    """(orbit, starts): the orbit of each of n states under the group that
+    the permutations maps generate, the orbits numbered in order of their
+    least states, and those least states, one start per orbit."""
+    label, low = None, np.arange(n)
+    while not np.array_equal(label, low):  # pull the least label along every map
+        label = low
+        low = functools.reduce(lambda low, g: np.minimum(low, low[g]), maps, label)
+        low = low[low]
+    starts, orbit = np.unique(label, return_inverse=True)
+    return orbit, starts
+
+
+def _chain(arr, w, find, orbit, starts):
+    """P from one build, and pi from one solve of pi P = pi, sum(pi) = 1, on
+    the chain lumped by orbit, one row per start: as the symmetries fix pi,
+    pi(x) is the orbit's mass over its size.  The residual gate and the
+    closed class are taken on the full chain."""
     if not check_separating(w):
         raise ValueError("non-separating weights: stationary law not unique")
-    P = transition_matrix(arr, w, chamber_cap, find)
-    ell = P.shape[0]
-    A = np.vstack([P.T - np.eye(ell), np.ones((1, ell))])
-    b = np.zeros(ell + 1)
-    b[-1] = 1.0
-    pi, *_ = np.linalg.lstsq(A, b, rcond=None)
+    P = transition_matrix(arr, w, find=find)
+    ell, r = P.shape[0], len(starts)  # lumped: P's rows at the starts, summed by orbit
+    by_orbit = np.broadcast_to(orbit[:, np.newaxis], (ell, r))
+    lumped = P if r == ell else _matrix(by_orbit, P[starts].T)
+    A = np.vstack([lumped.T - np.eye(r), np.ones((1, r))])
+    pi, *_ = np.linalg.lstsq(A, np.append(np.zeros(r), 1.0), rcond=None)
+    pi = (pi / np.bincount(orbit))[orbit]
     residual = np.abs(pi @ P - pi).max()
     if residual > 1e-10:
         raise RuntimeError(f"stationary solve residual {residual:.3g} > 1e-10")
@@ -139,65 +148,49 @@ def _chain(arr, w, chamber_cap, find=None):
 
 
 def stationary_solve(arr, w, chamber_cap=DEFAULT_CHAMBER_CAP):
-    """Stationary probability vector: solves pi P = pi, sum(pi) = 1."""
-    return _chain(arr, w, chamber_cap)[1]
+    """Stationary probability vector: solves pi P = pi, sum(pi) = 1, on the
+    chain lumped by the orbits of the weights' symmetries (see _chain)."""
+    find = _chamber_finder(arr, chamber_cap)
+    return _chain(arr, w, find, *_orbits(_symmetries(arr, w, find), arr.n_chambers))[1]
 
 
-def stationary_without_replacement(
-    arr, w, max_enum_faces=ENUM_ORDERING_FACE_CAP, trials=200_000, seed=0
-):
-    """Stationary law via a sampling-without-replacement construction.
+def stationary_without_replacement(arr, w, max_enum_faces=ENUM_ORDERING_FACE_CAP):
+    """Stationary law via a sampling-without-replacement construction,
+    enumerated exactly over the orderings of the weighted faces; more than
+    max_enum_faces of them raise CapacityError.
 
     Sample faces without replacement from w and apply them in reverse order,
-    so the chamber is F1 F2 ... (first-sampled face leftmost).  Exact
-    enumeration over orderings when the number of weighted faces allows,
-    Monte Carlo otherwise (returns (pi_hat, std_err) in that case).
-
-    The prefix product is extended left-to-right and the recursion stops as
-    soon as it is a chamber: later faces cannot change it.
+    so the chamber is F1 F2 ... (first-sampled face leftmost).  The prefix
+    product is extended left-to-right and the recursion stops as soon as it
+    is a chamber: later faces cannot change it.
     """
-    n_faces = len(w.faces)
+    n_faces, weights = len(w.faces), w.weights
+    if n_faces > max_enum_faces:
+        raise CapacityError(f"{n_faces} weighted faces exceeds enumeration cap {max_enum_faces}")
     pi = np.zeros(arr.n_chambers)
-    if n_faces <= max_enum_faces:
-        weights = w.weights
 
-        def recurse(prefix, remaining, prob):
-            if prefix is not None and is_chamber(prefix):
-                pi[arr.chamber_index(prefix)] += prob
-                return
-            total = weights[remaining].sum()
-            for k in remaining:
-                nxt = (
-                    w.faces[k]
-                    if prefix is None
-                    else face_product(prefix, w.faces[k])
-                )
-                recurse(nxt, [j for j in remaining if j != k], prob * weights[k] / total)
+    def recurse(prefix, remaining, prob):
+        if prefix is not None and is_chamber(prefix):
+            pi[arr.chamber_index(prefix)] += prob
+            return
+        total = weights[remaining].sum()
+        for k in remaining:
+            nxt = w.faces[k] if prefix is None else face_product(prefix, w.faces[k])
+            recurse(nxt, [j for j in remaining if j != k], prob * weights[k] / total)
 
-        recurse(None, list(range(n_faces)), 1.0)
-        return pi
-    # Monte Carlo fallback
-    for k in range(trials):
-        rng = trial_rng(seed, k)
-        remaining = list(range(n_faces))
-        prefix = None
-        while prefix is None or not is_chamber(prefix):
-            probs = w.weights[remaining]
-            j = remaining[rng.choice(len(remaining), p=probs / probs.sum())]
-            prefix = w.faces[j] if prefix is None else face_product(prefix, w.faces[j])
-            remaining.remove(j)
-        pi[arr.chamber_index(prefix)] += 1.0
-    pi /= trials
-    std_err = np.sqrt(pi * (1 - pi) / trials)
-    return pi, std_err
+    recurse(None, list(range(n_faces)), 1.0)
+    return pi
 
 
 def _times(t_grid):
-    """The distinct times of t_grid, sorted; a negative one raises ValueError."""
-    t_grid = sorted(set(int(t) for t in t_grid))
-    if t_grid and t_grid[0] < 0:
-        raise ValueError(f"negative time {t_grid[0]} in the time grid")
-    return t_grid
+    """The distinct times of t_grid as sorted ints; a negative or a
+    fractional one raises ValueError."""
+    times = sorted(set(t_grid))
+    if times and times[0] < 0:
+        raise ValueError(f"negative time {times[0]} in the time grid")
+    if fractional := [t for t in times if not float(t).is_integer()]:
+        raise ValueError(f"fractional time {fractional[0]} in the time grid")
+    return [int(t) for t in times]
 
 
 def _walk(state, step, t_grid):
@@ -210,50 +203,46 @@ def _walk(state, step, t_grid):
         yield t, state
 
 
-def _power_profile(P, t_grid):
-    """Yield (t, P^t) along an increasing integer grid."""
-    return _walk(np.eye(P.shape[0]), lambda Pt: Pt @ P, t_grid)
+def _row_walk(P, starts, t_grid):
+    """Yield (t, the rows of P^t at starts) over _times(t_grid)."""
+    rows = (np.asarray(starts)[:, np.newaxis] == np.arange(P.shape[0])).astype(float)
+    return _walk(rows, lambda rows: rows @ P, t_grid)
 
 
 def separation(Pt, pi):
-    """s = max over starts x0 of 1 - min over x with pi(x) > 0 of
-    Pt(x0, x) / pi(x)."""
+    """s = max over the starts x0 (the rows of Pt) of 1 - min over x with
+    pi(x) > 0 of Pt(x0, x) / pi(x)."""
     ratio = np.divide(Pt, pi[np.newaxis, :], out=np.full_like(Pt, np.inf), where=pi > 0)
     return float((1.0 - ratio.min(axis=1)).max())
 
 
-def _dense_profiles(arr, w, t_grid, chamber_cap=DEFAULT_CHAMBER_CAP, find=None):
-    """{t: (s(t), TV(t))} from one build of P, one stationary solve and one
-    walk of P^t from every start."""
-    P, pi = _chain(arr, w, chamber_cap, find)
-    out = {}
-    for t, Pt in _power_profile(P, t_grid):
-        tv = 0.5 * np.abs(Pt - pi[np.newaxis, :]).sum(axis=1).max()
-        out[t] = (separation(Pt, pi), float(tv))
-    return out
-
-
 def _profiles(arr, w, t_grid, chamber_cap=DEFAULT_CHAMBER_CAP):
-    """(path, {t: (s(t), TV(t))}).  When _symmetric certifies the weights,
-    the path is 'one-start': only the law nu_t of the walk from chamber 0 is
-    evolved, nu_{t+1}[F C] += w(F) nu_t[C], and read against the uniform pi.
-    Any other input takes the 'dense' path, _dense_profiles."""
+    """(path, starts, {t: (s(t), TV(t))}): both maxima are read over one
+    start per orbit of _symmetries, as the row of P^t at any other start
+    relabels one of theirs.  With one orbit the path is 'one-start': pi is
+    uniform, and the law nu_t of the walk from chamber 0 is pushed along the
+    product table, nu_{t+1}[F C] += w(F) nu_t[C], with no P.  Otherwise
+    _chain gives P and pi, and the rows at the starts are walked: the path
+    is 'orbits', or 'dense' when each chamber is its own orbit."""
     if not check_separating(w):
         raise ValueError("non-separating weights: stationary law not unique")
-    find = _chamber_finder(arr, chamber_cap)
-    if not _symmetric(arr, w, find):
-        return "dense", _dense_profiles(arr, w, t_grid, chamber_cap, find)
-    table, ell = _product_table(arr, w, find), arr.n_chambers
-    step = functools.partial(_push, table, w.weights[:, np.newaxis])
-    return "one-start", {
-        t: (float(1.0 - ell * nu.min()), float(0.5 * np.abs(nu - 1.0 / ell).sum()))
-        for t, nu in _walk((np.arange(ell) == 0).astype(float), step, t_grid)}
+    find, ell = _chamber_finder(arr, chamber_cap), arr.n_chambers
+    orbit, starts = _orbits(_symmetries(arr, w, find), ell)
+    if len(starts) == 1:
+        step = functools.partial(_push, _product_table(arr, w, find), w.weights[:, np.newaxis])
+        return "one-start", 1, {
+            t: (float(1.0 - ell * nu.min()), float(0.5 * np.abs(nu - 1.0 / ell).sum()))
+            for t, nu in _walk((np.arange(ell) == 0).astype(float), step, t_grid)}
+    P, pi = _chain(arr, w, find, orbit, starts)
+    return "dense" if len(starts) == ell else "orbits", len(starts), {
+        t: (separation(R, pi), float(0.5 * np.abs(R - pi).sum(axis=1).max()))
+        for t, R in _row_walk(P, starts, t_grid)}
 
 
 def distance_profiles(arr, w, t_grid, chamber_cap=DEFAULT_CHAMBER_CAP):
     """Exact separation distance s(t) and worst-case total variation TV(t)
     over an integer time grid, as {t: (s(t), TV(t))}; see _profiles."""
-    return _profiles(arr, w, t_grid, chamber_cap)[1]
+    return _profiles(arr, w, t_grid, chamber_cap)[2]
 
 
 def separation_profile(arr, w, t_grid, chamber_cap=DEFAULT_CHAMBER_CAP):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CapacityError
-from .exact import _matrix, _power_profile, _power_sums, _push, _times, _walk, separation
+from .exact import _matrix, _orbits, _power_sums, _push, _row_walk, _times, _walk, separation
 
 DEFAULT_SITE_CAP = 12
 DEFAULT_STATE_CAP = 4096
@@ -23,12 +23,15 @@ DEFAULT_STATE_CAP = 4096
 @dataclass(frozen=True)
 class MonotoneSystem:
     """Finite spin system: sites, a totally ordered spin alphabet, and an
-    unnormalized log weight over configurations S^V."""
+    unnormalized log weight over configurations S^V.  symmetries lists site
+    permutations (tuples p, site u goes to p[u]) that may fix the weight;
+    glauber_separation_profile checks each before it uses it."""
 
     n_sites: int
     spins: tuple
     log_weight: callable
     name: str = "custom"
+    symmetries: tuple = ()
 
     def configurations(self, state_cap=DEFAULT_STATE_CAP):
         count = len(self.spins) ** self.n_sites
@@ -58,7 +61,8 @@ def grid_edges(width, height):
 
 
 def ising_system(width, height, beta, field=0.0, site_cap=DEFAULT_SITE_CAP):
-    """Ferromagnetic Ising model on a width x height grid, free boundary."""
+    """Ferromagnetic Ising model on a width x height grid, free boundary;
+    its symmetries are the grid's reflections, and its transpose when square."""
     if beta < 0:
         raise ValueError("antiferromagnetic coupling (beta < 0) is not monotone")
     if min(width, height) < 1:
@@ -72,8 +76,11 @@ def ising_system(width, height, beta, field=0.0, site_cap=DEFAULT_SITE_CAP):
         e = sum(sigma[u] * sigma[v] for u, v in edges)
         return beta * e + field * sum(sigma)
 
+    x, y = np.arange(n) % width, np.arange(n) // width  # the reflections, then the transpose
+    maps = [y * width + width - 1 - x, (height - 1 - y) * width + x, x * width + y]
     return MonotoneSystem(
-        n_sites=n, spins=(-1, 1), log_weight=log_weight, name=f"ising({width}x{height})"
+        n_sites=n, spins=(-1, 1), log_weight=log_weight, name=f"ising({width}x{height})",
+        symmetries=tuple(tuple(p.tolist()) for p in maps[:2 + (width == height)]),
     )
 
 
@@ -182,11 +189,23 @@ def glauber_separation_exact(sys, t, state_cap=DEFAULT_STATE_CAP):
     return res[int(t)]
 
 
-def glauber_separation_profile(sys, t_grid, state_cap=DEFAULT_STATE_CAP):
+def glauber_separation_profile(sys, t_grid, state_cap=DEFAULT_STATE_CAP, stats=None):
+    """{t: (s(t), 1 - P^t(top, bottom) / pi(bottom))}, read off the rows of
+    P^t at top and at one start per orbit of the candidate symmetries that
+    fix pi bitwise: spin reversal and sys.symmetries.  Each such g has
+    P(gx, gy) = P(x, y) and pi(gx) = pi(x), so the other rows relabel these.
+    stats, if a dict, receives the counts of states and starts."""
     configs, pi, P = glauber_matrix(sys, state_cap)
     i_top, i_bot = configs.index(sys.top), configs.index(sys.bottom)
-    return {t: (separation(Pt, pi), float(1.0 - Pt[i_top, i_bot] / pi[i_bot]))
-            for t, Pt in _power_profile(P, t_grid)}
+    index = np.arange(len(configs)).reshape((len(sys.spins),) * sys.n_sites)
+    maps = [g.ravel() for g in [np.flip(index), *map(index.transpose, sys.symmetries)]
+            if np.array_equal(pi[g.ravel()], pi)]
+    starts = np.union1d(_orbits(maps, len(configs))[1], [i_top])
+    top = np.searchsorted(starts, i_top)
+    if stats is not None:
+        stats.update(states=len(configs), starts=len(starts))
+    return {t: (separation(R, pi), float(1.0 - R[top, i_bot] / pi[i_bot]))
+            for t, R in _row_walk(P, starts, t_grid)}
 
 
 def coupon_survival_uniform(n, t):
@@ -203,20 +222,9 @@ def coupon_survival_uniform(n, t):
     return _power_sums(c, q, lambda: (range(n - 1, 0, -1), n), [t], n)[t]
 
 
-def coverage_conditioned_law(sys, t, state_cap=DEFAULT_STATE_CAP):
-    """Law of X^t started from the top configuration, conditioned on every
-    site having been selected by time t.
-
-    Runs the chain jointly with the set of sites selected so far (state
-    space Omega x 2^V) and conditions on the full set.  Returns
-    (configs, conditional law, P(all sites selected)).
-    """
-    configs, laws = coverage_conditioned_profile(sys, [t], state_cap)
-    return (configs,) + laws[int(t)]
-
-
 def coverage_conditioned_profile(sys, t_grid, state_cap=DEFAULT_STATE_CAP):
-    """Grid version of coverage_conditioned_law: evolves the joint
+    """Law of X^t started from the top configuration, conditioned on every
+    site having been selected by time t, over a grid: evolves the joint
     (configuration, selected-site set) chain once and reads off every t.
     Returns (configs, {t: (conditional law, coverage probability)})."""
     configs, _, succ, prob = _heat_bath(sys, state_cap)

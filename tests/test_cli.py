@@ -85,13 +85,20 @@ def test_exact_tsetlin_uniform_values(tmp_path, monkeypatch):
     assert surv2 == pytest.approx(s2, abs=1e-9)
     assert table[2][4] == "" and table[2][5] == ""
     assert counts == {"transition_matrix": 0, "lstsq": 0}
-    assert "# exact_path=one-start" in meta and "# chambers=6" in meta
-    # two weight classes: every start, from one build of P and one solve
+    assert meta[-3:] == ["# exact_path=one-start", "# chambers=6", "# starts=1"]
+    # two weight classes: one start per orbit of the swap of cards 0 and 1,
+    # from one build of P and one solve
     run_cli(["exact", "--family", "tsetlin", "--params", "weights=1/4,1/4,1/2",
              "--t-grid", "1..4", "--out", str(out)])
     meta, _, _ = read_rows(out)
     assert counts == {"transition_matrix": 1, "lstsq": 1}
-    assert "# exact_path=dense" in meta and "# chambers=6" in meta
+    assert meta[-3:] == ["# exact_path=orbits", "# chambers=6", "# starts=3"]
+    # weights that differ for every card: every start
+    run_cli(["exact", "--family", "tsetlin", "--params", "weights=1/2,1/3,1/6",
+             "--t-grid", "1..4", "--out", str(out)])
+    meta, _, _ = read_rows(out)
+    assert counts == {"transition_matrix": 2, "lstsq": 2}
+    assert meta[-3:] == ["# exact_path=dense", "# chambers=6", "# starts=6"]
 
 
 def test_mc_rerun_byte_identical(tmp_path):
@@ -260,11 +267,16 @@ def test_glauber_mode(tmp_path):
             str(out),
         ]
     )
-    _, _, rows = read_rows(out)
+    meta, _, rows = read_rows(out)
     for r in rows:
         cols = r.split(",")
         s_exact, coupon = float(cols[1]), float(cols[3])
         assert s_exact >= coupon - 1e-9
+    # spin reversal and the square's reflections and transpose leave the 2x2
+    # grid's 16 states in 4 orbits (all spins alike, one spin apart, two
+    # adjacent spins up, two diagonal spins up); top shares bottom's orbit
+    # and is walked too
+    assert meta[-2:] == ["# states=16", "# starts=5"]
 
 
 def test_list_mode(capsys):

@@ -8,7 +8,8 @@ import pytest
 
 import chamberwalk as cw
 from chamberwalk import exact
-from chamberwalk.core import CapacityError, symmetry_generators
+from chamberwalk.core import CapacityError, chamber_to_permutation, permutation_to_chamber
+from chamberwalk.core import symmetry_generators
 from chamberwalk.exact import survival_terms
 
 
@@ -110,6 +111,18 @@ def test_swr_point_mass_for_chamber_face():
     assert pi[arr.chamber_index((1,))] == 1.0
 
 
+def test_swr_refuses_more_faces_than_its_cap():
+    arr, w = cw.build_braid(4), cw.riffle_faces(4, 2)
+    assert len(w.faces) > exact.ENUM_ORDERING_FACE_CAP
+    with pytest.raises(CapacityError, match="enumeration cap"):
+        cw.stationary_without_replacement(arr, w)
+    arr, w = tsetlin([0.4, 0.3, 0.2, 0.1])
+    with pytest.raises(CapacityError, match="enumeration cap 3"):
+        cw.stationary_without_replacement(arr, w, max_enum_faces=3)
+    pi = cw.stationary_without_replacement(arr, w, max_enum_faces=4)
+    assert np.abs(pi - cw.stationary_solve(arr, w)).max() < 1e-12
+
+
 def test_swr_tsetlin3_uniform():
     arr, w = tsetlin([1 / 3, 1 / 3, 1 / 3])
     pi = cw.stationary_without_replacement(arr, w)
@@ -194,12 +207,11 @@ def test_tv_below_separation():
             assert tv[t] <= sep[t] + 1e-12
         both = cw.distance_profiles(arr, w, range(1, 15))
         assert both == {t: (sep[t], tv[t]) for t in range(1, 15)}
-        dense = exact._dense_profiles(arr, w, range(1, 15))
-        assert dense == separate_loop_profiles(arr, w, range(1, 15))
+        every_row = separate_loop_profiles(arr, w, range(1, 15))
         if exact._profiles(arr, w, [0])[0] == "dense":
-            assert both == dense
+            assert both == every_row
         for t in range(1, 15):
-            assert np.abs(np.subtract(both[t], dense[t])).max() <= 1e-12
+            assert np.abs(np.subtract(both[t], every_row[t])).max() <= 1e-12
     # the two symmetric inputs take the one-start path
     assert [exact._profiles(*boolean2_uniform(), [0])[0],
             exact._profiles(cw.build_braid(4), cw.riffle_faces(4, 2), [0])[0]] == ["one-start"] * 2
@@ -397,9 +409,9 @@ def test_one_start_matches_closed_forms():
              1, 6, lambda j: Fraction(math.comb(6 - j, 2), math.comb(6, 2)), t)),
     ]
     for arr, w, closed in cases:
-        path, got = exact._profiles(arr, w, grid)
-        assert path == "one-start"
-        dense = exact._dense_profiles(arr, w, grid)
+        path, starts, got = exact._profiles(arr, w, grid)
+        assert (path, starts) == ("one-start", 1)
+        dense = separate_loop_profiles(arr, w, grid)
         for t in grid:
             want = dense[t][0] if closed is None else closed(t)
             assert abs(got[t][0] - want) <= 1e-13, (arr.family_tag, t)
@@ -432,6 +444,12 @@ def braid4_with_extra_orbit():
                           faces=None, family_tag="braid(4)")
 
 
+def orbit_starts(arr, w):
+    """One start per orbit of the symmetries that pass the engine's check."""
+    find = exact._chamber_finder(arr, exact.DEFAULT_CHAMBER_CAP)
+    return exact._orbits(exact._symmetries(arr, w, find), arr.n_chambers)[1]
+
+
 def test_certificate_rejects_asymmetric_inputs():
     riffle4 = cw.riffle_faces(4, 2)
     moved = riffle4.weights.copy()
@@ -450,23 +468,47 @@ def test_certificate_rejects_asymmetric_inputs():
         (missing, riffle4),
         (braid4_with_extra_orbit(), riffle4),
     ]:
-        assert not exact._symmetric(arr, w, exact._chamber_finder(arr, exact.DEFAULT_CHAMBER_CAP))
+        assert len(orbit_starts(arr, w)) > 1  # not one start
     with pytest.raises(ValueError, match="not a chamber"):
         cw.transition_matrix(missing, riffle4)
     with pytest.raises(ValueError, match="not a chamber"):
         cw.distance_profiles(missing, riffle4, [1])
 
 
+def test_orbits_keep_the_symmetries_that_pass():
+    # cards 0, 1 and cards 2, 3 share weights: of the six card transpositions
+    # only (0 1) and (2 3) pass, and their group has 4! / (2! 2!) orbits
+    arr, w = tsetlin([0.3, 0.3, 0.2, 0.2])
+
+    def swap_cards(a, b):
+        swap = {a: b, b: a}
+        return [arr.chamber_index(permutation_to_chamber([swap.get(c, c) for c in
+                                                           chamber_to_permutation(x, 4)]))
+                for x in arr.chambers]
+
+    maps = exact._symmetries(arr, w, exact._chamber_finder(arr, exact.DEFAULT_CHAMBER_CAP))
+    assert len(symmetry_generators(arr)) == 6
+    assert [g.tolist() for g in maps] == [swap_cards(0, 1), swap_cards(2, 3)]
+    assert len(orbit_starts(arr, w)) == 6
+    # two heavy cards among six: 6! / (2! 4!) orbits, each walked from its least chamber
+    arr, w = tsetlin([1 / 10, 1 / 10, 3 / 10, 3 / 10, 1 / 10, 1 / 10])
+    path, starts, got = exact._profiles(arr, w, range(0, 8))
+    assert (path, starts) == ("orbits", 15)
+    every_row = separate_loop_profiles(arr, w, range(0, 8))
+    for t in range(8):
+        assert np.abs(np.subtract(got[t], every_row[t])).max() <= 1e-13
+
+
 def test_certificate_sums_a_face_listed_twice():
     arr, grid = cw.build_boolean(1), range(0, 4)
     lopsided = cw.WeightedFaceSet(((1,), (1,), (-1,)), [1 / 3] * 3)  # w(+) = 2/3, w(-) = 1/3
-    path, got = exact._profiles(arr, lopsided, grid)
-    assert path == "dense"
-    assert got == exact._dense_profiles(arr, lopsided, grid)
+    path, starts, got = exact._profiles(arr, lopsided, grid)
+    assert (path, starts) == ("dense", 2)
+    assert got == separate_loop_profiles(arr, lopsided, grid)
     assert got[1] == pytest.approx((0.0, 0.0), abs=1e-12)  # one step reaches pi = (2/3, 1/3)
     even = cw.WeightedFaceSet(((1,), (1,), (-1,)), [0.25, 0.25, 0.5])  # w(+) = w(-) = 1/2
-    path, got = exact._profiles(arr, even, grid)
-    assert path == "one-start"
+    path, starts, got = exact._profiles(arr, even, grid)
+    assert (path, starts) == ("one-start", 1)
     assert got == {0: (1.0, 0.5), 1: (0.0, 0.0), 2: (0.0, 0.0), 3: (0.0, 0.0)}
 
 
@@ -484,6 +526,19 @@ def test_survival_formulas_reject_negative_times():
                      lambda: cw.coupon_survival_uniform(3, -2)):
         with pytest.raises(ValueError, match="negative time"):
             survival()
+
+
+def test_fractional_times_raise():
+    arr, w = cw.build_braid(3), cw.riffle_faces(3, 2)
+    for call in (lambda: cw.separation_profile(arr, w, [1.7, 2.2]),
+                 lambda: cw.survival_exact_profile(arr, w, [1, 2.5]),
+                 lambda: cw.glauber_separation_profile(cw.ising_system(2, 1, 0.3), [0.5]),
+                 lambda: cw.coupon_survival_uniform(3, 4.9)):
+        with pytest.raises(ValueError, match="fractional time"):
+            call()
+    # a whole float is a time
+    assert cw.separation_profile(arr, w, [2.0]) == cw.separation_profile(arr, w, [2])
+    assert cw.coupon_survival_uniform(3, 4.0) == cw.coupon_survival_uniform(3, 4)
 
 
 def test_no_hyperplanes_means_T_is_zero():

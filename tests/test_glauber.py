@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -293,3 +294,62 @@ def test_coupon_survival_checks_t_before_any_binomial():
     assert cw.coupon_survival_uniform(1031, 1030) == 1.0
     with pytest.raises(ValueError, match="negative time"):
         cw.coupon_survival_uniform(1030, -2)
+
+
+def orbit_count(n_sites, site_maps, reversal):
+    """Orbits of the +-1 configurations under the site permutations (site u
+    to p[u]) and, if reversal, the flip of every spin, by search."""
+    moves = [lambda c, p=p: tuple(c[p.index(u)] for u in range(n_sites)) for p in site_maps]
+    moves += [lambda c: tuple(-x for x in c)] * reversal
+    seen, count = set(), 0
+    for c in itertools.product((-1, 1), repeat=n_sites):
+        count += c not in seen
+        frontier = [c]
+        while frontier:
+            if (x := frontier.pop()) not in seen:
+                seen.add(x)
+                frontier += [move(x) for move in moves]
+    return count
+
+
+def every_row_profile(sys_, t_grid):
+    """Oracle: s(t) and the top-to-bottom ratio from every row of P^t."""
+    configs, pi, P = cw.glauber_matrix(sys_)
+    top, bottom = configs.index(sys_.top), configs.index(sys_.bottom)
+    Pt, out = np.eye(len(P)), {}
+    for t in range(max(t_grid) + 1):
+        if t in t_grid:
+            out[t] = ((1.0 - (Pt / pi).min(axis=1)).max(), 1.0 - Pt[top, bottom] / pi[bottom])
+        Pt = Pt @ P
+    return out
+
+
+def test_glauber_walks_one_start_per_orbit_and_top():
+    assert cw.ising_system(3, 2, 0.3).symmetries == ((2, 1, 0, 5, 4, 3), (3, 4, 5, 0, 1, 2))
+    assert len(cw.ising_system(3, 3, 0.3).symmetries) == 3  # two reflections, the transpose
+    for (width, height), field, starts in [((5, 2), 0.0, 153), ((3, 3), 0.0, 52),
+                                           ((3, 2), 0.0, None), ((3, 2), 0.2, None)]:
+        sys_, stats = cw.ising_system(width, height, 0.3, field=field), {}
+        got = cw.glauber_separation_profile(sys_, range(0, 12), stats=stats)
+        # a field breaks spin reversal; without it, top shares bottom's orbit
+        # and is walked besides the orbit's least state, bottom
+        want = orbit_count(sys_.n_sites, sys_.symmetries, field == 0) + (field == 0)
+        assert stats == {"states": 2**sys_.n_sites, "starts": want}
+        assert starts in (None, want)
+        if sys_.n_sites <= 6:
+            every_row = every_row_profile(sys_, range(0, 12))
+            for t in range(12):
+                assert np.abs(np.subtract(got[t], every_row[t])).max() <= 1e-13
+
+
+def test_glauber_rejects_a_site_permutation_that_moves_the_weight():
+    # sites 0 and 1 share their bias, site 2 does not; no bias is 1/2
+    sys_ = cw.product_system(3, [0.7, 0.7, 0.2])
+    for symmetries, starts in [((), 8), (((0, 2, 1),), 8), (((0, 2, 1), (1, 0, 2)), 6)]:
+        stats = {}
+        got = cw.glauber_separation_profile(
+            dataclasses.replace(sys_, symmetries=symmetries), range(0, 10), stats=stats)
+        assert stats == {"states": 8, "starts": starts}
+        every_row = every_row_profile(sys_, range(0, 10))
+        for t in range(10):
+            assert np.abs(np.subtract(got[t], every_row[t])).max() <= 1e-13

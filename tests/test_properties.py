@@ -1,6 +1,8 @@
-"""Differential properties of the exact survival P(T > t) on random walks:
-random positive weights on random face subsets of boolean(2..4) and
-braid(3..4), kept only when they separate the hyperplanes."""
+"""Differential properties of the exact engines on random walks.  The
+survival P(T > t): random positive weights on random face subsets of
+boolean(2..4) and braid(3..4), kept only when they separate the hyperplanes.
+One start per orbit: class-constant card weights on braid(3..5), and Ising
+grids of at most 9 sites."""
 
 import itertools
 
@@ -12,6 +14,7 @@ import chamberwalk as cw
 from chamberwalk.core import face_product, is_chamber, ordered_set_partitions
 
 TIMES = range(1, 26)
+GLAUBER_TIMES = range(1, 16)
 CASES = settings(derandomize=True, database=None, deadline=None, max_examples=40)
 
 UNIVERSES = {("boolean", n): (cw.build_boolean(n), list(itertools.product((1, -1, 0), repeat=n)))
@@ -80,3 +83,55 @@ def test_total_variation_below_survival_below_separation(walk):
     survival = cw.survival_exact_profile(arr, w, TIMES)
     for t, (s, tv) in cw.distance_profiles(arr, w, TIMES).items():
         assert tv <= survival[t] + 1e-12 and survival[t] <= s + 1e-12, t
+
+
+@st.composite
+def class_weighted_walks(draw):
+    """Move-to-front or top-or-bottom on braid(3..5), each card weighted by
+    one of three random class weights: equal weights are exactly equal."""
+    n = draw(st.integers(3, 5))
+    classes = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    values = draw(st.lists(st.floats(0.05, 1.0), min_size=3, max_size=3))
+    raw = np.array([values[c] for c in classes])
+    card = raw / raw.sum()
+    if draw(st.booleans()):
+        return cw.build_braid(n), cw.tsetlin_faces(cw.TsetlinSpec(card))
+    return cw.build_braid(n), cw.top_bottom_faces(n, card)
+
+
+@CASES
+@given(class_weighted_walks())
+def test_orbit_rows_and_lumped_pi_equal_every_row_and_the_full_solve(walk):
+    arr, w = walk
+    P = cw.transition_matrix(arr, w)
+    ell = len(P)
+    A = np.vstack([P.T - np.eye(ell), np.ones((1, ell))])
+    pi = np.linalg.lstsq(A, np.eye(ell + 1)[-1], rcond=None)[0]
+    assert np.abs(cw.stationary_solve(arr, w) - pi).max() <= 1e-13
+    got, Pt = cw.distance_profiles(arr, w, TIMES), np.eye(ell)
+    for t in TIMES:
+        Pt = Pt @ P
+        s = (1.0 - (Pt / pi).min(axis=1)).max()
+        tv = 0.5 * np.abs(Pt - pi).sum(axis=1).max()
+        assert abs(got[t][0] - s) <= 1e-13 and abs(got[t][1] - tv) <= 1e-13, t
+
+
+@st.composite
+def ising_systems(draw):
+    width, height = draw(st.sampled_from([(2, 1), (2, 2), (3, 2), (2, 3), (4, 2), (3, 3)]))
+    field = draw(st.sampled_from([0.0, None]))
+    if field is None:
+        field = draw(st.floats(-1.0, 1.0))
+    return cw.ising_system(width, height, draw(st.floats(0.0, 1.0)), field=field)
+
+
+@CASES
+@given(ising_systems())
+def test_glauber_orbit_rows_equal_every_row(sys_):
+    configs, pi, P = cw.glauber_matrix(sys_)
+    top, bottom = configs.index(sys_.top), configs.index(sys_.bottom)
+    got, Pt = cw.glauber_separation_profile(sys_, GLAUBER_TIMES), np.eye(len(P))
+    for t in GLAUBER_TIMES:
+        Pt = Pt @ P
+        s, ratio = (1.0 - (Pt / pi).min(axis=1)).max(), 1.0 - Pt[top, bottom] / pi[bottom]
+        assert abs(got[t][0] - s) <= 1e-13 and abs(got[t][1] - ratio) <= 1e-13, t

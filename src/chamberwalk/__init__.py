@@ -24,13 +24,10 @@ from .exact import (
     coupling_parameters,
     cutoff_prediction,
     distance_profiles,
-    separation_distance,
     separation_profile,
     stationary_solve,
     stationary_without_replacement,
-    survival_exact,
     survival_exact_profile,
-    total_variation,
     total_variation_profile,
     transition_matrix,
 )
@@ -49,7 +46,6 @@ from .gallery import (
     top_bottom_faces,
     tsetlin_bounds,
     tsetlin_faces,
-    tsetlin_survival_exact,
     tsetlin_survival_profile,
 )
 from .glauber import (
@@ -60,7 +56,6 @@ from .glauber import (
     coverage_conditioned_profile,
     stationary_distribution,
     glauber_matrix,
-    glauber_separation_exact,
     glauber_separation_profile,
     glauber_step,
     ising_system,
@@ -70,7 +65,6 @@ from .glauber import (
 from .walk import (
     SurvivalEstimate,
     estimate_survival,
-    sample_T,
     sample_T_batch,
     simulate_chamber_at,
     survival_from_samples,

@@ -94,9 +94,6 @@ class Arrangement:
     def chamber_index(self, c):
         return self._chamber_index[c]
 
-    def has_chamber(self, c):
-        return c in self._chamber_index
-
 
 @dataclass(frozen=True)
 class WeightedFaceSet:
@@ -124,9 +121,6 @@ class WeightedFaceSet:
     @property
     def m(self):
         return len(self.faces[0])
-
-    def supports(self):
-        return [support(f) for f in self.faces]
 
     def zero_masks(self):
         """Per-face bitmask of hyperplanes the face lies on (zero coords)."""
@@ -314,20 +308,20 @@ def check_separating(w):
     return not violated_hyperplanes(w)
 
 
-def validate_closure(faces, product_limit=DEFAULT_CLOSURE_PRODUCT_LIMIT, seed=0):
+def validate_closure(faces):
     """Check a face list is closed under the product.
 
-    Exhaustive when |faces|^2 <= product_limit, sampled beyond.  Returns the
-    first violating pair, or None if closed.
+    Exhaustive when |faces|^2 <= DEFAULT_CLOSURE_PRODUCT_LIMIT, sampled
+    beyond.  Returns the first violating pair, or None if closed.
     """
     face_set = set(faces)
     faces = list(faces)
     k = len(faces)
-    if k * k <= product_limit:
+    if k * k <= DEFAULT_CLOSURE_PRODUCT_LIMIT:
         pairs = itertools.product(faces, faces)
     else:
-        rng = np.random.default_rng(seed)
-        idx = rng.integers(0, k, size=(product_limit, 2))
+        rng = np.random.default_rng(0)
+        idx = rng.integers(0, k, size=(DEFAULT_CLOSURE_PRODUCT_LIMIT, 2))
         pairs = ((faces[i], faces[j]) for i, j in idx)
     for f, g in pairs:
         if face_product(f, g) not in face_set:
@@ -335,8 +329,8 @@ def validate_closure(faces, product_limit=DEFAULT_CLOSURE_PRODUCT_LIMIT, seed=0)
     return None
 
 
-def build_custom(m, chambers, faces, validate=True):
-    """User-supplied arrangement from explicit sign-vector lists."""
+def build_custom(m, chambers, faces):
+    """User-supplied arrangement from sign-vector lists, its faces closed under the product."""
     chambers = tuple(tuple(c) for c in chambers)
     faces = tuple(tuple(f) for f in faces)
     for c in chambers:
@@ -351,13 +345,12 @@ def build_custom(m, chambers, faces, validate=True):
     for f in faces:
         if len(f) != m:
             raise DimensionError("face length != m")
-    if validate:
-        bad = validate_closure(faces)
-        if bad is not None:
-            raise ValueError(
-                "faces not closed under product: "
-                f"{format_sign_vector(bad[0])} * {format_sign_vector(bad[1])}"
-            )
+    bad = validate_closure(faces)
+    if bad is not None:
+        raise ValueError(
+            "faces not closed under product: "
+            f"{format_sign_vector(bad[0])} * {format_sign_vector(bad[1])}"
+        )
     return Arrangement(
         m=m,
         chambers=chambers,
@@ -393,13 +386,16 @@ def load_arrangement_file(path):
                 faces.append(parse_sign_vector(line))
             elif section == "weights":
                 idx_s, w_s = line.split()
-                weight_lines.append((int(idx_s), float(w_s)))
+                weight_lines.append((line, int(idx_s), float(w_s)))
             else:
                 raise ValueError(f"line outside any section: {line!r}")
     if m is None:
         raise ValueError("missing m=<int> header")
     arr = build_custom(m, chambers, faces)
-    wfs = weighted_faces((faces[i], w) for i, w in weight_lines)
+    for line, i, _ in weight_lines:
+        if not 0 <= i < len(faces):
+            raise ValueError(f"face index {i} outside 0..{len(faces) - 1} in weight line {line!r}")
+    wfs = weighted_faces((faces[i], w) for _, i, w in weight_lines)
     return arr, wfs
 
 

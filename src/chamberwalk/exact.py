@@ -251,18 +251,10 @@ def separation_profile(arr, w, t_grid, chamber_cap=DEFAULT_CHAMBER_CAP):
     return {t: s for t, (s, _) in prof.items()}
 
 
-def separation_distance(arr, w, t, chamber_cap=DEFAULT_CHAMBER_CAP):
-    return separation_profile(arr, w, [t], chamber_cap)[int(t)]
-
-
 def total_variation_profile(arr, w, t_grid, chamber_cap=DEFAULT_CHAMBER_CAP):
     """Exact worst-case total variation distance to stationarity on a grid."""
     prof = distance_profiles(arr, w, t_grid, chamber_cap)
     return {t: tv for t, (_, tv) in prof.items()}
-
-
-def total_variation(arr, w, t, chamber_cap=DEFAULT_CHAMBER_CAP):
-    return total_variation_profile(arr, w, [t], chamber_cap)[int(t)]
 
 
 def _power_sums(c, q, exact_q, t_grid, t_first):
@@ -350,11 +342,6 @@ def survival_terms(arr, w, hyperplane_cap=DEFAULT_IE_HYPERPLANE_CAP):
     """The (c_X, q_X) pairs of _mobius_form, one per flat X != {}, with
     P(T > t) = sum c_X q_X^t for t >= 1 and c_X = -mu({}, X)."""
     return list(zip(*(a.tolist() for a in _mobius_form(arr, w, hyperplane_cap)[:2])))
-
-
-def survival_exact(arr, w, t, hyperplane_cap=DEFAULT_IE_HYPERPLANE_CAP):
-    """Exact P(T > t) from the Möbius form over the flats."""
-    return survival_exact_profile(arr, w, [t], hyperplane_cap)[int(t)]
 
 
 def survival_exact_profile(arr, w, t_grid, hyperplane_cap=DEFAULT_IE_HYPERPLANE_CAP):

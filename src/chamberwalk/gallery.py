@@ -82,7 +82,7 @@ def riffle_faces(n, a, enum_cap=DEFAULT_ENUM_CAP):
     empty marks collapsed.  Weight = (#mark functions inducing it) / a^n."""
     if n < 2 or a < 2:
         raise ValueError(f"riffle faces need n >= 2 and a >= 2, got n={n} a={a}")
-    _check_entries(a**n, braid_m(n), enum_cap, "; use riffle_mark_sampler for implicit sampling")
+    _check_entries(a**n, braid_m(n), enum_cap)
     total = a**n
     pairs = []
     for marks in itertools.product(range(a), repeat=n):
@@ -93,16 +93,6 @@ def riffle_faces(n, a, enum_cap=DEFAULT_ENUM_CAP):
         ]
         pairs.append((partition_to_sign_vector(blocks, n), 1.0 / total))
     return weighted_faces(pairs)
-
-
-def riffle_mark_sampler(n, a, rng):
-    """Draw one riffle face as an ordered partition of blocks, by marks."""
-    marks = rng.integers(0, a, size=n)
-    return [
-        {c for c in range(n) if marks[c] == v}
-        for v in range(a)
-        if np.any(marks == v)
-    ]
 
 
 def riffle_coupling_closed_form(a):
@@ -194,8 +184,8 @@ def hypercube_nonlocal_faces(n, k, enum_cap=DEFAULT_ENUM_CAP):
     return weighted_faces(pairs)
 
 
-def solve_t_star(spec, tol=1e-9):
-    """Unique t with sum_i exp(-w_i t) = 1/2, by bisection.
+def solve_t_star(spec):
+    """Unique t with sum_i exp(-w_i t) = 1/2, by bisection to width 1e-9.
 
     The map is strictly decreasing from n >= 1/2 at t = 0, so a doubling
     search brackets the root.
@@ -208,7 +198,7 @@ def solve_t_star(spec, tol=1e-9):
     lo, hi = 0.0, 1.0
     while g(hi) > 0:
         lo, hi = hi, 2.0 * hi
-    while hi - lo > tol:
+    while hi - lo > 1e-9:
         mid = 0.5 * (lo + hi)
         if g(mid) > 0:
             lo = mid
@@ -277,11 +267,6 @@ def tsetlin_bounds(spec, c, strict=True):
         upper_raw=upper_raw,
         lower_raw=lower_raw,
     )
-
-
-def tsetlin_survival_exact(spec, t, exact_cap=DEFAULT_TSETLIN_EXACT_CAP):
-    """Exact P(T > t) for T = first time n-1 distinct cards are touched."""
-    return tsetlin_survival_profile(spec, [t], exact_cap)[int(t)]
 
 
 def tsetlin_survival_profile(spec, t_grid, exact_cap=DEFAULT_TSETLIN_EXACT_CAP):

@@ -16,7 +16,6 @@ import numpy as np
 from .core import CapacityError
 from .exact import _matrix, _orbits, _power_sums, _push, _row_walk, _times, _walk, separation
 
-DEFAULT_SITE_CAP = 12
 DEFAULT_STATE_CAP = 4096
 
 
@@ -60,7 +59,7 @@ def grid_edges(width, height):
     return edges
 
 
-def ising_system(width, height, beta, field=0.0, site_cap=DEFAULT_SITE_CAP):
+def ising_system(width, height, beta, field=0.0):
     """Ferromagnetic Ising model on a width x height grid, free boundary;
     its symmetries are the grid's reflections, and its transpose when square."""
     if beta < 0:
@@ -68,8 +67,6 @@ def ising_system(width, height, beta, field=0.0, site_cap=DEFAULT_SITE_CAP):
     if min(width, height) < 1:
         raise ValueError(f"need at least one site, got {width}x{height}")
     n = width * height
-    if n > site_cap:
-        raise CapacityError(f"{n} sites exceeds exact-mode cap {site_cap}")
     edges = grid_edges(width, height)
 
     def log_weight(sigma):
@@ -140,11 +137,11 @@ def comparable_pairs(configs):
                 yield a, b
 
 
-def check_monotone(sys, state_cap=DEFAULT_STATE_CAP, tol=1e-12):
+def check_monotone(sys, state_cap=DEFAULT_STATE_CAP):
     """Verify stochastic domination of single-site conditionals.
 
     For every comparable pair sigma <= tau and every site, the conditional
-    at tau must dominate the one at sigma (its CDF pointwise below).
+    at tau must dominate the one at sigma (its CDF pointwise below, to 1e-12).
     Returns (True, None) or (False, witness) with the violating
     (sigma, tau, site), the first in comparable_pairs order, then site order.
     """
@@ -152,7 +149,7 @@ def check_monotone(sys, state_cap=DEFAULT_STATE_CAP, tol=1e-12):
     cdf, spins = np.cumsum(prob, axis=1), np.array(configs)
     for a, sigma in enumerate(spins):
         above = np.all(sigma <= spins, axis=1) & (np.arange(len(configs)) != a)
-        bad = np.any(cdf > cdf[:, :, [a]] + tol, axis=1)  # (site, tau)
+        bad = np.any(cdf > cdf[:, :, [a]] + 1e-12, axis=1)  # (site, tau)
         if (taus := np.flatnonzero(above & bad.any(axis=0))).size:
             return False, (configs[a], configs[taus[0]], int(np.argmax(bad[:, taus[0]])))
     return True, None
@@ -180,13 +177,6 @@ def glauber_matrix(sys, state_cap=DEFAULT_STATE_CAP):
     conditional; each cell summed in (site, spin) order."""
     configs, pi, succ, prob = _heat_bath(sys, state_cap)
     return configs, pi, _matrix(succ, prob / sys.n_sites)
-
-
-def glauber_separation_exact(sys, t, state_cap=DEFAULT_STATE_CAP):
-    """Exact separation distance at time t, plus the top-to-bottom ratio
-    1 - P^t(top, bottom) / pi(bottom) the lower-bound argument uses."""
-    res = glauber_separation_profile(sys, [t], state_cap)
-    return res[int(t)]
 
 
 def glauber_separation_profile(sys, t_grid, state_cap=DEFAULT_STATE_CAP, stats=None):

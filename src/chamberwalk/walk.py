@@ -4,10 +4,9 @@ T is the first step at which the product of the faces picked so far is a
 chamber.  Because the product's zero set is the intersection of the picked
 faces' zero sets, T only depends on which hyperplanes have been "cut" so
 far, so the samplers track the shrinking set of uncut hyperplanes instead
-of the full face product.  ``sample_T`` draws one T with a Python set;
-``sample_T_batch`` runs all trials at once, as rows of packed bit words,
-from one generator per call, so its output is deterministic in
-(seed, trials).
+of the full face product.  ``sample_T_batch`` runs all trials at once, as
+rows of packed bit words, from one generator per call, so its output is
+deterministic in (seed, trials).
 """
 
 from __future__ import annotations
@@ -17,13 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import check_separating, face_product, is_chamber
+from .exact import _times
 
 DEFAULT_STEP_CAP = 10**9
-
-
-def trial_rng(seed, trial):
-    """Reproducible, independent generator: stream ``trial`` of root ``seed``."""
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(trial,)))
 
 
 def _require_separating(w):
@@ -43,29 +38,6 @@ def simulate_chamber_at(w, x0, t, seed):
     for k in picks:
         current = face_product(w.faces[k], current)
     return current
-
-
-def sample_T(w, seed=None, rng=None, step_cap=DEFAULT_STEP_CAP):
-    """Draw one copy of T by i.i.d. face picks from w.
-
-    Each pick removes its support from the set of uncut hyperplanes; T is
-    the first step at which that set empties.
-    """
-    _require_separating(w)
-    if rng is None:
-        rng = np.random.default_rng(seed)
-    supports = w.supports()
-    uncut = set(range(w.m))
-    t = 0
-    while uncut:
-        t += 1
-        if t > step_cap:
-            raise RuntimeError(
-                f"T exceeded the {step_cap}-step cap; check the weight measure"
-            )
-        k = rng.choice(len(supports), p=w.weights)
-        uncut.difference_update(supports[k])
-    return t
 
 
 def sample_T_batch(w, trials, seed, step_cap=DEFAULT_STEP_CAP):
@@ -111,8 +83,10 @@ class SurvivalEstimate:
 
 
 def survival_from_samples(samples, t_grid, seed=0):
-    """Turn T samples into a SurvivalEstimate over a time grid."""
-    t_grid = np.asarray(list(t_grid), dtype=np.int64)
+    """Turn T samples into a SurvivalEstimate over a time grid, in its order."""
+    t_grid = list(t_grid)
+    _times(t_grid)  # a negative or a fractional time raises ValueError
+    t_grid = np.asarray(t_grid, dtype=np.int64)
     if t_grid.size == 0:
         raise ValueError("empty time grid")
     samples = np.asarray(samples)

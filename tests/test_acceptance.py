@@ -166,11 +166,11 @@ def test_criterion_04_spot_values():
     oracle_s2 = 1.0 - min(law.values()) / 0.25
     ok = (
         oracle_s2 == 0.5
-        and abs(cw.separation_distance(arr, w, 2) - 0.5) <= 1e-12
-        and cw.survival_exact(arr, w, 2) == 0.5
+        and abs(cw.separation_profile(arr, w, [2])[2] - 0.5) <= 1e-12
+        and cw.survival_exact_profile(arr, w, [2])[2] == 0.5
     )
     arr3, w3 = tsetlin([1 / 3] * 3)
-    s2 = cw.separation_distance(arr3, w3, 2)
+    s2 = cw.separation_profile(arr3, w3, [2])[2]
     ok = ok and abs(s2 - 1 / 3) <= 1e-12
     report(4, ok, f"Boolean(2) s(2)=0.5 exact; move-to-front(3) s(2)={s2:.12f}")
 
@@ -242,7 +242,8 @@ def test_criterion_08_bound_sandwich_asymptotic_target():
     ok, parts = True, []
     for c in (3.0, 4.0, 5.0):
         rep = cw.tsetlin_bounds(spec, c, strict=False)
-        t_hi, t_lo = math.ceil(rep.upper_time), math.ceil(rep.lower_time)
+        # T >= 1, so P(T > t) = 1 at every t <= 0: a negative lower time reads t = 0
+        t_hi, t_lo = math.ceil(rep.upper_time), max(math.ceil(rep.lower_time), 0)
         est = survival_from_samples(samples, [t_lo, t_hi], seed=11)
         p_lo, se_lo = est.p_hat[0], est.std_err[0]
         p_hi, se_hi = est.p_hat[1], est.std_err[1]

@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import subprocess
 import sys
@@ -458,3 +459,17 @@ def test_bounds_preamble_keeps_the_clamped_raw_values(tmp_path):
     kv = dict(m[2:].split("=", 1) for m in meta if "=" in m)
     assert (kv["upper_value"], kv["lower_value"]) == ("1", "0")
     assert (kv["upper_raw"], kv["lower_raw"]) == ("5.51570867246", "-5.91940384322")
+
+
+def test_every_traced_layer_function_exists():
+    # bench/tracing.py wraps each (module, function) pair of its LAYERS by
+    # getattr, so a name missing here breaks bench/run.py --trace 1
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "tracing.py")
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    pairs = [pair for functions, _ in tracing.LAYERS.values() for pair in functions]
+    assert len(pairs) > len(tracing.LAYERS)
+    missing = [(module, name) for module, name in pairs
+               if not hasattr(importlib.import_module(f"chamberwalk.{module}"), name)]
+    assert missing == []

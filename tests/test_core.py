@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -183,6 +184,17 @@ def test_arrangement_file_roundtrip(tmp_path):
     got = dict(zip(w2.faces, w2.weights))
     for f, wt in zip(w.faces, w.weights):
         assert got[f] == pytest.approx(wt, abs=1e-15)
+
+
+@pytest.mark.parametrize("index", [-1, 3])
+def test_arrangement_file_refuses_a_face_index_outside_the_list(tmp_path, index):
+    # three faces are listed, so a weight line may name faces 0..2 only; -1
+    # would otherwise weigh the last face, and 3 end in a bare IndexError
+    path = tmp_path / "line.arr"
+    path.write_text(f"m=1\n[chambers]\n+\n-\n[faces]\n0\n+\n-\n[weights]\n1 0.5\n{index} 0.5\n")
+    line = re.escape(f"face index {index} outside 0..2 in weight line '{index} 0.5'")
+    with pytest.raises(ValueError, match=line):
+        cw.load_arrangement_file(path)
 
 
 def test_boolean_faces_all_zero_identity():

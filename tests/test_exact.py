@@ -131,7 +131,7 @@ def test_swr_tsetlin3_uniform():
 
 def test_separation_t0_is_one():
     arr, w = boolean2_uniform()
-    assert cw.separation_distance(arr, w, 0) == pytest.approx(1.0)
+    assert cw.separation_profile(arr, w, [0])[0] == pytest.approx(1.0)
 
 
 def brute_force_two_step_law(arr, w, x0):
@@ -149,12 +149,12 @@ def test_separation_boolean2_spot_value():
     # oracle over the 16 equally likely face pairs
     law = brute_force_two_step_law(arr, w, (1, 1))
     assert law[(-1, -1)] == pytest.approx(1 / 8)
-    assert cw.separation_distance(arr, w, 2) == pytest.approx(0.5, abs=1e-12)
+    assert cw.separation_profile(arr, w, [2])[2] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_separation_tsetlin3_spot_value():
     arr, w = tsetlin([1 / 3, 1 / 3, 1 / 3])
-    assert cw.separation_distance(arr, w, 2) == pytest.approx(1 / 3, abs=1e-9)
+    assert cw.separation_profile(arr, w, [2])[2] == pytest.approx(1 / 3, abs=1e-9)
 
 
 def test_separation_monotone_in_t():
@@ -166,12 +166,12 @@ def test_separation_monotone_in_t():
 
 def test_total_variation_tsetlin2_one_step():
     arr, w = tsetlin([0.6, 0.4])
-    assert cw.total_variation(arr, w, 1) == pytest.approx(0.0, abs=1e-12)
+    assert cw.total_variation_profile(arr, w, [1])[1] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_total_variation_t0():
     arr, w = boolean2_uniform()
-    assert cw.total_variation(arr, w, 0) == pytest.approx(1 - 1 / 4)
+    assert cw.total_variation_profile(arr, w, [0])[0] == pytest.approx(1 - 1 / 4)
 
 
 def separate_loop_profiles(arr, w, t_grid):
@@ -221,15 +221,15 @@ def test_survival_exact_boolean2():
     arr, w = boolean2_uniform()
     # q_{1} = q_{2} = 1/2, q_{12} = 0: P(T>t) = 2 (1/2)^t
     for t in range(1, 12):
-        assert cw.survival_exact(arr, w, t) == pytest.approx(
+        assert cw.survival_exact_profile(arr, w, [t])[t] == pytest.approx(
             min(1.0, 2 * 0.5**t), abs=1e-12
         )
-    assert cw.survival_exact(arr, w, 0) == 1.0
+    assert cw.survival_exact_profile(arr, w, [0])[0] == 1.0
 
 
 def test_survival_exact_tsetlin3():
     arr, w = tsetlin([1 / 3, 1 / 3, 1 / 3])
-    assert cw.survival_exact(arr, w, 2) == pytest.approx(1 / 3, abs=1e-12)
+    assert cw.survival_exact_profile(arr, w, [2])[2] == pytest.approx(1 / 3, abs=1e-12)
 
 
 def test_survival_terms_leave_no_garbage():
@@ -248,7 +248,7 @@ def test_survival_terms_leave_no_garbage():
 def test_survival_exact_capacity():
     arr, w = boolean2_uniform()
     with pytest.raises(CapacityError):
-        cw.survival_exact(arr, w, 3, hyperplane_cap=1)
+        cw.survival_exact_profile(arr, w, [3], hyperplane_cap=1)
 
 
 def test_survival_mc_agreement():
@@ -523,7 +523,8 @@ def test_survival_formulas_reject_negative_times():
     arr, w = cw.build_braid(3), cw.riffle_faces(3, 2)
     for survival in (lambda: cw.survival_exact_profile(arr, w, [-2, 0, 1]),
                      lambda: cw.tsetlin_survival_profile(cw.TsetlinSpec([0.5, 0.3, 0.2]), [-2, 0]),
-                     lambda: cw.coupon_survival_uniform(3, -2)):
+                     lambda: cw.coupon_survival_uniform(3, -2),
+                     lambda: cw.estimate_survival(w, [-3, 1], trials=100, seed=0)):
         with pytest.raises(ValueError, match="negative time"):
             survival()
 
@@ -533,7 +534,8 @@ def test_fractional_times_raise():
     for call in (lambda: cw.separation_profile(arr, w, [1.7, 2.2]),
                  lambda: cw.survival_exact_profile(arr, w, [1, 2.5]),
                  lambda: cw.glauber_separation_profile(cw.ising_system(2, 1, 0.3), [0.5]),
-                 lambda: cw.coupon_survival_uniform(3, 4.9)):
+                 lambda: cw.coupon_survival_uniform(3, 4.9),
+                 lambda: cw.estimate_survival(w, [1.5, 2.7], trials=100, seed=0)):
         with pytest.raises(ValueError, match="fractional time"):
             call()
     # a whole float is a time
@@ -544,9 +546,9 @@ def test_fractional_times_raise():
 def test_no_hyperplanes_means_T_is_zero():
     arr = cw.build_custom(0, [()], [()])
     w = cw.weighted_faces([((), 1.0)])
-    assert cw.sample_T(w, seed=3) == 0
+    assert cw.sample_T_batch(w, 1, seed=3)[0] == 0
     assert cw.sample_T_batch(w, 5, seed=3).tolist() == [0] * 5
-    assert cw.survival_exact(arr, w, 0) == 0.0
+    assert cw.survival_exact_profile(arr, w, [0])[0] == 0.0
     assert cw.survival_exact_profile(arr, w, [0, 1, 4]) == {0: 0.0, 1: 0.0, 4: 0.0}
     assert survival_terms(arr, w) == []
 

@@ -2,11 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
 
 import chamberwalk as cw
 from chamberwalk.core import CapacityError, support
-from chamberwalk.gallery import riffle_mark_sampler
 
 
 def test_tsetlin_faces_uniform3():
@@ -65,20 +63,6 @@ def test_face_lists_refuse_past_their_cap(build, entries):
         build(entries - 1)
 
 
-def test_riffle_sampler_matches_enumeration():
-    n, a = 3, 2
-    w = cw.riffle_faces(n, a)
-    index = {f: i for i, f in enumerate(w.faces)}
-    counts = np.zeros(len(w.faces))
-    rng = np.random.default_rng(19)
-    trials = 100_000
-    for _ in range(trials):
-        blocks = riffle_mark_sampler(n, a, rng)
-        counts[index[cw.partition_to_sign_vector(blocks, n)]] += 1
-    _, pval = stats.chisquare(counts, trials * w.weights)
-    assert pval > 0.001
-
-
 def test_k_to_top_counts():
     w = cw.k_to_top_faces(4, 2)
     assert len(w.faces) == 6
@@ -118,7 +102,7 @@ def test_hypercube_nn_faces():
         assert len(support(f)) == 1
     arr = cw.build_boolean(2)
     assert np.allclose(cw.stationary_solve(arr, w), 0.25, atol=1e-10)
-    assert cw.survival_exact(arr, w, 2) == pytest.approx(0.5, abs=1e-12)
+    assert cw.survival_exact_profile(arr, w, [2])[2] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_hypercube_nn_symmetric_uniform_stationary():
@@ -185,15 +169,15 @@ def test_tsetlin_bounds_preconditions():
     assert 0 <= rep.lower_value <= 1
 
 
-def test_tsetlin_survival_exact_values():
+def test_tsetlin_survival_profile_values():
     spec = cw.TsetlinSpec([1 / 3, 1 / 3, 1 / 3])
-    assert cw.tsetlin_survival_exact(spec, 2) == pytest.approx(1 / 3, abs=1e-12)
+    assert cw.tsetlin_survival_profile(spec, [2])[2] == pytest.approx(1 / 3, abs=1e-12)
     spec2 = cw.TsetlinSpec([0.5, 0.3, 0.2])
     # T > 2 iff both picks equal: 0.25 + 0.09 + 0.04
-    assert cw.tsetlin_survival_exact(spec2, 2) == pytest.approx(0.38, abs=1e-12)
+    assert cw.tsetlin_survival_profile(spec2, [2])[2] == pytest.approx(0.38, abs=1e-12)
     for n in (3, 4, 6):
         spec_n = cw.TsetlinSpec(np.full(n, 1 / n))
-        assert cw.tsetlin_survival_exact(spec_n, 1) == 1.0
+        assert cw.tsetlin_survival_profile(spec_n, [1])[1] == 1.0
 
 
 def test_tsetlin_survival_answers_where_the_float_sum_cancels():
@@ -217,7 +201,7 @@ def test_tsetlin_survival_answers_where_the_float_sum_cancels():
 def test_tsetlin_survival_capacity():
     spec = cw.TsetlinSpec(np.full(25, 1 / 25))
     with pytest.raises(CapacityError):
-        cw.tsetlin_survival_exact(spec, 10)
+        cw.tsetlin_survival_profile(spec, [10])
 
 
 @pytest.mark.parametrize("weights", [[1 / 3] * 3, [0.25] * 4, [0.2] * 5])
@@ -267,8 +251,8 @@ def test_fill_survival_matches_inclusion_exclusion():
     arr = cw.build_braid(4)
     w = cw.tsetlin_faces(spec)
     for t in range(0, 20):
-        assert cw.survival_exact(arr, w, t) == pytest.approx(
-            cw.tsetlin_survival_exact(spec, t), abs=1e-12
+        assert cw.survival_exact_profile(arr, w, [t])[t] == pytest.approx(
+            cw.tsetlin_survival_profile(spec, [t])[t], abs=1e-12
         )
 
 
@@ -277,7 +261,7 @@ def test_sample_card_collection_T_uniform_matches_exact():
     T = cw.sample_card_collection_T(spec, 100_000, seed=3)
     for t in (4, 6, 10, 15):
         p = (T > t).mean()
-        exact = cw.tsetlin_survival_exact(spec, t)
+        exact = cw.tsetlin_survival_profile(spec, [t])[t]
         se = max(np.sqrt(exact * (1 - exact) / len(T)), 1e-4)
         assert abs(p - exact) < 4 * se
 
@@ -287,7 +271,7 @@ def test_sample_card_collection_T_weighted_matches_exact():
     T = cw.sample_card_collection_T(spec, 20_000, seed=4)
     for t in (2, 4, 8):
         p = (T > t).mean()
-        exact = cw.tsetlin_survival_exact(spec, t)
+        exact = cw.tsetlin_survival_profile(spec, [t])[t]
         se = max(np.sqrt(exact * (1 - exact) / len(T)), 1e-3)
         assert abs(p - exact) < 4 * se
 

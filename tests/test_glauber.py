@@ -25,7 +25,7 @@ def test_ising_rejects_negative_beta_and_capacity():
     with pytest.raises(ValueError):
         cw.ising_system(2, 2, beta=-0.5)
     with pytest.raises(CapacityError):
-        cw.ising_system(5, 5, beta=0.1)
+        cw.glauber_matrix(cw.ising_system(5, 5, beta=0.1))
 
 
 def test_conditional_values():
@@ -140,14 +140,14 @@ def test_glauber_matrix_stochastic_and_stationary():
 
 def test_separation_t0_and_two_site_value():
     sys_ = cw.product_system(2)
-    s0, _ = cw.glauber_separation_exact(sys_, 0)
+    s0, _ = cw.glauber_separation_profile(sys_, [0])[0]
     assert s0 == pytest.approx(1.0)
     # independent fair spins: s(t) = P(some site never picked)
     for t in (1, 2, 3, 5):
-        s, ratio = cw.glauber_separation_exact(sys_, t)
+        s, ratio = cw.glauber_separation_profile(sys_, [t])[t]
         assert s == pytest.approx(cw.coupon_survival_uniform(2, t), abs=1e-12)
         assert s >= ratio - 1e-12
-    s2, _ = cw.glauber_separation_exact(sys_, 2)
+    s2, _ = cw.glauber_separation_profile(sys_, [2])[2]
     assert s2 == pytest.approx(0.5, abs=1e-12)
 
 

@@ -1,9 +1,11 @@
 """Differential properties of the exact engines on random walks.  The
-survival P(T > t): random positive weights on random face subsets of
+survival P(T > t), and s(t) against the survival conditioned on the chamber
+at which the walk freezes: random positive weights on random face subsets of
 boolean(2..4) and braid(3..4), kept only when they separate the hyperplanes.
 One start per orbit: class-constant card weights on braid(3..5), and Ising
 grids of at most 9 sites."""
 
+import collections
 import itertools
 
 import numpy as np
@@ -83,6 +85,61 @@ def test_total_variation_below_survival_below_separation(walk):
     survival = cw.survival_exact_profile(arr, w, TIMES)
     for t, (s, tv) in cw.distance_profiles(arr, w, TIMES).items():
         assert tv <= survival[t] + 1e-12 and survival[t] <= s + 1e-12, t
+
+
+def freeze_chamber_survivals(w, times):
+    """Oracle for s(t) = max_C P(T > t | Z = C), Z the chamber at which the
+    forward product F_1 F_2 ... freezes (Brown-Diaconis).  The forward chain
+    moves a face G to G F with weight w(F), and chambers absorb.  h(G), the
+    law of Z from G, comes exactly by dynamic programming over the zero
+    count, which every move off G lowers; the mass mu_t on faces comes by
+    pushing the chain t steps from the all-zero face.  Returns pi = h(0) and
+    {t: {C: P(T > t, Z = C)}}, with P(T > t, Z = C) = sum over the faces G
+    that are not chambers of mu_t(G) h(G)(C)."""
+    h = {}
+
+    def law(G):
+        if G in h:
+            return h[G]
+        if is_chamber(G):
+            h[G] = {G: 1.0}
+            return h[G]
+        moved, stay = collections.defaultdict(float), 0.0
+        for F, wt in zip(w.faces, w.weights):
+            if (GF := face_product(G, F)) == G:
+                stay += wt
+            else:
+                for C, p in law(GF).items():
+                    moved[C] += wt * p
+        h[G] = {C: p / (1.0 - stay) for C, p in moved.items()}
+        return h[G]
+
+    zero = (0,) * w.m
+    mu, alive = {zero: 1.0}, {}
+    for t in range(1, max(times) + 1):
+        pushed = collections.defaultdict(float)
+        for G, p in mu.items():
+            for F, wt in zip(w.faces, w.weights):
+                pushed[face_product(G, F)] += p * wt
+        mu = pushed
+        if t in times:
+            alive[t] = collections.defaultdict(float)
+            for G, p in mu.items():
+                if not is_chamber(G):
+                    for C, q in law(G).items():
+                        alive[t][C] += p * q
+    return law(zero), alive
+
+
+@CASES
+@given(walks())
+def test_separation_is_the_largest_conditional_survival(walk):
+    arr, w = walk
+    pi, alive = freeze_chamber_survivals(w, TIMES)
+    got = cw.separation_profile(arr, w, TIMES)
+    for t in TIMES:
+        s = max(alive[t][C] / pi[C] for C in pi if pi[C] > 0)
+        assert abs(got[t] - s) <= 1e-12, t
 
 
 @st.composite

@@ -4,7 +4,7 @@ from scipy import stats
 
 import chamberwalk as cw
 from chamberwalk.core import is_chamber, face_product
-from chamberwalk.walk import sample_T_batch, trial_rng
+from chamberwalk.walk import sample_T_batch
 
 
 def _boolean2_uniform():
@@ -38,7 +38,6 @@ def test_long_run_law_uniform():
     rng = np.random.default_rng(5)
     trials = 100_000
     # t=12 is far past mixing for 2 coordinates
-    supports = w.supports()
     faces = w.faces
     for _ in range(trials):
         cur = (1, 1)
@@ -61,8 +60,7 @@ def test_sample_T_mean_boolean2():
 
 def test_sample_T_is_one_when_chamber_face_drawn_first():
     w = cw.weighted_faces([((1,), 0.6), ((-1,), 0.4)])
-    for k in range(50):
-        assert cw.sample_T(w, rng=trial_rng(0, k)) == 1
+    assert sample_T_batch(w, 50, seed=0).tolist() == [1] * 50
 
 
 def test_tsetlin3_T_equals_2_probability():
@@ -100,16 +98,18 @@ def test_survival_estimate_deterministic():
 
 def test_uncut_tracking_matches_full_product():
     # T from the uncut set must equal the first step where the explicit
-    # face product becomes a chamber
+    # face product becomes a chamber, replaying the one-trial batch's
+    # inverse-CDF draws
     w = cw.tsetlin_faces(cw.TsetlinSpec([0.5, 0.3, 0.2]))
+    cdf = np.cumsum(w.weights)
+    cdf /= cdf[-1]
     for k in range(1000):
-        rng = trial_rng(77, k)
-        T = cw.sample_T(w, rng=trial_rng(77, k))
-        rng = trial_rng(77, k)
+        T = int(sample_T_batch(w, 1, seed=k)[0])
+        rng = np.random.default_rng(k)
         prod = None
         first_chamber = None
         for step in range(1, T + 5):
-            f = w.faces[rng.choice(len(w.faces), p=w.weights)]
+            f = w.faces[int(np.searchsorted(cdf, rng.random(1), side="right")[0])]
             prod = f if prod is None else face_product(prod, f)
             if first_chamber is None and is_chamber(prod):
                 first_chamber = step

@@ -67,6 +67,8 @@ def ising_system(width, height, beta, field=0.0):
     if min(width, height) < 1:
         raise ValueError(f"need at least one site, got {width}x{height}")
     n = width * height
+    if n > DEFAULT_STATE_CAP.bit_length() - 1:  # refuse before building the 2n edges
+        raise CapacityError(f"{n} sites: 2^{n} configurations exceeds cap {DEFAULT_STATE_CAP}")
     edges = grid_edges(width, height)
 
     def log_weight(sigma):

@@ -85,10 +85,9 @@ class SurvivalEstimate:
 def survival_from_samples(samples, t_grid, seed=0):
     """Turn T samples into a SurvivalEstimate over a time grid, in its order."""
     t_grid = list(t_grid)
-    _times(t_grid)  # a negative or a fractional time raises ValueError
-    t_grid = np.asarray(t_grid, dtype=np.int64)
-    if t_grid.size == 0:
+    if not _times(t_grid):  # a negative or a fractional time raises ValueError
         raise ValueError("empty time grid")
+    t_grid = np.asarray(t_grid, dtype=np.int64)
     samples = np.asarray(samples)
     trials = len(samples)
     p_hat = np.array([(samples > t).mean() for t in t_grid])
@@ -103,4 +102,6 @@ def estimate_survival(w, t_grid, trials, seed):
     trial; deterministic in (seed, trials)."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    t_grid = list(t_grid)
+    _times(t_grid)  # a bad time raises before any T is drawn
     return survival_from_samples(sample_T_batch(w, trials, seed), t_grid, seed=seed)

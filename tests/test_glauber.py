@@ -25,7 +25,7 @@ def test_ising_rejects_negative_beta_and_capacity():
     with pytest.raises(ValueError):
         cw.ising_system(2, 2, beta=-0.5)
     with pytest.raises(CapacityError):
-        cw.glauber_matrix(cw.ising_system(5, 5, beta=0.1))
+        cw.ising_system(5, 5, beta=0.1)
 
 
 def test_conditional_values():

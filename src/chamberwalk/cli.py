@@ -283,8 +283,8 @@ def cmd_exact(args, params):
     faces, arrangement, _ = build_family(args.family, params)
     arr, w = arrangement(DEFAULT_CHAMBER_CAP), faces()  # no face listed past the cap
     grid = parse_t_grid(args.t_grid)
+    surv = survival_exact_profile(arr, w, grid)  # its hyperplane cap refuses before the walk
     path, starts, dist = _profiles(arr, w, grid)
-    surv = survival_exact_profile(arr, w, grid)
     rows = [(t, *dist[t], surv[t], None, None) for t in grid]
     extra = [("exact_path", path), ("chambers", arr.n_chambers), ("starts", starts)]
     write_csv(args.out, _meta(args, params, extra), rows)

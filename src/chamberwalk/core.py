@@ -8,6 +8,7 @@ from C to F*C for a face F drawn from a weight measure.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass, field
@@ -24,6 +25,7 @@ _SIGN_TO_CHAR = {PLUS: "+", MINUS: "-", ZERO: "0"}
 # Default caps on built-in chambers and on face products checked for closure.
 DEFAULT_FACE_LIMIT = 1_000_000
 DEFAULT_CLOSURE_PRODUCT_LIMIT = 1_000_000
+_ROW_CELLS = 2**16  # sign entries made tuples in one block of rows
 
 
 class DimensionError(ValueError):
@@ -62,9 +64,17 @@ def is_chamber(f):
     return all(x != ZERO for x in f)
 
 
-def support(f):
-    """Indices of the nonzero coordinates (hyperplanes the face is not on)."""
-    return tuple(i for i, x in enumerate(f) if x != ZERO)
+def _bits(x):
+    """Rows of signs as packed bits, one per hyperplane: set where x > 0."""
+    return np.packbits(x > 0, axis=-1)
+
+
+def _keys(bits):
+    """Rows of packed bits as raw-byte scalars; with no hyperplanes all are equal."""
+    if not bits.shape[-1]:
+        return np.zeros(bits.shape[:-1], dtype="V1")
+    bits = np.ascontiguousarray(bits)
+    return bits.view(np.dtype((np.void, bits.shape[-1])))[..., 0]
 
 
 @dataclass(frozen=True)
@@ -80,19 +90,34 @@ class Arrangement:
     chambers: tuple
     faces: tuple | None
     family_tag: str
-    _chamber_index: dict = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "_chamber_index", {c: i for i, c in enumerate(self.chambers)}
-        )
 
     @property
     def n_chambers(self):
         return len(self.chambers)
 
+    @functools.cached_property
+    def signs(self):
+        """The chambers as an int8 array, one row each."""
+        return np.array(self.chambers, dtype=np.int8).reshape(self.n_chambers, self.m)
+
+    @functools.cached_property
+    def _sorted_keys(self):
+        order = np.argsort(keys := _keys(_bits(self.signs)))
+        return keys[order], order
+
+    def _find(self, bits):
+        """The index among the chambers of each chamber given as _bits, or -1
+        where it is none of them; any bits at all need one chamber at least."""
+        (known, order), k = self._sorted_keys, _keys(bits)
+        pos = np.minimum(np.searchsorted(known, k), len(known) - 1)
+        return np.where(known[pos] == k, order[pos], -1)
+
     def chamber_index(self, c):
-        return self._chamber_index[c]
+        """The index of chamber c; KeyError if c is not one of the chambers."""
+        i = self._find(_bits(np.array(c))) if self.chambers and len(c) == self.m else -1
+        if i < 0 or not is_chamber(c):
+            raise KeyError(c)
+        return int(i)
 
 
 @dataclass(frozen=True)
@@ -102,6 +127,7 @@ class WeightedFaceSet:
 
     faces: tuple
     weights: np.ndarray
+    signs: np.ndarray = field(init=False, repr=False, compare=False)  # int8, a row per face
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
@@ -117,21 +143,12 @@ class WeightedFaceSet:
         lengths = {len(f) for f in self.faces}
         if len(lengths) > 1:
             raise DimensionError("faces have inconsistent lengths")
+        signs = np.array(self.faces, dtype=np.int8).reshape(len(w), self.m)
+        object.__setattr__(self, "signs", signs)
 
     @property
     def m(self):
         return len(self.faces[0])
-
-    def zero_masks(self):
-        """Per-face bitmask of hyperplanes the face lies on (zero coords)."""
-        masks = []
-        for f in self.faces:
-            mask = 0
-            for i, x in enumerate(f):
-                if x == ZERO:
-                    mask |= 1 << i
-            masks.append(mask)
-        return masks
 
 
 def weighted_faces(pairs):
@@ -198,6 +215,24 @@ def partition_to_sign_vector(blocks, n):
     return tuple(coords)
 
 
+def braid_signs(pos):
+    """Sign vectors of ordered set partitions of n cards, one per row of pos,
+    a signed integer array where pos[..., x] is the position of card x's
+    block: as int8, the coordinate of pair (i, j), i < j, in braid_pair_index
+    order, is the sign of pos[j] - pos[i], as partition_to_sign_vector sets it."""
+    i, j = np.triu_indices(pos.shape[-1], 1)
+    return np.sign(pos[..., j] - pos[..., i]).astype(np.int8)
+
+
+def _sign_rows(x, make, width):
+    """Yield the rows of make(x), an int8 array of width signs per row of x,
+    as tuples of Python ints, made from one block of rows of x at a time, of
+    about _ROW_CELLS signs."""
+    step = max(1, _ROW_CELLS // max(width, 1))
+    for lo in range(0, len(x), step):
+        yield from map(tuple, make(x[lo:lo + step]).tolist())
+
+
 def ordered_set_partitions(items):
     """Yield all ordered partitions of ``items`` into nonempty blocks."""
     items = list(items)
@@ -234,10 +269,8 @@ def build_braid(n, face_limit=DEFAULT_FACE_LIMIT):
         raise ValueError("braid arrangement needs n >= 2")
     if math.factorial(n) > face_limit:
         raise CapacityError(f"{n}! chambers exceeds limit {face_limit}")
-    chambers = tuple(
-        partition_to_sign_vector([{x} for x in perm], n)
-        for perm in itertools.permutations(range(n))
-    )
+    pos = np.argsort(list(itertools.permutations(range(n))), axis=1)  # each card's place
+    chambers = tuple(_sign_rows(pos, braid_signs, braid_m(n)))
     return Arrangement(
         m=braid_m(n),
         chambers=chambers,
@@ -292,11 +325,7 @@ def chamber_to_permutation(c, n):
 def violated_hyperplanes(w):
     """Hyperplanes not separated by the measure: indices i such that every
     positively weighted face has a zero coordinate at i."""
-    covered = [False] * w.m
-    for f in w.faces:
-        for i in support(f):
-            covered[i] = True
-    return [i for i, ok in enumerate(covered) if not ok]
+    return np.flatnonzero(~w.signs.any(axis=0)).tolist()
 
 
 def check_separating(w):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CapacityError, check_separating, face_product, is_chamber
+from .core import CapacityError, _bits, check_separating, face_product, is_chamber
 from .core import symmetry_generators, weighted_faces
 
 DEFAULT_CHAMBER_CAP = 10_000
@@ -26,47 +26,20 @@ _TABLE_CELLS = 2**20  # bytes of packed products in one block of faces
 _PAIR_CELLS = 2**20  # entries of the m x m pair matrix of coupling_parameters
 
 
-def _signs(rows, m):
-    return np.array(rows, dtype=np.int8).reshape(len(rows), m)
-
-
-def _bits(x):
-    """Rows of signs as packed bits, one per hyperplane: set where x > 0."""
-    return np.packbits(x > 0, axis=-1)
-
-
-def _chamber_finder(arr, chamber_cap):
-    """Vectorized arr.chamber_index, once the chamber cap holds: the index of
-    each chamber given as _bits among arr's chambers, or -1 if it is none."""
+def _check_chambers(arr, chamber_cap):
     if arr.n_chambers > chamber_cap:
         raise CapacityError(f"{arr.n_chambers} chambers exceeds exact-mode cap {chamber_cap}")
 
-    def keys(bits):  # compared as raw bytes; with no hyperplanes all are equal
-        if not bits.shape[-1]:
-            return np.zeros(bits.shape[:-1], dtype="V1")
-        bits = np.ascontiguousarray(bits)
-        return bits.view(np.dtype((np.void, bits.shape[-1])))[..., 0]
 
-    order = np.argsort(known := keys(_bits(_signs(arr.chambers, arr.m))))
-    known = known[order]
-
-    def find(bits):
-        k = keys(bits)
-        pos = np.minimum(np.searchsorted(known, k), len(known) - 1)
-        return np.where(known[pos] == k, order[pos], -1)
-
-    return find
-
-
-def _product_table(arr, w, find):
+def _product_table(arr, w):
     """(faces, chambers) array of the index of F C, built on packed bits in
     blocks of faces of at most _TABLE_CELLS bytes (one face at least); a
     product that is not a chamber of arr raises ValueError."""
-    C, F = _bits(_signs(arr.chambers, arr.m)), _signs(w.faces, arr.m)
+    C, F = _bits(arr.signs), w.signs
     plus, on = _bits(F)[:, np.newaxis], np.packbits(F != 0, axis=1)[:, np.newaxis]
     rows = max(1, _TABLE_CELLS // max(C.size, 1))
     table = np.concatenate([np.empty((0, len(C)), dtype=np.intp)] + [
-        find(C & ~on[i:i + rows] | plus[i:i + rows]) for i in range(0, len(F), rows)])
+        arr._find(C & ~on[i:i + rows] | plus[i:i + rows]) for i in range(0, len(F), rows)])
     if np.any(table < 0):
         raise ValueError("a face product is not a chamber of the arrangement")
     return table
@@ -87,23 +60,23 @@ def _push(succ, prob, law):
     return np.bincount(succ.ravel(), (prob * law).ravel(), law.size)
 
 
-def transition_matrix(arr, w, chamber_cap=DEFAULT_CHAMBER_CAP, find=None):
+def transition_matrix(arr, w, chamber_cap=DEFAULT_CHAMBER_CAP):
     """Row-stochastic matrix P[C, D] = sum of w(F) over faces with FC = D,
-    each cell summed in face order; find, if given, is _chamber_finder's."""
-    table = _product_table(arr, w, find or _chamber_finder(arr, chamber_cap))
-    return _matrix(table, w.weights[:, np.newaxis])
+    each cell summed in face order."""
+    _check_chambers(arr, chamber_cap)
+    return _matrix(_product_table(arr, w), w.weights[:, np.newaxis])
 
 
-def _symmetries(arr, w, find):
+def _symmetries(arr, w):
     """The chamber permutations of the candidates symmetry_generators(arr)
     that pass the check: each maps the chambers onto the chambers and each
     weighted face to one of exactly equal total weight (a face listed twice
     weighs the sum of its entries), so that P(gx, gy) = P(x, y)."""
     w = weighted_faces(zip(w.faces, w.weights))
-    C, F = _signs(arr.chambers, arr.m), _signs(w.faces, arr.m)
     weight, maps = dict(zip(w.faces, w.weights)), []
     for src, sign in symmetry_generators(arr):
-        g, images = find(_bits(sign * C[:, src])), map(tuple, (sign * F[:, src]).tolist())
+        g = arr._find(_bits(sign * arr.signs[:, src]))
+        images = map(tuple, (sign * w.signs[:, src]).tolist())
         if g.min() >= 0 and all(weight.get(f) == wt for f, wt in zip(images, w.weights)):
             maps.append(g)
     return maps
@@ -122,14 +95,14 @@ def _orbits(maps, n):
     return orbit, starts
 
 
-def _chain(arr, w, find, orbit, starts):
+def _chain(arr, w, orbit, starts):
     """P from one build, and pi from one solve of pi P = pi, sum(pi) = 1, on
     the chain lumped by orbit, one row per start: as the symmetries fix pi,
     pi(x) is the orbit's mass over its size.  The residual gate and the
     closed class are taken on the full chain."""
     if not check_separating(w):
         raise ValueError("non-separating weights: stationary law not unique")
-    P = transition_matrix(arr, w, find=find)
+    P = transition_matrix(arr, w, arr.n_chambers)  # the caller checked the cap
     ell, r = P.shape[0], len(starts)  # lumped: P's rows at the starts, summed by orbit
     by_orbit = np.broadcast_to(orbit[:, np.newaxis], (ell, r))
     lumped = P if r == ell else _matrix(by_orbit, P[starts].T)
@@ -150,8 +123,8 @@ def _chain(arr, w, find, orbit, starts):
 def stationary_solve(arr, w, chamber_cap=DEFAULT_CHAMBER_CAP):
     """Stationary probability vector: solves pi P = pi, sum(pi) = 1, on the
     chain lumped by the orbits of the weights' symmetries (see _chain)."""
-    find = _chamber_finder(arr, chamber_cap)
-    return _chain(arr, w, find, *_orbits(_symmetries(arr, w, find), arr.n_chambers))[1]
+    _check_chambers(arr, chamber_cap)
+    return _chain(arr, w, *_orbits(_symmetries(arr, w), arr.n_chambers))[1]
 
 
 def stationary_without_replacement(arr, w, max_enum_faces=ENUM_ORDERING_FACE_CAP):
@@ -167,11 +140,11 @@ def stationary_without_replacement(arr, w, max_enum_faces=ENUM_ORDERING_FACE_CAP
     n_faces, weights = len(w.faces), w.weights
     if n_faces > max_enum_faces:
         raise CapacityError(f"{n_faces} weighted faces exceeds enumeration cap {max_enum_faces}")
-    pi = np.zeros(arr.n_chambers)
+    mass, pi = collections.defaultdict(float), np.zeros(arr.n_chambers)
 
     def recurse(prefix, remaining, prob):
         if prefix is not None and is_chamber(prefix):
-            pi[arr.chamber_index(prefix)] += prob
+            mass[prefix] += prob
             return
         total = weights[remaining].sum()
         for k in remaining:
@@ -179,6 +152,8 @@ def stationary_without_replacement(arr, w, max_enum_faces=ENUM_ORDERING_FACE_CAP
             recurse(nxt, [j for j in remaining if j != k], prob * weights[k] / total)
 
     recurse(None, list(range(n_faces)), 1.0)
+    for c, p in mass.items():  # one lookup per chamber reached
+        pi[arr.chamber_index(c)] = p
     return pi
 
 
@@ -226,14 +201,15 @@ def _profiles(arr, w, t_grid, chamber_cap=DEFAULT_CHAMBER_CAP):
     is 'orbits', or 'dense' when each chamber is its own orbit."""
     if not check_separating(w):
         raise ValueError("non-separating weights: stationary law not unique")
-    find, ell = _chamber_finder(arr, chamber_cap), arr.n_chambers
-    orbit, starts = _orbits(_symmetries(arr, w, find), ell)
+    _check_chambers(arr, chamber_cap)
+    ell = arr.n_chambers
+    orbit, starts = _orbits(_symmetries(arr, w), ell)
     if len(starts) == 1:
-        step = functools.partial(_push, _product_table(arr, w, find), w.weights[:, np.newaxis])
+        step = functools.partial(_push, _product_table(arr, w), w.weights[:, np.newaxis])
         return "one-start", 1, {
             t: (float(1.0 - ell * nu.min()), float(0.5 * np.abs(nu - 1.0 / ell).sum()))
             for t, nu in _walk((np.arange(ell) == 0).astype(float), step, t_grid)}
-    P, pi = _chain(arr, w, find, orbit, starts)
+    P, pi = _chain(arr, w, orbit, starts)
     return "dense" if len(starts) == ell else "orbits", len(starts), {
         t: (separation(R, pi), float(0.5 * np.abs(R - pi).sum(axis=1).max()))
         for t, R in _row_walk(P, starts, t_grid)}
@@ -327,7 +303,7 @@ def _mobius_form(arr, w, hyperplane_cap):
             f"m={m} exceeds inclusion-exclusion cap {hyperplane_cap}; "
             "use Monte Carlo survival estimation"
         )
-    masks = np.array(w.zero_masks(), dtype=np.int64)
+    masks = (w.signs == 0) @ (1 << np.arange(m, dtype=np.int64))
     q = _rates(masks, w.weights, m, slice(None))
     cl = np.full(1 << m, (1 << m) - 1, dtype=np.int64)
     cl[masks] = masks
@@ -369,7 +345,7 @@ def coupling_parameters(w):
     """
     if (m := w.m) ** 2 > _PAIR_CELLS:
         raise CapacityError(f"m={m} hyperplanes: {m}^2 pairs exceeds cap {_PAIR_CELLS}")
-    cut = _signs(w.faces, m) != 0
+    cut = w.signs != 0
     b = w.weights @ cut
     d = (cut.T * w.weights) @ cut * ~np.eye(m, dtype=bool)
     off = d[~np.eye(m, dtype=bool)]

@@ -13,15 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    CapacityError,
-    MINUS,
-    PLUS,
-    ZERO,
-    braid_m,
-    partition_to_sign_vector,
-    weighted_faces,
-)
+from .core import CapacityError, _sign_rows, braid_m, braid_signs, weighted_faces
 from .exact import _power_sums, _rates
 
 DEFAULT_ENUM_CAP = 10_000_000  # sign entries, faces x hyperplanes, one face list enumerates
@@ -68,12 +60,8 @@ def tsetlin_faces(spec, enum_cap=DEFAULT_ENUM_CAP):
     if n < 2:
         raise ValueError("tsetlin faces need n >= 2")
     _check_entries(n, braid_m(n), enum_cap, "; use sample_card_collection_T")
-    rest_all = set(range(n))
-    pairs = []
-    for j, wt in enumerate(spec.card_weights):
-        blocks = [{j}, rest_all - {j}]
-        pairs.append((partition_to_sign_vector(blocks, n), wt))
-    return weighted_faces(pairs)
+    pos = 1 - np.eye(n, dtype=np.int8)  # card j in block 0, the rest in block 1
+    return weighted_faces(zip(_sign_rows(pos, braid_signs, braid_m(n)), spec.card_weights))
 
 
 def riffle_faces(n, a, enum_cap=DEFAULT_ENUM_CAP):
@@ -83,16 +71,11 @@ def riffle_faces(n, a, enum_cap=DEFAULT_ENUM_CAP):
     if n < 2 or a < 2:
         raise ValueError(f"riffle faces need n >= 2 and a >= 2, got n={n} a={a}")
     _check_entries(a**n, braid_m(n), enum_cap)
-    total = a**n
-    pairs = []
-    for marks in itertools.product(range(a), repeat=n):
-        blocks = [
-            {c for c, mk in enumerate(marks) if mk == v}
-            for v in range(a)
-            if any(mk == v for mk in marks)
-        ]
-        pairs.append((partition_to_sign_vector(blocks, n), 1.0 / total))
-    return weighted_faces(pairs)
+    # one row of marks per mark function, in itertools.product order and the
+    # smallest signed type that holds them: the marks order the blocks
+    marks = np.indices((a,) * n, dtype=np.min_scalar_type(-a)).reshape(n, -1).T
+    rows = _sign_rows(marks, braid_signs, braid_m(n))
+    return weighted_faces(zip(rows, itertools.repeat(1.0 / a**n)))
 
 
 def riffle_coupling_closed_form(a):
@@ -111,11 +94,10 @@ def k_to_top_faces(n, k, enum_cap=DEFAULT_ENUM_CAP):
         raise ValueError("need 1 <= k < n")
     total = math.comb(n, k)
     _check_entries(total, braid_m(n), enum_cap)
-    pairs = []
-    for S in itertools.combinations(range(n), k):
-        blocks = [set(S), set(range(n)) - set(S)]
-        pairs.append((partition_to_sign_vector(blocks, n), 1.0 / total))
-    return weighted_faces(pairs)
+    pos = np.ones((total, n), dtype=np.int8)  # S in block 0, the rest in block 1
+    pos[np.arange(total)[:, np.newaxis], list(itertools.combinations(range(n), k))] = 0
+    rows = _sign_rows(pos, braid_signs, braid_m(n))
+    return weighted_faces(zip(rows, itertools.repeat(1.0 / total)))
 
 
 def kset_coupling_closed_form(n, k):
@@ -139,14 +121,9 @@ def top_bottom_faces(n, card_weights=None, enum_cap=DEFAULT_ENUM_CAP):
     if n < 2 or len(w) != n:
         raise ValueError(f"top-bottom faces need n >= 2 and one weight per card, got n={n}")
     _check_entries(2 * n, braid_m(n), enum_cap)
-    rest_all = set(range(n))
-    pairs = []
-    for c, wt in enumerate(w):
-        top = [{c}, rest_all - {c}]
-        bottom = [rest_all - {c}, {c}]
-        pairs.append((partition_to_sign_vector(top, n), wt / 2.0))
-        pairs.append((partition_to_sign_vector(bottom, n), wt / 2.0))
-    return weighted_faces(pairs)
+    on_top = np.eye(n, dtype=np.int8)  # card c's top face, then its bottom face
+    pos = np.stack([1 - on_top, on_top], axis=1).reshape(2 * n, n)
+    return weighted_faces(zip(_sign_rows(pos, braid_signs, braid_m(n)), np.repeat(w / 2.0, 2)))
 
 
 def hypercube_nn_faces(w_plus, w_minus, enum_cap=DEFAULT_ENUM_CAP):
@@ -158,13 +135,9 @@ def hypercube_nn_faces(w_plus, w_minus, enum_cap=DEFAULT_ENUM_CAP):
         raise ValueError("w_plus and w_minus length mismatch")
     n = len(wp)  # WeightedFaceSet checks the weights: positive, summing to 1
     _check_entries(2 * n, n, enum_cap)
-    pairs = []
-    for i in range(n):
-        e_plus = tuple(PLUS if j == i else ZERO for j in range(n))
-        e_minus = tuple(MINUS if j == i else ZERO for j in range(n))
-        pairs.append((e_plus, wp[i]))
-        pairs.append((e_minus, wm[i]))
-    return weighted_faces(pairs)
+    signs = np.kron(np.eye(n, dtype=np.int8), np.int8([[1], [-1]]))  # e_i^+ then e_i^-, each i
+    rows = _sign_rows(signs, lambda block: block, n)
+    return weighted_faces(zip(rows, np.stack([wp, wm], axis=1).ravel()))
 
 
 def hypercube_nonlocal_faces(n, k, enum_cap=DEFAULT_ENUM_CAP):
@@ -174,14 +147,10 @@ def hypercube_nonlocal_faces(n, k, enum_cap=DEFAULT_ENUM_CAP):
         raise ValueError("need 1 < k <= n/2")
     count = math.comb(n, k) * 2**k
     _check_entries(count, n, enum_cap, "; use sample_kset_coupon_T")
-    pairs = []
-    for S in itertools.combinations(range(n), k):
-        for signs in itertools.product((PLUS, MINUS), repeat=k):
-            f = [ZERO] * n
-            for idx, s in zip(S, signs):
-                f[idx] = s
-            pairs.append((tuple(f), 1.0 / count))
-    return weighted_faces(pairs)
+    supports = np.eye(n, dtype=np.int8)[list(itertools.combinations(range(n), k))]
+    flips = 1 - 2 * np.indices((2,) * k, dtype=np.int8).reshape(k, -1).T  # product((+1, -1))
+    rows = _sign_rows((flips @ supports).reshape(count, n), lambda block: block, n)
+    return weighted_faces(zip(rows, itertools.repeat(1.0 / count)))
 
 
 def solve_t_star(spec):
@@ -269,14 +238,14 @@ def tsetlin_bounds(spec, c, strict=True):
     )
 
 
-def tsetlin_survival_profile(spec, t_grid, exact_cap=DEFAULT_TSETLIN_EXACT_CAP):
+def tsetlin_survival_profile(spec, t_grid):
     """P(T > t) = P(at least two cards untouched at t) in Möbius form: the sum
     over card sets U with |U| >= 2 of (-1)^|U| (|U| - 1) w(rest)^t, where
     w(rest) is the weight of the cards outside U."""
     n = spec.n
-    if n > exact_cap:
+    if n > DEFAULT_TSETLIN_EXACT_CAP:
         raise CapacityError(
-            f"n={n} exceeds the 2^n cap {exact_cap}; use sample_card_collection_T"
+            f"n={n} exceeds the 2^n cap {DEFAULT_TSETLIN_EXACT_CAP}; use sample_card_collection_T"
         )
     size = np.bitwise_count(np.arange(1 << n)).astype(np.int64)
     sets = np.flatnonzero(size >= 2)

@@ -32,10 +32,10 @@ class MonotoneSystem:
     name: str = "custom"
     symmetries: tuple = ()
 
-    def configurations(self, state_cap=DEFAULT_STATE_CAP):
-        count = len(self.spins) ** self.n_sites
-        if count > state_cap:
-            raise CapacityError(f"{count} configurations exceeds cap {state_cap}")
+    def configurations(self):
+        if len(self.spins) ** self.n_sites > DEFAULT_STATE_CAP:
+            raise CapacityError(f"{len(self.spins)}^{self.n_sites} configurations exceeds "
+                                f"cap {DEFAULT_STATE_CAP}")
         return list(itertools.product(self.spins, repeat=self.n_sites))
 
     @property
@@ -45,6 +45,12 @@ class MonotoneSystem:
     @property
     def bottom(self):
         return (min(self.spins),) * self.n_sites
+
+
+def _check_sites(n):
+    """Refuse n two-spin sites past the state cap before a system is built."""
+    if n > DEFAULT_STATE_CAP.bit_length() - 1:
+        raise CapacityError(f"{n} sites: 2^{n} configurations exceeds cap {DEFAULT_STATE_CAP}")
 
 
 def grid_edges(width, height):
@@ -66,9 +72,7 @@ def ising_system(width, height, beta, field=0.0):
         raise ValueError("antiferromagnetic coupling (beta < 0) is not monotone")
     if min(width, height) < 1:
         raise ValueError(f"need at least one site, got {width}x{height}")
-    n = width * height
-    if n > DEFAULT_STATE_CAP.bit_length() - 1:  # refuse before building the 2n edges
-        raise CapacityError(f"{n} sites: 2^{n} configurations exceeds cap {DEFAULT_STATE_CAP}")
+    _check_sites(n := width * height)  # before building the 2n edges
     edges = grid_edges(width, height)
 
     def log_weight(sigma):
@@ -88,6 +92,7 @@ def product_system(n, probs_up=None):
     conditionals."""
     if n < 1:
         raise ValueError(f"need at least one site, got n={n}")
+    _check_sites(n)
     if probs_up is None:
         probs_up = [0.5] * n
     probs_up = list(probs_up)
@@ -139,7 +144,7 @@ def comparable_pairs(configs):
                 yield a, b
 
 
-def check_monotone(sys, state_cap=DEFAULT_STATE_CAP):
+def check_monotone(sys):
     """Verify stochastic domination of single-site conditionals.
 
     For every comparable pair sigma <= tau and every site, the conditional
@@ -147,7 +152,7 @@ def check_monotone(sys, state_cap=DEFAULT_STATE_CAP):
     Returns (True, None) or (False, witness) with the violating
     (sigma, tau, site), the first in comparable_pairs order, then site order.
     """
-    configs, _, _, prob = _heat_bath(sys, state_cap)
+    configs, _, _, prob = _heat_bath(sys)
     cdf, spins = np.cumsum(prob, axis=1), np.array(configs)
     for a, sigma in enumerate(spins):
         above = np.all(sigma <= spins, axis=1) & (np.arange(len(configs)) != a)
@@ -157,12 +162,12 @@ def check_monotone(sys, state_cap=DEFAULT_STATE_CAP):
     return True, None
 
 
-def _heat_bath(sys, state_cap):
+def _heat_bath(sys):
     """(configs, pi, succ, prob) from one log_weight call per configuration:
     succ[u, s, i] is configuration i (itertools.product order) with site u
     set to spins[s], and prob[u, s, i] its heat-bath probability, computed as
     conditional_at_site computes it."""
-    configs = sys.configurations(state_cap)
+    configs = sys.configurations()
     logs = np.array([sys.log_weight(c) for c in configs])
     i, n_spins = np.arange(len(configs)), len(sys.spins)
     place = n_spins ** np.arange(sys.n_sites - 1, -1, -1)[:, np.newaxis, np.newaxis]
@@ -170,24 +175,24 @@ def _heat_bath(sys, state_cap):
     return configs, _softmax(logs, 0), succ, _softmax(logs[succ], 1)
 
 
-def stationary_distribution(sys, state_cap=DEFAULT_STATE_CAP):
-    return _heat_bath(sys, state_cap)[:2]
+def stationary_distribution(sys):
+    return _heat_bath(sys)[:2]
 
 
-def glauber_matrix(sys, state_cap=DEFAULT_STATE_CAP):
+def glauber_matrix(sys):
     """Exact transition matrix: pick a uniform site, resample from its
     conditional; each cell summed in (site, spin) order."""
-    configs, pi, succ, prob = _heat_bath(sys, state_cap)
+    configs, pi, succ, prob = _heat_bath(sys)
     return configs, pi, _matrix(succ, prob / sys.n_sites)
 
 
-def glauber_separation_profile(sys, t_grid, state_cap=DEFAULT_STATE_CAP, stats=None):
+def glauber_separation_profile(sys, t_grid, stats=None):
     """{t: (s(t), 1 - P^t(top, bottom) / pi(bottom))}, read off the rows of
     P^t at top and at one start per orbit of the candidate symmetries that
     fix pi bitwise: spin reversal and sys.symmetries.  Each such g has
     P(gx, gy) = P(x, y) and pi(gx) = pi(x), so the other rows relabel these.
     stats, if a dict, receives the counts of states and starts."""
-    configs, pi, P = glauber_matrix(sys, state_cap)
+    configs, pi, P = glauber_matrix(sys)
     i_top, i_bot = configs.index(sys.top), configs.index(sys.bottom)
     index = np.arange(len(configs)).reshape((len(sys.spins),) * sys.n_sites)
     maps = [g.ravel() for g in [np.flip(index), *map(index.transpose, sys.symmetries)]
@@ -214,12 +219,12 @@ def coupon_survival_uniform(n, t):
     return _power_sums(c, q, lambda: (range(n - 1, 0, -1), n), [t], n)[t]
 
 
-def coverage_conditioned_profile(sys, t_grid, state_cap=DEFAULT_STATE_CAP):
+def coverage_conditioned_profile(sys, t_grid):
     """Law of X^t started from the top configuration, conditioned on every
     site having been selected by time t, over a grid: evolves the joint
     (configuration, selected-site set) chain once and reads off every t.
     Returns (configs, {t: (conditional law, coverage probability)})."""
-    configs, _, succ, prob = _heat_bath(sys, state_cap)
+    configs, _, succ, prob = _heat_bath(sys)
     n, full = sys.n_sites, (1 << sys.n_sites) - 1
     # joint law over (config, touched-mask), started at (top, empty); a move
     # at site u takes (i, mask) to (succ[u, s, i], mask | 2^u)

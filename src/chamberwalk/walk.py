@@ -51,7 +51,7 @@ def sample_T_batch(w, trials, seed, step_cap=DEFAULT_STEP_CAP):
     _require_separating(w)
     bits = np.zeros((len(w.faces) + 1, 64 * -(-w.m // 64)), dtype=bool)
     bits[0, : w.m] = True  # every hyperplane starts uncut
-    bits[1:, : w.m] = np.array(w.faces) == 0  # a pick keeps the ones it lies on
+    bits[1:, : w.m] = w.signs == 0  # a pick keeps the ones it lies on
     packed = np.packbits(bits, axis=1, bitorder="little").view("<u8")
     uncut, keep = np.repeat(packed[:1], trials, axis=0), packed[1:]
     cdf = np.cumsum(w.weights)

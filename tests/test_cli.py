@@ -362,6 +362,7 @@ def test_hypercube_nonlocal_k_out_of_range_exit_2(k):
         ["glauber", "--family", "product", "--params", "n=0"],
         ["glauber", "--family", "ising", "--params", "width=0", "height=3"],
         ["glauber", "--family", "ising", "--params", "width=100000", "height=100000"],
+        ["glauber", "--family", "product", "--params", "n=20000000"],
         ["mc", "--family", "hypercube-nn", "--params", "n=5", "w_plus=1/4,1/4",
          "w_minus=1/4,1/4"],
         ["mc", "--family", "k-to-top", "--params", "n=30", "k=15"],
@@ -381,13 +382,32 @@ def test_builder_and_capacity_errors_exit_2(argv, monkeypatch):
     # functions, C(30,15) k-to-top faces, 10^4 top-bottom and 2*10^5
     # hypercube-nn faces each exceed 10^7 sign entries; 1225^2 hyperplane
     # pairs for cutoff's coupling parameters; 8! chambers for the exact engine;
-    # 10^10 Ising sites, refused before any grid edge is built
+    # 10^10 Ising sites, refused before any grid edge is built, and 2*10^7
+    # product sites, refused before any site is listed
     def enumerated(*args):
         raise AssertionError("braid chambers enumerated")
 
-    monkeypatch.setattr("chamberwalk.core.partition_to_sign_vector", enumerated)
+    monkeypatch.setattr("chamberwalk.core.braid_signs", enumerated)
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--trials", "10", "--t-grid", "1..3"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "params",
+    [["weights=3/11,3/11,1/11,1/11,1/11,1/11,1/11"], ["n=7"]],
+)
+def test_exact_refuses_past_20_hyperplanes_before_the_walk(params, monkeypatch):
+    # braid(7) has 5040 chambers, under the chamber cap, but 21 hyperplanes:
+    # the survival's cap refuses before any distance is walked
+    family = "tsetlin" if params[0].startswith("weights") else "riffle"
+
+    def walked(*args, **kwargs):
+        raise AssertionError("distances walked")
+
+    monkeypatch.setattr("chamberwalk.cli._profiles", walked)
+    with pytest.raises(SystemExit) as exc:
+        main(["exact", "--family", family, "--params", *params, "--t-grid", "1..3"])
     assert exc.value.code == 2
 
 

@@ -446,8 +446,7 @@ def braid4_with_extra_orbit():
 
 def orbit_starts(arr, w):
     """One start per orbit of the symmetries that pass the engine's check."""
-    find = exact._chamber_finder(arr, exact.DEFAULT_CHAMBER_CAP)
-    return exact._orbits(exact._symmetries(arr, w, find), arr.n_chambers)[1]
+    return exact._orbits(exact._symmetries(arr, w), arr.n_chambers)[1]
 
 
 def test_certificate_rejects_asymmetric_inputs():
@@ -486,7 +485,7 @@ def test_orbits_keep_the_symmetries_that_pass():
                                                            chamber_to_permutation(x, 4)]))
                 for x in arr.chambers]
 
-    maps = exact._symmetries(arr, w, exact._chamber_finder(arr, exact.DEFAULT_CHAMBER_CAP))
+    maps = exact._symmetries(arr, w)
     assert len(symmetry_generators(arr)) == 6
     assert [g.tolist() for g in maps] == [swap_cards(0, 1), swap_cards(2, 3)]
     assert len(orbit_starts(arr, w)) == 6

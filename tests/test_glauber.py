@@ -28,6 +28,15 @@ def test_ising_rejects_negative_beta_and_capacity():
         cw.ising_system(5, 5, beta=0.1)
 
 
+def test_state_cap_refuses_without_formatting_the_count():
+    # 2^30000 has more digits than Python converts to a string by default
+    with pytest.raises(CapacityError, match="13 sites"):
+        cw.product_system(13)
+    many = cw.MonotoneSystem(n_sites=30000, spins=(-1, 1), log_weight=lambda sigma: 0.0)
+    with pytest.raises(CapacityError, match=r"2\^30000 configurations"):
+        many.configurations()
+
+
 def test_conditional_values():
     sys_ = cw.ising_system(1, 2, beta=0.0)
     p = cw.conditional_at_site(sys_, (1, 1), 0)

@@ -3,17 +3,21 @@ survival P(T > t), and s(t) against the survival conditioned on the chamber
 at which the walk freezes: random positive weights on random face subsets of
 boolean(2..4) and braid(3..4), kept only when they separate the hyperplanes.
 One start per orbit: class-constant card weights on braid(3..5), and Ising
-grids of at most 9 sites."""
+grids of at most 9 sites.  The sign lists: braid_signs against
+partition_to_sign_vector, chamber_index against a search of the chamber
+tuples, and each built-in face list against a loop that lists it face by face."""
 
 import collections
 import itertools
+import math
 
 import numpy as np
-from hypothesis import assume, given, settings
+import pytest
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import chamberwalk as cw
-from chamberwalk.core import face_product, is_chamber, ordered_set_partitions
+from chamberwalk.core import braid_signs, face_product, is_chamber, ordered_set_partitions
 
 TIMES = range(1, 26)
 GLAUBER_TIMES = range(1, 16)
@@ -192,3 +196,117 @@ def test_glauber_orbit_rows_equal_every_row(sys_):
         Pt = Pt @ P
         s, ratio = (1.0 - (Pt / pi).min(axis=1)).max(), 1.0 - Pt[top, bottom] / pi[bottom]
         assert abs(got[t][0] - s) <= 1e-13 and abs(got[t][1] - ratio) <= 1e-13, t
+
+
+@CASES
+@given(st.integers(1, 7).flatmap(lambda n: st.lists(st.integers(0, 9), min_size=n, max_size=n)))
+@example([0] * 7)  # one block
+@example([3, 0, 6, 1, 5, 2, 4])  # all singletons
+def test_braid_signs_equal_partition_to_sign_vector(labels):
+    # labels[x] orders card x's block; labels need not be consecutive
+    labels = np.array(labels)
+    blocks = [set(np.flatnonzero(labels == v).tolist()) for v in np.unique(labels)]
+    want = list(cw.partition_to_sign_vector(blocks, len(labels)))
+    assert braid_signs(labels).tolist() == want
+    assert braid_signs(np.stack([labels, labels])).tolist() == [want, want]
+
+
+BRAID3_FACES = [cw.partition_to_sign_vector(p, 3) for p in ordered_set_partitions(range(3))]
+LOOKUPS = ([cw.build_braid(n) for n in range(2, 6)] + [cw.build_boolean(n) for n in range(1, 7)]
+           + [cw.build_custom(3, cw.build_braid(3).chambers[::-1], BRAID3_FACES)])
+
+
+@st.composite
+def sign_vectors(draw):
+    """An arrangement and one of its chambers, or any sign vector of its length."""
+    arr = draw(st.sampled_from(LOOKUPS))
+    if draw(st.booleans()):
+        return arr, draw(st.sampled_from(arr.chambers))
+    signs = draw(st.sampled_from([(1, -1), (1, -1, 0)]))
+    return arr, tuple(draw(st.lists(st.sampled_from(signs), min_size=arr.m, max_size=arr.m)))
+
+
+@CASES
+@given(sign_vectors())
+def test_chamber_index_equals_a_search_of_the_chambers(case):
+    arr, x = case
+    assert arr.signs.dtype == np.int8 and arr.signs.tolist() == [list(c) for c in arr.chambers]
+    found = [i for i, c in enumerate(arr.chambers) if c == x]
+    if found:
+        assert arr.chamber_index(x) == found[0]
+    else:
+        with pytest.raises(KeyError):
+            arr.chamber_index(x)
+    with pytest.raises(KeyError):
+        arr.chamber_index(x + (1,))
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_braid_chambers_equal_the_partition_loop(n):
+    want = tuple(cw.partition_to_sign_vector([{x} for x in perm], n)
+                 for perm in itertools.permutations(range(n)))
+    got = cw.build_braid(n).chambers
+    assert got == want and all(type(x) is int for c in got for x in c)
+
+
+def looped_faces(family, n, k, weights):
+    """(face, weight) pairs of a built-in face list, listed face by face."""
+    cards = set(range(n))
+    if family == "tsetlin":
+        return [(cw.partition_to_sign_vector([{j}, cards - {j}], n), weights[j])
+                for j in range(n)]
+    if family == "top-bottom":
+        return [(cw.partition_to_sign_vector(blocks, n), weights[c] / 2.0)
+                for c in range(n) for blocks in ([{c}, cards - {c}], [cards - {c}, {c}])]
+    if family == "k-to-top":
+        sets = list(itertools.combinations(range(n), k))
+        return [(cw.partition_to_sign_vector([set(S), cards - set(S)], n), 1.0 / len(sets))
+                for S in sets]
+    if family == "riffle":  # k marks; the blocks by increasing mark, empty ones dropped
+        return [(cw.partition_to_sign_vector([{c for c in range(n) if marks[c] == v}
+                                              for v in sorted(set(marks))], n), 1.0 / k**n)
+                for marks in itertools.product(range(k), repeat=n)]
+    if family == "hypercube-nn":
+        return [(tuple(s if j == i else 0 for j in range(n)), weights[i + (s < 0) * n])
+                for i in range(n) for s in (1, -1)]
+    count = math.comb(n, k) * 2**k  # hypercube-nonlocal
+    return [(tuple(dict(zip(S, signs)).get(j, 0) for j in range(n)), 1.0 / count)
+            for S in itertools.combinations(range(n), k)
+            for signs in itertools.product((1, -1), repeat=k)]
+
+
+@st.composite
+def face_lists(draw):
+    family = draw(st.sampled_from(["tsetlin", "top-bottom", "k-to-top", "riffle",
+                                   "hypercube-nn", "hypercube-nonlocal"]))
+    n = draw(st.integers(4 if family == "hypercube-nonlocal" else 2, 7))
+    raw = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=2 * n, max_size=2 * n)))
+    weights = raw[:n] / raw[:n].sum() if family in ("tsetlin", "top-bottom") else raw / raw.sum()
+    if family == "riffle":
+        k = draw(st.integers(2, 4 if n <= 5 else 3))
+    else:
+        k = draw(st.integers(*{"k-to-top": (1, n - 1), "hypercube-nonlocal": (2, n // 2)}
+                             .get(family, (0, 0))))
+    built = {
+        "tsetlin": lambda: cw.tsetlin_faces(cw.TsetlinSpec(weights)),
+        "top-bottom": lambda: cw.top_bottom_faces(n, weights),
+        "k-to-top": lambda: cw.k_to_top_faces(n, k),
+        "riffle": lambda: cw.riffle_faces(n, k),
+        "hypercube-nn": lambda: cw.hypercube_nn_faces(weights[:n], weights[n:]),
+        "hypercube-nonlocal": lambda: cw.hypercube_nonlocal_faces(n, k),
+    }[family]()
+    return built, looped_faces(family, n, k, weights)
+
+
+@CASES
+@given(face_lists())
+def test_built_in_face_lists_equal_the_face_by_face_loop(case):
+    # the same faces as tuples of Python ints, in the same order, with
+    # bitwise-equal weights: Monte Carlo draws faces by their order
+    w, pairs = case
+    merged = {}
+    for f, wt in pairs:
+        merged[f] = merged.get(f, 0.0) + wt
+    assert w.faces == tuple(merged) and all(type(x) is int for f in w.faces for x in f)
+    assert w.weights.tobytes() == np.array(list(merged.values())).tobytes()
+    assert w.signs.dtype == np.int8 and w.signs.tolist() == [list(f) for f in w.faces]

@@ -18,7 +18,7 @@ from .exact import _power_sums, _rates
 
 DEFAULT_ENUM_CAP = 10_000_000  # sign entries, faces x hyperplanes, one face list enumerates
 DEFAULT_TSETLIN_EXACT_CAP = 20
-_CHUNK_CELLS = 2**16  # trials x n cells per block of the weighted card sampler
+_CHUNK_CELLS = 2**16  # trials x n cells per block of the card sampler
 
 
 def _check_entries(faces, m, enum_cap, hint=""):
@@ -259,29 +259,34 @@ def tsetlin_survival_profile(spec, t_grid):
 def sample_card_collection_T(spec, trials, seed):
     """Monte Carlo samples of T = first time n-1 distinct cards are touched.
 
-    Exact in law: T sums the waits for new cards, and the wait after j
-    distinct cards is geometric with success probability the weight not yet
-    touched, (n-j)/n for equal weights.  Otherwise the order of first
-    touches is drawn first, by sorting exponential clocks E_i / w_i (the
-    Luce law); given it the waits are independent.
+    Exact in law, as n-1 steps plus one Poisson count of repeats: a
+    geometric wait of success probability p repeats Poisson(E (1-p)/p) times,
+    E ~ Exp(1).  Equal weights: after j cards the repeat rate is j/(n-j).
+    Otherwise card i is touched at rate w_i in continuous time, first at
+    tau_i = E_i / w_i; n-1 cards are touched at s, the second-largest tau,
+    and card i repeats Poisson(w_i (s - tau_i)^+) times before it.
     """
     n = spec.n
     w = spec.card_weights
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
-    if np.ptp(w) <= 1e-15:
-        waits = (rng.geometric((n - j) / n, size=trials) for j in range(n - 1))
-        return sum(waits, np.zeros(trials, dtype=np.int64))
+    uniform = np.ptp(w) <= 1e-15
+    rate = np.arange(1, n - 1) / np.arange(n - 1, 1, -1)  # j/(n-j), j = 1..n-2
+    out = np.empty(trials, dtype=np.int64)
     rows = max(1, _CHUNK_CELLS // n)
-    blocks = [_weighted_card_T(w, min(rows, trials - lo), rng)
-              for lo in range(0, trials, rows)]
-    return np.concatenate([np.empty(0, dtype=np.int64), *blocks])
-
-
-def _weighted_card_T(w, trials, rng):
-    order = np.argsort(rng.standard_exponential((trials, len(w))) / w, axis=1)
-    untouched = np.cumsum(w[order][:, ::-1], axis=1)[:, ::-1]  # suffix sums
-    # over the full sum, the largest suffix, every probability stays <= 1
-    return rng.geometric(untouched[:, :-1] / untouched[:, :1]).sum(axis=1, dtype=np.int64)
+    for block in np.split(out, range(rows, trials, rows)):  # views of out
+        if uniform:
+            mean = rng.standard_exponential((block.size, rate.size)) @ rate
+        else:
+            tau = rng.standard_exponential((block.size, n)) / w
+            at, last = np.arange(block.size), tau.argmax(axis=1)
+            tau[at, last] = 0.0
+            s = tau.max(axis=1)
+            tau[at, last] = s  # the last card is not touched before s
+            mean = np.subtract(s[:, np.newaxis], tau, out=tau) @ w
+        if not np.all(mean <= 2.0**62):  # else a count could pass int64
+            raise CapacityError(f"T would overflow int64: a mean of {mean.max():.3g} repeats")
+        block[:] = (n - 1) + rng.poisson(mean)
+    return out
 
 
 def sample_kset_coupon_T(m, k, trials, seed):
@@ -289,15 +294,16 @@ def sample_kset_coupon_T(m, k, trials, seed):
     of [m] per step; T = first time all m coupons are held.
 
     Matches the chamber-walk T for the non-local hypercube walk (signs never
-    matter for T).  Exact in law: the count c of coupons held jumps after a
-    geometric holding time with stay probability C(c,k)/C(m,k), by a
-    hypergeometric number of new coupons conditioned on >= 1.
+    matter for T).  Exact in law: the count c of coupons held jumps, by a
+    hypergeometric number of new coupons conditioned on >= 1, after a
+    geometric holding time with stay probability C(c,k)/C(m,k); its repeats
+    add E stay/leave, E ~ Exp(1), to the mean of T's one Poisson count.
     """
     if not 1 <= k <= m:
         raise ValueError(f"need 1 <= k <= m, got k={k}, m={m}")
     total = math.comb(m, k)
     moves = [total - math.comb(c, k) for c in range(m)]  # k-sets with a new coupon
-    leave = np.array([mv / total for mv in moves])
+    repeat = np.array([math.comb(c, k) / mv for c, mv in enumerate(moves)])  # stay/leave
     # P(jump <= x | jump >= 1) for x = 1..k-1, from exact integer counts
     jump_cdf = np.array([
         [cum / moves[c] for cum in itertools.accumulate(
@@ -305,13 +311,11 @@ def sample_kset_coupon_T(m, k, trials, seed):
         for c in range(m)
     ]).reshape(m, k - 1)
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
-    out = np.empty(trials, dtype=np.int64)
-    idx = np.arange(trials)
-    held, t = np.zeros((2, trials), dtype=np.int64)
-    while idx.size:
-        t += rng.geometric(leave[held])
+    steps, mean = np.zeros(trials, dtype=np.int64), np.zeros(trials)
+    idx, held = np.arange(trials), np.zeros(trials, dtype=np.int64)
+    while idx.size:  # the trials that do not hold every coupon yet
+        steps[idx] += 1
+        mean[idx] += repeat[held] * rng.standard_exponential(idx.size)
         held += 1 + (jump_cdf[held] <= rng.random(idx.size)[:, None]).sum(axis=1)
-        going = held < m
-        out[idx[~going]] = t[~going]
-        idx, held, t = idx[going], held[going], t[going]
-    return out
+        idx, held = idx[held < m], held[held < m]
+    return steps + rng.poisson(mean)  # stay/leave <= (m-k)/k keeps each mean far inside int64

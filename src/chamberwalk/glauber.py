@@ -7,6 +7,7 @@ coupon-collector lower bounds on separation and total variation mixing.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -213,10 +214,14 @@ def coupon_survival_uniform(n, t):
         raise ValueError("need n >= 1")
     if (t := _times([t])[0]) < n:
         return 1.0
-    # c_j = -c_{j-1} (n - j + 1) / j, an exact division: c_j = (-1)^(j+1) C(n, j)
-    c = list(itertools.accumulate(range(1, n), lambda c, j: -c * (n - j + 1) // j, initial=-1))[1:]
-    q = [(n - j) / n for j in range(1, n)]
-    return _power_sums(c, q, lambda: (range(n - 1, 0, -1), n), [t], n)[t]
+    return _power_sums(*_coupon_terms(n), lambda: (range(n - 1, 0, -1), n), [t], n)[t]
+
+
+@functools.lru_cache(maxsize=4)
+def _coupon_terms(n):
+    """c_j = (-1)^(j+1) C(n, j) and q_j = (n-j)/n for j = 1..n-1, once per n."""
+    c = itertools.accumulate(range(1, n), lambda c, j: -c * (n - j + 1) // j, initial=-1)
+    return tuple(c)[1:], tuple((n - j) / n for j in range(1, n))
 
 
 def coverage_conditioned_profile(sys, t_grid):

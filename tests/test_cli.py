@@ -373,6 +373,7 @@ def test_hypercube_nonlocal_k_out_of_range_exit_2(k):
         ["mc", "--family", "riffle", "--params", "n=5", "a=0"],
         ["mc", "--family", "hypercube-nn", "--params", "n=0"],
         ["cutoff", "--family", "k-to-top", "--params", "n=1", "k=1"],
+        ["mc", "--family", "tsetlin", "--params", "weights=1,1e-200,1e-200"],
     ],
 )
 def test_builder_and_capacity_errors_exit_2(argv, monkeypatch):
@@ -382,8 +383,9 @@ def test_builder_and_capacity_errors_exit_2(argv, monkeypatch):
     # functions, C(30,15) k-to-top faces, 10^4 top-bottom and 2*10^5
     # hypercube-nn faces each exceed 10^7 sign entries; 1225^2 hyperplane
     # pairs for cutoff's coupling parameters; 8! chambers for the exact engine;
-    # 10^10 Ising sites, refused before any grid edge is built, and 2*10^7
-    # product sites, refused before any site is listed
+    # 10^10 Ising sites, refused before any grid edge is built, 2*10^7
+    # product sites, refused before any site is listed, and card weights of
+    # 1e-200, whose T would pass int64 (once wrapped to -2^63, exit 0)
     def enumerated(*args):
         raise AssertionError("braid chambers enumerated")
 

@@ -335,24 +335,43 @@ def test_samplers_repeat_for_fixed_seed_and_trials():
 
 
 def test_card_collection_small_n_both_paths():
-    from chamberwalk.gallery import _weighted_card_T
-
+    # n=1 has nothing to wait for; n=2 stops at the first step, equal weights or not
     assert np.all(cw.sample_card_collection_T(cw.TsetlinSpec([1.0]), 50, seed=0) == 0)
-    rng = np.random.default_rng(0)
-    assert np.all(_weighted_card_T(np.array([1.0]), 50, rng) == 0)
-    for weights in ([0.5, 0.5], [0.3, 0.7]):
+    for weights in ([0.5, 0.5], [0.3, 0.7], [1 - 1e-9, 1e-9]):
         T = cw.sample_card_collection_T(cw.TsetlinSpec(weights), 50, seed=0)
-        assert np.all(T == 1)
+        assert T.dtype == np.int64 and np.all(T == 1)
 
 
 def test_card_collection_equal_weights_draw_for_draw():
+    # T = (n-1) + Poisson(E @ r), r_j = j/(n-j) for j = 1..n-2: the repeats
+    # of the geometric wait after j distinct cards, one exponential each
     n, trials, seed = 9, 500, 74
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
-    want = np.zeros(trials, dtype=np.int64)
-    for j in range(n - 1):
-        want += rng.geometric((n - j) / n, size=trials)
+    rate = np.array([j / (n - j) for j in range(1, n - 1)])
+    want = (n - 1) + rng.poisson(rng.standard_exponential((trials, n - 2)) @ rate)
     got = cw.sample_card_collection_T(cw.TsetlinSpec(np.full(n, 1 / n)), trials, seed)
     assert np.array_equal(got, want)
+
+
+def test_card_collection_unequal_weights_draw_for_draw():
+    # card i first touched at tau_i = E_i / w_i; before s, the second-largest
+    # clock, it repeats Poisson(w_i (s - tau_i)^+) times
+    n, trials, seed = 9, 500, 75
+    w = np.arange(1, n + 1) / (n * (n + 1) / 2)
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
+    tau = rng.standard_exponential((trials, n)) / w
+    s = np.sort(tau, axis=1)[:, -2]
+    want = (n - 1) + rng.poisson(np.maximum(s[:, np.newaxis] - tau, 0.0) @ w)
+    got = cw.sample_card_collection_T(cw.TsetlinSpec(w), trials, seed)
+    assert np.array_equal(got, want)
+
+
+def test_card_collection_refuses_a_count_past_int64():
+    # one card near weight 1 and two that are almost never touched: the mean
+    # number of repeats is about 1e200, once wrapped to -2^63
+    spec = cw.TsetlinSpec([1 - 2e-200, 1e-200, 1e-200])
+    with pytest.raises(CapacityError):
+        cw.sample_card_collection_T(spec, 5, seed=0)
 
 
 def test_riffle_sst_crossing_location():

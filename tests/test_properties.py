@@ -5,7 +5,9 @@ boolean(2..4) and braid(3..4), kept only when they separate the hyperplanes.
 One start per orbit: class-constant card weights on braid(3..5), and Ising
 grids of at most 9 sites.  The sign lists: braid_signs against
 partition_to_sign_vector, chamber_index against a search of the chamber
-tuples, and each built-in face list against a loop that lists it face by face."""
+tuples, and each built-in face list against a loop that lists it face by face.
+The card-collection and k-set samplers: Monte Carlo within 4 sigma of the
+exact survival."""
 
 import collections
 import itertools
@@ -310,3 +312,31 @@ def test_built_in_face_lists_equal_the_face_by_face_loop(case):
     assert w.faces == tuple(merged) and all(type(x) is int for f in w.faces for x in f)
     assert w.weights.tobytes() == np.array(list(merged.values())).tobytes()
     assert w.signs.dtype == np.int8 and w.signs.tolist() == [list(f) for f in w.faces]
+
+
+MC_TRIALS = 20_000
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+def assert_within_4_sigma(samples, exact):
+    for t, p in exact.items():
+        se = max(math.sqrt(p * (1 - p) / len(samples)), 1 / len(samples))
+        assert abs((samples > t).mean() - p) < 4 * se, (t, (samples > t).mean(), p)
+
+
+@CASES
+@given(st.lists(st.floats(0.05, 1.0), min_size=2, max_size=7), SEEDS)
+@example([1.0] * 7, 1)  # equal weights take their own path
+def test_card_collection_samples_match_the_exact_survival(raw, seed):
+    spec = cw.TsetlinSpec(np.array(raw) / sum(raw))
+    T = cw.sample_card_collection_T(spec, MC_TRIALS, seed)
+    assert_within_4_sigma(T, cw.tsetlin_survival_profile(spec, TIMES))
+
+
+@CASES
+@given(st.integers(4, 8).flatmap(lambda m: st.tuples(st.just(m), st.integers(2, m // 2))), SEEDS)
+def test_kset_coupon_samples_match_the_exact_survival(mk, seed):
+    m, k = mk
+    T = cw.sample_kset_coupon_T(m, k, MC_TRIALS, seed)
+    assert_within_4_sigma(T, cw.survival_exact_profile(
+        cw.build_boolean(m), cw.hypercube_nonlocal_faces(m, k), TIMES))

@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import itertools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +25,7 @@ _SIGN_TO_CHAR = {PLUS: "+", MINUS: "-", ZERO: "0"}
 # Default caps on built-in chambers and on face products checked for closure.
 DEFAULT_FACE_LIMIT = 1_000_000
 DEFAULT_CLOSURE_PRODUCT_LIMIT = 1_000_000
-_ROW_CELLS = 2**16  # sign entries made tuples in one block of rows
+_PRODUCT_CELLS = 2**18  # sign entries of the face products validate_closure takes at once
 
 
 class DimensionError(ValueError):
@@ -77,9 +77,31 @@ def _keys(bits):
     return bits.view(np.dtype((np.void, bits.shape[-1])))[..., 0]
 
 
+def _sign_keys(signs):
+    """Rows of signs as raw-byte scalars, equal where the rows are: _bits of
+    the signs, then of their negatives."""
+    return _keys(np.concatenate([_bits(signs), _bits(-signs)], axis=-1))
+
+
+def _lookup(keys):
+    """The table of _search: the keys sorted, stably, and the order that sorts them."""
+    order = np.argsort(keys, kind="stable")
+    return keys[order], order
+
+
+def _search(table, keys):
+    """The index of the first row of a _lookup table with each key, or -1 where none has it."""
+    known, order = table
+    if not len(known):
+        return np.full(np.shape(keys), -1)
+    pos = np.minimum(np.searchsorted(known, keys), len(known) - 1)
+    return np.where(known[pos] == keys, order[pos], -1)
+
+
 @dataclass(frozen=True)
 class Arrangement:
-    """A central arrangement given combinatorially.
+    """A central arrangement given combinatorially: ``signs`` has one int8
+    row per chamber.
 
     ``faces`` is None for the built-in families and lists the face universe
     only for custom arrangements: the chambers and the weighted faces are
@@ -87,34 +109,35 @@ class Arrangement:
     """
 
     m: int
-    chambers: tuple
+    signs: np.ndarray
     faces: tuple | None
     family_tag: str
 
+    def __post_init__(self):
+        signs = np.asarray(self.signs, dtype=np.int8)
+        object.__setattr__(self, "signs", signs.reshape(len(signs), self.m))
+
     @property
     def n_chambers(self):
-        return len(self.chambers)
+        return len(self.signs)
 
     @functools.cached_property
-    def signs(self):
-        """The chambers as an int8 array, one row each."""
-        return np.array(self.chambers, dtype=np.int8).reshape(self.n_chambers, self.m)
+    def chambers(self):
+        """The chambers as tuples of Python ints, in the order of signs."""
+        return tuple(map(tuple, self.signs.tolist()))
 
     @functools.cached_property
-    def _sorted_keys(self):
-        order = np.argsort(keys := _keys(_bits(self.signs)))
-        return keys[order], order
+    def _table(self):
+        return _lookup(_keys(_bits(self.signs)))
 
     def _find(self, bits):
         """The index among the chambers of each chamber given as _bits, or -1
-        where it is none of them; any bits at all need one chamber at least."""
-        (known, order), k = self._sorted_keys, _keys(bits)
-        pos = np.minimum(np.searchsorted(known, k), len(known) - 1)
-        return np.where(known[pos] == k, order[pos], -1)
+        where it is none of them."""
+        return _search(self._table, _keys(bits))
 
     def chamber_index(self, c):
         """The index of chamber c; KeyError if c is not one of the chambers."""
-        i = self._find(_bits(np.array(c))) if self.chambers and len(c) == self.m else -1
+        i = self._find(_bits(np.array(c))) if len(c) == self.m else -1
         if i < 0 or not is_chamber(c):
             raise KeyError(c)
         return int(i)
@@ -122,17 +145,18 @@ class Arrangement:
 
 @dataclass(frozen=True)
 class WeightedFaceSet:
-    """A probability measure on faces; only positive weights are listed, and
-    at least one, so the number of hyperplanes m is that of the faces."""
+    """A probability measure on faces, ``signs`` an int8 row per face; only
+    positive weights are listed, and at least one, so the number of
+    hyperplanes m is that of the faces."""
 
-    faces: tuple
+    signs: np.ndarray
     weights: np.ndarray
-    signs: np.ndarray = field(init=False, repr=False, compare=False)  # int8, a row per face
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
+        w, signs = np.asarray(self.weights, dtype=float), np.asarray(self.signs, dtype=np.int8)
         object.__setattr__(self, "weights", w)
-        if len(self.faces) != len(w):
+        object.__setattr__(self, "signs", signs)
+        if len(signs) != len(w):
             raise ValueError("faces and weights length mismatch")
         if not len(w):
             raise ValueError("no weighted faces")
@@ -140,25 +164,26 @@ class WeightedFaceSet:
             raise ValueError("all listed weights must be strictly positive")
         if abs(w.sum() - 1.0) > 1e-12:
             raise ValueError(f"weights sum to {w.sum()!r}, expected 1 within 1e-12")
-        lengths = {len(f) for f in self.faces}
-        if len(lengths) > 1:
+        if signs.ndim != 2:
             raise DimensionError("faces have inconsistent lengths")
-        signs = np.array(self.faces, dtype=np.int8).reshape(len(w), self.m)
-        object.__setattr__(self, "signs", signs)
 
     @property
     def m(self):
-        return len(self.faces[0])
+        return self.signs.shape[1]
+
+    @functools.cached_property
+    def faces(self):
+        """The faces as tuples of Python ints, in the order of signs."""
+        return tuple(map(tuple, self.signs.tolist()))
 
 
-def weighted_faces(pairs):
-    """Build a WeightedFaceSet from (face, weight) pairs, merging duplicates."""
-    acc = {}
-    for f, w in pairs:
-        f = tuple(f)
-        acc[f] = acc.get(f, 0.0) + w
-    faces = tuple(acc)
-    return WeightedFaceSet(faces, np.array([acc[f] for f in faces]))
+def weighted_faces(signs, weights):
+    """A WeightedFaceSet of the rows of signs: a row listed again is merged
+    into its first place, its weights summed in list order."""
+    w = WeightedFaceSet(signs, weights)  # the rows and weights checked before the merge
+    first = _search(_lookup(keys := _sign_keys(w.signs)), keys)
+    kept = first == np.arange(len(first))
+    return WeightedFaceSet(w.signs[kept], np.bincount((np.cumsum(kept) - 1)[first], w.weights))
 
 
 def build_boolean(n, face_limit=DEFAULT_FACE_LIMIT):
@@ -168,12 +193,8 @@ def build_boolean(n, face_limit=DEFAULT_FACE_LIMIT):
         raise ValueError("boolean arrangement needs n >= 1")
     if 2**n > face_limit:
         raise CapacityError(f"2^{n} chambers exceeds limit {face_limit}")
-    return Arrangement(
-        m=n,
-        chambers=tuple(itertools.product((PLUS, MINUS), repeat=n)),
-        faces=None,
-        family_tag=f"boolean({n})",
-    )
+    signs = 1 - 2 * np.indices((2,) * n, dtype=np.int8).reshape(n, -1).T  # product((1, -1))
+    return Arrangement(m=n, signs=signs, faces=None, family_tag=f"boolean({n})")
 
 
 def braid_m(n):
@@ -224,15 +245,6 @@ def braid_signs(pos):
     return np.sign(pos[..., j] - pos[..., i]).astype(np.int8)
 
 
-def _sign_rows(x, make, width):
-    """Yield the rows of make(x), an int8 array of width signs per row of x,
-    as tuples of Python ints, made from one block of rows of x at a time, of
-    about _ROW_CELLS signs."""
-    step = max(1, _ROW_CELLS // max(width, 1))
-    for lo in range(0, len(x), step):
-        yield from map(tuple, make(x[lo:lo + step]).tolist())
-
-
 def ordered_set_partitions(items):
     """Yield all ordered partitions of ``items`` into nonempty blocks."""
     items = list(items)
@@ -269,14 +281,9 @@ def build_braid(n, face_limit=DEFAULT_FACE_LIMIT):
         raise ValueError("braid arrangement needs n >= 2")
     if math.factorial(n) > face_limit:
         raise CapacityError(f"{n}! chambers exceeds limit {face_limit}")
-    pos = np.argsort(list(itertools.permutations(range(n))), axis=1)  # each card's place
-    chambers = tuple(_sign_rows(pos, braid_signs, braid_m(n)))
-    return Arrangement(
-        m=braid_m(n),
-        chambers=chambers,
-        faces=None,
-        family_tag=f"braid({n})",
-    )
+    perms = np.fromiter(itertools.chain.from_iterable(itertools.permutations(range(n))), np.int8)
+    pos = np.argsort(perms.reshape(-1, n), axis=1).astype(np.int8)  # each card's place
+    return Arrangement(m=braid_m(n), signs=braid_signs(pos), faces=None, family_tag=f"braid({n})")
 
 
 def symmetry_generators(arr):
@@ -338,54 +345,47 @@ def check_separating(w):
 
 
 def validate_closure(faces):
-    """Check a face list is closed under the product.
-
-    Exhaustive when |faces|^2 <= DEFAULT_CLOSURE_PRODUCT_LIMIT, sampled
-    beyond.  Returns the first violating pair, or None if closed.
-    """
-    face_set = set(faces)
-    faces = list(faces)
+    """The first pair of faces whose product is not listed, or None if the
+    list is closed: over every pair in itertools.product order when there are
+    at most DEFAULT_CLOSURE_PRODUCT_LIMIT, else over that many drawn by
+    default_rng(0).  Each block of products is taken on int8 rows."""
     k = len(faces)
+    signs = np.asarray(faces, dtype=np.int8).reshape(k, -1 if k else 0)
+    table = _lookup(_sign_keys(signs))
     if k * k <= DEFAULT_CLOSURE_PRODUCT_LIMIT:
-        pairs = itertools.product(faces, faces)
+        pairs = np.indices((k, k)).reshape(2, -1).T
     else:
-        rng = np.random.default_rng(0)
-        idx = rng.integers(0, k, size=(DEFAULT_CLOSURE_PRODUCT_LIMIT, 2))
-        pairs = ((faces[i], faces[j]) for i, j in idx)
-    for f, g in pairs:
-        if face_product(f, g) not in face_set:
-            return (f, g)
+        pairs = np.random.default_rng(0).integers(0, k, size=(DEFAULT_CLOSURE_PRODUCT_LIMIT, 2))
+    step = max(1, _PRODUCT_CELLS // max(signs.shape[-1], 1))
+    for block in np.split(pairs, range(step, len(pairs), step)):
+        f, g = signs[block[:, 0]], signs[block[:, 1]]
+        if (bad := np.flatnonzero(_search(table, _sign_keys(np.where(f != 0, f, g))) < 0)).size:
+            i, j = block[bad[0]]
+            return faces[i], faces[j]
     return None
 
 
 def build_custom(m, chambers, faces):
-    """User-supplied arrangement from sign-vector lists, its faces closed under the product."""
-    chambers = tuple(tuple(c) for c in chambers)
-    faces = tuple(tuple(f) for f in faces)
-    for c in chambers:
-        if len(c) != m:
-            raise DimensionError("chamber length != m")
-        if not is_chamber(c):
-            raise ValueError(f"{format_sign_vector(c)} listed as chamber has a zero")
-    face_set = set(faces)
-    for c in chambers:
-        if c not in face_set:
-            raise ValueError("chambers must be listed among the faces")
-    for f in faces:
-        if len(f) != m:
-            raise DimensionError("face length != m")
-    bad = validate_closure(faces)
-    if bad is not None:
+    """User-supplied arrangement from sign-vector lists, each row listed once
+    and the faces closed under the product."""
+    if any(len(x) != m for x in (*chambers, *faces)):
+        raise DimensionError("a chamber or face length != m")
+    chambers, faces = (np.array(x, dtype=np.int8).reshape(len(x), m) for x in (chambers, faces))
+    if len(zero := np.flatnonzero(~chambers.all(axis=1))):
+        raise ValueError(f"{format_sign_vector(chambers[zero[0]])} listed as chamber has a zero")
+    for what, x in (("chamber", chambers), ("face", faces)):  # table ends as the faces'
+        known, order = table = _lookup(_sign_keys(x))
+        if (again := order[1:][known[1:] == known[:-1]]).size:
+            raise ValueError(f"{what} {format_sign_vector(x[again.min()])} is listed twice")
+    if np.any(_search(table, _sign_keys(chambers)) < 0):
+        raise ValueError("chambers must be listed among the faces")
+    if (bad := validate_closure(faces)) is not None:
         raise ValueError(
             "faces not closed under product: "
             f"{format_sign_vector(bad[0])} * {format_sign_vector(bad[1])}"
         )
-    return Arrangement(
-        m=m,
-        chambers=chambers,
-        faces=faces,
-        family_tag="custom",
-    )
+    return Arrangement(m=m, signs=chambers, faces=tuple(map(tuple, faces.tolist())),
+                       family_tag="custom")
 
 
 def load_arrangement_file(path):
@@ -424,7 +424,8 @@ def load_arrangement_file(path):
     for line, i, _ in weight_lines:
         if not 0 <= i < len(faces):
             raise ValueError(f"face index {i} outside 0..{len(faces) - 1} in weight line {line!r}")
-    wfs = weighted_faces((faces[i], w) for _, i, w in weight_lines)
+    signs = np.array(faces, dtype=np.int8).reshape(len(faces), m)
+    wfs = weighted_faces(signs[[i for _, i, _ in weight_lines]], [w for *_, w in weight_lines])
     return arr, wfs
 
 

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CapacityError, _bits, check_separating, face_product, is_chamber
-from .core import symmetry_generators, weighted_faces
+from .core import CapacityError, _bits, _lookup, _search, _sign_keys, check_separating
+from .core import face_product, is_chamber, symmetry_generators, weighted_faces
 
 DEFAULT_CHAMBER_CAP = 10_000
 DEFAULT_IE_HYPERPLANE_CAP = 20
@@ -72,12 +72,12 @@ def _symmetries(arr, w):
     that pass the check: each maps the chambers onto the chambers and each
     weighted face to one of exactly equal total weight (a face listed twice
     weighs the sum of its entries), so that P(gx, gy) = P(x, y)."""
-    w = weighted_faces(zip(w.faces, w.weights))
-    weight, maps = dict(zip(w.faces, w.weights)), []
+    w = weighted_faces(w.signs, w.weights)
+    faces, maps = _lookup(_sign_keys(w.signs)), []
     for src, sign in symmetry_generators(arr):
         g = arr._find(_bits(sign * arr.signs[:, src]))
-        images = map(tuple, (sign * w.signs[:, src]).tolist())
-        if g.min() >= 0 and all(weight.get(f) == wt for f, wt in zip(images, w.weights)):
+        image = _search(faces, _sign_keys(sign * w.signs[:, src]))
+        if g.min() >= 0 and image.min() >= 0 and np.array_equal(w.weights[image], w.weights):
             maps.append(g)
     return maps
 
@@ -112,9 +112,10 @@ def _chain(arr, w, orbit, starts):
     residual = np.abs(pi @ P - pi).max()
     if residual > 1e-10:
         raise RuntimeError(f"stationary solve residual {residual:.3g} > 1e-10")
-    # pi charges only the walk's closed class: the chambers reachable from
-    # the product of all the weighted faces, a chamber every start reaches
-    charged = np.arange(ell) == arr.chamber_index(functools.reduce(face_product, w.faces))
+    # pi charges only the walk's closed class: the chambers reachable from the product
+    # of all the weighted faces (each column's first nonzero sign), which every start reaches
+    product = w.signs[(w.signs != 0).argmax(axis=0), np.arange(w.m)]
+    charged = np.arange(ell) == arr.chamber_index(product)
     while (grown := charged | (charged @ P > 0)).sum() > charged.sum():
         charged = grown
     return P, np.where(charged, pi, 0.0)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CapacityError, _sign_rows, braid_m, braid_signs, weighted_faces
+from .core import CapacityError, braid_m, braid_signs, weighted_faces
 from .exact import _power_sums, _rates
 
 DEFAULT_ENUM_CAP = 10_000_000  # sign entries, faces x hyperplanes, one face list enumerates
@@ -61,7 +61,7 @@ def tsetlin_faces(spec, enum_cap=DEFAULT_ENUM_CAP):
         raise ValueError("tsetlin faces need n >= 2")
     _check_entries(n, braid_m(n), enum_cap, "; use sample_card_collection_T")
     pos = 1 - np.eye(n, dtype=np.int8)  # card j in block 0, the rest in block 1
-    return weighted_faces(zip(_sign_rows(pos, braid_signs, braid_m(n)), spec.card_weights))
+    return weighted_faces(braid_signs(pos), spec.card_weights)
 
 
 def riffle_faces(n, a, enum_cap=DEFAULT_ENUM_CAP):
@@ -74,8 +74,7 @@ def riffle_faces(n, a, enum_cap=DEFAULT_ENUM_CAP):
     # one row of marks per mark function, in itertools.product order and the
     # smallest signed type that holds them: the marks order the blocks
     marks = np.indices((a,) * n, dtype=np.min_scalar_type(-a)).reshape(n, -1).T
-    rows = _sign_rows(marks, braid_signs, braid_m(n))
-    return weighted_faces(zip(rows, itertools.repeat(1.0 / a**n)))
+    return weighted_faces(braid_signs(marks), np.full(a**n, 1.0 / a**n))
 
 
 def riffle_coupling_closed_form(a):
@@ -96,8 +95,7 @@ def k_to_top_faces(n, k, enum_cap=DEFAULT_ENUM_CAP):
     _check_entries(total, braid_m(n), enum_cap)
     pos = np.ones((total, n), dtype=np.int8)  # S in block 0, the rest in block 1
     pos[np.arange(total)[:, np.newaxis], list(itertools.combinations(range(n), k))] = 0
-    rows = _sign_rows(pos, braid_signs, braid_m(n))
-    return weighted_faces(zip(rows, itertools.repeat(1.0 / total)))
+    return weighted_faces(braid_signs(pos), np.full(total, 1.0 / total))
 
 
 def kset_coupling_closed_form(n, k):
@@ -123,7 +121,7 @@ def top_bottom_faces(n, card_weights=None, enum_cap=DEFAULT_ENUM_CAP):
     _check_entries(2 * n, braid_m(n), enum_cap)
     on_top = np.eye(n, dtype=np.int8)  # card c's top face, then its bottom face
     pos = np.stack([1 - on_top, on_top], axis=1).reshape(2 * n, n)
-    return weighted_faces(zip(_sign_rows(pos, braid_signs, braid_m(n)), np.repeat(w / 2.0, 2)))
+    return weighted_faces(braid_signs(pos), np.repeat(w / 2.0, 2))
 
 
 def hypercube_nn_faces(w_plus, w_minus, enum_cap=DEFAULT_ENUM_CAP):
@@ -136,8 +134,7 @@ def hypercube_nn_faces(w_plus, w_minus, enum_cap=DEFAULT_ENUM_CAP):
     n = len(wp)  # WeightedFaceSet checks the weights: positive, summing to 1
     _check_entries(2 * n, n, enum_cap)
     signs = np.kron(np.eye(n, dtype=np.int8), np.int8([[1], [-1]]))  # e_i^+ then e_i^-, each i
-    rows = _sign_rows(signs, lambda block: block, n)
-    return weighted_faces(zip(rows, np.stack([wp, wm], axis=1).ravel()))
+    return weighted_faces(signs, np.stack([wp, wm], axis=1).ravel())
 
 
 def hypercube_nonlocal_faces(n, k, enum_cap=DEFAULT_ENUM_CAP):
@@ -149,8 +146,7 @@ def hypercube_nonlocal_faces(n, k, enum_cap=DEFAULT_ENUM_CAP):
     _check_entries(count, n, enum_cap, "; use sample_kset_coupon_T")
     supports = np.eye(n, dtype=np.int8)[list(itertools.combinations(range(n), k))]
     flips = 1 - 2 * np.indices((2,) * k, dtype=np.int8).reshape(k, -1).T  # product((+1, -1))
-    rows = _sign_rows((flips @ supports).reshape(count, n), lambda block: block, n)
-    return weighted_faces(zip(rows, itertools.repeat(1.0 / count)))
+    return weighted_faces((flips @ supports).reshape(count, n), np.full(count, 1.0 / count))
 
 
 def solve_t_star(spec):
@@ -256,6 +252,7 @@ def tsetlin_survival_profile(spec, t_grid):
     return _power_sums(c, rates(), functools.partial(rates, exact=True), t_grid, n - 1)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an inf or nan mean is refused below
 def sample_card_collection_T(spec, trials, seed):
     """Monte Carlo samples of T = first time n-1 distinct cards are touched.
 

@@ -96,6 +96,35 @@ def test_braid_faces_closed_under_product():
     assert validate_closure(braid_universe(4)) is None
 
 
+def looped_closure(faces):
+    """The first pair of faces whose product is not listed, one pair at a
+    time: every pair in itertools.product order up to 10^6 pairs, else 10^6
+    pairs drawn by default_rng(0)."""
+    listed, k = set(faces), len(faces)
+    if k * k <= 10**6:
+        pairs = itertools.product(faces, faces)
+    else:
+        idx = np.random.default_rng(0).integers(0, k, size=(10**6, 2))
+        pairs = ((faces[i], faces[j]) for i, j in idx)
+    return next(((f, g) for f, g in pairs if cw.face_product(f, g) not in listed), None)
+
+
+@pytest.mark.parametrize("n", [4, 6])  # exhaustive, then sampled (4683 faces)
+def test_closure_check_finds_the_pair_loops_first_violation(n):
+    universe = braid_universe(n)
+    for drop in (0, len(universe) // 2):  # a chamber, then a face with zeros
+        faces = universe[:drop] + universe[drop + 1:]
+        want = looped_closure(faces)
+        assert want is not None and validate_closure(faces) == want
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_boolean_chambers_equal_the_product_loop(n):
+    got = cw.build_boolean(n).chambers
+    assert got == tuple(itertools.product((1, -1), repeat=n))
+    assert all(type(x) is int for c in got for x in c)
+
+
 def test_partition_to_sign_vector():
     # cards are 0-based; pairs ordered (0,1), (0,2), (1,2)
     assert cw.partition_to_sign_vector([{0}, {1, 2}], 3) == cw.parse_sign_vector("++0")
@@ -184,6 +213,20 @@ def test_arrangement_file_roundtrip(tmp_path):
     got = dict(zip(w2.faces, w2.weights))
     for f, wt in zip(w.faces, w.weights):
         assert got[f] == pytest.approx(wt, abs=1e-15)
+
+
+def test_custom_arrangement_refuses_a_row_listed_twice(tmp_path):
+    # a chamber listed twice would be a fifth state of boolean(2); a face
+    # listed twice, two indices for one face in the weights
+    chambers, universe = cw.build_boolean(2).chambers, boolean_universe(2)
+    with pytest.raises(ValueError, match=re.escape("chamber ++ is listed twice")):
+        cw.build_custom(2, chambers + chambers[:1], universe)
+    with pytest.raises(ValueError, match=re.escape("face 0- is listed twice")):
+        cw.build_custom(2, chambers, universe + [(0, -1)])
+    path = tmp_path / "twice.arr"
+    path.write_text("m=1\n[chambers]\n+\n-\n[faces]\n0\n+\n-\n+\n[weights]\n1 0.5\n2 0.5\n")
+    with pytest.raises(ValueError, match=re.escape("face + is listed twice")):
+        cw.load_arrangement_file(path)
 
 
 @pytest.mark.parametrize("index", [-1, 3])

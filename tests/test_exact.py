@@ -106,7 +106,7 @@ def test_two_oracle_stationary_agreement():
 
 def test_swr_point_mass_for_chamber_face():
     arr = cw.build_boolean(1)
-    w = cw.weighted_faces([((1,), 1.0)])
+    w = cw.weighted_faces([(1,)], [1.0])
     pi = cw.stationary_without_replacement(arr, w)
     assert pi[arr.chamber_index((1,))] == 1.0
 
@@ -376,7 +376,7 @@ def test_transition_matrix_matches_loop_bitwise():
         tsetlin([0.45, 0.3, 0.15, 0.1]),
         (cw.build_braid(4), cw.riffle_faces(4, 2)),
         (custom, cw.WeightedFaceSet(tuple(universe), rng.dirichlet(np.ones(27)))),
-        (cw.build_custom(0, [()], [()]), cw.weighted_faces([((), 1.0)])),  # no hyperplanes
+        (cw.build_custom(0, [()], [()]), cw.weighted_faces([()], [1.0])),  # no hyperplanes
     ]:
         assert np.array_equal(cw.transition_matrix(arr, w), loop_transition_matrix(arr, w))
 
@@ -440,7 +440,7 @@ def braid4_with_extra_orbit():
         if x not in orbit:
             orbit.add(x)
             frontier += [tuple(int(v) for v in sign * np.array(x)[src]) for src, sign in gens]
-    return cw.Arrangement(m=6, chambers=braid4.chambers + tuple(sorted(orbit)),
+    return cw.Arrangement(m=6, signs=braid4.chambers + tuple(sorted(orbit)),
                           faces=None, family_tag="braid(4)")
 
 
@@ -456,7 +456,7 @@ def test_certificate_rejects_asymmetric_inputs():
     moved[i] = np.nextafter(moved[i], 1.0)  # one ulp up, and one down elsewhere
     moved[j] = np.nextafter(moved[j], 0.0)
     universe = list(itertools.product((1, -1, 0), repeat=2))
-    missing = cw.Arrangement(m=6, chambers=cw.build_braid(4).chambers[1:], faces=None,
+    missing = cw.Arrangement(m=6, signs=cw.build_braid(4).signs[1:], faces=None,
                              family_tag="braid(4)")
     for arr, w in [
         tsetlin([0.3, 0.3, 0.2, 0.2]),
@@ -544,7 +544,7 @@ def test_fractional_times_raise():
 
 def test_no_hyperplanes_means_T_is_zero():
     arr = cw.build_custom(0, [()], [()])
-    w = cw.weighted_faces([((), 1.0)])
+    w = cw.weighted_faces([()], [1.0])
     assert cw.sample_T_batch(w, 1, seed=3)[0] == 0
     assert cw.sample_T_batch(w, 5, seed=3).tolist() == [0] * 5
     assert cw.survival_exact_profile(arr, w, [0])[0] == 0.0

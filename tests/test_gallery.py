@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -372,6 +373,15 @@ def test_card_collection_refuses_a_count_past_int64():
     spec = cw.TsetlinSpec([1 - 2e-200, 1e-200, 1e-200])
     with pytest.raises(CapacityError):
         cw.sample_card_collection_T(spec, 5, seed=0)
+
+
+def test_card_collection_refuses_a_subnormal_weight_without_a_warning():
+    # E / 5e-324 overflows to inf; the refusal is the whole report
+    spec = cw.TsetlinSpec([1 - 1e-300, 5e-324, 1e-300])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CapacityError):
+            cw.sample_card_collection_T(spec, 5, seed=0)
 
 
 def test_riffle_sst_crossing_location():

@@ -318,10 +318,10 @@ MC_TRIALS = 20_000
 SEEDS = st.integers(0, 2**32 - 1)
 
 
-def assert_within_4_sigma(samples, exact):
+def assert_within_4_sigma(samples, exact, sigmas=4):
     for t, p in exact.items():
         se = max(math.sqrt(p * (1 - p) / len(samples)), 1 / len(samples))
-        assert abs((samples > t).mean() - p) < 4 * se, (t, (samples > t).mean(), p)
+        assert abs((samples > t).mean() - p) < sigmas * se, (t, (samples > t).mean(), p)
 
 
 @CASES
@@ -340,3 +340,46 @@ def test_kset_coupon_samples_match_the_exact_survival(mk, seed):
     T = cw.sample_kset_coupon_T(m, k, MC_TRIALS, seed)
     assert_within_4_sigma(T, cw.survival_exact_profile(
         cw.build_boolean(m), cw.hypercube_nonlocal_faces(m, k), TIMES))
+
+
+@CASES
+@given(walks(), SEEDS)
+def test_batch_samples_match_the_exact_survival(walk, seed):
+    # 25 times on each of 40 walks, small counts skewed upward: 4 sigma fails
+    # a correct sampler in about 5-10% of runs (4 and 8 of 3000 random walks
+    # and seeds exceed it), 4.9 sigma in 2-3%
+    arr, w = walk
+    T = cw.sample_T_batch(w, MC_TRIALS, seed)
+    assert_within_4_sigma(T, cw.survival_exact_profile(arr, w, TIMES), sigmas=4.9)
+
+
+def flat_eigenvalues(arr, w):
+    """The eigenvalues of the walk by Bidigare-Hanlon-Rockmore, each as often
+    as its multiplicity |mu(X, top)|: one per flat X, the weight of the
+    faces in X.  boolean(n): X = {x_Z = 0} for each coordinate set Z,
+    multiplicity 1.  braid(n): X = {x_i = x_j within each block of a set
+    partition rho}, whose faces have blocks that are unions of rho's blocks,
+    multiplicity prod_B (|B| - 1)!."""
+    family, n = arr.family_tag.rstrip(")").split("(")
+    n, faces = int(n), list(zip(w.faces, w.weights))
+    if family == "boolean":
+        return [sum(wt for f, wt in faces if all(f[i] == 0 for i in Z))
+                for r in range(n + 1) for Z in itertools.combinations(range(n), r)]
+    pair = {p: k for k, p in enumerate(itertools.combinations(range(n), 2))}
+    rhos = {frozenset(map(frozenset, p)) for p in ordered_set_partitions(range(n))}
+    return [value for rho in rhos
+            for value in [sum(wt for f, wt in faces
+                              if all(f[pair[p]] == 0 for B in rho
+                                     for p in itertools.combinations(sorted(B), 2)))]
+            * math.prod(math.factorial(len(B) - 1) for B in rho)]
+
+
+@CASES
+@given(walks())
+def test_spectrum_equals_the_flat_weights(walk):
+    arr, w = walk
+    got = np.linalg.eigvals(cw.transition_matrix(arr, w))
+    want = np.sort(flat_eigenvalues(arr, w))
+    assert len(got) == arr.n_chambers == len(want)
+    assert np.abs(np.sort(got.real) - want).max() <= 1e-12
+    assert np.abs(got.imag).max() <= 1e-12

@@ -59,7 +59,7 @@ def test_sample_T_mean_boolean2():
 
 
 def test_sample_T_is_one_when_chamber_face_drawn_first():
-    w = cw.weighted_faces([((1,), 0.6), ((-1,), 0.4)])
+    w = cw.weighted_faces([(1,), (-1,)], [0.6, 0.4])
     assert sample_T_batch(w, 50, seed=0).tolist() == [1] * 50
 
 

@@ -53,8 +53,8 @@ FAMILIES = {
     "under uniform card weights",
     "riffle": "inverse a-shuffle; s(t) = P(T>t) under uniform marks; "
     "closed-form cutoff parameters b=1-1/a, d=(1-1/a)^2",
-    "k-to-top": "k random cards to top; closed-form cutoff parameters "
-    "b=k/n, d=k^2/n^2-k(n-k)/(n^2(n-1))",
+    "k-to-top": "k random cards to top; its faces give b=2k(n-k)/(n(n-1)) "
+    "and a non-constant d, so cutoff refuses it",
     "top-bottom": "random card to top or bottom; s(t) = P(T>t) under "
     "uniform card weights",
     "hypercube-nn": "weighted nearest-neighbor hypercube walk; "
@@ -199,7 +199,6 @@ def build_family(family, params):
             listing = (riffle_faces, n, a)
         elif family == "k-to-top":
             n, k = _get_int(params, "n"), _get_int(params, "k")
-            info["bd"] = kset_coupling_closed_form(n, k)
             listing = (k_to_top_faces, n, k)
         elif family == "top-bottom":
             n = _get_int(params, "n")

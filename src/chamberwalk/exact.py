@@ -234,35 +234,60 @@ def total_variation_profile(arr, w, t_grid, chamber_cap=DEFAULT_CHAMBER_CAP):
     return {t: tv for t, (_, tv) in prof.items()}
 
 
-def _power_sums(c, q, exact_q, t_grid, t_first):
-    """P(T > t) = sum_i c_i q_i^t over _times(t_grid), for integers c_i, and
-    1.0 before t_first, the first time T can take.  A float sum outside
-    [0, 1] by no more than its rounding bound (t + 1) eps sum_i |c_i| q_i^t
-    is put on the nearer edge.  Where it lies further out, the bound exceeds
-    1e-12 or a c_i exceeds the float range, the sum is taken over the exact
-    rates exact_q() = (integers a_i, d), q_i = a_i / d, as the integer ratio
-    sum_i c_i a_i^t / d^t, which Python rounds correctly."""
-    out, by_rate = {}, None
+def _rate_sums(c, q):
+    """(q, sum c_i, sum |c_i|) over each distinct float rate q of the terms
+    c_i q_i^t; None if a c_i exceeds the float range."""
     try:
-        cf, q = np.asarray(c, dtype=float), np.asarray(q, dtype=float)
+        c = np.asarray(c, dtype=float)
     except OverflowError:
-        cf = None
+        return None
+    rates = np.unique(q)
+    at = np.searchsorted(rates, q)
+    return rates, np.bincount(at, c, rates.size), np.bincount(at, np.abs(c), rates.size)
+
+
+def _power_sums(sums, exact_at, t_grid, t_first):
+    """P(T > t) = sum_i c_i q_i^t over _times(t_grid) at one power per rate
+    of sums = _rate_sums(c, q), for integers c_i, and 1.0 before t_first, the
+    first time T can take.  A float sum outside [0, 1] by no more than its
+    rounding bound (t + 1) eps sum_i |c_i| q_i^t is put on the nearer edge.
+    Where it lies further out, the bound exceeds 1e-12 or sums is None, the
+    value is exact_at(t), from a source that does not cancel."""
+    out = {}
     for t in _times(t_grid):
         if t < t_first:
             out[t] = 1.0
             continue
-        if cf is not None:
-            terms = cf * q**t
-            value, bound = terms.sum(), (t + 1) * np.finfo(float).eps * np.abs(terms).sum()
+        if sums is not None:
+            qt = sums[0]**t
+            value, bound = sums[1] @ qt, (t + 1) * np.finfo(float).eps * (sums[2] @ qt)
             if bound <= 1e-12 and -bound <= value <= 1.0 + bound:
                 out[t] = float(min(max(value, 0.0), 1.0))
                 continue
-        if by_rate is None:  # the terms of one rate share one power
-            (a, d), by_rate = exact_q(), collections.Counter()
-            for ai, ci in zip(a, map(int, c)):
-                by_rate[ai] += ci
-        out[t] = sum(ci * ai**t for ai, ci in by_rate.items()) / d**t
+        out[t] = exact_at(t)
     return out
+
+
+def _exact_sum(c, exact_q):
+    """t -> sum_i c_i a_i^t / d^t, one integer ratio that Python rounds
+    correctly, over the exact rates exact_q() = (integers a_i, d), q_i = a_i / d.
+    The first call reads them and merges the terms of equal a_i (as int64
+    where they fit, which np.unique sorts fast)."""
+
+    @functools.cache
+    def merged():
+        a, d = exact_q()
+        a = np.asarray(a, dtype=np.int64 if max(a, default=0) < 2**63 else object)
+        rates = np.unique(a)
+        c_sum = np.zeros(rates.size, dtype=object)
+        np.add.at(c_sum, np.searchsorted(rates, a), np.asarray(c, dtype=object))
+        return list(zip(rates.tolist(), c_sum.tolist())), d
+
+    def at(t):
+        by_rate, d = merged()
+        return sum(ci * ai**t for ai, ci in by_rate) / d**t
+
+    return at
 
 
 def _superset(x, op):
@@ -289,7 +314,7 @@ def _rates(masks, weights, m, keep, exact=False):
 
 
 def _mobius_form(arr, w, hyperplane_cap):
-    """Arrays (c, q) and the exact rates for _power_sums, with
+    """Arrays (c, q), and the exact sum for _power_sums, with
     P(T > t) = sum c_X q_X^t over the flats X != {}.
 
     T > t iff every face picked so far lies on some hyperplane.  Over the sets
@@ -311,8 +336,9 @@ def _mobius_form(arr, w, hyperplane_cap):
     sign = np.where(np.bitwise_count(np.arange(1, 1 << m)) % 2, 1.0, -1.0)
     c = np.bincount(_superset(cl, np.bitwise_and)[1:], sign, minlength=1 << m)
     flats = np.flatnonzero((c != 0) & (q > 0))
-    return c[flats].astype(np.int64), q[flats], functools.partial(
-        _rates, masks, w.weights, m, flats, exact=True)
+    c = c[flats].astype(np.int64)
+    exact_q = functools.partial(_rates, masks, w.weights, m, flats, exact=True)
+    return c, q[flats], _exact_sum(c, exact_q)
 
 
 def survival_terms(arr, w, hyperplane_cap=DEFAULT_IE_HYPERPLANE_CAP):
@@ -323,7 +349,8 @@ def survival_terms(arr, w, hyperplane_cap=DEFAULT_IE_HYPERPLANE_CAP):
 
 def survival_exact_profile(arr, w, t_grid, hyperplane_cap=DEFAULT_IE_HYPERPLANE_CAP):
     """Exact P(T > t) over an integer time grid (T = 0 when m = 0)."""
-    return _power_sums(*_mobius_form(arr, w, hyperplane_cap), t_grid, min(arr.m, 1))
+    c, q, exact_at = _mobius_form(arr, w, hyperplane_cap)
+    return _power_sums(_rate_sums(c, q), exact_at, t_grid, min(arr.m, 1))
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CapacityError, braid_m, braid_signs, weighted_faces
-from .exact import _power_sums, _rates
+from .exact import _exact_sum, _power_sums, _rate_sums, _rates
 
 DEFAULT_ENUM_CAP = 10_000_000  # sign entries, faces x hyperplanes, one face list enumerates
 DEFAULT_TSETLIN_EXACT_CAP = 20
@@ -99,8 +99,8 @@ def k_to_top_faces(n, k, enum_cap=DEFAULT_ENUM_CAP):
 
 
 def kset_coupling_closed_form(n, k):
-    """b = k/n and d = k^2/n^2 - k(n-k)/(n^2 (n-1)); shared by k-to-top on
-    the braid arrangement and the non-local hypercube walk."""
+    """b = k/n and d = k^2/n^2 - k(n-k)/(n^2 (n-1)), the coupling
+    parameters of the non-local hypercube walk (k-to-top's faces give others)."""
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got n={n} k={k}")
     b = k / n
@@ -249,7 +249,8 @@ def tsetlin_survival_profile(spec, t_grid):
     masks = ((1 << n) - 1) ^ (1 << np.arange(n))
     rates = functools.partial(_rates, masks, spec.card_weights, n, sets)
     c = np.where(size % 2, 1 - size, size - 1)[sets]
-    return _power_sums(c, rates(), functools.partial(rates, exact=True), t_grid, n - 1)
+    exact_at = _exact_sum(c, functools.partial(rates, exact=True))
+    return _power_sums(_rate_sums(c, rates()), exact_at, t_grid, n - 1)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an inf or nan mean is refused below
@@ -309,10 +310,13 @@ def sample_kset_coupon_T(m, k, trials, seed):
     ]).reshape(m, k - 1)
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
     steps, mean = np.zeros(trials, dtype=np.int64), np.zeros(trials)
-    idx, held = np.arange(trials), np.zeros(trials, dtype=np.int64)
-    while idx.size:  # the trials that do not hold every coupon yet
-        steps[idx] += 1
-        mean[idx] += repeat[held] * rng.standard_exponential(idx.size)
+    idx, held, live = np.arange(trials), np.zeros(trials, dtype=np.int64), np.zeros(trials)
+    step = 0
+    while idx.size:  # idx, held and live: the trials short of m coupons, compacted
+        step += 1
+        live += repeat[held] * rng.standard_exponential(idx.size)
         held += 1 + (jump_cdf[held] <= rng.random(idx.size)[:, None]).sum(axis=1)
-        idx, held = idx[held < m], held[held < m]
+        if (done := held >= m).any():
+            steps[idx[done]], mean[idx[done]] = step, live[done]
+            idx, held, live = idx[~done], held[~done], live[~done]
     return steps + rng.poisson(mean)  # stay/leave <= (m-k)/k keeps each mean far inside int64

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CapacityError
-from .exact import _matrix, _orbits, _power_sums, _push, _row_walk, _times, _walk, separation
+from .exact import _matrix, _orbits, _power_sums, _push, _rate_sums, _row_walk, _times, _walk
+from .exact import separation
 
 DEFAULT_STATE_CAP = 4096
 
@@ -208,20 +209,42 @@ def glauber_separation_profile(sys, t_grid, stats=None):
 
 def coupon_survival_uniform(n, t):
     """P(some site unpicked after t uniform site selections), exactly:
-    sum_j (-1)^(j+1) C(n,j) ((n-j)/n)^t, through exact._power_sums with the
-    exact rates (n-j)/n."""
+    sum_j (-1)^(j+1) C(n,j) ((n-j)/n)^t through exact._power_sums, and where
+    that float sum cancels, the count chain of _coupon_chain."""
     if n < 1:
         raise ValueError("need n >= 1")
     if (t := _times([t])[0]) < n:
         return 1.0
-    return _power_sums(*_coupon_terms(n), lambda: (range(n - 1, 0, -1), n), [t], n)[t]
+    return _power_sums(_coupon_terms(n),
+                       lambda t: float(_coupon_chain(n, 1 << t.bit_length())[0][t]), [t], n)[t]
 
 
 @functools.lru_cache(maxsize=4)
 def _coupon_terms(n):
-    """c_j = (-1)^(j+1) C(n, j) and q_j = (n-j)/n for j = 1..n-1, once per n."""
+    """_rate_sums of c_j = (-1)^(j+1) C(n, j) and q_j = (n-j)/n, j = 1..n-1,
+    once per n: None from n = 1030, where C(n, j) passes the float range."""
     c = itertools.accumulate(range(1, n), lambda c, j: -c * (n - j + 1) // j, initial=-1)
-    return tuple(c)[1:], tuple((n - j) / n for j in range(1, n))
+    return _rate_sums(tuple(c)[1:], np.arange(n - 1, 0, -1) / n)
+
+
+@functools.lru_cache(maxsize=8)
+def _coupon_chain(n, horizon):
+    """(curve, law), extending the chain of horizon / 2: law[1 + k] is the
+    chance of k distinct sites after horizon - 1 uniform picks among n
+    (law[0] = 0), and curve[t] for t < horizon the mass short of n after t
+    picks, a sum that does not cancel (Erdos-Renyi's count chain).  Rounding
+    may lift it past 1 by (2t + n) eps: it is put on 1, and further is an error."""
+    if horizon == 1:
+        return np.ones(1), np.eye(1, n + 2, 1)[0]
+    curve, law = _coupon_chain(n, horizon // 2)
+    curve, law = np.append(curve, np.empty(horizon // 2)), law.copy()
+    stay, up = np.arange(n + 1) / n, np.arange(n + 1, 0, -1) / n  # at k sites, and to k from k - 1
+    for t in range(horizon // 2, horizon):
+        law[1:] = law[1:] * stay + law[:-1] * up
+        if (mass := float(law[1:-1].sum())) > 1.0 + (2 * t + n) * np.finfo(float).eps:
+            raise RuntimeError(f"count chain at n={n}, t={t}: mass {mass!r} > 1")
+        curve[t] = min(mass, 1.0)
+    return curve, law
 
 
 def coverage_conditioned_profile(sys, t_grid):

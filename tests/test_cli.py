@@ -219,6 +219,23 @@ def test_bounds_mode(tmp_path):
     assert float(table[t_lo][4]) >= float(kv["lower_value"]) - 0.01
 
 
+def test_cutoff_k_to_top_reads_b_and_d_off_its_faces(tmp_path, capsys):
+    # a pair of cards is cut when exactly one of them moves to the top, so
+    # b = 2k(n-k)/(n(n-1)), not the non-local hypercube's k/n (1/3 here);
+    # from n = 4 on d differs between pairs, and cutoff refuses it
+    out = tmp_path / "cutoff.csv"
+    run_cli(["cutoff", "--family", "k-to-top", "--params", "n=3", "k=1", "--trials", "100",
+             "--t-grid", "1..3", "--out", str(out)])
+    kv = dict(m[2:].split("=", 1) for m in read_rows(out)[0] if "=" in m)
+    assert float(kv["b"]) == pytest.approx(2 / 3, abs=1e-11)
+    assert float(kv["d"]) == pytest.approx(1 / 3, abs=1e-11)
+    with pytest.raises(SystemExit) as exc:
+        main(["cutoff", "--family", "k-to-top", "--params", "n=7", "k=2", "--trials", "10",
+              "--t-grid", "1..3"])
+    assert exc.value.code == 2
+    assert "not constant" in capsys.readouterr().err
+
+
 def test_cutoff_mode_riffle(tmp_path):
     out = tmp_path / "cutoff.csv"
     run_cli(

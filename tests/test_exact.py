@@ -567,16 +567,20 @@ def test_power_sums_snap_rounding_and_take_the_rest_exactly():
     def unread():
         raise AssertionError("exact rates read")
 
-    assert exact._power_sums([1, 1], [1.0, 2.0**-52], unread, [0, 1], 1) == {0: 1.0, 1: 1.0}
+    def power_sums(c, q, exact_q, t_grid, t_first):
+        return exact._power_sums(exact._rate_sums(c, q), exact._exact_sum(c, exact_q),
+                                 t_grid, t_first)
+
+    assert power_sums([1, 1], [1.0, 2.0**-52], unread, [0, 1], 1) == {0: 1.0, 1: 1.0}
     # 2^60 (3/4)^t cancels in floats with a bound far above 1e-9; in integers
     # the two terms of rate 3/4 fold into one of coefficient 0
     big = 2**60
-    assert exact._power_sums([1, big, -big], [0.5, 0.75, 0.75], lambda: ([2, 3, 3], 4),
-                             [1, 7], 1) == {1: 0.5, 7: 0.5**7}
+    assert power_sums([1, big, -big], [0.5, 0.75, 0.75], lambda: ([2, 3, 3], 4),
+                      [1, 7], 1) == {1: 0.5, 7: 0.5**7}
     # coefficients beyond the float range go to the integers at once
     huge = 10**400
-    assert exact._power_sums([huge, 1 - huge], [0.5, 0.5], lambda: ([1, 1], 2),
-                             [3], 1) == {3: 0.125}
+    assert exact._rate_sums([huge, 1 - huge], [0.5, 0.5]) is None
+    assert power_sums([huge, 1 - huge], [0.5, 0.5], lambda: ([1, 1], 2), [3], 1) == {3: 0.125}
 
 
 def test_separation_reads_only_the_chambers_pi_charges():

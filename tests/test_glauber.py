@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -294,6 +295,22 @@ def test_coupon_survival_does_not_cancel_at_large_n():
             assert cw.coupon_survival_uniform(n, t) == pytest.approx(p, abs=1e-12), (n, t)
     assert cw.coupon_survival_uniform(1000, 1000) == pytest.approx(
         _count_chain_survival(1000, [1000])[1000], abs=1e-12)
+
+
+def _inclusion_exclusion_survival(n, t):
+    """P(some of n sites unpicked after t uniform picks), as 1 minus the
+    exact integer inclusion-exclusion sum_j (-1)^j C(n, j) (n - j)^t / n^t,
+    rounded once."""
+    covered = sum((-1) ** j * math.comb(n, j) * (n - j) ** t for j in range(n + 1))
+    return float(1 - Fraction(covered, n**t))
+
+
+def test_coupon_survival_matches_exact_inclusion_exclusion():
+    # an oracle that shares nothing with the count chain the program reads
+    # where its float sum cancels (t up to about 940 at n = 200)
+    for t in range(200, 940, 7):
+        assert cw.coupon_survival_uniform(200, t) == pytest.approx(
+            _inclusion_exclusion_survival(200, t), abs=1e-12), t
 
 
 def test_coupon_survival_checks_t_before_any_binomial():

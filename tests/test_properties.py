@@ -12,6 +12,7 @@ exact survival."""
 import collections
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import chamberwalk as cw
+from chamberwalk import exact
 from chamberwalk.core import braid_signs, face_product, is_chamber, ordered_set_partitions
 
 TIMES = range(1, 26)
@@ -73,6 +75,30 @@ def test_survival_equals_inclusion_exclusion_over_hyperplane_subsets(walk):
     got = cw.survival_exact_profile(arr, w, TIMES)
     for t in TIMES:
         assert abs(got[t] - inclusion_exclusion(arr, w, t)) <= 1e-12, t
+
+
+@CASES
+@given(st.lists(st.integers(1, 63), min_size=1, max_size=4, unique=True).flatmap(
+    lambda ks: st.lists(st.tuples(st.integers(-9, 9), st.sampled_from(ks)), min_size=2,
+                        max_size=12)))
+@example([(1, 32), (10**4, 48), (-10**4, 48)])  # the bound refuses t <= 14, not t >= 15
+def test_power_sums_merge_float_equal_rates_and_keep_the_float_times(terms):
+    # rates k/64 from a set of at most four collide, and each is exact in
+    # floats; the float path is taken where the unmerged float sum took it
+    c, k = [ci for ci, _ in terms], [ki for _, ki in terms]
+    q, eps, read = np.array(k, dtype=float) / 64, np.finfo(float).eps, []
+    exact_at = exact._exact_sum(c, lambda: (k, 64))
+    got = exact._power_sums(exact._rate_sums(c, q), lambda t: read.append(t) or exact_at(t),
+                            TIMES, 1)
+    floated = set()
+    for t in TIMES:
+        want = sum(ci * Fraction(ki, 64) ** t for ci, ki in terms)
+        assert abs(got[t] - float(want)) <= 1e-12, t
+        unmerged = np.array(c, dtype=float) * q**t
+        bound = (t + 1) * eps * np.abs(unmerged).sum()
+        if bound <= 1e-12 and -bound <= unmerged.sum() <= 1.0 + bound:
+            floated.add(t)
+    assert floated == set(TIMES) - set(read)
 
 
 @CASES

@@ -236,48 +236,42 @@ def total_variation_profile(arr, w, t_grid, chamber_cap=DEFAULT_CHAMBER_CAP):
 
 def _rate_sums(c, q):
     """(q, sum c_i, sum |c_i|) over each distinct float rate q of the terms
-    c_i q_i^t; None if a c_i exceeds the float range."""
-    try:
-        c = np.asarray(c, dtype=float)
-    except OverflowError:
-        return None
-    rates = np.unique(q)
+    c_i q_i^t, for c_i in the float range."""
+    c, rates = np.asarray(c, dtype=float), np.unique(q)
     at = np.searchsorted(rates, q)
     return rates, np.bincount(at, c, rates.size), np.bincount(at, np.abs(c), rates.size)
 
 
 def _power_sums(sums, exact_at, t_grid, t_first):
     """P(T > t) = sum_i c_i q_i^t over _times(t_grid) at one power per rate
-    of sums = _rate_sums(c, q), for integers c_i, and 1.0 before t_first, the
-    first time T can take.  A float sum outside [0, 1] by no more than its
-    rounding bound (t + 1) eps sum_i |c_i| q_i^t is put on the nearer edge.
-    Where it lies further out, the bound exceeds 1e-12 or sums is None, the
-    value is exact_at(t), from a source that does not cancel."""
+    of sums = _rate_sums(c, q), for integers c_i, and 1.0 before t_first, a
+    lower bound on the first time T can take.  A float sum outside [0, 1] by
+    no more than its rounding bound (t + 1) eps sum_i |c_i| q_i^t is put on
+    the nearer edge.  Where it lies further out or the bound exceeds 1e-12,
+    the value is exact_at(t), from a source that does not cancel."""
     out = {}
     for t in _times(t_grid):
         if t < t_first:
             out[t] = 1.0
             continue
-        if sums is not None:
-            qt = sums[0]**t
-            value, bound = sums[1] @ qt, (t + 1) * np.finfo(float).eps * (sums[2] @ qt)
-            if bound <= 1e-12 and -bound <= value <= 1.0 + bound:
-                out[t] = float(min(max(value, 0.0), 1.0))
-                continue
-        out[t] = exact_at(t)
+        qt = sums[0]**t
+        value, bound = sums[1] @ qt, (t + 1) * np.finfo(float).eps * (sums[2] @ qt)
+        if bound <= 1e-12 and -bound <= value <= 1.0 + bound:
+            out[t] = float(min(max(value, 0.0), 1.0))
+        else:
+            out[t] = exact_at(t)
     return out
 
 
 def _exact_sum(c, exact_q):
     """t -> sum_i c_i a_i^t / d^t, one integer ratio that Python rounds
     correctly, over the exact rates exact_q() = (integers a_i, d), q_i = a_i / d.
-    The first call reads them and merges the terms of equal a_i (as int64
-    where they fit, which np.unique sorts fast)."""
+    The first call reads them and merges the terms of equal a_i (np.unique,
+    fast on the int64 that _rates gives where they fit)."""
 
     @functools.cache
     def merged():
         a, d = exact_q()
-        a = np.asarray(a, dtype=np.int64 if max(a, default=0) < 2**63 else object)
         rates = np.unique(a)
         c_sum = np.zeros(rates.size, dtype=object)
         np.add.at(c_sum, np.searchsorted(rates, a), np.asarray(c, dtype=object))
@@ -303,14 +297,15 @@ def _rates(masks, weights, m, keep, exact=False):
     """q_S, the total weight of the masks that contain S, at the sets S in
     keep: floats, or with exact=True (integers a_S, a_{}), the weights made
     integers over one power of two and q_S = a_S / a_{} read against their
-    exact total."""
+    exact total, as int64 where a_{} < 2^63 bounds them all."""
     if not exact:
         return _superset(np.bincount(masks, weights, minlength=1 << m), np.add)[keep]
     ratios = [float(x).as_integer_ratio() for x in weights]
     d = max(den for _, den in ratios)
-    a = np.zeros(1 << m, dtype=object)
-    np.add.at(a, masks, [num * (d // den) for num, den in ratios])
-    return _superset(a, np.add)[keep], a[0]
+    ints = [num * (d // den) for num, den in ratios]
+    a = np.zeros(1 << m, dtype=np.int64 if sum(ints) < 2**63 else object)
+    np.add.at(a, masks, np.array(ints, dtype=a.dtype))
+    return _superset(a, np.add)[keep], int(a[0])
 
 
 def _mobius_form(arr, w, hyperplane_cap):
@@ -348,9 +343,11 @@ def survival_terms(arr, w, hyperplane_cap=DEFAULT_IE_HYPERPLANE_CAP):
 
 
 def survival_exact_profile(arr, w, t_grid, hyperplane_cap=DEFAULT_IE_HYPERPLANE_CAP):
-    """Exact P(T > t) over an integer time grid (T = 0 when m = 0)."""
+    """Exact P(T > t) over an integer time grid (T = 0 when m = 0).  As t
+    faces of at most s nonzero signs cut at most t s hyperplanes, T >= m / s."""
     c, q, exact_at = _mobius_form(arr, w, hyperplane_cap)
-    return _power_sums(_rate_sums(c, q), exact_at, t_grid, min(arr.m, 1))
+    s = max((w.signs != 0).sum(axis=1).max(), 1)
+    return _power_sums(_rate_sums(c, q), exact_at, t_grid, -(-arr.m // s))
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ coupon-collector lower bounds on separation and total variation mixing.
 
 from __future__ import annotations
 
+import array
 import functools
 import itertools
 import math
@@ -15,10 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CapacityError
-from .exact import _matrix, _orbits, _power_sums, _push, _rate_sums, _row_walk, _times, _walk
-from .exact import separation
+from .exact import _matrix, _orbits, _push, _row_walk, _times, _walk, separation
 
 DEFAULT_STATE_CAP = 4096
+DEFAULT_COUPON_CELL_CAP = 2**28
 
 
 @dataclass(frozen=True)
@@ -208,43 +209,45 @@ def glauber_separation_profile(sys, t_grid, stats=None):
 
 
 def coupon_survival_uniform(n, t):
-    """P(some site unpicked after t uniform site selections), exactly:
-    sum_j (-1)^(j+1) C(n,j) ((n-j)/n)^t through exact._power_sums, and where
-    that float sum cancels, the count chain of _coupon_chain."""
+    """P(some site unpicked after t uniform site selections), read off the
+    curve of _coupon_chain(n), stepped to the power-of-two horizon above t:
+    O(n t) work once per n, a lookup after.  A chain of more than
+    DEFAULT_COUPON_CELL_CAP cells (n + 2 per step) raises CapacityError first."""
     if n < 1:
         raise ValueError("need n >= 1")
     if (t := _times([t])[0]) < n:
         return 1.0
-    return _power_sums(_coupon_terms(n),
-                       lambda t: float(_coupon_chain(n, 1 << t.bit_length())[0][t]), [t], n)[t]
-
-
-@functools.lru_cache(maxsize=4)
-def _coupon_terms(n):
-    """_rate_sums of c_j = (-1)^(j+1) C(n, j) and q_j = (n-j)/n, j = 1..n-1,
-    once per n: None from n = 1030, where C(n, j) passes the float range."""
-    c = itertools.accumulate(range(1, n), lambda c, j: -c * (n - j + 1) // j, initial=-1)
-    return _rate_sums(tuple(c)[1:], np.arange(n - 1, 0, -1) / n)
+    # from t = zero on, the survival is below n e^(-t/n) < 2^-1022: the chain has ended
+    zero = int(n * (math.log(n) + 709)) + 1
+    if (cells := (n + 2) << min(t, zero).bit_length()) > DEFAULT_COUPON_CELL_CAP:
+        raise CapacityError(f"coupon chain of {cells} cells exceeds cap {DEFAULT_COUPON_CELL_CAP}")
+    curve, steps = _coupon_chain(n)
+    curve.extend(itertools.islice(steps, max((1 << t.bit_length()) - len(curve), 0)))
+    return curve[t] if t < len(curve) or curve[-1] else 0.0  # past the curve only at its 0
 
 
 @functools.lru_cache(maxsize=8)
-def _coupon_chain(n, horizon):
-    """(curve, law), extending the chain of horizon / 2: law[1 + k] is the
-    chance of k distinct sites after horizon - 1 uniform picks among n
-    (law[0] = 0), and curve[t] for t < horizon the mass short of n after t
-    picks, a sum that does not cancel (Erdos-Renyi's count chain).  Rounding
-    may lift it past 1 by (2t + n) eps: it is put on 1, and further is an error."""
-    if horizon == 1:
-        return np.ones(1), np.eye(1, n + 2, 1)[0]
-    curve, law = _coupon_chain(n, horizon // 2)
-    curve, law = np.append(curve, np.empty(horizon // 2)), law.copy()
-    stay, up = np.arange(n + 1) / n, np.arange(n + 1, 0, -1) / n  # at k sites, and to k from k - 1
-    for t in range(horizon // 2, horizon):
-        law[1:] = law[1:] * stay + law[:-1] * up
-        if (mass := float(law[1:-1].sum())) > 1.0 + (2 * t + n) * np.finfo(float).eps:
-            raise RuntimeError(f"count chain at n={n}, t={t}: mass {mass!r} > 1")
-        curve[t] = min(mass, 1.0)
-    return curve, law
+def _coupon_chain(n):
+    """(curve, steps): curve[t] is the mass short of n after t uniform picks
+    among n, a sum that does not cancel (Erdos-Renyi's count chain), and steps
+    yields the later t's from the chain's law.  A mass past 1 by rounding,
+    (2t + n) eps at most, is put on 1; further, it is an error, and reads past
+    the curve fail after it.  Each chance below 2^-1022 is put on 0: the
+    subnormals would not empty (k/n of the least rounds back to it) and step
+    slowly.  The first mass 0 ends the curve: no mass flows back below n."""
+
+    def steps(law, f):  # law[1 + k]: the chance of k distinct sites
+        stay, up = np.arange(n + 1) / n, np.arange(n + 1, 0, -1) / n  # at k, and to k from k - 1
+        for t in itertools.count(1):
+            law[1:] = law[1:] * stay + law[:-1] * up
+            law[law < f.tiny] = 0.0
+            if (mass := float(law[1:-1].sum())) > 1.0 + (2 * t + n) * f.eps:
+                raise RuntimeError(f"count chain at n={n}, t={t}: mass {mass!r} > 1")
+            yield min(mass, 1.0)
+            if mass == 0.0:
+                return
+
+    return array.array("d", [1.0]), steps(np.eye(1, n + 2, 1)[0], np.finfo(float))
 
 
 def coverage_conditioned_profile(sys, t_grid):

@@ -577,10 +577,38 @@ def test_power_sums_snap_rounding_and_take_the_rest_exactly():
     big = 2**60
     assert power_sums([1, big, -big], [0.5, 0.75, 0.75], lambda: ([2, 3, 3], 4),
                       [1, 7], 1) == {1: 0.5, 7: 0.5**7}
-    # coefficients beyond the float range go to the integers at once
+    # every caller's coefficients lie in the float range; others are refused
     huge = 10**400
-    assert exact._rate_sums([huge, 1 - huge], [0.5, 0.5]) is None
-    assert power_sums([huge, 1 - huge], [0.5, 0.5], lambda: ([1, 1], 2), [3], 1) == {3: 0.125}
+    with pytest.raises(OverflowError):
+        exact._rate_sums([huge, 1 - huge], [0.5, 0.5])
+
+
+def test_survival_is_one_before_m_over_the_largest_face_support(monkeypatch):
+    # t faces of at most s nonzero signs cut at most t s of the m hyperplanes
+    first, fallback = [], []
+    power_sums, exact_sum = exact._power_sums, exact._exact_sum
+
+    def recorded(sums, exact_at, t_grid, t_first):
+        first.append(t_first)
+        return power_sums(sums, exact_at, t_grid, t_first)
+
+    def counted(c, exact_q):
+        at = exact_sum(c, exact_q)
+        return lambda t: fallback.append(t) or at(t)
+
+    monkeypatch.setattr(exact, "_power_sums", recorded)
+    monkeypatch.setattr(exact, "_exact_sum", counted)
+    # the non-local hypercube's faces cut two of 16 coordinates: T >= 8, and
+    # from t = 8 on every float sum passes its bound
+    got = cw.survival_exact_profile(cw.build_boolean(16), cw.hypercube_nonlocal_faces(16, 2),
+                                    range(1, 301))
+    assert first == [8] and fallback == []
+    assert [got[t] for t in range(1, 8)] == [1.0] * 7 and got[8] < 1.0
+    # riffle(6, 2)'s largest face splits the deck 3|3 and cuts 9 of the 15 pairs
+    got = cw.survival_exact_profile(cw.build_braid(6), cw.riffle_faces(6, 2), range(1, 41))
+    assert first[1:] == [2]
+    assert got == {t: pytest.approx(riffle_separation(6, t), abs=1e-15) for t in range(1, 41)}
+    assert got[1] == got[2] == 1.0
 
 
 def test_separation_reads_only_the_chambers_pi_charges():

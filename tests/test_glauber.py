@@ -1,12 +1,14 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import chamberwalk as cw
+from chamberwalk import glauber
 from chamberwalk.core import CapacityError
 from chamberwalk.glauber import comparable_pairs, grid_edges
 
@@ -320,6 +322,44 @@ def test_coupon_survival_checks_t_before_any_binomial():
     assert cw.coupon_survival_uniform(1031, 1030) == 1.0
     with pytest.raises(ValueError, match="negative time"):
         cw.coupon_survival_uniform(1030, -2)
+
+
+def test_coupon_chain_refuses_past_its_cell_cap_before_any_allocation():
+    misses = glauber._coupon_chain.cache_info().misses
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="cells exceeds cap"):
+            cw.coupon_survival_uniform(10**6, 10**6 + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16  # the chain's law alone would take 8 MB
+    assert glauber._coupon_chain.cache_info().misses == misses
+
+
+def test_coupon_curve_ends_at_its_first_zero():
+    glauber._coupon_chain.cache_clear()
+    assert cw.coupon_survival_uniform(9, 10**9) == 0.0
+    curve, _ = glauber._coupon_chain(9)
+    assert curve[-1] == 0.0 and min(curve[:-1]) > 0.0  # no longer than its first zero
+    assert len(curve) < 8192 and min(curve[:-1]) < 1e-307
+    # every later t reads 0 without growing the curve
+    size = len(curve)
+    assert cw.coupon_survival_uniform(9, size) == cw.coupon_survival_uniform(9, 10**12) == 0.0
+    assert len(glauber._coupon_chain(9)[0]) == size
+
+
+def test_coupon_curve_is_kept_per_n_and_grown_in_place():
+    glauber._coupon_chain.cache_clear()
+    first = cw.coupon_survival_uniform(60, 500)
+    curve = glauber._coupon_chain(60)[0]
+    assert len(curve) == 512
+    prefix = curve.tolist()
+    cw.coupon_survival_uniform(200, 3000)
+    cw.coupon_survival_uniform(60, 1000)  # a second n neither evicts nor rebuilds the first
+    assert glauber._coupon_chain(60)[0] is curve and len(curve) == 1024
+    assert curve[:512].tolist() == prefix and curve[500] == first
+    assert glauber._coupon_chain.cache_info().misses == 2
 
 
 def orbit_count(n_sites, site_maps, reversal):

@@ -6,6 +6,8 @@ One start per orbit: class-constant card weights on braid(3..5), and Ising
 grids of at most 9 sites.  The sign lists: braid_signs against
 partition_to_sign_vector, chamber_index against a search of the chamber
 tuples, and each built-in face list against a loop that lists it face by face.
+The exact rates of the Möbius form, on int64 and past it, against a loop over
+the sets.
 The card-collection and k-set samplers: Monte Carlo within 4 sigma of the
 exact survival."""
 
@@ -99,6 +101,33 @@ def test_power_sums_merge_float_equal_rates_and_keep_the_float_times(terms):
         if bound <= 1e-12 and -bound <= unmerged.sum() <= 1.0 + bound:
             floated.add(t)
     assert floated == set(TIMES) - set(read)
+
+
+def superset_loop(masks, weights, m):
+    """a_S = sum of d w_i over the masks_i that contain S, for every set S of
+    m coordinates, with d the least common denominator of the weights."""
+    d = math.lcm(*(Fraction(x).denominator for x in weights))
+    return [int(sum(Fraction(x) * d for x, k in zip(weights, masks) if k & S == S))
+            for S in range(1 << m)]
+
+
+@CASES
+@given(st.integers(1, 6).flatmap(lambda m: st.tuples(
+    st.just(m), st.lists(st.tuples(st.integers(0, (1 << m) - 1), st.floats(1e-3, 1.0)),
+                         min_size=1, max_size=8), st.booleans())))
+@example((3, [(0, 0.5), (5, 0.25), (7, 0.25)], False))  # int64
+@example((3, [(0, 0.5), (5, 0.25), (7, 0.25)], True))
+@example((2, [(0, 3e-4), (1, 0.4999), (2, 0.4998)], False))  # 2^64 total of int64 parts
+def test_exact_rates_are_the_superset_sums_on_int64_and_past_it(case):
+    m, faces, tiny = case
+    faces = faces + [(0, 1e-30)] * tiny  # its denominator lifts every a_S, and a_{} past 2^63
+    masks, weights = np.array([k for k, _ in faces]), [x for _, x in faces]
+    want = superset_loop(masks, weights, m)
+    keep = np.arange(1 << m)[::2]
+    a, total = exact._rates(masks, weights, m, keep, exact=True)
+    assert a.tolist() == want[::2] and total == want[0] and type(total) is int
+    assert a.dtype == (np.int64 if total < 2**63 else object)
+    assert not tiny or a.dtype == object
 
 
 @CASES

@@ -1,7 +1,7 @@
 """Exact small-instance analysis of the chamber walk.
 
-Transition matrix, stationary distribution (linear solve plus the
-sampling-without-replacement construction as an independent oracle),
+Transition matrix, stationary distribution (absorbed from the forward face
+chain, with sampling without replacement as an independent oracle),
 separation and total-variation distance, the Möbius form of P(T > t) over
 the flats of the faces' zero sets, and the coupling parameters b, d with
 the cutoff prediction they determine.
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CapacityError, _bits, _lookup, _search, _sign_keys, check_separating
+from .core import CapacityError, _bits, _keys, _lookup, _search, _sign_keys, check_separating
 from .core import face_product, is_chamber, symmetry_generators, weighted_faces
 
 DEFAULT_CHAMBER_CAP = 10_000
@@ -83,49 +83,48 @@ def _symmetries(arr, w):
 
 
 def _orbits(maps, n):
-    """(orbit, starts): the orbit of each of n states under the group that
-    the permutations maps generate, the orbits numbered in order of their
-    least states, and those least states, one start per orbit."""
+    """One start per orbit of n states under the group that the permutations
+    maps generate: the least state of each, in increasing order."""
     label, low = None, np.arange(n)
     while not np.array_equal(label, low):  # pull the least label along every map
         label = low
         low = functools.reduce(lambda low, g: np.minimum(low, low[g]), maps, label)
         low = low[low]
-    starts, orbit = np.unique(label, return_inverse=True)
-    return orbit, starts
-
-
-def _chain(arr, w, orbit, starts):
-    """P from one build, and pi from one solve of pi P = pi, sum(pi) = 1, on
-    the chain lumped by orbit, one row per start: as the symmetries fix pi,
-    pi(x) is the orbit's mass over its size.  The residual gate and the
-    closed class are taken on the full chain."""
-    if not check_separating(w):
-        raise ValueError("non-separating weights: stationary law not unique")
-    P = transition_matrix(arr, w, arr.n_chambers)  # the caller checked the cap
-    ell, r = P.shape[0], len(starts)  # lumped: P's rows at the starts, summed by orbit
-    by_orbit = np.broadcast_to(orbit[:, np.newaxis], (ell, r))
-    lumped = P if r == ell else _matrix(by_orbit, P[starts].T)
-    A = np.vstack([lumped.T - np.eye(r), np.ones((1, r))])
-    pi, *_ = np.linalg.lstsq(A, np.append(np.zeros(r), 1.0), rcond=None)
-    pi = (pi / np.bincount(orbit))[orbit]
-    residual = np.abs(pi @ P - pi).max()
-    if residual > 1e-10:
-        raise RuntimeError(f"stationary solve residual {residual:.3g} > 1e-10")
-    # pi charges only the walk's closed class: the chambers reachable from the product
-    # of all the weighted faces (each column's first nonzero sign), which every start reaches
-    product = w.signs[(w.signs != 0).argmax(axis=0), np.arange(w.m)]
-    charged = np.arange(ell) == arr.chamber_index(product)
-    while (grown := charged | (charged @ P > 0)).sum() > charged.sum():
-        charged = grown
-    return P, np.where(charged, pi, 0.0)
+    return np.unique(label)
 
 
 def stationary_solve(arr, w, chamber_cap=DEFAULT_CHAMBER_CAP):
-    """Stationary probability vector: solves pi P = pi, sum(pi) = 1, on the
-    chain lumped by the orbits of the weights' symmetries (see _chain)."""
+    """Stationary law pi: the law of the chamber at which the forward product
+    F_1 F_2 ... freezes (Brown-Diaconis), from one pass over the faces that
+    it reaches from the zero face, in order of support size.  G passes its
+    mass to each G F != G in proportion to w(F); G F != G exactly when the
+    support grows, so a level is complete when it is read.  The faces are
+    rows of packed > 0 and < 0 bits, merged by sorted row keys and multiplied
+    in blocks of _TABLE_CELLS bytes.  The chambers absorb the mass, so pi is
+    0 off those reached; a product that is not a chamber raises ValueError."""
     _check_chambers(arr, chamber_cap)
-    return _chain(arr, w, *_orbits(_symmetries(arr, w), arr.n_chambers))[1]
+    if not check_separating(w):
+        raise ValueError("non-separating weights: stationary law not unique")
+    m, nb = w.m, -(-w.m // 8)
+    faces = np.concatenate([_bits(w.signs), _bits(-w.signs)], axis=1)
+    block = max(1, _TABLE_CELLS // max(faces.size, 1))
+    levels = {0: [(np.zeros((1, 2 * nb), dtype=np.uint8), np.ones(1))]}  # blocks by support
+    while (k := min(levels)) < m:
+        rows, mass = (np.concatenate(x) for x in zip(*levels.pop(k)))
+        _, first, merged = np.unique(_keys(rows), return_index=True, return_inverse=True)
+        rows, mass = rows[first], np.bincount(merged, mass)
+        for i in range(0, len(rows), block):
+            G = rows[i:i + block, np.newaxis]
+            product = G | faces & ~np.concatenate([G[..., :nb] | G[..., nb:]] * 2, axis=-1)
+            size = np.bitwise_count(product).sum(axis=-1)  # k where F adds nothing to G
+            share = w.weights * (size > k)
+            p = mass[i:i + block, np.newaxis] * share / share.sum(axis=1, keepdims=True)
+            for s in np.unique(size[size > k]):
+                levels.setdefault(s, []).append((product[size == s], p[size == s]))
+    rows, mass = (np.concatenate(x) for x in zip(*levels[m]))
+    if (at := arr._find(rows[:, :nb])).min() < 0:
+        raise ValueError("a face product is not a chamber of the arrangement")
+    return np.bincount(at, mass, arr.n_chambers)
 
 
 def stationary_without_replacement(arr, w, max_enum_faces=ENUM_ORDERING_FACE_CAP):
@@ -197,20 +196,20 @@ def _profiles(arr, w, t_grid, chamber_cap=DEFAULT_CHAMBER_CAP):
     start per orbit of _symmetries, as the row of P^t at any other start
     relabels one of theirs.  With one orbit the path is 'one-start': pi is
     uniform, and the law nu_t of the walk from chamber 0 is pushed along the
-    product table, nu_{t+1}[F C] += w(F) nu_t[C], with no P.  Otherwise
-    _chain gives P and pi, and the rows at the starts are walked: the path
-    is 'orbits', or 'dense' when each chamber is its own orbit."""
+    product table, nu_{t+1}[F C] += w(F) nu_t[C], with no P.  Otherwise P is
+    built, pi read off stationary_solve, and the rows at the starts walked:
+    the path is 'orbits', or 'dense' when each chamber is its own orbit."""
     if not check_separating(w):
         raise ValueError("non-separating weights: stationary law not unique")
     _check_chambers(arr, chamber_cap)
     ell = arr.n_chambers
-    orbit, starts = _orbits(_symmetries(arr, w), ell)
+    starts = _orbits(_symmetries(arr, w), ell)
     if len(starts) == 1:
         step = functools.partial(_push, _product_table(arr, w), w.weights[:, np.newaxis])
         return "one-start", 1, {
             t: (float(1.0 - ell * nu.min()), float(0.5 * np.abs(nu - 1.0 / ell).sum()))
             for t, nu in _walk((np.arange(ell) == 0).astype(float), step, t_grid)}
-    P, pi = _chain(arr, w, orbit, starts)
+    P, pi = transition_matrix(arr, w, ell), stationary_solve(arr, w, ell)
     return "dense" if len(starts) == ell else "orbits", len(starts), {
         t: (separation(R, pi), float(0.5 * np.abs(R - pi).sum(axis=1).max()))
         for t, R in _row_walk(P, starts, t_grid)}
@@ -234,28 +233,26 @@ def total_variation_profile(arr, w, t_grid, chamber_cap=DEFAULT_CHAMBER_CAP):
     return {t: tv for t, (_, tv) in prof.items()}
 
 
-def _rate_sums(c, q):
-    """(q, sum c_i, sum |c_i|) over each distinct float rate q of the terms
-    c_i q_i^t, for c_i in the float range."""
+def _power_sums(c, q, exact_at, t_grid, t_first):
+    """P(T > t) = sum_i c_i q_i^t over _times(t_grid), for integers c_i in the
+    float range (else OverflowError), and 1.0 before t_first, a lower bound on
+    the first time T can take.  The terms of float-equal rates are merged
+    once, so each time takes one power per rate: sum c_i gives the value and
+    sum |c_i| its rounding bound (t + 1) eps sum_i |c_i| q_i^t.  A float sum
+    outside [0, 1] by no more than that bound is put on the nearer edge.
+    Where it lies further out or the bound exceeds 1e-12, the value is
+    exact_at(t), from a source that does not cancel."""
     c, rates = np.asarray(c, dtype=float), np.unique(q)
     at = np.searchsorted(rates, q)
-    return rates, np.bincount(at, c, rates.size), np.bincount(at, np.abs(c), rates.size)
-
-
-def _power_sums(sums, exact_at, t_grid, t_first):
-    """P(T > t) = sum_i c_i q_i^t over _times(t_grid) at one power per rate
-    of sums = _rate_sums(c, q), for integers c_i, and 1.0 before t_first, a
-    lower bound on the first time T can take.  A float sum outside [0, 1] by
-    no more than its rounding bound (t + 1) eps sum_i |c_i| q_i^t is put on
-    the nearer edge.  Where it lies further out or the bound exceeds 1e-12,
-    the value is exact_at(t), from a source that does not cancel."""
+    c_sum, abs_sum = np.bincount(at, c, rates.size), np.bincount(at, np.abs(c), rates.size)
+    del c, at  # not held while exact_at runs
     out = {}
     for t in _times(t_grid):
         if t < t_first:
             out[t] = 1.0
             continue
-        qt = sums[0]**t
-        value, bound = sums[1] @ qt, (t + 1) * np.finfo(float).eps * (sums[2] @ qt)
+        qt = rates**t
+        value, bound = c_sum @ qt, (t + 1) * np.finfo(float).eps * (abs_sum @ qt)
         if bound <= 1e-12 and -bound <= value <= 1.0 + bound:
             out[t] = float(min(max(value, 0.0), 1.0))
         else:
@@ -347,7 +344,7 @@ def survival_exact_profile(arr, w, t_grid, hyperplane_cap=DEFAULT_IE_HYPERPLANE_
     faces of at most s nonzero signs cut at most t s hyperplanes, T >= m / s."""
     c, q, exact_at = _mobius_form(arr, w, hyperplane_cap)
     s = max((w.signs != 0).sum(axis=1).max(), 1)
-    return _power_sums(_rate_sums(c, q), exact_at, t_grid, -(-arr.m // s))
+    return _power_sums(c, q, exact_at, t_grid, -(-arr.m // s))
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CapacityError
-from .exact import _matrix, _orbits, _push, _row_walk, _times, _walk, separation
+from .exact import _matrix, _orbits, _push, _row_walk, _walk, separation
 
 DEFAULT_STATE_CAP = 4096
 DEFAULT_COUPON_CELL_CAP = 2**28
@@ -200,7 +200,7 @@ def glauber_separation_profile(sys, t_grid, stats=None):
     index = np.arange(len(configs)).reshape((len(sys.spins),) * sys.n_sites)
     maps = [g.ravel() for g in [np.flip(index), *map(index.transpose, sys.symmetries)]
             if np.array_equal(pi[g.ravel()], pi)]
-    starts = np.union1d(_orbits(maps, len(configs))[1], [i_top])
+    starts = np.union1d(_orbits(maps, len(configs)), [i_top])
     top = np.searchsorted(starts, i_top)
     if stats is not None:
         stats.update(states=len(configs), starts=len(starts))
@@ -215,7 +215,9 @@ def coupon_survival_uniform(n, t):
     DEFAULT_COUPON_CELL_CAP cells (n + 2 per step) raises CapacityError first."""
     if n < 1:
         raise ValueError("need n >= 1")
-    if (t := _times([t])[0]) < n:
+    if t < 0 or t % 1:  # the checks of exact._times, on one time (inf % 1 is nan)
+        raise ValueError(f"{'negative' if t < 0 else 'fractional'} time {t}")
+    if (t := int(t)) < n:
         return 1.0
     # from t = zero on, the survival is below n e^(-t/n) < 2^-1022: the chain has ended
     zero = int(n * (math.log(n) + 709)) + 1

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -81,6 +82,18 @@ def test_stationary_matches_luce_model():
     # identity order 0,1,2: 0.5 * 0.3/(1-0.5) = 0.3
     got = pi[arr.chamber_index(permutation_to_chamber((0, 1, 2)))]
     assert got == pytest.approx(0.3, abs=1e-10)
+
+
+def test_stationary_of_seven_distinct_cards_is_the_luce_law():
+    # every card weighs differently: no symmetry, 5040 chambers, 8660 faces reached
+    weights = np.random.default_rng(7).dirichlet(np.ones(7))
+    arr, w = tsetlin(weights)
+    start = time.perf_counter()
+    pi = cw.stationary_solve(arr, w)
+    assert time.perf_counter() - start < 1.0
+    # build_braid lists its chambers in itertools.permutations order
+    luce = [luce_probability(perm, weights) for perm in itertools.permutations(range(7))]
+    assert np.abs(pi - luce).max() <= 1e-14
 
 
 def test_stationary_tsetlin2_one_step():
@@ -446,7 +459,7 @@ def braid4_with_extra_orbit():
 
 def orbit_starts(arr, w):
     """One start per orbit of the symmetries that pass the engine's check."""
-    return exact._orbits(exact._symmetries(arr, w), arr.n_chambers)[1]
+    return exact._orbits(exact._symmetries(arr, w), arr.n_chambers)
 
 
 def test_certificate_rejects_asymmetric_inputs():
@@ -472,6 +485,8 @@ def test_certificate_rejects_asymmetric_inputs():
         cw.transition_matrix(missing, riffle4)
     with pytest.raises(ValueError, match="not a chamber"):
         cw.distance_profiles(missing, riffle4, [1])
+    with pytest.raises(ValueError, match="not a chamber"):  # no write into a last chamber
+        cw.stationary_solve(missing, riffle4)
 
 
 def test_orbits_keep_the_symmetries_that_pass():
@@ -550,6 +565,7 @@ def test_no_hyperplanes_means_T_is_zero():
     assert cw.survival_exact_profile(arr, w, [0])[0] == 0.0
     assert cw.survival_exact_profile(arr, w, [0, 1, 4]) == {0: 0.0, 1: 0.0, 4: 0.0}
     assert survival_terms(arr, w) == []
+    assert cw.stationary_solve(arr, w).tolist() == [1.0]
 
 
 def test_survival_terms_count_flats_with_integer_coefficients():
@@ -568,8 +584,7 @@ def test_power_sums_snap_rounding_and_take_the_rest_exactly():
         raise AssertionError("exact rates read")
 
     def power_sums(c, q, exact_q, t_grid, t_first):
-        return exact._power_sums(exact._rate_sums(c, q), exact._exact_sum(c, exact_q),
-                                 t_grid, t_first)
+        return exact._power_sums(c, q, exact._exact_sum(c, exact_q), t_grid, t_first)
 
     assert power_sums([1, 1], [1.0, 2.0**-52], unread, [0, 1], 1) == {0: 1.0, 1: 1.0}
     # 2^60 (3/4)^t cancels in floats with a bound far above 1e-9; in integers
@@ -580,7 +595,7 @@ def test_power_sums_snap_rounding_and_take_the_rest_exactly():
     # every caller's coefficients lie in the float range; others are refused
     huge = 10**400
     with pytest.raises(OverflowError):
-        exact._rate_sums([huge, 1 - huge], [0.5, 0.5])
+        exact._power_sums([huge, 1 - huge], [0.5, 0.5], unread, [1], 1)
 
 
 def test_survival_is_one_before_m_over_the_largest_face_support(monkeypatch):
@@ -588,9 +603,9 @@ def test_survival_is_one_before_m_over_the_largest_face_support(monkeypatch):
     first, fallback = [], []
     power_sums, exact_sum = exact._power_sums, exact._exact_sum
 
-    def recorded(sums, exact_at, t_grid, t_first):
+    def recorded(c, q, exact_at, t_grid, t_first):
         first.append(t_first)
-        return power_sums(sums, exact_at, t_grid, t_first)
+        return power_sums(c, q, exact_at, t_grid, t_first)
 
     def counted(c, exact_q):
         at = exact_sum(c, exact_q)

@@ -2,16 +2,18 @@
 survival P(T > t), and s(t) against the survival conditioned on the chamber
 at which the walk freezes: random positive weights on random face subsets of
 boolean(2..4) and braid(3..4), kept only when they separate the hyperplanes.
+The stationary law against the sampling-without-replacement law.
 One start per orbit: class-constant card weights on braid(3..5), and Ising
 grids of at most 9 sites.  The sign lists: braid_signs against
 partition_to_sign_vector, chamber_index against a search of the chamber
 tuples, and each built-in face list against a loop that lists it face by face.
 The exact rates of the Möbius form, on int64 and past it, against a loop over
 the sets.
-The card-collection and k-set samplers: Monte Carlo within 4 sigma of the
-exact survival."""
+The generic, card-collection and k-set samplers: each Monte Carlo count
+against the binomial law of the exact survival."""
 
 import collections
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -20,6 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.stats import binom
 
 import chamberwalk as cw
 from chamberwalk import exact
@@ -90,8 +93,7 @@ def test_power_sums_merge_float_equal_rates_and_keep_the_float_times(terms):
     c, k = [ci for ci, _ in terms], [ki for _, ki in terms]
     q, eps, read = np.array(k, dtype=float) / 64, np.finfo(float).eps, []
     exact_at = exact._exact_sum(c, lambda: (k, 64))
-    got = exact._power_sums(exact._rate_sums(c, q), lambda t: read.append(t) or exact_at(t),
-                            TIMES, 1)
+    got = exact._power_sums(c, q, lambda t: read.append(t) or exact_at(t), TIMES, 1)
     floated = set()
     for t in TIMES:
         want = sum(ci * Fraction(ki, 64) ** t for ci, ki in terms)
@@ -201,6 +203,26 @@ def test_separation_is_the_largest_conditional_survival(walk):
     for t in TIMES:
         s = max(alive[t][C] / pi[C] for C in pi if pi[C] > 0)
         assert abs(got[t] - s) <= 1e-12, t
+
+
+def closed_class(arr, w):
+    """The chambers that the walk reaches from the product of all the
+    weighted faces, read off the transition matrix."""
+    P, product = cw.transition_matrix(arr, w) > 0, functools.reduce(face_product, w.faces)
+    reached = np.arange(arr.n_chambers) == arr.chamber_index(product)
+    while (grown := reached | (reached @ P)).sum() > reached.sum():
+        reached = grown
+    return reached
+
+
+@CASES
+@given(walks(max_faces=9))
+def test_stationary_law_is_the_law_without_replacement(walk):
+    arr, w = walk
+    pi = cw.stationary_solve(arr, w)
+    assert np.abs(pi - cw.stationary_without_replacement(arr, w)).max() <= 1e-15
+    closed = closed_class(arr, w)
+    assert np.all(pi[~closed] == 0.0) and np.all(pi[closed] > 0.0)
 
 
 @st.composite
@@ -373,10 +395,20 @@ MC_TRIALS = 20_000
 SEEDS = st.integers(0, 2**32 - 1)
 
 
-def assert_within_4_sigma(samples, exact, sigmas=4):
+# per count, both tails together: each property reads 25 times on each of its
+# 40 examples (41 with an explicit one), so a correct sampler fails a run of one
+# property with chance at most 1025 x 1e-6, about 1e-3, and of all three 3e-3
+FALSE_ALARM = 1e-6
+
+
+def assert_binomial_tails(samples, exact):
+    """Each count of samples above t against its exact law, Binomial(trials,
+    P(T > t)): a count out in either tail, of mass below FALSE_ALARM / 2, fails."""
+    trials = len(samples)
     for t, p in exact.items():
-        se = max(math.sqrt(p * (1 - p) / len(samples)), 1 / len(samples))
-        assert abs((samples > t).mean() - p) < sigmas * se, (t, (samples > t).mean(), p)
+        k = int((samples > t).sum())
+        tail = min(binom.cdf(k, trials, p), binom.sf(k - 1, trials, p))
+        assert tail >= FALSE_ALARM / 2, (t, k, trials * p, tail)
 
 
 @CASES
@@ -385,7 +417,7 @@ def assert_within_4_sigma(samples, exact, sigmas=4):
 def test_card_collection_samples_match_the_exact_survival(raw, seed):
     spec = cw.TsetlinSpec(np.array(raw) / sum(raw))
     T = cw.sample_card_collection_T(spec, MC_TRIALS, seed)
-    assert_within_4_sigma(T, cw.tsetlin_survival_profile(spec, TIMES))
+    assert_binomial_tails(T, cw.tsetlin_survival_profile(spec, TIMES))
 
 
 @CASES
@@ -393,19 +425,16 @@ def test_card_collection_samples_match_the_exact_survival(raw, seed):
 def test_kset_coupon_samples_match_the_exact_survival(mk, seed):
     m, k = mk
     T = cw.sample_kset_coupon_T(m, k, MC_TRIALS, seed)
-    assert_within_4_sigma(T, cw.survival_exact_profile(
+    assert_binomial_tails(T, cw.survival_exact_profile(
         cw.build_boolean(m), cw.hypercube_nonlocal_faces(m, k), TIMES))
 
 
 @CASES
 @given(walks(), SEEDS)
 def test_batch_samples_match_the_exact_survival(walk, seed):
-    # 25 times on each of 40 walks, small counts skewed upward: 4 sigma fails
-    # a correct sampler in about 5-10% of runs (4 and 8 of 3000 random walks
-    # and seeds exceed it), 4.9 sigma in 2-3%
     arr, w = walk
     T = cw.sample_T_batch(w, MC_TRIALS, seed)
-    assert_within_4_sigma(T, cw.survival_exact_profile(arr, w, TIMES), sigmas=4.9)
+    assert_binomial_tails(T, cw.survival_exact_profile(arr, w, TIMES))
 
 
 def flat_eigenvalues(arr, w):

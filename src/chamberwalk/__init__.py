@@ -64,7 +64,6 @@ from .glauber import (
 )
 from .walk import (
     SurvivalEstimate,
-    estimate_survival,
     sample_T_batch,
     simulate_chamber_at,
     survival_from_samples,

@@ -233,20 +233,22 @@ def total_variation_profile(arr, w, t_grid, chamber_cap=DEFAULT_CHAMBER_CAP):
     return {t: tv for t, (_, tv) in prof.items()}
 
 
-def _power_sums(c, q, exact_at, t_grid, t_first):
-    """P(T > t) = sum_i c_i q_i^t over _times(t_grid), for integers c_i in the
-    float range (else OverflowError), and 1.0 before t_first, a lower bound on
-    the first time T can take.  The terms of float-equal rates are merged
-    once, so each time takes one power per rate: sum c_i gives the value and
-    sum |c_i| its rounding bound (t + 1) eps sum_i |c_i| q_i^t.  A float sum
-    outside [0, 1] by no more than that bound is put on the nearer edge.
-    Where it lies further out or the bound exceeds 1e-12, the value is
-    exact_at(t), from a source that does not cancel."""
-    c, rates = np.asarray(c, dtype=float), np.unique(q)
+def _power_sums(c, q, exact_q, t_grid, t_first):
+    """P(T > t) = sum_i c_i q_i^t over _times(t_grid), for int64 c_i (else
+    OverflowError), and 1.0 before t_first, a lower bound on the first time T
+    can take.  The terms of float-equal rates are merged once, so each time
+    takes one power per rate: sum c_i gives the value and sum |c_i| its
+    rounding bound (t + 1) eps sum_i |c_i| q_i^t.  A float sum outside [0, 1]
+    by no more than that bound is put on the nearer edge.  Where it lies
+    further out or the bound exceeds 1e-12, the value is the integer ratio
+    sum_i c_i a_i^t / d^t, which Python rounds correctly, over the exact rates
+    exact_q() = (integers a_i, d), q_i = a_i / d: read at the first such time,
+    and the c_i of equal a_i summed once on int64."""
+    c, rates = np.asarray(c, dtype=np.int64), np.unique(q)
     at = np.searchsorted(rates, q)
     c_sum, abs_sum = np.bincount(at, c, rates.size), np.bincount(at, np.abs(c), rates.size)
-    del c, at  # not held while exact_at runs
-    out = {}
+    del at  # not held while the exact rates are read
+    out, by_rate = {}, None
     for t in _times(t_grid):
         if t < t_first:
             out[t] = 1.0
@@ -255,30 +257,15 @@ def _power_sums(c, q, exact_at, t_grid, t_first):
         value, bound = c_sum @ qt, (t + 1) * np.finfo(float).eps * (abs_sum @ qt)
         if bound <= 1e-12 and -bound <= value <= 1.0 + bound:
             out[t] = float(min(max(value, 0.0), 1.0))
-        else:
-            out[t] = exact_at(t)
+            continue
+        if by_rate is None:
+            a, d = exact_q()
+            a_rates = np.unique(a)
+            merged = np.zeros(a_rates.size, dtype=np.int64)
+            np.add.at(merged, np.searchsorted(a_rates, a), c)
+            by_rate = list(zip(a_rates.tolist(), merged.tolist()))
+        out[t] = sum(ci * ai**t for ai, ci in by_rate) / d**t
     return out
-
-
-def _exact_sum(c, exact_q):
-    """t -> sum_i c_i a_i^t / d^t, one integer ratio that Python rounds
-    correctly, over the exact rates exact_q() = (integers a_i, d), q_i = a_i / d.
-    The first call reads them and merges the terms of equal a_i (np.unique,
-    fast on the int64 that _rates gives where they fit)."""
-
-    @functools.cache
-    def merged():
-        a, d = exact_q()
-        rates = np.unique(a)
-        c_sum = np.zeros(rates.size, dtype=object)
-        np.add.at(c_sum, np.searchsorted(rates, a), np.asarray(c, dtype=object))
-        return list(zip(rates.tolist(), c_sum.tolist())), d
-
-    def at(t):
-        by_rate, d = merged()
-        return sum(ci * ai**t for ai, ci in by_rate) / d**t
-
-    return at
 
 
 def _superset(x, op):
@@ -306,7 +293,7 @@ def _rates(masks, weights, m, keep, exact=False):
 
 
 def _mobius_form(arr, w, hyperplane_cap):
-    """Arrays (c, q), and the exact sum for _power_sums, with
+    """Arrays (c, q), and the exact rates for _power_sums, with
     P(T > t) = sum c_X q_X^t over the flats X != {}.
 
     T > t iff every face picked so far lies on some hyperplane.  Over the sets
@@ -329,8 +316,7 @@ def _mobius_form(arr, w, hyperplane_cap):
     c = np.bincount(_superset(cl, np.bitwise_and)[1:], sign, minlength=1 << m)
     flats = np.flatnonzero((c != 0) & (q > 0))
     c = c[flats].astype(np.int64)
-    exact_q = functools.partial(_rates, masks, w.weights, m, flats, exact=True)
-    return c, q[flats], _exact_sum(c, exact_q)
+    return c, q[flats], functools.partial(_rates, masks, w.weights, m, flats, exact=True)
 
 
 def survival_terms(arr, w, hyperplane_cap=DEFAULT_IE_HYPERPLANE_CAP):
@@ -342,9 +328,9 @@ def survival_terms(arr, w, hyperplane_cap=DEFAULT_IE_HYPERPLANE_CAP):
 def survival_exact_profile(arr, w, t_grid, hyperplane_cap=DEFAULT_IE_HYPERPLANE_CAP):
     """Exact P(T > t) over an integer time grid (T = 0 when m = 0).  As t
     faces of at most s nonzero signs cut at most t s hyperplanes, T >= m / s."""
-    c, q, exact_at = _mobius_form(arr, w, hyperplane_cap)
+    c, q, exact_q = _mobius_form(arr, w, hyperplane_cap)
     s = max((w.signs != 0).sum(axis=1).max(), 1)
-    return _power_sums(c, q, exact_at, t_grid, -(-arr.m // s))
+    return _power_sums(c, q, exact_q, t_grid, -(-arr.m // s))
 
 
 @dataclass(frozen=True)

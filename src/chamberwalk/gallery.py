@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CapacityError, braid_m, braid_signs, weighted_faces
-from .exact import _exact_sum, _power_sums, _rates
+from .exact import _power_sums, _rates
 
 DEFAULT_ENUM_CAP = 10_000_000  # sign entries, faces x hyperplanes, one face list enumerates
 DEFAULT_TSETLIN_EXACT_CAP = 20
@@ -249,8 +249,7 @@ def tsetlin_survival_profile(spec, t_grid):
     masks = ((1 << n) - 1) ^ (1 << np.arange(n))
     rates = functools.partial(_rates, masks, spec.card_weights, n, sets)
     c = np.where(size % 2, 1 - size, size - 1)[sets]
-    exact_at = _exact_sum(c, functools.partial(rates, exact=True))
-    return _power_sums(c, rates(), exact_at, t_grid, n - 1)
+    return _power_sums(c, rates(), functools.partial(rates, exact=True), t_grid, n - 1)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an inf or nan mean is refused below

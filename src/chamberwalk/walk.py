@@ -89,19 +89,11 @@ def survival_from_samples(samples, t_grid, seed=0):
         raise ValueError("empty time grid")
     t_grid = np.asarray(t_grid, dtype=np.int64)
     samples = np.asarray(samples)
-    trials = len(samples)
+    if not (trials := len(samples)):
+        raise ValueError("no T samples")
     p_hat = np.array([(samples > t).mean() for t in t_grid])
     std_err = np.sqrt(p_hat * (1.0 - p_hat) / trials)
     return SurvivalEstimate(
         t_values=t_grid, p_hat=p_hat, std_err=std_err, trials=trials, seed=seed
     )
 
-
-def estimate_survival(w, t_grid, trials, seed):
-    """Estimate P(T > t) over a grid from sample_T_batch's T samples, one per
-    trial; deterministic in (seed, trials)."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    t_grid = list(t_grid)
-    _times(t_grid)  # a bad time raises before any T is drawn
-    return survival_from_samples(sample_T_batch(w, trials, seed), t_grid, seed=seed)

@@ -267,7 +267,7 @@ def test_survival_exact_capacity():
 def test_survival_mc_agreement():
     for arr, w in [boolean2_uniform(), tsetlin([0.5, 0.3, 0.2])]:
         grid = [1, 2, 3, 5, 8]
-        est = cw.estimate_survival(w, grid, trials=50_000, seed=17)
+        est = cw.survival_from_samples(cw.sample_T_batch(w, 50_000, seed=17), grid)
         exact = cw.survival_exact_profile(arr, w, grid)
         for t, p, se in zip(est.t_values, est.p_hat, est.std_err):
             assert abs(p - exact[int(t)]) <= 4 * max(se, 1e-4)
@@ -538,7 +538,7 @@ def test_survival_formulas_reject_negative_times():
     for survival in (lambda: cw.survival_exact_profile(arr, w, [-2, 0, 1]),
                      lambda: cw.tsetlin_survival_profile(cw.TsetlinSpec([0.5, 0.3, 0.2]), [-2, 0]),
                      lambda: cw.coupon_survival_uniform(3, -2),
-                     lambda: cw.estimate_survival(w, [-3, 1], trials=100, seed=0)):
+                     lambda: cw.survival_from_samples(cw.sample_T_batch(w, 100, 0), [-3, 1])):
         with pytest.raises(ValueError, match="negative time"):
             survival()
 
@@ -549,7 +549,7 @@ def test_fractional_times_raise():
                  lambda: cw.survival_exact_profile(arr, w, [1, 2.5]),
                  lambda: cw.glauber_separation_profile(cw.ising_system(2, 1, 0.3), [0.5]),
                  lambda: cw.coupon_survival_uniform(3, 4.9),
-                 lambda: cw.estimate_survival(w, [1.5, 2.7], trials=100, seed=0)):
+                 lambda: cw.survival_from_samples(cw.sample_T_batch(w, 100, 0), [1.5, 2.7])):
         with pytest.raises(ValueError, match="fractional time"):
             call()
     # a whole float is a time
@@ -583,16 +583,13 @@ def test_power_sums_snap_rounding_and_take_the_rest_exactly():
     def unread():
         raise AssertionError("exact rates read")
 
-    def power_sums(c, q, exact_q, t_grid, t_first):
-        return exact._power_sums(c, q, exact._exact_sum(c, exact_q), t_grid, t_first)
-
-    assert power_sums([1, 1], [1.0, 2.0**-52], unread, [0, 1], 1) == {0: 1.0, 1: 1.0}
+    assert exact._power_sums([1, 1], [1.0, 2.0**-52], unread, [0, 1], 1) == {0: 1.0, 1: 1.0}
     # 2^60 (3/4)^t cancels in floats with a bound far above 1e-9; in integers
     # the two terms of rate 3/4 fold into one of coefficient 0
     big = 2**60
-    assert power_sums([1, big, -big], [0.5, 0.75, 0.75], lambda: ([2, 3, 3], 4),
-                      [1, 7], 1) == {1: 0.5, 7: 0.5**7}
-    # every caller's coefficients lie in the float range; others are refused
+    assert exact._power_sums([1, big, -big], [0.5, 0.75, 0.75], lambda: ([2, 3, 3], 4),
+                             [1, 7], 1) == {1: 0.5, 7: 0.5**7}
+    # every caller's coefficients lie in the int64 range; others are refused
     huge = 10**400
     with pytest.raises(OverflowError):
         exact._power_sums([huge, 1 - huge], [0.5, 0.5], unread, [1], 1)
@@ -601,18 +598,13 @@ def test_power_sums_snap_rounding_and_take_the_rest_exactly():
 def test_survival_is_one_before_m_over_the_largest_face_support(monkeypatch):
     # t faces of at most s nonzero signs cut at most t s of the m hyperplanes
     first, fallback = [], []
-    power_sums, exact_sum = exact._power_sums, exact._exact_sum
+    power_sums = exact._power_sums
 
-    def recorded(c, q, exact_at, t_grid, t_first):
+    def recorded(c, q, exact_q, t_grid, t_first):
         first.append(t_first)
-        return power_sums(c, q, exact_at, t_grid, t_first)
-
-    def counted(c, exact_q):
-        at = exact_sum(c, exact_q)
-        return lambda t: fallback.append(t) or at(t)
+        return power_sums(c, q, lambda: fallback.append(t_first) or exact_q(), t_grid, t_first)
 
     monkeypatch.setattr(exact, "_power_sums", recorded)
-    monkeypatch.setattr(exact, "_exact_sum", counted)
     # the non-local hypercube's faces cut two of 16 coordinates: T >= 8, and
     # from t = 8 on every float sum passes its bound
     got = cw.survival_exact_profile(cw.build_boolean(16), cw.hypercube_nonlocal_faces(16, 2),

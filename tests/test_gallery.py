@@ -1,10 +1,13 @@
+import collections
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import chamberwalk as cw
+from chamberwalk import gallery
 from chamberwalk.core import CapacityError
 
 
@@ -197,6 +200,41 @@ def test_tsetlin_survival_answers_where_the_float_sum_cancels():
     assert all(got[t] == pytest.approx(want[t], abs=1e-12) for t in got)
     # the weights' float total is not exactly 1; the rates are read against it
     assert all(0.0 <= p <= 1.0 for p in got.values())
+
+
+def test_tsetlin_survival_reads_the_exact_rates_once_where_the_float_sum_cancels(monkeypatch):
+    # eight cards of 3/32 and eight of 1/32: T >= n - 1 = 15, and the float
+    # sum's rounding bound refuses t = 15, 16, 17 only
+    spec = cw.TsetlinSpec([3 / 32] * 8 + [1 / 32] * 8)
+    reads, rates = [], gallery._rates
+
+    def counted(*args, exact=False):
+        reads.append(exact)
+        return rates(*args, exact=exact)
+
+    def exact_reads(t_grid):
+        reads.clear()
+        return cw.tsetlin_survival_profile(spec, t_grid), reads.count(True)
+
+    monkeypatch.setattr(gallery, "_rates", counted)
+    grid = range(1, 134)  # to 3 n ln n
+    got, read = exact_reads(grid)
+    assert read == 1
+    assert [exact_reads(g)[1] for g in (range(1, 15), [15], [16], [17], range(18, 134))] == [
+        0, 1, 1, 1, 0]
+    # the lumped chain on the untouched (heavy, light) card counts, in fractions
+    law, want = {(8, 8): Fraction(1)}, {}
+    for t in grid:
+        step = collections.defaultdict(Fraction)
+        for (heavy, light), p in law.items():
+            for state, hits in (((heavy - 1, light), 3 * heavy), ((heavy, light - 1), light),
+                                ((heavy, light), 32 - 3 * heavy - light)):
+                if hits:
+                    step[state] += p * Fraction(hits, 32)
+        law = step
+        want[t] = sum(p for (heavy, light), p in law.items() if heavy + light >= 2)
+    assert [got[t] for t in (15, 16, 17)] == [float(want[t]) for t in (15, 16, 17)]
+    assert all(abs(got[t] - want[t]) <= 1e-12 for t in grid)
 
 
 def test_tsetlin_survival_capacity():

@@ -85,15 +85,24 @@ def test_survival_equals_inclusion_exclusion_over_hyperplane_subsets(walk):
 @CASES
 @given(st.lists(st.integers(1, 63), min_size=1, max_size=4, unique=True).flatmap(
     lambda ks: st.lists(st.tuples(st.integers(-9, 9), st.sampled_from(ks)), min_size=2,
-                        max_size=12)))
-@example([(1, 32), (10**4, 48), (-10**4, 48)])  # the bound refuses t <= 14, not t >= 15
-def test_power_sums_merge_float_equal_rates_and_keep_the_float_times(terms):
+                        max_size=12)), st.sampled_from([1, 2**60]))
+@example([(1, 32), (10**4, 48), (-10**4, 48)], 1)  # the bound refuses t <= 14, not t >= 15
+@example([(1, 32), (10**4, 48), (-10**4, 48)], 2**60)  # and 48 * 2^60 passes 2^63
+def test_power_sums_merge_float_equal_rates_and_keep_the_float_times(terms, scale):
     # rates k/64 from a set of at most four collide, and each is exact in
-    # floats; the float path is taken where the unmerged float sum took it
+    # floats; exact rates k scale / (64 scale), as object past 2^63, are read
+    # at most once, and the float path is taken where the unmerged float sum took it
     c, k = [ci for ci, _ in terms], [ki for _, ki in terms]
-    q, eps, read = np.array(k, dtype=float) / 64, np.finfo(float).eps, []
-    exact_at = exact._exact_sum(c, lambda: (k, 64))
-    got = exact._power_sums(c, q, lambda t: read.append(t) or exact_at(t), TIMES, 1)
+    q, eps = np.array(k, dtype=float) / 64, np.finfo(float).eps
+    a = np.array([ki * scale for ki in k], dtype=np.int64 if 64 * scale < 2**63 else object)
+
+    def power_sums(t_grid):
+        read = []
+        got = exact._power_sums(c, q, lambda: read.append(1) or (a, 64 * scale), t_grid, 1)
+        assert len(read) <= 1
+        return got, bool(read)
+
+    got, _ = power_sums(TIMES)
     floated = set()
     for t in TIMES:
         want = sum(ci * Fraction(ki, 64) ** t for ci, ki in terms)
@@ -102,7 +111,7 @@ def test_power_sums_merge_float_equal_rates_and_keep_the_float_times(terms):
         bound = (t + 1) * eps * np.abs(unmerged).sum()
         if bound <= 1e-12 and -bound <= unmerged.sum() <= 1.0 + bound:
             floated.add(t)
-    assert floated == set(TIMES) - set(read)
+        assert power_sums([t]) == ({t: got[t]}, t not in floated), t
 
 
 def superset_loop(masks, weights, m):

@@ -4,7 +4,7 @@ from scipy import stats
 
 import chamberwalk as cw
 from chamberwalk.core import is_chamber, face_product
-from chamberwalk.walk import sample_T_batch
+from chamberwalk.walk import sample_T_batch, survival_from_samples
 
 
 def _boolean2_uniform():
@@ -74,7 +74,7 @@ def test_tsetlin3_T_equals_2_probability():
 
 def test_survival_estimate_contract():
     w = _boolean2_uniform()
-    est = cw.estimate_survival(w, [0, 1, 2, 4, 8], trials=50_000, seed=4)
+    est = survival_from_samples(sample_T_batch(w, 50_000, seed=4), [0, 1, 2, 4, 8])
     assert est.p_hat[0] == 1.0  # T >= 1 always
     assert np.all(np.diff(est.p_hat) <= 0)
     assert np.all((est.p_hat >= 0) & (est.p_hat <= 1))
@@ -85,14 +85,22 @@ def test_survival_estimate_contract():
 
 def test_survival_estimate_empty_grid():
     w = _boolean2_uniform()
-    with pytest.raises(ValueError):
-        cw.estimate_survival(w, [], trials=10, seed=0)
+    with pytest.raises(ValueError, match="empty time grid"):
+        survival_from_samples(sample_T_batch(w, 10, seed=0), [])
+
+
+def test_survival_estimate_refuses_no_samples():
+    # no trials: no mean to read, where numpy would warn and give nan
+    w = _boolean2_uniform()
+    for samples in ([], sample_T_batch(w, 0, seed=0)):
+        with pytest.raises(ValueError, match="no T samples"):
+            survival_from_samples(samples, [1, 2])
 
 
 def test_survival_estimate_deterministic():
     w = _boolean2_uniform()
-    a = cw.estimate_survival(w, [1, 2, 3], trials=2000, seed=123)
-    b = cw.estimate_survival(w, [1, 2, 3], trials=2000, seed=123)
+    a = survival_from_samples(sample_T_batch(w, 2000, seed=123), [1, 2, 3])
+    b = survival_from_samples(sample_T_batch(w, 2000, seed=123), [1, 2, 3])
     assert np.array_equal(a.p_hat, b.p_hat)
 
 

@@ -318,6 +318,12 @@ def cmd_bounds(args, params):
     )
     rows = _mc_rows(args, info, times)
     extra = [(k, _fmt(v)) for k, v in dataclasses.asdict(report).items()]  # in field order
+    if spec.equal_weights:  # then P(T > t) is the count chain's, cut at n - 1 cards
+        try:
+            rows = [(t, s, tv, coupon_survival_uniform(spec.n, t, spec.n - 1), p, se)
+                    for t, s, tv, _, p, se in rows]
+        except CapacityError as exc:  # the column stays blank, and the preamble says why
+            extra.append(("survival_exact", f"refused: {exc}"))
     write_csv(args.out, _meta(args, params, extra), rows)
 
 

@@ -70,9 +70,12 @@ def _bits(x):
 
 
 def _keys(bits):
-    """Rows of packed bits as raw-byte scalars; with no hyperplanes all are equal."""
-    if not bits.shape[-1]:
-        return np.zeros(bits.shape[:-1], dtype="V1")
+    """Rows of packed bits as scalars in the rows' byte order: rows of at most
+    8 bytes, zero-padded, as big-endian uint64 (read into native order, which
+    sorts faster), longer ones as raw bytes."""
+    if (pad := 8 - bits.shape[-1]) >= 0:
+        bits = np.concatenate([bits, np.zeros((*bits.shape[:-1], pad), np.uint8)], axis=-1)
+        return bits.view(">u8")[..., 0].astype(np.uint64)
     bits = np.ascontiguousarray(bits)
     return bits.view(np.dtype((np.void, bits.shape[-1])))[..., 0]
 

@@ -15,10 +15,15 @@ import numpy as np
 
 from .core import CapacityError, braid_m, braid_signs, weighted_faces
 from .exact import _power_sums, _rates
+from .glauber import _coupon_chain
 
 DEFAULT_ENUM_CAP = 10_000_000  # sign entries, faces x hyperplanes, one face list enumerates
 DEFAULT_TSETLIN_EXACT_CAP = 20
 _CHUNK_CELLS = 2**16  # trials x n cells per block of the card sampler
+# a cell of the count chain (one state at one step) costs about two of the
+# card sampler's exponentials: 24 ns against 12 ns at n = 500, measured once
+# (numpy 2.4, 2-core x86 host)
+_CHAIN_CELL_COST = 2
 
 
 def _check_entries(faces, m, enum_cap, hint=""):
@@ -52,6 +57,10 @@ class TsetlinSpec:
     @property
     def n(self):
         return len(self.card_weights)
+
+    @property
+    def equal_weights(self):
+        return np.ptp(self.card_weights) <= 1e-15
 
 
 def tsetlin_faces(spec, enum_cap=DEFAULT_ENUM_CAP):
@@ -256,21 +265,31 @@ def tsetlin_survival_profile(spec, t_grid):
 def sample_card_collection_T(spec, trials, seed):
     """Monte Carlo samples of T = first time n-1 distinct cards are touched.
 
-    Exact in law, as n-1 steps plus one Poisson count of repeats: a
-    geometric wait of success probability p repeats Poisson(E (1-p)/p) times,
-    E ~ Exp(1).  Equal weights: after j cards the repeat rate is j/(n-j).
-    Otherwise card i is touched at rate w_i in continuous time, first at
+    Equal weights, where the count chain's worst-case cells, n + 2 for each
+    of _chain_horizon(n) steps, cost less than the exponentials below: one
+    V = 1 - U per trial and T = #{t : S(t) >= V}, S the survival curve of
+    _coupon_chain(n, n - 1), cached per n.  Exact in law up to 2^-53 and
+    the chain's rounding, whatever the cache holds.  Otherwise T is n-1
+    steps plus one Poisson count of repeats: a geometric wait of success
+    probability p repeats Poisson(E (1-p)/p) times, E ~ Exp(1).  Equal
+    weights: after j cards the repeat rate is j/(n-j).  Unequal weights:
+    card i is touched at rate w_i in continuous time, first at
     tau_i = E_i / w_i; n-1 cards are touched at s, the second-largest tau,
     and card i repeats Poisson(w_i (s - tau_i)^+) times before it.
     """
     n = spec.n
     w = spec.card_weights
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
-    uniform = np.ptp(w) <= 1e-15
+    uniform = spec.equal_weights
+    chain = uniform and _CHAIN_CELL_COST * (n + 2) * _chain_horizon(n) < trials * (n - 2)
     rate = np.arange(1, n - 1) / np.arange(n - 1, 1, -1)  # j/(n-j), j = 1..n-2
     out = np.empty(trials, dtype=np.int64)
-    rows = max(1, _CHUNK_CELLS // n)
+    rows = _CHUNK_CELLS // 8 if chain else max(1, _CHUNK_CELLS // n)  # chain: 64 KiB each of V, T
     for block in np.split(out, range(rows, trials, rows)):  # views of out
+        if chain:
+            u = rng.random(block.size)
+            block[:] = _chain_T(n, np.subtract(1.0, u, out=u))
+            continue
         if uniform:
             mean = rng.standard_exponential((block.size, rate.size)) @ rate
         else:
@@ -284,6 +303,29 @@ def sample_card_collection_T(spec, trials, seed):
             raise CapacityError(f"T would overflow int64: a mean of {mean.max():.3g} repeats")
         block[:] = (n - 1) + rng.poisson(mean)
     return out
+
+
+def _chain_horizon(n):
+    """H, the first t with C(n, 2) (1 - 2/n)^t < 2^-53: past it the equal-weight
+    P(T > t), at most the sum over card pairs of the chance that both are
+    untouched, is below every V, so the chain takes at most H steps."""
+    if n < 3:
+        return n - 1  # no pair, or the first step touches one of two cards
+    return math.floor((math.log(math.comb(n, 2)) + 53 * math.log(2)) / -math.log1p(-2 / n)) + 1
+
+
+def _chain_T(n, v):
+    """#{t : S(t) >= v} for each v in (0, 1], S the equal-weight P(T > t) of
+    n cards, its cached curve grown until it falls below min(v) or ends.  The
+    search runs on the curve's running minimum: an ulp of upward rounding
+    after the cut would otherwise count where the cut did not."""
+    curve, steps = _coupon_chain(n, n - 1)
+    low = v.min()
+    while curve[-1] >= low:  # the chain ends at its first 0, and each v > 0
+        curve.append(next(steps))
+    rising = np.minimum.accumulate(curve)[::-1]
+    t = np.searchsorted(rising, v)  # #{t : S(t) < v}
+    return np.subtract(len(rising), t, out=t)
 
 
 def sample_kset_coupon_T(m, k, trials, seed):

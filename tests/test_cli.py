@@ -502,6 +502,34 @@ def test_bounds_preamble_keeps_the_clamped_raw_values(tmp_path):
     assert (kv["upper_raw"], kv["lower_raw"]) == ("5.51570867246", "-5.91940384322")
 
 
+def test_bounds_reads_the_exact_survival_at_equal_weights_only(tmp_path):
+    out = tmp_path / "bounds.csv"
+    run_cli(["bounds", "--family", "tsetlin", "--params", "n=12", "c=1", "--trials", "100",
+             "--t-grid", "1..2", "--out", str(out)])
+    _, _, rows = read_rows(out)
+    spec = chamberwalk.TsetlinSpec(np.full(12, 1 / 12))
+    times = [int(r.split(",")[0]) for r in rows]
+    exact = chamberwalk.tsetlin_survival_profile(spec, times)
+    for r in rows:
+        t, surv = int(r.split(",")[0]), float(r.split(",")[3])
+        assert surv == pytest.approx(exact[t], rel=1e-11), t  # 12 digits in the CSV
+    run_cli(["bounds", "--family", "tsetlin", "--params", "weights=1/2,1/4,1/4", "c=0.5",
+             "--trials", "100", "--t-grid", "1..2", "--out", str(out)])
+    meta, _, rows = read_rows(out)
+    assert rows and all(r.split(",")[3] == "" for r in rows)
+    assert not any(m.startswith("# survival_exact=") for m in meta)
+
+
+def test_bounds_leaves_the_exact_survival_blank_past_the_chain_cap(tmp_path):
+    # 20 000 cards: the count chain to the upper time would pass its cell cap
+    out = tmp_path / "bounds.csv"
+    run_cli(["bounds", "--family", "tsetlin", "--params", "n=20000", "c=4", "strict=0",
+             "--trials", "10", "--t-grid", "1..2", "--out", str(out)])
+    meta, _, rows = read_rows(out)
+    assert all(r.split(",")[3] == "" for r in rows)
+    assert any(m.startswith("# survival_exact=refused: coupon chain of") for m in meta)
+
+
 def test_every_traced_layer_function_exists():
     # bench/tracing.py wraps each (module, function) pair of its LAYERS by
     # getattr, so a name missing here breaks bench/run.py --trace 1

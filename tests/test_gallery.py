@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import chamberwalk as cw
-from chamberwalk import gallery
+from chamberwalk import gallery, glauber
 from chamberwalk.core import CapacityError
 
 
@@ -384,12 +384,60 @@ def test_card_collection_small_n_both_paths():
 def test_card_collection_equal_weights_draw_for_draw():
     # T = (n-1) + Poisson(E @ r), r_j = j/(n-j) for j = 1..n-2: the repeats
     # of the geometric wait after j distinct cards, one exponential each
+    # (500 trials of 9 cards draw fewer exponentials than the chain has cells)
     n, trials, seed = 9, 500, 74
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
     rate = np.array([j / (n - j) for j in range(1, n - 1)])
     want = (n - 1) + rng.poisson(rng.standard_exponential((trials, n - 2)) @ rate)
     got = cw.sample_card_collection_T(cw.TsetlinSpec(np.full(n, 1 / n)), trials, seed)
     assert np.array_equal(got, want)
+
+
+def _chain_draws(n, trials, seed):
+    """The chain path's T, from the sampler's own V = 1 - U."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
+    return gallery._chain_T(n, 1.0 - rng.random(trials))
+
+
+def test_card_collection_equal_weights_chain_matches_the_mobius_form():
+    # 20 000 trials of 12 cards take the count chain, draw for draw; the
+    # card-set Mobius sum shares no code with it
+    spec, trials = cw.TsetlinSpec(np.full(12, 1 / 12)), 20_000
+    T = cw.sample_card_collection_T(spec, trials, seed=76)
+    assert np.array_equal(T, _chain_draws(12, trials, 76))
+    _assert_survival_within_4se(T, cw.tsetlin_survival_profile(spec, range(10, 120, 2)))
+
+
+def test_card_collection_chain_samples_do_not_depend_on_the_cache():
+    n, trials, seed = 30, 5000, 77
+    spec = cw.TsetlinSpec(np.full(n, 1 / n))
+    glauber._coupon_chain.cache_clear()
+    cold = cw.sample_card_collection_T(spec, trials, seed)
+    size = len(glauber._coupon_chain(n, n - 1)[0])
+    assert np.array_equal(cold, cw.sample_card_collection_T(spec, trials, seed))
+    # a curve grown past the cut, here or on the (n, n) chain, changes no sample
+    cw.coupon_survival_uniform(n, 4 * size, n - 1)
+    cw.coupon_survival_uniform(n, 4 * size)
+    assert len(glauber._coupon_chain(n, n - 1)[0]) > size
+    assert np.array_equal(cold, cw.sample_card_collection_T(spec, trials, seed))
+    # and a curve grown by fewer trials first, a shorter cut, gives the same
+    glauber._coupon_chain.cache_clear()
+    cw.sample_card_collection_T(spec, 50, seed + 1)
+    assert np.array_equal(cold, cw.sample_card_collection_T(spec, trials, seed))
+
+
+def test_card_collection_chain_at_one_and_two_cards():
+    # V = 1 - U runs from 2^-53 to 1: one card needs no step, two need one
+    v = np.array([2.0**-53, 0.5, 1.0])
+    assert gallery._chain_T(1, v).tolist() == [0, 0, 0]
+    assert gallery._chain_T(2, v).tolist() == [1, 1, 1]
+
+
+def test_card_collection_takes_the_draws_where_the_chain_does_not_pay():
+    before = glauber._coupon_chain.cache_info()
+    T = cw.sample_card_collection_T(cw.TsetlinSpec(np.full(3000, 1 / 3000)), 10, seed=78)
+    assert glauber._coupon_chain.cache_info() == before
+    assert T.shape == (10,) and np.all(T >= 2999)
 
 
 def test_card_collection_unequal_weights_draw_for_draw():

@@ -315,6 +315,20 @@ def test_coupon_survival_matches_exact_inclusion_exclusion():
             _inclusion_exclusion_survival(200, t), abs=1e-12), t
 
 
+def test_coupon_survival_cut_at_k_sites():
+    # P(fewer than k of n sites picked), against exact Fractions of the
+    # subsets of sites the picks can cover
+    n = 6
+    for k in range(n + 1):
+        for t in {0, max(k - 1, 0), k, 9, 25}:
+            short = sum(math.comb(n, j) * sum((-1) ** (j - i) * math.comb(j, i) * i**t
+                                              for i in range(j + 1)) for j in range(k))
+            assert cw.coupon_survival_uniform(n, t, k) == pytest.approx(
+                float(Fraction(short, n**t)), abs=1e-15), (k, t)
+    with pytest.raises(ValueError, match="0 <= k <= n"):
+        cw.coupon_survival_uniform(n, 9, n + 1)
+
+
 def test_coupon_survival_checks_t_before_any_binomial():
     # C(1030, j) overflows a float; t < n still means no site is missed yet
     assert cw.coupon_survival_uniform(1030, 0) == 1.0
@@ -340,24 +354,24 @@ def test_coupon_chain_refuses_past_its_cell_cap_before_any_allocation():
 def test_coupon_curve_ends_at_its_first_zero():
     glauber._coupon_chain.cache_clear()
     assert cw.coupon_survival_uniform(9, 10**9) == 0.0
-    curve, _ = glauber._coupon_chain(9)
+    curve, _ = glauber._coupon_chain(9, 9)
     assert curve[-1] == 0.0 and min(curve[:-1]) > 0.0  # no longer than its first zero
     assert len(curve) < 8192 and min(curve[:-1]) < 1e-307
     # every later t reads 0 without growing the curve
     size = len(curve)
     assert cw.coupon_survival_uniform(9, size) == cw.coupon_survival_uniform(9, 10**12) == 0.0
-    assert len(glauber._coupon_chain(9)[0]) == size
+    assert len(glauber._coupon_chain(9, 9)[0]) == size
 
 
 def test_coupon_curve_is_kept_per_n_and_grown_in_place():
     glauber._coupon_chain.cache_clear()
     first = cw.coupon_survival_uniform(60, 500)
-    curve = glauber._coupon_chain(60)[0]
+    curve = glauber._coupon_chain(60, 60)[0]
     assert len(curve) == 512
     prefix = curve.tolist()
     cw.coupon_survival_uniform(200, 3000)
     cw.coupon_survival_uniform(60, 1000)  # a second n neither evicts nor rebuilds the first
-    assert glauber._coupon_chain(60)[0] is curve and len(curve) == 1024
+    assert glauber._coupon_chain(60, 60)[0] is curve and len(curve) == 1024
     assert curve[:512].tolist() == prefix and curve[500] == first
     assert glauber._coupon_chain.cache_info().misses == 2
 

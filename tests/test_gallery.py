@@ -384,7 +384,8 @@ def test_card_collection_small_n_both_paths():
 def test_card_collection_equal_weights_draw_for_draw():
     # T = (n-1) + Poisson(E @ r), r_j = j/(n-j) for j = 1..n-2: the repeats
     # of the geometric wait after j distinct cards, one exponential each
-    # (500 trials of 9 cards draw fewer exponentials than the chain has cells)
+    # (500 trials of 9 cards: 3500 exponentials, fewer than twice the 1771
+    # cells of the chain, so they stay on this path)
     n, trials, seed = 9, 500, 74
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
     rate = np.array([j / (n - j) for j in range(1, n - 1)])

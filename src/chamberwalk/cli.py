@@ -59,8 +59,8 @@ FAMILIES = {
     "uniform card weights",
     "hypercube-nn": "weighted nearest-neighbor hypercube walk; "
     "s(t) = P(T>t) for any weights w_i^+, w_i^-",
-    "hypercube-nonlocal": "flip k random coordinates; closed-form cutoff "
-    "parameters b=k/n, d=k^2/n^2-k(n-k)/(n^2(n-1))",
+    "hypercube-nonlocal": "flip k random coordinates; s(t) = P(T>t); "
+    "closed-form cutoff parameters b=k/n, d=k^2/n^2-k(n-k)/(n^2(n-1))",
     "ising": "ferromagnetic Ising Glauber dynamics (glauber mode; "
     "--width --height --beta --field as params)",
     "product": "independent-spin Glauber sanity system (glauber mode)",

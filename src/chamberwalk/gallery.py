@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import CapacityError, braid_m, braid_signs, weighted_faces
 from .exact import _power_sums, _rates
-from .glauber import _coupon_chain
+from .glauber import _count_chain
 
 DEFAULT_ENUM_CAP = 10_000_000  # sign entries, faces x hyperplanes, one face list enumerates
 DEFAULT_TSETLIN_EXACT_CAP = 20
@@ -268,7 +268,7 @@ def sample_card_collection_T(spec, trials, seed):
     Equal weights, where the count chain's worst-case cells, n + 2 for each
     of _chain_horizon(n) steps, cost less than the exponentials below: one
     V = 1 - U per trial and T = #{t : S(t) >= V}, S the survival curve of
-    _coupon_chain(n, n - 1), cached per n.  Exact in law up to 2^-53 and
+    _count_chain(n, 1, n - 1), cached per n.  Exact in law up to 2^-53 and
     the chain's rounding, whatever the cache holds.  Otherwise T is n-1
     steps plus one Poisson count of repeats: a geometric wait of success
     probability p repeats Poisson(E (1-p)/p) times, E ~ Exp(1).  Equal
@@ -288,7 +288,7 @@ def sample_card_collection_T(spec, trials, seed):
     for block in np.split(out, range(rows, trials, rows)):  # views of out
         if chain:
             u = rng.random(block.size)
-            block[:] = _chain_T(n, np.subtract(1.0, u, out=u))
+            block[:] = _chain_T((n, 1, n - 1), np.subtract(1.0, u, out=u))
             continue
         if uniform:
             mean = rng.standard_exponential((block.size, rate.size)) @ rate
@@ -314,13 +314,13 @@ def _chain_horizon(n):
     return math.floor((math.log(math.comb(n, 2)) + 53 * math.log(2)) / -math.log1p(-2 / n)) + 1
 
 
-def _chain_T(n, v):
-    """#{t : S(t) >= v} for each v in (0, 1], S the equal-weight P(T > t) of
-    n cards, its cached curve grown until it falls below min(v) or ends.  The
+def _chain_T(key, v):
+    """#{t : S(t) >= v} for each v in (0, 1], S the curve of _count_chain(*key),
+    cached per key and grown until it falls below min(v) or ends.  The
     search runs on the curve's running minimum: an ulp of upward rounding
     after the cut would otherwise count where the cut did not."""
-    curve, steps = _coupon_chain(n, n - 1)
-    low = v.min()
+    curve, steps = _count_chain(*key)
+    low = v.min(initial=np.inf)  # no v, no step
     while curve[-1] >= low:  # the chain ends at its first 0, and each v > 0
         curve.append(next(steps))
     rising = np.minimum.accumulate(curve)[::-1]
@@ -333,31 +333,12 @@ def sample_kset_coupon_T(m, k, trials, seed):
     of [m] per step; T = first time all m coupons are held.
 
     Matches the chamber-walk T for the non-local hypercube walk (signs never
-    matter for T).  Exact in law: the count c of coupons held jumps, by a
-    hypergeometric number of new coupons conditioned on >= 1, after a
-    geometric holding time with stay probability C(c,k)/C(m,k); its repeats
-    add E stay/leave, E ~ Exp(1), to the mean of T's one Poisson count.
+    matter for T).  One V = 1 - U per trial and T = #{t : S(t) >= V}, S the
+    curve of _count_chain(m, k, m), cached per (m, k): exact in law up to
+    2^-53 and the chain's rounding, whatever the cache holds.  A cold curve
+    costs m states a step, out to the t where it falls below the least V.
     """
     if not 1 <= k <= m:
         raise ValueError(f"need 1 <= k <= m, got k={k}, m={m}")
-    total = math.comb(m, k)
-    moves = [total - math.comb(c, k) for c in range(m)]  # k-sets with a new coupon
-    repeat = np.array([math.comb(c, k) / mv for c, mv in enumerate(moves)])  # stay/leave
-    # P(jump <= x | jump >= 1) for x = 1..k-1, from exact integer counts
-    jump_cdf = np.array([
-        [cum / moves[c] for cum in itertools.accumulate(
-            math.comb(m - c, x) * math.comb(c, k - x) for x in range(1, k))]
-        for c in range(m)
-    ]).reshape(m, k - 1)
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
-    steps, mean = np.zeros(trials, dtype=np.int64), np.zeros(trials)
-    idx, held, live = np.arange(trials), np.zeros(trials, dtype=np.int64), np.zeros(trials)
-    step = 0
-    while idx.size:  # idx, held and live: the trials short of m coupons, compacted
-        step += 1
-        live += repeat[held] * rng.standard_exponential(idx.size)
-        held += 1 + (jump_cdf[held] <= rng.random(idx.size)[:, None]).sum(axis=1)
-        if (done := held >= m).any():
-            steps[idx[done]], mean[idx[done]] = step, live[done]
-            idx, held, live = idx[~done], held[~done], live[~done]
-    return steps + rng.poisson(mean)  # stay/leave <= (m-k)/k keeps each mean far inside int64
+    u = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,))).random(trials)
+    return _chain_T((m, k, m), np.subtract(1.0, u, out=u))

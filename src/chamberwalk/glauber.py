@@ -211,9 +211,9 @@ def glauber_separation_profile(sys, t_grid, stats=None):
 def coupon_survival_uniform(n, t, k=None):
     """P(fewer than k of n sites picked after t uniform site selections);
     k = n, the default, is P(some site unpicked).  Read off the curve of
-    _coupon_chain(n, k), stepped to the power-of-two horizon above t: O(n t)
-    work once per (n, k), a lookup after.  A chain of more than
-    DEFAULT_COUPON_CELL_CAP cells (n + 2 per step) raises CapacityError first."""
+    _count_chain(n, 1, k), stepped to t: O(n t) work once per (n, k), a
+    lookup after.  A chain of more than DEFAULT_COUPON_CELL_CAP cells
+    (n + 2 for each of the t + 1 points) raises CapacityError first."""
     if n < 1:
         raise ValueError("need n >= 1")
     if not 0 <= (k := n if k is None else k) <= n:
@@ -224,37 +224,45 @@ def coupon_survival_uniform(n, t, k=None):
         return 1.0
     # from t = zero on, every k's survival is below n e^(-t/n) < 2^-1022: the chain has ended
     zero = int(n * (math.log(n) + 709)) + 1
-    if (cells := (n + 2) << min(t, zero).bit_length()) > DEFAULT_COUPON_CELL_CAP:
+    if (cells := (n + 2) * (min(t, zero) + 1)) > DEFAULT_COUPON_CELL_CAP:
         raise CapacityError(f"coupon chain of {cells} cells exceeds cap {DEFAULT_COUPON_CELL_CAP}")
-    curve, steps = _coupon_chain(n, k)
-    curve.extend(itertools.islice(steps, max((1 << t.bit_length()) - len(curve), 0)))
+    curve, steps = _count_chain(n, 1, k)
+    curve.extend(itertools.islice(steps, max(t + 1 - len(curve), 0)))
     return curve[t] if t < len(curve) or curve[-1] else 0.0  # past the curve only at its 0
 
 
 @functools.lru_cache(maxsize=8)
-def _coupon_chain(n, k):
-    """(curve, steps): curve[t] is the mass short of k distinct after t
-    uniform picks among n, a sum that does not cancel (Erdos-Renyi's count
-    chain, cut at k), and steps yields the later t's from the chain's law.
-    k = n is the coupon collector's survival, k = n - 1 that of the
-    equal-weight Tsetlin T.  A mass past 1 by rounding, (2t + n) eps at
+def _count_chain(n, d, need):
+    """(curve, steps) of Erdos-Renyi's count chain: each step draws d distinct
+    sites of n uniformly, curve[t] is the chance of fewer than need distinct
+    sites after t steps, a sum that does not cancel, and steps yields the
+    later t's from the chain's law.  From j sites a step brings i new ones
+    with chance C(n - j, i) C(j, d - i) / C(n, d), rounded once from exact
+    integers.  (n, 1, n) is the coupon collector's survival, (n, 1, n - 1)
+    that of the equal-weight Tsetlin T, (m, k, m) that of the non-local
+    hypercube walk's T.  A mass past 1 by rounding, ((d + 1) t + n) eps at
     most, is put on 1; further, it is an error, and reads past the curve
     fail after it.  Each chance below 2^-1022 is put on 0: the subnormals
     would not empty (j/n of the least rounds back to it) and step slowly.
-    The first mass 0 ends the curve: no mass flows back below k."""
+    The first mass 0 ends the curve: no mass flows back below need."""
+    total = math.comb(n, d)
+    # new[i][j]: the chance of i new sites from j, for j < need - i
+    new = [np.array([math.comb(n - j, i) * math.comb(j, d - i) / total
+                     for j in range(need - i)]) for i in range(d + 1)]
 
-    def steps(law, f):  # law[1 + j]: the chance of j distinct sites, j <= k
-        stay, up = np.arange(k + 1) / n, np.arange(n + 1, n - k, -1) / n  # at j, and to j from j - 1
+    def steps(law, f):  # law[j]: the chance of j distinct sites, j < need
         for t in itertools.count(1):
-            law[1:] = law[1:] * stay + law[:-1] * up
+            law, last = law * new[0], law
+            for i, p in enumerate(new[1:need], 1):
+                law[i:] += last[:-i] * p
             law[law < f.tiny] = 0.0
-            if (mass := float(law[1:-1].sum())) > 1.0 + (2 * t + n) * f.eps:
-                raise RuntimeError(f"count chain at n={n}, k={k}, t={t}: mass {mass!r} > 1")
+            if (mass := float(law.sum())) > 1.0 + ((d + 1) * t + n) * f.eps:
+                raise RuntimeError(f"count chain {n, d, need} at t={t}: mass {mass!r} > 1")
             yield min(mass, 1.0)
             if mass == 0.0:
                 return
 
-    return array.array("d", [k > 0]), steps(np.eye(1, k + 2, 1)[0], np.finfo(float))
+    return array.array("d", [need > 0]), steps(np.eye(1, need)[0], np.finfo(float))
 
 
 def coverage_conditioned_profile(sys, t_grid):

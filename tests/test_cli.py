@@ -8,7 +8,7 @@ import pytest
 
 import chamberwalk.exact
 
-from chamberwalk.cli import ConfigError, main, parse_params, parse_t_grid
+from chamberwalk.cli import FAMILIES, ConfigError, main, parse_params, parse_t_grid
 
 
 def run_cli(argv, capsys=None):
@@ -528,6 +528,20 @@ def test_bounds_leaves_the_exact_survival_blank_past_the_chain_cap(tmp_path):
     meta, _, rows = read_rows(out)
     assert all(r.split(",")[3] == "" for r in rows)
     assert any(m.startswith("# survival_exact=refused: coupon chain of") for m in meta)
+
+
+@pytest.mark.parametrize("n", [8, 10])
+def test_hypercube_nonlocal_separation_is_its_survival_as_listed(tmp_path, n):
+    # the list text states s(t) = P(T>t), and exact shows it at every t
+    assert "s(t) = P(T>t)" in FAMILIES["hypercube-nonlocal"]
+    out = tmp_path / "exact.csv"
+    run_cli(["exact", "--family", "hypercube-nonlocal", "--params", f"n={n}", "k=3",
+             "--t-grid", "1..60", "--out", str(out)])
+    _, _, rows = read_rows(out)
+    assert len(rows) == 60
+    for row in rows:
+        t, s_exact, _, survival_exact = row.split(",")[:4]
+        assert float(s_exact) == pytest.approx(float(survival_exact), abs=1e-12), t
 
 
 def test_every_traced_layer_function_exists():

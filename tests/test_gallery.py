@@ -1,4 +1,5 @@
 import collections
+import functools
 import math
 import warnings
 from fractions import Fraction
@@ -357,9 +358,11 @@ def test_sample_kset_coupon_T_k3_m7_matches_chain():
 
 
 def test_sample_kset_coupon_T_rejects_bad_k():
+    misses = glauber._count_chain.cache_info().misses
     for k in (0, 8):
         with pytest.raises(ValueError):
             cw.sample_kset_coupon_T(7, k, 10, seed=0)
+    assert glauber._count_chain.cache_info().misses == misses  # refused before any chain
     assert np.all(cw.sample_kset_coupon_T(7, 7, 10, seed=0) == 1)
 
 
@@ -397,7 +400,7 @@ def test_card_collection_equal_weights_draw_for_draw():
 def _chain_draws(n, trials, seed):
     """The chain path's T, from the sampler's own V = 1 - U."""
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
-    return gallery._chain_T(n, 1.0 - rng.random(trials))
+    return gallery._chain_T((n, 1, n - 1), 1.0 - rng.random(trials))
 
 
 def test_card_collection_equal_weights_chain_matches_the_mobius_form():
@@ -409,35 +412,53 @@ def test_card_collection_equal_weights_chain_matches_the_mobius_form():
     _assert_survival_within_4se(T, cw.tsetlin_survival_profile(spec, range(10, 120, 2)))
 
 
-def test_card_collection_chain_samples_do_not_depend_on_the_cache():
+CHAIN_SAMPLERS = {  # n cards or coupons -> (sampler of trials and seed, its curve's key)
+    "card": lambda n: (functools.partial(cw.sample_card_collection_T,
+                                         cw.TsetlinSpec(np.full(n, 1 / n))), (n, 1, n - 1)),
+    "kset": lambda n: (functools.partial(cw.sample_kset_coupon_T, n, 1), (n, 1, n)),
+}
+
+
+@pytest.mark.parametrize("sampler", CHAIN_SAMPLERS)
+def test_card_collection_chain_samples_do_not_depend_on_the_cache(sampler):
     n, trials, seed = 30, 5000, 77
-    spec = cw.TsetlinSpec(np.full(n, 1 / n))
-    glauber._coupon_chain.cache_clear()
-    cold = cw.sample_card_collection_T(spec, trials, seed)
-    size = len(glauber._coupon_chain(n, n - 1)[0])
-    assert np.array_equal(cold, cw.sample_card_collection_T(spec, trials, seed))
-    # a curve grown past the cut, here or on the (n, n) chain, changes no sample
+    sample, key = CHAIN_SAMPLERS[sampler](n)
+    glauber._count_chain.cache_clear()
+    cold = sample(trials, seed)
+    size = len(glauber._count_chain(*key)[0])
+    assert np.array_equal(cold, sample(trials, seed))
+    # a curve grown past the cut by coupon_survival_uniform, on this key or
+    # the other single-site one, changes no sample
     cw.coupon_survival_uniform(n, 4 * size, n - 1)
     cw.coupon_survival_uniform(n, 4 * size)
-    assert len(glauber._coupon_chain(n, n - 1)[0]) > size
-    assert np.array_equal(cold, cw.sample_card_collection_T(spec, trials, seed))
+    assert len(glauber._count_chain(*key)[0]) > size
+    assert np.array_equal(cold, sample(trials, seed))
     # and a curve grown by fewer trials first, a shorter cut, gives the same
-    glauber._coupon_chain.cache_clear()
-    cw.sample_card_collection_T(spec, 50, seed + 1)
-    assert np.array_equal(cold, cw.sample_card_collection_T(spec, trials, seed))
+    glauber._count_chain.cache_clear()
+    sample(50, seed + 1)
+    assert np.array_equal(cold, sample(trials, seed))
+
+
+def test_kset_sampler_of_one_coupon_a_step_reads_the_coupon_curve():
+    glauber._count_chain.cache_clear()
+    cw.coupon_survival_uniform(40, 2000)
+    misses = glauber._count_chain.cache_info().misses
+    T = cw.sample_kset_coupon_T(40, 1, 1000, seed=79)
+    assert glauber._count_chain.cache_info().misses == misses
+    assert np.all(T >= 40)
 
 
 def test_card_collection_chain_at_one_and_two_cards():
     # V = 1 - U runs from 2^-53 to 1: one card needs no step, two need one
     v = np.array([2.0**-53, 0.5, 1.0])
-    assert gallery._chain_T(1, v).tolist() == [0, 0, 0]
-    assert gallery._chain_T(2, v).tolist() == [1, 1, 1]
+    assert gallery._chain_T((1, 1, 0), v).tolist() == [0, 0, 0]
+    assert gallery._chain_T((2, 1, 1), v).tolist() == [1, 1, 1]
 
 
 def test_card_collection_takes_the_draws_where_the_chain_does_not_pay():
-    before = glauber._coupon_chain.cache_info()
+    before = glauber._count_chain.cache_info()
     T = cw.sample_card_collection_T(cw.TsetlinSpec(np.full(3000, 1 / 3000)), 10, seed=78)
-    assert glauber._coupon_chain.cache_info() == before
+    assert glauber._count_chain.cache_info() == before
     assert T.shape == (10,) and np.all(T >= 2999)
 
 

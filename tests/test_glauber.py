@@ -339,7 +339,7 @@ def test_coupon_survival_checks_t_before_any_binomial():
 
 
 def test_coupon_chain_refuses_past_its_cell_cap_before_any_allocation():
-    misses = glauber._coupon_chain.cache_info().misses
+    misses = glauber._count_chain.cache_info().misses
     tracemalloc.start()
     try:
         with pytest.raises(CapacityError, match="cells exceeds cap"):
@@ -348,32 +348,69 @@ def test_coupon_chain_refuses_past_its_cell_cap_before_any_allocation():
     finally:
         tracemalloc.stop()
     assert peak < 2**16  # the chain's law alone would take 8 MB
-    assert glauber._coupon_chain.cache_info().misses == misses
+    assert glauber._count_chain.cache_info().misses == misses
 
 
 def test_coupon_curve_ends_at_its_first_zero():
-    glauber._coupon_chain.cache_clear()
+    glauber._count_chain.cache_clear()
     assert cw.coupon_survival_uniform(9, 10**9) == 0.0
-    curve, _ = glauber._coupon_chain(9, 9)
+    curve, _ = glauber._count_chain(9, 1, 9)
     assert curve[-1] == 0.0 and min(curve[:-1]) > 0.0  # no longer than its first zero
     assert len(curve) < 8192 and min(curve[:-1]) < 1e-307
     # every later t reads 0 without growing the curve
     size = len(curve)
     assert cw.coupon_survival_uniform(9, size) == cw.coupon_survival_uniform(9, 10**12) == 0.0
-    assert len(glauber._coupon_chain(9, 9)[0]) == size
+    assert len(glauber._count_chain(9, 1, 9)[0]) == size
 
 
 def test_coupon_curve_is_kept_per_n_and_grown_in_place():
-    glauber._coupon_chain.cache_clear()
+    glauber._count_chain.cache_clear()
     first = cw.coupon_survival_uniform(60, 500)
-    curve = glauber._coupon_chain(60, 60)[0]
-    assert len(curve) == 512
+    curve = glauber._count_chain(60, 1, 60)[0]
+    assert len(curve) == 501  # stepped to t = 500, no further
     prefix = curve.tolist()
     cw.coupon_survival_uniform(200, 3000)
     cw.coupon_survival_uniform(60, 1000)  # a second n neither evicts nor rebuilds the first
-    assert glauber._coupon_chain(60, 60)[0] is curve and len(curve) == 1024
-    assert curve[:512].tolist() == prefix and curve[500] == first
-    assert glauber._coupon_chain.cache_info().misses == 2
+    assert glauber._count_chain(60, 1, 60)[0] is curve and len(curve) == 1001
+    assert curve[:501].tolist() == prefix and curve[500] == first
+    assert glauber._count_chain.cache_info().misses == 2
+
+
+def _curve(key, t):
+    """The first t + 1 points of the curve of _count_chain(*key), grown in place."""
+    curve, steps = glauber._count_chain(*key)
+    curve.extend(itertools.islice(steps, max(t + 1 - len(curve), 0)))
+    return curve[:t + 1].tolist()
+
+
+def _two_line_recurrence(n, k, t):
+    """The single-site curve cut at k sites, as two numpy lines a step: the
+    chance of j distinct sites at law[1 + j], j <= k, behind a 0."""
+    law, out = np.eye(1, k + 2, 1)[0], [float(k > 0)]
+    stay, up = np.arange(k + 1) / n, np.arange(n + 1, n - k, -1) / n
+    while len(out) <= t and out[-1]:
+        law[1:] = law[1:] * stay + law[:-1] * up
+        law[law < np.finfo(float).tiny] = 0.0
+        out.append(min(float(law[1:-1].sum()), 1.0))
+    return out
+
+
+@pytest.mark.parametrize("n, k, t", [(60, 60, 3000), (500, 499, 6000), (9, 9, 7000)])
+def test_single_site_count_chain_is_the_two_line_recurrence_bit_for_bit(n, k, t):
+    # (9, 9) runs to its first 0, at t = 6034, through the cut at 2^-1022
+    glauber._count_chain.cache_clear()
+    want = _two_line_recurrence(n, k, t)
+    assert len(want) == (6035 if n == 9 else t + 1)
+    assert _curve((n, 1, k), t) == want
+
+
+@pytest.mark.parametrize("m, k", [(8, 2), (9, 3), (10, 5), (12, 2)])
+def test_kset_count_chain_matches_the_mobius_form(m, k):
+    # P(T > t) of hypercube-nonlocal(m, k) by the Mobius sum over its flats,
+    # which shares no code with the chain of k coupons a step
+    times = range(61)
+    exact = cw.survival_exact_profile(cw.build_boolean(m), cw.hypercube_nonlocal_faces(m, k), times)
+    assert np.allclose(_curve((m, k, m), 60), [exact[t] for t in times], rtol=0, atol=1e-13)
 
 
 def orbit_count(n_sites, site_maps, reversal):

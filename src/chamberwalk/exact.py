@@ -178,12 +178,6 @@ def _walk(state, step, t_grid):
         yield t, state
 
 
-def _row_walk(P, starts, t_grid):
-    """Yield (t, the rows of P^t at starts) over _times(t_grid)."""
-    rows = (np.asarray(starts)[:, np.newaxis] == np.arange(P.shape[0])).astype(float)
-    return _walk(rows, lambda rows: rows @ P, t_grid)
-
-
 def separation(Pt, pi):
     """s = max over the starts x0 (the rows of Pt) of 1 - min over x with
     pi(x) > 0 of Pt(x0, x) / pi(x)."""
@@ -210,9 +204,10 @@ def _profiles(arr, w, t_grid, chamber_cap=DEFAULT_CHAMBER_CAP):
             t: (float(1.0 - ell * nu.min()), float(0.5 * np.abs(nu - 1.0 / ell).sum()))
             for t, nu in _walk((np.arange(ell) == 0).astype(float), step, t_grid)}
     P, pi = transition_matrix(arr, w, ell), stationary_solve(arr, w, ell)
+    rows = (starts[:, np.newaxis] == np.arange(ell)).astype(float)
     return "dense" if len(starts) == ell else "orbits", len(starts), {
         t: (separation(R, pi), float(0.5 * np.abs(R - pi).sum(axis=1).max()))
-        for t, R in _row_walk(P, starts, t_grid)}
+        for t, R in _walk(rows, lambda R: R @ P, t_grid)}
 
 
 def distance_profiles(arr, w, t_grid, chamber_cap=DEFAULT_CHAMBER_CAP):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CapacityError
-from .exact import _matrix, _orbits, _push, _row_walk, _walk, separation
+from .exact import _matrix, _orbits, _walk, separation
 
 DEFAULT_STATE_CAP = 4096
 DEFAULT_COUPON_CELL_CAP = 2**28
@@ -194,18 +194,32 @@ def glauber_separation_profile(sys, t_grid, stats=None):
     P^t at top and at one start per orbit of the candidate symmetries that
     fix pi bitwise: spin reversal and sys.symmetries.  Each such g has
     P(gx, gy) = P(x, y) and pi(gx) = pi(x), so the other rows relabel these.
+    P is never formed: sites u < h = n // 2 are the high digits a of a state
+    a L + b, so P is L blocks Hm[b] (H x H) plus H blocks Lm[a] (L x L).
     stats, if a dict, receives the counts of states and starts."""
-    configs, pi, P = glauber_matrix(sys)
+    configs, pi, succ, prob = _heat_bath(sys)
+    h, q = sys.n_sites // 2, len(sys.spins)
+    H, L, ell, prob = q ** h, q ** (sys.n_sites - h), len(configs), prob / sys.n_sites
+    (a, b), (to_a, to_b) = np.divmod(np.arange(ell), L), np.divmod(succ, L)
+    Hm, Lm = np.zeros((L, H, H)), np.zeros((H, L, L))
+    np.add.at(Hm, (b, a, to_a[:h]), prob[:h])  # a move in one half keeps the other's digits
+    np.add.at(Lm, (a, b, to_b[h:]), prob[h:])
     i_top, i_bot = configs.index(sys.top), configs.index(sys.bottom)
-    index = np.arange(len(configs)).reshape((len(sys.spins),) * sys.n_sites)
+    index = np.arange(ell).reshape((q,) * sys.n_sites)
     maps = [g.ravel() for g in [np.flip(index), *map(index.transpose, sys.symmetries)]
             if np.array_equal(pi[g.ravel()], pi)]
-    starts = np.union1d(_orbits(maps, len(configs)), [i_top])
+    starts = np.union1d(_orbits(maps, ell), [i_top])
     top = np.searchsorted(starts, i_top)
     if stats is not None:
-        stats.update(states=len(configs), starts=len(starts))
-    return {t: (separation(R, pi), float(1.0 - R[top, i_bot] / pi[i_bot]))
-            for t, R in _row_walk(P, starts, t_grid)}
+        stats.update(states=ell, starts=len(starts))
+
+    def step(R):  # R[k, a, b]: the row of P^t at starts[k]
+        return ((R.transpose(1, 0, 2) @ Lm).transpose(1, 0, 2)
+                + (R.transpose(2, 0, 1) @ Hm).transpose(1, 2, 0))
+
+    rows = (starts[:, np.newaxis] == np.arange(ell)).astype(float).reshape(-1, H, L)
+    return {t: (separation(R := R3.reshape(-1, ell), pi), float(1.0 - R[top, i_bot] / pi[i_bot]))
+            for t, R3 in _walk(rows, step, t_grid)}
 
 
 def coupon_survival_uniform(n, t, k=None):
@@ -270,17 +284,18 @@ def coverage_conditioned_profile(sys, t_grid):
     site having been selected by time t, over a grid: evolves the joint
     (configuration, selected-site set) chain once and reads off every t.
     Returns (configs, {t: (conditional law, coverage probability)})."""
-    configs, _, succ, prob = _heat_bath(sys)
-    n, full = sys.n_sites, (1 << sys.n_sites) - 1
-    # joint law over (config, touched-mask), started at (top, empty); a move
-    # at site u takes (i, mask) to (succ[u, s, i], mask | 2^u)
-    joint = np.zeros((len(configs), full + 1))
+    configs, _, _, prob = _heat_bath(sys)
+    n, q, full = sys.n_sites, len(sys.spins), (1 << sys.n_sites) - 1
+    joint = np.zeros((len(configs), full + 1))  # over (config, touched-mask), from (top, empty)
     joint[configs.index(sys.top), 0] = 1.0
-    to, rate = succ[..., np.newaxis] * (full + 1), prob[..., np.newaxis] / n
 
-    def step(joint):  # one site at a time: |spins| joint-sized terms at once
-        return sum(_push(to[u] + (np.arange(full + 1) | 1 << u), rate[u], joint)
-                   for u in range(n)).reshape(joint.shape)
+    def step(joint):  # a move at u sums out spin u and mask bit u, then sets them by the
+        out = np.zeros_like(joint)  # law at u (which does not read spin u) and to 1
+        for u in range(n):
+            shape = (q ** u, q, q ** (n - 1 - u), 1 << (n - 1 - u), 2, 1 << u)
+            cond = prob[u].reshape(q, q ** u, q, -1)[:, :, 0].swapaxes(0, 1)[..., None, None] / n
+            out.reshape(shape)[..., 1, :] += cond * joint.reshape(shape).sum(1).sum(3)[:, None]
+        return out
 
     out = {}
     for t, joint in _walk(joint, step, t_grid):

@@ -229,9 +229,18 @@ def joint_loop_coverage(sys_, t_grid):
     return out
 
 
+def three_spin_path():
+    """Four sites on a path with spins 0, 1, 2: ferromagnetic, with an end
+    bias that keeps the path's reversal and breaks spin reversal."""
+    def log_weight(sigma):
+        return 0.4 * sum(x * y for x, y in zip(sigma, sigma[1:])) - 0.3 * (sigma[0] + sigma[3])
+    return cw.MonotoneSystem(n_sites=4, spins=(0, 1, 2), log_weight=log_weight,
+                             name="path3", symmetries=((3, 2, 1, 0),))
+
+
 @pytest.mark.parametrize("sys_", [cw.ising_system(2, 2, 0.3), cw.ising_system(1, 4, 0.3),
                                   cw.ising_system(3, 2, 0.3, field=0.2),
-                                  cw.product_system(3, [0.2, 0.5, 0.7])],
+                                  cw.product_system(3, [0.2, 0.5, 0.7]), three_spin_path()],
                          ids=lambda s: s.name + str(s.n_sites))
 def test_coverage_matches_joint_chain_loop(sys_):
     t_grid = list(range(sys_.n_sites, sys_.n_sites + 8))
@@ -470,3 +479,29 @@ def test_glauber_rejects_a_site_permutation_that_moves_the_weight():
         every_row = every_row_profile(sys_, range(0, 10))
         for t in range(10):
             assert np.abs(np.subtract(got[t], every_row[t])).max() <= 1e-13
+
+
+@pytest.mark.parametrize("sys_", [cw.ising_system(3, 1, 0.3), cw.ising_system(1, 1, 0.3),
+                                  cw.product_system(5, [0.2, 0.5, 0.7, 0.4, 0.9]),
+                                  cw.product_system(1, [0.3]),
+                                  cw.ising_system(3, 2, 0.3, field=0.2), three_spin_path()],
+                         ids=lambda s: s.name + str(s.n_sites))
+def test_block_walk_matches_every_row_of_the_dense_power(sys_):
+    # odd n gives halves of unequal size, n = 1 an empty high half, a field no
+    # spin reversal, and three spins a mixed-radix split
+    got = cw.glauber_separation_profile(sys_, range(0, 15))
+    every_row = every_row_profile(sys_, range(0, 15))
+    for t in range(15):
+        assert np.abs(np.subtract(got[t], every_row[t])).max() <= 1e-13
+
+
+def test_glauber_profile_builds_no_dense_matrix(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("dense P built")
+
+    monkeypatch.setattr(glauber, "glauber_matrix", refuse)
+    monkeypatch.setattr(glauber, "_matrix", refuse)
+    stats = {}
+    prof = cw.glauber_separation_profile(cw.ising_system(3, 3, 0.3), range(1, 41), stats=stats)
+    assert stats == {"states": 512, "starts": 52}
+    assert sorted(prof) == list(range(1, 41))

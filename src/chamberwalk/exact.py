@@ -1,8 +1,9 @@
 """Exact small-instance analysis of the chamber walk.
 
-Transition matrix, stationary distribution (absorbed from the forward face
-chain, with sampling without replacement as an independent oracle),
-separation and total-variation distance, the Möbius form of P(T > t) over
+Stationary distribution (absorbed from the forward face chain, with sampling
+without replacement as an independent oracle), separation and total-variation
+distance from start rows pushed along the face x chamber product table (the
+dense transition matrix is their oracle), the Möbius form of P(T > t) over
 the flats of the faces' zero sets, and the coupling parameters b, d with
 the cutoff prediction they determine.
 """
@@ -180,34 +181,35 @@ def _walk(state, step, t_grid):
 
 def separation(Pt, pi):
     """s = max over the starts x0 (the rows of Pt) of 1 - min over x with
-    pi(x) > 0 of Pt(x0, x) / pi(x)."""
-    ratio = np.divide(Pt, pi[np.newaxis, :], out=np.full_like(Pt, np.inf), where=pi > 0)
+    pi(x) > 0 of Pt(x0, x) / pi(x), each ratio read as Pt(x0, x) (1 / pi(x)):
+    at uniform pi that is 1 - ell min Pt(x0, .) bit for bit where
+    1 / (1 / ell) == ell, as for ell = n! (n <= 7) and ell = 2^n."""
+    on = pi > 0
+    inv = np.divide(1.0, pi, out=np.zeros_like(pi), where=on)
+    ratio = np.multiply(Pt, inv, out=np.full_like(Pt, np.inf), where=on)
     return float((1.0 - ratio.min(axis=1)).max())
 
 
 def _profiles(arr, w, t_grid, chamber_cap=DEFAULT_CHAMBER_CAP):
-    """(path, starts, {t: (s(t), TV(t))}): both maxima are read over one
-    start per orbit of _symmetries, as the row of P^t at any other start
-    relabels one of theirs.  With one orbit the path is 'one-start': pi is
-    uniform, and the law nu_t of the walk from chamber 0 is pushed along the
-    product table, nu_{t+1}[F C] += w(F) nu_t[C], with no P.  Otherwise P is
-    built, pi read off stationary_solve, and the rows at the starts walked:
-    the path is 'orbits', or 'dense' when each chamber is its own orbit."""
+    """(path, starts, {t: (s(t), TV(t))}): the law nu_t of the walk from each
+    of one start per orbit of _symmetries is pushed along the product table,
+    nu_{t+1}[F C] += w(F) nu_t[C], with no P, and both maxima are read over
+    these rows, as the row of P^t at any other start relabels one of theirs.
+    The path only counts the starts: 'one-start', where pi is uniform, and
+    else 'orbits', or 'dense' when each chamber is its own orbit, with pi
+    read off stationary_solve."""
     if not check_separating(w):
         raise ValueError("non-separating weights: stationary law not unique")
     _check_chambers(arr, chamber_cap)
     ell = arr.n_chambers
     starts = _orbits(_symmetries(arr, w), ell)
-    if len(starts) == 1:
-        step = functools.partial(_push, _product_table(arr, w), w.weights[:, np.newaxis])
-        return "one-start", 1, {
-            t: (float(1.0 - ell * nu.min()), float(0.5 * np.abs(nu - 1.0 / ell).sum()))
-            for t, nu in _walk((np.arange(ell) == 0).astype(float), step, t_grid)}
-    P, pi = transition_matrix(arr, w, ell), stationary_solve(arr, w, ell)
+    succ, prob = _product_table(arr, w), w.weights[:, np.newaxis]
+    pi = np.full(ell, 1.0 / ell) if len(starts) == 1 else stationary_solve(arr, w, ell)
     rows = (starts[:, np.newaxis] == np.arange(ell)).astype(float)
-    return "dense" if len(starts) == ell else "orbits", len(starts), {
+    path = "one-start" if len(starts) == 1 else "dense" if len(starts) == ell else "orbits"
+    return path, len(starts), {
         t: (separation(R, pi), float(0.5 * np.abs(R - pi).sum(axis=1).max()))
-        for t, R in _walk(rows, lambda R: R @ P, t_grid)}
+        for t, R in _walk(rows, lambda R: np.array([_push(succ, prob, r) for r in R]), t_grid)}
 
 
 def distance_profiles(arr, w, t_grid, chamber_cap=DEFAULT_CHAMBER_CAP):

@@ -266,23 +266,19 @@ def sample_card_collection_T(spec, trials, seed):
     """Monte Carlo samples of T = first time n-1 distinct cards are touched.
 
     Equal weights, where the count chain's worst-case cells, n + 2 for each
-    of _chain_horizon(n) steps, cost less than the exponentials below: one
+    of _chain_horizon(n) steps, cost less than n - 2 exponentials a trial: one
     V = 1 - U per trial and T = #{t : S(t) >= V}, S the survival curve of
     _count_chain(n, 1, n - 1), cached per n.  Exact in law up to 2^-53 and
     the chain's rounding, whatever the cache holds.  Otherwise T is n-1
-    steps plus one Poisson count of repeats: a geometric wait of success
-    probability p repeats Poisson(E (1-p)/p) times, E ~ Exp(1).  Equal
-    weights: after j cards the repeat rate is j/(n-j).  Unequal weights:
-    card i is touched at rate w_i in continuous time, first at
-    tau_i = E_i / w_i; n-1 cards are touched at s, the second-largest tau,
-    and card i repeats Poisson(w_i (s - tau_i)^+) times before it.
+    steps plus one Poisson count of repeats: card i is touched at rate w_i
+    in continuous time, first at tau_i = E_i / w_i, E_i ~ Exp(1); n-1 cards
+    are touched at s, the second-largest tau, and card i repeats
+    Poisson(w_i (s - tau_i)^+) times before it.
     """
     n = spec.n
     w = spec.card_weights
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
-    uniform = spec.equal_weights
-    chain = uniform and _CHAIN_CELL_COST * (n + 2) * _chain_horizon(n) < trials * (n - 2)
-    rate = np.arange(1, n - 1) / np.arange(n - 1, 1, -1)  # j/(n-j), j = 1..n-2
+    chain = spec.equal_weights and _CHAIN_CELL_COST * (n + 2) * _chain_horizon(n) < trials * (n - 2)
     out = np.empty(trials, dtype=np.int64)
     rows = _CHUNK_CELLS // 8 if chain else max(1, _CHUNK_CELLS // n)  # chain: 64 KiB each of V, T
     for block in np.split(out, range(rows, trials, rows)):  # views of out
@@ -290,15 +286,12 @@ def sample_card_collection_T(spec, trials, seed):
             u = rng.random(block.size)
             block[:] = _chain_T((n, 1, n - 1), np.subtract(1.0, u, out=u))
             continue
-        if uniform:
-            mean = rng.standard_exponential((block.size, rate.size)) @ rate
-        else:
-            tau = rng.standard_exponential((block.size, n)) / w
-            at, last = np.arange(block.size), tau.argmax(axis=1)
-            tau[at, last] = 0.0
-            s = tau.max(axis=1)
-            tau[at, last] = s  # the last card is not touched before s
-            mean = np.subtract(s[:, np.newaxis], tau, out=tau) @ w
+        tau = rng.standard_exponential((block.size, n)) / w
+        at, last = np.arange(block.size), tau.argmax(axis=1)
+        tau[at, last] = 0.0
+        s = tau.max(axis=1)
+        tau[at, last] = s  # the last card is not touched before s
+        mean = np.subtract(s[:, np.newaxis], tau, out=tau) @ w
         if not np.all(mean <= 2.0**62):  # else a count could pass int64
             raise CapacityError(f"T would overflow int64: a mean of {mean.max():.3g} repeats")
         block[:] = (n - 1) + rng.poisson(mean)

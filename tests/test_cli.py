@@ -88,17 +88,18 @@ def test_exact_tsetlin_uniform_values(tmp_path, monkeypatch):
     assert counts == {"transition_matrix": 0, "lstsq": 0}
     assert meta[-3:] == ["# exact_path=one-start", "# chambers=6", "# starts=1"]
     # two weight classes: one start per orbit of the swap of cards 0 and 1,
-    # from one build of P, and pi from the absorption pass
+    # each pushed along the product table with no P, and pi from the
+    # absorption pass
     run_cli(["exact", "--family", "tsetlin", "--params", "weights=1/4,1/4,1/2",
              "--t-grid", "1..4", "--out", str(out)])
     meta, _, _ = read_rows(out)
-    assert counts == {"transition_matrix": 1, "lstsq": 0}
+    assert counts == {"transition_matrix": 0, "lstsq": 0}
     assert meta[-3:] == ["# exact_path=orbits", "# chambers=6", "# starts=3"]
     # weights that differ for every card: every start
     run_cli(["exact", "--family", "tsetlin", "--params", "weights=1/2,1/3,1/6",
              "--t-grid", "1..4", "--out", str(out)])
     meta, _, _ = read_rows(out)
-    assert counts == {"transition_matrix": 2, "lstsq": 0}
+    assert counts == {"transition_matrix": 0, "lstsq": 0}
     assert meta[-3:] == ["# exact_path=dense", "# chambers=6", "# starts=6"]
 
 

@@ -25,6 +25,9 @@ def tsetlin(weights):
     return cw.build_braid(spec.n), cw.tsetlin_faces(spec)
 
 
+TWO_HEAVY_OF_SIX = [1 / 10, 1 / 10, 3 / 10, 3 / 10, 1 / 10, 1 / 10]
+
+
 def test_transition_matrix_tsetlin2():
     arr, w = tsetlin([0.7, 0.3])
     P = cw.transition_matrix(arr, w)
@@ -188,8 +191,8 @@ def test_total_variation_t0():
 
 
 def separate_loop_profiles(arr, w, t_grid):
-    """Oracle: s(t) and TV(t) from a P^t loop written out here, with the
-    same floating-point operations in the same order as the engine."""
+    """Oracle: s(t) and TV(t) from a loop over every row of P^t, written
+    out here from the dense transition matrix."""
     P = cw.transition_matrix(arr, w)
     pi = cw.stationary_solve(arr, w)
     Pt, current, out = np.eye(P.shape[0]), 0, {}
@@ -221,8 +224,6 @@ def test_tv_below_separation():
         both = cw.distance_profiles(arr, w, range(1, 15))
         assert both == {t: (sep[t], tv[t]) for t in range(1, 15)}
         every_row = separate_loop_profiles(arr, w, range(1, 15))
-        if exact._profiles(arr, w, [0])[0] == "dense":
-            assert both == every_row
         for t in range(1, 15):
             assert np.abs(np.subtract(both[t], every_row[t])).max() <= 1e-12
     # the two symmetric inputs take the one-start path
@@ -505,7 +506,7 @@ def test_orbits_keep_the_symmetries_that_pass():
     assert [g.tolist() for g in maps] == [swap_cards(0, 1), swap_cards(2, 3)]
     assert len(orbit_starts(arr, w)) == 6
     # two heavy cards among six: 6! / (2! 4!) orbits, each walked from its least chamber
-    arr, w = tsetlin([1 / 10, 1 / 10, 3 / 10, 3 / 10, 1 / 10, 1 / 10])
+    arr, w = tsetlin(TWO_HEAVY_OF_SIX)
     path, starts, got = exact._profiles(arr, w, range(0, 8))
     assert (path, starts) == ("orbits", 15)
     every_row = separate_loop_profiles(arr, w, range(0, 8))
@@ -513,12 +514,49 @@ def test_orbits_keep_the_symmetries_that_pass():
         assert np.abs(np.subtract(got[t], every_row[t])).max() <= 1e-13
 
 
+def test_profiles_are_the_maxima_over_single_row_pushes():
+    # each start's law walked on its own, one _push a step, and read out here
+    # as 1 - min nu (1 / pi) and half the l1 distance to pi
+    for arr, w in [tsetlin([0.5, 0.3, 0.2]),
+                   (cw.build_boolean(3),
+                    cw.hypercube_nn_faces([0.1, 0.2, 0.15], [0.2, 0.25, 0.1])),
+                   tsetlin(TWO_HEAVY_OF_SIX)]:
+        succ, prob = exact._product_table(arr, w), w.weights[:, np.newaxis]
+        pi = cw.stationary_solve(arr, w)
+        on, grid = pi > 0, range(0, 25)
+        s, tv = {t: [] for t in grid}, {t: [] for t in grid}
+        for x in orbit_starts(arr, w):
+            nu = (np.arange(arr.n_chambers) == x).astype(float)
+            for t in grid:
+                s[t].append(1.0 - (nu[on] * (1.0 / pi[on])).min())
+                tv[t].append(0.5 * np.abs(nu - pi).sum())
+                nu = exact._push(succ, prob, nu)
+        path, starts, got = exact._profiles(arr, w, grid)
+        assert path != "one-start" and starts == len(s[0])
+        assert got == {t: (max(s[t]), max(tv[t])) for t in grid}
+
+
+def test_profiles_build_no_dense_matrix(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("dense P built")
+
+    monkeypatch.setattr(exact, "transition_matrix", refuse)
+    monkeypatch.setattr(exact, "_matrix", refuse)
+    for (arr, w), path in [((cw.build_braid(4), cw.riffle_faces(4, 2)), "one-start"),
+                           (tsetlin(TWO_HEAVY_OF_SIX), "orbits"),
+                           (tsetlin([0.5, 0.3, 0.2]), "dense")]:
+        got = exact._profiles(arr, w, range(0, 11))
+        assert got[0] == path and sorted(got[2]) == list(range(0, 11))
+
+
 def test_certificate_sums_a_face_listed_twice():
     arr, grid = cw.build_boolean(1), range(0, 4)
     lopsided = cw.WeightedFaceSet(((1,), (1,), (-1,)), [1 / 3] * 3)  # w(+) = 2/3, w(-) = 1/3
     path, starts, got = exact._profiles(arr, lopsided, grid)
     assert (path, starts) == ("dense", 2)
-    assert got == separate_loop_profiles(arr, lopsided, grid)
+    every_row = separate_loop_profiles(arr, lopsided, grid)
+    for t in grid:
+        assert np.abs(np.subtract(got[t], every_row[t])).max() <= 1e-15
     assert got[1] == pytest.approx((0.0, 0.0), abs=1e-12)  # one step reaches pi = (2/3, 1/3)
     even = cw.WeightedFaceSet(((1,), (1,), (-1,)), [0.25, 0.25, 0.5])  # w(+) = w(-) = 1/2
     path, starts, got = exact._profiles(arr, even, grid)

@@ -384,19 +384,6 @@ def test_card_collection_small_n_both_paths():
         assert T.dtype == np.int64 and np.all(T == 1)
 
 
-def test_card_collection_equal_weights_draw_for_draw():
-    # T = (n-1) + Poisson(E @ r), r_j = j/(n-j) for j = 1..n-2: the repeats
-    # of the geometric wait after j distinct cards, one exponential each
-    # (500 trials of 9 cards: 3500 exponentials, fewer than twice the 1771
-    # cells of the chain, so they stay on this path)
-    n, trials, seed = 9, 500, 74
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
-    rate = np.array([j / (n - j) for j in range(1, n - 1)])
-    want = (n - 1) + rng.poisson(rng.standard_exponential((trials, n - 2)) @ rate)
-    got = cw.sample_card_collection_T(cw.TsetlinSpec(np.full(n, 1 / n)), trials, seed)
-    assert np.array_equal(got, want)
-
-
 def _chain_draws(n, trials, seed):
     """The chain path's T, from the sampler's own V = 1 - U."""
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
@@ -464,15 +451,18 @@ def test_card_collection_takes_the_draws_where_the_chain_does_not_pay():
 
 def test_card_collection_unequal_weights_draw_for_draw():
     # card i first touched at tau_i = E_i / w_i; before s, the second-largest
-    # clock, it repeats Poisson(w_i (s - tau_i)^+) times
+    # clock, it repeats Poisson(w_i (s - tau_i)^+) times.  Equal weights take
+    # the same clocks where the cost rule keeps them off the chain: 500
+    # trials of 9 cards count 3500 exponentials, fewer than twice the chain's
+    # 1771 cells
     n, trials, seed = 9, 500, 75
-    w = np.arange(1, n + 1) / (n * (n + 1) / 2)
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
-    tau = rng.standard_exponential((trials, n)) / w
-    s = np.sort(tau, axis=1)[:, -2]
-    want = (n - 1) + rng.poisson(np.maximum(s[:, np.newaxis] - tau, 0.0) @ w)
-    got = cw.sample_card_collection_T(cw.TsetlinSpec(w), trials, seed)
-    assert np.array_equal(got, want)
+    for w in [np.arange(1, n + 1) / (n * (n + 1) / 2), np.full(n, 1 / n)]:
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
+        tau = rng.standard_exponential((trials, n)) / w
+        s = np.sort(tau, axis=1)[:, -2]
+        want = (n - 1) + rng.poisson(np.maximum(s[:, np.newaxis] - tau, 0.0) @ w)
+        got = cw.sample_card_collection_T(cw.TsetlinSpec(w), trials, seed)
+        assert np.array_equal(got, want)
 
 
 def test_card_collection_refuses_a_count_past_int64():

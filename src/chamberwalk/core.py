@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import re
 from dataclasses import dataclass
 
@@ -266,8 +267,6 @@ def ordered_set_partitions(items):
 def fubini_number(n):
     """Number of ordered set partitions of an n-set."""
     # a(n) = sum_k C(n,k) a(n-k), a(0)=1
-    import math
-
     a = [1] + [0] * n
     for i in range(1, n + 1):
         a[i] = sum(math.comb(i, k) * a[i - k] for k in range(1, i + 1))
@@ -278,8 +277,6 @@ def build_braid(n, face_limit=DEFAULT_FACE_LIMIT):
     """Braid arrangement on n cards: hyperplanes x_i = x_j, chambers are the
     n! orderings (at most ``face_limit``); the faces, ordered set partitions
     of {0, .., n-1}, are not listed."""
-    import math
-
     if n < 2:
         raise ValueError("braid arrangement needs n >= 2")
     if math.factorial(n) > face_limit:

@@ -1,7 +1,7 @@
 """Weighted-face families on the braid and Boolean arrangements, plus the
 move-to-front (Tsetlin library) machinery: the t* solver, the closed-form
 separation bounds, the exact survival formula for "all but one card
-touched", and vectorized samplers for large instances.
+touched", and samplers for large instances, the chain ones by glauber._chain_T.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import CapacityError, braid_m, braid_signs, weighted_faces
 from .exact import _power_sums, _rates
-from .glauber import _count_chain
+from .glauber import _chain_T, _horizon
 
 DEFAULT_ENUM_CAP = 10_000_000  # sign entries, faces x hyperplanes, one face list enumerates
 DEFAULT_TSETLIN_EXACT_CAP = 20
@@ -266,26 +266,25 @@ def sample_card_collection_T(spec, trials, seed):
     """Monte Carlo samples of T = first time n-1 distinct cards are touched.
 
     Equal weights, where the count chain's worst-case cells, n + 2 for each
-    of _chain_horizon(n) steps, cost less than n - 2 exponentials a trial: one
-    V = 1 - U per trial and T = #{t : S(t) >= V}, S the survival curve of
-    _count_chain(n, 1, n - 1), cached per n.  Exact in law up to 2^-53 and
-    the chain's rounding, whatever the cache holds.  Otherwise T is n-1
-    steps plus one Poisson count of repeats: card i is touched at rate w_i
-    in continuous time, first at tau_i = E_i / w_i, E_i ~ Exp(1); n-1 cards
-    are touched at s, the second-largest tau, and card i repeats
+    of _horizon((n, 1, n - 1), 2^-53) steps, cost less than n - 2
+    exponentials a trial: one V = 1 - U per trial and T = #{t : S(t) >= V}
+    by _chain_T, S the curve of _count_chain(n, 1, n - 1).  Exact in law up
+    to 2^-53 and the chain's rounding, whatever the cache holds.  Otherwise
+    T is n-1 steps plus one Poisson count of repeats: card i is touched at
+    rate w_i in continuous time, first at tau_i = E_i / w_i, E_i ~ Exp(1);
+    n-1 cards are touched at s, the second-largest tau, and card i repeats
     Poisson(w_i (s - tau_i)^+) times before it.
     """
     n = spec.n
     w = spec.card_weights
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
-    chain = spec.equal_weights and _CHAIN_CELL_COST * (n + 2) * _chain_horizon(n) < trials * (n - 2)
+    if spec.equal_weights and (
+            _CHAIN_CELL_COST * (n + 2) * _horizon((n, 1, n - 1), 2.0**-53) < trials * (n - 2)):
+        u = rng.random(trials)
+        return _chain_T((n, 1, n - 1), np.subtract(1.0, u, out=u))
     out = np.empty(trials, dtype=np.int64)
-    rows = _CHUNK_CELLS // 8 if chain else max(1, _CHUNK_CELLS // n)  # chain: 64 KiB each of V, T
+    rows = max(1, _CHUNK_CELLS // n)
     for block in np.split(out, range(rows, trials, rows)):  # views of out
-        if chain:
-            u = rng.random(block.size)
-            block[:] = _chain_T((n, 1, n - 1), np.subtract(1.0, u, out=u))
-            continue
         tau = rng.standard_exponential((block.size, n)) / w
         at, last = np.arange(block.size), tau.argmax(axis=1)
         tau[at, last] = 0.0
@@ -296,29 +295,6 @@ def sample_card_collection_T(spec, trials, seed):
             raise CapacityError(f"T would overflow int64: a mean of {mean.max():.3g} repeats")
         block[:] = (n - 1) + rng.poisson(mean)
     return out
-
-
-def _chain_horizon(n):
-    """H, the first t with C(n, 2) (1 - 2/n)^t < 2^-53: past it the equal-weight
-    P(T > t), at most the sum over card pairs of the chance that both are
-    untouched, is below every V, so the chain takes at most H steps."""
-    if n < 3:
-        return n - 1  # no pair, or the first step touches one of two cards
-    return math.floor((math.log(math.comb(n, 2)) + 53 * math.log(2)) / -math.log1p(-2 / n)) + 1
-
-
-def _chain_T(key, v):
-    """#{t : S(t) >= v} for each v in (0, 1], S the curve of _count_chain(*key),
-    cached per key and grown until it falls below min(v) or ends.  The
-    search runs on the curve's running minimum: an ulp of upward rounding
-    after the cut would otherwise count where the cut did not."""
-    curve, steps = _count_chain(*key)
-    low = v.min(initial=np.inf)  # no v, no step
-    while curve[-1] >= low:  # the chain ends at its first 0, and each v > 0
-        curve.append(next(steps))
-    rising = np.minimum.accumulate(curve)[::-1]
-    t = np.searchsorted(rising, v)  # #{t : S(t) < v}
-    return np.subtract(len(rising), t, out=t)
 
 
 def sample_kset_coupon_T(m, k, trials, seed):

@@ -1,8 +1,10 @@
 """Heat-bath Glauber dynamics on monotone spin systems.
 
 Single-site conditionals, the shared-randomness (grand) coupling, stochastic
-domination checks, the exact chain on tiny systems, and the uniform
-coupon-collector lower bounds on separation and total variation mixing.
+domination checks, the exact chain on tiny systems, the uniform
+coupon-collector lower bounds on separation and total variation mixing, and
+Erdos-Renyi's count chain: one reader of its cached curves, their horizon
+and the samplers' search.
 """
 
 from __future__ import annotations
@@ -225,7 +227,7 @@ def glauber_separation_profile(sys, t_grid, stats=None):
 def coupon_survival_uniform(n, t, k=None):
     """P(fewer than k of n sites picked after t uniform site selections);
     k = n, the default, is P(some site unpicked).  Read off the curve of
-    _count_chain(n, 1, k), stepped to t: O(n t) work once per (n, k), a
+    _count_chain(n, 1, k), grown to t: O(n t) work once per (n, k), a
     lookup after.  A chain of more than DEFAULT_COUPON_CELL_CAP cells
     (n + 2 for each of the t + 1 points) raises CapacityError first."""
     if n < 1:
@@ -236,47 +238,72 @@ def coupon_survival_uniform(n, t, k=None):
         raise ValueError(f"{'negative' if t < 0 else 'fractional'} time {t}")
     if (t := int(t)) < k:
         return 1.0
-    # from t = zero on, every k's survival is below n e^(-t/n) < 2^-1022: the chain has ended
-    zero = int(n * (math.log(n) + 709)) + 1
-    if (cells := (n + 2) * (min(t, zero) + 1)) > DEFAULT_COUPON_CELL_CAP:
+    # the curve is 1 before t = k, and below 2^-1022, so ended, from _horizon on
+    if (cells := (n + 2) * (t + 1)) > DEFAULT_COUPON_CELL_CAP >= (n + 2) * (k + 1):
+        cells = (n + 2) * (min(t, _horizon((n, 1, k), 2.0**-1022)) + 1)
+    if cells > DEFAULT_COUPON_CELL_CAP:
         raise CapacityError(f"coupon chain of {cells} cells exceeds cap {DEFAULT_COUPON_CELL_CAP}")
-    curve, steps = _count_chain(n, 1, k)
-    curve.extend(itertools.islice(steps, max(t + 1 - len(curve), 0)))
-    return curve[t] if t < len(curve) or curve[-1] else 0.0  # past the curve only at its 0
+    curve = _count_chain(n, 1, k)(t + 1)
+    return curve[t] if t < len(curve) else 0.0  # past the curve only at its 0
 
 
 @functools.lru_cache(maxsize=8)
 def _count_chain(n, d, need):
-    """(curve, steps) of Erdos-Renyi's count chain: each step draws d distinct
-    sites of n uniformly, curve[t] is the chance of fewer than need distinct
-    sites after t steps, a sum that does not cancel, and steps yields the
-    later t's from the chain's law.  From j sites a step brings i new ones
-    with chance C(n - j, i) C(j, d - i) / C(n, d), rounded once from exact
-    integers.  (n, 1, n) is the coupon collector's survival, (n, 1, n - 1)
-    that of the equal-weight Tsetlin T, (m, k, m) that of the non-local
-    hypercube walk's T.  A mass past 1 by rounding, ((d + 1) t + n) eps at
-    most, is put on 1; further, it is an error, and reads past the curve
-    fail after it.  Each chance below 2^-1022 is put on 0: the subnormals
-    would not empty (j/n of the least rounds back to it) and step slowly.
-    The first mass 0 ends the curve: no mass flows back below need."""
-    total = math.comb(n, d)
+    """grown(size, low), the one reader of Erdos-Renyi's count chain: each
+    step draws d distinct sites of n uniformly, and curve[t] is the chance
+    of fewer than need distinct sites after t steps, a sum that does not
+    cancel.  grown returns the curve, grown in place to size points and on
+    while it is at least low, never past its first 0: no mass flows back
+    below need.  From j sites a step brings i new ones with chance
+    C(n - j, i) C(j, d - i) / C(n, d), rounded once from exact integers.
+    (n, 1, n) is the coupon collector's survival, (n, 1, n - 1) that of the
+    equal-weight Tsetlin T, (m, k, m) that of the non-local hypercube walk's
+    T.  A mass past 1 by rounding, ((d + 1) t + n) eps at most, is put on 1;
+    further, it is an error, raised again at every read past the curve.
+    Each chance below 2^-1022 is put on 0: the subnormals would not empty
+    (j/n of the least rounds back to it) and step slowly."""
+    total, f = math.comb(n, d), np.finfo(float)
     # new[i][j]: the chance of i new sites from j, for j < need - i
     new = [np.array([math.comb(n - j, i) * math.comb(j, d - i) / total
                      for j in range(need - i)]) for i in range(d + 1)]
+    curve, law = array.array("d", [need > 0]), np.eye(1, need)[0]  # law[j]: j sites, j < need
 
-    def steps(law, f):  # law[j]: the chance of j distinct sites, j < need
-        for t in itertools.count(1):
-            law, last = law * new[0], law
+    def grown(size=0, low=math.inf):
+        nonlocal law
+        while curve[-1] and (len(curve) < size or curve[-1] >= low):
+            step = law * new[0]
             for i, p in enumerate(new[1:need], 1):
-                law[i:] += last[:-i] * p
-            law[law < f.tiny] = 0.0
-            if (mass := float(law.sum())) > 1.0 + ((d + 1) * t + n) * f.eps:
-                raise RuntimeError(f"count chain {n, d, need} at t={t}: mass {mass!r} > 1")
-            yield min(mass, 1.0)
-            if mass == 0.0:
-                return
+                step[i:] += law[:-i] * p
+            step[step < f.tiny] = 0.0
+            if (mass := float(step.sum())) > 1.0 + ((d + 1) * len(curve) + n) * f.eps:
+                raise RuntimeError(f"count chain {n, d, need} at t={len(curve)}: mass {mass!r} > 1")
+            law = step
+            curve.append(min(mass, 1.0))
+        return curve
 
-    return array.array("d", [need > 0]), steps(np.eye(1, need)[0], np.finfo(float))
+    return grown
+
+
+def _horizon(key, p):
+    """The first t with C(n, r) (C(n - r, d) / C(n, d))^t < p, key = (n, d, need)
+    and r = n - need + 1: a union bound on the chance that some r sites are all
+    unpicked, so the curve of _count_chain(*key) is below p from t on."""
+    n, d, need = key
+    if need <= d:
+        return min(need, 1)  # one step picks need sites
+    total = math.comb(n, d)
+    fall = math.log1p((math.comb(need - 1, d) - total) / total)  # one rounding of an exact ratio
+    return math.floor((math.log(math.comb(n, n - need + 1)) - math.log(p)) / -fall) + 1
+
+
+def _chain_T(key, v):
+    """#{t : S(t) >= v} for each v in (0, 1], S the curve of _count_chain(*key),
+    grown until it falls below min(v) or ends.  The search runs on the
+    curve's running minimum: an ulp of upward rounding after the cut would
+    otherwise count where the cut did not."""
+    rising = np.minimum.accumulate(_count_chain(*key)(low=v.min(initial=np.inf)))[::-1]
+    t = np.searchsorted(rising, v)  # #{t : S(t) < v}
+    return np.subtract(len(rising), t, out=t)
 
 
 def coverage_conditioned_profile(sys, t_grid):

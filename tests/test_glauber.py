@@ -360,36 +360,47 @@ def test_coupon_chain_refuses_past_its_cell_cap_before_any_allocation():
     assert glauber._count_chain.cache_info().misses == misses
 
 
+def test_coupon_chain_refuses_a_large_k_without_its_horizon():
+    # the curve is 1 up to t = k, so (n + 2)(k + 1) cells past the cap refuse
+    # before the horizon's C(n, n - k + 1), here a million-bit integer, is formed
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="cells exceeds cap"):
+            cw.coupon_survival_uniform(10**6, 10**6, 5 * 10**5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
+
+
 def test_coupon_curve_ends_at_its_first_zero():
     glauber._count_chain.cache_clear()
     assert cw.coupon_survival_uniform(9, 10**9) == 0.0
-    curve, _ = glauber._count_chain(9, 1, 9)
+    curve = glauber._count_chain(9, 1, 9)()
     assert curve[-1] == 0.0 and min(curve[:-1]) > 0.0  # no longer than its first zero
     assert len(curve) < 8192 and min(curve[:-1]) < 1e-307
     # every later t reads 0 without growing the curve
     size = len(curve)
     assert cw.coupon_survival_uniform(9, size) == cw.coupon_survival_uniform(9, 10**12) == 0.0
-    assert len(glauber._count_chain(9, 1, 9)[0]) == size
+    assert len(glauber._count_chain(9, 1, 9)()) == size
 
 
 def test_coupon_curve_is_kept_per_n_and_grown_in_place():
     glauber._count_chain.cache_clear()
     first = cw.coupon_survival_uniform(60, 500)
-    curve = glauber._count_chain(60, 1, 60)[0]
+    curve = glauber._count_chain(60, 1, 60)()
     assert len(curve) == 501  # stepped to t = 500, no further
     prefix = curve.tolist()
     cw.coupon_survival_uniform(200, 3000)
     cw.coupon_survival_uniform(60, 1000)  # a second n neither evicts nor rebuilds the first
-    assert glauber._count_chain(60, 1, 60)[0] is curve and len(curve) == 1001
+    assert glauber._count_chain(60, 1, 60)() is curve and len(curve) == 1001
     assert curve[:501].tolist() == prefix and curve[500] == first
     assert glauber._count_chain.cache_info().misses == 2
 
 
 def _curve(key, t):
     """The first t + 1 points of the curve of _count_chain(*key), grown in place."""
-    curve, steps = glauber._count_chain(*key)
-    curve.extend(itertools.islice(steps, max(t + 1 - len(curve), 0)))
-    return curve[:t + 1].tolist()
+    return glauber._count_chain(*key)(t + 1)[:t + 1].tolist()
 
 
 def _two_line_recurrence(n, k, t):
@@ -420,6 +431,45 @@ def test_kset_count_chain_matches_the_mobius_form(m, k):
     times = range(61)
     exact = cw.survival_exact_profile(cw.build_boolean(m), cw.hypercube_nonlocal_faces(m, k), times)
     assert np.allclose(_curve((m, k, m), 60), [exact[t] for t in times], rtol=0, atol=1e-13)
+
+
+def _card_horizon(n):
+    """The equal-weight card sampler's step bound as it was first written: the
+    first t with C(n, 2) (1 - 2/n)^t < 2^-53, and n - 1 below three cards."""
+    if n < 3:
+        return n - 1
+    return math.floor((math.log(math.comb(n, 2)) + 53 * math.log(2)) / -math.log1p(-2 / n)) + 1
+
+
+def test_horizon_is_the_card_bound_and_the_curve_is_below_p_there():
+    assert all(glauber._horizon((n, 1, n - 1), 2.0**-53) == _card_horizon(n)
+               for n in range(1, 20_001))
+    # at 2^-1022 the union bound ends the curve of 9 sites exactly at its first 0
+    glauber._count_chain.cache_clear()
+    assert glauber._horizon((9, 1, 9), 2.0**-1022) == 6034 == _curve((9, 1, 9), 7000).index(0.0)
+    for key in [(60, 1, 60), (500, 1, 499), (7, 1, 3), (512, 2, 512)]:
+        for p in (2.0**-53, 1e-4):
+            t = glauber._horizon(key, p)
+            assert _curve(key, t)[t] < p, (key, p)
+
+
+def test_count_chain_mass_past_one_raises_at_every_read_past_the_curve(monkeypatch):
+    comb = math.comb
+    glauber._count_chain.cache_clear()
+    try:
+        with monkeypatch.context() as patch:  # every jump chance inflated while (5, 1, 5) is built
+            patch.setattr(math, "comb", lambda a, b: comb(a, b) + 1)
+            grown = glauber._count_chain(5, 1, 5)
+        with pytest.raises(RuntimeError, match=r"\(5, 1, 5\) at t=1: mass .* > 1"):
+            grown(3)
+        # later reads of the key, by either path, raise again and return no value
+        for read in (lambda: cw.coupon_survival_uniform(5, 7),
+                     lambda: glauber._chain_T((5, 1, 5), np.array([0.5]))):
+            with pytest.raises(RuntimeError, match="mass"):
+                read()
+        assert grown().tolist() == [1.0]  # no point was kept past the last good one
+    finally:
+        glauber._count_chain.cache_clear()
 
 
 def orbit_count(n_sites, site_maps, reversal):

@@ -27,6 +27,8 @@ _SIGN_TO_CHAR = {PLUS: "+", MINUS: "-", ZERO: "0"}
 DEFAULT_FACE_LIMIT = 1_000_000
 DEFAULT_CLOSURE_PRODUCT_LIMIT = 1_000_000
 _PRODUCT_CELLS = 2**18  # sign entries of the face products validate_closure takes at once
+_GUIDE_CELLS = 2**14  # cells of a _guide table
+_GUIDE_BLOCK = 2048  # keys that a _guide search reads at once
 
 
 class DimensionError(ValueError):
@@ -100,6 +102,28 @@ def _search(table, keys):
         return np.full(np.shape(keys), -1)
     pos = np.minimum(np.searchsorted(known, keys), len(known) - 1)
     return np.where(known[pos] == keys, order[pos], -1)
+
+
+def _guide(sorted_):
+    """search(v, side) = np.searchsorted(sorted_, v, side) for sorted_ and v in [0, 1], by a
+    guide table (Chen-Asau): a key in a cell [j, j + 1) / _GUIDE_CELLS with no point reads
+    #{sorted_ < j / _GUIDE_CELLS}; the rest are searched.  v is not written."""
+    cells = (sorted_ * _GUIDE_CELLS).astype(np.intp)  # exact, as _GUIDE_CELLS is a power of 2
+    count = np.arange(len(cells) + 1, dtype=np.min_scalar_type(-len(cells) - 1))
+    table = np.repeat(count, np.diff(cells, prepend=-1, append=_GUIDE_CELLS))
+    table[cells] = -1  # the cells that hold a point, 1 among them if it is one
+
+    def search(v, side="left"):
+        out = np.empty(len(v), dtype=np.intp)
+        for i in range(0, len(v), _GUIDE_BLOCK):
+            x, r = v[i:i + _GUIDE_BLOCK], out[i:i + _GUIDE_BLOCK]
+            np.multiply(x, _GUIDE_CELLS, out=r, casting="unsafe")  # the cell of each key
+            r[:] = table[r]
+            if (miss := np.flatnonzero(r < 0)).size:
+                r[miss] = np.searchsorted(sorted_, x[miss], side)
+        return out
+
+    return search
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ DEFAULT_IE_HYPERPLANE_CAP = 20
 ENUM_ORDERING_FACE_CAP = 9
 _TABLE_CELLS = 2**20  # bytes of packed products in one block of faces
 _PAIR_CELLS = 2**20  # entries of the m x m pair matrix of coupling_parameters
+_READ_CELLS = 2**18  # entries of the start rows that _profiles reads out at once
 
 
 def _check_chambers(arr, chamber_cap):
@@ -55,10 +56,12 @@ def _matrix(succ, prob):
     return P
 
 
-def _push(succ, prob, law):
-    """One step of a law along a successor table: sum of prob[k, i] law[i]
-    at succ[k, i], over the law.size states."""
-    return np.bincount(succ.ravel(), (prob * law).ravel(), law.size)
+def _push(succ, prob, laws):
+    """One step in place of a law, or of each row of laws, along a successor table:
+    sum of prob[k, i] law[i] at succ[k, i], over the law.size states."""
+    for law in np.atleast_2d(laws):  # a row's step reads that row alone
+        law[:] = np.bincount(succ.ravel(), (prob * law).ravel(), law.size)
+    return laws
 
 
 def transition_matrix(arr, w, chamber_cap=DEFAULT_CHAMBER_CAP):
@@ -192,7 +195,7 @@ def separation(Pt, pi):
 
 def _profiles(arr, w, t_grid, chamber_cap=DEFAULT_CHAMBER_CAP):
     """(path, starts, {t: (s(t), TV(t))}): the law nu_t of the walk from each
-    of one start per orbit of _symmetries is pushed along the product table,
+    of one start per orbit of _symmetries is pushed in place along the product table,
     nu_{t+1}[F C] += w(F) nu_t[C], with no P, and both maxima are read over
     these rows, as the row of P^t at any other start relabels one of theirs.
     The path only counts the starts: 'one-start', where pi is uniform, and
@@ -207,9 +210,14 @@ def _profiles(arr, w, t_grid, chamber_cap=DEFAULT_CHAMBER_CAP):
     pi = np.full(ell, 1.0 / ell) if len(starts) == 1 else stationary_solve(arr, w, ell)
     rows = (starts[:, np.newaxis] == np.arange(ell)).astype(float)
     path = "one-start" if len(starts) == 1 else "dense" if len(starts) == ell else "orbits"
-    return path, len(starts), {
-        t: (separation(R, pi), float(0.5 * np.abs(R - pi).sum(axis=1).max()))
-        for t, R in _walk(rows, lambda R: np.array([_push(succ, prob, r) for r in R]), t_grid)}
+
+    def read(R):  # s and TV, _READ_CELLS entries of the rows at a time
+        parts = np.array_split(R, min(len(R), -(-R.size // _READ_CELLS)))
+        return (max(separation(P, pi) for P in parts),
+                float(0.5 * max(np.abs(P - pi).sum(axis=1).max() for P in parts)))
+
+    push = functools.partial(_push, succ, prob)
+    return path, len(starts), {t: read(R) for t, R in _walk(rows, push, t_grid)}
 
 
 def distance_profiles(arr, w, t_grid, chamber_cap=DEFAULT_CHAMBER_CAP):

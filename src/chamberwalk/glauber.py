@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CapacityError
+from .core import CapacityError, _guide
 from .exact import _matrix, _orbits, _walk, separation
 
 DEFAULT_STATE_CAP = 4096
@@ -298,11 +298,11 @@ def _horizon(key, p):
 
 def _chain_T(key, v):
     """#{t : S(t) >= v} for each v in (0, 1], S the curve of _count_chain(*key),
-    grown until it falls below min(v) or ends.  The search runs on the
-    curve's running minimum: an ulp of upward rounding after the cut would
-    otherwise count where the cut did not."""
-    rising = np.minimum.accumulate(_count_chain(*key)(low=v.min(initial=np.inf)))[::-1]
-    t = np.searchsorted(rising, v)  # #{t : S(t) < v}
+    grown until it falls below min(v) or ends.  The guide search runs on a
+    rising copy of the curve's running minimum: an ulp of upward rounding
+    after the cut would otherwise count where the cut did not."""
+    rising = np.minimum.accumulate(_count_chain(*key)(low=v.min(initial=np.inf)))[::-1].copy()
+    t = _guide(rising)(v)  # #{t : S(t) < v}
     return np.subtract(len(rising), t, out=t)
 
 

@@ -6,7 +6,7 @@ faces' zero sets, T only depends on which hyperplanes have been "cut" so
 far, so the samplers track the shrinking set of uncut hyperplanes instead
 of the full face product.  ``sample_T_batch`` runs all trials at once, as
 rows of packed bit words, from one generator per call, so its output is
-deterministic in (seed, trials).
+deterministic in (seed, trials); each face is an inverse-CDF draw (core._guide).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import check_separating, face_product, is_chamber
+from .core import _guide, check_separating, face_product, is_chamber
 from .exact import _times
 
 DEFAULT_STEP_CAP = 10**9
@@ -44,9 +44,9 @@ def sample_T_batch(w, trials, seed, step_cap=DEFAULT_STEP_CAP):
     """Array of ``trials`` independent copies of T, deterministic in (seed, trials).
 
     Each trial's uncut hyperplanes are a row of ceil(m/64) packed uint64
-    words.  Every step draws one face per still-active trial by inverse CDF
-    from one generator seeded with ``seed``, clears that face's support
-    bits, and retires the trials whose row is now zero.
+    words.  Every step draws one face per still-active trial by inverse CDF,
+    from one generator seeded with ``seed`` and one guide table a call,
+    clears that face's support bits, and retires the trials whose row is now zero.
     """
     _require_separating(w)
     bits = np.zeros((len(w.signs) + 1, 64 * -(-w.m // 64)), dtype=bool)
@@ -55,7 +55,7 @@ def sample_T_batch(w, trials, seed, step_cap=DEFAULT_STEP_CAP):
     packed = np.packbits(bits, axis=1, bitorder="little").view("<u8")
     uncut, keep = np.repeat(packed[:1], trials, axis=0), packed[1:]
     cdf = np.cumsum(w.weights)
-    cdf /= cdf[-1]
+    draw = _guide(cdf / cdf[-1])
     rng = np.random.default_rng(seed)
     out = np.zeros(trials, dtype=np.int64)
     active = np.arange(trials if w.m else 0)  # no hyperplanes: T = 0
@@ -64,7 +64,7 @@ def sample_T_batch(w, trials, seed, step_cap=DEFAULT_STEP_CAP):
         t += 1
         if t > step_cap:
             raise RuntimeError(f"T exceeded the {step_cap}-step cap")
-        uncut &= keep[np.searchsorted(cdf, rng.random(active.size), side="right")]
+        uncut &= keep[draw(rng.random(active.size), "right")]
         done = ~uncut.any(axis=1)
         out[active[done]] = t
         active, uncut = active[~done], uncut[~done]

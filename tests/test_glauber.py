@@ -453,6 +453,17 @@ def test_horizon_is_the_card_bound_and_the_curve_is_below_p_there():
             assert _curve(key, t)[t] < p, (key, p)
 
 
+@pytest.mark.parametrize("key, trials", [((500, 1, 499), 100_000), ((512, 2, 512), 20_000)])
+def test_chain_T_is_the_searchsorted_count_draw_for_draw(key, trials):
+    # the guide-table search against one np.searchsorted on the curve's
+    # running minimum, over the curve the call grew
+    v = 1.0 - np.random.default_rng(81).random(trials)
+    T = glauber._chain_T(key, v)
+    rising = np.minimum.accumulate(glauber._count_chain(*key)())[::-1]
+    assert np.array_equal(T, len(rising) - np.searchsorted(rising, v))
+    assert v.min() > rising[0] or rising[0] == 0.0  # the curve reached below every V
+
+
 def test_count_chain_mass_past_one_raises_at_every_read_past_the_curve(monkeypatch):
     comb = math.comb
     glauber._count_chain.cache_clear()

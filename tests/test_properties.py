@@ -8,7 +8,7 @@ grids of at most 9 sites.  The sign lists: braid_signs against
 partition_to_sign_vector, chamber_index against a search of the chamber
 tuples, and each built-in face list against a loop that lists it face by face.
 The exact rates of the Möbius form, on int64 and past it, against a loop over
-the sets.
+the sets.  The guide-table search against np.searchsorted, on both sides.
 The generic, card-collection and k-set samplers: each Monte Carlo count
 against the binomial law of the exact survival."""
 
@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from scipy.stats import binom
 
 import chamberwalk as cw
-from chamberwalk import exact
+from chamberwalk import core, exact
 from chamberwalk.core import braid_signs, face_product, is_chamber, ordered_set_partitions
 
 TIMES = range(1, 26)
@@ -398,6 +398,37 @@ def test_built_in_face_lists_equal_the_face_by_face_loop(case):
     assert w.faces == tuple(merged) and all(type(x) is int for f in w.faces for x in f)
     assert w.weights.tobytes() == np.array(list(merged.values())).tobytes()
     assert w.signs.dtype == np.int8 and w.signs.tolist() == [list(f) for f in w.faces]
+
+
+TINY = [5e-324, 2.0**-1074 * 3, np.nextafter(2.0**-1022, 0.0), 2.0**-1022]  # subnormals, least normal
+EDGES = np.arange(core._GUIDE_CELLS + 1) / core._GUIDE_CELLS  # the cell edges of a guide table
+
+
+@st.composite
+def guide_cases(draw):
+    """(points, keys): points sorted in [0, 1], with ties, points on cell edges,
+    a cluster a few ulps wide and subnormals; keys drawn in [0, 1] besides
+    those the test adds."""
+    edge = st.integers(0, core._GUIDE_CELLS).map(lambda j: EDGES[j])
+    point = st.one_of(st.floats(0.0, 1.0), edge, st.sampled_from(TINY + [0.0, 1.0]))
+    base = draw(st.one_of(st.floats(0.0, 1.0), edge))
+    cluster = [base + k * np.spacing(base) for k in draw(st.lists(st.integers(-3, 3)))]
+    points = np.clip(draw(st.lists(point, max_size=60)) + cluster, 0.0, 1.0)
+    return np.sort(points), draw(st.lists(st.floats(0.0, 1.0)))
+
+
+@CASES
+@given(guide_cases())
+@example((np.array([0.0] * 5 + [0.5] * 3 + [1.0] * 4), []))  # runs of 0, an edge, 1
+@example((np.array([]), [0.3]))
+def test_guide_search_equals_searchsorted_and_keeps_the_keys(case):
+    points, drawn = case
+    keys = np.concatenate([EDGES, TINY, drawn, points,
+                           np.nextafter(points, 0.0), np.nextafter(points, 1.0)])
+    before, search = keys.copy(), core._guide(points)
+    for side in ("left", "right"):
+        assert np.array_equal(search(keys, side), np.searchsorted(points, keys, side)), side
+    assert keys.tobytes() == before.tobytes()
 
 
 MC_TRIALS = 20_000

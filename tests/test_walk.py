@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -102,6 +104,46 @@ def test_survival_estimate_deterministic():
     a = survival_from_samples(sample_T_batch(w, 2000, seed=123), [1, 2, 3])
     b = survival_from_samples(sample_T_batch(w, 2000, seed=123), [1, 2, 3])
     assert np.array_equal(a.p_hat, b.p_hat)
+
+
+def _searchsorted_T_batch(w, trials, seed):
+    """sample_T_batch as it drew each face, with one np.searchsorted on the
+    weight CDF per draw."""
+    bits = np.zeros((len(w.signs) + 1, 64 * -(-w.m // 64)), dtype=bool)
+    bits[0, : w.m] = True
+    bits[1:, : w.m] = w.signs == 0
+    packed = np.packbits(bits, axis=1, bitorder="little").view("<u8")
+    uncut, keep = np.repeat(packed[:1], trials, axis=0), packed[1:]
+    cdf = np.cumsum(w.weights)
+    cdf /= cdf[-1]
+    rng = np.random.default_rng(seed)
+    out, active, t = np.zeros(trials, dtype=np.int64), np.arange(trials if w.m else 0), 0
+    while active.size:
+        t += 1
+        uncut &= keep[np.searchsorted(cdf, rng.random(active.size), side="right")]
+        done = ~uncut.any(axis=1)
+        out[active[done]] = t
+        active, uncut = active[~done], uncut[~done]
+    return out
+
+
+def _wide_weights():
+    # boolean(3): the chamber +++ at weight 1/2, and the other faces at
+    # weights from 1 down to 1e-12, so that many CDF points share a cell
+    faces = [f for f in itertools.product((1, -1, 0), repeat=3) if f != (1, 1, 1)]
+    raw = np.logspace(0, -12, len(faces))
+    return cw.WeightedFaceSet([(1, 1, 1)] + faces, np.append(1.0, raw / raw.sum()) / 2)
+
+
+@pytest.mark.parametrize("faces, trials", [
+    (lambda: cw.riffle_faces(7, 2), 20_000),
+    (lambda: cw.top_bottom_faces(7, np.arange(1, 8) / 28), 10_000),
+    (_wide_weights, 20_000),
+])
+def test_batch_sampler_is_the_searchsorted_loop_draw_for_draw(faces, trials):
+    w = faces()
+    for seed in (0, 29):
+        assert np.array_equal(sample_T_batch(w, trials, seed), _searchsorted_T_batch(w, trials, seed))
 
 
 def test_uncut_tracking_matches_full_product():

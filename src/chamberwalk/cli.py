@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .core import CapacityError, build_boolean, build_braid
-from .exact import DEFAULT_CHAMBER_CAP, _profiles, coupling_parameters, cutoff_prediction
+from .exact import DEFAULT_CHAMBER_CAP, coupling_parameters, cutoff_prediction, distance_profiles
 from .exact import survival_exact_profile
 from .gallery import (
     TsetlinSpec,
@@ -163,18 +163,6 @@ def _get_weights(params, key, n=None):
     return np.asarray(v, dtype=float)
 
 
-def _usage_errors(fn, *args):
-    """fn with args bound, each call made once and cached; its ValueErrors
-    surface as ConfigError."""
-    @functools.cache
-    def call(*more):
-        try:
-            return fn(*args, *more)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    return call
-
-
 def build_family(family, params):
     """Resolve a family name into (faces, arrangement, info).
 
@@ -182,67 +170,60 @@ def build_family(family, params):
     builds the arrangement of at most face_limit chambers, and only exact
     mode calls it.  info carries the family's T sampler, (trials, seed) ->
     samples, which reads no faces for tsetlin and hypercube-nonlocal, and
-    the closed-form (b, d) of families with one.  Argument errors, here or
-    in the builders, surface as ConfigError.
+    the closed-form (b, d) of families with one.
     """
     info = {"bd": None}
-    try:
-        if family == "tsetlin":
-            weights = _get_weights(params, "weights", _get_int(params, "n", 0) or None)
-            info["spec"] = spec = TsetlinSpec(weights)
-            info["t_sampler"] = lambda trials, seed: sample_card_collection_T(spec, trials, seed)
-            n, listing = spec.n, (tsetlin_faces, spec)
-        elif family == "riffle":
-            n = _get_int(params, "n")
-            a = _get_int(params, "a", 2)
-            info["bd"] = riffle_coupling_closed_form(a)
-            listing = (riffle_faces, n, a)
-        elif family == "k-to-top":
-            n, k = _get_int(params, "n"), _get_int(params, "k")
-            listing = (k_to_top_faces, n, k)
-        elif family == "top-bottom":
-            n = _get_int(params, "n")
-            listing = (top_bottom_faces, n, _get_weights(params, "weights", n))
-        elif family == "hypercube-nn":
-            if (n := _get_int(params, "n")) < 1:
-                raise ConfigError(f"hypercube-nn needs n >= 1, got n={n}")
-            half = np.full(n, 1.0 / (2 * n))
-            w_plus = _get_weights(params, "w_plus") if "w_plus" in params else half
-            w_minus = _get_weights(params, "w_minus") if "w_minus" in params else half
-            if not len(w_plus) == len(w_minus) == n:
-                raise ConfigError(f"hypercube-nn needs n={n} weights in w_plus and w_minus")
-            listing = (hypercube_nn_faces, w_plus, w_minus)
-        elif family == "hypercube-nonlocal":
-            n, k = _get_int(params, "n"), _get_int(params, "k")
-            if not 1 < k <= n / 2:
-                raise ConfigError(f"hypercube-nonlocal needs 1 < k <= n/2, got n={n} k={k}")
-            info["bd"] = kset_coupling_closed_form(n, k)
-            info["t_sampler"] = lambda trials, seed: sample_kset_coupon_T(n, k, trials, seed)
-            listing = (hypercube_nonlocal_faces, n, k)
-        else:
-            raise ConfigError(f"unknown family {family!r}; see the list subcommand")
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    faces = _usage_errors(*listing)
+    if family == "tsetlin":
+        weights = _get_weights(params, "weights", _get_int(params, "n", 0) or None)
+        info["spec"] = spec = TsetlinSpec(weights)
+        info["t_sampler"] = lambda trials, seed: sample_card_collection_T(spec, trials, seed)
+        n, listing = spec.n, (tsetlin_faces, spec)
+    elif family == "riffle":
+        n = _get_int(params, "n")
+        a = _get_int(params, "a", 2)
+        info["bd"] = riffle_coupling_closed_form(a)
+        listing = (riffle_faces, n, a)
+    elif family == "k-to-top":
+        n, k = _get_int(params, "n"), _get_int(params, "k")
+        listing = (k_to_top_faces, n, k)
+    elif family == "top-bottom":
+        n = _get_int(params, "n")
+        listing = (top_bottom_faces, n, _get_weights(params, "weights", n))
+    elif family == "hypercube-nn":
+        if (n := _get_int(params, "n")) < 1:
+            raise ConfigError(f"hypercube-nn needs n >= 1, got n={n}")
+        half = np.full(n, 1.0 / (2 * n))
+        w_plus = _get_weights(params, "w_plus") if "w_plus" in params else half
+        w_minus = _get_weights(params, "w_minus") if "w_minus" in params else half
+        if not len(w_plus) == len(w_minus) == n:
+            raise ConfigError(f"hypercube-nn needs n={n} weights in w_plus and w_minus")
+        listing = (hypercube_nn_faces, w_plus, w_minus)
+    elif family == "hypercube-nonlocal":
+        n, k = _get_int(params, "n"), _get_int(params, "k")
+        if not 1 < k <= n / 2:
+            raise ConfigError(f"hypercube-nonlocal needs 1 < k <= n/2, got n={n} k={k}")
+        info["bd"] = kset_coupling_closed_form(n, k)
+        info["t_sampler"] = lambda trials, seed: sample_kset_coupon_T(n, k, trials, seed)
+        listing = (hypercube_nonlocal_faces, n, k)
+    else:
+        raise ConfigError(f"unknown family {family!r}; see the list subcommand")
+    faces = functools.cache(functools.partial(*listing))
     info.setdefault("t_sampler", lambda trials, seed: sample_T_batch(faces(), trials, seed))
     build = build_boolean if family.startswith("hypercube") else build_braid
-    return faces, _usage_errors(build, n), info
+    return faces, functools.cache(functools.partial(build, n)), info
 
 
 def build_glauber_family(family, params):
-    """The family's spin system; the builders' ValueErrors surface as ConfigError."""
-    try:
-        if family == "ising":
-            return ising_system(
-                _get_int(params, "width"),
-                _get_int(params, "height"),
-                _get_float(params, "beta", 0.0),
-                _get_float(params, "field", 0.0),
-            )
-        if family == "product":
-            return product_system(_get_int(params, "n"))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    """The family's spin system."""
+    if family == "ising":
+        return ising_system(
+            _get_int(params, "width"),
+            _get_int(params, "height"),
+            _get_float(params, "beta", 0.0),
+            _get_float(params, "field", 0.0),
+        )
+    if family == "product":
+        return product_system(_get_int(params, "n"))
     raise ConfigError(f"unknown glauber family {family!r}")
 
 
@@ -283,10 +264,10 @@ def cmd_exact(args, params):
     arr, w = arrangement(DEFAULT_CHAMBER_CAP), faces()  # no face listed past the cap
     grid = parse_t_grid(args.t_grid)
     surv = survival_exact_profile(arr, w, grid)  # its hyperplane cap refuses before the walk
-    path, starts, dist = _profiles(arr, w, grid)
+    stats = {}
+    dist = distance_profiles(arr, w, grid, stats=stats)
     rows = [(t, *dist[t], surv[t], None, None) for t in grid]
-    extra = [("exact_path", path), ("chambers", arr.n_chambers), ("starts", starts)]
-    write_csv(args.out, _meta(args, params, extra), rows)
+    write_csv(args.out, _meta(args, params, list(stats.items())), rows)
 
 
 def _mc_rows(args, info, grid):
@@ -413,9 +394,9 @@ def main(argv=None):
         cmd_list(args, {})
         return 0
 
-    try:
+    try:  # the one refusal boundary: a bad argument or a cap is a usage error
         return _run(args)
-    except (ConfigError, CapacityError) as exc:
+    except (ValueError, CapacityError) as exc:
         parser.error(str(exc))
 
 

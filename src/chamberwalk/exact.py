@@ -25,7 +25,7 @@ DEFAULT_IE_HYPERPLANE_CAP = 20
 ENUM_ORDERING_FACE_CAP = 9
 _TABLE_CELLS = 2**20  # bytes of packed products in one block of faces
 _PAIR_CELLS = 2**20  # entries of the m x m pair matrix of coupling_parameters
-_READ_CELLS = 2**18  # entries of the start rows that _profiles reads out at once
+_READ_CELLS = 2**18  # entries of the start rows that distance_profiles reads out at once
 
 
 def _check_chambers(arr, chamber_cap):
@@ -47,18 +47,10 @@ def _product_table(arr, w):
     return table
 
 
-def _matrix(succ, prob):
-    """The matrix of a successor table: P[i, succ[k, i]] += prob[k, i], with
-    prob broadcast to succ and k the leading axes, each cell summed in k order."""
-    ell = succ.shape[-1]
-    P, (rows, prob, _) = np.zeros((ell, ell)), np.broadcast_arrays(np.arange(ell), prob, succ)
-    np.add.at(P, (rows.ravel(), succ.ravel()), prob.ravel())
-    return P
-
-
 def _push(succ, prob, laws):
     """One step in place of a law, or of each row of laws, along a successor table:
-    sum of prob[k, i] law[i] at succ[k, i], over the law.size states."""
+    sum of prob[k, i] law[i] at succ[k, i], over the law.size states, in k
+    order.  On the rows of np.eye it builds the dense matrix of the table."""
     for law in np.atleast_2d(laws):  # a row's step reads that row alone
         law[:] = np.bincount(succ.ravel(), (prob * law).ravel(), law.size)
     return laws
@@ -68,7 +60,7 @@ def transition_matrix(arr, w, chamber_cap=DEFAULT_CHAMBER_CAP):
     """Row-stochastic matrix P[C, D] = sum of w(F) over faces with FC = D,
     each cell summed in face order."""
     _check_chambers(arr, chamber_cap)
-    return _matrix(_product_table(arr, w), w.weights[:, np.newaxis])
+    return _push(_product_table(arr, w), w.weights[:, np.newaxis], np.eye(arr.n_chambers))
 
 
 def _symmetries(arr, w):
@@ -193,14 +185,14 @@ def separation(Pt, pi):
     return float((1.0 - ratio.min(axis=1)).max())
 
 
-def _profiles(arr, w, t_grid, chamber_cap=DEFAULT_CHAMBER_CAP):
-    """(path, starts, {t: (s(t), TV(t))}): the law nu_t of the walk from each
-    of one start per orbit of _symmetries is pushed in place along the product table,
-    nu_{t+1}[F C] += w(F) nu_t[C], with no P, and both maxima are read over
-    these rows, as the row of P^t at any other start relabels one of theirs.
-    The path only counts the starts: 'one-start', where pi is uniform, and
-    else 'orbits', or 'dense' when each chamber is its own orbit, with pi
-    read off stationary_solve."""
+def distance_profiles(arr, w, t_grid, chamber_cap=DEFAULT_CHAMBER_CAP, stats=None):
+    """Exact s(t) and worst-case TV(t) over an integer time grid, {t: (s, TV)}:
+    the law nu_t from each of one start per orbit of _symmetries is pushed in
+    place along the product table, nu_{t+1}[F C] += w(F) nu_t[C], with no P,
+    and both maxima are read over these rows, as the row of P^t at any other
+    start relabels one of theirs.  stats, if a dict, receives exact_path (it
+    only counts the starts: 'one-start', where pi is uniform, 'orbits', or
+    'dense', each chamber its own orbit), chambers and starts."""
     if not check_separating(w):
         raise ValueError("non-separating weights: stationary law not unique")
     _check_chambers(arr, chamber_cap)
@@ -210,6 +202,8 @@ def _profiles(arr, w, t_grid, chamber_cap=DEFAULT_CHAMBER_CAP):
     pi = np.full(ell, 1.0 / ell) if len(starts) == 1 else stationary_solve(arr, w, ell)
     rows = (starts[:, np.newaxis] == np.arange(ell)).astype(float)
     path = "one-start" if len(starts) == 1 else "dense" if len(starts) == ell else "orbits"
+    if stats is not None:
+        stats.update(exact_path=path, chambers=ell, starts=len(starts))
 
     def read(R):  # s and TV, _READ_CELLS entries of the rows at a time
         parts = np.array_split(R, min(len(R), -(-R.size // _READ_CELLS)))
@@ -217,13 +211,7 @@ def _profiles(arr, w, t_grid, chamber_cap=DEFAULT_CHAMBER_CAP):
                 float(0.5 * max(np.abs(P - pi).sum(axis=1).max() for P in parts)))
 
     push = functools.partial(_push, succ, prob)
-    return path, len(starts), {t: read(R) for t, R in _walk(rows, push, t_grid)}
-
-
-def distance_profiles(arr, w, t_grid, chamber_cap=DEFAULT_CHAMBER_CAP):
-    """Exact separation distance s(t) and worst-case total variation TV(t)
-    over an integer time grid, as {t: (s(t), TV(t))}; see _profiles."""
-    return _profiles(arr, w, t_grid, chamber_cap)[2]
+    return {t: read(R) for t, R in _walk(rows, push, t_grid)}
 
 
 def separation_profile(arr, w, t_grid, chamber_cap=DEFAULT_CHAMBER_CAP):
@@ -380,8 +368,8 @@ def cutoff_prediction(b, d, m):
     Cutoff at log base 1/(1-b) of m, window 1/b, valid when b <= (1+d)/2
     and 0 < d <= b^2.
     """
-    if not 0 < b < 1:
-        raise ValueError("need 0 < b < 1")
+    if not (0 < b < 1 and m >= 1):
+        raise ValueError(f"need 0 < b < 1 and m >= 1 hyperplanes, got b={b}, m={m}")
     time = math.log(m) / math.log(1.0 / (1.0 - b))
     window = 1.0 / b
     assumptions_ok = (b <= (1.0 + d) / 2.0) and (0.0 < d <= b * b + 1e-15)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import CapacityError, braid_m, braid_signs, weighted_faces
 from .exact import _power_sums, _rates
-from .glauber import _chain_T, _horizon
+from .glauber import DEFAULT_COUPON_CELL_CAP, _chain_T, _horizon
 
 DEFAULT_ENUM_CAP = 10_000_000  # sign entries, faces x hyperplanes, one face list enumerates
 DEFAULT_TSETLIN_EXACT_CAP = 20
@@ -305,9 +305,15 @@ def sample_kset_coupon_T(m, k, trials, seed):
     matter for T).  One V = 1 - U per trial and T = #{t : S(t) >= V}, S the
     curve of _count_chain(m, k, m), cached per (m, k): exact in law up to
     2^-53 and the chain's rounding, whatever the cache holds.  A cold curve
-    costs m states a step, out to the t where it falls below the least V.
+    costs m states a step, out to the t where it falls below the least V;
+    where m + 2 cells for each point to _horizon at that V pass
+    DEFAULT_COUPON_CELL_CAP, it raises CapacityError before any chain is built.
     """
     if not 1 <= k <= m:
         raise ValueError(f"need 1 <= k <= m, got k={k}, m={m}")
     u = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,))).random(trials)
-    return _chain_T((m, k, m), np.subtract(1.0, u, out=u))
+    v = np.subtract(1.0, u, out=u)
+    cells = (m + 2) * (_horizon((m, k, m), v.min(initial=1.0)) + 1)
+    if cells > DEFAULT_COUPON_CELL_CAP:
+        raise CapacityError(f"k-set chain of {cells} cells exceeds cap {DEFAULT_COUPON_CELL_CAP}")
+    return _chain_T((m, k, m), v)

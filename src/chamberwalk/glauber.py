@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CapacityError, _guide
-from .exact import _matrix, _orbits, _walk, separation
+from .exact import _orbits, _push, _walk, separation
 
 DEFAULT_STATE_CAP = 4096
 DEFAULT_COUPON_CELL_CAP = 2**28
@@ -188,7 +188,7 @@ def glauber_matrix(sys):
     """Exact transition matrix: pick a uniform site, resample from its
     conditional; each cell summed in (site, spin) order."""
     configs, pi, succ, prob = _heat_bath(sys)
-    return configs, pi, _matrix(succ, prob / sys.n_sites)
+    return configs, pi, _push(succ, prob / sys.n_sites, np.eye(len(configs)))
 
 
 def glauber_separation_profile(sys, t_grid, stats=None):

@@ -83,15 +83,17 @@ class SurvivalEstimate:
 
 
 def survival_from_samples(samples, t_grid, seed=0):
-    """Turn T samples into a SurvivalEstimate over a time grid, in its order."""
+    """Turn T samples into a SurvivalEstimate over a time grid, in its order,
+    from one count of the samples past each number of the grid's distinct times."""
     t_grid = list(t_grid)
-    if not _times(t_grid):  # a negative or a fractional time raises ValueError
+    if not (times := _times(t_grid)):  # a negative or a fractional time raises ValueError
         raise ValueError("empty time grid")
     t_grid = np.asarray(t_grid, dtype=np.int64)
     samples = np.asarray(samples)
     if not (trials := len(samples)):
         raise ValueError("no T samples")
-    p_hat = np.array([(samples > t).mean() for t in t_grid])
+    below = np.bincount(np.searchsorted(times, samples), minlength=len(times) + 1)
+    p_hat = (trials - np.cumsum(below)[np.searchsorted(times, t_grid)]) / trials
     std_err = np.sqrt(p_hat * (1.0 - p_hat) / trials)
     return SurvivalEstimate(
         t_values=t_grid, p_hat=p_hat, std_err=std_err, trials=trials, seed=seed

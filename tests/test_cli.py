@@ -392,9 +392,13 @@ def test_hypercube_nonlocal_k_out_of_range_exit_2(k):
         ["mc", "--family", "hypercube-nn", "--params", "n=0"],
         ["cutoff", "--family", "k-to-top", "--params", "n=1", "k=1"],
         ["mc", "--family", "tsetlin", "--params", "weights=1,1e-200,1e-200"],
+        ["bounds", "--family", "tsetlin", "--params", "n=20", "c=50", "strict=1"],
+        ["bounds", "--family", "tsetlin", "--params", "n=20", "c=0"],
+        ["cutoff", "--family", "riffle", "--params", "n=1"],
+        ["mc", "--family", "hypercube-nonlocal", "--params", "n=1048576", "k=2"],
     ],
 )
-def test_builder_and_capacity_errors_exit_2(argv, monkeypatch):
+def test_builder_and_capacity_errors_exit_2(argv, monkeypatch, capsys):
     # a face or spin-system builder's ValueError, a weight list that does not
     # match n, or a CapacityError is a usage error, not a traceback, and it
     # comes before any braid chamber is built.  The caps: 2^21 riffle mark
@@ -403,7 +407,9 @@ def test_builder_and_capacity_errors_exit_2(argv, monkeypatch):
     # pairs for cutoff's coupling parameters; 8! chambers for the exact engine;
     # 10^10 Ising sites, refused before any grid edge is built, 2*10^7
     # product sites, refused before any site is listed, and card weights of
-    # 1e-200, whose T would pass int64 (once wrapped to -2^63, exit 0)
+    # 1e-200, whose T would pass int64 (once wrapped to -2^63, exit 0).  The
+    # bounds' c past its lower-bound limit or at 0, riffle(1)'s m = 0 in the
+    # cutoff and a 2^20-coupon k-set chain reach main's one boundary too
     def enumerated(*args):
         raise AssertionError("braid chambers enumerated")
 
@@ -411,6 +417,19 @@ def test_builder_and_capacity_errors_exit_2(argv, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--trials", "10", "--t-grid", "1..3"])
     assert exc.value.code == 2
+    assert "chamberwalk: error: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fault", [RuntimeError, OverflowError, AssertionError])
+def test_faults_are_not_refusals(fault, monkeypatch):
+    # main's boundary turns ValueError and CapacityError into exit 2; a fault
+    # in the program keeps its traceback
+    def broken(*args, **kwargs):
+        raise fault("broken sampler")
+
+    monkeypatch.setattr("chamberwalk.cli.sample_T_batch", broken)
+    with pytest.raises(fault, match="broken sampler"):
+        main(["mc", "--family", "riffle", "--params", "n=4", "--trials", "10", "--t-grid", "1..3"])
 
 
 @pytest.mark.parametrize(
@@ -425,7 +444,7 @@ def test_exact_refuses_past_20_hyperplanes_before_the_walk(params, monkeypatch):
     def walked(*args, **kwargs):
         raise AssertionError("distances walked")
 
-    monkeypatch.setattr("chamberwalk.cli._profiles", walked)
+    monkeypatch.setattr("chamberwalk.cli.distance_profiles", walked)
     with pytest.raises(SystemExit) as exc:
         main(["exact", "--family", family, "--params", *params, "--t-grid", "1..3"])
     assert exc.value.code == 2

@@ -190,6 +190,17 @@ def test_total_variation_t0():
     assert cw.total_variation_profile(arr, w, [0])[0] == pytest.approx(1 - 1 / 4)
 
 
+def profiles(arr, w, t_grid):
+    """(path, starts, profile) as distance_profiles reports them through
+    stats, which only receives them: the profile is the same without it."""
+    stats = {}
+    got = cw.distance_profiles(arr, w, t_grid, stats=stats)
+    assert got == cw.distance_profiles(arr, w, t_grid)
+    assert list(stats) == ["exact_path", "chambers", "starts"]
+    assert stats["chambers"] == arr.n_chambers
+    return stats["exact_path"], stats["starts"], got
+
+
 def separate_loop_profiles(arr, w, t_grid):
     """Oracle: s(t) and TV(t) from a loop over every row of P^t, written
     out here from the dense transition matrix."""
@@ -227,8 +238,8 @@ def test_tv_below_separation():
         for t in range(1, 15):
             assert np.abs(np.subtract(both[t], every_row[t])).max() <= 1e-12
     # the two symmetric inputs take the one-start path
-    assert [exact._profiles(*boolean2_uniform(), [0])[0],
-            exact._profiles(cw.build_braid(4), cw.riffle_faces(4, 2), [0])[0]] == ["one-start"] * 2
+    assert [profiles(*boolean2_uniform(), [0])[0],
+            profiles(cw.build_braid(4), cw.riffle_faces(4, 2), [0])[0]] == ["one-start"] * 2
 
 
 def test_survival_exact_boolean2():
@@ -335,6 +346,13 @@ def test_cutoff_prediction_values():
         cw.cutoff_prediction(1.0, 0.25, 4)
 
 
+@pytest.mark.parametrize("m", [0, -3])
+def test_cutoff_prediction_refuses_fewer_than_one_hyperplane(m):
+    # riffle(1) has m = 0, whose log once raised "math domain error"
+    with pytest.raises(ValueError, match=f"need 0 < b < 1 and m >= 1 hyperplanes, .*m={m}$"):
+        cw.cutoff_prediction(0.5, 0.25, m)
+
+
 def test_survival_below_separation_many_families():
     # inequality P(T>t) <= s(t) for arbitrary (also asymmetric) weights
     rng = np.random.default_rng(0)
@@ -423,7 +441,7 @@ def test_one_start_matches_closed_forms():
              1, 6, lambda j: Fraction(math.comb(6 - j, 2), math.comb(6, 2)), t)),
     ]
     for arr, w, closed in cases:
-        path, starts, got = exact._profiles(arr, w, grid)
+        path, starts, got = profiles(arr, w, grid)
         assert (path, starts) == ("one-start", 1)
         dense = separate_loop_profiles(arr, w, grid)
         for t in grid:
@@ -507,7 +525,7 @@ def test_orbits_keep_the_symmetries_that_pass():
     assert len(orbit_starts(arr, w)) == 6
     # two heavy cards among six: 6! / (2! 4!) orbits, each walked from its least chamber
     arr, w = tsetlin(TWO_HEAVY_OF_SIX)
-    path, starts, got = exact._profiles(arr, w, range(0, 8))
+    path, starts, got = profiles(arr, w, range(0, 8))
     assert (path, starts) == ("orbits", 15)
     every_row = separate_loop_profiles(arr, w, range(0, 8))
     for t in range(8):
@@ -531,7 +549,7 @@ def test_profiles_are_the_maxima_over_single_row_pushes():
                 s[t].append(1.0 - (nu[on] * (1.0 / pi[on])).min())
                 tv[t].append(0.5 * np.abs(nu - pi).sum())
                 nu = exact._push(succ, prob, nu)
-        path, starts, got = exact._profiles(arr, w, grid)
+        path, starts, got = profiles(arr, w, grid)
         assert path != "one-start" and starts == len(s[0])
         assert got == {t: (max(s[t]), max(tv[t])) for t in grid}
 
@@ -541,25 +559,24 @@ def test_profiles_build_no_dense_matrix(monkeypatch):
         raise AssertionError("dense P built")
 
     monkeypatch.setattr(exact, "transition_matrix", refuse)
-    monkeypatch.setattr(exact, "_matrix", refuse)
     for (arr, w), path in [((cw.build_braid(4), cw.riffle_faces(4, 2)), "one-start"),
                            (tsetlin(TWO_HEAVY_OF_SIX), "orbits"),
                            (tsetlin([0.5, 0.3, 0.2]), "dense")]:
-        got = exact._profiles(arr, w, range(0, 11))
+        got = profiles(arr, w, range(0, 11))
         assert got[0] == path and sorted(got[2]) == list(range(0, 11))
 
 
 def test_certificate_sums_a_face_listed_twice():
     arr, grid = cw.build_boolean(1), range(0, 4)
     lopsided = cw.WeightedFaceSet(((1,), (1,), (-1,)), [1 / 3] * 3)  # w(+) = 2/3, w(-) = 1/3
-    path, starts, got = exact._profiles(arr, lopsided, grid)
+    path, starts, got = profiles(arr, lopsided, grid)
     assert (path, starts) == ("dense", 2)
     every_row = separate_loop_profiles(arr, lopsided, grid)
     for t in grid:
         assert np.abs(np.subtract(got[t], every_row[t])).max() <= 1e-15
     assert got[1] == pytest.approx((0.0, 0.0), abs=1e-12)  # one step reaches pi = (2/3, 1/3)
     even = cw.WeightedFaceSet(((1,), (1,), (-1,)), [0.25, 0.25, 0.5])  # w(+) = w(-) = 1/2
-    path, starts, got = exact._profiles(arr, even, grid)
+    path, starts, got = profiles(arr, even, grid)
     assert (path, starts) == ("one-start", 1)
     assert got == {0: (1.0, 0.5), 1: (0.0, 0.0), 2: (0.0, 0.0), 3: (0.0, 0.0)}
 

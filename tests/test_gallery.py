@@ -1,6 +1,7 @@
 import collections
 import functools
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -364,6 +365,25 @@ def test_sample_kset_coupon_T_rejects_bad_k():
             cw.sample_kset_coupon_T(7, k, 10, seed=0)
     assert glauber._count_chain.cache_info().misses == misses  # refused before any chain
     assert np.all(cw.sample_kset_coupon_T(7, 7, 10, seed=0) == 1)
+
+
+@pytest.mark.parametrize("m, trials", [(8192, 1000), (2**20, 10)])
+def test_kset_sampler_refuses_past_the_cell_cap_before_any_chain(m, trials):
+    # (m + 2) (horizon at the least V + 1) cells: 5.3e8 at (8192, 2, 1000),
+    # where (4096, 2, 1000) needs 1.3e8; at 2^20 coupons the chain would
+    # take about a day
+    misses = glauber._count_chain.cache_info().misses
+    with pytest.raises(CapacityError):  # a first call imports parts of numpy.random
+        cw.sample_kset_coupon_T(m, 2, trials, seed=0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="cells exceeds cap"):
+            cw.sample_kset_coupon_T(m, 2, trials, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16  # a law of m floats would take m * 8 bytes
+    assert glauber._count_chain.cache_info().misses == misses
 
 
 def test_samplers_repeat_for_fixed_seed_and_trials():

@@ -561,7 +561,6 @@ def test_glauber_profile_builds_no_dense_matrix(monkeypatch):
         raise AssertionError("dense P built")
 
     monkeypatch.setattr(glauber, "glauber_matrix", refuse)
-    monkeypatch.setattr(glauber, "_matrix", refuse)
     stats = {}
     prof = cw.glauber_separation_profile(cw.ising_system(3, 3, 0.3), range(1, 41), stats=stats)
     assert stats == {"states": 512, "starts": 52}

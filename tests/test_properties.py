@@ -159,6 +159,27 @@ def test_total_variation_below_survival_below_separation(walk):
         assert tv <= survival[t] + 1e-12 and survival[t] <= s + 1e-12, t
 
 
+@CASES
+@given(walks())
+def test_survival_between_the_moment_bounds_of_the_uncut_count(walk):
+    # N_t, the hyperplanes no face has cut by t, has E N_t = sum (1 - b_i)^t
+    # and E N_t^2 = E N_t + sum_{i != j} (1 - b_i - b_j + d_ij)^t; T > t iff
+    # N_t > 0, so the second and first moments bound P(T > t) on both sides
+    arr, w = walk
+    cp, times = cw.coupling_parameters(w), range(1, 41)
+    b, off = cp.b_per_hyperplane, ~np.eye(w.m, dtype=bool)
+    both = (1.0 - b[:, np.newaxis] - b[np.newaxis, :] + cp.d_per_pair)[off]
+    survival = cw.survival_exact_profile(arr, w, times)
+    sep = cw.separation_profile(arr, w, times)
+    for t in times:
+        first = float(((1.0 - b) ** t).sum())
+        second = first + float((both**t).sum())
+        lower = first**2 / second if second > 0 else 0.0
+        assert lower <= survival[t] + 1e-12, t
+        assert survival[t] <= min(1.0, first) + 1e-12, t
+        assert survival[t] <= sep[t] + 1e-12, t
+
+
 def freeze_chamber_survivals(w, times):
     """Oracle for s(t) = max_C P(T > t | Z = C), Z the chamber at which the
     forward product F_1 F_2 ... freezes (Brown-Diaconis).  The forward chain

@@ -85,6 +85,24 @@ def test_survival_estimate_contract():
     assert abs(est.p_hat[i2] - 0.5) < 3 * est.std_err[i2]
 
 
+def test_survival_estimate_is_the_per_time_comparison_loop():
+    # one count of the samples between the distinct times gives each p_hat
+    # bit for bit, in grid order, with tied samples, repeated and unsorted
+    # times and T near int64's maximum
+    big = np.iinfo(np.int64).max
+    rng = np.random.default_rng(5)
+    for samples, grid in [
+        (rng.integers(0, 12, 1001), [7, 0, 3, 3, 11, 12, 2, 40]),
+        (sample_T_batch(_boolean2_uniform(), 5000, seed=9), [4, 1, 2, 1, 0]),
+        (np.array([big, big - 1, 0, big, 5, big - 1]), [big - 1, 0, big, 4, 5, big - 2]),
+    ]:
+        est = survival_from_samples(samples, grid)
+        want = np.array([(np.asarray(samples) > t).mean() for t in np.asarray(grid)])
+        assert est.t_values.tolist() == grid
+        assert np.array_equal(est.p_hat, want)
+        assert np.array_equal(est.std_err, np.sqrt(want * (1.0 - want) / len(samples)))
+
+
 def test_survival_estimate_empty_grid():
     w = _boolean2_uniform()
     with pytest.raises(ValueError, match="empty time grid"):

@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .core import CapacityError, build_boolean, build_braid
+from .core import CapacityError, braid_m, build_boolean, build_braid
 from .exact import DEFAULT_CHAMBER_CAP, coupling_parameters, cutoff_prediction, distance_profiles
 from .exact import survival_exact_profile
 from .gallery import (
@@ -169,8 +169,8 @@ def build_family(family, params):
     faces() lists the weighted faces on first use; arrangement(face_limit)
     builds the arrangement of at most face_limit chambers, and only exact
     mode calls it.  info carries the family's T sampler, (trials, seed) ->
-    samples, which reads no faces for tsetlin and hypercube-nonlocal, and
-    the closed-form (b, d) of families with one.
+    samples, which reads no faces for tsetlin and hypercube-nonlocal, the
+    closed-form (b, d) of families with one, and m, the hyperplane count.
     """
     info = {"bd": None}
     if family == "tsetlin":
@@ -209,7 +209,8 @@ def build_family(family, params):
         raise ConfigError(f"unknown family {family!r}; see the list subcommand")
     faces = functools.cache(functools.partial(*listing))
     info.setdefault("t_sampler", lambda trials, seed: sample_T_batch(faces(), trials, seed))
-    build = build_boolean if family.startswith("hypercube") else build_braid
+    boolean = family.startswith("hypercube")
+    build, info["m"] = (build_boolean, n) if boolean else (build_braid, braid_m(n))
     return faces, functools.cache(functools.partial(build, n)), info
 
 
@@ -273,7 +274,7 @@ def cmd_exact(args, params):
 def _mc_rows(args, info, grid):
     """CSV rows of the Monte Carlo survival estimate over grid, drawn with
     the family's T sampler."""
-    est = survival_from_samples(info["t_sampler"](args.trials, args.seed), grid, seed=args.seed)
+    est = survival_from_samples(info["t_sampler"](args.trials, args.seed), grid)
     return [
         (t, None, None, None, p, se)
         for t, p, se in zip(est.t_values, est.p_hat, est.std_err)
@@ -317,9 +318,7 @@ def cmd_cutoff(args, params):
         if cp.uniform_b is None or cp.uniform_d is None:
             raise ConfigError("b or d not constant; no cutoff prediction")
         b, d = cp.uniform_b, cp.uniform_d
-    n = _get_int(params, "n")
-    m = n if args.family.startswith("hypercube") else n * (n - 1) // 2
-    pred = cutoff_prediction(b, d, m)
+    pred = cutoff_prediction(b, d, m := info["m"])
     if args.t_grid:
         grid = parse_t_grid(args.t_grid)
     else:
@@ -396,7 +395,7 @@ def main(argv=None):
 
     try:  # the one refusal boundary: a bad argument or a cap is a usage error
         return _run(args)
-    except (ValueError, CapacityError) as exc:
+    except (ValueError, CapacityError, OSError) as exc:
         parser.error(str(exc))
 
 

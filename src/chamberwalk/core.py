@@ -191,7 +191,7 @@ class WeightedFaceSet:
         if np.any(w <= 0):
             raise ValueError("all listed weights must be strictly positive")
         if abs(w.sum() - 1.0) > 1e-12:
-            raise ValueError(f"weights sum to {w.sum()!r}, expected 1 within 1e-12")
+            raise ValueError(f"weights sum to {float(w.sum())!r}, expected 1 within 1e-12")
         if signs.ndim != 2:
             raise DimensionError("faces have inconsistent lengths")
 

@@ -28,9 +28,10 @@ _PAIR_CELLS = 2**20  # entries of the m x m pair matrix of coupling_parameters
 _READ_CELLS = 2**18  # entries of the start rows that distance_profiles reads out at once
 
 
-def _check_chambers(arr, chamber_cap):
-    if arr.n_chambers > chamber_cap:
-        raise CapacityError(f"{arr.n_chambers} chambers exceeds exact-mode cap {chamber_cap}")
+def _check_chambers(arr):
+    if arr.n_chambers > DEFAULT_CHAMBER_CAP:
+        raise CapacityError(
+            f"{arr.n_chambers} chambers exceeds exact-mode cap {DEFAULT_CHAMBER_CAP}")
 
 
 def _product_table(arr, w):
@@ -56,10 +57,10 @@ def _push(succ, prob, laws):
     return laws
 
 
-def transition_matrix(arr, w, chamber_cap=DEFAULT_CHAMBER_CAP):
+def transition_matrix(arr, w):
     """Row-stochastic matrix P[C, D] = sum of w(F) over faces with FC = D,
     each cell summed in face order."""
-    _check_chambers(arr, chamber_cap)
+    _check_chambers(arr)
     return _push(_product_table(arr, w), w.weights[:, np.newaxis], np.eye(arr.n_chambers))
 
 
@@ -89,7 +90,7 @@ def _orbits(maps, n):
     return np.unique(label)
 
 
-def stationary_solve(arr, w, chamber_cap=DEFAULT_CHAMBER_CAP):
+def stationary_solve(arr, w):
     """Stationary law pi: the law of the chamber at which the forward product
     F_1 F_2 ... freezes (Brown-Diaconis), from one pass over the faces that
     it reaches from the zero face, in order of support size.  G passes its
@@ -98,7 +99,7 @@ def stationary_solve(arr, w, chamber_cap=DEFAULT_CHAMBER_CAP):
     rows of packed > 0 and < 0 bits, merged by sorted row keys and multiplied
     in blocks of _TABLE_CELLS bytes.  The chambers absorb the mass, so pi is
     0 off those reached; a product that is not a chamber raises ValueError."""
-    _check_chambers(arr, chamber_cap)
+    _check_chambers(arr)
     if not check_separating(w):
         raise ValueError("non-separating weights: stationary law not unique")
     m, nb = w.m, -(-w.m // 8)
@@ -123,10 +124,10 @@ def stationary_solve(arr, w, chamber_cap=DEFAULT_CHAMBER_CAP):
     return np.bincount(at, mass, arr.n_chambers)
 
 
-def stationary_without_replacement(arr, w, max_enum_faces=ENUM_ORDERING_FACE_CAP):
+def stationary_without_replacement(arr, w):
     """Stationary law via a sampling-without-replacement construction,
     enumerated exactly over the orderings of the weighted faces; more than
-    max_enum_faces of them raise CapacityError.
+    ENUM_ORDERING_FACE_CAP of them raise CapacityError.
 
     Sample faces without replacement from w and apply them in reverse order,
     so the chamber is F1 F2 ... (first-sampled face leftmost).  The prefix
@@ -134,8 +135,9 @@ def stationary_without_replacement(arr, w, max_enum_faces=ENUM_ORDERING_FACE_CAP
     is a chamber: later faces cannot change it.
     """
     n_faces, weights = len(w.faces), w.weights
-    if n_faces > max_enum_faces:
-        raise CapacityError(f"{n_faces} weighted faces exceeds enumeration cap {max_enum_faces}")
+    if n_faces > ENUM_ORDERING_FACE_CAP:
+        raise CapacityError(
+            f"{n_faces} weighted faces exceeds enumeration cap {ENUM_ORDERING_FACE_CAP}")
     mass, pi = collections.defaultdict(float), np.zeros(arr.n_chambers)
 
     def recurse(prefix, remaining, prob):
@@ -185,7 +187,7 @@ def separation(Pt, pi):
     return float((1.0 - ratio.min(axis=1)).max())
 
 
-def distance_profiles(arr, w, t_grid, chamber_cap=DEFAULT_CHAMBER_CAP, stats=None):
+def distance_profiles(arr, w, t_grid, stats=None):
     """Exact s(t) and worst-case TV(t) over an integer time grid, {t: (s, TV)}:
     the law nu_t from each of one start per orbit of _symmetries is pushed in
     place along the product table, nu_{t+1}[F C] += w(F) nu_t[C], with no P,
@@ -195,11 +197,11 @@ def distance_profiles(arr, w, t_grid, chamber_cap=DEFAULT_CHAMBER_CAP, stats=Non
     'dense', each chamber its own orbit), chambers and starts."""
     if not check_separating(w):
         raise ValueError("non-separating weights: stationary law not unique")
-    _check_chambers(arr, chamber_cap)
+    _check_chambers(arr)
     ell = arr.n_chambers
     starts = _orbits(_symmetries(arr, w), ell)
     succ, prob = _product_table(arr, w), w.weights[:, np.newaxis]
-    pi = np.full(ell, 1.0 / ell) if len(starts) == 1 else stationary_solve(arr, w, ell)
+    pi = np.full(ell, 1.0 / ell) if len(starts) == 1 else stationary_solve(arr, w)
     rows = (starts[:, np.newaxis] == np.arange(ell)).astype(float)
     path = "one-start" if len(starts) == 1 else "dense" if len(starts) == ell else "orbits"
     if stats is not None:
@@ -214,15 +216,15 @@ def distance_profiles(arr, w, t_grid, chamber_cap=DEFAULT_CHAMBER_CAP, stats=Non
     return {t: read(R) for t, R in _walk(rows, push, t_grid)}
 
 
-def separation_profile(arr, w, t_grid, chamber_cap=DEFAULT_CHAMBER_CAP):
+def separation_profile(arr, w, t_grid):
     """Exact separation distance s(t) over an integer time grid."""
-    prof = distance_profiles(arr, w, t_grid, chamber_cap)
+    prof = distance_profiles(arr, w, t_grid)
     return {t: s for t, (s, _) in prof.items()}
 
 
-def total_variation_profile(arr, w, t_grid, chamber_cap=DEFAULT_CHAMBER_CAP):
+def total_variation_profile(arr, w, t_grid):
     """Exact worst-case total variation distance to stationarity on a grid."""
-    prof = distance_profiles(arr, w, t_grid, chamber_cap)
+    prof = distance_profiles(arr, w, t_grid)
     return {t: tv for t, (_, tv) in prof.items()}
 
 
@@ -285,7 +287,7 @@ def _rates(masks, weights, m, keep, exact=False):
     return _superset(a, np.add)[keep], int(a[0])
 
 
-def _mobius_form(arr, w, hyperplane_cap):
+def _mobius_form(arr, w):
     """Arrays (c, q), and the exact rates for _power_sums, with
     P(T > t) = sum c_X q_X^t over the flats X != {}.
 
@@ -296,9 +298,9 @@ def _mobius_form(arr, w, hyperplane_cap):
     (-1)^(|S|+1) summed per closure are c_X = -mu({}, X) (Rota), integers.
     """
     m = arr.m
-    if m > hyperplane_cap:
+    if m > DEFAULT_IE_HYPERPLANE_CAP:
         raise CapacityError(
-            f"m={m} exceeds inclusion-exclusion cap {hyperplane_cap}; "
+            f"m={m} exceeds inclusion-exclusion cap {DEFAULT_IE_HYPERPLANE_CAP}; "
             "use Monte Carlo survival estimation"
         )
     masks = (w.signs == 0) @ (1 << np.arange(m, dtype=np.int64))
@@ -312,16 +314,16 @@ def _mobius_form(arr, w, hyperplane_cap):
     return c, q[flats], functools.partial(_rates, masks, w.weights, m, flats, exact=True)
 
 
-def survival_terms(arr, w, hyperplane_cap=DEFAULT_IE_HYPERPLANE_CAP):
+def survival_terms(arr, w):
     """The (c_X, q_X) pairs of _mobius_form, one per flat X != {}, with
     P(T > t) = sum c_X q_X^t for t >= 1 and c_X = -mu({}, X)."""
-    return list(zip(*(a.tolist() for a in _mobius_form(arr, w, hyperplane_cap)[:2])))
+    return list(zip(*(a.tolist() for a in _mobius_form(arr, w)[:2])))
 
 
-def survival_exact_profile(arr, w, t_grid, hyperplane_cap=DEFAULT_IE_HYPERPLANE_CAP):
+def survival_exact_profile(arr, w, t_grid):
     """Exact P(T > t) over an integer time grid (T = 0 when m = 0).  As t
     faces of at most s nonzero signs cut at most t s hyperplanes, T >= m / s."""
-    c, q, exact_q = _mobius_form(arr, w, hyperplane_cap)
+    c, q, exact_q = _mobius_form(arr, w)
     s = max((w.signs != 0).sum(axis=1).max(), 1)
     return _power_sums(c, q, exact_q, t_grid, -(-arr.m // s))
 

@@ -26,12 +26,11 @@ _CHUNK_CELLS = 2**16  # trials x n cells per block of the card sampler
 _CHAIN_CELL_COST = 2
 
 
-def _check_entries(faces, m, enum_cap, hint=""):
-    """Refuse a list of faces x m sign entries above enum_cap before listing a face."""
-    if faces * m > enum_cap:
-        raise CapacityError(
-            f"{faces} faces x {m} hyperplanes exceeds the cap of {enum_cap} sign entries{hint}"
-        )
+def _check_entries(faces, m, hint=""):
+    """Refuse a list of faces x m sign entries above DEFAULT_ENUM_CAP before listing a face."""
+    if faces * m > DEFAULT_ENUM_CAP:
+        raise CapacityError(f"{faces} faces x {m} hyperplanes exceeds the cap of "
+                            f"{DEFAULT_ENUM_CAP} sign entries{hint}")
 
 
 def _check_weights(weights):
@@ -39,7 +38,7 @@ def _check_weights(weights):
     if np.any(w <= 0):
         raise ValueError("card weights must be strictly positive")
     if abs(w.sum() - 1.0) > 1e-12:
-        raise ValueError(f"card weights sum to {w.sum()!r}, expected 1")
+        raise ValueError(f"card weights sum to {float(w.sum())!r}, expected 1")
     return w
 
 
@@ -51,8 +50,6 @@ class TsetlinSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "card_weights", _check_weights(self.card_weights))
-        if len(self.card_weights) < 1:
-            raise ValueError("need at least one card")
 
     @property
     def n(self):
@@ -63,23 +60,23 @@ class TsetlinSpec:
         return np.ptp(self.card_weights) <= 1e-15
 
 
-def tsetlin_faces(spec, enum_cap=DEFAULT_ENUM_CAP):
+def tsetlin_faces(spec):
     """Faces {j}{rest} with weight w_j on the braid arrangement."""
     n = spec.n
     if n < 2:
         raise ValueError("tsetlin faces need n >= 2")
-    _check_entries(n, braid_m(n), enum_cap, "; use sample_card_collection_T")
+    _check_entries(n, braid_m(n), "; use sample_card_collection_T")
     pos = 1 - np.eye(n, dtype=np.int8)  # card j in block 0, the rest in block 1
     return weighted_faces(braid_signs(pos), spec.card_weights)
 
 
-def riffle_faces(n, a, enum_cap=DEFAULT_ENUM_CAP):
+def riffle_faces(n, a):
     """Inverse a-shuffle faces: mark each card with a value in {0..a-1}
     uniformly; the face is the ordered partition by increasing mark with
     empty marks collapsed.  Weight = (#mark functions inducing it) / a^n."""
     if n < 2 or a < 2:
         raise ValueError(f"riffle faces need n >= 2 and a >= 2, got n={n} a={a}")
-    _check_entries(a**n, braid_m(n), enum_cap)
+    _check_entries(a**n, braid_m(n))
     # one row of marks per mark function, in itertools.product order and the
     # smallest signed type that holds them: the marks order the blocks
     marks = np.indices((a,) * n, dtype=np.min_scalar_type(-a)).reshape(n, -1).T
@@ -96,12 +93,12 @@ def riffle_coupling_closed_form(a):
     return b, d
 
 
-def k_to_top_faces(n, k, enum_cap=DEFAULT_ENUM_CAP):
+def k_to_top_faces(n, k):
     """Uniform weight on faces {S}{rest} with |S| = k."""
     if not 1 <= k < n:
         raise ValueError("need 1 <= k < n")
     total = math.comb(n, k)
-    _check_entries(total, braid_m(n), enum_cap)
+    _check_entries(total, braid_m(n))
     pos = np.ones((total, n), dtype=np.int8)  # S in block 0, the rest in block 1
     pos[np.arange(total)[:, np.newaxis], list(itertools.combinations(range(n), k))] = 0
     return weighted_faces(braid_signs(pos), np.full(total, 1.0 / total))
@@ -117,7 +114,7 @@ def kset_coupling_closed_form(n, k):
     return b, d
 
 
-def top_bottom_faces(n, card_weights=None, enum_cap=DEFAULT_ENUM_CAP):
+def top_bottom_faces(n, card_weights=None):
     """Move a random card to top or bottom, each side with probability 1/2.
 
     Faces {c}{rest} and {rest}{c}, each with weight w_c / 2 (uniform case:
@@ -127,13 +124,13 @@ def top_bottom_faces(n, card_weights=None, enum_cap=DEFAULT_ENUM_CAP):
     w = _check_weights(card_weights)
     if n < 2 or len(w) != n:
         raise ValueError(f"top-bottom faces need n >= 2 and one weight per card, got n={n}")
-    _check_entries(2 * n, braid_m(n), enum_cap)
+    _check_entries(2 * n, braid_m(n))
     on_top = np.eye(n, dtype=np.int8)  # card c's top face, then its bottom face
     pos = np.stack([1 - on_top, on_top], axis=1).reshape(2 * n, n)
     return weighted_faces(braid_signs(pos), np.repeat(w / 2.0, 2))
 
 
-def hypercube_nn_faces(w_plus, w_minus, enum_cap=DEFAULT_ENUM_CAP):
+def hypercube_nn_faces(w_plus, w_minus):
     """Weighted nearest-neighbor hypercube walk: faces e_i^+/- with a single
     nonzero coordinate."""
     wp = np.asarray(w_plus, dtype=float)
@@ -141,18 +138,18 @@ def hypercube_nn_faces(w_plus, w_minus, enum_cap=DEFAULT_ENUM_CAP):
     if len(wp) != len(wm):
         raise ValueError("w_plus and w_minus length mismatch")
     n = len(wp)  # WeightedFaceSet checks the weights: positive, summing to 1
-    _check_entries(2 * n, n, enum_cap)
+    _check_entries(2 * n, n)
     signs = np.kron(np.eye(n, dtype=np.int8), np.int8([[1], [-1]]))  # e_i^+ then e_i^-, each i
     return weighted_faces(signs, np.stack([wp, wm], axis=1).ravel())
 
 
-def hypercube_nonlocal_faces(n, k, enum_cap=DEFAULT_ENUM_CAP):
+def hypercube_nonlocal_faces(n, k):
     """Non-local hypercube walk: pick k coordinates at random and flip a fair
     coin for each.  Faces have any k-set support with signs in {+,-}^k."""
     if not 1 < k <= n / 2:
         raise ValueError("need 1 < k <= n/2")
     count = math.comb(n, k) * 2**k
-    _check_entries(count, n, enum_cap, "; use sample_kset_coupon_T")
+    _check_entries(count, n, "; use sample_kset_coupon_T")
     supports = np.eye(n, dtype=np.int8)[list(itertools.combinations(range(n), k))]
     flips = 1 - 2 * np.indices((2,) * k, dtype=np.int8).reshape(k, -1).T  # product((+1, -1))
     return weighted_faces((flips @ supports).reshape(count, n), np.full(count, 1.0 / count))

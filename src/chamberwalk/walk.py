@@ -40,7 +40,7 @@ def simulate_chamber_at(w, x0, t, seed):
     return current
 
 
-def sample_T_batch(w, trials, seed, step_cap=DEFAULT_STEP_CAP):
+def sample_T_batch(w, trials, seed):
     """Array of ``trials`` independent copies of T, deterministic in (seed, trials).
 
     Each trial's uncut hyperplanes are a row of ceil(m/64) packed uint64
@@ -62,8 +62,8 @@ def sample_T_batch(w, trials, seed, step_cap=DEFAULT_STEP_CAP):
     t = 0
     while active.size:
         t += 1
-        if t > step_cap:
-            raise RuntimeError(f"T exceeded the {step_cap}-step cap")
+        if t > DEFAULT_STEP_CAP:
+            raise RuntimeError(f"T exceeded the {DEFAULT_STEP_CAP}-step cap")
         uncut &= keep[draw(rng.random(active.size), "right")]
         done = ~uncut.any(axis=1)
         out[active[done]] = t
@@ -78,11 +78,9 @@ class SurvivalEstimate:
     t_values: np.ndarray
     p_hat: np.ndarray
     std_err: np.ndarray
-    trials: int
-    seed: int
 
 
-def survival_from_samples(samples, t_grid, seed=0):
+def survival_from_samples(samples, t_grid):
     """Turn T samples into a SurvivalEstimate over a time grid, in its order,
     from one count of the samples past each number of the grid's distinct times."""
     t_grid = list(t_grid)
@@ -95,7 +93,5 @@ def survival_from_samples(samples, t_grid, seed=0):
     below = np.bincount(np.searchsorted(times, samples), minlength=len(times) + 1)
     p_hat = (trials - np.cumsum(below)[np.searchsorted(times, t_grid)]) / trials
     std_err = np.sqrt(p_hat * (1.0 - p_hat) / trials)
-    return SurvivalEstimate(
-        t_values=t_grid, p_hat=p_hat, std_err=std_err, trials=trials, seed=seed
-    )
+    return SurvivalEstimate(t_values=t_grid, p_hat=p_hat, std_err=std_err)
 

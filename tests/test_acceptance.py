@@ -226,7 +226,7 @@ def test_criterion_07_cutoff_profile_large_hypercube():
     samples = cw.sample_kset_coupon_T(n, k, trials, seed=2026)
     lo = int(math.floor(pred.time - 3 * pred.window))
     hi = int(math.ceil(pred.time + 3 * pred.window))
-    est = survival_from_samples(samples, [lo, hi], seed=2026)
+    est = survival_from_samples(samples, [lo, hi])
     p_lo, p_hi = est.p_hat[0], est.p_hat[1]
     report(
         7,
@@ -244,7 +244,7 @@ def test_criterion_08_bound_sandwich_asymptotic_target():
         rep = cw.tsetlin_bounds(spec, c, strict=False)
         # T >= 1, so P(T > t) = 1 at every t <= 0: a negative lower time reads t = 0
         t_hi, t_lo = math.ceil(rep.upper_time), max(math.ceil(rep.lower_time), 0)
-        est = survival_from_samples(samples, [t_lo, t_hi], seed=11)
+        est = survival_from_samples(samples, [t_lo, t_hi])
         p_lo, se_lo = est.p_hat[0], est.std_err[0]
         p_hi, se_hi = est.p_hat[1], est.std_err[1]
         ok_c = (p_hi <= rep.upper_value + 4 * se_hi) and (

@@ -237,6 +237,14 @@ def test_cutoff_k_to_top_reads_b_and_d_off_its_faces(tmp_path, capsys):
     assert "not constant" in capsys.readouterr().err
 
 
+def test_cutoff_takes_m_from_the_family(capsys):
+    # tsetlin derives n from its weights alone, and cutoff reads m = C(3, 2)
+    run_cli(["cutoff", "--family", "tsetlin", "--params", "weights=1/3,1/3,1/3",
+             "--trials", "100"])
+    meta = capsys.readouterr().out.splitlines()
+    assert {"# b=0.666666666667", "# d=0.333333333333", "# m=3"} <= set(meta)
+
+
 def test_cutoff_mode_riffle(tmp_path):
     out = tmp_path / "cutoff.csv"
     run_cli(
@@ -420,10 +428,21 @@ def test_builder_and_capacity_errors_exit_2(argv, monkeypatch, capsys):
     assert "chamberwalk: error: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, path", [("--config", "missing.txt"), ("--out", "nodir/x.csv")])
+def test_os_errors_exit_2(flag, path, tmp_path, capsys):
+    # a config file that is not there or an output directory that is not
+    # there is a usage error, not a traceback
+    with pytest.raises(SystemExit) as exc:
+        main(["mc", "--family", "riffle", "--params", "n=4", "--t-grid", "1..3",
+              "--trials", "10", flag, str(tmp_path / path)])
+    assert exc.value.code == 2
+    assert "chamberwalk: error: " in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("fault", [RuntimeError, OverflowError, AssertionError])
 def test_faults_are_not_refusals(fault, monkeypatch):
-    # main's boundary turns ValueError and CapacityError into exit 2; a fault
-    # in the program keeps its traceback
+    # main's boundary turns ValueError, CapacityError and OSError into exit 2;
+    # a fault in the program keeps its traceback
     def broken(*args, **kwargs):
         raise fault("broken sampler")
 

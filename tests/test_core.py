@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import re
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 import chamberwalk as cw
+from chamberwalk import core, exact, gallery, glauber, walk
 from chamberwalk.cli import main
 from chamberwalk.core import (
     ZERO,
@@ -269,3 +271,23 @@ def test_builtin_arrangements_list_no_faces(tmp_path, monkeypatch):
         ["exact", "--family", "riffle", "--params", "n=4", "--t-grid", "1..3"],
     ):
         assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 0
+
+
+def test_no_public_function_moves_a_size_limit():
+    # each size limit is one module constant, read where it is checked; only
+    # the two arrangement builders take theirs, as their callers differ
+    seen, limits = set(), set()
+    for module in (cw, core, exact, gallery, glauber, walk):
+        for name, obj in vars(module).items():
+            if name.startswith("_") or not getattr(obj, "__module__", "").startswith("chamberwalk"):
+                continue
+            try:
+                params = inspect.signature(obj).parameters
+            except (TypeError, ValueError):  # not callable, or an exception class
+                continue
+            seen.add(name)
+            assert not [p for p in params if p.endswith("_cap") or p == "max_enum_faces"], name
+            if "face_limit" in params:
+                limits.add(name)
+    assert {"transition_matrix", "riffle_faces", "sample_T_batch", "survival_terms"} <= seen
+    assert limits == {"build_braid", "build_boolean"}

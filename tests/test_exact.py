@@ -48,10 +48,11 @@ def test_transition_matrix_boolean2_row():
     assert row[i[(-1, -1)]] == 0.0
 
 
-def test_transition_matrix_capacity():
+def test_transition_matrix_capacity(monkeypatch):
     arr, w = boolean2_uniform()
+    monkeypatch.setattr(exact, "DEFAULT_CHAMBER_CAP", 3)
     with pytest.raises(CapacityError):
-        cw.transition_matrix(arr, w, chamber_cap=3)
+        cw.transition_matrix(arr, w)
 
 
 def test_stationary_uniform_for_certified_families():
@@ -127,15 +128,17 @@ def test_swr_point_mass_for_chamber_face():
     assert pi[arr.chamber_index((1,))] == 1.0
 
 
-def test_swr_refuses_more_faces_than_its_cap():
+def test_swr_refuses_more_faces_than_its_cap(monkeypatch):
     arr, w = cw.build_braid(4), cw.riffle_faces(4, 2)
     assert len(w.faces) > exact.ENUM_ORDERING_FACE_CAP
     with pytest.raises(CapacityError, match="enumeration cap"):
         cw.stationary_without_replacement(arr, w)
     arr, w = tsetlin([0.4, 0.3, 0.2, 0.1])
+    monkeypatch.setattr(exact, "ENUM_ORDERING_FACE_CAP", 3)
     with pytest.raises(CapacityError, match="enumeration cap 3"):
-        cw.stationary_without_replacement(arr, w, max_enum_faces=3)
-    pi = cw.stationary_without_replacement(arr, w, max_enum_faces=4)
+        cw.stationary_without_replacement(arr, w)
+    monkeypatch.setattr(exact, "ENUM_ORDERING_FACE_CAP", 4)
+    pi = cw.stationary_without_replacement(arr, w)
     assert np.abs(pi - cw.stationary_solve(arr, w)).max() < 1e-12
 
 
@@ -270,10 +273,11 @@ def test_survival_terms_leave_no_garbage():
         gc.enable()
 
 
-def test_survival_exact_capacity():
+def test_survival_exact_capacity(monkeypatch):
     arr, w = boolean2_uniform()
+    monkeypatch.setattr(exact, "DEFAULT_IE_HYPERPLANE_CAP", 1)
     with pytest.raises(CapacityError):
-        cw.survival_exact_profile(arr, w, [3], hyperplane_cap=1)
+        cw.survival_exact_profile(arr, w, [3])
 
 
 def test_survival_mc_agreement():

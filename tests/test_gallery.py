@@ -35,6 +35,21 @@ def test_tsetlin_weight_validation():
         cw.TsetlinSpec([0.5, 0.6])
     with pytest.raises(ValueError):
         cw.TsetlinSpec([1.2, -0.2])
+    with pytest.raises(ValueError, match="sum to 0.0"):
+        cw.TsetlinSpec([])  # an empty list sums to 0
+
+
+@pytest.mark.parametrize(
+    "build, total",
+    [
+        (lambda: cw.TsetlinSpec([0.5, 0.4]), "0.9"),
+        (lambda: cw.hypercube_nn_faces([0.4, 0.2], [0.4, 0.2]), "1.2"),
+    ],
+)
+def test_weight_sum_refusals_print_plain_numbers(build, total):
+    with pytest.raises(ValueError, match=f"sum to {total}, expected 1") as exc:
+        build()
+    assert "np.float64" not in str(exc.value)
 
 
 def test_riffle_n2_a2():
@@ -46,27 +61,30 @@ def test_riffle_n2_a2():
     assert got[(-1,)] == pytest.approx(0.25)  # {1}{0}
 
 
-def test_riffle_capacity():
+def test_riffle_capacity(monkeypatch):
+    monkeypatch.setattr(gallery, "DEFAULT_ENUM_CAP", 1000)
     with pytest.raises(CapacityError):
-        cw.riffle_faces(30, 2, enum_cap=1000)
+        cw.riffle_faces(30, 2)
 
 
 @pytest.mark.parametrize(
     "build, entries",
     [
-        (lambda cap: cw.tsetlin_faces(cw.TsetlinSpec([1 / 4] * 4), enum_cap=cap), 4 * 6),
-        (lambda cap: cw.riffle_faces(4, 2, enum_cap=cap), 2**4 * 6),
-        (lambda cap: cw.k_to_top_faces(4, 2, enum_cap=cap), 6 * 6),
-        (lambda cap: cw.top_bottom_faces(4, enum_cap=cap), 8 * 6),
-        (lambda cap: cw.hypercube_nn_faces([1 / 8] * 4, [1 / 8] * 4, enum_cap=cap), 8 * 4),
-        (lambda cap: cw.hypercube_nonlocal_faces(4, 2, enum_cap=cap), 24 * 4),
+        (lambda: cw.tsetlin_faces(cw.TsetlinSpec([1 / 4] * 4)), 4 * 6),
+        (lambda: cw.riffle_faces(4, 2), 2**4 * 6),
+        (lambda: cw.k_to_top_faces(4, 2), 6 * 6),
+        (lambda: cw.top_bottom_faces(4), 8 * 6),
+        (lambda: cw.hypercube_nn_faces([1 / 8] * 4, [1 / 8] * 4), 8 * 4),
+        (lambda: cw.hypercube_nonlocal_faces(4, 2), 24 * 4),
     ],
 )
-def test_face_lists_refuse_past_their_cap(build, entries):
+def test_face_lists_refuse_past_their_cap(monkeypatch, build, entries):
     # the cap counts the sign entries enumerated, faces x hyperplanes
-    build(entries)
+    monkeypatch.setattr(gallery, "DEFAULT_ENUM_CAP", entries)
+    build()
+    monkeypatch.setattr(gallery, "DEFAULT_ENUM_CAP", entries - 1)
     with pytest.raises(CapacityError):
-        build(entries - 1)
+        build()
 
 
 def test_k_to_top_counts():

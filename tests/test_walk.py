@@ -5,6 +5,7 @@ import pytest
 from scipy import stats
 
 import chamberwalk as cw
+from chamberwalk import walk
 from chamberwalk.core import is_chamber, face_product
 from chamberwalk.walk import sample_T_batch, survival_from_samples
 
@@ -244,13 +245,16 @@ def test_sample_T_batch_matches_exact_survival(arr, w):
     _assert_survival_within_4se(samples, cw.survival_exact_profile(arr, w, range(1, 25)))
 
 
-def test_sample_T_batch_contract():
+def test_sample_T_batch_contract(monkeypatch):
     w = _boolean2_uniform()
     a = sample_T_batch(w, 3000, seed=63)
     assert np.array_equal(a, sample_T_batch(w, 3000, seed=63))
-    # the cap admits T == step_cap and refuses anything longer
-    assert np.array_equal(a, sample_T_batch(w, 3000, seed=63, step_cap=a.max()))
+    # the cap admits T == DEFAULT_STEP_CAP and refuses anything longer
+    monkeypatch.setattr(walk, "DEFAULT_STEP_CAP", a.max())
+    assert np.array_equal(a, sample_T_batch(w, 3000, seed=63))
+    monkeypatch.setattr(walk, "DEFAULT_STEP_CAP", a.max() - 1)
     with pytest.raises(RuntimeError):
-        sample_T_batch(w, 3000, seed=63, step_cap=a.max() - 1)
+        sample_T_batch(w, 3000, seed=63)
+    monkeypatch.setattr(walk, "DEFAULT_STEP_CAP", 1)
     with pytest.raises(RuntimeError):
-        sample_T_batch(w, 10, seed=63, step_cap=1)  # T >= 2 on boolean(2)
+        sample_T_batch(w, 10, seed=63)  # T >= 2 on boolean(2)

@@ -34,12 +34,14 @@ from .exact import (
 from .gallery import (
     TsetlinBoundReport,
     TsetlinSpec,
+    hamming_profiles,
     hypercube_nn_faces,
     hypercube_nonlocal_faces,
     k_to_top_faces,
     kset_coupling_closed_form,
     riffle_coupling_closed_form,
     riffle_faces,
+    riffle_profiles,
     sample_card_collection_T,
     sample_kset_coupon_T,
     solve_t_star,

@@ -23,12 +23,14 @@ from .exact import DEFAULT_CHAMBER_CAP, coupling_parameters, cutoff_prediction, 
 from .exact import survival_exact_profile
 from .gallery import (
     TsetlinSpec,
+    hamming_profiles,
     hypercube_nn_faces,
     hypercube_nonlocal_faces,
     k_to_top_faces,
     kset_coupling_closed_form,
     riffle_coupling_closed_form,
     riffle_faces,
+    riffle_profiles,
     sample_card_collection_T,
     sample_kset_coupon_T,
     top_bottom_faces,
@@ -170,7 +172,9 @@ def build_family(family, params):
     builds the arrangement of at most face_limit chambers, and only exact
     mode calls it.  info carries the family's T sampler, (trials, seed) ->
     samples, which reads no faces for tsetlin and hypercube-nonlocal, the
-    closed-form (b, d) of families with one, and m, the hyperplane count.
+    closed-form (b, d) of families with one, m, the hyperplane count, and
+    "exact", the lumped (t_grid, stats) -> {t: (s, TV, P(T>t))} of riffle and
+    the equal-weight hypercube walks, which exact mode reads instead.
     """
     info = {"bd": None}
     if family == "tsetlin":
@@ -182,6 +186,7 @@ def build_family(family, params):
         n = _get_int(params, "n")
         a = _get_int(params, "a", 2)
         info["bd"] = riffle_coupling_closed_form(a)
+        info["exact"] = functools.partial(riffle_profiles, n, a)
         listing = (riffle_faces, n, a)
     elif family == "k-to-top":
         n, k = _get_int(params, "n"), _get_int(params, "k")
@@ -197,6 +202,8 @@ def build_family(family, params):
         w_minus = _get_weights(params, "w_minus") if "w_minus" in params else half
         if not len(w_plus) == len(w_minus) == n:
             raise ConfigError(f"hypercube-nn needs n={n} weights in w_plus and w_minus")
+        if np.all(np.concatenate([w_plus, w_minus]) == half[0]):
+            info["exact"] = functools.partial(hamming_profiles, n, 1)
         listing = (hypercube_nn_faces, w_plus, w_minus)
     elif family == "hypercube-nonlocal":
         n, k = _get_int(params, "n"), _get_int(params, "k")
@@ -204,6 +211,7 @@ def build_family(family, params):
             raise ConfigError(f"hypercube-nonlocal needs 1 < k <= n/2, got n={n} k={k}")
         info["bd"] = kset_coupling_closed_form(n, k)
         info["t_sampler"] = lambda trials, seed: sample_kset_coupon_T(n, k, trials, seed)
+        info["exact"] = functools.partial(hamming_profiles, n, k)
         listing = (hypercube_nonlocal_faces, n, k)
     else:
         raise ConfigError(f"unknown family {family!r}; see the list subcommand")
@@ -261,13 +269,15 @@ def _meta(args, params, extra=()):
 
 
 def cmd_exact(args, params):
-    faces, arrangement, _ = build_family(args.family, params)
-    arr, w = arrangement(DEFAULT_CHAMBER_CAP), faces()  # no face listed past the cap
-    grid = parse_t_grid(args.t_grid)
-    surv = survival_exact_profile(arr, w, grid)  # its hyperplane cap refuses before the walk
-    stats = {}
-    dist = distance_profiles(arr, w, grid, stats=stats)
-    rows = [(t, *dist[t], surv[t], None, None) for t in grid]
+    faces, arrangement, info = build_family(args.family, params)
+    grid, stats = parse_t_grid(args.t_grid), {}
+    if "exact" in info:  # a lumped chain: no arrangement, no face
+        prof = info["exact"](grid, stats=stats)
+    else:
+        arr, w = arrangement(DEFAULT_CHAMBER_CAP), faces()  # no face listed past the cap
+        surv = survival_exact_profile(arr, w, grid)  # its hyperplane cap refuses before the walk
+        prof = {t: (*d, surv[t]) for t, d in distance_profiles(arr, w, grid, stats=stats).items()}
+    rows = [(t, *prof[t], None, None) for t in grid]
     write_csv(args.out, _meta(args, params, list(stats.items())), rows)
 
 
@@ -357,7 +367,10 @@ def cmd_list(args, params):
     print(f"default seed env var: {SEED_ENV_VAR}")
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
+    """The CLI's parser, built once a process: each parse_args call fills a
+    new namespace."""
     parser = argparse.ArgumentParser(
         prog="chamberwalk",
         description="chamber-walk mixing experiments: exact distances, "
@@ -388,6 +401,11 @@ def main(argv=None):
         p.add_argument("--trials", type=int, default=100_000)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None, help="output CSV path (default stdout)")
+    return parser
+
+
+def main(argv=None):
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.command == "list":
         cmd_list(args, {})

@@ -1,7 +1,9 @@
 """Weighted-face families on the braid and Boolean arrangements, plus the
 move-to-front (Tsetlin library) machinery: the t* solver, the closed-form
 separation bounds, the exact survival formula for "all but one card
-touched", and samplers for large instances, the chain ones by glauber._chain_T.
+touched", and samplers for large instances, the chain ones by glauber._chain_T;
+and the exact profiles of riffle and the hypercube walks from their lumped
+chains, with no chamber or face.
 """
 
 from __future__ import annotations
@@ -14,11 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CapacityError, braid_m, braid_signs, weighted_faces
-from .exact import _power_sums, _rates
-from .glauber import DEFAULT_COUPON_CELL_CAP, _chain_T, _horizon
+from .exact import _power_sums, _push, _rates, _times, _walk
+from .glauber import DEFAULT_COUPON_CELL_CAP, _chain_T, _count_chain, _horizon
 
 DEFAULT_ENUM_CAP = 10_000_000  # sign entries, faces x hyperplanes, one face list enumerates
 DEFAULT_TSETLIN_EXACT_CAP = 20
+DEFAULT_RIFFLE_BIT_CAP = 2**24  # bits of the integers riffle_profiles builds over its grid
 _CHUNK_CELLS = 2**16  # trials x n cells per block of the card sampler
 # a cell of the count chain (one state at one step) costs about two of the
 # card sampler's exponentials: 24 ns against 12 ns at n = 500, measured once
@@ -153,6 +156,85 @@ def hypercube_nonlocal_faces(n, k):
     supports = np.eye(n, dtype=np.int8)[list(itertools.combinations(range(n), k))]
     flips = 1 - 2 * np.indices((2,) * k, dtype=np.int8).reshape(k, -1).T  # product((+1, -1))
     return weighted_faces((flips @ supports).reshape(count, n), np.full(count, 1.0 / count))
+
+
+def _lumped_read(law, pi, den=1):
+    """(s, TV) of a walk lumped into classes on each of which its law's ratio
+    to pi is constant: law and pi hold the classes' masses times den, as
+    floats or as exact integers (object arrays), read with one division each."""
+    return (float(np.max((pi - np.minimum(law, pi)) / pi)),
+            float(np.abs(law - pi).sum() / (2 * den)))
+
+
+def riffle_profiles(n, a, t_grid, stats=None):
+    """{t: (s, TV, P(T > t))} of the inverse a-shuffle on n cards from its
+    rising sequences (Bayer-Diaconis 1992), with no chamber or face: t steps
+    make an N = a^t-shuffle, under which each of the A(n, r - 1) (Eulerian)
+    orders with r rising sequences has mass C(N + n - r, n) / N^n.  So
+    s(t) = 1 - n! C(N, n) / N^n, the chance that two cards share all t
+    marks, which is P(T > t).  Each value is one division of exact integers;
+    where the n integers of each time, over the grid and t = 0 (the Eulerian
+    row), would hold more than DEFAULT_RIFFLE_BIT_CAP bits, it raises
+    CapacityError first.  stats, if a dict, receives exact_path, chambers
+    and starts."""
+    if n < 2 or a < 2:
+        raise ValueError(f"riffle faces need n >= 2 and a >= 2, got n={n} a={a}")
+    times = _times(t_grid)
+    lg = math.lgamma(n + 1) / math.log(2)  # bits of n!, with N^n the size of each F below
+    if (bits := n * sum(lg + n * t * math.log2(a) for t in [0, *times])) > DEFAULT_RIFFLE_BIT_CAP:
+        raise CapacityError(f"riffle({n}, {a}) integers of {bits:.3g} bits over the grid "
+                            f"exceed the cap of {DEFAULT_RIFFLE_BIT_CAP}")
+    eulerian = [1]
+    for j in range(2, n + 1):  # A(j, k) = (k + 1) A(j - 1, k) + (j - k) A(j - 1, k - 1)
+        eulerian = [(k + 1) * x + (j - k) * y
+                    for k, (x, y) in enumerate(zip(eulerian + [0], [0] + eulerian))]
+    eulerian, fact = np.array(eulerian, dtype=object), math.factorial(n)
+    if stats is not None:
+        stats.update(exact_path="eulerian", chambers=fact, starts=1)
+    out = {}
+    for t in times:
+        N = a**t
+        F, law, D = math.prod(range(N, N + n)), [], N**n
+        for r in range(1, n + 1):  # F = n! C(N + n - r, n)
+            law.append(F)
+            F = F * (N - r) // (N + n - r)
+        s, tv = _lumped_read(eulerian * np.array(law, dtype=object), eulerian * D, fact * D)
+        out[t] = (s, tv, s)
+    return out
+
+
+def hamming_profiles(m, k, t_grid, stats=None):
+    """{t: (s, TV, P(T > t))} of the hypercube walk on m coordinates that
+    re-signs k distinct uniform ones a step, each sign fair (k = 1: the
+    equal-weight nearest-neighbor walk), lumped by the Hamming distance j
+    from the start: i ~ hypergeometric of the k lie among the j that differ,
+    and each of the k then differs with chance 1/2, so j' = j - i + Bin(k, 1/2).
+    The law is pushed along that band of 2k + 1 successors, the hypergeometric
+    chances rounded once from exact integers, and read against pi_j = C(m, j) / 2^m;
+    P(T > t) is the curve of glauber._count_chain(m, k, m).  Where pi_0 = 2^-m
+    is not a normal float (m > 1022), or where m + 2 cells for each of the
+    t + 1 points of the last time pass DEFAULT_COUPON_CELL_CAP, it raises
+    CapacityError before any step.  stats as riffle_profiles fills it."""
+    if not 1 <= k <= m:
+        raise ValueError(f"need 1 <= k <= m, got k={k}, m={m}")
+    if math.ldexp(1.0, -m) < np.finfo(float).tiny:
+        raise CapacityError(f"m={m}: pi_0 = 2^-{m} is not a normal float")
+    times = _times(t_grid)
+    if (cells := (m + 2) * ((t_max := max(times, default=0)) + 1)) > DEFAULT_COUPON_CELL_CAP:
+        raise CapacityError(f"Hamming chain of {cells} cells exceeds cap {DEFAULT_COUPON_CELL_CAP}")
+    total = math.comb(m, k)
+    hyp = np.array([[math.comb(j, i) * math.comb(m - j, k - i) / total for j in range(m + 1)]
+                    for i in range(k, -1, -1)])  # hyp[k - i, j]
+    band = np.zeros((2 * k + 1, m + 1))  # band[d, j]: the chance of j -> j + d - k
+    for l in range(k + 1):  # l of the k differ after the step: d - k = l - i
+        band[l:l + k + 1] += math.comb(k, l) / 2**k * hyp
+    succ = np.clip(np.arange(m + 1) + np.arange(-k, k + 1)[:, np.newaxis], 0, m)  # clipped at chance 0
+    pi = np.array([math.comb(m, j) / 2**m for j in range(m + 1)])
+    curve = _count_chain(m, k, m)(t_max + 1)
+    if stats is not None:
+        stats.update(exact_path="hamming-chain", chambers=2**m, starts=1)
+    walk = _walk(np.eye(1, m + 1)[0], functools.partial(_push, succ, band), times)
+    return {t: (*_lumped_read(law, pi), curve[t] if t < len(curve) else 0.0) for t, law in walk}
 
 
 def solve_t_star(spec):

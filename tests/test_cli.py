@@ -1,4 +1,5 @@
 import importlib.util
+import math
 import os
 import subprocess
 import sys
@@ -383,7 +384,7 @@ def test_hypercube_nonlocal_k_out_of_range_exit_2(k):
         ["mc", "--family", "riffle", "--params", "n=1"],
         ["mc", "--family", "hypercube-nn", "--params", "n=3", "w_plus=0.5,0.1,0.1"],
         ["mc", "--family", "riffle", "--params", "n=21"],
-        ["exact", "--family", "riffle", "--params", "n=8"],
+        ["exact", "--family", "top-bottom", "--params", "n=8"],
         ["glauber", "--family", "ising", "--params", "width=2", "height=2", "beta=-0.5"],
         ["glauber", "--family", "product", "--params", "n=0"],
         ["glauber", "--family", "ising", "--params", "width=0", "height=3"],
@@ -404,6 +405,10 @@ def test_hypercube_nonlocal_k_out_of_range_exit_2(k):
         ["bounds", "--family", "tsetlin", "--params", "n=20", "c=0"],
         ["cutoff", "--family", "riffle", "--params", "n=1"],
         ["mc", "--family", "hypercube-nonlocal", "--params", "n=1048576", "k=2"],
+        ["exact", "--family", "riffle", "--params", "n=1000"],
+        ["exact", "--family", "riffle", "--params", "n=1"],
+        ["exact", "--family", "hypercube-nonlocal", "--params", "n=1023", "k=2"],
+        ["exact", "--family", "hypercube-nn", "--params", "n=2000"],
     ],
 )
 def test_builder_and_capacity_errors_exit_2(argv, monkeypatch, capsys):
@@ -417,7 +422,9 @@ def test_builder_and_capacity_errors_exit_2(argv, monkeypatch, capsys):
     # product sites, refused before any site is listed, and card weights of
     # 1e-200, whose T would pass int64 (once wrapped to -2^63, exit 0).  The
     # bounds' c past its lower-bound limit or at 0, riffle(1)'s m = 0 in the
-    # cutoff and a 2^20-coupon k-set chain reach main's one boundary too
+    # cutoff and a 2^20-coupon k-set chain reach main's one boundary too, as
+    # do the lumped exact forms' refusals: riffle(1000)'s integers past 2^24
+    # bits, riffle(1), and pi_0 = 2^-m below the least normal float
     def enumerated(*args):
         raise AssertionError("braid chambers enumerated")
 
@@ -458,7 +465,7 @@ def test_faults_are_not_refusals(fault, monkeypatch):
 def test_exact_refuses_past_20_hyperplanes_before_the_walk(params, monkeypatch):
     # braid(7) has 5040 chambers, under the chamber cap, but 21 hyperplanes:
     # the survival's cap refuses before any distance is walked
-    family = "tsetlin" if params[0].startswith("weights") else "riffle"
+    family = "tsetlin" if params[0].startswith("weights") else "top-bottom"
 
     def walked(*args, **kwargs):
         raise AssertionError("distances walked")
@@ -467,6 +474,38 @@ def test_exact_refuses_past_20_hyperplanes_before_the_walk(params, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         main(["exact", "--family", family, "--params", *params, "--t-grid", "1..3"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["exact", "--family", "riffle", "--params", "n=7", "--t-grid", "0..30"],
+        ["exact", "--family", "riffle", "--params", "n=8", "a=3", "--t-grid", "1..20"],
+        ["exact", "--family", "riffle", "--params", "n=52", "--t-grid", "1..14"],
+        ["exact", "--family", "hypercube-nonlocal", "--params", "n=512", "k=2",
+         "--t-grid", "1..4000..37"],
+        ["exact", "--family", "hypercube-nn", "--params", "n=40", "--t-grid", "1..300"],
+    ],
+)
+def test_exact_lumped_families_build_no_arrangement_and_no_face(argv, tmp_path, monkeypatch):
+    # riffle by rising sequences and the equal-weight hypercube walks by
+    # Hamming distance: no chamber cap, no hyperplane cap, no face list
+    def built(*args, **kwargs):
+        raise AssertionError("arrangement or face list built")
+
+    for name in ("build_braid", "build_boolean", "riffle_faces", "hypercube_nn_faces",
+                 "hypercube_nonlocal_faces", "survival_exact_profile", "distance_profiles"):
+        monkeypatch.setattr(f"chamberwalk.cli.{name}", built)
+    out = tmp_path / "exact.csv"
+    run_cli(argv + ["--out", str(out)])
+    meta, _, rows = read_rows(out)
+    family, n = argv[2], int(argv[4][2:])
+    riffle = family == "riffle"
+    path, chambers = ("eulerian", math.factorial(n)) if riffle else ("hamming-chain", 2**n)
+    assert meta[-3:] == [f"# exact_path={path}", f"# chambers={chambers}", "# starts=1"]
+    s, tv, surv = (np.array([float(r.split(",")[c]) for r in rows]) for c in (1, 2, 3))
+    assert np.all((0 <= tv) & (tv <= s + 1e-12) & (s <= 1)) and np.all(np.diff(s) <= 1e-15)
+    assert np.allclose(s, surv, rtol=0, atol=1e-11)  # s(t) = P(T>t), as the list text says
 
 
 @pytest.mark.parametrize(
@@ -515,6 +554,24 @@ def test_seed_digits_stay_exact(tmp_path):
     run_cli(argv + [f"seed={big}", "--out", str(a)])
     run_cli(argv + ["--seed", str(big), "--out", str(b)])
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_main_calls_share_no_state(tmp_path, monkeypatch, capsys):
+    # the parser is built once a process; a flag of one call must not reach the next
+    monkeypatch.delenv("CHAMBERWALK_SEED", raising=False)
+    out = tmp_path / "mc.csv"
+    argv = ["mc", "--family", "riffle", "--params", "n=4", "--trials", "10", "--out", str(out)]
+    run_cli(argv + ["--seed", "7", "--t-grid", "1..3"])
+    assert "# seed=7" in out.read_text()
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2 and "missing t-grid" in capsys.readouterr().err
+    run_cli(argv + ["--t-grid", "1..2"])
+    meta, _, rows = read_rows(out)
+    assert "# seed=0" in meta and len(rows) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["exact", "--family", "top-bottom", "--params", "n=8", "--t-grid", "1..2"])
+    assert exc.value.code == 2
 
 
 def test_missing_t_grid_errors():

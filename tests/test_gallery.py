@@ -554,3 +554,100 @@ def test_hypercube_nn_equality_any_weights():
             sep = cw.separation_profile(arr, faces, grid)
             surv = cw.survival_exact_profile(arr, faces, grid)
             assert max(abs(sep[t] - surv[t]) for t in grid) <= 1e-12
+
+
+def _close_to_chambers(lumped, arr, w, grid, tol):
+    """The lumped (s, TV, P(T>t)) against distance_profiles and, up to 20
+    hyperplanes, survival_exact_profile on the chamber walk itself."""
+    dist = cw.distance_profiles(arr, w, grid)
+    surv = cw.survival_exact_profile(arr, w, grid) if arr.m <= 20 else None
+    for t in grid:
+        assert lumped[t][:2] == pytest.approx(dist[t], abs=tol), t
+        if surv is not None:
+            assert lumped[t][2] == pytest.approx(surv[t], abs=tol), t
+
+
+# the chamber engine's own rounding reaches 1.4e-13 at riffle(7, 3) and
+# 1.0e-13 at hypercube-nonlocal(9, 4); the lumped forms are within 2.3e-15
+# of exact rationals (test_hamming_chain_is_exact_in_rationals)
+ENGINE_TOL = 2e-13
+
+
+@pytest.mark.parametrize("n, a", [(n, a) for n in range(3, 8) for a in (2, 3)])
+def test_riffle_profiles_match_the_chamber_walk(n, a):
+    grid = range(41)
+    _close_to_chambers(gallery.riffle_profiles(n, a, grid), cw.build_braid(n),
+                       cw.riffle_faces(n, a), grid, ENGINE_TOL)
+
+
+@pytest.mark.parametrize("m, k", [(m, k) for m in range(2, 13) for k in range(1, m // 2 + 1)
+                                  # at most 2^21 entries in the face x chamber product table
+                                  if (k == 1 or math.comb(m, k) * 2**k << m <= 2**21)])
+def test_hamming_profiles_match_the_chamber_walk(m, k):
+    grid = range(41)
+    w = (cw.hypercube_nn_faces([1 / (2 * m)] * m, [1 / (2 * m)] * m) if k == 1
+         else cw.hypercube_nonlocal_faces(m, k))
+    _close_to_chambers(gallery.hamming_profiles(m, k, grid), cw.build_boolean(m), w, grid,
+                       ENGINE_TOL)
+
+
+def test_hamming_chain_is_exact_in_rationals():
+    m, k = 9, 4
+    law = [Fraction(1)] + [Fraction(0)] * m
+    pi = [Fraction(math.comb(m, j), 2**m) for j in range(m + 1)]
+    got = gallery.hamming_profiles(m, k, range(41))
+    for t in range(41):
+        s = max(1 - q / p for q, p in zip(law, pi))
+        tv = sum(abs(q - p) for q, p in zip(law, pi)) / 2
+        assert got[t][:2] == pytest.approx((float(s), float(tv)), abs=3e-15), t
+        step = [Fraction(0)] * (m + 1)
+        for j, q in enumerate(law):  # i of the k among the j that differ, then Bin(k, 1/2)
+            for i in range(k + 1):
+                for ell in range(k + 1):
+                    if i <= j and k - i <= m - j:
+                        step[j - i + ell] += q * Fraction(
+                            math.comb(j, i) * math.comb(m - j, k - i) * math.comb(k, ell),
+                            math.comb(m, k) * 2**k)
+        law = step
+
+
+def test_riffle_profiles_reproduce_bayer_diaconis_at_52_cards():
+    got = gallery.riffle_profiles(52, 2, range(1, 13), stats=(stats := {}))
+    tv = [1, 1, 1, 1, 0.924, 0.614, 0.334, 0.167, 0.085, 0.043, 0.022, 0.011]
+    assert [round(got[t][1], 3) for t in range(1, 13)] == tv
+    assert [round(got[t][0], 3) for t in range(8, 13)] == [0.996, 0.932, 0.732, 0.479, 0.278]
+    assert all(got[t][0] == got[t][2] for t in got)  # s(t) = P(T>t), the birthday product
+    assert stats == {"exact_path": "eulerian", "chambers": math.factorial(52), "starts": 1}
+
+
+@pytest.mark.parametrize("k, t_max", [(1, 8000), (2, 4000)])
+def test_hamming_separation_is_the_count_chain_at_512_coordinates(k, t_max):
+    got = gallery.hamming_profiles(512, k, range(t_max + 1))
+    assert max(abs(s - surv) for s, _, surv in got.values()) <= 1e-12
+    assert got[t_max][0] < 1e-3  # the grid runs through the cutoff
+
+
+class _NoPower(int):
+    def __pow__(self, other):
+        raise AssertionError("big-integer power taken")
+
+
+def test_lumped_refusals_come_before_any_step_or_power(monkeypatch):
+    with pytest.raises(CapacityError, match="bits over the grid"):
+        gallery.riffle_profiles(52, _NoPower(2), range(1, 200))
+    with pytest.raises(CapacityError, match="bits over the grid"):
+        gallery.riffle_profiles(5000, _NoPower(2), [1])
+    with pytest.raises(ValueError, match="n >= 2 and a >= 2"):
+        gallery.riffle_profiles(1, 2, [1])
+    assert gallery.riffle_profiles(52, 2, range(1, 107))[106][0] > 0  # just under the cap
+
+    def stepped(*args, **kwargs):
+        raise AssertionError("chain stepped")
+
+    assert gallery.hamming_profiles(1022, 1, [0, 1])[1][0] == 1.0  # pi_0 = 2^-1022 is normal
+    monkeypatch.setattr(gallery, "_push", stepped)
+    monkeypatch.setattr(gallery, "_count_chain", stepped)
+    with pytest.raises(CapacityError, match="not a normal float"):
+        gallery.hamming_profiles(1023, 2, [1])
+    with pytest.raises(CapacityError, match="cells exceeds cap"):
+        gallery.hamming_profiles(512, 2, [10**6])

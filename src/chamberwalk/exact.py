@@ -23,6 +23,7 @@ from .core import face_product, is_chamber, symmetry_generators, weighted_faces
 DEFAULT_CHAMBER_CAP = 10_000
 DEFAULT_IE_HYPERPLANE_CAP = 20
 ENUM_ORDERING_FACE_CAP = 9
+DEFAULT_TABLE_CELL_CAP = 2**25  # faces x chambers of the product table, about 19 bytes a cell
 _TABLE_CELLS = 2**20  # bytes of packed products in one block of faces
 _PAIR_CELLS = 2**20  # entries of the m x m pair matrix of coupling_parameters
 _READ_CELLS = 2**18  # entries of the start rows that distance_profiles reads out at once
@@ -37,7 +38,10 @@ def _check_chambers(arr):
 def _product_table(arr, w):
     """(faces, chambers) array of the index of F C, built on packed bits in
     blocks of faces of at most _TABLE_CELLS bytes (one face at least); a
-    product that is not a chamber of arr raises ValueError."""
+    product that is not a chamber of arr raises ValueError, and a table of
+    more than DEFAULT_TABLE_CELL_CAP cells CapacityError, before any block."""
+    if (cells := len(w.weights) * arr.n_chambers) > DEFAULT_TABLE_CELL_CAP:
+        raise CapacityError(f"product table of {cells} cells exceeds cap {DEFAULT_TABLE_CELL_CAP}")
     C, F = _bits(arr.signs), w.signs
     plus, on = _bits(F)[:, np.newaxis], np.packbits(F != 0, axis=1)[:, np.newaxis]
     rows = max(1, _TABLE_CELLS // max(C.size, 1))
@@ -177,14 +181,12 @@ def _walk(state, step, t_grid):
 
 
 def separation(Pt, pi):
-    """s = max over the starts x0 (the rows of Pt) of 1 - min over x with
-    pi(x) > 0 of Pt(x0, x) / pi(x), each ratio read as Pt(x0, x) (1 / pi(x)):
-    at uniform pi that is 1 - ell min Pt(x0, .) bit for bit where
+    """s = max over the starts x0 (the rows of Pt) of 1 - min over x with pi(x) > 0
+    of Pt(x0, x) (1 / pi(x)), read bit for bit as 1 - min_x (1 / pi(x)) min_x0 Pt(x0, x)
+    since rounding is monotone: at uniform pi that is 1 - ell min Pt bit for bit where
     1 / (1 / ell) == ell, as for ell = n! (n <= 7) and ell = 2^n."""
     on = pi > 0
-    inv = np.divide(1.0, pi, out=np.zeros_like(pi), where=on)
-    ratio = np.multiply(Pt, inv, out=np.full_like(Pt, np.inf), where=on)
-    return float((1.0 - ratio.min(axis=1)).max())
+    return float(1.0 - (Pt.min(axis=0)[on] * (1.0 / pi[on])).min())
 
 
 def distance_profiles(arr, w, t_grid, stats=None):

@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import CapacityError, braid_m, braid_signs, weighted_faces
 from .exact import _power_sums, _push, _rates, _times, _walk
-from .glauber import DEFAULT_COUPON_CELL_CAP, _chain_T, _count_chain, _horizon
+from .glauber import DEFAULT_COUPON_CELL_CAP, _chain_T, _count_chain, _horizon, _hypergeometric
 
 DEFAULT_ENUM_CAP = 10_000_000  # sign entries, faces x hyperplanes, one face list enumerates
 DEFAULT_TSETLIN_EXACT_CAP = 20
@@ -222,9 +222,7 @@ def hamming_profiles(m, k, t_grid, stats=None):
     times = _times(t_grid)
     if (cells := (m + 2) * ((t_max := max(times, default=0)) + 1)) > DEFAULT_COUPON_CELL_CAP:
         raise CapacityError(f"Hamming chain of {cells} cells exceeds cap {DEFAULT_COUPON_CELL_CAP}")
-    total = math.comb(m, k)
-    hyp = np.array([[math.comb(j, i) * math.comb(m - j, k - i) / total for j in range(m + 1)]
-                    for i in range(k, -1, -1)])  # hyp[k - i, j]
+    hyp = _hypergeometric(m, k, m + 1)  # hyp[k - i, j]: i of the k among the j that differ
     band = np.zeros((2 * k + 1, m + 1))  # band[d, j]: the chance of j -> j + d - k
     for l in range(k + 1):  # l of the k differ after the step: d - k = l - i
         band[l:l + k + 1] += math.comb(k, l) / 2**k * hyp

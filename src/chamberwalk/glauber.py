@@ -203,9 +203,9 @@ def glauber_separation_profile(sys, t_grid, stats=None):
     h, q = sys.n_sites // 2, len(sys.spins)
     H, L, ell, prob = q ** h, q ** (sys.n_sites - h), len(configs), prob / sys.n_sites
     (a, b), (to_a, to_b) = np.divmod(np.arange(ell), L), np.divmod(succ, L)
-    Hm, Lm = np.zeros((L, H, H)), np.zeros((H, L, L))
-    np.add.at(Hm, (b, a, to_a[:h]), prob[:h])  # a move in one half keeps the other's digits
-    np.add.at(Lm, (a, b, to_b[h:]), prob[h:])
+    HmT, LmT = np.zeros((L, H, H)), np.zeros((H, L, L))  # the blocks, transposed
+    np.add.at(HmT, (b, to_a[:h], a), prob[:h])  # a move in one half keeps the other's digits
+    np.add.at(LmT, (a, to_b[h:], b), prob[h:])
     i_top, i_bot = configs.index(sys.top), configs.index(sys.bottom)
     index = np.arange(ell).reshape((q,) * sys.n_sites)
     maps = [g.ravel() for g in [np.flip(index), *map(index.transpose, sys.symmetries)]
@@ -214,14 +214,16 @@ def glauber_separation_profile(sys, t_grid, stats=None):
     top = np.searchsorted(starts, i_top)
     if stats is not None:
         stats.update(states=ell, starts=len(starts))
+    bufs, hi = [np.empty((H, L, len(starts))) for _ in range(2)], np.empty((L, H, len(starts)))
+    bufs[0].reshape(ell, -1)[:] = np.arange(ell)[:, np.newaxis] == starts  # P^0, k innermost
 
-    def step(R):  # R[k, a, b]: the row of P^t at starts[k]
-        return ((R.transpose(1, 0, 2) @ Lm).transpose(1, 0, 2)
-                + (R.transpose(2, 0, 1) @ Hm).transpose(1, 2, 0))
+    def step(Q):  # Q[a, b, k] is the row of P^t at starts[k]: two GEMMs, no copy, other buffer
+        out = np.matmul(LmT, Q, out=bufs[Q is bufs[0]])
+        np.matmul(HmT, Q.transpose(1, 0, 2), out=hi)
+        return np.add(out, hi.transpose(1, 0, 2), out=out)
 
-    rows = (starts[:, np.newaxis] == np.arange(ell)).astype(float).reshape(-1, H, L)
-    return {t: (separation(R := R3.reshape(-1, ell), pi), float(1.0 - R[top, i_bot] / pi[i_bot]))
-            for t, R3 in _walk(rows, step, t_grid)}
+    return {t: (separation((R := Q.reshape(ell, -1)).T, pi), float(1.0 - R[i_bot, top] / pi[i_bot]))
+            for t, Q in _walk(bufs[0], step, t_grid)}
 
 
 def coupon_survival_uniform(n, t, k=None):
@@ -262,10 +264,8 @@ def _count_chain(n, d, need):
     further, it is an error, raised again at every read past the curve.
     Each chance below 2^-1022 is put on 0: the subnormals would not empty
     (j/n of the least rounds back to it) and step slowly."""
-    total, f = math.comb(n, d), np.finfo(float)
-    # new[i][j]: the chance of i new sites from j, for j < need - i
-    new = [np.array([math.comb(n - j, i) * math.comb(j, d - i) / total
-                     for j in range(need - i)]) for i in range(d + 1)]
+    f = np.finfo(float)  # new[i][j]: the chance of i new sites from j, for j < need - i
+    new = [p[:need - i] for i, p in enumerate(_hypergeometric(n, d, need)[:need])]
     curve, law = array.array("d", [need > 0]), np.eye(1, need)[0]  # law[j]: j sites, j < need
 
     def grown(size=0, low=math.inf):
@@ -282,6 +282,16 @@ def _count_chain(n, d, need):
         return curve
 
     return grown
+
+
+def _hypergeometric(n, d, cols):
+    """[i, j] = C(n - j, i) C(j, d - i) / C(n, d), j < cols: the chance that d distinct sites
+    of n bring i new ones to j picked, from exact integers c[i][a] = C(a, i), rounded once."""
+    c = [[1] * (n + 1)]
+    for _ in range(d):  # C(a, i) is the sum of C(b, i - 1) over b < a
+        c.append([0, *itertools.accumulate(c[-1][:-1])])
+    return np.array([np.array([c[i][n - j] * c[d - i][j] / c[d][n] for j in range(cols)])
+                     for i in range(d + 1)])
 
 
 def _horizon(key, p):

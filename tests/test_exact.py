@@ -55,6 +55,27 @@ def test_transition_matrix_capacity(monkeypatch):
         cw.transition_matrix(arr, w)
 
 
+def test_product_table_capacity_refuses_before_any_block(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a block of the product table built")
+
+    monkeypatch.setattr(exact, "_symmetries", lambda arr, w: [])  # it packs chambers as well
+    monkeypatch.setattr(exact, "_bits", refuse)  # the table's first step packs the chambers
+    arr, w = cw.build_boolean(12), cw.hypercube_nonlocal_faces(12, 6)
+    assert (len(w.weights), arr.n_chambers) == (59136, 4096)  # 242M cells
+    for build in (lambda: cw.distance_profiles(arr, w, [1]), lambda: cw.transition_matrix(arr, w)):
+        with pytest.raises(CapacityError, match="product table of 242221056 cells"):
+            build()
+    monkeypatch.undo()
+    arr, w = boolean2_uniform()  # a cap of exactly the table's cells, then one cell less
+    monkeypatch.setattr(exact, "DEFAULT_TABLE_CELL_CAP", len(w.weights) * arr.n_chambers)
+    assert cw.transition_matrix(arr, w).shape == (4, 4)
+    monkeypatch.setattr(exact, "DEFAULT_TABLE_CELL_CAP", len(w.weights) * arr.n_chambers - 1)
+    for build in (lambda: cw.transition_matrix(arr, w), lambda: cw.separation_profile(arr, w, [1])):
+        with pytest.raises(CapacityError, match="product table"):
+            build()
+
+
 def test_stationary_uniform_for_certified_families():
     for arr, w in [
         boolean2_uniform(),

@@ -465,11 +465,11 @@ def test_chain_T_is_the_searchsorted_count_draw_for_draw(key, trials):
 
 
 def test_count_chain_mass_past_one_raises_at_every_read_past_the_curve(monkeypatch):
-    comb = math.comb
+    table = glauber._hypergeometric
     glauber._count_chain.cache_clear()
     try:
         with monkeypatch.context() as patch:  # every jump chance inflated while (5, 1, 5) is built
-            patch.setattr(math, "comb", lambda a, b: comb(a, b) + 1)
+            patch.setattr(glauber, "_hypergeometric", lambda *key: table(*key) * 1.25)
             grown = glauber._count_chain(5, 1, 5)
         with pytest.raises(RuntimeError, match=r"\(5, 1, 5\) at t=1: mass .* > 1"):
             grown(3)
@@ -554,6 +554,39 @@ def test_block_walk_matches_every_row_of_the_dense_power(sys_):
     every_row = every_row_profile(sys_, range(0, 15))
     for t in range(15):
         assert np.abs(np.subtract(got[t], every_row[t])).max() <= 1e-13
+
+
+def three_spin_ring():
+    """Five sites on a ring with spins 0, 1, 2 and a bias at site 0: halves of
+    9 and 27 states, and the ring's reflection through site 0 as a symmetry."""
+    def log_weight(sigma):
+        return 0.5 * sum(x * y for x, y in zip(sigma, sigma[1:] + sigma[:1])) - 0.2 * sigma[0]
+    return cw.MonotoneSystem(n_sites=5, spins=(0, 1, 2), log_weight=log_weight,
+                             name="ring3", symmetries=((0, 4, 3, 2, 1),))
+
+
+@pytest.mark.parametrize("sys_", [three_spin_ring(), cw.ising_system(3, 2, 0.4, field=-0.3)],
+                         ids=lambda s: s.name + str(s.n_sites))
+def test_block_walk_reads_each_time_before_the_next_step(sys_):
+    # the walk steps two buffers in turn: a grid that repeats, skips and runs
+    # backwards must still read each time off its own step, before the next
+    # step overwrites the other buffer
+    stats = {}
+    got = cw.glauber_separation_profile(sys_, [0, 3, 1, 3, 7], stats=stats)
+    assert list(got) == [0, 1, 3, 7] and 1 < stats["starts"] < stats["states"]
+    every_row = every_row_profile(sys_, range(8))
+    for t in got:
+        assert np.abs(np.subtract(got[t], every_row[t])).max() <= 1e-13, t
+
+
+@pytest.mark.parametrize("n, d", [(8, 2), (64, 5), (600, 300)])
+def test_hypergeometric_table_is_the_comb_formula_bit_for_bit(n, d):
+    cols = [*range(0, n, -(-n // 40)), n]  # at most 41 columns, every one at n = 8
+    want = [[math.comb(n - j, i) * math.comb(j, d - i) / math.comb(n, d) for j in cols]
+            for i in range(d + 1)]
+    got = glauber._hypergeometric(n, d, n + 1)
+    assert got.shape == (d + 1, n + 1) and np.array_equal(got[:, cols], want)
+    assert np.array_equal(glauber._hypergeometric(n, d, n // 2), got[:, :n // 2])
 
 
 def test_glauber_profile_builds_no_dense_matrix(monkeypatch):

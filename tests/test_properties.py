@@ -286,6 +286,25 @@ def test_orbit_rows_and_lumped_pi_equal_every_row_and_the_full_solve(walk):
         assert abs(got[t][0] - s) <= 1e-13 and abs(got[t][1] - tv) <= 1e-13, t
 
 
+def rowwise_separation(Pt, pi):
+    """The row-wise reading: 1 - min_x Pt(x0, x) (1 / pi(x)) at each start x0, then the max."""
+    on = pi > 0
+    inv = np.divide(1.0, pi, out=np.zeros_like(pi), where=on)
+    ratio = np.multiply(Pt, inv, out=np.full_like(Pt, np.inf), where=on)
+    return float((1.0 - ratio.min(axis=1)).max())
+
+
+@CASES
+@given(st.integers(1, 6).flatmap(lambda ell: st.tuples(
+    st.lists(st.lists(st.floats(0.0, 1.0), min_size=ell, max_size=ell), min_size=1, max_size=5),
+    st.lists(st.one_of(st.just(0.0), st.floats(2.0**-20, 1.0)), min_size=ell, max_size=ell))))
+def test_separation_reduces_over_the_starts_first_bit_for_bit(case):
+    rows, pi = np.array(case[0]), np.array(case[1])
+    assume(pi.max() > 0)
+    assert exact.separation(rows, pi) == rowwise_separation(rows, pi)
+    assert exact.separation(rows.T.copy().T, pi) == rowwise_separation(rows, pi)  # strided rows
+
+
 @st.composite
 def ising_systems(draw):
     width, height = draw(st.sampled_from([(2, 1), (2, 2), (3, 2), (2, 3), (4, 2), (3, 3)]))

@@ -27,7 +27,8 @@ _SIGN_TO_CHAR = {PLUS: "+", MINUS: "-", ZERO: "0"}
 DEFAULT_FACE_LIMIT = 1_000_000
 DEFAULT_CLOSURE_PRODUCT_LIMIT = 1_000_000
 _PRODUCT_CELLS = 2**18  # sign entries of the face products validate_closure takes at once
-_GUIDE_CELLS = 2**14  # cells of a _guide table
+_GUIDE_CELLS = 2**14  # least cells of a _guide table
+_GUIDE_CELL_CAP = 2**20  # most cells of a _guide table
 _GUIDE_BLOCK = 2048  # keys that a _guide search reads at once
 
 
@@ -106,18 +107,20 @@ def _search(table, keys):
 
 def _guide(sorted_):
     """search(v, side) = np.searchsorted(sorted_, v, side) for sorted_ and v in [0, 1], by a
-    guide table (Chen-Asau): a key in a cell [j, j + 1) / _GUIDE_CELLS with no point reads
-    #{sorted_ < j / _GUIDE_CELLS}; the rest are searched.  v is not written."""
-    cells = (sorted_ * _GUIDE_CELLS).astype(np.intp)  # exact, as _GUIDE_CELLS is a power of 2
+    guide table (Chen-Asau) of K cells, K the power of 2 in (2 len, 4 len] put in
+    [_GUIDE_CELLS, _GUIDE_CELL_CAP]: a key in a cell [j, j + 1) / K with no point reads
+    #{sorted_ < j / K}; the rest are searched.  v is not written."""
+    K = min(max(_GUIDE_CELLS, 2 << len(sorted_).bit_length()), _GUIDE_CELL_CAP)
+    cells = (sorted_ * K).astype(np.intp)  # exact, as K is a power of 2
     count = np.arange(len(cells) + 1, dtype=np.min_scalar_type(-len(cells) - 1))
-    table = np.repeat(count, np.diff(cells, prepend=-1, append=_GUIDE_CELLS))
+    table = np.repeat(count, np.diff(cells, prepend=-1, append=K))
     table[cells] = -1  # the cells that hold a point, 1 among them if it is one
 
     def search(v, side="left"):
         out = np.empty(len(v), dtype=np.intp)
         for i in range(0, len(v), _GUIDE_BLOCK):
             x, r = v[i:i + _GUIDE_BLOCK], out[i:i + _GUIDE_BLOCK]
-            np.multiply(x, _GUIDE_CELLS, out=r, casting="unsafe")  # the cell of each key
+            np.multiply(x, K, out=r, casting="unsafe")  # the cell of each key
             r[:] = table[r]
             if (miss := np.flatnonzero(r < 0)).size:
                 r[miss] = np.searchsorted(sorted_, x[miss], side)

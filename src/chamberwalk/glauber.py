@@ -286,12 +286,19 @@ def _count_chain(n, d, need):
 
 def _hypergeometric(n, d, cols):
     """[i, j] = C(n - j, i) C(j, d - i) / C(n, d), j < cols: the chance that d distinct sites
-    of n bring i new ones to j picked, from exact integers c[i][a] = C(a, i), rounded once."""
-    c = [[1] * (n + 1)]
-    for _ in range(d):  # C(a, i) is the sum of C(b, i - 1) over b < a
-        c.append([0, *itertools.accumulate(c[-1][:-1])])
-    return np.array([np.array([c[i][n - j] * c[d - i][j] / c[d][n] for j in range(cols)])
-                     for i in range(d + 1)])
+    of n bring i new ones to j picked, from exact integers col[a] = C(a, i), rounded once.
+    Rows i and d - i read columns i and d - i alone, so the columns up to d / 2 are held
+    and each later one meets its partner, the last held, as it is made."""
+    out, total, col, held = np.empty((d + 1, cols)), math.comb(n, d), [1] * (n + 1), []
+    for i in range(d + 1):
+        if 2 * i <= d:
+            held.append(col)
+        if 2 * i >= d:
+            other = held.pop()
+            out[i] = [col[n - j] * other[j] / total for j in range(cols)]
+            out[d - i] = [other[n - j] * col[j] / total for j in range(cols)]
+        col = [0, *itertools.accumulate(col[:-1])]  # C(a, i + 1): C(b, i) summed over b < a
+    return out
 
 
 def _horizon(key, p):

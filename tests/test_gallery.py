@@ -226,17 +226,16 @@ def test_tsetlin_survival_reads_the_exact_rates_once_where_the_float_sum_cancels
     # eight cards of 3/32 and eight of 1/32: T >= n - 1 = 15, and the float
     # sum's rounding bound refuses t = 15, 16, 17 only
     spec = cw.TsetlinSpec([3 / 32] * 8 + [1 / 32] * 8)
-    reads, rates = [], gallery._rates
+    reads, power_sums = [], gallery._power_sums
 
-    def counted(*args, exact=False):
-        reads.append(exact)
-        return rates(*args, exact=exact)
+    def counted(c, q, exact_q, *args):  # counts the reads of the exact rates it is handed
+        return power_sums(c, q, lambda: reads.append(True) or exact_q(), *args)
 
     def exact_reads(t_grid):
         reads.clear()
         return cw.tsetlin_survival_profile(spec, t_grid), reads.count(True)
 
-    monkeypatch.setattr(gallery, "_rates", counted)
+    monkeypatch.setattr(gallery, "_power_sums", counted)
     grid = range(1, 134)  # to 3 n ln n
     got, read = exact_reads(grid)
     assert read == 1

@@ -579,9 +579,11 @@ def test_block_walk_reads_each_time_before_the_next_step(sys_):
         assert np.abs(np.subtract(got[t], every_row[t])).max() <= 1e-13, t
 
 
-@pytest.mark.parametrize("n, d", [(8, 2), (64, 5), (600, 300)])
+@pytest.mark.parametrize("n, d", [(8, 2), (10, 3), (12, 4), (64, 5), (600, 300), (1022, 511)])
 def test_hypergeometric_table_is_the_comb_formula_bit_for_bit(n, d):
-    cols = [*range(0, n, -(-n // 40)), n]  # at most 41 columns, every one at n = 8
+    # every column to n = 40; past that 41 columns, as the whole table at (1022, 511) would
+    # take some 10 s of math.comb
+    cols = [*range(0, n, -(-n // 40)), n]
     want = [[math.comb(n - j, i) * math.comb(j, d - i) / math.comb(n, d) for j in cols]
             for i in range(d + 1)]
     got = glauber._hypergeometric(n, d, n + 1)

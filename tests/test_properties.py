@@ -8,7 +8,9 @@ grids of at most 9 sites.  The sign lists: braid_signs against
 partition_to_sign_vector, chamber_index against a search of the chamber
 tuples, and each built-in face list against a loop that lists it face by face.
 The exact rates of the Möbius form, on int64 and past it, against a loop over
-the sets.  The guide-table search against np.searchsorted, on both sides.
+the sets.  The Tsetlin P(T > t) over count vectors of tied weights against the
+card-set sum and the braid walk, with its term count.  The guide-table search
+against np.searchsorted, on both sides and on every cell edge of large CDFs.
 The generic, card-collection and k-set samplers: each Monte Carlo count
 against the binomial law of the exact survival."""
 
@@ -17,6 +19,7 @@ import functools
 import itertools
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,7 +28,7 @@ from hypothesis import strategies as st
 from scipy.stats import binom
 
 import chamberwalk as cw
-from chamberwalk import core, exact
+from chamberwalk import core, exact, gallery
 from chamberwalk.core import braid_signs, face_product, is_chamber, ordered_set_partitions
 
 TIMES = range(1, 26)
@@ -139,6 +142,56 @@ def test_exact_rates_are_the_superset_sums_on_int64_and_past_it(case):
     assert a.tolist() == want[::2] and total == want[0] and type(total) is int
     assert a.dtype == (np.int64 if total < 2**63 else object)
     assert not tiny or a.dtype == object
+
+
+def card_set_survival(w, t):
+    """P(T > t) as the sum over the card sets U with |U| >= 2 of
+    (-1)^|U| (|U| - 1) w(rest)^t, w(rest) the weight of the cards outside U."""
+    cards = range(len(w))
+    return sum((-1) ** len(U) * (len(U) - 1) * sum(w[i] for i in cards if i not in U)**t
+               for size in range(2, len(w) + 1) for U in itertools.combinations(cards, size))
+
+
+def tsetlin_terms(spec):
+    """The coefficients, float rates and exact-rate reader that
+    tsetlin_survival_profile hands _power_sums."""
+    with mock.patch.object(gallery, "_power_sums", wraps=gallery._power_sums) as spy:
+        cw.tsetlin_survival_profile(spec, [1])
+    return spy.call_args.args[:3]
+
+
+@CASES
+@given(st.lists(st.floats(0.05, 1.0), min_size=1, max_size=3, unique=True).flatmap(
+    lambda pool: st.tuples(st.just(pool), st.lists(st.integers(0, len(pool) - 1),
+                                                   min_size=2, max_size=7))))
+@example(([1.0], [0] * 7))  # one class
+@example(([1.0, 3.0], [0, 1, 1, 0, 1, 0]))
+@example(([1.0, 1e-30], [0, 1, 0, 1]))  # its denominator lifts the exact total past 2^63
+def test_tsetlin_survival_over_count_vectors_equals_card_sets_and_the_braid_walk(case):
+    pool, pick = case
+    raw = np.array(pool)[pick]
+    spec = cw.TsetlinSpec(raw / raw.sum())  # equal raw weights stay equal floats
+    w, n = spec.card_weights, spec.n
+    times = range(1, 41)
+    got = cw.tsetlin_survival_profile(spec, times)
+    assert all(abs(got[t] - card_set_survival(w, t)) <= 1e-12 for t in times)
+    if math.comb(n, 2) <= exact.DEFAULT_IE_HYPERPLANE_CAP:  # braid(7) has 21 hyperplanes
+        walk = cw.survival_exact_profile(cw.build_braid(n), cw.tsetlin_faces(spec), times)
+        assert all(abs(got[t] - walk[t]) <= 1e-12 for t in times)
+    # one term per count vector u with |u| >= 2; its exact rate is the weight outside U
+    classes = collections.Counter(w.tolist())
+    c, q, exact_q = tsetlin_terms(spec)
+    assert len(c) == len(q) == math.prod(k + 1 for k in classes.values()) - 1 - len(classes)
+    a, total = exact_q()
+    assert a.dtype == (np.int64 if total < 2**63 else object)
+    total_weight = sum(map(Fraction, w))
+    want = [sum((k - x) * Fraction(v) for (v, k), x in zip(classes.items(), u)) / total_weight
+            for u in itertools.product(*(range(k + 1) for k in classes.values())) if sum(u) >= 2]
+    assert sorted(Fraction(int(x), total) for x in a) == sorted(want)
+
+
+def test_tsetlin_survival_of_two_classes_of_eight_has_78_terms():
+    assert len(tsetlin_terms(cw.TsetlinSpec([3 / 32] * 8 + [1 / 32] * 8))[0]) == 78
 
 
 @CASES
@@ -469,6 +522,21 @@ def test_guide_search_equals_searchsorted_and_keeps_the_keys(case):
     for side in ("left", "right"):
         assert np.array_equal(search(keys, side), np.searchsorted(points, keys, side)), side
     assert keys.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("size", [10, 2**14, 2**16])
+def test_guide_search_of_a_cdf_equals_searchsorted_on_every_cell_edge(size):
+    # the table grows with the CDF; the edges of its largest size hold those of every smaller one
+    rng = np.random.default_rng(size)
+    weights = rng.random(size) * (rng.random(size) < 0.9)  # zero weights tie points
+    cdf = np.cumsum(weights) / weights.sum()
+    cdf[rng.integers(0, size, size // 8)] = 0.5  # points on an edge, kept sorted below
+    cdf = np.sort(cdf)
+    keys = np.concatenate([np.arange(core._GUIDE_CELL_CAP + 1) / core._GUIDE_CELL_CAP,
+                           cdf, rng.random(1000)])
+    search = core._guide(cdf)
+    for side in ("left", "right"):
+        assert np.array_equal(search(keys, side), np.searchsorted(cdf, keys, side)), side
 
 
 MC_TRIALS = 20_000

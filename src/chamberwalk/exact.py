@@ -27,6 +27,7 @@ DEFAULT_TABLE_CELL_CAP = 2**25  # faces x chambers of the product table, about 1
 _TABLE_CELLS = 2**20  # bytes of packed products in one block of faces
 _PAIR_CELLS = 2**20  # entries of the m x m pair matrix of coupling_parameters
 _READ_CELLS = 2**18  # entries of the start rows that distance_profiles reads out at once
+_POWER_CELLS = 2**16  # entries of the q_i^t table that _power_sums holds at once
 
 
 def _check_chambers(arr):
@@ -233,10 +234,11 @@ def total_variation_profile(arr, w, t_grid):
 def _power_sums(c, q, exact_q, t_grid, t_first):
     """P(T > t) = sum_i c_i q_i^t over _times(t_grid), for int64 c_i (else
     OverflowError), and 1.0 before t_first, a lower bound on the first time T
-    can take.  The terms of float-equal rates are merged once, so each time
-    takes one power per rate: sum c_i gives the value and sum |c_i| its
-    rounding bound (t + 1) eps sum_i |c_i| q_i^t.  A float sum outside [0, 1]
-    by no more than that bound is put on the nearer edge.  Where it lies
+    can take.  The terms of float-equal rates are merged once; a table of q_i^t,
+    times by rates in blocks of _POWER_CELLS entries, gives by row sums (each
+    row alone, so no time depends on the others) the value sum c_i q_i^t and
+    its rounding bound (t + 1) eps sum_i |c_i| q_i^t.  A float sum outside
+    [0, 1] by no more than that bound is put on the nearer edge.  Where it lies
     further out or the bound exceeds 1e-12, the value is the integer ratio
     sum_i c_i a_i^t / d^t, which Python rounds correctly, over the exact rates
     exact_q() = (integers a_i, d), q_i = a_i / d: read at the first such time,
@@ -245,32 +247,37 @@ def _power_sums(c, q, exact_q, t_grid, t_first):
     at = np.searchsorted(rates, q)
     c_sum, abs_sum = np.bincount(at, c, rates.size), np.bincount(at, np.abs(c), rates.size)
     del at  # not held while the exact rates are read
-    out, by_rate = {}, None
-    for t in _times(t_grid):
-        if t < t_first:
-            out[t] = 1.0
-            continue
-        qt = rates**t
-        value, bound = c_sum @ qt, (t + 1) * np.finfo(float).eps * (abs_sum @ qt)
-        if bound <= 1e-12 and -bound <= value <= 1.0 + bound:
-            out[t] = float(min(max(value, 0.0), 1.0))
-            continue
-        if by_rate is None:
-            a, d = exact_q()
-            a_rates = np.unique(a)
-            merged = np.zeros(a_rates.size, dtype=np.int64)
-            np.add.at(merged, np.searchsorted(a_rates, a), c)
-            by_rate = list(zip(a_rates.tolist(), merged.tolist()))
-        out[t] = sum(ci * ai**t for ai, ci in by_rate) / d**t
+    times, eps = _times(t_grid), np.finfo(float).eps
+    out, by_rate = {t: 1.0 for t in times if t < t_first}, None
+    late = np.array([t for t in times if t >= t_first], dtype=np.int64)
+    block = max(1, _POWER_CELLS // max(rates.size, 1))
+    for i in range(0, late.size, block):
+        ts = late[i:i + block]
+        qt = rates ** ts[:, np.newaxis]
+        values, bounds = (qt * c_sum).sum(axis=1), (ts + 1) * eps * (qt * abs_sum).sum(axis=1)
+        for t, value, bound in zip(ts.tolist(), values.tolist(), bounds.tolist()):
+            if bound <= 1e-12 and -bound <= value <= 1.0 + bound:
+                out[t] = min(max(value, 0.0), 1.0)
+                continue
+            if by_rate is None:
+                a, d = exact_q()
+                a_rates = np.unique(a)
+                merged = np.zeros(a_rates.size, dtype=np.int64)
+                np.add.at(merged, np.searchsorted(a_rates, a), c)
+                by_rate = list(zip(a_rates.tolist(), merged.tolist()))
+            out[t] = sum(ci * ai**t for ai, ci in by_rate) / d**t
     return out
 
 
 def _superset(x, op):
     """Fold x, indexed by the sets S of some m coordinates, in place by op
-    over the supersets of each S, one coordinate at a time."""
+    over the supersets of each S, one coordinate at a time: a run of 2^i < 16
+    as 2^i strided slices, a longer one as one block view, so each element
+    sees the same ops without numpy's short inner loops."""
     for i in range(x.size.bit_length() - 1):
         xs = x.reshape(-1, 2, 1 << i)
-        op(xs[:, 0], xs[:, 1], out=xs[:, 0])
+        for j in range(1 << i) if i < 4 else [slice(None)]:  # x[j::2^(i+1)] while 2^i < 16
+            op(xs[:, 0, j], xs[:, 1, j], out=xs[:, 0, j])
     return x
 
 
@@ -307,10 +314,12 @@ def _mobius_form(arr, w):
         )
     masks = (w.signs == 0) @ (1 << np.arange(m, dtype=np.int64))
     q = _rates(masks, w.weights, m, slice(None))
-    cl = np.full(1 << m, (1 << m) - 1, dtype=np.int64)
+    cl = np.full(1 << m, (1 << m) - 1, dtype=np.min_scalar_type((1 << m) - 1))
     cl[masks] = masks
-    sign = np.where(np.bitwise_count(np.arange(1, 1 << m)) % 2, 1.0, -1.0)
-    c = np.bincount(_superset(cl, np.bitwise_and)[1:], sign, minlength=1 << m)
+    sign = np.full(1 << m, -1.0)  # -(-1)^|S|, by doubling over the coordinates
+    for i in range(m):
+        np.negative(sign[:1 << i], out=sign[1 << i:2 << i])
+    c = np.bincount(_superset(cl, np.bitwise_and)[1:], sign[1:], minlength=1 << m)
     flats = np.flatnonzero((c != 0) & (q > 0))
     c = c[flats].astype(np.int64)
     return c, q[flats], functools.partial(_rates, masks, w.weights, m, flats, exact=True)

@@ -214,7 +214,8 @@ def hamming_profiles(m, k, t_grid, stats=None):
     P(T > t) is the curve of glauber._count_chain(m, k, m).  Where pi_0 = 2^-m
     is not a normal float (m > 1022), or where m + 2 cells for each of the
     t + 1 points of the last time pass DEFAULT_COUPON_CELL_CAP, it raises
-    CapacityError before any step.  stats as riffle_profiles fills it."""
+    CapacityError before any step.  stats as riffle_profiles fills it, and
+    s_survival_gap, the largest |s - P(T > t)| over the grid, as %.3g."""
     if not 1 <= k <= m:
         raise ValueError(f"need 1 <= k <= m, got k={k}, m={m}")
     if math.ldexp(1.0, -m) < np.finfo(float).tiny:
@@ -229,10 +230,12 @@ def hamming_profiles(m, k, t_grid, stats=None):
     succ = np.clip(np.arange(m + 1) + np.arange(-k, k + 1)[:, np.newaxis], 0, m)  # clipped at chance 0
     pi = np.array([math.comb(m, j) / 2**m for j in range(m + 1)])
     curve = _count_chain(m, k, m)(t_max + 1)
-    if stats is not None:
-        stats.update(exact_path="hamming-chain", chambers=2**m, starts=1)
     walk = _walk(np.eye(1, m + 1)[0], functools.partial(_push, succ, band), times)
-    return {t: (*_lumped_read(law, pi), curve[t] if t < len(curve) else 0.0) for t, law in walk}
+    out = {t: (*_lumped_read(law, pi), curve[t] if t < len(curve) else 0.0) for t, law in walk}
+    if stats is not None:  # s and P(T > t) are one quantity, read by two chains
+        gap = f"{max((abs(s - p) for s, _, p in out.values()), default=0.0):.3g}"
+        stats.update(exact_path="hamming-chain", chambers=2**m, starts=1, s_survival_gap=gap)
+    return out
 
 
 def solve_t_star(spec):

@@ -502,10 +502,14 @@ def test_exact_lumped_families_build_no_arrangement_and_no_face(argv, tmp_path, 
     family, n = argv[2], int(argv[4][2:])
     riffle = family == "riffle"
     path, chambers = ("eulerian", math.factorial(n)) if riffle else ("hamming-chain", 2**n)
-    assert meta[-3:] == [f"# exact_path={path}", f"# chambers={chambers}", "# starts=1"]
+    tail = meta[-3:] if riffle else meta[-4:-1]
+    assert tail == [f"# exact_path={path}", f"# chambers={chambers}", "# starts=1"]
     s, tv, surv = (np.array([float(r.split(",")[c]) for r in rows]) for c in (1, 2, 3))
     assert np.all((0 <= tv) & (tv <= s + 1e-12) & (s <= 1)) and np.all(np.diff(s) <= 1e-15)
     assert np.allclose(s, surv, rtol=0, atol=1e-11)  # s(t) = P(T>t), as the list text says
+    if not riffle:  # the Hamming chain's s against the count chain's P(T > t), at full precision
+        key, _, gap = meta[-1].partition("=")
+        assert key == "# s_survival_gap" and 0 <= float(gap) <= 1e-12
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@ import gc
 import itertools
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -673,6 +674,104 @@ def test_power_sums_snap_rounding_and_take_the_rest_exactly():
     huge = 10**400
     with pytest.raises(OverflowError):
         exact._power_sums([huge, 1 - huge], [0.5, 0.5], unread, [1], 1)
+
+
+def superset_reshape(x, op):
+    """Reference fold: one block view per coordinate, the form _superset takes
+    for its long runs, here at every run."""
+    for i in range(x.size.bit_length() - 1):
+        xs = x.reshape(-1, 2, 1 << i)
+        op(xs[:, 0], xs[:, 1], out=xs[:, 0])
+    return x
+
+
+@pytest.mark.parametrize("m", range(11))
+def test_superset_folds_bit_for_bit_as_the_block_view(m):
+    # runs below 16 go as strided slices, from m = 5 on the block view too
+    rng = np.random.default_rng(m)
+    cases = [(rng.random(1 << m), np.add)] + [
+        (rng.integers(0, 1 << min(m, 16), 1 << m).astype(dtype), np.bitwise_and)
+        for dtype in (np.uint16, np.uint32, np.int64)]
+    cases.append((np.array([2**64 + int(k) for k in rng.integers(0, 2**40, 1 << m)],
+                           dtype=object), np.add))  # exact rates past int64
+    for x, op in cases:
+        got, want = exact._superset(x.copy(), op), superset_reshape(x.copy(), op)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
+        assert x.dtype == object or got.tobytes() == want.tobytes()
+
+
+def mobius_reference(arr, w):
+    """(c, q, flats) with an int64 closure, signs from bit counts and the
+    reference fold."""
+    m = arr.m
+    masks = (w.signs == 0) @ (1 << np.arange(m, dtype=np.int64))
+    q = superset_reshape(np.bincount(masks, w.weights, minlength=1 << m), np.add)
+    cl = np.full(1 << m, (1 << m) - 1, dtype=np.int64)
+    cl[masks] = masks
+    sign = np.where(np.bitwise_count(np.arange(1, 1 << m)) % 2, 1.0, -1.0)
+    c = np.bincount(superset_reshape(cl, np.bitwise_and)[1:], sign, minlength=1 << m)
+    flats = np.flatnonzero((c != 0) & (q > 0))
+    return c[flats].astype(np.int64), q[flats], flats
+
+
+@pytest.mark.parametrize("arr, w, closure", [
+    (cw.build_braid(4), cw.riffle_faces(4, 2), np.uint8),
+    (cw.build_braid(6), cw.riffle_faces(6, 2), np.uint16),
+    (cw.build_braid(6), cw.top_bottom_faces(6), np.uint16),
+    (cw.build_boolean(16), cw.hypercube_nonlocal_faces(16, 2), np.uint16),
+    (cw.build_boolean(17), cw.hypercube_nonlocal_faces(17, 2), np.uint32),
+])
+def test_mobius_form_is_the_int64_form_on_the_narrowest_closure(arr, w, closure, monkeypatch):
+    folded, superset = [], exact._superset
+    monkeypatch.setattr(exact, "_superset",
+                        lambda x, op: folded.append(x.dtype) or superset(x, op))
+    c, q, exact_q = exact._mobius_form(arr, w)
+    want_c, want_q, want_flats = mobius_reference(arr, w)
+    assert c.tobytes() == want_c.tobytes() and q.tobytes() == want_q.tobytes()
+    assert exact_q.args[3].tobytes() == want_flats.tobytes()
+    assert folded == [np.float64, closure]
+
+
+@pytest.mark.parametrize("r", [0, 2, 9, 200])
+def test_power_table_gives_each_time_as_its_singleton_grid(r):
+    # r distinct rates k / 4096 with coefficients +-1 down the rates, so that
+    # every value lies in [0, 1]; r = 0 is the form of m = 0
+    k = np.sort(np.random.default_rng(r).choice(np.arange(1, 4096), r, replace=False))[::-1]
+    c, q = (-1) ** np.arange(r), k / 4096
+
+    def exact_q():
+        return k.astype(np.int64), 4096
+
+    # the table's row sums tie no time to another: 200 rates pass numpy's
+    # 8-way and 128-block pairwise sums, and 0..1400 spans five blocks of 327
+    grid = [0, 2, 2, 1, 5, 5, 40, 17, 1000, *range(1400)]
+    for t_first in (0, 3):
+        got = exact._power_sums(c, q, exact_q, grid, t_first)
+        assert list(got) == sorted(set(grid))
+        assert all(got[t] == 1.0 for t in range(t_first))
+        for t in got:
+            assert exact._power_sums(c, q, exact_q, [t], t_first) == {t: got[t]}, t
+        for t in (0, 2, 5, 40):
+            want = sum(int(ci) * Fraction(qi) ** t for ci, qi in zip(c, q)) if t >= t_first else 1
+            assert abs(got[t] - want) <= (t + 1) * np.finfo(float).eps * max(len(c), 1), t
+        assert exact._power_sums(c, q, exact_q, [], t_first) == {}
+
+
+def test_power_table_is_blocked():
+    # 65 519 rates, as all-distinct Tsetlin n = 16, over 133 times: one table
+    # would take 66 MiB, a block of 2^16 entries takes 0.5 MiB
+    rng = np.random.default_rng(7)
+    q = np.sort(rng.random(65519) / 2)[::-1]
+    c = (-1) ** np.arange(q.size)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        got = exact._power_sums(c, q, None, range(1, 134), 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(got) == 133 and all(0.0 <= v <= 1.0 for v in got.values())
+    assert peak < 8 * 2**20
 
 
 def test_survival_is_one_before_m_over_the_largest_face_support(monkeypatch):

@@ -621,8 +621,10 @@ def test_riffle_profiles_reproduce_bayer_diaconis_at_52_cards():
 
 @pytest.mark.parametrize("k, t_max", [(1, 8000), (2, 4000)])
 def test_hamming_separation_is_the_count_chain_at_512_coordinates(k, t_max):
-    got = gallery.hamming_profiles(512, k, range(t_max + 1))
-    assert max(abs(s - surv) for s, _, surv in got.values()) <= 1e-12
+    got = gallery.hamming_profiles(512, k, range(t_max + 1), stats=(stats := {}))
+    gap = max(abs(s - surv) for s, _, surv in got.values())
+    assert gap <= 1e-12 and stats["s_survival_gap"] == f"{gap:.3g}"
+    assert list(stats) == ["exact_path", "chambers", "starts", "s_survival_gap"]
     assert got[t_max][0] < 1e-3  # the grid runs through the cutoff
 
 

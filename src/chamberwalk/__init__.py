@@ -11,11 +11,9 @@ from .core import (
     build_braid,
     build_custom,
     check_separating,
-    face_product,
     is_chamber,
     load_arrangement_file,
     parse_sign_vector,
-    partition_to_sign_vector,
     weighted_faces,
 )
 from .exact import (
@@ -26,7 +24,6 @@ from .exact import (
     distance_profiles,
     separation_profile,
     stationary_solve,
-    stationary_without_replacement,
     survival_exact_profile,
     total_variation_profile,
     transition_matrix,
@@ -52,14 +49,10 @@ from .gallery import (
 )
 from .glauber import (
     MonotoneSystem,
-    check_monotone,
-    conditional_at_site,
     coupon_survival_uniform,
     coverage_conditioned_profile,
-    stationary_distribution,
     glauber_matrix,
     glauber_separation_profile,
-    glauber_step,
     ising_system,
     monotone_lower_bounds,
     product_system,
@@ -67,6 +60,5 @@ from .glauber import (
 from .walk import (
     SurvivalEstimate,
     sample_T_batch,
-    simulate_chamber_at,
     survival_from_samples,
 )

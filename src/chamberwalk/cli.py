@@ -47,6 +47,7 @@ from .walk import sample_T_batch, survival_from_samples
 
 SEED_ENV_VAR = "CHAMBERWALK_SEED"
 PRNG_NAME = "numpy-pcg64"
+DEFAULT_TRIAL_CAP = 10**7  # T samples of one run; the samplers hold a few arrays of this length
 
 CSV_HEADER = "t,s_exact,tv_exact,survival_exact,survival_mc,mc_stderr"
 
@@ -444,6 +445,8 @@ def _run(args):
         del params["trials"]
     if args.trials < 1:
         raise ConfigError("trials must be >= 1")
+    if args.trials > DEFAULT_TRIAL_CAP:
+        raise CapacityError(f"{args.trials} trials exceeds cap {DEFAULT_TRIAL_CAP}")
     if args.command != "cutoff" and args.t_grid is None:
         raise ConfigError("missing t-grid")
     args.func(args, params)

@@ -52,17 +52,6 @@ def format_sign_vector(f):
     return "".join(_SIGN_TO_CHAR[x] for x in f)
 
 
-def face_product(f, g):
-    """Semigroup product: coordinate i is f[i] unless it is zero, then g[i].
-
-    Associative, idempotent (FF = F) and satisfies the deletion property
-    FGF = FG.
-    """
-    if len(f) != len(g):
-        raise DimensionError(f"length mismatch: {len(f)} vs {len(g)}")
-    return tuple(a if a != ZERO else b for a, b in zip(f, g))
-
-
 def is_chamber(f):
     """A face is a chamber iff no coordinate is zero."""
     return all(x != ZERO for x in f)
@@ -239,65 +228,13 @@ def braid_pair_index(n):
     return {p: k for k, p in enumerate(pairs)}
 
 
-def partition_to_sign_vector(blocks, n):
-    """Sign vector of an ordered set partition of {0, .., n-1}.
-
-    Convention: the coordinate of pair (i, j), i < j, is + when i's block
-    comes before j's block (reading blocks left to right), - when after,
-    0 when they share a block.  Blocks earlier in the list sit lower in the
-    coordinate order (x_i < x_j <=> +).
-    """
-    pos = {}
-    for b_idx, block in enumerate(blocks):
-        for x in block:
-            if x in pos:
-                raise ValueError(f"element {x} appears in two blocks")
-            pos[x] = b_idx
-    if sorted(pos) != list(range(n)):
-        raise ValueError("blocks do not partition range(n)")
-    coords = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if pos[i] < pos[j]:
-                coords.append(PLUS)
-            elif pos[i] > pos[j]:
-                coords.append(MINUS)
-            else:
-                coords.append(ZERO)
-    return tuple(coords)
-
-
 def braid_signs(pos):
     """Sign vectors of ordered set partitions of n cards, one per row of pos,
     a signed integer array where pos[..., x] is the position of card x's
     block: as int8, the coordinate of pair (i, j), i < j, in braid_pair_index
-    order, is the sign of pos[j] - pos[i], as partition_to_sign_vector sets it."""
+    order, is the sign of pos[j] - pos[i]: + when i's block comes first."""
     i, j = np.triu_indices(pos.shape[-1], 1)
     return np.sign(pos[..., j] - pos[..., i]).astype(np.int8)
-
-
-def ordered_set_partitions(items):
-    """Yield all ordered partitions of ``items`` into nonempty blocks."""
-    items = list(items)
-    if not items:
-        yield []
-        return
-    n = len(items)
-    # choose the first block as any nonempty subset, recurse on the rest
-    for r in range(1, n + 1):
-        for block in itertools.combinations(items, r):
-            rest = [x for x in items if x not in set(block)]
-            for tail in ordered_set_partitions(rest):
-                yield [set(block)] + tail
-
-
-def fubini_number(n):
-    """Number of ordered set partitions of an n-set."""
-    # a(n) = sum_k C(n,k) a(n-k), a(0)=1
-    a = [1] + [0] * n
-    for i in range(1, n + 1):
-        a[i] = sum(math.comb(i, k) * a[i - k] for k in range(1, i + 1))
-    return a[n]
 
 
 def build_braid(n, face_limit=DEFAULT_FACE_LIMIT):
@@ -330,30 +267,6 @@ def symmetry_generators(arr):
         gens.append((np.array([idx[min(p), max(p)] for p in pre]),
                      np.array([1 if i < j else -1 for i, j in pre])))
     return gens
-
-
-def permutation_to_chamber(perm):
-    """Chamber of a deck order (perm[0] on top / smallest coordinate)."""
-    n = len(perm)
-    return partition_to_sign_vector([{x} for x in perm], n)
-
-
-def chamber_to_permutation(c, n):
-    """Inverse of permutation_to_chamber."""
-    idx = braid_pair_index(n)
-    # count how many elements precede each card
-    before = [0] * n
-    for (i, j), k in idx.items():
-        if c[k] == PLUS:
-            before[j] += 1
-        elif c[k] == MINUS:
-            before[i] += 1
-        else:
-            raise ValueError("not a braid chamber (zero coordinate)")
-    perm = [None] * n
-    for card, b in enumerate(before):
-        perm[b] = card
-    return tuple(perm)
 
 
 def violated_hyperplanes(w):

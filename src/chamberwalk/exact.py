@@ -1,16 +1,14 @@
 """Exact small-instance analysis of the chamber walk.
 
-Stationary distribution (absorbed from the forward face chain, with sampling
-without replacement as an independent oracle), separation and total-variation
-distance from start rows pushed along the face x chamber product table (the
-dense transition matrix is their oracle), the Möbius form of P(T > t) over
-the flats of the faces' zero sets, and the coupling parameters b, d with
-the cutoff prediction they determine.
+Stationary distribution (absorbed from the forward face chain), separation
+and total-variation distance from start rows pushed along the face x chamber
+product table (the dense transition matrix is their oracle), the Möbius
+form of P(T > t) over the flats of the faces' zero sets, and the coupling
+parameters b, d with the cutoff prediction they determine.
 """
 
 from __future__ import annotations
 
-import collections
 import functools
 import math
 from dataclasses import dataclass
@@ -18,11 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CapacityError, _bits, _keys, _lookup, _search, _sign_keys, check_separating
-from .core import face_product, is_chamber, symmetry_generators, weighted_faces
+from .core import symmetry_generators, weighted_faces
 
 DEFAULT_CHAMBER_CAP = 10_000
 DEFAULT_IE_HYPERPLANE_CAP = 20
-ENUM_ORDERING_FACE_CAP = 9
 DEFAULT_TABLE_CELL_CAP = 2**25  # faces x chambers of the product table, about 19 bytes a cell
 _TABLE_CELLS = 2**20  # bytes of packed products in one block of faces
 _PAIR_CELLS = 2**20  # entries of the m x m pair matrix of coupling_parameters
@@ -127,37 +124,6 @@ def stationary_solve(arr, w):
     if (at := arr._find(rows[:, :nb])).min() < 0:
         raise ValueError("a face product is not a chamber of the arrangement")
     return np.bincount(at, mass, arr.n_chambers)
-
-
-def stationary_without_replacement(arr, w):
-    """Stationary law via a sampling-without-replacement construction,
-    enumerated exactly over the orderings of the weighted faces; more than
-    ENUM_ORDERING_FACE_CAP of them raise CapacityError.
-
-    Sample faces without replacement from w and apply them in reverse order,
-    so the chamber is F1 F2 ... (first-sampled face leftmost).  The prefix
-    product is extended left-to-right and the recursion stops as soon as it
-    is a chamber: later faces cannot change it.
-    """
-    n_faces, weights = len(w.faces), w.weights
-    if n_faces > ENUM_ORDERING_FACE_CAP:
-        raise CapacityError(
-            f"{n_faces} weighted faces exceeds enumeration cap {ENUM_ORDERING_FACE_CAP}")
-    mass, pi = collections.defaultdict(float), np.zeros(arr.n_chambers)
-
-    def recurse(prefix, remaining, prob):
-        if prefix is not None and is_chamber(prefix):
-            mass[prefix] += prob
-            return
-        total = weights[remaining].sum()
-        for k in remaining:
-            nxt = w.faces[k] if prefix is None else face_product(prefix, w.faces[k])
-            recurse(nxt, [j for j in remaining if j != k], prob * weights[k] / total)
-
-    recurse(None, list(range(n_faces)), 1.0)
-    for c, p in mass.items():  # one lookup per chamber reached
-        pi[arr.chamber_index(c)] = p
-    return pi
 
 
 def _times(t_grid):

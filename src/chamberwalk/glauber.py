@@ -1,8 +1,8 @@
 """Heat-bath Glauber dynamics on monotone spin systems.
 
-Single-site conditionals, the shared-randomness (grand) coupling, stochastic
-domination checks, the exact chain on tiny systems, the uniform
-coupon-collector lower bounds on separation and total variation mixing, and
+The heat-bath move table of a spin system, the exact chain on tiny systems,
+the uniform coupon-collector lower bounds on separation and total variation
+mixing, the law conditioned on every site having been picked, and
 Erdos-Renyi's count chain: one reader of its cached curves, their horizon
 and the samplers' search.
 """
@@ -115,73 +115,18 @@ def _softmax(logs, axis):
     return p / p.sum(axis=axis, keepdims=True)
 
 
-def conditional_at_site(sys, sigma, u):
-    """Heat-bath conditional at site u given the rest of sigma; array over
-    sys.spins in spin order."""
-    logs = []
-    for s in sys.spins:
-        cfg = list(sigma)
-        cfg[u] = s
-        logs.append(sys.log_weight(tuple(cfg)))
-    return _softmax(np.array(logs), 0)
-
-
-def glauber_step(sys, sigma, u, v):
-    """Heat-bath update at site u driven by the uniform variate v.
-
-    The new spin is the inverse CDF of the conditional, with the CDF taken
-    in spin order; sharing (u, v) across configurations realizes the
-    monotone grand coupling.
-    """
-    p = conditional_at_site(sys, sigma, u)
-    cdf = np.cumsum(p)
-    idx = int(np.searchsorted(cdf, v, side="right"))
-    idx = min(idx, len(sys.spins) - 1)
-    out = list(sigma)
-    out[u] = sys.spins[idx]
-    return tuple(out)
-
-
-def comparable_pairs(configs):
-    for a in configs:
-        for b in configs:
-            if a != b and all(x <= y for x, y in zip(a, b)):
-                yield a, b
-
-
-def check_monotone(sys):
-    """Verify stochastic domination of single-site conditionals.
-
-    For every comparable pair sigma <= tau and every site, the conditional
-    at tau must dominate the one at sigma (its CDF pointwise below, to 1e-12).
-    Returns (True, None) or (False, witness) with the violating
-    (sigma, tau, site), the first in comparable_pairs order, then site order.
-    """
-    configs, _, _, prob = _heat_bath(sys)
-    cdf, spins = np.cumsum(prob, axis=1), np.array(configs)
-    for a, sigma in enumerate(spins):
-        above = np.all(sigma <= spins, axis=1) & (np.arange(len(configs)) != a)
-        bad = np.any(cdf > cdf[:, :, [a]] + 1e-12, axis=1)  # (site, tau)
-        if (taus := np.flatnonzero(above & bad.any(axis=0))).size:
-            return False, (configs[a], configs[taus[0]], int(np.argmax(bad[:, taus[0]])))
-    return True, None
-
-
 def _heat_bath(sys):
     """(configs, pi, succ, prob) from one log_weight call per configuration:
     succ[u, s, i] is configuration i (itertools.product order) with site u
-    set to spins[s], and prob[u, s, i] its heat-bath probability, computed as
-    conditional_at_site computes it."""
+    set to spins[s], and prob[u, s, i] its heat-bath probability: the
+    softmax of the log weights of the len(spins) configurations that differ
+    from i at u alone."""
     configs = sys.configurations()
     logs = np.array([sys.log_weight(c) for c in configs])
     i, n_spins = np.arange(len(configs)), len(sys.spins)
     place = n_spins ** np.arange(sys.n_sites - 1, -1, -1)[:, np.newaxis, np.newaxis]
     succ = i - i // place % n_spins * place + np.arange(n_spins)[:, np.newaxis] * place
     return configs, _softmax(logs, 0), succ, _softmax(logs[succ], 1)
-
-
-def stationary_distribution(sys):
-    return _heat_bath(sys)[:2]
 
 
 def glauber_matrix(sys):

@@ -15,29 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _guide, check_separating, face_product, is_chamber
+from .core import _guide, check_separating
 from .exact import _times
 
 DEFAULT_STEP_CAP = 10**9
-
-
-def _require_separating(w):
-    if not check_separating(w):
-        raise ValueError("weights do not separate the hyperplanes; T may be infinite")
-
-
-def simulate_chamber_at(w, x0, t, seed):
-    """State of the walk started at chamber x0 after t steps, C^t = F^t...F^1 x0."""
-    _require_separating(w)
-    x0 = tuple(x0)
-    if not is_chamber(x0):
-        raise ValueError("starting state must be a chamber")
-    rng = np.random.default_rng(seed)
-    current = x0
-    picks = rng.choice(len(w.faces), size=t, p=w.weights)
-    for k in picks:
-        current = face_product(w.faces[k], current)
-    return current
 
 
 def sample_T_batch(w, trials, seed):
@@ -48,7 +29,8 @@ def sample_T_batch(w, trials, seed):
     from one generator seeded with ``seed`` and one guide table a call,
     clears that face's support bits, and retires the trials whose row is now zero.
     """
-    _require_separating(w)
+    if not check_separating(w):
+        raise ValueError("weights do not separate the hyperplanes; T may be infinite")
     bits = np.zeros((len(w.signs) + 1, 64 * -(-w.m // 64)), dtype=bool)
     bits[0, : w.m] = True  # every hyperplane starts uncut
     bits[1:, : w.m] = w.signs == 0  # a pick keeps the ones it lies on

@@ -1,0 +1,142 @@
+"""Reference implementations that the tests compare chamberwalk against.
+
+Each is written from the definition, one face, pair or configuration at a
+time, and nothing here imports chamberwalk: the functions take sign tuples,
+weights, chamber lists and a spin system's fields (``n_sites``, ``spins``,
+``log_weight``) as plain values.
+
+- Faces: the face product, the ordered set partitions of n cards and their
+  braid sign vectors, deck orders as braid chambers and back.
+- The stationary law of the chamber walk by sampling faces without
+  replacement, enumerated over their orderings.
+- Heat-bath Glauber dynamics: a site's conditional, one coupled update,
+  the comparable pairs of configurations and the monotonicity check.
+"""
+
+import collections
+import itertools
+
+import numpy as np
+
+ENUM_ORDERING_FACE_CAP = 9  # weighted faces: stationary_without_replacement walks their orderings
+
+
+def face_product(f, g):
+    """Semigroup product: coordinate i is f[i] unless it is zero, then g[i]."""
+    if len(f) != len(g):
+        raise ValueError(f"length mismatch: {len(f)} vs {len(g)}")
+    return tuple(a if a != 0 else b for a, b in zip(f, g))
+
+
+def ordered_set_partitions(items):
+    """Yield all ordered partitions of ``items`` into nonempty blocks: the
+    first block is any nonempty subset, the rest a partition of the others."""
+    items = list(items)
+    if not items:
+        yield []
+        return
+    for r in range(1, len(items) + 1):
+        for block in itertools.combinations(items, r):
+            rest = [x for x in items if x not in block]
+            for tail in ordered_set_partitions(rest):
+                yield [set(block)] + tail
+
+
+def partition_to_sign_vector(blocks, n):
+    """Sign vector of an ordered set partition of {0, .., n-1}: the
+    coordinate of pair (i, j), i < j, in lexicographic order, is + when i's
+    block comes before j's, - when after, 0 when they share a block."""
+    pos = {}
+    for b_idx, block in enumerate(blocks):
+        for x in block:
+            if x in pos:
+                raise ValueError(f"element {x} appears in two blocks")
+            pos[x] = b_idx
+    if sorted(pos) != list(range(n)):
+        raise ValueError("blocks do not partition range(n)")
+    return tuple((pos[i] < pos[j]) - (pos[i] > pos[j])
+                 for i, j in itertools.combinations(range(n), 2))
+
+
+def permutation_to_chamber(perm):
+    """Chamber of a deck order (perm[0] on top / smallest coordinate)."""
+    return partition_to_sign_vector([{x} for x in perm], len(perm))
+
+
+def chamber_to_permutation(c, n):
+    """Inverse of permutation_to_chamber: each card's place is the number
+    of cards before it."""
+    before = [0] * n
+    for (i, j), sign in zip(itertools.combinations(range(n), 2), c):
+        if sign == 0:
+            raise ValueError("not a braid chamber (zero coordinate)")
+        before[j if sign > 0 else i] += 1
+    perm = [None] * n
+    for card, b in enumerate(before):
+        perm[b] = card
+    return tuple(perm)
+
+
+def stationary_without_replacement(chambers, faces, weights):
+    """Stationary law over ``chambers``, in their order: draw the faces
+    without replacement in proportion to their weights and multiply them
+    left to right, F1 F2 ...; the law of the first chamber this reaches,
+    enumerated exactly over the orderings.  More than
+    ENUM_ORDERING_FACE_CAP faces raise RuntimeError."""
+    if len(faces) > ENUM_ORDERING_FACE_CAP:
+        raise RuntimeError(
+            f"{len(faces)} weighted faces exceeds enumeration cap {ENUM_ORDERING_FACE_CAP}")
+    mass, weights = collections.defaultdict(float), np.asarray(weights)
+
+    def recurse(prefix, remaining, prob):
+        if prefix is not None and 0 not in prefix:  # later faces cannot change a chamber
+            mass[prefix] += prob
+            return
+        total = weights[remaining].sum()
+        for k in remaining:
+            nxt = faces[k] if prefix is None else face_product(prefix, faces[k])
+            recurse(nxt, [j for j in remaining if j != k], prob * weights[k] / total)
+
+    recurse(None, list(range(len(faces))), 1.0)
+    return np.array([mass[tuple(c)] for c in chambers])
+
+
+def conditional_at_site(sys, sigma, u):
+    """Heat-bath conditional at site u given the rest of sigma; array over
+    sys.spins in spin order."""
+    logs = np.array([sys.log_weight(tuple(sigma[:u]) + (s,) + tuple(sigma[u + 1:]))
+                     for s in sys.spins])
+    p = np.exp(logs - logs.max())
+    return p / p.sum()
+
+
+def glauber_step(sys, sigma, u, v):
+    """Heat-bath update at site u driven by the uniform variate v: the new
+    spin is the inverse CDF of the conditional, taken in spin order, so
+    sharing (u, v) across configurations realizes the grand coupling."""
+    cdf = np.cumsum(conditional_at_site(sys, sigma, u))
+    idx = min(int(np.searchsorted(cdf, v, side="right")), len(sys.spins) - 1)
+    return tuple(sigma[:u]) + (sys.spins[idx],) + tuple(sigma[u + 1:])
+
+
+def comparable_pairs(configs):
+    """Pairs (a, b) of distinct configurations with a <= b at every site, in configs order."""
+    for a in configs:
+        for b in configs:
+            if a != b and all(x <= y for x, y in zip(a, b)):
+                yield a, b
+
+
+def check_monotone(sys):
+    """Stochastic domination of the single-site conditionals: for every
+    comparable pair sigma <= tau and every site, the CDF at tau is pointwise
+    below the one at sigma, to 1e-12.  Returns (True, None) or (False,
+    (sigma, tau, site)), the first violation in comparable_pairs order, then
+    site order."""
+    configs = list(itertools.product(sys.spins, repeat=sys.n_sites))
+    for sigma, tau in comparable_pairs(configs):
+        for u in range(sys.n_sites):
+            low = np.cumsum(conditional_at_site(sys, sigma, u))
+            if np.any(np.cumsum(conditional_at_site(sys, tau, u)) > low + 1e-12):
+                return False, (sigma, tau, u)
+    return True, None

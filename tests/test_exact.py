@@ -10,9 +10,11 @@ import pytest
 
 import chamberwalk as cw
 from chamberwalk import exact
-from chamberwalk.core import CapacityError, chamber_to_permutation, permutation_to_chamber
-from chamberwalk.core import symmetry_generators
+from chamberwalk.core import CapacityError, symmetry_generators
 from chamberwalk.exact import survival_terms
+
+import reference
+from reference import chamber_to_permutation, face_product, permutation_to_chamber
 
 
 def boolean2_uniform():
@@ -24,6 +26,10 @@ def boolean2_uniform():
 def tsetlin(weights):
     spec = cw.TsetlinSpec(weights)
     return cw.build_braid(spec.n), cw.tsetlin_faces(spec)
+
+
+def swr(arr, w):
+    return reference.stationary_without_replacement(arr.chambers, w.faces, w.weights)
 
 
 TWO_HEAVY_OF_SIX = [1 / 10, 1 / 10, 3 / 10, 3 / 10, 1 / 10, 1 / 10]
@@ -99,8 +105,6 @@ def test_stationary_matches_luce_model():
     weights = [0.5, 0.3, 0.2]
     arr, w = tsetlin(weights)
     pi = cw.stationary_solve(arr, w)
-    from chamberwalk.core import permutation_to_chamber
-
     for perm in itertools.permutations(range(3)):
         expected = luce_probability(perm, weights)
         got = pi[arr.chamber_index(permutation_to_chamber(perm))]
@@ -139,34 +143,34 @@ def test_two_oracle_stationary_agreement():
     for arr, w in cases:
         assert len(w.faces) <= 9
         pi_solve = cw.stationary_solve(arr, w)
-        pi_swr = cw.stationary_without_replacement(arr, w)
+        pi_swr = swr(arr, w)
         assert np.abs(pi_solve - pi_swr).max() < 1e-10
 
 
 def test_swr_point_mass_for_chamber_face():
     arr = cw.build_boolean(1)
     w = cw.weighted_faces([(1,)], [1.0])
-    pi = cw.stationary_without_replacement(arr, w)
+    pi = swr(arr, w)
     assert pi[arr.chamber_index((1,))] == 1.0
 
 
 def test_swr_refuses_more_faces_than_its_cap(monkeypatch):
     arr, w = cw.build_braid(4), cw.riffle_faces(4, 2)
-    assert len(w.faces) > exact.ENUM_ORDERING_FACE_CAP
-    with pytest.raises(CapacityError, match="enumeration cap"):
-        cw.stationary_without_replacement(arr, w)
+    assert len(w.faces) > reference.ENUM_ORDERING_FACE_CAP
+    with pytest.raises(RuntimeError, match="enumeration cap"):
+        swr(arr, w)
     arr, w = tsetlin([0.4, 0.3, 0.2, 0.1])
-    monkeypatch.setattr(exact, "ENUM_ORDERING_FACE_CAP", 3)
-    with pytest.raises(CapacityError, match="enumeration cap 3"):
-        cw.stationary_without_replacement(arr, w)
-    monkeypatch.setattr(exact, "ENUM_ORDERING_FACE_CAP", 4)
-    pi = cw.stationary_without_replacement(arr, w)
+    monkeypatch.setattr(reference, "ENUM_ORDERING_FACE_CAP", 3)
+    with pytest.raises(RuntimeError, match="enumeration cap 3"):
+        swr(arr, w)
+    monkeypatch.setattr(reference, "ENUM_ORDERING_FACE_CAP", 4)
+    pi = swr(arr, w)
     assert np.abs(pi - cw.stationary_solve(arr, w)).max() < 1e-12
 
 
 def test_swr_tsetlin3_uniform():
     arr, w = tsetlin([1 / 3, 1 / 3, 1 / 3])
-    pi = cw.stationary_without_replacement(arr, w)
+    pi = swr(arr, w)
     assert np.allclose(pi, 1 / 6, atol=1e-12)
 
 
@@ -180,7 +184,7 @@ def brute_force_two_step_law(arr, w, x0):
     law = {c: 0.0 for c in arr.chambers}
     for f1, w1 in zip(w.faces, w.weights):
         for f2, w2 in zip(w.faces, w.weights):
-            c = cw.face_product(f2, cw.face_product(f1, x0))
+            c = face_product(f2, face_product(f1, x0))
             law[c] += w1 * w2
     return law
 
@@ -422,7 +426,7 @@ def loop_transition_matrix(arr, w):
     P = np.zeros((arr.n_chambers, arr.n_chambers))
     for f, wt in zip(w.faces, w.weights):
         for ci, c in enumerate(arr.chambers):
-            P[ci, arr.chamber_index(cw.face_product(f, c))] += wt
+            P[ci, arr.chamber_index(face_product(f, c))] += wt
     return P
 
 

@@ -10,7 +10,9 @@ import pytest
 import chamberwalk as cw
 from chamberwalk import glauber
 from chamberwalk.core import CapacityError
-from chamberwalk.glauber import comparable_pairs, grid_edges
+from chamberwalk.glauber import grid_edges
+
+from reference import check_monotone, comparable_pairs, conditional_at_site, glauber_step
 
 
 def test_grid_edges():
@@ -20,7 +22,7 @@ def test_grid_edges():
 
 def test_ising_zero_beta_uniform():
     sys_ = cw.ising_system(2, 2, beta=0.0)
-    _, pi = cw.stationary_distribution(sys_)
+    _, pi, _ = cw.glauber_matrix(sys_)
     assert np.allclose(pi, 1 / 16, atol=1e-14)
 
 
@@ -42,11 +44,11 @@ def test_state_cap_refuses_without_formatting_the_count():
 
 def test_conditional_values():
     sys_ = cw.ising_system(1, 2, beta=0.0)
-    p = cw.conditional_at_site(sys_, (1, 1), 0)
+    p = conditional_at_site(sys_, (1, 1), 0)
     assert np.allclose(p, [0.5, 0.5], atol=1e-12)
 
     sys1 = cw.ising_system(1, 2, beta=1.0)
-    p = cw.conditional_at_site(sys1, (1, 1), 0)
+    p = conditional_at_site(sys1, (1, 1), 0)
     expect = math.e / (math.e + math.exp(-1))
     assert p[1] == pytest.approx(expect, abs=1e-12)
     assert p[1] == pytest.approx(0.8808, abs=1e-4)
@@ -56,17 +58,17 @@ def test_conditional_values():
 def test_product_conditional_ignores_rest():
     sys_ = cw.product_system(3, [0.7, 0.5, 0.2])
     for other in ((1, 1, 1), (1, -1, -1), (-1, -1, 1)):
-        p = cw.conditional_at_site(sys_, other, 0)
+        p = conditional_at_site(sys_, other, 0)
         assert p[1] == pytest.approx(0.7, abs=1e-12)
 
 
 def test_glauber_step_inverse_cdf_convention():
     sys_ = cw.ising_system(2, 2, beta=0.3)
     sigma = (1, -1, 1, -1)
-    out = cw.glauber_step(sys_, sigma, 1, 0.0)
+    out = glauber_step(sys_, sigma, 1, 0.0)
     assert out[1] == -1  # v=0 picks the minimum spin with positive mass
     assert out[0] == sigma[0] and out[2] == sigma[2]
-    out_hi = cw.glauber_step(sys_, sigma, 1, 1.0 - 1e-12)
+    out_hi = glauber_step(sys_, sigma, 1, 1.0 - 1e-12)
     assert out_hi[1] == 1
 
 
@@ -74,7 +76,7 @@ def test_glauber_step_beta_zero_ignores_neighbors():
     sys_ = cw.ising_system(2, 2, beta=0.0)
     for v in (0.2, 0.7):
         results = {
-            cw.glauber_step(sys_, sigma, 0, v)[0]
+            glauber_step(sys_, sigma, 0, v)[0]
             for sigma in sys_.configurations()
         }
         assert len(results) == 1
@@ -84,12 +86,12 @@ def test_glauber_step_beta_zero_ignores_neighbors():
                                         ((1, 4), 0.3), ((1, 4), 1.0)])
 def test_check_monotone_ising(shape, beta):
     sys_ = cw.ising_system(shape[0], shape[1], beta)
-    ok, witness = cw.check_monotone(sys_)
+    ok, witness = check_monotone(sys_)
     assert ok, witness
 
 
 def test_check_monotone_product():
-    ok, _ = cw.check_monotone(cw.product_system(3))
+    ok, _ = check_monotone(cw.product_system(3))
     assert ok
 
 
@@ -98,7 +100,7 @@ def test_check_monotone_rejects_antiferromagnet():
         return -1.0 * sigma[0] * sigma[1]
 
     sys_ = cw.MonotoneSystem(n_sites=2, spins=(-1, 1), log_weight=log_weight)
-    ok, witness = cw.check_monotone(sys_)
+    ok, witness = check_monotone(sys_)
     assert not ok
     sigma, tau, u = witness
     assert all(a <= b for a, b in zip(sigma, tau))
@@ -115,8 +117,8 @@ def test_grand_coupling_preserves_order(shape, beta):
     for sigma, tau in comparable_pairs(configs):
         for u in range(sys_.n_sites):
             for v in v_grid:
-                a = cw.glauber_step(sys_, sigma, u, v)
-                b = cw.glauber_step(sys_, tau, u, v)
+                a = glauber_step(sys_, sigma, u, v)
+                b = glauber_step(sys_, tau, u, v)
                 assert all(x <= y for x, y in zip(a, b))
 
 
@@ -129,7 +131,7 @@ def site_loop_matrix(sys_):
     P = np.zeros((len(configs), len(configs)))
     for i, sigma in enumerate(configs):
         for u in range(n):
-            p = cw.conditional_at_site(sys_, sigma, u)
+            p = conditional_at_site(sys_, sigma, u)
             for s, ps in zip(sys_.spins, p):
                 cfg = list(sigma)
                 cfg[u] = s
@@ -195,7 +197,7 @@ def test_separation_dominates_coupon_survival():
 def test_coverage_conditioned_bound():
     # conditioned on all sites selected, the bottom state is not overweighted
     for sys_ in (cw.ising_system(2, 2, 0.3), cw.ising_system(1, 4, 0.3)):
-        configs, piv = cw.stationary_distribution(sys_)
+        configs, piv, _ = cw.glauber_matrix(sys_)
         idx = {c: i for i, c in enumerate(configs)}
         _, prof = cw.coverage_conditioned_profile(sys_, range(sys_.n_sites, 31))
         for t, (law, p_cov) in prof.items():
@@ -220,7 +222,7 @@ def joint_loop_coverage(sys_, t_grid):
         nxt = np.zeros_like(joint)
         for i, mask in zip(*np.nonzero(joint)):
             for u in range(n):
-                p = cw.conditional_at_site(sys_, configs[i], u)
+                p = conditional_at_site(sys_, configs[i], u)
                 for s, ps in zip(sys_.spins, p):
                     cfg = list(configs[i])
                     cfg[u] = s

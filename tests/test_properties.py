@@ -29,7 +29,10 @@ from scipy.stats import binom
 
 import chamberwalk as cw
 from chamberwalk import core, exact, gallery
-from chamberwalk.core import braid_signs, face_product, is_chamber, ordered_set_partitions
+from chamberwalk.core import braid_signs, is_chamber
+
+from reference import face_product, ordered_set_partitions, partition_to_sign_vector
+from reference import stationary_without_replacement
 
 TIMES = range(1, 26)
 GLAUBER_TIMES = range(1, 16)
@@ -37,7 +40,7 @@ CASES = settings(derandomize=True, database=None, deadline=None, max_examples=40
 
 UNIVERSES = {("boolean", n): (cw.build_boolean(n), list(itertools.product((1, -1, 0), repeat=n)))
              for n in (2, 3, 4)}
-UNIVERSES.update({("braid", n): (cw.build_braid(n), [cw.partition_to_sign_vector(p, n)
+UNIVERSES.update({("braid", n): (cw.build_braid(n), [partition_to_sign_vector(p, n)
                                                      for p in ordered_set_partitions(range(n))])
                   for n in (3, 4)})
 
@@ -302,8 +305,9 @@ def closed_class(arr, w):
 @given(walks(max_faces=9))
 def test_stationary_law_is_the_law_without_replacement(walk):
     arr, w = walk
+    want = stationary_without_replacement(arr.chambers, w.faces, w.weights)
     pi = cw.stationary_solve(arr, w)
-    assert np.abs(pi - cw.stationary_without_replacement(arr, w)).max() <= 1e-15
+    assert np.abs(pi - want).max() <= 1e-15
     closed = closed_class(arr, w)
     assert np.all(pi[~closed] == 0.0) and np.all(pi[closed] > 0.0)
 
@@ -387,12 +391,12 @@ def test_braid_signs_equal_partition_to_sign_vector(labels):
     # labels[x] orders card x's block; labels need not be consecutive
     labels = np.array(labels)
     blocks = [set(np.flatnonzero(labels == v).tolist()) for v in np.unique(labels)]
-    want = list(cw.partition_to_sign_vector(blocks, len(labels)))
+    want = list(partition_to_sign_vector(blocks, len(labels)))
     assert braid_signs(labels).tolist() == want
     assert braid_signs(np.stack([labels, labels])).tolist() == [want, want]
 
 
-BRAID3_FACES = [cw.partition_to_sign_vector(p, 3) for p in ordered_set_partitions(range(3))]
+BRAID3_FACES = [partition_to_sign_vector(p, 3) for p in ordered_set_partitions(range(3))]
 LOOKUPS = ([cw.build_braid(n) for n in range(2, 6)] + [cw.build_boolean(n) for n in range(1, 7)]
            + [cw.build_custom(3, cw.build_braid(3).chambers[::-1], BRAID3_FACES)])
 
@@ -424,7 +428,7 @@ def test_chamber_index_equals_a_search_of_the_chambers(case):
 
 @pytest.mark.parametrize("n", range(2, 8))
 def test_braid_chambers_equal_the_partition_loop(n):
-    want = tuple(cw.partition_to_sign_vector([{x} for x in perm], n)
+    want = tuple(partition_to_sign_vector([{x} for x in perm], n)
                  for perm in itertools.permutations(range(n)))
     got = cw.build_braid(n).chambers
     assert got == want and all(type(x) is int for c in got for x in c)
@@ -434,17 +438,17 @@ def looped_faces(family, n, k, weights):
     """(face, weight) pairs of a built-in face list, listed face by face."""
     cards = set(range(n))
     if family == "tsetlin":
-        return [(cw.partition_to_sign_vector([{j}, cards - {j}], n), weights[j])
+        return [(partition_to_sign_vector([{j}, cards - {j}], n), weights[j])
                 for j in range(n)]
     if family == "top-bottom":
-        return [(cw.partition_to_sign_vector(blocks, n), weights[c] / 2.0)
+        return [(partition_to_sign_vector(blocks, n), weights[c] / 2.0)
                 for c in range(n) for blocks in ([{c}, cards - {c}], [cards - {c}, {c}])]
     if family == "k-to-top":
         sets = list(itertools.combinations(range(n), k))
-        return [(cw.partition_to_sign_vector([set(S), cards - set(S)], n), 1.0 / len(sets))
+        return [(partition_to_sign_vector([set(S), cards - set(S)], n), 1.0 / len(sets))
                 for S in sets]
     if family == "riffle":  # k marks; the blocks by increasing mark, empty ones dropped
-        return [(cw.partition_to_sign_vector([{c for c in range(n) if marks[c] == v}
+        return [(partition_to_sign_vector([{c for c in range(n) if marks[c] == v}
                                               for v in sorted(set(marks))], n), 1.0 / k**n)
                 for marks in itertools.product(range(k), repeat=n)]
     if family == "hypercube-nn":

@@ -6,32 +6,14 @@ from scipy import stats
 
 import chamberwalk as cw
 from chamberwalk import walk
-from chamberwalk.core import is_chamber, face_product
+from chamberwalk.core import is_chamber
 from chamberwalk.walk import sample_T_batch, survival_from_samples
+
+from reference import face_product
 
 
 def _boolean2_uniform():
     return cw.hypercube_nn_faces([0.25, 0.25], [0.25, 0.25])
-
-
-def test_simulate_t0_returns_start():
-    w = _boolean2_uniform()
-    assert cw.simulate_chamber_at(w, (1, -1), 0, seed=3) == (1, -1)
-
-
-def test_simulate_rejects_non_chamber():
-    w = _boolean2_uniform()
-    with pytest.raises(ValueError):
-        cw.simulate_chamber_at(w, (1, 0), 4, seed=3)
-
-
-def test_simulate_deterministic():
-    arr = cw.build_braid(3)
-    w = cw.tsetlin_faces(cw.TsetlinSpec([1 / 3, 1 / 3, 1 / 3]))
-    x0 = arr.chambers[0]
-    a = cw.simulate_chamber_at(w, x0, 25, seed=11)
-    b = cw.simulate_chamber_at(w, x0, 25, seed=11)
-    assert a == b
 
 
 def test_long_run_law_uniform():

@@ -399,7 +399,7 @@ def _parser():
         )
         p.add_argument("--config", help="flat key=value config file; flags override")
         p.add_argument("--t-grid", default=None, help="e.g. 1..30 or 1,2,5")
-        p.add_argument("--trials", type=int, default=100_000)
+        p.add_argument("--trials", type=int, default=None)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None, help="output CSV path (default stdout)")
     return parser
@@ -423,26 +423,22 @@ def _run(args):
     if args.config:
         params.update(read_config_file(args.config))
     params.update(parse_params(args.params))
-    # config-file fallbacks for the harness-level settings
+    params.pop("mode", None)
+
+    def setting(flag, *keys, default=None):
+        """The flag if given, else the first key's parameter, else default; every key popped."""
+        found = [params.pop(k) for k in keys if k in params]
+        return flag if flag is not None else (found or [default])[0]
+
+    args.family = setting(args.family, "family")
     if args.family is None:
-        args.family = params.pop("family", None)
-        if args.family is None:
-            raise ConfigError("missing family")
-    for key in ("family", "mode"):
-        params.pop(key, None)
-    if args.t_grid is None:
-        args.t_grid = params.pop("t", params.pop("t_grid", None))
-    else:
-        params.pop("t", None), params.pop("t_grid", None)
-    if args.seed is None:
-        params.setdefault("seed", os.environ.get(SEED_ENV_VAR, "0"))
-        args.seed = _get_int(params, "seed")
-        del params["seed"]
+        raise ConfigError("missing family")
+    args.t_grid = setting(args.t_grid, "t", "t_grid")
+    seed = setting(args.seed, "seed", default=os.environ.get(SEED_ENV_VAR, "0"))
+    args.seed = _whole(seed, "parameter 'seed'")
     if args.seed < 0:
         raise ConfigError(f"seed must be >= 0, got {args.seed}")
-    if "trials" in params:
-        args.trials = _get_int(params, "trials")
-        del params["trials"]
+    args.trials = _whole(setting(args.trials, "trials", default=100_000), "parameter 'trials'")
     if args.trials < 1:
         raise ConfigError("trials must be >= 1")
     if args.trials > DEFAULT_TRIAL_CAP:

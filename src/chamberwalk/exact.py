@@ -197,7 +197,7 @@ def total_variation_profile(arr, w, t_grid):
     return {t: tv for t, (_, tv) in prof.items()}
 
 
-def _power_sums(c, q, exact_q, t_grid, t_first):
+def _power_sums(c, q, exact_rates, weights, t_grid, t_first):
     """P(T > t) = sum_i c_i q_i^t over _times(t_grid), for int64 c_i (else
     OverflowError), and 1.0 before t_first, a lower bound on the first time T
     can take.  The terms of float-equal rates are merged once; a table of q_i^t,
@@ -206,9 +206,11 @@ def _power_sums(c, q, exact_q, t_grid, t_first):
     its rounding bound (t + 1) eps sum_i |c_i| q_i^t.  A float sum outside
     [0, 1] by no more than that bound is put on the nearer edge.  Where it lies
     further out or the bound exceeds 1e-12, the value is the integer ratio
-    sum_i c_i a_i^t / d^t, which Python rounds correctly, over the exact rates
-    exact_q() = (integers a_i, d), q_i = a_i / d: read at the first such time,
-    and the c_i of equal a_i summed once on int64."""
+    sum_i c_i a_i^t / d^t, which Python rounds correctly.  At the first such
+    time alone, the weights (one per face or card) become integers over one
+    power of two, on int64 where their sum d < 2^63 bounds every a_i, else as
+    Python ints; the form's linear map exact_rates gives the a_i on that
+    dtype, and the c_i of equal a_i are summed once on int64."""
     c, rates = np.asarray(c, dtype=np.int64), np.unique(q)
     at = np.searchsorted(rates, q)
     c_sum, abs_sum = np.bincount(at, c, rates.size), np.bincount(at, np.abs(c), rates.size)
@@ -226,7 +228,11 @@ def _power_sums(c, q, exact_q, t_grid, t_first):
                 out[t] = min(max(value, 0.0), 1.0)
                 continue
             if by_rate is None:
-                a, d = exact_q()
+                ratios = [float(x).as_integer_ratio() for x in weights]
+                two = max(den for _, den in ratios)
+                ints = [num * (two // den) for num, den in ratios]
+                d = sum(ints)
+                a = exact_rates(np.array(ints, dtype=np.int64 if d < 2**63 else object))
                 a_rates = np.unique(a)
                 merged = np.zeros(a_rates.size, dtype=np.int64)
                 np.add.at(merged, np.searchsorted(a_rates, a), c)
@@ -247,23 +253,15 @@ def _superset(x, op):
     return x
 
 
-def _rates(masks, weights, m, keep, exact=False):
-    """q_S, the total weight of the masks that contain S, at the sets S in
-    keep: floats, or with exact=True (integers a_S, a_{}), the weights made
-    integers over one power of two and q_S = a_S / a_{} read against their
-    exact total, as int64 where a_{} < 2^63 bounds them all."""
-    if not exact:
-        return _superset(np.bincount(masks, weights, minlength=1 << m), np.add)[keep]
-    ratios = [float(x).as_integer_ratio() for x in weights]
-    d = max(den for _, den in ratios)
-    ints = [num * (d // den) for num, den in ratios]
-    a = np.zeros(1 << m, dtype=np.int64 if sum(ints) < 2**63 else object)
-    np.add.at(a, masks, np.array(ints, dtype=a.dtype))
-    return _superset(a, np.add)[keep], int(a[0])
+def _rates(masks, m, keep, x):
+    """a_S, the sum of x over the masks that contain S, at the S in keep, on x's dtype."""
+    a = np.zeros(1 << m, dtype=x.dtype)
+    np.add.at(a, masks, x)
+    return _superset(a, np.add)[keep]
 
 
 def _mobius_form(arr, w):
-    """Arrays (c, q), and the exact rates for _power_sums, with
+    """Arrays (c, q), and the exact rates' map for _power_sums, with
     P(T > t) = sum c_X q_X^t over the flats X != {}.
 
     T > t iff every face picked so far lies on some hyperplane.  Over the sets
@@ -279,7 +277,7 @@ def _mobius_form(arr, w):
             "use Monte Carlo survival estimation"
         )
     masks = (w.signs == 0) @ (1 << np.arange(m, dtype=np.int64))
-    q = _rates(masks, w.weights, m, slice(None))
+    q = _superset(np.bincount(masks, w.weights, minlength=1 << m), np.add)
     cl = np.full(1 << m, (1 << m) - 1, dtype=np.min_scalar_type((1 << m) - 1))
     cl[masks] = masks
     sign = np.full(1 << m, -1.0)  # -(-1)^|S|, by doubling over the coordinates
@@ -288,7 +286,7 @@ def _mobius_form(arr, w):
     c = np.bincount(_superset(cl, np.bitwise_and)[1:], sign[1:], minlength=1 << m)
     flats = np.flatnonzero((c != 0) & (q > 0))
     c = c[flats].astype(np.int64)
-    return c, q[flats], functools.partial(_rates, masks, w.weights, m, flats, exact=True)
+    return c, q[flats], functools.partial(_rates, masks, m, flats)
 
 
 def survival_terms(arr, w):
@@ -300,9 +298,9 @@ def survival_terms(arr, w):
 def survival_exact_profile(arr, w, t_grid):
     """Exact P(T > t) over an integer time grid (T = 0 when m = 0).  As t
     faces of at most s nonzero signs cut at most t s hyperplanes, T >= m / s."""
-    c, q, exact_q = _mobius_form(arr, w)
+    c, q, exact_rates = _mobius_form(arr, w)
     s = max((w.signs != 0).sum(axis=1).max(), 1)
-    return _power_sums(c, q, exact_q, t_grid, -(-arr.m // s))
+    return _power_sums(c, q, exact_rates, w.weights, t_grid, -(-arr.m // s))
 
 
 @dataclass(frozen=True)

@@ -341,16 +341,13 @@ def tsetlin_survival_profile(spec, t_grid):
     for k, x in zip(counts, u):
         c *= np.array([(-1) ** j * math.comb(k, j) for j in range(k + 1)])[x]
     c = c[keep]
-    ratios = [x.as_integer_ratio() for x in w]  # the exact rates: w_i = a_i / d, d a power of 2
-    d = max(den for _, den in ratios)
-    a = [num * (d // den) for num, den in ratios]
-    total = sum(k * ai for k, ai in zip(counts, a))
-    ints = np.int64 if total < 2**63 else object  # total bounds every a(u)
+    cards, first = np.repeat(w, counts), np.cumsum(counts) - counts
 
-    def rates(weights, dtype):  # sum_i (n_i - u_i) w_i on dtype at the count vectors in keep
-        return sum((k - x.astype(dtype)) * y for k, x, y in zip(counts, u, weights))[keep]
+    def rates(x):  # sum_i (n_i - u_i) w_i on x's dtype at the count vectors in keep, w_i
+        # read from x, one entry per card as in cards, at the first card of class i
+        return sum((k - ui.astype(x.dtype)) * y for k, ui, y in zip(counts, u, x[first]))[keep]
 
-    return _power_sums(c, rates(w, float), lambda: (rates(a, ints), total), t_grid, n - 1)
+    return _power_sums(c, rates(cards), rates, cards, t_grid, n - 1)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an inf or nan mean is refused below

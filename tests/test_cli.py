@@ -188,6 +188,33 @@ def test_config_file(tmp_path):
     assert len(rows) == 5
 
 
+@pytest.mark.parametrize("flags, tokens, line, times", [
+    (["--trials", "1000"], ["trials=500"], "# trials=1000", [1, 2, 3]),
+    ([], ["trials=500"], "# trials=500", [1, 2, 3]),
+    ([], [], "# trials=100000", [1, 2, 3]),
+    (["--seed", "1"], ["seed=4"], "# seed=1", [1, 2, 3]),
+    ([], ["seed=4"], "# seed=4", [1, 2, 3]),
+    (["--family", "riffle"], ["family=top-bottom"], "# family=riffle", [1, 2, 3]),
+    ([], ["family=top-bottom"], "# family=top-bottom", [1, 2, 3]),
+    (["--t-grid", "1..2"], ["t=1..4"], "# seed=0", [1, 2]),
+    ([], ["t=1..4"], "# seed=0", [1, 2, 3, 4]),  # t before t_grid
+])
+@pytest.mark.parametrize("via", ["--config", "--params"])
+def test_a_flag_beats_its_parameter_and_a_parameter_its_default(
+        flags, tokens, line, times, via, tmp_path, monkeypatch):
+    # family, the t-grid, seed and trials: the flag if given, else the
+    # parameter, else the default; the parameter leaves the params line either way
+    monkeypatch.delenv("CHAMBERWALK_SEED", raising=False)
+    cfg, out = tmp_path / "c.cfg", tmp_path / "out.csv"
+    cfg.write_text("\n".join(["family=tsetlin", "n=5", "t_grid=1..3"]
+                             + (tokens if via == "--config" else [])))
+    argv = ["mc", "--config", str(cfg), "--params", *(tokens if via == "--params" else [])]
+    run_cli(argv + flags + ["--out", str(out)])
+    meta, _, rows = read_rows(out)
+    assert line in meta and "# params=n=5" in meta
+    assert [int(r.split(",")[0]) for r in rows] == times
+
+
 def test_bounds_mode(tmp_path):
     out = tmp_path / "bounds.csv"
     run_cli(

@@ -665,19 +665,28 @@ def test_survival_terms_count_flats_with_integer_coefficients():
 
 
 def test_power_sums_snap_rounding_and_take_the_rest_exactly():
-    def unread():
+    def unread(x):
         raise AssertionError("exact rates read")
 
-    assert exact._power_sums([1, 1], [1.0, 2.0**-52], unread, [0, 1], 1) == {0: 1.0, 1: 1.0}
+    assert exact._power_sums([1, 1], [1.0, 2.0**-52], unread, [1.0], [0, 1], 1) == {
+        0: 1.0, 1: 1.0}
     # 2^60 (3/4)^t cancels in floats with a bound far above 1e-9; in integers
-    # the two terms of rate 3/4 fold into one of coefficient 0
-    big = 2**60
-    assert exact._power_sums([1, big, -big], [0.5, 0.75, 0.75], lambda: ([2, 3, 3], 4),
+    # the two terms of rate 3/4 fold into one of coefficient 0.  The weights
+    # 1/2, 1/4, 1/4 are the integers 2, 1, 1 over 4, and the map gives each
+    # rate from them: 2, 2 + 1, 2 + 1
+    read, big = [], 2**60
+
+    def rates(x):
+        read.append(x.tolist())
+        return np.array([x[0], x[0] + x[1], x[0] + x[2]])
+
+    assert exact._power_sums([1, big, -big], [0.5, 0.75, 0.75], rates, [0.5, 0.25, 0.25],
                              [1, 7], 1) == {1: 0.5, 7: 0.5**7}
+    assert read == [[2, 1, 1]]
     # every caller's coefficients lie in the int64 range; others are refused
     huge = 10**400
     with pytest.raises(OverflowError):
-        exact._power_sums([huge, 1 - huge], [0.5, 0.5], unread, [1], 1)
+        exact._power_sums([huge, 1 - huge], [0.5, 0.5], unread, [1.0], [1], 1)
 
 
 def superset_reshape(x, op):
@@ -729,10 +738,10 @@ def test_mobius_form_is_the_int64_form_on_the_narrowest_closure(arr, w, closure,
     folded, superset = [], exact._superset
     monkeypatch.setattr(exact, "_superset",
                         lambda x, op: folded.append(x.dtype) or superset(x, op))
-    c, q, exact_q = exact._mobius_form(arr, w)
+    c, q, exact_rates = exact._mobius_form(arr, w)
     want_c, want_q, want_flats = mobius_reference(arr, w)
     assert c.tobytes() == want_c.tobytes() and q.tobytes() == want_q.tobytes()
-    assert exact_q.args[3].tobytes() == want_flats.tobytes()
+    assert exact_rates.args[2].tobytes() == want_flats.tobytes()
     assert folded == [np.float64, closure]
 
 
@@ -742,23 +751,25 @@ def test_power_table_gives_each_time_as_its_singleton_grid(r):
     # every value lies in [0, 1]; r = 0 is the form of m = 0
     k = np.sort(np.random.default_rng(r).choice(np.arange(1, 4096), r, replace=False))[::-1]
     c, q = (-1) ** np.arange(r), k / 4096
+    weights = [1 - 2.0**-12, 2.0**-12]  # the integers 4095 and 1 over 4096
 
-    def exact_q():
-        return k.astype(np.int64), 4096
+    def exact_rates(x):  # k x_1, with x_1 = 1
+        assert x.tolist() == [4095, 1] and x.dtype == np.int64
+        return k.astype(np.int64) * x[1]
 
     # the table's row sums tie no time to another: 200 rates pass numpy's
     # 8-way and 128-block pairwise sums, and 0..1400 spans five blocks of 327
     grid = [0, 2, 2, 1, 5, 5, 40, 17, 1000, *range(1400)]
     for t_first in (0, 3):
-        got = exact._power_sums(c, q, exact_q, grid, t_first)
+        got = exact._power_sums(c, q, exact_rates, weights, grid, t_first)
         assert list(got) == sorted(set(grid))
         assert all(got[t] == 1.0 for t in range(t_first))
         for t in got:
-            assert exact._power_sums(c, q, exact_q, [t], t_first) == {t: got[t]}, t
+            assert exact._power_sums(c, q, exact_rates, weights, [t], t_first) == {t: got[t]}, t
         for t in (0, 2, 5, 40):
             want = sum(int(ci) * Fraction(qi) ** t for ci, qi in zip(c, q)) if t >= t_first else 1
             assert abs(got[t] - want) <= (t + 1) * np.finfo(float).eps * max(len(c), 1), t
-        assert exact._power_sums(c, q, exact_q, [], t_first) == {}
+        assert exact._power_sums(c, q, exact_rates, weights, [], t_first) == {}
 
 
 def test_power_table_is_blocked():
@@ -770,7 +781,7 @@ def test_power_table_is_blocked():
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        got = exact._power_sums(c, q, None, range(1, 134), 10)
+        got = exact._power_sums(c, q, None, None, range(1, 134), 10)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -783,9 +794,10 @@ def test_survival_is_one_before_m_over_the_largest_face_support(monkeypatch):
     first, fallback = [], []
     power_sums = exact._power_sums
 
-    def recorded(c, q, exact_q, t_grid, t_first):
+    def recorded(c, q, exact_rates, weights, t_grid, t_first):
         first.append(t_first)
-        return power_sums(c, q, lambda: fallback.append(t_first) or exact_q(), t_grid, t_first)
+        return power_sums(c, q, lambda x: fallback.append(t_first) or exact_rates(x), weights,
+                          t_grid, t_first)
 
     monkeypatch.setattr(exact, "_power_sums", recorded)
     # the non-local hypercube's faces cut two of 16 coordinates: T >= 8, and

@@ -228,8 +228,8 @@ def test_tsetlin_survival_reads_the_exact_rates_once_where_the_float_sum_cancels
     spec = cw.TsetlinSpec([3 / 32] * 8 + [1 / 32] * 8)
     reads, power_sums = [], gallery._power_sums
 
-    def counted(c, q, exact_q, *args):  # counts the reads of the exact rates it is handed
-        return power_sums(c, q, lambda: reads.append(True) or exact_q(), *args)
+    def counted(c, q, exact_rates, *args):  # counts the calls of the exact rates' map
+        return power_sums(c, q, lambda x: reads.append(True) or exact_rates(x), *args)
 
     def exact_reads(t_grid):
         reads.clear()
@@ -254,6 +254,36 @@ def test_tsetlin_survival_reads_the_exact_rates_once_where_the_float_sum_cancels
         want[t] = sum(p for (heavy, light), p in law.items() if heavy + light >= 2)
     assert [got[t] for t in (15, 16, 17)] == [float(want[t]) for t in (15, 16, 17)]
     assert all(abs(got[t] - want[t]) <= 1e-12 for t in grid)
+
+
+def test_tsetlin_exact_total_counts_each_card_of_a_class(monkeypatch):
+    # one card of 2^-11 + 2^-63 sets the denominator 2^63; fifteen cards of w_b,
+    # raised until their sum with it is at least 1: each class's integer is
+    # below 2^63, the cards' total is not, so the rates need Python ints
+    w_s = 2.0**-11 + 2.0**-63
+    w_b = (1 - w_s) / 15
+    while 15 * Fraction(w_b) + Fraction(w_s) < 1:
+        w_b = np.nextafter(w_b, 1.0)
+    assert Fraction(w_b) * 2**63 < 2**63 <= (15 * Fraction(w_b) + Fraction(w_s)) * 2**63
+    reads, power_sums = [], gallery._power_sums
+
+    def recorded(c, q, exact_rates, *args):  # the time and dtype of each integer read
+        return power_sums(c, q, lambda x: reads.append(x.dtype) or exact_rates(x), *args)
+
+    monkeypatch.setattr(gallery, "_power_sums", recorded)
+    got = cw.tsetlin_survival_profile(cw.TsetlinSpec([w_b] * 15 + [w_s]), range(1, 100))
+    assert reads == [object] and got[14] == 1.0
+    # the count-vector sum in fractions, against the exact total
+    total = 15 * Fraction(w_b) + Fraction(w_s)
+    terms = [((-1) ** (b + s) * (b + s - 1) * math.comb(15, b),
+              ((15 - b) * Fraction(w_b) + (1 - s) * Fraction(w_s)) / total)
+             for b in range(16) for s in range(2) if b + s >= 2]
+
+    def want(t):
+        return sum(c * q**t for c, q in terms)
+
+    assert got[15] == float(want(15))
+    assert all(abs(got[t] - want(t)) <= 1e-12 for t in range(15, 100))
 
 
 def test_tsetlin_survival_capacity():

@@ -96,15 +96,23 @@ def test_survival_equals_inclusion_exclusion_over_hyperplane_subsets(walk):
 @example([(1, 32), (10**4, 48), (-10**4, 48)], 2**60)  # and 48 * 2^60 passes 2^63
 def test_power_sums_merge_float_equal_rates_and_keep_the_float_times(terms, scale):
     # rates k/64 from a set of at most four collide, and each is exact in
-    # floats; exact rates k scale / (64 scale), as object past 2^63, are read
-    # at most once, and the float path is taken where the unmerged float sum took it
+    # floats: the weight of the first k of 64 cards of 1/64, the last one split
+    # in floats down to 2^-6 / scale, so that the integers are k scale over
+    # 64 scale, as object past 2^63; they are read at most once, and the float
+    # path is taken where the unmerged float sum took it
     c, k = [ci for ci, _ in terms], [ki for _, ki in terms]
     q, eps = np.array(k, dtype=float) / 64, np.finfo(float).eps
-    a = np.array([ki * scale for ki in k], dtype=np.int64 if 64 * scale < 2**63 else object)
+    last = [2.0**-6 - 2.0**-59, 2.0**-59 - 2.0**-66, 2.0**-66] if scale > 1 else [2.0**-6]
+    weights = [2.0**-6] * 63 + last
+
+    def rates(x):
+        assert sum(x.tolist()) == 64 * scale
+        assert x.dtype == (np.int64 if 64 * scale < 2**63 else object)
+        return np.array([x[:ki].sum() for ki in k], dtype=x.dtype)
 
     def power_sums(t_grid):
         read = []
-        got = exact._power_sums(c, q, lambda: read.append(1) or (a, 64 * scale), t_grid, 1)
+        got = exact._power_sums(c, q, lambda x: read.append(1) or rates(x), weights, t_grid, 1)
         assert len(read) <= 1
         return got, bool(read)
 
@@ -118,6 +126,17 @@ def test_power_sums_merge_float_equal_rates_and_keep_the_float_times(terms, scal
         if bound <= 1e-12 and -bound <= unmerged.sum() <= 1.0 + bound:
             floated.add(t)
         assert power_sums([t]) == ({t: got[t]}, t not in floated), t
+
+
+def integer_rates(exact_rates, weights, terms):
+    """(x, a): the integer weights that _power_sums hands the map exact_rates
+    and the rates a it returns, at one time that a float rate of 2 sends to
+    the integer path."""
+    read = []
+    exact._power_sums([1] + [0] * (terms - 1), [2.0] * terms,
+                      lambda x: read.append((x, exact_rates(x))) or read[-1][1], weights, [1], 1)
+    assert len(read) == 1
+    return read[0]
 
 
 def superset_loop(masks, weights, m):
@@ -141,9 +160,9 @@ def test_exact_rates_are_the_superset_sums_on_int64_and_past_it(case):
     masks, weights = np.array([k for k, _ in faces]), [x for _, x in faces]
     want = superset_loop(masks, weights, m)
     keep = np.arange(1 << m)[::2]
-    a, total = exact._rates(masks, weights, m, keep, exact=True)
-    assert a.tolist() == want[::2] and total == want[0] and type(total) is int
-    assert a.dtype == (np.int64 if total < 2**63 else object)
+    x, a = integer_rates(functools.partial(exact._rates, masks, m, keep), weights, keep.size)
+    assert a.tolist() == want[::2] and sum(x.tolist()) == want[0]
+    assert a.dtype == x.dtype == (np.int64 if want[0] < 2**63 else object)
     assert not tiny or a.dtype == object
 
 
@@ -156,11 +175,11 @@ def card_set_survival(w, t):
 
 
 def tsetlin_terms(spec):
-    """The coefficients, float rates and exact-rate reader that
+    """The coefficients, float rates, exact rates' map and card weights that
     tsetlin_survival_profile hands _power_sums."""
     with mock.patch.object(gallery, "_power_sums", wraps=gallery._power_sums) as spy:
         cw.tsetlin_survival_profile(spec, [1])
-    return spy.call_args.args[:3]
+    return spy.call_args.args[:4]
 
 
 @CASES
@@ -183,10 +202,12 @@ def test_tsetlin_survival_over_count_vectors_equals_card_sets_and_the_braid_walk
         assert all(abs(got[t] - walk[t]) <= 1e-12 for t in times)
     # one term per count vector u with |u| >= 2; its exact rate is the weight outside U
     classes = collections.Counter(w.tolist())
-    c, q, exact_q = tsetlin_terms(spec)
+    c, q, exact_rates, cards = tsetlin_terms(spec)
     assert len(c) == len(q) == math.prod(k + 1 for k in classes.values()) - 1 - len(classes)
-    a, total = exact_q()
-    assert a.dtype == (np.int64 if total < 2**63 else object)
+    assert sorted(cards.tolist()) == sorted(w.tolist())
+    x, a = integer_rates(exact_rates, cards, len(c))
+    total = sum(x.tolist())
+    assert a.dtype == x.dtype == (np.int64 if total < 2**63 else object)
     total_weight = sum(map(Fraction, w))
     want = [sum((k - x) * Fraction(v) for (v, k), x in zip(classes.items(), u)) / total_weight
             for u in itertools.product(*(range(k + 1) for k in classes.values())) if sum(u) >= 2]

@@ -74,18 +74,9 @@ class ConfigError(ValueError):
     pass
 
 
-def _parse_number(tok):
-    tok = tok.strip()
-    if "/" in tok:
-        num, den = tok.split("/")
-        return float(num) / float(den)
-    return float(tok)
-
-
-def _parse_value(raw):
-    raw = raw.strip()
+def _parse_value(raw, what):
     if "," in raw:
-        return [_parse_number(x) for x in raw.split(",") if x.strip()]
+        return [_number(x, what) for x in raw.split(",") if x.strip()]
     return raw
 
 
@@ -94,8 +85,8 @@ def parse_params(tokens):
     for tok in tokens:
         if "=" not in tok:
             raise ConfigError(f"expected key=value, got {tok!r}")
-        key, raw = tok.split("=", 1)
-        params[key.strip()] = _parse_value(raw)
+        key, raw = (x.strip() for x in tok.split("=", 1))
+        params[key] = _parse_value(raw, f"each entry of parameter {key!r}")
     return params
 
 
@@ -129,18 +120,24 @@ def parse_t_grid(spec):
 
 
 def _number(v, what):
+    """v, a number or an 'a' or 'a/b' string, as a finite float; anything
+    else (a list, 1/0, 1/2/3, nan, inf) raises ConfigError naming what."""
     try:
-        return float(v)  # a list value raises TypeError
-    except (TypeError, ValueError):
-        raise ConfigError(f"{what} must be one number, got {v!r}") from None
+        num, den = v.split("/") if isinstance(v, str) and "/" in v else (v, 1)
+        x = float(num) / float(den)  # exact where den is 1
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        x = math.nan
+    if not math.isfinite(x):
+        raise ConfigError(f"{what} must be one finite number, got {v!r}")
+    return x
 
 
 def _whole(v, what):
     """v as an int; a fraction, an infinity or no number raises ConfigError."""
-    if not _number(v, what).is_integer():
+    if not (x := _number(v, what)).is_integer():
         raise ConfigError(f"{what} must be an integer, got {v!r}")
     raw = str(v).strip()
-    return int(raw) if raw.isdigit() else int(float(v))  # digits stay exact past 2**53
+    return int(raw) if raw.isdigit() else int(x)  # digits stay exact past 2**53
 
 
 def _get_int(params, key, default=None):
@@ -161,9 +158,7 @@ def _get_weights(params, key, n=None):
             raise ConfigError(f"missing required parameter {key!r}")
         return np.full(n, 1.0 / n)
     v = params[key]
-    if not isinstance(v, list):
-        v = [_parse_number(v)]
-    return np.asarray(v, dtype=float)
+    return np.asarray(v if isinstance(v, list) else [_number(v, f"parameter {key!r}")])
 
 
 def build_family(family, params):

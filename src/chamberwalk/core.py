@@ -163,6 +163,17 @@ class Arrangement:
         return int(i)
 
 
+def _check_weights(weights, what):
+    """weights as floats; ValueError unless each is > 0 and they sum to 1
+    within 1e-12.  A NaN fails both comparisons."""
+    w = np.asarray(weights, dtype=float)
+    if not np.all(w > 0):
+        raise ValueError(f"all {what} must be strictly positive")
+    if not abs(w.sum() - 1.0) <= 1e-12:
+        raise ValueError(f"{what} sum to {float(w.sum())!r}, expected 1 within 1e-12")
+    return w
+
+
 @dataclass(frozen=True)
 class WeightedFaceSet:
     """A probability measure on faces, ``signs`` an int8 row per face; only
@@ -174,16 +185,12 @@ class WeightedFaceSet:
 
     def __post_init__(self):
         w, signs = np.asarray(self.weights, dtype=float), np.asarray(self.signs, dtype=np.int8)
-        object.__setattr__(self, "weights", w)
         object.__setattr__(self, "signs", signs)
         if len(signs) != len(w):
             raise ValueError("faces and weights length mismatch")
         if not len(w):
             raise ValueError("no weighted faces")
-        if np.any(w <= 0):
-            raise ValueError("all listed weights must be strictly positive")
-        if abs(w.sum() - 1.0) > 1e-12:
-            raise ValueError(f"weights sum to {float(w.sum())!r}, expected 1 within 1e-12")
+        object.__setattr__(self, "weights", _check_weights(w, "weights"))
         if signs.ndim != 2:
             raise DimensionError("faces have inconsistent lengths")
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CapacityError, braid_m, braid_signs, weighted_faces
+from .core import CapacityError, _check_weights, braid_m, braid_signs, weighted_faces
 from .exact import _power_sums, _push, _times, _walk
 from .glauber import DEFAULT_COUPON_CELL_CAP, _chain_T, _count_chain, _horizon, _hypergeometric
 
@@ -36,15 +36,6 @@ def _check_entries(faces, m, hint=""):
                             f"{DEFAULT_ENUM_CAP} sign entries{hint}")
 
 
-def _check_weights(weights):
-    w = np.asarray(weights, dtype=float)
-    if np.any(w <= 0):
-        raise ValueError("card weights must be strictly positive")
-    if abs(w.sum() - 1.0) > 1e-12:
-        raise ValueError(f"card weights sum to {float(w.sum())!r}, expected 1")
-    return w
-
-
 @dataclass(frozen=True)
 class TsetlinSpec:
     """Move-to-front chain: pick card i with probability w_i, move it to top."""
@@ -52,7 +43,7 @@ class TsetlinSpec:
     card_weights: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "card_weights", _check_weights(self.card_weights))
+        object.__setattr__(self, "card_weights", _check_weights(self.card_weights, "card weights"))
 
     @property
     def n(self):
@@ -124,7 +115,7 @@ def top_bottom_faces(n, card_weights=None):
     1/(2n) each)."""
     if card_weights is None:
         card_weights = np.full(n, 1.0 / n)
-    w = _check_weights(card_weights)
+    w = _check_weights(card_weights, "card weights")
     if n < 2 or len(w) != n:
         raise ValueError(f"top-bottom faces need n >= 2 and one weight per card, got n={n}")
     _check_entries(2 * n, braid_m(n))
@@ -252,8 +243,7 @@ def solve_t_star(spec):
     lo, hi = 0.0, 1.0
     while g(hi) > 0:
         lo, hi = hi, 2.0 * hi
-    while hi - lo > 1e-9:
-        mid = 0.5 * (lo + hi)
+    while hi - lo > 1e-9 and lo < (mid := 0.5 * (lo + hi)) < hi:  # floats past 2^23: > 1e-9 apart
         if g(mid) > 0:
             lo = mid
         else:
@@ -288,8 +278,8 @@ def tsetlin_bounds(spec, c, strict=True):
     evaluated outside its validity range (asymptotic-target usage) instead of
     raising.
     """
-    if c <= 0:
-        raise ValueError("need c > 0")
+    if not 0 < c < math.inf:
+        raise ValueError(f"need a finite c > 0, got c={c}")
     w = spec.card_weights
     min_w = float(w.min())
     min_w_sq = float((w**2).min())
@@ -299,14 +289,17 @@ def tsetlin_bounds(spec, c, strict=True):
         raise ValueError(
             f"lower bound requires c < t*.min(w)/2 = {c_cap:.6g}; got c = {c}"
         )
-    slack = (4.0 * min_w_sq * t_star + 2.0 * c * min_w) / c**2
-    upper_raw = 1.0 - math.exp(-math.exp(-c / 2.0) / 2.0) + slack
-    lower_raw = (
-        1.0
-        - math.exp(-math.exp(c / 2.0) / 2.0)
-        - (4.0 * min_w_sq * t_star - 2.0 * c * min_w) / c**2
-        - 1.0 / c
-    )
+    try:
+        slack = (4.0 * min_w_sq * t_star + 2.0 * c * min_w) / c**2
+        upper_raw = 1.0 - math.exp(-math.exp(-c / 2.0) / 2.0) + slack
+        lower_raw = (
+            1.0
+            - math.exp(-math.exp(c / 2.0) / 2.0)
+            - (4.0 * min_w_sq * t_star - 2.0 * c * min_w) / c**2
+            - 1.0 / c
+        )
+    except (OverflowError, ZeroDivisionError):  # c**2 or exp(c/2) past the floats
+        raise ValueError(f"the bounds at c={c} leave the float range") from None
     upper_value = min(max(upper_raw, 0.0), 1.0)
     lower_value = min(max(lower_raw, 0.0), 1.0)
     return TsetlinBoundReport(

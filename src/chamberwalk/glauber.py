@@ -73,8 +73,8 @@ def grid_edges(width, height):
 def ising_system(width, height, beta, field=0.0):
     """Ferromagnetic Ising model on a width x height grid, free boundary;
     its symmetries are the grid's reflections, and its transpose when square."""
-    if beta < 0:
-        raise ValueError("antiferromagnetic coupling (beta < 0) is not monotone")
+    if not (0 <= beta < math.inf and math.isfinite(field)):  # beta < 0 is not monotone
+        raise ValueError(f"need a finite beta >= 0 and a finite field, got {beta=} {field=}")
     if min(width, height) < 1:
         raise ValueError(f"need at least one site, got {width}x{height}")
     _check_sites(n := width * height)  # before building the 2n edges
@@ -98,9 +98,9 @@ def product_system(n, probs_up=None):
     if n < 1:
         raise ValueError(f"need at least one site, got n={n}")
     _check_sites(n)
-    if probs_up is None:
-        probs_up = [0.5] * n
-    probs_up = list(probs_up)
+    probs_up = [0.5] * n if probs_up is None else list(probs_up)
+    if len(probs_up) != n or not all(0 < p < 1 for p in probs_up):
+        raise ValueError(f"need n={n} probabilities in (0, 1), got {probs_up}")
 
     def log_weight(sigma):
         return sum(
@@ -123,10 +123,14 @@ def _heat_bath(sys):
     from i at u alone."""
     configs = sys.configurations()
     logs = np.array([sys.log_weight(c) for c in configs])
+    with np.errstate(over="ignore", invalid="ignore"):  # a pi of 0 or nan is refused below
+        pi = _softmax(logs, 0)
+    if not (least := pi.min()) >= np.finfo(float).tiny:  # 1 / pi stays a float
+        raise ValueError(f"{sys.name}: a stationary probability {least!r} is below the floats")
     i, n_spins = np.arange(len(configs)), len(sys.spins)
     place = n_spins ** np.arange(sys.n_sites - 1, -1, -1)[:, np.newaxis, np.newaxis]
     succ = i - i // place % n_spins * place + np.arange(n_spins)[:, np.newaxis] * place
-    return configs, _softmax(logs, 0), succ, _softmax(logs[succ], 1)
+    return configs, pi, succ, _softmax(logs[succ], 1)
 
 
 def glauber_matrix(sys):
@@ -308,8 +312,8 @@ def monotone_lower_bounds(n, c):
     """Uniform lower bounds for any n-site monotone system:
     s(n log n - cn) >= 1 - exp(-e^c) and
     d(n/2 log n - cn) >= 1/4 - exp(-e^c)/4."""
-    if c <= 0:
-        raise ValueError("need c > 0")
+    if not 0 < c < math.inf:
+        raise ValueError(f"need a finite c > 0, got c={c}")
     sep_bound = 1.0 - math.exp(-math.exp(c))
     return MonotoneLowerBounds(
         sep_time=n * math.log(n) - c * n,

@@ -6,6 +6,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import chamberwalk.exact
 
@@ -376,6 +378,14 @@ def test_unknown_family_errors(tmp_path):
         ["mc", "--family", "riffle", "--params", "n=3", "--t-grid", "1..10..0"],
         ["mc", "--family", "riffle", "--params", "n=3", "--t-grid", "1..x"],
         ["exact", "--family", "riffle", "--params", "n=3", "--t-grid", "1e400,2"],
+        ["bounds", "--family", "tsetlin", "--params", "n=20", "c=inf"],
+        ["bounds", "--family", "tsetlin", "--params", "n=20", "c=nan"],
+        ["bounds", "--family", "tsetlin", "--params", "n=20", "c=2000"],
+        ["bounds", "--family", "tsetlin", "--params", "n=20", "c=1e-300"],
+        ["glauber", "--family", "ising", "--params", "width=2", "height=2", "beta=nan"],
+        ["mc", "--family", "tsetlin", "--params", "weights=1/0,1"],
+        ["mc", "--family", "tsetlin", "--params", "weights=1/2/3,1/2"],
+        ["mc", "--family", "riffle", "--params", "n=4/0"],
     ],
 )
 def test_bad_numeric_params_exit_2(argv, tmp_path, monkeypatch):
@@ -394,6 +404,55 @@ def test_bad_numeric_params_exit_2(argv, tmp_path, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         main(argv[:1] + grid + argv[1:])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, fraction, decimal",
+    [
+        (["bounds", "--family", "tsetlin", "--params", "n=20"], "c=1/2", "c=0.5"),
+        (["glauber", "--family", "ising", "--params", "width=2", "height=2"],
+         "beta=1/3", "beta=0.3333333333333333"),
+    ],
+)
+def test_a_fraction_runs_as_its_decimal(argv, fraction, decimal, tmp_path):
+    # every number parameter takes a fraction; only the params line tells the two apart
+    runs = []
+    for i, value in enumerate((fraction, decimal)):
+        out = tmp_path / f"{i}.csv"
+        run_cli(argv + [value, "--trials", "200", "--t-grid", "1..5", "--out", str(out)])
+        meta, _, rows = read_rows(out)
+        runs.append(([m for m in meta if not m.startswith("# params=")], rows))
+    assert runs[0] == runs[1]
+
+
+NUMBER_RUNS = [
+    (["bounds", "--family", "tsetlin", "--params", "n=5"], "c"),
+    (["glauber", "--family", "ising", "--params", "width=2", "height=2"], "beta"),
+    (["glauber", "--family", "ising", "--params", "width=2", "height=2"], "field"),
+    (["mc", "--family", "hypercube-nonlocal", "--params", "n=8"], "k"),
+    (["mc", "--family", "hypercube-nonlocal", "--params", "n=8", "k=2"], "seed"),
+]
+TEXT = st.one_of(
+    st.text(),
+    st.floats().map(str),
+    st.fractions().map(str),
+    st.from_regex(r"[-+]?[0-9.e]{0,5}(/[-+]?[0-9.e]{0,5})?", fullmatch=True),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.sampled_from(NUMBER_RUNS), TEXT)
+def test_any_text_in_a_number_parameter_runs_or_exits_2(run, text):
+    # text, and strings shaped like numbers that reach the formulas: each value
+    # runs or is refused at main's boundary, never a traceback
+    argv, key = run
+    rest = ["--trials", "10", "--t-grid", "1..3", "--out", os.devnull]
+    try:
+        rc = main([*argv, f"{key}={text}", *rest])
+    except SystemExit as exc:
+        assert exc.code == 2
+    else:
+        assert rc == 0
 
 
 @pytest.mark.parametrize("k", [0, 1, 300, 600])

@@ -191,6 +191,10 @@ def test_weighted_face_set_validation():
         cw.WeightedFaceSet(((1, 1),), np.array([0.5]))
     with pytest.raises(ValueError):
         cw.WeightedFaceSet(((1, 1), (0, 1)), np.array([0.7, -0.3]))
+    with pytest.raises(ValueError, match="strictly positive"):
+        cw.WeightedFaceSet(((1, 1), (0, 1)), np.array([np.nan, 1.0]))
+    with pytest.raises(ValueError, match="sum to inf"):
+        cw.WeightedFaceSet(((1, 1), (0, 1)), np.array([np.inf, 1.0]))
 
 
 def test_custom_arrangement_rejects_unclosed_faces():

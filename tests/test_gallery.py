@@ -37,6 +37,10 @@ def test_tsetlin_weight_validation():
         cw.TsetlinSpec([1.2, -0.2])
     with pytest.raises(ValueError, match="sum to 0.0"):
         cw.TsetlinSpec([])  # an empty list sums to 0
+    with pytest.raises(ValueError, match="strictly positive"):
+        cw.TsetlinSpec([math.nan, 0.5, 0.5])
+    with pytest.raises(ValueError, match="strictly positive"):
+        cw.top_bottom_faces(3, [math.nan, 0.5, 0.5])
 
 
 @pytest.mark.parametrize(
@@ -153,6 +157,9 @@ def test_solve_t_star():
     assert cw.solve_t_star(cw.TsetlinSpec([1.0])) == pytest.approx(
         math.log(2), abs=1e-9
     )
+    # past t = 2^23 adjacent floats are more than 1e-9 apart: the bisection ends there
+    t_star = cw.solve_t_star(cw.TsetlinSpec([1e-8, 1 - 1e-8]))
+    assert t_star == pytest.approx(1e8 * math.log(2), rel=1e-12)
     spec = cw.TsetlinSpec([0.5, 0.3, 0.2])
     t_star = cw.solve_t_star(spec)
     resid = abs(np.exp(-spec.card_weights * t_star).sum() - 0.5)
@@ -191,6 +198,12 @@ def test_tsetlin_bounds_preconditions():
     # non-strict evaluation outside the validity range is allowed
     rep = cw.tsetlin_bounds(spec, c_cap + 0.1, strict=False)
     assert 0 <= rep.lower_value <= 1
+    for c in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"c={c}"):
+            cw.tsetlin_bounds(spec, c, strict=False)
+    for c in (1e-300, 2000.0):  # c**2 is 0, or exp(c / 2) overflows
+        with pytest.raises(ValueError, match="float range"):
+            cw.tsetlin_bounds(spec, c, strict=False)
 
 
 def test_tsetlin_survival_profile_values():

@@ -29,6 +29,15 @@ def test_ising_zero_beta_uniform():
 def test_ising_rejects_negative_beta_and_capacity():
     with pytest.raises(ValueError):
         cw.ising_system(2, 2, beta=-0.5)
+    for beta, field in [(math.nan, 0.0), (math.inf, 0.0), (0.3, math.nan), (0.3, -math.inf)]:
+        with pytest.raises(ValueError, match="nan|inf"):
+            cw.ising_system(2, 2, beta, field)
+    for probs_up in ([1.5, 0.5], [0.0, 0.5], [math.nan, 0.5], [0.9]):
+        with pytest.raises(ValueError, match="probabilities in"):
+            cw.product_system(2, probs_up)
+    for beta, field in [(89.0, 0.0), (0.0, 94.0), (2.25e307, 0.0)]:  # pi below the floats
+        with pytest.raises(ValueError, match="stationary probability"):
+            cw.glauber_separation_profile(cw.ising_system(2, 2, beta, field), [1])
     with pytest.raises(CapacityError):
         cw.ising_system(5, 5, beta=0.1)
 
@@ -288,6 +297,8 @@ def test_monotone_lower_bounds_values():
     assert big.tv_bound == pytest.approx(0.25)
     with pytest.raises(ValueError):
         cw.monotone_lower_bounds(9, 0.0)
+    with pytest.raises(ValueError, match="c=nan"):
+        cw.monotone_lower_bounds(9, math.nan)
 
 
 def _count_chain_survival(n, ts):

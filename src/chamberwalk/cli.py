@@ -301,6 +301,8 @@ def cmd_bounds(args, params):
     spec = info["spec"]
     c = _get_float(params, "c", 3.0)
     report = tsetlin_bounds(spec, c, strict=bool(_get_int(params, "strict", 0)))
+    if not report.upper_time < 2**63:  # nan and inf too; then the lower time is finite as well
+        raise ConfigError(f"bounds time t* + c/min(w) = {report.upper_time!r} does not fit int64")
     times = sorted(
         {max(0, math.ceil(report.lower_time)), math.ceil(report.upper_time)}
     )

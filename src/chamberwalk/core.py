@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,17 +124,25 @@ class Arrangement:
 
     ``faces`` is None for the built-in families and lists the face universe
     only for custom arrangements: the chambers and the weighted faces are
-    all that the walk and the exact analysis ever touch.
+    all that the walk and the exact analysis ever touch.  ``symmetries``
+    lists candidates (src, sign), x -> sign * x[src], each src a permutation
+    of range(m) and each sign m signs +-1, for distance_profiles to check.
     """
 
     m: int
     signs: np.ndarray
     faces: tuple | None
     family_tag: str
+    symmetries: tuple = ()
 
     def __post_init__(self):
         signs = np.asarray(self.signs, dtype=np.int8)
         object.__setattr__(self, "signs", signs.reshape(len(signs), self.m))
+        for src, sign in (map(np.asarray, g) for g in self.symmetries):
+            if src.dtype.kind not in "iu" or not np.array_equal(np.sort(src), np.arange(self.m)):
+                raise ValueError(f"symmetry src {src.tolist()} does not permute range({self.m})")
+            if sign.shape != (self.m,) or not np.all(np.abs(sign) == 1):
+                raise ValueError(f"symmetry sign {sign.tolist()} is not {self.m} signs +-1")
 
     @property
     def n_chambers(self):
@@ -221,24 +228,18 @@ def build_boolean(n, face_limit=DEFAULT_FACE_LIMIT):
     if 2**n > face_limit:
         raise CapacityError(f"2^{n} chambers exceeds limit {face_limit}")
     signs = 1 - 2 * np.indices((2,) * n, dtype=np.int8).reshape(n, -1).T  # product((1, -1))
-    return Arrangement(m=n, signs=signs, faces=None, family_tag=f"boolean({n})")
+    flips = tuple(zip(itertools.repeat(np.arange(n)), 1 - 2 * np.eye(n, dtype=int)))
+    return Arrangement(m=n, signs=signs, faces=None, family_tag=f"boolean({n})", symmetries=flips)
 
 
 def braid_m(n):
     return n * (n - 1) // 2
 
 
-def braid_pair_index(n):
-    """Hyperplane ordering for the braid arrangement: pairs (i, j) with
-    i < j over cards 0..n-1, in lexicographic order."""
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    return {p: k for k, p in enumerate(pairs)}
-
-
 def braid_signs(pos):
     """Sign vectors of ordered set partitions of n cards, one per row of pos,
     a signed integer array where pos[..., x] is the position of card x's
-    block: as int8, the coordinate of pair (i, j), i < j, in braid_pair_index
+    block: as int8, the coordinate of pair (i, j), i < j, in lexicographic
     order, is the sign of pos[j] - pos[i]: + when i's block comes first."""
     i, j = np.triu_indices(pos.shape[-1], 1)
     return np.sign(pos[..., j] - pos[..., i]).astype(np.int8)
@@ -254,26 +255,13 @@ def build_braid(n, face_limit=DEFAULT_FACE_LIMIT):
         raise CapacityError(f"{n}! chambers exceeds limit {face_limit}")
     perms = np.fromiter(itertools.chain.from_iterable(itertools.permutations(range(n))), np.int8)
     pos = np.argsort(perms.reshape(-1, n), axis=1).astype(np.int8)  # each card's place
-    return Arrangement(m=braid_m(n), signs=braid_signs(pos), faces=None, family_tag=f"braid({n})")
-
-
-def symmetry_generators(arr):
-    """Candidate symmetries (src, sign), acting by x -> sign * x[src]: each
-    card transposition for braid(n), each sign flip for boolean(n), none for
-    other arrangements.  Callers check them."""
-    tag = re.fullmatch(r"(braid|boolean)\((\d+)\)", arr.family_tag)
-    n = int(tag[2]) if tag else 0
-    if tag and tag[1] == "boolean" and arr.m == n:
-        return [(np.arange(n), np.where(np.arange(n) == i, -1, 1)) for i in range(n)]
-    if not tag or tag[1] != "braid" or arr.m != braid_m(n):
-        return []
-    idx, gens = braid_pair_index(n), []
-    for a, b in idx:
-        swap = {a: b, b: a}
-        pre = [(swap.get(i, i), swap.get(j, j)) for i, j in idx]  # cards sent to i, j
-        gens.append((np.array([idx[min(p), max(p)] for p in pre]),
-                     np.array([1 if i < j else -1 for i, j in pre])))
-    return gens
+    i, j = np.triu_indices(n, 1)
+    pair = np.zeros((n, n), dtype=np.intp)
+    pair[i, j] = pair[j, i] = np.arange(len(i))  # the hyperplane of cards i and j
+    # row k of swap: the cards 0..n-1 under the transposition of cards i[k] and j[k]
+    swap = np.arange(n) + np.subtract(*np.eye(n, dtype=int)[[i, j]]) * (j - i)[:, np.newaxis]
+    return Arrangement(m=braid_m(n), signs=braid_signs(pos), faces=None, family_tag=f"braid({n})",
+                       symmetries=tuple(zip(pair[swap[:, i], swap[:, j]], braid_signs(swap))))
 
 
 def violated_hyperplanes(w):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CapacityError, _bits, _keys, _lookup, _search, _sign_keys, check_separating
-from .core import symmetry_generators, weighted_faces
+from .core import weighted_faces
 
 DEFAULT_CHAMBER_CAP = 10_000
 DEFAULT_IE_HYPERPLANE_CAP = 20
@@ -67,13 +67,13 @@ def transition_matrix(arr, w):
 
 
 def _symmetries(arr, w):
-    """The chamber permutations of the candidates symmetry_generators(arr)
-    that pass the check: each maps the chambers onto the chambers and each
-    weighted face to one of exactly equal total weight (a face listed twice
-    weighs the sum of its entries), so that P(gx, gy) = P(x, y)."""
+    """The chamber permutations of the candidates arr.symmetries that pass
+    the check: each maps the chambers onto the chambers and each weighted
+    face to one of exactly equal total weight (a face listed twice weighs
+    the sum of its entries), so that P(gx, gy) = P(x, y)."""
     w = weighted_faces(w.signs, w.weights)
     faces, maps = _lookup(_sign_keys(w.signs)), []
-    for src, sign in symmetry_generators(arr):
+    for src, sign in arr.symmetries:
         g = arr._find(_bits(sign * arr.signs[:, src]))
         image = _search(faces, _sign_keys(sign * w.signs[:, src]))
         if g.min() >= 0 and image.min() >= 0 and np.array_equal(w.weights[image], w.weights):

@@ -348,20 +348,20 @@ def sample_card_collection_T(spec, trials, seed):
     """Monte Carlo samples of T = first time n-1 distinct cards are touched.
 
     Equal weights, where the count chain's worst-case cells, n + 2 for each
-    of _horizon((n, 1, n - 1), 2^-53) steps, cost less than n - 2
-    exponentials a trial: one V = 1 - U per trial and T = #{t : S(t) >= V}
-    by _chain_T, S the curve of _count_chain(n, 1, n - 1).  Exact in law up
-    to 2^-53 and the chain's rounding, whatever the cache holds.  Otherwise
-    T is n-1 steps plus one Poisson count of repeats: card i is touched at
-    rate w_i in continuous time, first at tau_i = E_i / w_i, E_i ~ Exp(1);
-    n-1 cards are touched at s, the second-largest tau, and card i repeats
-    Poisson(w_i (s - tau_i)^+) times before it.
+    of _horizon((n, 1, n - 1), 2^-53) steps, fit DEFAULT_COUPON_CELL_CAP with
+    a point more and cost less than n - 2 exponentials a trial: T = #{t :
+    S(t) >= 1 - U} by _chain_T, one U a trial, S the curve of _count_chain(n,
+    1, n - 1).  Exact in law up to 2^-53 and the chain's rounding, whatever
+    the cache holds.  Otherwise T is n-1 steps plus one Poisson count of
+    repeats: card i is touched at rate w_i in continuous time, first at
+    tau_i = E_i / w_i, E_i ~ Exp(1); n-1 are touched at s, the second-largest
+    tau, and card i repeats Poisson(w_i (s - tau_i)^+) times before it.
     """
     n = spec.n
     w = spec.card_weights
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
-    if spec.equal_weights and (
-            _CHAIN_CELL_COST * (n + 2) * _horizon((n, 1, n - 1), 2.0**-53) < trials * (n - 2)):
+    cells = (n + 2) * _horizon((n, 1, n - 1), 2.0**-53) if spec.equal_weights else math.inf
+    if cells + n + 2 <= DEFAULT_COUPON_CELL_CAP and _CHAIN_CELL_COST * cells < trials * (n - 2):
         u = rng.random(trials)
         return _chain_T((n, 1, n - 1), np.subtract(1.0, u, out=u))
     out = np.empty(trials, dtype=np.int64)

@@ -314,7 +314,7 @@ def monotone_lower_bounds(n, c):
     d(n/2 log n - cn) >= 1/4 - exp(-e^c)/4."""
     if not 0 < c < math.inf:
         raise ValueError(f"need a finite c > 0, got c={c}")
-    sep_bound = 1.0 - math.exp(-math.exp(c))
+    sep_bound = 1.0 - math.exp(-math.exp(min(c, 709.0)))  # 1.0 from c = 6.62 on; e^c kept finite
     return MonotoneLowerBounds(
         sep_time=n * math.log(n) - c * n,
         sep_bound=sep_bound,

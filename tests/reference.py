@@ -7,6 +7,8 @@ weights, chamber lists and a spin system's fields (``n_sites``, ``spins``,
 
 - Faces: the face product, the ordered set partitions of n cards and their
   braid sign vectors, deck orders as braid chambers and back.
+- Candidate symmetries (src, sign), x -> sign * x[src]: the card
+  transpositions of the braid arrangement, the sign flips of the Boolean one.
 - The stationary law of the chamber walk by sampling faces without
   replacement, enumerated over their orderings.
 - Heat-bath Glauber dynamics: a site's conditional, one coupled update,
@@ -75,6 +77,25 @@ def chamber_to_permutation(c, n):
     for card, b in enumerate(before):
         perm[b] = card
     return tuple(perm)
+
+
+def card_transpositions(n):
+    """One (src, sign) per pair (a, b) of n cards, in lexicographic order:
+    swap a and b, then the coordinate of pair (i, j) reads that of the pair
+    of the cards sent to i and j, negated where their order reverses."""
+    pairs = list(itertools.combinations(range(n), 2))
+    out = []
+    for a, b in pairs:
+        swap = {a: b, b: a}
+        pre = [(swap.get(i, i), swap.get(j, j)) for i, j in pairs]
+        out.append(([pairs.index((min(p), max(p))) for p in pre],
+                    [1 if i < j else -1 for i, j in pre]))
+    return out
+
+
+def coordinate_flips(n):
+    """One (src, sign) per coordinate of the Boolean arrangement: negate it."""
+    return [(list(range(n)), [-1 if k == i else 1 for k in range(n)]) for i in range(n)]
 
 
 def stationary_without_replacement(chambers, faces, weights):

@@ -522,6 +522,18 @@ def test_builder_and_capacity_errors_exit_2(argv, monkeypatch, capsys):
     assert "chamberwalk: error: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("weights, time", [("1e-300,1", "1.693147180559945e+300"),
+                                           ("5e-324,1", "inf")])
+def test_bounds_time_past_int64_exits_2(weights, time, tmp_path, capsys):
+    # t* + c / min(w) past 2^63, or past the floats, was an OverflowError
+    # traceback, or "cannot convert float NaN to integer"; now it is named
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds", "--family", "tsetlin", "--params", f"weights={weights}", "c=1",
+              "--t-grid", "1..3", "--trials", "10", "--out", str(tmp_path / "b.csv")])
+    assert exc.value.code == 2
+    assert f"t* + c/min(w) = {time} does not fit int64" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag, path", [("--config", "missing.txt"), ("--out", "nodir/x.csv")])
 def test_os_errors_exit_2(flag, path, tmp_path, capsys):
     # a config file that is not there or an output directory that is not

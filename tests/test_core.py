@@ -13,7 +13,8 @@ from chamberwalk.cli import main
 from chamberwalk.core import ZERO, validate_closure
 
 import reference
-from reference import chamber_to_permutation, face_product, ordered_set_partitions
+from reference import card_transpositions, chamber_to_permutation, coordinate_flips, face_product
+from reference import ordered_set_partitions
 from reference import partition_to_sign_vector, permutation_to_chamber
 
 
@@ -212,7 +213,7 @@ def test_arrangement_file_roundtrip(tmp_path):
 
     write_arrangement_file(path, arr, w)
     arr2, w2 = cw.load_arrangement_file(path)
-    assert arr2.m == 2
+    assert arr2.m == 2 and arr.symmetries == arr2.symmetries == ()  # custom: no candidates
     assert set(arr2.chambers) == set(arr.chambers)
     assert set(arr2.faces) == set(arr.faces)
     got = dict(zip(w2.faces, w2.weights))
@@ -269,6 +270,30 @@ def test_builtin_arrangements_list_no_faces(tmp_path):
         ["exact", "--family", "riffle", "--params", "n=4", "--t-grid", "1..3"],
     ):
         assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 0
+
+
+def test_builders_carry_the_reference_symmetries():
+    # the card transpositions and the coordinate flips, pair for pair and in order
+    for arr, want in [*((cw.build_braid(n), card_transpositions(n)) for n in range(2, 9)),
+                      *((cw.build_boolean(n), coordinate_flips(n)) for n in range(1, 9))]:
+        got = [tuple(np.asarray(x).tolist() for x in pair) for pair in arr.symmetries]
+        assert got == want, arr.family_tag
+
+
+@pytest.mark.parametrize("what, src, sign", [
+    ("src", [0, 0, 2], [1, 1, 1]),  # not one-to-one
+    ("src", [0, 1, 3], [1, 1, 1]),  # outside range(3)
+    ("src", [0, 1], [1, 1, 1]),
+    ("src", [0.0, 1.0, 2.0], [1, 1, 1]),  # not an index
+    ("sign", [0, 1, 2], [1, -1]),  # of the wrong length
+    ("sign", [0, 1, 2], [1, 0, -1]),
+    ("sign", [2, 1, 0], [[1, 1, 1]]),
+])
+def test_arrangement_refuses_a_candidate_that_is_no_signed_permutation(what, src, sign):
+    # such a candidate could pass distance_profiles' check and not be one-to-one
+    with pytest.raises(ValueError, match=f"symmetry {what}"):
+        cw.Arrangement(m=3, signs=cw.build_boolean(3).signs, faces=None, family_tag="boolean(3)",
+                       symmetries=(([0, 1, 2], [-1, 1, 1]), (src, sign)))
 
 
 def test_no_public_function_moves_a_size_limit():

@@ -10,7 +10,7 @@ import pytest
 
 import chamberwalk as cw
 from chamberwalk import exact
-from chamberwalk.core import CapacityError, symmetry_generators
+from chamberwalk.core import CapacityError
 from chamberwalk.exact import survival_terms
 
 import reference
@@ -495,7 +495,7 @@ def braid4_with_extra_orbit():
     """braid(4)'s chambers plus the orbit of a cyclic sign vector (0 before
     1 before 2 before 0), which no ordering of the cards gives."""
     braid4 = cw.build_braid(4)
-    gens = symmetry_generators(braid4)
+    gens = braid4.symmetries
     orbit, frontier = set(), [(1, -1, 1, 1, 1, 1)]
     while frontier:
         x = frontier.pop()
@@ -503,7 +503,7 @@ def braid4_with_extra_orbit():
             orbit.add(x)
             frontier += [tuple(int(v) for v in sign * np.array(x)[src]) for src, sign in gens]
     return cw.Arrangement(m=6, signs=braid4.chambers + tuple(sorted(orbit)),
-                          faces=None, family_tag="braid(4)")
+                          faces=None, family_tag="braid(4)", symmetries=gens)
 
 
 def orbit_starts(arr, w):
@@ -519,7 +519,7 @@ def test_certificate_rejects_asymmetric_inputs():
     moved[j] = np.nextafter(moved[j], 0.0)
     universe = list(itertools.product((1, -1, 0), repeat=2))
     missing = cw.Arrangement(m=6, signs=cw.build_braid(4).signs[1:], faces=None,
-                             family_tag="braid(4)")
+                             family_tag="braid(4)", symmetries=cw.build_braid(4).symmetries)
     for arr, w in [
         tsetlin([0.3, 0.3, 0.2, 0.2]),
         (cw.build_boolean(3), cw.hypercube_nn_faces([0.2] * 3, [0.4 / 3] * 3)),
@@ -550,7 +550,7 @@ def test_orbits_keep_the_symmetries_that_pass():
                 for x in arr.chambers]
 
     maps = exact._symmetries(arr, w)
-    assert len(symmetry_generators(arr)) == 6
+    assert len(arr.symmetries) == 6
     assert [g.tolist() for g in maps] == [swap_cards(0, 1), swap_cards(2, 3)]
     assert len(orbit_starts(arr, w)) == 6
     # two heavy cards among six: 6! / (2! 4!) orbits, each walked from its least chamber

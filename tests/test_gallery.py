@@ -529,20 +529,40 @@ def test_card_collection_takes_the_draws_where_the_chain_does_not_pay():
     assert T.shape == (10,) and np.all(T >= 2999)
 
 
+def _clock_draws(w, trials, seed):
+    """The clock path's T, in one block of the sampler: card i first touched
+    at tau_i = E_i / w_i; before s, the second-largest clock, it repeats
+    Poisson(w_i (s - tau_i)^+) times."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
+    tau = rng.standard_exponential((trials, len(w))) / w
+    s = np.sort(tau, axis=1)[:, -2]
+    return (len(w) - 1) + rng.poisson(np.maximum(s[:, np.newaxis] - tau, 0.0) @ w)
+
+
 def test_card_collection_unequal_weights_draw_for_draw():
-    # card i first touched at tau_i = E_i / w_i; before s, the second-largest
-    # clock, it repeats Poisson(w_i (s - tau_i)^+) times.  Equal weights take
-    # the same clocks where the cost rule keeps them off the chain: 500
-    # trials of 9 cards count 3500 exponentials, fewer than twice the chain's
-    # 1771 cells
+    # equal weights take the same clocks where the cost rule keeps them off
+    # the chain: 500 trials of 9 cards count 3500 exponentials, fewer than
+    # twice the chain's 1771 cells
     n, trials, seed = 9, 500, 75
     for w in [np.arange(1, n + 1) / (n * (n + 1) / 2), np.full(n, 1 / n)]:
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
-        tau = rng.standard_exponential((trials, n)) / w
-        s = np.sort(tau, axis=1)[:, -2]
-        want = (n - 1) + rng.poisson(np.maximum(s[:, np.newaxis] - tau, 0.0) @ w)
         got = cw.sample_card_collection_T(cw.TsetlinSpec(w), trials, seed)
-        assert np.array_equal(got, want)
+        assert np.array_equal(got, _clock_draws(w, trials, seed))
+
+
+def test_card_collection_takes_the_clocks_past_the_cell_cap(monkeypatch):
+    # 3000 trials of 9 cards pay for the chain, whose worst case is 11 cells
+    # for each of 162 points, 1782: a cap of 1782 keeps it, one of 1781 does
+    # not, and then no chain is read or built
+    n, trials, seed = 9, 3000, 75
+    w = np.full(n, 1 / n)
+    monkeypatch.setattr(gallery, "DEFAULT_COUPON_CELL_CAP", 1782)
+    T = cw.sample_card_collection_T(cw.TsetlinSpec(w), trials, seed)
+    assert np.array_equal(T, _chain_draws(n, trials, seed))
+    monkeypatch.setattr(gallery, "DEFAULT_COUPON_CELL_CAP", 1781)
+    before = glauber._count_chain.cache_info()
+    T = cw.sample_card_collection_T(cw.TsetlinSpec(w), trials, seed)
+    assert glauber._count_chain.cache_info() == before
+    assert np.array_equal(T, _clock_draws(w, trials, seed))
 
 
 def test_card_collection_refuses_a_count_past_int64():

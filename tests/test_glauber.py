@@ -295,6 +295,11 @@ def test_monotone_lower_bounds_values():
     big = cw.monotone_lower_bounds(9, 20.0)
     assert big.sep_bound == pytest.approx(1.0)
     assert big.tv_bound == pytest.approx(0.25)
+    for c in (0.5, 6.6, 6.7, 709.0, 709.78):  # the formula, bit for bit, while e^c is finite
+        assert cw.monotone_lower_bounds(9, c).sep_bound == 1.0 - math.exp(-math.exp(c))
+    for c in (710.0, 1e300):  # past it e^c overflows, and the bounds are 1 and 1/4 exactly
+        big = cw.monotone_lower_bounds(9, c)
+        assert (big.sep_bound, big.tv_bound) == (1.0, 0.25)
     with pytest.raises(ValueError):
         cw.monotone_lower_bounds(9, 0.0)
     with pytest.raises(ValueError, match="c=nan"):

@@ -50,7 +50,6 @@ from .gallery import (
 from .glauber import (
     MonotoneSystem,
     coupon_survival_uniform,
-    coverage_conditioned_profile,
     glauber_matrix,
     glauber_separation_profile,
     ising_system,

@@ -36,6 +36,7 @@ from .gallery import (
     top_bottom_faces,
     tsetlin_bounds,
     tsetlin_faces,
+    tsetlin_survival_profile,
 )
 from .glauber import (
     coupon_survival_uniform,
@@ -168,28 +169,31 @@ def build_family(family, params):
     builds the arrangement of at most face_limit chambers, and only exact
     mode calls it.  info carries the family's T sampler, (trials, seed) ->
     samples, which reads no faces for tsetlin and hypercube-nonlocal, the
-    closed-form (b, d) of families with one, m, the hyperplane count, and
-    "exact", the lumped (t_grid, stats) -> {t: (s, TV, P(T>t))} of riffle and
-    the equal-weight hypercube walks, which exact mode reads instead.
+    closed-form (b, d) of families with one, m, the hyperplane count,
+    "exact", the lumped (t_grid, stats) -> {t: (s, TV)} of riffle and the
+    equal-weight hypercube walks, which exact mode reads instead, and
+    "survival", (name, t_grid -> {t: P(T>t)}) of its one exact form.
     """
     info = {"bd": None}
-    if family == "tsetlin":
-        weights = _get_weights(params, "weights", _get_int(params, "n", 0) or None)
-        info["spec"] = spec = TsetlinSpec(weights)
-        info["t_sampler"] = lambda trials, seed: sample_card_collection_T(spec, trials, seed)
-        n, listing = spec.n, (tsetlin_faces, spec)
+    if family in ("tsetlin", "top-bottom"):  # one T: all cards but one touched
+        n = _get_int(params, "n", 0 if family == "tsetlin" else None)
+        info["spec"] = spec = TsetlinSpec(_get_weights(params, "weights", n or None))
+        info["survival"] = (_count_chain_survival(spec.n, 1, spec.n - 1) if spec.equal_weights else
+                            ("count-vectors", functools.partial(tsetlin_survival_profile, spec)))
+        listing = (top_bottom_faces, n, spec.card_weights)
+        if family == "tsetlin":
+            info["t_sampler"] = lambda trials, seed: sample_card_collection_T(spec, trials, seed)
+            n, listing = spec.n, (tsetlin_faces, spec)
     elif family == "riffle":
         n = _get_int(params, "n")
         a = _get_int(params, "a", 2)
         info["bd"] = riffle_coupling_closed_form(a)
         info["exact"] = functools.partial(riffle_profiles, n, a)
+        info["survival"] = ("eulerian", lambda g: {t: s for t, (s, _) in info["exact"](g).items()})
         listing = (riffle_faces, n, a)
     elif family == "k-to-top":
         n, k = _get_int(params, "n"), _get_int(params, "k")
         listing = (k_to_top_faces, n, k)
-    elif family == "top-bottom":
-        n = _get_int(params, "n")
-        listing = (top_bottom_faces, n, _get_weights(params, "weights", n))
     elif family == "hypercube-nn":
         if (n := _get_int(params, "n")) < 1:
             raise ConfigError(f"hypercube-nn needs n >= 1, got n={n}")
@@ -200,6 +204,7 @@ def build_family(family, params):
             raise ConfigError(f"hypercube-nn needs n={n} weights in w_plus and w_minus")
         if np.all(np.concatenate([w_plus, w_minus]) == half[0]):
             info["exact"] = functools.partial(hamming_profiles, n, 1)
+            info["survival"] = _count_chain_survival(n, 1, n)
         listing = (hypercube_nn_faces, w_plus, w_minus)
     elif family == "hypercube-nonlocal":
         n, k = _get_int(params, "n"), _get_int(params, "k")
@@ -208,14 +213,22 @@ def build_family(family, params):
         info["bd"] = kset_coupling_closed_form(n, k)
         info["t_sampler"] = lambda trials, seed: sample_kset_coupon_T(n, k, trials, seed)
         info["exact"] = functools.partial(hamming_profiles, n, k)
+        info["survival"] = _count_chain_survival(n, k, n)
         listing = (hypercube_nonlocal_faces, n, k)
     else:
         raise ConfigError(f"unknown family {family!r}; see the list subcommand")
     faces = functools.cache(functools.partial(*listing))
     info.setdefault("t_sampler", lambda trials, seed: sample_T_batch(faces(), trials, seed))
+    # the Mobius form reads arr.m alone, which the faces carry: no arrangement is built
+    info.setdefault("survival", ("mobius", lambda g: survival_exact_profile(w := faces(), w, g)))
     boolean = family.startswith("hypercube")
     build, info["m"] = (build_boolean, n) if boolean else (build_braid, braid_m(n))
     return faces, functools.cache(functools.partial(build, n)), info
+
+
+def _count_chain_survival(n, d, need):
+    """("count-chain", P(T > t) over a grid from coupon_survival_uniform, a time at a time)."""
+    return "count-chain", lambda grid: {t: coupon_survival_uniform(n, t, need, d) for t in grid}
 
 
 def build_glauber_family(family, params):
@@ -264,33 +277,44 @@ def _meta(args, params, extra=()):
     return meta
 
 
+def _with_survival(info, rows, extra):
+    """rows with survival_exact from the family's exact P(T>t); extra gains the
+    form's name, and where a cap refuses, the reason, with the column left blank."""
+    name, survival = info["survival"]
+    extra.append(("survival_path", name))
+    try:
+        surv = survival([row[0] for row in rows])
+    except CapacityError as exc:
+        extra.append(("survival_exact", f"refused: {exc}"))
+        return rows
+    return [(t, s, tv, surv[t], *mc) for t, s, tv, _, *mc in rows]
+
+
 def cmd_exact(args, params):
     faces, arrangement, info = build_family(args.family, params)
     grid, stats = parse_t_grid(args.t_grid), {}
     if "exact" in info:  # a lumped chain: no arrangement, no face
         prof = info["exact"](grid, stats=stats)
-    else:
-        arr, w = arrangement(DEFAULT_CHAMBER_CAP), faces()  # no face listed past the cap
-        surv = survival_exact_profile(arr, w, grid)  # its hyperplane cap refuses before the walk
-        prof = {t: (*d, surv[t]) for t, d in distance_profiles(arr, w, grid, stats=stats).items()}
-    rows = [(t, *prof[t], None, None) for t in grid]
-    write_csv(args.out, _meta(args, params, list(stats.items())), rows)
+    else:  # no face listed past the chamber cap
+        prof = distance_profiles(arrangement(DEFAULT_CHAMBER_CAP), faces(), grid, stats=stats)
+    extra = list(stats.items())
+    rows = _with_survival(info, [(t, *prof[t], None, None, None) for t in grid], extra)
+    if rows[0][3] is not None:  # s and P(T>t), two exact readings of one walk
+        extra.append(("s_survival_gap", f"{max(abs(r[1] - r[3]) for r in rows):.3g}"))
+    write_csv(args.out, _meta(args, params, extra), rows)
 
 
-def _mc_rows(args, info, grid):
-    """CSV rows of the Monte Carlo survival estimate over grid, drawn with
-    the family's T sampler."""
+def _write_mc(args, params, info, grid, extra=()):
+    """Write the CSV of the Monte Carlo survival estimate over grid, drawn with
+    the family's T sampler, beside the exact one; extra leads the command's lines."""
     est = survival_from_samples(info["t_sampler"](args.trials, args.seed), grid)
-    return [
-        (t, None, None, None, p, se)
-        for t, p, se in zip(est.t_values, est.p_hat, est.std_err)
-    ]
+    rows = [(t, None, None, None, p, se) for t, p, se in zip(est.t_values, est.p_hat, est.std_err)]
+    rows = _with_survival(info, rows, extra := list(extra))
+    write_csv(args.out, _meta(args, params, extra), rows)
 
 
 def cmd_mc(args, params):
-    _, _, info = build_family(args.family, params)
-    rows = _mc_rows(args, info, parse_t_grid(args.t_grid))
-    write_csv(args.out, _meta(args, params), rows)
+    _write_mc(args, params, build_family(args.family, params)[2], parse_t_grid(args.t_grid))
 
 
 def cmd_bounds(args, params):
@@ -306,15 +330,8 @@ def cmd_bounds(args, params):
     times = sorted(
         {max(0, math.ceil(report.lower_time)), math.ceil(report.upper_time)}
     )
-    rows = _mc_rows(args, info, times)
     extra = [(k, _fmt(v)) for k, v in dataclasses.asdict(report).items()]  # in field order
-    if spec.equal_weights:  # then P(T > t) is the count chain's, cut at n - 1 cards
-        try:
-            rows = [(t, s, tv, coupon_survival_uniform(spec.n, t, spec.n - 1), p, se)
-                    for t, s, tv, _, p, se in rows]
-        except CapacityError as exc:  # the column stays blank, and the preamble says why
-            extra.append(("survival_exact", f"refused: {exc}"))
-    write_csv(args.out, _meta(args, params, extra), rows)
+    _write_mc(args, params, info, times, extra)
 
 
 def cmd_cutoff(args, params):
@@ -334,7 +351,6 @@ def cmd_cutoff(args, params):
         hi = math.ceil(pred.time + 4 * pred.window)
         step = max(1, (hi - lo) // 32)
         grid = list(range(lo, hi + 1, step))
-    rows = _mc_rows(args, info, grid)
     extra = [
         ("b", _fmt(b)),
         ("d", _fmt(d)),
@@ -343,7 +359,7 @@ def cmd_cutoff(args, params):
         ("window", _fmt(pred.window)),
         ("assumptions_ok", pred.assumptions_ok),
     ]
-    write_csv(args.out, _meta(args, params, extra), rows)
+    _write_mc(args, params, info, grid, extra)
 
 
 def cmd_glauber(args, params):

@@ -25,6 +25,7 @@ _TABLE_CELLS = 2**20  # bytes of packed products in one block of faces
 _PAIR_CELLS = 2**20  # entries of the m x m pair matrix of coupling_parameters
 _READ_CELLS = 2**18  # entries of the start rows that distance_profiles reads out at once
 _POWER_CELLS = 2**16  # entries of the q_i^t table that _power_sums holds at once
+_INT_TERM_CAP = 2**24  # exact rates x times left of _power_sums' fallback, ~1.5 us a term
 
 
 def _check_chambers(arr):
@@ -210,7 +211,9 @@ def _power_sums(c, q, exact_rates, weights, t_grid, t_first):
     time alone, the weights (one per face or card) become integers over one
     power of two, on int64 where their sum d < 2^63 bounds every a_i, else as
     Python ints; the form's linear map exact_rates gives the a_i on that
-    dtype, and the c_i of equal a_i are summed once on int64."""
+    dtype, and the c_i of equal a_i are summed once on int64.  Where the
+    distinct a_i times the times left from there pass _INT_TERM_CAP, it
+    raises CapacityError before any integer term."""
     c, rates = np.asarray(c, dtype=np.int64), np.unique(q)
     at = np.searchsorted(rates, q)
     c_sum, abs_sum = np.bincount(at, c, rates.size), np.bincount(at, np.abs(c), rates.size)
@@ -223,7 +226,7 @@ def _power_sums(c, q, exact_rates, weights, t_grid, t_first):
         ts = late[i:i + block]
         qt = rates ** ts[:, np.newaxis]
         values, bounds = (qt * c_sum).sum(axis=1), (ts + 1) * eps * (qt * abs_sum).sum(axis=1)
-        for t, value, bound in zip(ts.tolist(), values.tolist(), bounds.tolist()):
+        for j, (t, value, bound) in enumerate(zip(ts.tolist(), values.tolist(), bounds.tolist())):
             if bound <= 1e-12 and -bound <= value <= 1.0 + bound:
                 out[t] = min(max(value, 0.0), 1.0)
                 continue
@@ -237,6 +240,9 @@ def _power_sums(c, q, exact_rates, weights, t_grid, t_first):
                 merged = np.zeros(a_rates.size, dtype=np.int64)
                 np.add.at(merged, np.searchsorted(a_rates, a), c)
                 by_rate = list(zip(a_rates.tolist(), merged.tolist()))
+                if (terms := len(by_rate) * (late.size - i - j)) > _INT_TERM_CAP:
+                    raise CapacityError(f"{terms} integer terms of the exact fallback "
+                                        f"exceed cap {_INT_TERM_CAP}")
             out[t] = sum(ci * ai**t for ai, ci in by_rate) / d**t
     return out
 

@@ -2,7 +2,7 @@
 move-to-front (Tsetlin library) machinery: the t* solver, the closed-form
 separation bounds, the exact survival formula for "all but one card
 touched", and samplers for large instances, the chain ones by glauber._chain_T;
-and the exact profiles of riffle and the hypercube walks from their lumped
+and the exact s and TV of riffle and the hypercube walks from their lumped
 chains, with no chamber or face.
 """
 
@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import CapacityError, _check_weights, braid_m, braid_signs, weighted_faces
 from .exact import _power_sums, _push, _times, _walk
-from .glauber import DEFAULT_COUPON_CELL_CAP, _chain_T, _count_chain, _horizon, _hypergeometric
+from .glauber import DEFAULT_COUPON_CELL_CAP, _chain_T, _horizon, _hypergeometric
 
 DEFAULT_ENUM_CAP = 10_000_000  # sign entries, faces x hyperplanes, one face list enumerates
 DEFAULT_TSETLIN_EXACT_CAP = 20
@@ -158,7 +158,7 @@ def _lumped_read(law, pi, den=1):
 
 
 def riffle_profiles(n, a, t_grid, stats=None):
-    """{t: (s, TV, P(T > t))} of the inverse a-shuffle on n cards from its
+    """{t: (s, TV)} of the inverse a-shuffle on n cards from its
     rising sequences (Bayer-Diaconis 1992), with no chamber or face: t steps
     make an N = a^t-shuffle, under which each of the A(n, r - 1) (Eulerian)
     orders with r rising sequences has mass C(N + n - r, n) / N^n.  So
@@ -189,30 +189,27 @@ def riffle_profiles(n, a, t_grid, stats=None):
         for r in range(1, n + 1):  # F = n! C(N + n - r, n)
             law.append(F)
             F = F * (N - r) // (N + n - r)
-        s, tv = _lumped_read(eulerian * np.array(law, dtype=object), eulerian * D, fact * D)
-        out[t] = (s, tv, s)
+        out[t] = _lumped_read(eulerian * np.array(law, dtype=object), eulerian * D, fact * D)
     return out
 
 
 def hamming_profiles(m, k, t_grid, stats=None):
-    """{t: (s, TV, P(T > t))} of the hypercube walk on m coordinates that
+    """{t: (s, TV)} of the hypercube walk on m coordinates that
     re-signs k distinct uniform ones a step, each sign fair (k = 1: the
     equal-weight nearest-neighbor walk), lumped by the Hamming distance j
     from the start: i ~ hypergeometric of the k lie among the j that differ,
     and each of the k then differs with chance 1/2, so j' = j - i + Bin(k, 1/2).
     The law is pushed along that band of 2k + 1 successors, the hypergeometric
-    chances rounded once from exact integers, and read against pi_j = C(m, j) / 2^m;
-    P(T > t) is the curve of glauber._count_chain(m, k, m).  Where pi_0 = 2^-m
-    is not a normal float (m > 1022), or where m + 2 cells for each of the
-    t + 1 points of the last time pass DEFAULT_COUPON_CELL_CAP, it raises
-    CapacityError before any step.  stats as riffle_profiles fills it, and
-    s_survival_gap, the largest |s - P(T > t)| over the grid, as %.3g."""
+    chances rounded once from exact integers, and read against pi_j = C(m, j) / 2^m.
+    Where pi_0 = 2^-m is not a normal float (m > 1022), or where m + 2 cells for
+    each of the t + 1 points of the last time pass DEFAULT_COUPON_CELL_CAP, it
+    raises CapacityError before any step.  stats as riffle_profiles fills it."""
     if not 1 <= k <= m:
         raise ValueError(f"need 1 <= k <= m, got k={k}, m={m}")
     if math.ldexp(1.0, -m) < np.finfo(float).tiny:
         raise CapacityError(f"m={m}: pi_0 = 2^-{m} is not a normal float")
     times = _times(t_grid)
-    if (cells := (m + 2) * ((t_max := max(times, default=0)) + 1)) > DEFAULT_COUPON_CELL_CAP:
+    if (cells := (m + 2) * (max(times, default=0) + 1)) > DEFAULT_COUPON_CELL_CAP:
         raise CapacityError(f"Hamming chain of {cells} cells exceeds cap {DEFAULT_COUPON_CELL_CAP}")
     hyp = _hypergeometric(m, k, m + 1)  # hyp[k - i, j]: i of the k among the j that differ
     band = np.zeros((2 * k + 1, m + 1))  # band[d, j]: the chance of j -> j + d - k
@@ -220,13 +217,10 @@ def hamming_profiles(m, k, t_grid, stats=None):
         band[l:l + k + 1] += math.comb(k, l) / 2**k * hyp
     succ = np.clip(np.arange(m + 1) + np.arange(-k, k + 1)[:, np.newaxis], 0, m)  # clipped at chance 0
     pi = np.array([math.comb(m, j) / 2**m for j in range(m + 1)])
-    curve = _count_chain(m, k, m)(t_max + 1)
+    if stats is not None:
+        stats.update(exact_path="hamming-chain", chambers=2**m, starts=1)
     walk = _walk(np.eye(1, m + 1)[0], functools.partial(_push, succ, band), times)
-    out = {t: (*_lumped_read(law, pi), curve[t] if t < len(curve) else 0.0) for t, law in walk}
-    if stats is not None:  # s and P(T > t) are one quantity, read by two chains
-        gap = f"{max((abs(s - p) for s, _, p in out.values()), default=0.0):.3g}"
-        stats.update(exact_path="hamming-chain", chambers=2**m, starts=1, s_survival_gap=gap)
-    return out
+    return {t: _lumped_read(law, pi) for t, law in walk}
 
 
 def solve_t_star(spec):

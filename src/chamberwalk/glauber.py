@@ -2,9 +2,8 @@
 
 The heat-bath move table of a spin system, the exact chain on tiny systems,
 the uniform coupon-collector lower bounds on separation and total variation
-mixing, the law conditioned on every site having been picked, and
-Erdos-Renyi's count chain: one reader of its cached curves, their horizon
-and the samplers' search.
+mixing, and Erdos-Renyi's count chain: one reader of its cached curves,
+their horizon and the samplers' search.
 """
 
 from __future__ import annotations
@@ -175,26 +174,26 @@ def glauber_separation_profile(sys, t_grid, stats=None):
             for t, Q in _walk(bufs[0], step, t_grid)}
 
 
-def coupon_survival_uniform(n, t, k=None):
-    """P(fewer than k of n sites picked after t uniform site selections);
-    k = n, the default, is P(some site unpicked).  Read off the curve of
-    _count_chain(n, 1, k), grown to t: O(n t) work once per (n, k), a
-    lookup after.  A chain of more than DEFAULT_COUPON_CELL_CAP cells
-    (n + 2 for each of the t + 1 points) raises CapacityError first."""
+def coupon_survival_uniform(n, t, k=None, d=1):
+    """P(fewer than k of n sites picked after t steps of d distinct uniform
+    sites each); k = n, the default, is P(some site unpicked).  Read off the
+    curve of _count_chain(n, d, k), grown to t: O(n t) work once per key, a
+    lookup after.  A chain of more than DEFAULT_COUPON_CELL_CAP cells (n + 2
+    for each of the t + 1 points) raises CapacityError first."""
     if n < 1:
         raise ValueError("need n >= 1")
-    if not 0 <= (k := n if k is None else k) <= n:
-        raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
+    if not 0 <= (k := n if k is None else k) <= n or not 1 <= d <= n:
+        raise ValueError(f"need 0 <= k <= n and 1 <= d <= n, got k={k}, d={d}, n={n}")
     if t < 0 or t % 1:  # the checks of exact._times, on one time (inf % 1 is nan)
         raise ValueError(f"{'negative' if t < 0 else 'fractional'} time {t}")
-    if (t := int(t)) < k:
+    if (t := int(t)) * d < k:
         return 1.0
-    # the curve is 1 before t = k, and below 2^-1022, so ended, from _horizon on
+    # the curve is 1 before t = k / d, and below 2^-1022, so ended, from _horizon on
     if (cells := (n + 2) * (t + 1)) > DEFAULT_COUPON_CELL_CAP >= (n + 2) * (k + 1):
-        cells = (n + 2) * (min(t, _horizon((n, 1, k), 2.0**-1022)) + 1)
+        cells = (n + 2) * (min(t, _horizon((n, d, k), 2.0**-1022)) + 1)
     if cells > DEFAULT_COUPON_CELL_CAP:
         raise CapacityError(f"coupon chain of {cells} cells exceeds cap {DEFAULT_COUPON_CELL_CAP}")
-    curve = _count_chain(n, 1, k)(t + 1)
+    curve = _count_chain(n, d, k)(t + 1)
     return curve[t] if t < len(curve) else 0.0  # past the curve only at its 0
 
 
@@ -270,34 +269,6 @@ def _chain_T(key, v):
     rising = np.minimum.accumulate(_count_chain(*key)(low=v.min(initial=np.inf)))[::-1].copy()
     t = _guide(rising)(v)  # #{t : S(t) < v}
     return np.subtract(len(rising), t, out=t)
-
-
-def coverage_conditioned_profile(sys, t_grid):
-    """Law of X^t started from the top configuration, conditioned on every
-    site having been selected by time t, over a grid: evolves the joint
-    (configuration, selected-site set) chain once and reads off every t.
-    Returns (configs, {t: (conditional law, coverage probability)})."""
-    configs, _, _, prob = _heat_bath(sys)
-    n, q, full = sys.n_sites, len(sys.spins), (1 << sys.n_sites) - 1
-    joint = np.zeros((len(configs), full + 1))  # over (config, touched-mask), from (top, empty)
-    joint[configs.index(sys.top), 0] = 1.0
-
-    def step(joint):  # a move at u sums out spin u and mask bit u, then sets them by the
-        out = np.zeros_like(joint)  # law at u (which does not read spin u) and to 1
-        for u in range(n):
-            shape = (q ** u, q, q ** (n - 1 - u), 1 << (n - 1 - u), 2, 1 << u)
-            cond = prob[u].reshape(q, q ** u, q, -1)[:, :, 0].swapaxes(0, 1)[..., None, None] / n
-            out.reshape(shape)[..., 1, :] += cond * joint.reshape(shape).sum(1).sum(3)[:, None]
-        return out
-
-    out = {}
-    for t, joint in _walk(joint, step, t_grid):
-        covered = joint[:, full]
-        p_cov = covered.sum()
-        if p_cov <= 0:
-            raise ValueError(f"coverage event has zero probability at t={t}")
-        out[t] = (covered / p_cov, float(p_cov))
-    return configs, out
 
 
 @dataclass(frozen=True)

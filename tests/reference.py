@@ -12,7 +12,8 @@ weights, chamber lists and a spin system's fields (``n_sites``, ``spins``,
 - The stationary law of the chamber walk by sampling faces without
   replacement, enumerated over their orderings.
 - Heat-bath Glauber dynamics: a site's conditional, one coupled update,
-  the comparable pairs of configurations and the monotonicity check.
+  the comparable pairs of configurations and the monotonicity check, and
+  the law from the top conditioned on every site having been picked.
 """
 
 import collections
@@ -161,3 +162,34 @@ def check_monotone(sys):
             if np.any(np.cumsum(conditional_at_site(sys, tau, u)) > low + 1e-12):
                 return False, (sigma, tau, u)
     return True, None
+
+
+def coverage_conditioned_profile(sys, t_grid):
+    """Law of the heat-bath chain after t steps from the top configuration,
+    conditioned on every site having been picked by then, at each t of
+    t_grid: the joint law of (configuration, picked-site mask), stepped as a
+    whole, one log_weight call per configuration.  A move at u sums out spin
+    u and mask bit u, then sets them by u's conditional (which does not read
+    spin u) and to 1.  Returns (configs, {t: (conditional law, P(all picked))})."""
+    n, q, full = sys.n_sites, len(sys.spins), (1 << sys.n_sites) - 1
+    configs = list(itertools.product(sys.spins, repeat=n))
+    logs = np.array([sys.log_weight(c) for c in configs]).reshape((q,) * n)
+    conds = []
+    for u in range(n):  # cond[high digits, spin at u, low digits]
+        p = np.exp(logs - logs.max(axis=u, keepdims=True))
+        conds.append((p / p.sum(axis=u, keepdims=True) / n).reshape(q**u, q, -1, 1, 1))
+    joint = np.zeros((len(configs), full + 1))  # over (config, mask), from (top, no site)
+    joint[configs.index((max(sys.spins),) * n), 0] = 1.0
+    out, wanted = {}, set(t_grid)
+    for t in range(max(wanted) + 1):
+        if t in wanted:
+            covered = joint[:, full]
+            if (p_cov := covered.sum()) <= 0:
+                raise ValueError(f"coverage event has zero probability at t={t}")
+            out[t] = (covered / p_cov, float(p_cov))
+        step = np.zeros_like(joint)
+        for u, cond in enumerate(conds):
+            shape = (q**u, q, q ** (n - 1 - u), 1 << (n - 1 - u), 2, 1 << u)
+            step.reshape(shape)[..., 1, :] += cond * joint.reshape(shape).sum(1).sum(3)[:, None]
+        joint = step
+    return configs, out

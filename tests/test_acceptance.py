@@ -16,7 +16,8 @@ from chamberwalk.cli import main as cli_main
 from chamberwalk.walk import survival_from_samples
 
 from reference import check_monotone, comparable_pairs, face_product, glauber_step
-from reference import permutation_to_chamber, stationary_without_replacement
+from reference import coverage_conditioned_profile, permutation_to_chamber
+from reference import stationary_without_replacement
 
 
 def report(num, ok, detail):
@@ -280,7 +281,7 @@ def test_criterion_09_glauber_suite():
                 ok = ok and prof[t][0] >= cw.coupon_survival_uniform(4, t) - 1e-9
             # conditional inequality is vacuous before every site can be hit
             _, piv, _ = cw.glauber_matrix(sys_)
-            cfgs, cprof = cw.coverage_conditioned_profile(
+            cfgs, cprof = coverage_conditioned_profile(
                 sys_, range(sys_.n_sites, 51)
             )
             i_bot = cfgs.index(sys_.bottom)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import chamberwalk.exact
 
 from chamberwalk.cli import DEFAULT_TRIAL_CAP, FAMILIES, ConfigError, main, parse_params
-from chamberwalk.cli import parse_t_grid
+from chamberwalk.cli import build_family, parse_t_grid
 
 
 def run_cli(argv, capsys=None):
@@ -90,7 +90,8 @@ def test_exact_tsetlin_uniform_values(tmp_path, monkeypatch):
     assert surv2 == pytest.approx(s2, abs=1e-9)
     assert table[2][4] == "" and table[2][5] == ""
     assert counts == {"transition_matrix": 0, "lstsq": 0}
-    assert meta[-3:] == ["# exact_path=one-start", "# chambers=6", "# starts=1"]
+    assert meta[-5:-1] == ["# exact_path=one-start", "# chambers=6", "# starts=1",
+                           "# survival_path=count-chain"]
     # two weight classes: one start per orbit of the swap of cards 0 and 1,
     # each pushed along the product table with no P, and pi from the
     # absorption pass
@@ -98,13 +99,15 @@ def test_exact_tsetlin_uniform_values(tmp_path, monkeypatch):
              "--t-grid", "1..4", "--out", str(out)])
     meta, _, _ = read_rows(out)
     assert counts == {"transition_matrix": 0, "lstsq": 0}
-    assert meta[-3:] == ["# exact_path=orbits", "# chambers=6", "# starts=3"]
+    assert meta[-5:-1] == ["# exact_path=orbits", "# chambers=6", "# starts=3",
+                           "# survival_path=count-vectors"]
     # weights that differ for every card: every start
     run_cli(["exact", "--family", "tsetlin", "--params", "weights=1/2,1/3,1/6",
              "--t-grid", "1..4", "--out", str(out)])
     meta, _, _ = read_rows(out)
     assert counts == {"transition_matrix": 0, "lstsq": 0}
-    assert meta[-3:] == ["# exact_path=dense", "# chambers=6", "# starts=6"]
+    assert meta[-5:-1] == ["# exact_path=dense", "# chambers=6", "# starts=6",
+                           "# survival_path=count-vectors"]
 
 
 def test_mc_rerun_byte_identical(tmp_path):
@@ -575,20 +578,25 @@ def test_faults_are_not_refusals(fault, monkeypatch):
 
 @pytest.mark.parametrize(
     "params",
-    [["weights=3/11,3/11,1/11,1/11,1/11,1/11,1/11"], ["n=7"]],
+    [["tsetlin", "weights=3/11,3/11,1/11,1/11,1/11,1/11,1/11"], ["top-bottom", "n=7"],
+     ["tsetlin", "n=7"]],
 )
-def test_exact_refuses_past_20_hyperplanes_before_the_walk(params, monkeypatch):
-    # braid(7) has 5040 chambers, under the chamber cap, but 21 hyperplanes:
-    # the survival's cap refuses before any distance is walked
-    family = "tsetlin" if params[0].startswith("weights") else "top-bottom"
-
-    def walked(*args, **kwargs):
-        raise AssertionError("distances walked")
-
-    monkeypatch.setattr("chamberwalk.cli.distance_profiles", walked)
-    with pytest.raises(SystemExit) as exc:
-        main(["exact", "--family", family, "--params", *params, "--t-grid", "1..3"])
-    assert exc.value.code == 2
+def test_exact_runs_past_20_hyperplanes(params, tmp_path):
+    # braid(7) has 5040 chambers, under the chamber cap, and 21 hyperplanes, past
+    # the Mobius form's cap: P(T > t), all cards but one touched, reads the card
+    # classes instead, and s(t) >= P(T > t), with equality where the chambers are
+    # all alike (one start)
+    family, *params = params
+    out = tmp_path / "exact.csv"
+    run_cli(["exact", "--family", family, "--params", *params, "--t-grid", "1..40",
+             "--out", str(out)])
+    meta, _, rows = read_rows(out)
+    s, tv, surv = (np.array([float(r.split(",")[c]) for r in rows]) for c in (1, 2, 3))
+    assert len(rows) == 40 and np.all((0 <= tv) & (tv <= s + 1e-12) & (surv <= s + 1e-12))
+    assert ("# starts=1" in meta) == ("weights" not in params[0])
+    if "# starts=1" in meta:
+        assert np.all(np.abs(s - surv) <= 1e-12)
+    assert meta[-1].startswith("# s_survival_gap=")
 
 
 @pytest.mark.parametrize(
@@ -617,14 +625,14 @@ def test_exact_lumped_families_build_no_arrangement_and_no_face(argv, tmp_path, 
     family, n = argv[2], int(argv[4][2:])
     riffle = family == "riffle"
     path, chambers = ("eulerian", math.factorial(n)) if riffle else ("hamming-chain", 2**n)
-    tail = meta[-3:] if riffle else meta[-4:-1]
-    assert tail == [f"# exact_path={path}", f"# chambers={chambers}", "# starts=1"]
+    assert meta[-5:-1] == [f"# exact_path={path}", f"# chambers={chambers}", "# starts=1",
+                           f"# survival_path={'eulerian' if riffle else 'count-chain'}"]
     s, tv, surv = (np.array([float(r.split(",")[c]) for r in rows]) for c in (1, 2, 3))
     assert np.all((0 <= tv) & (tv <= s + 1e-12) & (s <= 1)) and np.all(np.diff(s) <= 1e-15)
     assert np.allclose(s, surv, rtol=0, atol=1e-11)  # s(t) = P(T>t), as the list text says
-    if not riffle:  # the Hamming chain's s against the count chain's P(T > t), at full precision
-        key, _, gap = meta[-1].partition("=")
-        assert key == "# s_survival_gap" and 0 <= float(gap) <= 1e-12
+    # the lumped chain's s against the survival form's P(T > t), at full precision
+    key, _, gap = meta[-1].partition("=")
+    assert key == "# s_survival_gap" and 0 <= float(gap) <= 1e-12
 
 
 @pytest.mark.parametrize(
@@ -717,21 +725,20 @@ def test_bounds_preamble_keeps_the_clamped_raw_values(tmp_path):
     assert (kv["upper_raw"], kv["lower_raw"]) == ("5.51570867246", "-5.91940384322")
 
 
-def test_bounds_reads_the_exact_survival_at_equal_weights_only(tmp_path):
+@pytest.mark.parametrize("params, path", [(["n=12", "c=1"], "count-chain"),
+                                          (["weights=1/2,1/4,1/4", "c=0.5"], "count-vectors")])
+def test_bounds_reads_the_exact_survival_at_any_weights(params, path, tmp_path):
     out = tmp_path / "bounds.csv"
-    run_cli(["bounds", "--family", "tsetlin", "--params", "n=12", "c=1", "--trials", "100",
+    run_cli(["bounds", "--family", "tsetlin", "--params", *params, "--trials", "100",
              "--t-grid", "1..2", "--out", str(out)])
-    _, _, rows = read_rows(out)
-    spec = chamberwalk.TsetlinSpec(np.full(12, 1 / 12))
+    meta, _, rows = read_rows(out)
+    spec = build_family("tsetlin", parse_params(params))[2]["spec"]
     times = [int(r.split(",")[0]) for r in rows]
     exact = chamberwalk.tsetlin_survival_profile(spec, times)
     for r in rows:
         t, surv = int(r.split(",")[0]), float(r.split(",")[3])
         assert surv == pytest.approx(exact[t], rel=1e-11), t  # 12 digits in the CSV
-    run_cli(["bounds", "--family", "tsetlin", "--params", "weights=1/2,1/4,1/4", "c=0.5",
-             "--trials", "100", "--t-grid", "1..2", "--out", str(out)])
-    meta, _, rows = read_rows(out)
-    assert rows and all(r.split(",")[3] == "" for r in rows)
+    assert f"# survival_path={path}" in meta
     assert not any(m.startswith("# survival_exact=") for m in meta)
 
 
@@ -757,6 +764,38 @@ def test_hypercube_nonlocal_separation_is_its_survival_as_listed(tmp_path, n):
     for row in rows:
         t, s_exact, _, survival_exact = row.split(",")[:4]
         assert float(s_exact) == pytest.approx(float(survival_exact), abs=1e-12), t
+
+
+# family and params -> the commands besides exact and mc that take them: cutoff
+# where b and d are constant, bounds for tsetlin
+SURVIVAL_CASES = {
+    ("tsetlin", "n=3"): ["cutoff", "bounds"],
+    ("tsetlin", "weights=0.4,0.3,0.2,0.1"): ["bounds"],
+    ("top-bottom", "n=4"): [],
+    ("top-bottom", "n=4 weights=0.4,0.3,0.2,0.1"): [],
+    ("riffle", "n=4 a=3"): ["cutoff"],
+    ("k-to-top", "n=5 k=2"): [],
+    ("hypercube-nn", "n=4"): ["cutoff"],
+    ("hypercube-nn", "n=3 w_plus=0.1,0.2,0.3 w_minus=0.1,0.1,0.2"): [],
+    ("hypercube-nonlocal", "n=6 k=2"): ["cutoff"],
+}
+
+
+@pytest.mark.parametrize("command, family, params", [
+    (command, family, params) for (family, params), more in SURVIVAL_CASES.items()
+    for command in ["exact", "mc", *more]])
+def test_survival_column_is_the_walks_own(command, family, params, tmp_path):
+    # every command's survival_exact column, whichever form the family reads,
+    # against the Mobius form over the flats of the chamber walk itself
+    faces, arrangement, _ = build_family(family, parse_params(params.split()))
+    out = tmp_path / "out.csv"
+    run_cli([command, "--family", family, "--params", *params.split(), "--t-grid", "0..30",
+             "--trials", "50", "--out", str(out)])
+    meta, _, rows = read_rows(out)
+    got = {int(r.split(",")[0]): float(r.split(",")[3]) for r in rows}
+    want = chamberwalk.exact.survival_exact_profile(arrangement(10**4), faces(), list(got))
+    assert got and max(abs(got[t] - want[t]) for t in got) <= 1e-12
+    assert any(m.startswith("# survival_path=") for m in meta)
 
 
 def test_every_traced_layer_function_exists():

@@ -618,15 +618,16 @@ def test_hypercube_nn_equality_any_weights():
             assert max(abs(sep[t] - surv[t]) for t in grid) <= 1e-12
 
 
-def _close_to_chambers(lumped, arr, w, grid, tol):
-    """The lumped (s, TV, P(T>t)) against distance_profiles and, up to 20
-    hyperplanes, survival_exact_profile on the chamber walk itself."""
+def _close_to_chambers(lumped, survival, arr, w, grid, tol):
+    """The lumped (s, TV) against distance_profiles and the family's exact
+    P(T>t), up to 20 hyperplanes, against survival_exact_profile on the
+    chamber walk itself."""
     dist = cw.distance_profiles(arr, w, grid)
     surv = cw.survival_exact_profile(arr, w, grid) if arr.m <= 20 else None
     for t in grid:
-        assert lumped[t][:2] == pytest.approx(dist[t], abs=tol), t
+        assert lumped[t] == pytest.approx(dist[t], abs=tol), t
         if surv is not None:
-            assert lumped[t][2] == pytest.approx(surv[t], abs=tol), t
+            assert survival[t] == pytest.approx(surv[t], abs=tol), t
 
 
 # the chamber engine's own rounding reaches 1.4e-13 at riffle(7, 3) and
@@ -638,7 +639,8 @@ ENGINE_TOL = 2e-13
 @pytest.mark.parametrize("n, a", [(n, a) for n in range(3, 8) for a in (2, 3)])
 def test_riffle_profiles_match_the_chamber_walk(n, a):
     grid = range(41)
-    _close_to_chambers(gallery.riffle_profiles(n, a, grid), cw.build_braid(n),
+    got = gallery.riffle_profiles(n, a, grid)  # s(t) = P(T>t), the birthday product
+    _close_to_chambers(got, {t: s for t, (s, _) in got.items()}, cw.build_braid(n),
                        cw.riffle_faces(n, a), grid, ENGINE_TOL)
 
 
@@ -649,8 +651,9 @@ def test_hamming_profiles_match_the_chamber_walk(m, k):
     grid = range(41)
     w = (cw.hypercube_nn_faces([1 / (2 * m)] * m, [1 / (2 * m)] * m) if k == 1
          else cw.hypercube_nonlocal_faces(m, k))
-    _close_to_chambers(gallery.hamming_profiles(m, k, grid), cw.build_boolean(m), w, grid,
-                       ENGINE_TOL)
+    _close_to_chambers(gallery.hamming_profiles(m, k, grid),
+                       {t: cw.coupon_survival_uniform(m, t, m, k) for t in grid},
+                       cw.build_boolean(m), w, grid, ENGINE_TOL)
 
 
 def test_hamming_chain_is_exact_in_rationals():
@@ -678,16 +681,17 @@ def test_riffle_profiles_reproduce_bayer_diaconis_at_52_cards():
     tv = [1, 1, 1, 1, 0.924, 0.614, 0.334, 0.167, 0.085, 0.043, 0.022, 0.011]
     assert [round(got[t][1], 3) for t in range(1, 13)] == tv
     assert [round(got[t][0], 3) for t in range(8, 13)] == [0.996, 0.932, 0.732, 0.479, 0.278]
-    assert all(got[t][0] == got[t][2] for t in got)  # s(t) = P(T>t), the birthday product
+    # s(t) = P(T>t), the birthday product 1 - (N)_52 / N^52 at N = 2^t, correctly rounded
+    assert all(got[t][0] == (2**(52 * t) - math.perm(2**t, 52)) / 2**(52 * t) for t in got)
     assert stats == {"exact_path": "eulerian", "chambers": math.factorial(52), "starts": 1}
 
 
 @pytest.mark.parametrize("k, t_max", [(1, 8000), (2, 4000)])
 def test_hamming_separation_is_the_count_chain_at_512_coordinates(k, t_max):
     got = gallery.hamming_profiles(512, k, range(t_max + 1), stats=(stats := {}))
-    gap = max(abs(s - surv) for s, _, surv in got.values())
-    assert gap <= 1e-12 and stats["s_survival_gap"] == f"{gap:.3g}"
-    assert list(stats) == ["exact_path", "chambers", "starts", "s_survival_gap"]
+    assert max(abs(s - cw.coupon_survival_uniform(512, t, 512, k))
+               for t, (s, _) in got.items()) <= 1e-12
+    assert list(stats) == ["exact_path", "chambers", "starts"]
     assert got[t_max][0] < 1e-3  # the grid runs through the cutoff
 
 
@@ -710,7 +714,6 @@ def test_lumped_refusals_come_before_any_step_or_power(monkeypatch):
 
     assert gallery.hamming_profiles(1022, 1, [0, 1])[1][0] == 1.0  # pi_0 = 2^-1022 is normal
     monkeypatch.setattr(gallery, "_push", stepped)
-    monkeypatch.setattr(gallery, "_count_chain", stepped)
     with pytest.raises(CapacityError, match="not a normal float"):
         gallery.hamming_profiles(1023, 2, [1])
     with pytest.raises(CapacityError, match="cells exceeds cap"):

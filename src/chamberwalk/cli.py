@@ -53,21 +53,21 @@ DEFAULT_TRIAL_CAP = 10**7  # T samples of one run; the samplers hold a few array
 CSV_HEADER = "t,s_exact,tv_exact,survival_exact,survival_mc,mc_stderr"
 
 FAMILIES = {
-    "tsetlin": "move-to-front on the braid arrangement; s(t) = P(T>t) "
-    "under uniform card weights",
+    "tsetlin": "move-to-front on the braid arrangement; weights= sets n, n= alone "
+    "means equal weights; s(t) = P(T>t) under uniform card weights",
     "riffle": "inverse a-shuffle; s(t) = P(T>t) under uniform marks; "
     "closed-form cutoff parameters b=1-1/a, d=(1-1/a)^2",
     "k-to-top": "k random cards to top; its faces give b=2k(n-k)/(n(n-1)) "
     "and a non-constant d, so cutoff refuses it",
-    "top-bottom": "random card to top or bottom; s(t) = P(T>t) under "
-    "uniform card weights",
+    "top-bottom": "random card to top or bottom; cards and T as for tsetlin; "
+    "s(t) = P(T>t) under uniform card weights",
     "hypercube-nn": "weighted nearest-neighbor hypercube walk; "
     "s(t) = P(T>t) for any weights w_i^+, w_i^-",
     "hypercube-nonlocal": "flip k random coordinates; s(t) = P(T>t); "
     "closed-form cutoff parameters b=k/n, d=k^2/n^2-k(n-k)/(n^2(n-1))",
-    "ising": "ferromagnetic Ising Glauber dynamics (glauber mode; "
+    "ising": "ferromagnetic Ising Glauber dynamics (glauber command; "
     "--width --height --beta --field as params)",
-    "product": "independent-spin Glauber sanity system (glauber mode)",
+    "product": "independent-spin Glauber sanity system (glauber command)",
 }
 
 
@@ -155,41 +155,44 @@ def _get_float(params, key, default=None):
 
 def _get_weights(params, key, n=None):
     if key not in params:
-        if n is None:
-            raise ConfigError(f"missing required parameter {key!r}")
-        return np.full(n, 1.0 / n)
+        raise ConfigError(f"missing required parameter {key!r}")
     v = params[key]
-    return np.asarray(v if isinstance(v, list) else [_number(v, f"parameter {key!r}")])
+    w = np.asarray(v if isinstance(v, list) else [_number(v, f"parameter {key!r}")])
+    if n is not None and len(w) != n:
+        raise ConfigError(f"parameter {key!r} needs n={n} entries, got {len(w)}")
+    return w
 
 
 def build_family(family, params):
-    """Resolve a family name into (faces, arrangement, info).
+    """Resolve a family name into (faces, info).
 
-    faces() lists the weighted faces on first use; arrangement(face_limit)
-    builds the arrangement of at most face_limit chambers, and only exact
-    mode calls it.  info carries the family's T sampler, (trials, seed) ->
-    samples, which reads no faces for tsetlin and hypercube-nonlocal, the
-    closed-form (b, d) of families with one, m, the hyperplane count,
-    "exact", the lumped (t_grid, stats) -> {t: (s, TV)} of riffle and the
-    equal-weight hypercube walks, which exact mode reads instead, and
-    "survival", (name, t_grid -> {t: P(T>t)}) of its one exact form.
+    faces() lists the weighted faces on first use.  info carries the family's
+    T sampler, (trials, seed) -> samples, which reads no faces for the card
+    families and hypercube-nonlocal, the closed-form (b, d) of families with
+    one, m, the hyperplane count, "profiles", (t_grid, stats) -> {t: (s, TV)}
+    of the lumped chain where one exists, else of the arrangement built under
+    DEFAULT_CHAMBER_CAP, and "survival", (name, t_grid -> {t: P(T>t)}) of its
+    one exact form.
     """
     info = {"bd": None}
     if family in ("tsetlin", "top-bottom"):  # one T: all cards but one touched
-        n = _get_int(params, "n", 0 if family == "tsetlin" else None)
-        info["spec"] = spec = TsetlinSpec(_get_weights(params, "weights", n or None))
+        # weights= sets n, n= alone means equal weights, and n= beside weights= counts them
+        n = _get_int(params, "n") if "n" in params or "weights" not in params else None
+        if n is not None and n < 1:
+            raise ConfigError(f"parameter 'n' must be >= 1, got {n}")
+        w = _get_weights(params, "weights", n) if "weights" in params else np.full(n, 1.0 / n)
+        info["spec"] = spec = TsetlinSpec(w)
         info["survival"] = (_count_chain_survival(spec.n, 1, spec.n - 1) if spec.equal_weights else
                             ("count-vectors", functools.partial(tsetlin_survival_profile, spec)))
-        listing = (top_bottom_faces, n, spec.card_weights)
-        if family == "tsetlin":
-            info["t_sampler"] = lambda trials, seed: sample_card_collection_T(spec, trials, seed)
-            n, listing = spec.n, (tsetlin_faces, spec)
+        info["t_sampler"] = lambda trials, seed: sample_card_collection_T(spec, trials, seed)
+        n, listing = spec.n, ((tsetlin_faces, spec) if family == "tsetlin" else
+                              (top_bottom_faces, spec.n, spec.card_weights))
     elif family == "riffle":
         n = _get_int(params, "n")
         a = _get_int(params, "a", 2)
         info["bd"] = riffle_coupling_closed_form(a)
-        info["exact"] = functools.partial(riffle_profiles, n, a)
-        info["survival"] = ("eulerian", lambda g: {t: s for t, (s, _) in info["exact"](g).items()})
+        info["profiles"] = prof = functools.partial(riffle_profiles, n, a)
+        info["survival"] = ("eulerian", lambda g: {t: s for t, (s, _) in prof(g).items()})
         listing = (riffle_faces, n, a)
     elif family == "k-to-top":
         n, k = _get_int(params, "n"), _get_int(params, "k")
@@ -198,12 +201,10 @@ def build_family(family, params):
         if (n := _get_int(params, "n")) < 1:
             raise ConfigError(f"hypercube-nn needs n >= 1, got n={n}")
         half = np.full(n, 1.0 / (2 * n))
-        w_plus = _get_weights(params, "w_plus") if "w_plus" in params else half
-        w_minus = _get_weights(params, "w_minus") if "w_minus" in params else half
-        if not len(w_plus) == len(w_minus) == n:
-            raise ConfigError(f"hypercube-nn needs n={n} weights in w_plus and w_minus")
+        w_plus = _get_weights(params, "w_plus", n) if "w_plus" in params else half
+        w_minus = _get_weights(params, "w_minus", n) if "w_minus" in params else half
         if np.all(np.concatenate([w_plus, w_minus]) == half[0]):
-            info["exact"] = functools.partial(hamming_profiles, n, 1)
+            info["profiles"] = functools.partial(hamming_profiles, n, 1)
             info["survival"] = _count_chain_survival(n, 1, n)
         listing = (hypercube_nn_faces, w_plus, w_minus)
     elif family == "hypercube-nonlocal":
@@ -212,18 +213,21 @@ def build_family(family, params):
             raise ConfigError(f"hypercube-nonlocal needs 1 < k <= n/2, got n={n} k={k}")
         info["bd"] = kset_coupling_closed_form(n, k)
         info["t_sampler"] = lambda trials, seed: sample_kset_coupon_T(n, k, trials, seed)
-        info["exact"] = functools.partial(hamming_profiles, n, k)
+        info["profiles"] = functools.partial(hamming_profiles, n, k)
         info["survival"] = _count_chain_survival(n, k, n)
         listing = (hypercube_nonlocal_faces, n, k)
     else:
-        raise ConfigError(f"unknown family {family!r}; see the list subcommand")
+        see = "glauber command" if family in ("ising", "product") else "list subcommand"
+        raise ConfigError(f"unknown family {family!r}; see the {see}")
     faces = functools.cache(functools.partial(*listing))
     info.setdefault("t_sampler", lambda trials, seed: sample_T_batch(faces(), trials, seed))
     # the Mobius form reads arr.m alone, which the faces carry: no arrangement is built
     info.setdefault("survival", ("mobius", lambda g: survival_exact_profile(w := faces(), w, g)))
     boolean = family.startswith("hypercube")
     build, info["m"] = (build_boolean, n) if boolean else (build_braid, braid_m(n))
-    return faces, functools.cache(functools.partial(build, n)), info
+    info.setdefault("profiles", lambda g, stats: distance_profiles(  # no face listed past the cap
+        build(n, DEFAULT_CHAMBER_CAP), faces(), g, stats=stats))
+    return faces, info
 
 
 def _count_chain_survival(n, d, need):
@@ -291,12 +295,9 @@ def _with_survival(info, rows, extra):
 
 
 def cmd_exact(args, params):
-    faces, arrangement, info = build_family(args.family, params)
+    info = build_family(args.family, params)[1]
     grid, stats = parse_t_grid(args.t_grid), {}
-    if "exact" in info:  # a lumped chain: no arrangement, no face
-        prof = info["exact"](grid, stats=stats)
-    else:  # no face listed past the chamber cap
-        prof = distance_profiles(arrangement(DEFAULT_CHAMBER_CAP), faces(), grid, stats=stats)
+    prof = info["profiles"](grid, stats)
     extra = list(stats.items())
     rows = _with_survival(info, [(t, *prof[t], None, None, None) for t in grid], extra)
     if rows[0][3] is not None:  # s and P(T>t), two exact readings of one walk
@@ -314,17 +315,16 @@ def _write_mc(args, params, info, grid, extra=()):
 
 
 def cmd_mc(args, params):
-    _write_mc(args, params, build_family(args.family, params)[2], parse_t_grid(args.t_grid))
+    _write_mc(args, params, build_family(args.family, params)[1], parse_t_grid(args.t_grid))
 
 
 def cmd_bounds(args, params):
     if args.family != "tsetlin":
         raise ConfigError("bounds mode applies to the tsetlin family")
     parse_t_grid(args.t_grid)  # checked like every grid, though bounds picks its own times
-    _, _, info = build_family(args.family, params)
-    spec = info["spec"]
+    info = build_family(args.family, params)[1]
     c = _get_float(params, "c", 3.0)
-    report = tsetlin_bounds(spec, c, strict=bool(_get_int(params, "strict", 0)))
+    report = tsetlin_bounds(info["spec"], c, strict=bool(_get_int(params, "strict", 0)))
     if not report.upper_time < 2**63:  # nan and inf too; then the lower time is finite as well
         raise ConfigError(f"bounds time t* + c/min(w) = {report.upper_time!r} does not fit int64")
     times = sorted(
@@ -335,7 +335,7 @@ def cmd_bounds(args, params):
 
 
 def cmd_cutoff(args, params):
-    faces, _, info = build_family(args.family, params)
+    faces, info = build_family(args.family, params)
     if info["bd"] is not None:
         b, d = info["bd"]
     else:

@@ -349,11 +349,11 @@ def cutoff_prediction(b, d, m):
     """Predicted separation cutoff location and window.
 
     Cutoff at log base 1/(1-b) of m, window 1/b, valid when b <= (1+d)/2
-    and 0 < d <= b^2.
+    and 0 < d <= b^2, within the 1e-12 of coupling_parameters.
     """
     if not (0 < b < 1 and m >= 1):
         raise ValueError(f"need 0 < b < 1 and m >= 1 hyperplanes, got b={b}, m={m}")
     time = math.log(m) / math.log(1.0 / (1.0 - b))
     window = 1.0 / b
-    assumptions_ok = (b <= (1.0 + d) / 2.0) and (0.0 < d <= b * b + 1e-15)
+    assumptions_ok = (b <= (1.0 + d) / 2.0) and (0.0 < d <= b * b + 1e-12)
     return CutoffPrediction(time=time, window=window, assumptions_ok=assumptions_ok)

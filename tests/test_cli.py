@@ -9,10 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chamberwalk as cw
 import chamberwalk.exact
 
-from chamberwalk.cli import DEFAULT_TRIAL_CAP, FAMILIES, ConfigError, main, parse_params
+from chamberwalk.cli import DEFAULT_TRIAL_CAP, FAMILIES, ConfigError, _fmt, main, parse_params
 from chamberwalk.cli import build_family, parse_t_grid
+from chamberwalk.walk import survival_from_samples
 
 
 def run_cli(argv, capsys=None):
@@ -353,6 +355,15 @@ def test_unknown_family_errors(tmp_path):
         main(["exact", "--family", "nope", "--t-grid", "1..3"])
 
 
+@pytest.mark.parametrize("command, family", [("mc", "ising"), ("exact", "product")])
+def test_glauber_family_under_a_walk_command_names_the_glauber_command(command, family, capsys):
+    # list shows the Glauber families, so the walk commands point to the one that runs them
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--family", family, "--params", "n=3", "--t-grid", "1..3"])
+    assert exc.value.code == 2
+    assert f"unknown family {family!r}; see the glauber command" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -483,7 +494,7 @@ def test_hypercube_nonlocal_k_out_of_range_exit_2(k):
         ["mc", "--family", "hypercube-nn", "--params", "n=5", "w_plus=1/4,1/4",
          "w_minus=1/4,1/4"],
         ["mc", "--family", "k-to-top", "--params", "n=30", "k=15"],
-        ["mc", "--family", "top-bottom", "--params", "n=5000"],
+        ["cutoff", "--family", "top-bottom", "--params", "n=5000"],
         ["mc", "--family", "hypercube-nn", "--params", "n=100000"],
         ["cutoff", "--family", "top-bottom", "--params", "n=50"],
         ["exact", "--family", "tsetlin", "--params", "n=1"],
@@ -505,10 +516,10 @@ def test_builder_and_capacity_errors_exit_2(argv, monkeypatch, capsys):
     # a face or spin-system builder's ValueError, a weight list that does not
     # match n, or a CapacityError is a usage error, not a traceback, and it
     # comes before any braid chamber is built.  The caps: 2^21 riffle mark
-    # functions, C(30,15) k-to-top faces, 10^4 top-bottom and 2*10^5
-    # hypercube-nn faces each exceed 10^7 sign entries; 1225^2 hyperplane
-    # pairs for cutoff's coupling parameters; 8! chambers for the exact engine;
-    # 10^10 Ising sites, refused before any grid edge is built, 2*10^7
+    # functions, C(30,15) k-to-top faces, 10^4 top-bottom faces (cutoff's b
+    # and d) and 2*10^5 hypercube-nn faces each exceed 10^7 sign entries;
+    # 1225^2 hyperplane pairs for cutoff's coupling parameters; 8! chambers
+    # for the exact engine; 10^10 Ising sites, refused before any grid edge is built, 2*10^7
     # product sites, refused before any site is listed, and card weights of
     # 1e-200, whose T would pass int64 (once wrapped to -2^63, exit 0).  The
     # bounds' c past its lower-bound limit or at 0, riffle(1)'s m = 0 in the
@@ -664,6 +675,67 @@ def test_monte_carlo_builds_no_arrangement(argv, tmp_path, monkeypatch):
     assert rows
 
 
+CARD_FAMILIES = ["tsetlin", "top-bottom"]
+
+
+@pytest.mark.parametrize("family", CARD_FAMILIES)
+@pytest.mark.parametrize("params, weights", [
+    (["n=4"], [0.25] * 4),
+    (["weights=0.4,0.3,0.2,0.1"], [0.4, 0.3, 0.2, 0.1]),
+    (["n=4", "weights=0.4,0.3,0.2,0.1"], [0.4, 0.3, 0.2, 0.1]),
+    (["n=1"], [1.0]),
+])
+def test_card_families_read_their_cards_by_one_rule(family, params, weights, tmp_path):
+    # weights= sets n, n= alone means equal weights, and n= beside weights= counts them
+    out = tmp_path / "mc.csv"
+    run_cli(["mc", "--family", family, "--params", *params, "--trials", "50",
+             "--t-grid", "0..3", "--out", str(out)])
+    assert len(read_rows(out)[2]) == 4
+    spec = build_family(family, parse_params(params))[1]["spec"]
+    assert spec.card_weights.tolist() == weights
+
+
+@pytest.mark.parametrize("family", CARD_FAMILIES)
+@pytest.mark.parametrize("params, message", [
+    (["n=5", "weights=0.25,0.25,0.25,0.25"], "parameter 'weights' needs n=5 entries, got 4"),
+    (["n=0"], "parameter 'n' must be >= 1, got 0"),
+    (["n=-1", "weights=1"], "parameter 'n' must be >= 1, got -1"),
+    ([], "missing required parameter 'n'"),
+])
+def test_card_families_refuse_a_card_count_at_fault(family, params, message, capsys):
+    # tsetlin once ran the 4 weights and dropped n=5; top-bottom n=0 named 'weights'
+    with pytest.raises(SystemExit) as exc:
+        main(["mc", "--family", family, "--params", *params, "--trials", "10",
+              "--t-grid", "1..3"])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_top_bottom_draws_t_with_the_card_sampler_and_lists_no_face(tmp_path, monkeypatch):
+    # top-bottom's T, all cards but one touched, card c with chance w_c, is tsetlin's
+    def listed(*args):
+        raise AssertionError("top-bottom faces listed")
+
+    estimates = []
+
+    def recorded(samples, grid):
+        estimates.append(est := survival_from_samples(samples, grid))
+        return est
+
+    monkeypatch.setattr("chamberwalk.cli.top_bottom_faces", listed)
+    monkeypatch.setattr("chamberwalk.cli.survival_from_samples", recorded)
+    weights = [0.25, 0.25, 0.125, 0.125, 0.125, 0.125]
+    run_cli(["mc", "--family", "top-bottom", "--params", "weights=" + ",".join(map(str, weights)),
+             "--trials", "2000", "--seed", "3", "--t-grid", "1..40",
+             "--out", str(tmp_path / "mc.csv")])
+    want = survival_from_samples(
+        cw.sample_card_collection_T(cw.TsetlinSpec(np.array(weights)), 2000, 3), range(1, 41))
+    got, = estimates
+    assert np.array_equal(got.p_hat, want.p_hat) and np.array_equal(got.std_err, want.std_err)
+    _, _, rows = read_rows(tmp_path / "mc.csv")
+    assert [r.split(",")[4] for r in rows] == [_fmt(p) for p in want.p_hat]
+
+
 def test_tsetlin_one_card_runs(tmp_path):
     # one card is always in place: T == 0, so P(T > t) == 0 at every t
     out = tmp_path / "one.csv"
@@ -732,7 +804,7 @@ def test_bounds_reads_the_exact_survival_at_any_weights(params, path, tmp_path):
     run_cli(["bounds", "--family", "tsetlin", "--params", *params, "--trials", "100",
              "--t-grid", "1..2", "--out", str(out)])
     meta, _, rows = read_rows(out)
-    spec = build_family("tsetlin", parse_params(params))[2]["spec"]
+    spec = build_family("tsetlin", parse_params(params))[1]["spec"]
     times = [int(r.split(",")[0]) for r in rows]
     exact = chamberwalk.tsetlin_survival_profile(spec, times)
     for r in rows:
@@ -787,13 +859,16 @@ SURVIVAL_CASES = {
 def test_survival_column_is_the_walks_own(command, family, params, tmp_path):
     # every command's survival_exact column, whichever form the family reads,
     # against the Mobius form over the flats of the chamber walk itself
-    faces, arrangement, _ = build_family(family, parse_params(params.split()))
+    parsed = parse_params(params.split())
+    faces, _ = build_family(family, parsed)
+    n = int(parsed["n"]) if "n" in parsed else len(parsed["weights"])
+    arrangement = (cw.build_boolean if family.startswith("hypercube") else cw.build_braid)(n)
     out = tmp_path / "out.csv"
     run_cli([command, "--family", family, "--params", *params.split(), "--t-grid", "0..30",
              "--trials", "50", "--out", str(out)])
     meta, _, rows = read_rows(out)
     got = {int(r.split(",")[0]): float(r.split(",")[3]) for r in rows}
-    want = chamberwalk.exact.survival_exact_profile(arrangement(10**4), faces(), list(got))
+    want = chamberwalk.exact.survival_exact_profile(arrangement, faces(), list(got))
     assert got and max(abs(got[t] - want[t]) for t in got) <= 1e-12
     assert any(m.startswith("# survival_path=") for m in meta)
 

@@ -376,6 +376,17 @@ def test_cutoff_prediction_values():
         cw.cutoff_prediction(1.0, 0.25, 4)
 
 
+@pytest.mark.parametrize("n, a", [(7, 3), (5, 5)])
+def test_cutoff_assumptions_on_riffle_faces_agree_with_the_closed_form(n, a):
+    # d = b^2 on riffle faces; the face-weight sums leave d - b^2 = 1.29e-14 at
+    # (7, 3) and 1.55e-15 at (5, 5) (numpy 2, x86-64), inside coupling_parameters' 1e-12
+    cp = cw.coupling_parameters(cw.riffle_faces(n, a))
+    assert abs(cp.uniform_d - cp.uniform_b**2) <= 1e-12
+    m = n * (n - 1) // 2
+    got = cw.cutoff_prediction(cp.uniform_b, cp.uniform_d, m).assumptions_ok
+    assert got and cw.cutoff_prediction(*cw.riffle_coupling_closed_form(a), m).assumptions_ok
+
+
 @pytest.mark.parametrize("m", [0, -3])
 def test_cutoff_prediction_refuses_fewer_than_one_hyperplane(m):
     # riffle(1) has m = 0, whose log once raised "math domain error"

@@ -12,8 +12,6 @@ from .core import (
     build_custom,
     check_separating,
     is_chamber,
-    load_arrangement_file,
-    parse_sign_vector,
     weighted_faces,
 )
 from .exact import (

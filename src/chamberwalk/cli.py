@@ -17,9 +17,9 @@ import sys
 
 import numpy as np
 
-from . import __version__
+from . import __version__, exact
 from .core import CapacityError, braid_m, build_boolean, build_braid
-from .exact import DEFAULT_CHAMBER_CAP, coupling_parameters, cutoff_prediction, distance_profiles
+from .exact import coupling_parameters, cutoff_prediction, distance_profiles
 from .exact import survival_exact_profile
 from .gallery import (
     TsetlinSpec,
@@ -226,7 +226,7 @@ def build_family(family, params):
     boolean = family.startswith("hypercube")
     build, info["m"] = (build_boolean, n) if boolean else (build_braid, braid_m(n))
     info.setdefault("profiles", lambda g, stats: distance_profiles(  # no face listed past the cap
-        build(n, DEFAULT_CHAMBER_CAP), faces(), g, stats=stats))
+        build(n, exact.DEFAULT_CHAMBER_CAP), faces(), g, stats=stats))
     return faces, info
 
 
@@ -246,7 +246,9 @@ def build_glauber_family(family, params):
         )
     if family == "product":
         return product_system(_get_int(params, "n"))
-    raise ConfigError(f"unknown glauber family {family!r}")
+    walk = family in FAMILIES and family not in ("ising", "product")
+    see = "exact, mc, bounds and cutoff commands" if walk else "list subcommand"
+    raise ConfigError(f"unknown glauber family {family!r}; see the {see}")
 
 
 def _fmt(x):

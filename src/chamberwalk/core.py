@@ -19,7 +19,6 @@ PLUS = 1
 MINUS = -1
 ZERO = 0
 
-_CHAR_TO_SIGN = {"+": PLUS, "-": MINUS, "0": ZERO}
 _SIGN_TO_CHAR = {PLUS: "+", MINUS: "-", ZERO: "0"}
 
 # Default caps on built-in chambers and on face products checked for closure.
@@ -37,14 +36,6 @@ class DimensionError(ValueError):
 
 class CapacityError(RuntimeError):
     """An exact enumeration would exceed the configured size limit."""
-
-
-def parse_sign_vector(s):
-    """Parse a string like '+-0' into a sign tuple."""
-    try:
-        return tuple(_CHAR_TO_SIGN[ch] for ch in s.strip())
-    except KeyError as exc:
-        raise ValueError(f"invalid sign character in {s!r}") from exc
 
 
 def format_sign_vector(f):
@@ -321,63 +312,3 @@ def build_custom(m, chambers, faces):
         )
     return Arrangement(m=m, signs=chambers, faces=tuple(map(tuple, faces.tolist())),
                        family_tag="custom")
-
-
-def load_arrangement_file(path):
-    """Load a custom arrangement + weights from the text format.
-
-    Format: header line ``m=<int>``, then sections ``[chambers]``, ``[faces]``
-    (one sign vector per line over ``+ - 0``) and ``[weights]`` (lines of
-    ``<face index> <decimal weight>``).  Returns (Arrangement, WeightedFaceSet).
-    """
-    chambers, faces, weight_lines = [], [], []
-    section = None
-    m = None
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line.startswith("m="):
-                m = int(line[2:])
-                continue
-            if line.startswith("["):
-                section = line.strip("[]").lower()
-                continue
-            if section == "chambers":
-                chambers.append(parse_sign_vector(line))
-            elif section == "faces":
-                faces.append(parse_sign_vector(line))
-            elif section == "weights":
-                idx_s, w_s = line.split()
-                weight_lines.append((line, int(idx_s), float(w_s)))
-            else:
-                raise ValueError(f"line outside any section: {line!r}")
-    if m is None:
-        raise ValueError("missing m=<int> header")
-    arr = build_custom(m, chambers, faces)
-    for line, i, _ in weight_lines:
-        if not 0 <= i < len(faces):
-            raise ValueError(f"face index {i} outside 0..{len(faces) - 1} in weight line {line!r}")
-    signs = np.array(faces, dtype=np.int8).reshape(len(faces), m)
-    wfs = weighted_faces(signs[[i for _, i, _ in weight_lines]], [w for *_, w in weight_lines])
-    return arr, wfs
-
-
-def write_arrangement_file(path, arr, w):
-    """Inverse of load_arrangement_file, for an arrangement that lists its
-    faces (a custom one); raises CapacityError when ``faces`` is None."""
-    if arr.faces is None:
-        raise CapacityError("cannot serialize an implicit face universe")
-    face_idx = {f: i for i, f in enumerate(arr.faces)}
-    with open(path, "w") as fh:
-        fh.write(f"m={arr.m}\n")
-        fh.write("[chambers]\n")
-        for c in arr.chambers:
-            fh.write(format_sign_vector(c) + "\n")
-        fh.write("[faces]\n")
-        for f in arr.faces:
-            fh.write(format_sign_vector(f) + "\n")
-        fh.write("[weights]\n")
-        for f, wt in zip(w.faces, w.weights):
-            fh.write(f"{face_idx[f]} {float(wt)!r}\n")

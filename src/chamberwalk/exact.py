@@ -214,8 +214,7 @@ def _power_sums(c, q, exact_rates, weights, t_grid, t_first):
     dtype, and the c_i of equal a_i are summed once on int64.  Where the
     distinct a_i times the times left from there pass _INT_TERM_CAP, it
     raises CapacityError before any integer term."""
-    c, rates = np.asarray(c, dtype=np.int64), np.unique(q)
-    at = np.searchsorted(rates, q)
+    c, (rates, at) = np.asarray(c, dtype=np.int64), np.unique(q, return_inverse=True)
     c_sum, abs_sum = np.bincount(at, c, rates.size), np.bincount(at, np.abs(c), rates.size)
     del at  # not held while the exact rates are read
     times, eps = _times(t_grid), np.finfo(float).eps
@@ -236,9 +235,9 @@ def _power_sums(c, q, exact_rates, weights, t_grid, t_first):
                 ints = [num * (two // den) for num, den in ratios]
                 d = sum(ints)
                 a = exact_rates(np.array(ints, dtype=np.int64 if d < 2**63 else object))
-                a_rates = np.unique(a)
+                a_rates, at = np.unique(a, return_inverse=True)
                 merged = np.zeros(a_rates.size, dtype=np.int64)
-                np.add.at(merged, np.searchsorted(a_rates, a), c)
+                np.add.at(merged, at, c)
                 by_rate = list(zip(a_rates.tolist(), merged.tolist()))
                 if (terms := len(by_rate) * (late.size - i - j)) > _INT_TERM_CAP:
                     raise CapacityError(f"{terms} integer terms of the exact fallback "

@@ -15,9 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import glauber
 from .core import CapacityError, _check_weights, braid_m, braid_signs, weighted_faces
 from .exact import _power_sums, _push, _times, _walk
-from .glauber import DEFAULT_COUPON_CELL_CAP, _chain_T, _horizon, _hypergeometric
+from .glauber import _chain_T, _horizon, _hypergeometric
 
 DEFAULT_ENUM_CAP = 10_000_000  # sign entries, faces x hyperplanes, one face list enumerates
 DEFAULT_TSETLIN_EXACT_CAP = 20
@@ -209,8 +210,8 @@ def hamming_profiles(m, k, t_grid, stats=None):
     if math.ldexp(1.0, -m) < np.finfo(float).tiny:
         raise CapacityError(f"m={m}: pi_0 = 2^-{m} is not a normal float")
     times = _times(t_grid)
-    if (cells := (m + 2) * (max(times, default=0) + 1)) > DEFAULT_COUPON_CELL_CAP:
-        raise CapacityError(f"Hamming chain of {cells} cells exceeds cap {DEFAULT_COUPON_CELL_CAP}")
+    if (cells := (m + 2) * (max(times, default=0) + 1)) > (cap := glauber.DEFAULT_COUPON_CELL_CAP):
+        raise CapacityError(f"Hamming chain of {cells} cells exceeds cap {cap}")
     hyp = _hypergeometric(m, k, m + 1)  # hyp[k - i, j]: i of the k among the j that differ
     band = np.zeros((2 * k + 1, m + 1))  # band[d, j]: the chance of j -> j + d - k
     for l in range(k + 1):  # l of the k differ after the step: d - k = l - i
@@ -355,7 +356,8 @@ def sample_card_collection_T(spec, trials, seed):
     w = spec.card_weights
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
     cells = (n + 2) * _horizon((n, 1, n - 1), 2.0**-53) if spec.equal_weights else math.inf
-    if cells + n + 2 <= DEFAULT_COUPON_CELL_CAP and _CHAIN_CELL_COST * cells < trials * (n - 2):
+    if (cells + n + 2 <= glauber.DEFAULT_COUPON_CELL_CAP
+            and _CHAIN_CELL_COST * cells < trials * (n - 2)):
         u = rng.random(trials)
         return _chain_T((n, 1, n - 1), np.subtract(1.0, u, out=u))
     out = np.empty(trials, dtype=np.int64)
@@ -390,6 +392,6 @@ def sample_kset_coupon_T(m, k, trials, seed):
     u = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,))).random(trials)
     v = np.subtract(1.0, u, out=u)
     cells = (m + 2) * (_horizon((m, k, m), v.min(initial=1.0)) + 1)
-    if cells > DEFAULT_COUPON_CELL_CAP:
-        raise CapacityError(f"k-set chain of {cells} cells exceeds cap {DEFAULT_COUPON_CELL_CAP}")
+    if cells > (cap := glauber.DEFAULT_COUPON_CELL_CAP):
+        raise CapacityError(f"k-set chain of {cells} cells exceeds cap {cap}")
     return _chain_T((m, k, m), v)

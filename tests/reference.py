@@ -5,8 +5,9 @@ time, and nothing here imports chamberwalk: the functions take sign tuples,
 weights, chamber lists and a spin system's fields (``n_sites``, ``spins``,
 ``log_weight``) as plain values.
 
-- Faces: the face product, the ordered set partitions of n cards and their
-  braid sign vectors, deck orders as braid chambers and back.
+- Faces: sign vectors read from strings like '+0-', the face product, the
+  ordered set partitions of n cards and their braid sign vectors, deck
+  orders as braid chambers and back.
 - Candidate symmetries (src, sign), x -> sign * x[src]: the card
   transpositions of the braid arrangement, the sign flips of the Boolean one.
 - The stationary law of the chamber walk by sampling faces without
@@ -22,6 +23,11 @@ import itertools
 import numpy as np
 
 ENUM_ORDERING_FACE_CAP = 9  # weighted faces: stationary_without_replacement walks their orderings
+
+
+def parse_sign_vector(s):
+    """A string like '+-0' as a sign tuple of +1, -1 and 0."""
+    return tuple({"+": 1, "-": -1, "0": 0}[ch] for ch in s)
 
 
 def face_product(f, g):

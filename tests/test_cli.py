@@ -364,6 +364,16 @@ def test_glauber_family_under_a_walk_command_names_the_glauber_command(command, 
     assert f"unknown family {family!r}; see the glauber command" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("family, see", [("tsetlin", "exact, mc, bounds and cutoff commands"),
+                                         ("nope", "list subcommand")])
+def test_walk_family_under_the_glauber_command_names_the_walk_commands(family, see, capsys):
+    # the mirror of the above: a walk family points to the commands that run it
+    with pytest.raises(SystemExit) as exc:
+        main(["glauber", "--family", family, "--params", "n=3", "--t-grid", "1..3"])
+    assert exc.value.code == 2
+    assert f"unknown glauber family {family!r}; see the {see}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

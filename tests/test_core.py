@@ -14,7 +14,7 @@ from chamberwalk.core import ZERO, validate_closure
 
 import reference
 from reference import card_transpositions, chamber_to_permutation, coordinate_flips, face_product
-from reference import ordered_set_partitions
+from reference import ordered_set_partitions, parse_sign_vector
 from reference import partition_to_sign_vector, permutation_to_chamber
 
 
@@ -29,9 +29,9 @@ def boolean_universe(n):
 
 
 def test_face_product_example():
-    f = cw.parse_sign_vector("+0-")
-    g = cw.parse_sign_vector("--+")
-    assert face_product(f, g) == cw.parse_sign_vector("+--")
+    f = parse_sign_vector("+0-")
+    g = parse_sign_vector("--+")
+    assert face_product(f, g) == parse_sign_vector("+--")
 
 
 def test_face_product_length_mismatch():
@@ -42,8 +42,8 @@ def test_face_product_length_mismatch():
 
 
 def test_is_chamber():
-    assert cw.is_chamber(cw.parse_sign_vector("+++"))
-    assert not cw.is_chamber(cw.parse_sign_vector("0+-"))
+    assert cw.is_chamber(parse_sign_vector("+++"))
+    assert not cw.is_chamber(parse_sign_vector("0+-"))
     assert not cw.is_chamber((0, 0, 0))
 
 
@@ -129,9 +129,9 @@ def test_boolean_chambers_equal_the_product_loop(n):
 
 def test_partition_to_sign_vector():
     # cards are 0-based; pairs ordered (0,1), (0,2), (1,2)
-    assert partition_to_sign_vector([{0}, {1, 2}], 3) == cw.parse_sign_vector("++0")
+    assert partition_to_sign_vector([{0}, {1, 2}], 3) == parse_sign_vector("++0")
     assert partition_to_sign_vector([{0, 1, 2}], 3) == (0, 0, 0)
-    assert partition_to_sign_vector([{1}, {0}, {2}], 3) == cw.parse_sign_vector(
+    assert partition_to_sign_vector([{1}, {0}, {2}], 3) == parse_sign_vector(
         "-++"
     )
     with pytest.raises(ValueError):
@@ -205,45 +205,14 @@ def test_custom_arrangement_rejects_unclosed_faces():
         cw.build_custom(2, [(1, 1), (-1, -1), (1, -1)], faces)
 
 
-def test_arrangement_file_roundtrip(tmp_path):
-    arr = cw.build_custom(2, cw.build_boolean(2).chambers, boolean_universe(2))
-    w = cw.hypercube_nn_faces([0.3, 0.2], [0.25, 0.25])
-    path = tmp_path / "bool2.arr"
-    from chamberwalk.core import write_arrangement_file
-
-    write_arrangement_file(path, arr, w)
-    arr2, w2 = cw.load_arrangement_file(path)
-    assert arr2.m == 2 and arr.symmetries == arr2.symmetries == ()  # custom: no candidates
-    assert set(arr2.chambers) == set(arr.chambers)
-    assert set(arr2.faces) == set(arr.faces)
-    got = dict(zip(w2.faces, w2.weights))
-    for f, wt in zip(w.faces, w.weights):
-        assert got[f] == pytest.approx(wt, abs=1e-15)
-
-
-def test_custom_arrangement_refuses_a_row_listed_twice(tmp_path):
+def test_custom_arrangement_refuses_a_row_listed_twice():
     # a chamber listed twice would be a fifth state of boolean(2); a face
-    # listed twice, two indices for one face in the weights
+    # listed twice, two entries for one face of the universe
     chambers, universe = cw.build_boolean(2).chambers, boolean_universe(2)
     with pytest.raises(ValueError, match=re.escape("chamber ++ is listed twice")):
         cw.build_custom(2, chambers + chambers[:1], universe)
     with pytest.raises(ValueError, match=re.escape("face 0- is listed twice")):
         cw.build_custom(2, chambers, universe + [(0, -1)])
-    path = tmp_path / "twice.arr"
-    path.write_text("m=1\n[chambers]\n+\n-\n[faces]\n0\n+\n-\n+\n[weights]\n1 0.5\n2 0.5\n")
-    with pytest.raises(ValueError, match=re.escape("face + is listed twice")):
-        cw.load_arrangement_file(path)
-
-
-@pytest.mark.parametrize("index", [-1, 3])
-def test_arrangement_file_refuses_a_face_index_outside_the_list(tmp_path, index):
-    # three faces are listed, so a weight line may name faces 0..2 only; -1
-    # would otherwise weigh the last face, and 3 end in a bare IndexError
-    path = tmp_path / "line.arr"
-    path.write_text(f"m=1\n[chambers]\n+\n-\n[faces]\n0\n+\n-\n[weights]\n1 0.5\n{index} 0.5\n")
-    line = re.escape(f"face index {index} outside 0..2 in weight line '{index} 0.5'")
-    with pytest.raises(ValueError, match=line):
-        cw.load_arrangement_file(path)
 
 
 def test_boolean_faces_all_zero_identity():
@@ -254,16 +223,12 @@ def test_boolean_faces_all_zero_identity():
 
 
 def test_builtin_arrangements_list_no_faces(tmp_path):
-    # the built-in families carry chambers only, and the commands run on them
-    from chamberwalk.core import write_arrangement_file
-
-    for arr, w in (
-        (cw.build_braid(4), cw.riffle_faces(4, 2)),
-        (cw.build_boolean(3), cw.hypercube_nn_faces([1 / 6] * 3, [1 / 6] * 3)),
-    ):
+    # the built-in families carry chambers only, and the commands run on them;
+    # a custom arrangement lists its faces and carries no symmetry candidate
+    for arr in (cw.build_braid(4), cw.build_boolean(3)):
         assert arr.faces is None
-        with pytest.raises(cw.CapacityError):
-            write_arrangement_file(tmp_path / "x.arr", arr, w)
+    custom = cw.build_custom(2, cw.build_boolean(2).chambers, boolean_universe(2))
+    assert set(custom.faces) == set(boolean_universe(2)) and custom.symmetries == ()
     for argv in (
         ["mc", "--family", "riffle", "--params", "n=5", "--t-grid", "1..8", "--trials", "50"],
         ["cutoff", "--family", "riffle", "--params", "n=5", "--trials", "50"],
@@ -314,6 +279,34 @@ def test_no_public_function_moves_a_size_limit():
                 limits.add(name)
     assert {"transition_matrix", "riffle_faces", "sample_T_batch", "survival_terms"} <= seen
     assert limits == {"build_braid", "build_boolean"}
+
+
+def test_a_cap_set_on_its_module_moves_every_check_of_it(monkeypatch, tmp_path, capsys):
+    # the README's cap table: each function listed for a constant reads it on
+    # the module that owns it, at the call, so setting it there moves them all
+    monkeypatch.setattr(glauber, "DEFAULT_COUPON_CELL_CAP", 1000)
+    for call in (lambda: cw.coupon_survival_uniform(64, 100),
+                 lambda: cw.sample_kset_coupon_T(64, 2, 100, 0),
+                 lambda: cw.hamming_profiles(64, 2, [100])):
+        with pytest.raises(cw.CapacityError, match="exceeds cap 1000"):
+            call()
+    before = glauber._count_chain.cache_info()  # 3000 trials of 9 cards: 1782 cells of chain
+    cw.sample_card_collection_T(cw.TsetlinSpec(np.full(9, 1 / 9)), 3000, 0)
+    assert glauber._count_chain.cache_info() == before  # past the cap, the clocks path
+    arr, w = cw.build_braid(3), cw.tsetlin_faces(cw.TsetlinSpec(np.full(3, 1 / 3)))
+    monkeypatch.setattr(exact, "DEFAULT_CHAMBER_CAP", 5)
+    profiles = (cw.distance_profiles, cw.separation_profile, cw.total_variation_profile)
+    for call in (cw.transition_matrix, cw.stationary_solve,
+                 *(lambda a, x, f=f: f(a, x, [1]) for f in profiles)):
+        with pytest.raises(cw.CapacityError, match="exceeds exact-mode cap 5"):
+            call(arr, w)
+    argv = ["exact", "--family", "tsetlin", "--params", "n=3", "--t-grid", "1..3"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path / "out.csv")])
+    assert exc.value.code == 2 and "3! chambers exceeds limit 5" in capsys.readouterr().err
+    monkeypatch.setattr(exact, "DEFAULT_CHAMBER_CAP", 50_000)  # 8! = 40320 chambers
+    argv = ["exact", "--family", "tsetlin", "--params", "n=8", "--t-grid", "1..3"]
+    assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 0
 
 
 def test_reference_imports_nothing_from_chamberwalk():

@@ -555,10 +555,10 @@ def test_card_collection_takes_the_clocks_past_the_cell_cap(monkeypatch):
     # not, and then no chain is read or built
     n, trials, seed = 9, 3000, 75
     w = np.full(n, 1 / n)
-    monkeypatch.setattr(gallery, "DEFAULT_COUPON_CELL_CAP", 1782)
+    monkeypatch.setattr(glauber, "DEFAULT_COUPON_CELL_CAP", 1782)
     T = cw.sample_card_collection_T(cw.TsetlinSpec(w), trials, seed)
     assert np.array_equal(T, _chain_draws(n, trials, seed))
-    monkeypatch.setattr(gallery, "DEFAULT_COUPON_CELL_CAP", 1781)
+    monkeypatch.setattr(glauber, "DEFAULT_COUPON_CELL_CAP", 1781)
     before = glauber._count_chain.cache_info()
     T = cw.sample_card_collection_T(cw.TsetlinSpec(w), trials, seed)
     assert glauber._count_chain.cache_info() == before

@@ -49,6 +49,7 @@ from .walk import sample_T_batch, survival_from_samples
 SEED_ENV_VAR = "CHAMBERWALK_SEED"
 PRNG_NAME = "numpy-pcg64"
 DEFAULT_TRIAL_CAP = 10**7  # T samples of one run; the samplers hold a few arrays of this length
+DEFAULT_GRID_POINT_CAP = 10**6  # times of one grid, each a row of the CSV
 
 CSV_HEADER = "t,s_exact,tv_exact,survival_exact,survival_mc,mc_stderr"
 
@@ -103,20 +104,28 @@ def read_config_file(path):
 
 def parse_t_grid(spec):
     """Parse '1..10', '0..40..2' or '1,2,5' into an increasing integer list;
-    each token is a whole number, as _whole checks it."""
+    each token is a whole number, as _whole checks it.  More than
+    DEFAULT_GRID_POINT_CAP points, counted before a range is listed, raise
+    CapacityError, and a time past int64 ConfigError."""
     if isinstance(spec, list):
         grid = [_whole(x, "t-grid time") for x in spec]
     elif ".." in (spec := str(spec)):
         parts = [_whole(x, "t-grid bound") for x in spec.split("..")]
         if len(parts) > 3 or parts[2:] == [0]:
             raise ConfigError(f"bad t-grid {spec!r}")
-        grid = list(range(parts[0], parts[1] + 1, *parts[2:]))
+        grid = range(parts[0], parts[1] + 1, *parts[2:])
     else:
         grid = [_whole(x, "t-grid time") for x in spec.split(",") if x.strip()]
-    if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
+    # a range is counted, not listed: its len() overflows past sys.maxsize points
+    points = grid.index(grid[-1]) + 1 if isinstance(grid, range) and grid else len(grid)
+    if points > DEFAULT_GRID_POINT_CAP:
+        raise CapacityError(f"t-grid of {points} points exceeds cap {DEFAULT_GRID_POINT_CAP}")
+    if not (grid := list(grid)) or any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigError("t-grid must be nonempty and strictly increasing")
     if grid[0] < 0:
         raise ConfigError(f"t-grid times must be >= 0, got {grid[0]}")
+    if grid[-1] > np.iinfo(np.int64).max:
+        raise ConfigError(f"t-grid time {grid[-1]} does not fit int64")
     return grid
 
 

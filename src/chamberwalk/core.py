@@ -27,7 +27,7 @@ DEFAULT_CLOSURE_PRODUCT_LIMIT = 1_000_000
 _PRODUCT_CELLS = 2**18  # sign entries of the face products validate_closure takes at once
 _GUIDE_CELLS = 2**14  # least cells of a _guide table
 _GUIDE_CELL_CAP = 2**20  # most cells of a _guide table
-_GUIDE_BLOCK = 2048  # keys that a _guide search reads at once
+_GUIDE_BLOCK = 2**16  # keys that a _guide search reads at once
 
 
 class DimensionError(ValueError):
@@ -84,12 +84,14 @@ def _search(table, keys):
     return np.where(known[pos] == keys, order[pos], -1)
 
 
-def _guide(sorted_):
+def _guide(sorted_, keys=0):
     """search(v, side) = np.searchsorted(sorted_, v, side) for sorted_ and v in [0, 1], by a
-    guide table (Chen-Asau) of K cells, K the power of 2 in (2 len, 4 len] put in
-    [_GUIDE_CELLS, _GUIDE_CELL_CAP]: a key in a cell [j, j + 1) / K with no point reads
-    #{sorted_ < j / K}; the rest are searched.  v is not written."""
-    K = min(max(_GUIDE_CELLS, 2 << len(sorted_).bit_length()), _GUIDE_CELL_CAP)
+    guide table (Chen-Asau) of K cells, K the power of 2 in (2 n, 4 n] put in
+    [_GUIDE_CELLS, _GUIDE_CELL_CAP], n the larger of len(sorted_) and keys, the number of
+    keys a search will read: a key in a cell [j, j + 1) / K with no point reads
+    #{sorted_ < j / K}; the rest, at most len(sorted_) / K of uniform keys, are searched.
+    v is read _GUIDE_BLOCK keys at a time and not written."""
+    K = min(max(_GUIDE_CELLS, 2 << max(len(sorted_), keys).bit_length()), _GUIDE_CELL_CAP)
     cells = (sorted_ * K).astype(np.intp)  # exact, as K is a power of 2
     count = np.arange(len(cells) + 1, dtype=np.min_scalar_type(-len(cells) - 1))
     table = np.repeat(count, np.diff(cells, prepend=-1, append=K))

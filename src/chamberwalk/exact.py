@@ -21,6 +21,7 @@ from .core import weighted_faces
 DEFAULT_CHAMBER_CAP = 10_000
 DEFAULT_IE_HYPERPLANE_CAP = 20
 DEFAULT_TABLE_CELL_CAP = 2**25  # faces x chambers of the product table, about 19 bytes a cell
+DEFAULT_WALK_CELL_CAP = 2**36  # steps x rows x table entries that one _walk pushes
 _TABLE_CELLS = 2**20  # bytes of packed products in one block of faces
 _PAIR_CELLS = 2**20  # entries of the m x m pair matrix of coupling_parameters
 _READ_CELLS = 2**18  # entries of the start rows that distance_profiles reads out at once
@@ -138,10 +139,14 @@ def _times(t_grid):
     return [int(t) for t in times]
 
 
-def _walk(state, step, t_grid):
-    """Yield (t, state after t steps) over _times(t_grid)."""
-    current = 0
-    for t in _times(t_grid):
+def _walk(state, step, t_grid, cells):
+    """Yield (t, state after t steps) over _times(t_grid), each step pushing
+    cells cells (rows x table entries); where the steps to the last time push
+    more than DEFAULT_WALK_CELL_CAP, it raises CapacityError before the first."""
+    times, current = _times(t_grid), 0
+    if (total := cells * max(times, default=0)) > DEFAULT_WALK_CELL_CAP:
+        raise CapacityError(f"walk of {total} cells exceeds cap {DEFAULT_WALK_CELL_CAP}")
+    for t in times:
         for _ in range(t - current):
             state = step(state)
         current = t
@@ -183,7 +188,7 @@ def distance_profiles(arr, w, t_grid, stats=None):
                 float(0.5 * max(np.abs(P - pi).sum(axis=1).max() for P in parts)))
 
     push = functools.partial(_push, succ, prob)
-    return {t: read(R) for t, R in _walk(rows, push, t_grid)}
+    return {t: read(R) for t, R in _walk(rows, push, t_grid, len(rows) * succ.size)}
 
 
 def separation_profile(arr, w, t_grid):

@@ -220,7 +220,7 @@ def hamming_profiles(m, k, t_grid, stats=None):
     pi = np.array([math.comb(m, j) / 2**m for j in range(m + 1)])
     if stats is not None:
         stats.update(exact_path="hamming-chain", chambers=2**m, starts=1)
-    walk = _walk(np.eye(1, m + 1)[0], functools.partial(_push, succ, band), times)
+    walk = _walk(np.eye(1, m + 1)[0], functools.partial(_push, succ, band), times, band.size)
     return {t: _lumped_read(law, pi) for t, law in walk}
 
 

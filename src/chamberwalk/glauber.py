@@ -171,7 +171,7 @@ def glauber_separation_profile(sys, t_grid, stats=None):
         return np.add(out, hi.transpose(1, 0, 2), out=out)
 
     return {t: (separation((R := Q.reshape(ell, -1)).T, pi), float(1.0 - R[i_bot, top] / pi[i_bot]))
-            for t, Q in _walk(bufs[0], step, t_grid)}
+            for t, Q in _walk(bufs[0], step, t_grid, len(starts) * (HmT.size + LmT.size))}
 
 
 def coupon_survival_uniform(n, t, k=None, d=1):
@@ -267,7 +267,7 @@ def _chain_T(key, v):
     rising copy of the curve's running minimum: an ulp of upward rounding
     after the cut would otherwise count where the cut did not."""
     rising = np.minimum.accumulate(_count_chain(*key)(low=v.min(initial=np.inf)))[::-1].copy()
-    t = _guide(rising)(v)  # #{t : S(t) < v}
+    t = _guide(rising, len(v))(v)  # #{t : S(t) < v}
     return np.subtract(len(rising), t, out=t)
 
 

@@ -27,7 +27,9 @@ def sample_T_batch(w, trials, seed):
     Each trial's uncut hyperplanes are a row of ceil(m/64) packed uint64
     words.  Every step draws one face per still-active trial by inverse CDF,
     from one generator seeded with ``seed`` and one guide table a call,
-    clears that face's support bits, and retires the trials whose row is now zero.
+    gathers the kept bits of those faces into their rows by one take, writes
+    the step as T of every active trial (final for those it retires), and
+    keeps the trials whose row is not zero by one take of their indices.
     """
     if not check_separating(w):
         raise ValueError("weights do not separate the hyperplanes; T may be infinite")
@@ -46,10 +48,10 @@ def sample_T_batch(w, trials, seed):
         t += 1
         if t > DEFAULT_STEP_CAP:
             raise RuntimeError(f"T exceeded the {DEFAULT_STEP_CAP}-step cap")
-        uncut &= keep[draw(rng.random(active.size), "right")]
-        done = ~uncut.any(axis=1)
-        out[active[done]] = t
-        active, uncut = active[~done], uncut[~done]
+        uncut &= keep.take(draw(rng.random(active.size), "right"), axis=0)
+        out[active] = t
+        live = np.flatnonzero(uncut.any(axis=1))
+        active, uncut = active.take(live), uncut.take(live, axis=0)
     return out
 
 

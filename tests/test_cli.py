@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import chamberwalk as cw
 import chamberwalk.exact
+from chamberwalk import cli
 
 from chamberwalk.cli import DEFAULT_TRIAL_CAP, FAMILIES, ConfigError, _fmt, main, parse_params
 from chamberwalk.cli import build_family, parse_t_grid
@@ -583,6 +584,49 @@ def test_trials_past_the_cap_exit_2_before_any_draw(by_param, monkeypatch, capsy
         main(argv + ([f"trials={over}"] if by_param else ["--trials", str(over)]))
     assert exc.value.code == 2
     assert f"{over} trials exceeds cap {DEFAULT_TRIAL_CAP}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid, message", [
+    ("1..99999999999999999999", "t-grid of 99999999999999999999 points exceeds cap 1000000"),
+    ("0,99999999999999999999", "t-grid time 99999999999999999999 does not fit int64"),
+])
+def test_a_grid_past_int64_exits_2_before_any_draw(grid, message, monkeypatch, capsys):
+    # the range was listed (an OverflowError traceback), or the time reached
+    # the int64 cast of survival_from_samples; now the grid is refused unlisted
+    def drawn(*args, **kwargs):
+        raise AssertionError("T sampled")
+
+    monkeypatch.setattr("chamberwalk.cli.sample_T_batch", drawn)
+    with pytest.raises(SystemExit) as exc:
+        main(["mc", "--family", "riffle", "--params", "n=4", "--trials", "10", "--t-grid", grid])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_a_grid_is_counted_against_the_point_cap_and_int64(monkeypatch):
+    # every form of grid is counted before it is listed, and its times fit int64
+    monkeypatch.setattr(cli, "DEFAULT_GRID_POINT_CAP", 5)
+    assert parse_t_grid("1..5") == [1, 2, 3, 4, 5]
+    assert parse_t_grid("0..40..10") == [0, 10, 20, 30, 40]
+    for spec in ("1..6", "0..50..10", "1,2,3,4,5,6", [1, 2, 3, 4, 5, 6]):
+        with pytest.raises(cw.CapacityError, match="t-grid of 6 points exceeds cap 5"):
+            parse_t_grid(spec)
+    assert parse_t_grid(f"1,{2**63 - 1}") == [1, 2**63 - 1]
+    for spec in (f"1,{2**63}", f"{2**63}..{2**63}", [2**63]):
+        with pytest.raises(ConfigError, match=f"t-grid time {2**63} does not fit int64"):
+            parse_t_grid(spec)
+
+
+@pytest.mark.parametrize("argv", [
+    ["exact", "--family", "top-bottom", "--params", "n=4"],
+    ["glauber", "--family", "ising", "--params", "width=2", "height=2", "beta=0.3"],
+])
+def test_a_last_time_the_walk_cannot_reach_exits_2(argv, capsys):
+    # the start rows were pushed 10^11 steps; the walk's cell cap refuses them before the first
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--t-grid", "0,100000000000", "--out", os.devnull])
+    assert exc.value.code == 2
+    assert f"exceeds cap {cw.exact.DEFAULT_WALK_CELL_CAP}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("fault", [RuntimeError, OverflowError, AssertionError])

@@ -83,6 +83,29 @@ def test_product_table_capacity_refuses_before_any_block(monkeypatch):
             build()
 
 
+def test_walk_cell_cap_refuses_before_the_first_step(monkeypatch):
+    # steps to the last time x rows x table entries, for each engine that pushes start rows
+    def stepped(*args, **kwargs):
+        raise AssertionError("a step taken")
+
+    sys_ = cw.ising_system(2, 2, 0.3)
+    stats = {}
+    cw.glauber_separation_profile(sys_, [0], stats)
+    arr, w = tsetlin([1 / 4, 1 / 4, 1 / 2])  # 3 starts, 3 faces x 6 chambers
+    walks = [(lambda g: cw.distance_profiles(arr, w, g), 3 * 3 * 6),
+             (lambda g: cw.glauber_separation_profile(sys_, g), stats["starts"] * 2 * 4**3),
+             (lambda g: cw.hamming_profiles(6, 2, g), 5 * 7)]  # the band: 2k + 1 by m + 1
+    for walk, cells in walks:
+        monkeypatch.setattr(exact, "DEFAULT_WALK_CELL_CAP", 4 * cells)
+        assert list(walk([0, 4])) == [0, 4]
+        monkeypatch.setattr(exact, "DEFAULT_WALK_CELL_CAP", 4 * cells - 1)
+        for module, name in ((exact, "_push"), (cw.gallery, "_push"), (np, "matmul")):
+            monkeypatch.setattr(module, name, stepped)  # the steps of the three walks
+        with pytest.raises(CapacityError, match=f"walk of {4 * cells} cells exceeds cap"):
+            walk([0, 4])
+        monkeypatch.undo()
+
+
 def test_stationary_uniform_for_certified_families():
     for arr, w in [
         boolean2_uniform(),

@@ -10,7 +10,8 @@ tuples, and each built-in face list against a loop that lists it face by face.
 The exact rates of the Möbius form, on int64 and past it, against a loop over
 the sets.  The Tsetlin P(T > t) over count vectors of tied weights against the
 card-set sum and the braid walk, with its term count.  The guide-table search
-against np.searchsorted, on both sides and on every cell edge of large CDFs.
+against np.searchsorted, on both sides and on every cell edge of large CDFs and
+of tables sized to their keys, and over key counts around one block.
 The generic, card-collection and k-set samplers: each Monte Carlo count
 against the binomial law of the exact survival."""
 
@@ -562,6 +563,42 @@ def test_guide_search_of_a_cdf_equals_searchsorted_on_every_cell_edge(size):
     search = core._guide(cdf)
     for side in ("left", "right"):
         assert np.array_equal(search(keys, side), np.searchsorted(cdf, keys, side)), side
+
+
+@pytest.mark.parametrize("keys, cells", [(0, 2**14), (2**14, 2**16), (100_000, 2**18),
+                                         (2**19 - 1, 2**20), (2**22, 2**20)])
+def test_guide_table_grows_with_its_keys_and_searches_only_marked_cells(keys, cells, monkeypatch):
+    # K is the power of 2 in (2 n, 4 n] in [_GUIDE_CELLS, _GUIDE_CELL_CAP], n the larger of
+    # the points and the keys: on every edge of the largest table, which holds the edges of
+    # each smaller one, only the keys in the K cells that hold a point fall back to a search
+    rng = np.random.default_rng(keys)
+    edges = np.arange(core._GUIDE_CELL_CAP + 1) / core._GUIDE_CELL_CAP
+    points = np.sort(np.concatenate([rng.random(300), rng.choice(edges, 100), [0.0, 1.0, 1.0]]))
+    probe = np.concatenate([edges, np.nextafter(points, 0.0), np.nextafter(points, 1.0)])
+    before, searched, searchsorted = probe.copy(), [], np.searchsorted
+    monkeypatch.setattr(np, "searchsorted", lambda a, v, side: searched.append(len(v))
+                        or searchsorted(a, v, side))
+    search = core._guide(points, keys)
+    marked = np.isin((probe * cells).astype(np.intp), (points * cells).astype(np.intp)).sum()
+    for side in ("left", "right"):
+        searched.clear()
+        assert np.array_equal(search(probe, side), searchsorted(points, probe, side)), side
+        assert sum(searched) == marked, side
+    assert probe.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("count", [1, core._GUIDE_BLOCK - 1, core._GUIDE_BLOCK,
+                                   core._GUIDE_BLOCK + 1, 100_001])
+def test_guide_search_reads_every_block_of_keys_and_keeps_them(count):
+    # keys on points, which fall back to the search, every 997 keys from the last one back
+    rng = np.random.default_rng(count)
+    points = np.sort(np.concatenate([rng.random(1000), [0.25] * 3, EDGES[::512]]))
+    keys = rng.random(count)
+    keys[::-997] = points[rng.integers(0, len(points), len(keys[::-997]))]
+    before, search = keys.copy(), core._guide(points, count)
+    for side in ("left", "right"):
+        assert np.array_equal(search(keys, side), np.searchsorted(points, keys, side)), side
+    assert keys.tobytes() == before.tobytes()
 
 
 MC_TRIALS = 20_000

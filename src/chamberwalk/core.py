@@ -48,8 +48,11 @@ def is_chamber(f):
 
 
 def _bits(x):
-    """Rows of signs as packed bits, one per hyperplane: set where x > 0."""
-    return np.packbits(x > 0, axis=-1)
+    """Rows of signs as packed bits, one per hyperplane: set where x > 0, in one flat pass."""
+    *lead, m = x.shape
+    padded = np.zeros((*lead, -(-m // 8) * 8), dtype=bool)
+    np.greater(x, 0, out=padded[..., :m])
+    return np.packbits(padded).reshape(*lead, -(-m // 8))
 
 
 def _keys(bits):

@@ -24,7 +24,7 @@ DEFAULT_TABLE_CELL_CAP = 2**25  # faces x chambers of the product table, about 1
 DEFAULT_WALK_CELL_CAP = 2**36  # steps x rows x table entries that one _walk pushes
 _TABLE_CELLS = 2**20  # bytes of packed products in one block of faces
 _PAIR_CELLS = 2**20  # entries of the m x m pair matrix of coupling_parameters
-_READ_CELLS = 2**18  # entries of the start rows that distance_profiles reads out at once
+_READ_CELLS = 2**18  # entries of start rows read out, or of their table entries pushed, at once
 _POWER_CELLS = 2**16  # entries of the q_i^t table that _power_sums holds at once
 _INT_TERM_CAP = 2**24  # exact rates x times left of _power_sums' fallback, ~1.5 us a term
 
@@ -52,12 +52,20 @@ def _product_table(arr, w):
     return table
 
 
-def _push(succ, prob, laws):
-    """One step in place of a law, or of each row of laws, along a successor table:
-    sum of prob[k, i] law[i] at succ[k, i], over the law.size states, in k
-    order.  On the rows of np.eye it builds the dense matrix of the table."""
-    for law in np.atleast_2d(laws):  # a row's step reads that row alone
-        law[:] = np.bincount(succ.ravel(), (prob * law).ravel(), law.size)
+def _offsets(succ, rows):
+    """The index of _push for rows laws on the ell states of succ's last axis: succ offset
+    by r ell for row r of a block of at most _READ_CELLS entries, on an axis next to last."""
+    block = max(1, min(rows, _READ_CELLS // max(succ.size, 1)))
+    return succ[..., np.newaxis, :] + succ.shape[-1] * np.arange(block)[:, np.newaxis]
+
+
+def _push(index, prob, laws):
+    """One step in place of each row of laws along a successor table succ, index its _offsets:
+    sum of prob[k, i] law[i] at succ[k, i] in k order, one bincount a block; on np.eye, P."""
+    for i in range(0, len(laws), index.shape[-2]):
+        rows = laws[i:i + index.shape[-2]]  # a shorter last block reads a copy of its index
+        law = (prob[..., np.newaxis, :] * rows).ravel()  # (k, row, i): each bin's in k order
+        rows[:] = np.bincount(index[..., :len(rows), :].ravel(), law, rows.size).reshape(rows.shape)
     return laws
 
 
@@ -65,21 +73,26 @@ def transition_matrix(arr, w):
     """Row-stochastic matrix P[C, D] = sum of w(F) over faces with FC = D,
     each cell summed in face order."""
     _check_chambers(arr)
-    return _push(_product_table(arr, w), w.weights[:, np.newaxis], np.eye(arr.n_chambers))
+    table, ell = _product_table(arr, w), arr.n_chambers
+    return _push(_offsets(table, ell), w.weights[:, np.newaxis], np.eye(ell))
 
 
 def _symmetries(arr, w):
     """The chamber permutations of the candidates arr.symmetries that pass
     the check: each maps the chambers onto the chambers and each weighted
     face to one of exactly equal total weight (a face listed twice weighs
-    the sum of its entries), so that P(gx, gy) = P(x, y)."""
+    the sum of its entries), so that P(gx, gy) = P(x, y).  All candidates are
+    checked at once, in blocks of at most _READ_CELLS image signs (one at least)."""
     w = weighted_faces(w.signs, w.weights)
     faces, maps = _lookup(_sign_keys(w.signs)), []
-    for src, sign in arr.symmetries:
-        g = arr._find(_bits(sign * arr.signs[:, src]))
-        image = _search(faces, _sign_keys(sign * w.signs[:, src]))
-        if g.min() >= 0 and image.min() >= 0 and np.array_equal(w.weights[image], w.weights):
-            maps.append(g)
+    pairs = np.reshape(arr.symmetries, (len(arr.symmetries), 2, arr.m)).astype(np.intp)
+    block = max(1, _READ_CELLS // max(arr.signs.size + w.signs.size, 1))
+    for s, p in (pairs[i:i + block].transpose(1, 0, 2) for i in range(0, len(pairs), block)):
+        p = p[:, np.newaxis].astype(np.int8)  # the images' signs stay int8
+        g = arr._find(_bits(p * arr.signs[:, s].transpose(1, 0, 2)))  # (candidate, chamber)
+        image = _search(faces, _sign_keys(p * w.signs[:, s].transpose(1, 0, 2)))
+        ok = (g >= 0).all(axis=1) & ((image >= 0) & (w.weights[image] == w.weights)).all(axis=1)
+        maps += list(g[ok])
     return maps
 
 
@@ -153,13 +166,13 @@ def _walk(state, step, t_grid, cells):
         yield t, state
 
 
-def separation(Pt, pi):
-    """s = max over the starts x0 (the rows of Pt) of 1 - min over x with pi(x) > 0
-    of Pt(x0, x) (1 / pi(x)), read bit for bit as 1 - min_x (1 / pi(x)) min_x0 Pt(x0, x)
-    since rounding is monotone: at uniform pi that is 1 - ell min Pt bit for bit where
-    1 / (1 / ell) == ell, as for ell = n! (n <= 7) and ell = 2^n."""
-    on = pi > 0
-    return float(1.0 - (Pt.min(axis=0)[on] * (1.0 / pi[on])).min())
+def separation(pi):
+    """s(Pt), 1 / pi taken once: the max over the starts x0 (rows of Pt) of 1 - min over x
+    with pi(x) > 0 of Pt(x0, x) (1 / pi(x)), read bit for bit as 1 - min_x (1 / pi(x))
+    min_x0 Pt(x0, x) since rounding is monotone: at uniform pi that is 1 - ell min Pt bit
+    for bit where 1 / (1 / ell) == ell, as for ell = n! (n <= 7) and ell = 2^n."""
+    on, inv = pi > 0, 1.0 / pi[pi > 0]
+    return lambda Pt: float(1.0 - (Pt.min(axis=0)[on] * inv).min())
 
 
 def distance_profiles(arr, w, t_grid, stats=None):
@@ -179,28 +192,26 @@ def distance_profiles(arr, w, t_grid, stats=None):
     pi = np.full(ell, 1.0 / ell) if len(starts) == 1 else stationary_solve(arr, w)
     rows = (starts[:, np.newaxis] == np.arange(ell)).astype(float)
     path = "one-start" if len(starts) == 1 else "dense" if len(starts) == ell else "orbits"
+    s, block = separation(pi), max(1, _READ_CELLS // ell)
     if stats is not None:
         stats.update(exact_path=path, chambers=ell, starts=len(starts))
 
-    def read(R):  # s and TV, _READ_CELLS entries of the rows at a time
-        parts = np.array_split(R, min(len(R), -(-R.size // _READ_CELLS)))
-        return (max(separation(P, pi) for P in parts),
-                float(0.5 * max(np.abs(P - pi).sum(axis=1).max() for P in parts)))
+    def read(R):  # s over all rows, TV over _READ_CELLS entries of them at a time
+        parts = [R[i:i + block] for i in range(0, len(R), block)]
+        return s(R), float(0.5 * max(np.abs(P - pi).sum(axis=1).max() for P in parts))
 
-    push = functools.partial(_push, succ, prob)
+    push = functools.partial(_push, _offsets(succ, len(rows)), prob)
     return {t: read(R) for t, R in _walk(rows, push, t_grid, len(rows) * succ.size)}
 
 
 def separation_profile(arr, w, t_grid):
     """Exact separation distance s(t) over an integer time grid."""
-    prof = distance_profiles(arr, w, t_grid)
-    return {t: s for t, (s, _) in prof.items()}
+    return {t: s for t, (s, _) in distance_profiles(arr, w, t_grid).items()}
 
 
 def total_variation_profile(arr, w, t_grid):
     """Exact worst-case total variation distance to stationarity on a grid."""
-    prof = distance_profiles(arr, w, t_grid)
-    return {t: tv for t, (_, tv) in prof.items()}
+    return {t: tv for t, (_, tv) in distance_profiles(arr, w, t_grid).items()}
 
 
 def _power_sums(c, q, exact_rates, weights, t_grid, t_first):

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import glauber
 from .core import CapacityError, _check_weights, braid_m, braid_signs, weighted_faces
-from .exact import _power_sums, _push, _times, _walk
+from .exact import _offsets, _power_sums, _push, _times, _walk
 from .glauber import _chain_T, _horizon, _hypergeometric
 
 DEFAULT_ENUM_CAP = 10_000_000  # sign entries, faces x hyperplanes, one face list enumerates
@@ -220,8 +220,9 @@ def hamming_profiles(m, k, t_grid, stats=None):
     pi = np.array([math.comb(m, j) / 2**m for j in range(m + 1)])
     if stats is not None:
         stats.update(exact_path="hamming-chain", chambers=2**m, starts=1)
-    walk = _walk(np.eye(1, m + 1)[0], functools.partial(_push, succ, band), times, band.size)
-    return {t: _lumped_read(law, pi) for t, law in walk}
+    push = functools.partial(_push, _offsets(succ, 1), band)
+    walk = _walk(np.eye(1, m + 1), push, times, band.size)
+    return {t: _lumped_read(law[0], pi) for t, law in walk}
 
 
 def solve_t_star(spec):

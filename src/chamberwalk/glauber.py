@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CapacityError, _guide
-from .exact import _orbits, _push, _walk, separation
+from .exact import _offsets, _orbits, _push, _walk, separation
 
 DEFAULT_STATE_CAP = 4096
 DEFAULT_COUPON_CELL_CAP = 2**28
@@ -124,8 +124,8 @@ def _heat_bath(sys):
     logs = np.array([sys.log_weight(c) for c in configs])
     with np.errstate(over="ignore", invalid="ignore"):  # a pi of 0 or nan is refused below
         pi = _softmax(logs, 0)
-    if not (least := pi.min()) >= np.finfo(float).tiny:  # 1 / pi stays a float
-        raise ValueError(f"{sys.name}: a stationary probability {least!r} is below the floats")
+    if not (low := pi.min()) >= np.finfo(float).tiny:  # 1 / pi stays a float
+        raise ValueError(f"{sys.name}: a stationary probability {float(low)} is below the floats")
     i, n_spins = np.arange(len(configs)), len(sys.spins)
     place = n_spins ** np.arange(sys.n_sites - 1, -1, -1)[:, np.newaxis, np.newaxis]
     succ = i - i // place % n_spins * place + np.arange(n_spins)[:, np.newaxis] * place
@@ -136,7 +136,7 @@ def glauber_matrix(sys):
     """Exact transition matrix: pick a uniform site, resample from its
     conditional; each cell summed in (site, spin) order."""
     configs, pi, succ, prob = _heat_bath(sys)
-    return configs, pi, _push(succ, prob / sys.n_sites, np.eye(len(configs)))
+    return configs, pi, _push(_offsets(succ, len(pi)), prob / sys.n_sites, np.eye(len(pi)))
 
 
 def glauber_separation_profile(sys, t_grid, stats=None):
@@ -159,18 +159,18 @@ def glauber_separation_profile(sys, t_grid, stats=None):
     maps = [g.ravel() for g in [np.flip(index), *map(index.transpose, sys.symmetries)]
             if np.array_equal(pi[g.ravel()], pi)]
     starts = np.union1d(_orbits(maps, ell), [i_top])
-    top = np.searchsorted(starts, i_top)
+    top, s = np.searchsorted(starts, i_top), separation(pi)
     if stats is not None:
         stats.update(states=ell, starts=len(starts))
-    bufs, hi = [np.empty((H, L, len(starts))) for _ in range(2)], np.empty((L, H, len(starts)))
+    *bufs, hi = [np.empty((H, L, len(starts))) for _ in range(3)]  # two row buffers, hi
     bufs[0].reshape(ell, -1)[:] = np.arange(ell)[:, np.newaxis] == starts  # P^0, k innermost
 
     def step(Q):  # Q[a, b, k] is the row of P^t at starts[k]: two GEMMs, no copy, other buffer
         out = np.matmul(LmT, Q, out=bufs[Q is bufs[0]])
-        np.matmul(HmT, Q.transpose(1, 0, 2), out=hi)
-        return np.add(out, hi.transpose(1, 0, 2), out=out)
+        np.matmul(HmT, Q.transpose(1, 0, 2), out=hi.transpose(1, 0, 2))  # into out's layout
+        return np.add(out, hi, out=out)
 
-    return {t: (separation((R := Q.reshape(ell, -1)).T, pi), float(1.0 - R[i_bot, top] / pi[i_bot]))
+    return {t: (s((R := Q.reshape(ell, -1)).T), float(1.0 - R[i_bot, top] / pi[i_bot]))
             for t, Q in _walk(bufs[0], step, t_grid, len(starts) * (HmT.size + LmT.size))}
 
 

@@ -464,7 +464,7 @@ def loop_transition_matrix(arr, w):
     return P
 
 
-def test_transition_matrix_matches_loop_bitwise():
+def test_transition_matrix_matches_loop_bitwise(monkeypatch):
     universe = list(itertools.product((1, -1, 0), repeat=3))
     custom = cw.build_custom(3, cw.build_boolean(3).chambers, universe)
     rng = np.random.default_rng(5)
@@ -475,6 +475,10 @@ def test_transition_matrix_matches_loop_bitwise():
         (cw.build_custom(0, [()], [()]), cw.weighted_faces([()], [1.0])),  # no hyperplanes
     ]:
         assert np.array_equal(cw.transition_matrix(arr, w), loop_transition_matrix(arr, w))
+    arr, w = tsetlin([0.45, 0.3, 0.15, 0.1])  # 24 rows in blocks of 5 and a last of 4
+    monkeypatch.setattr(exact, "_READ_CELLS", 5 * 4 * 24)
+    assert exact._offsets(exact._product_table(arr, w), 24).shape == (4, 5, 24)
+    assert np.array_equal(cw.transition_matrix(arr, w), loop_transition_matrix(arr, w))
 
 
 def untouched_at_least(r, n, q, t):
@@ -572,6 +576,49 @@ def test_certificate_rejects_asymmetric_inputs():
         cw.stationary_solve(missing, riffle4)
 
 
+def loop_symmetries(arr, w):
+    """The candidates checked one at a time on tuples: each chamber's image looked
+    up among the chamber tuples, and each face's among the faces, merged by weight
+    in list order, with exactly its weight."""
+    chambers = {c: i for i, c in reversed(list(enumerate(map(tuple, arr.signs.tolist()))))}
+    weight = {}
+    for f, x in zip(map(tuple, w.signs.tolist()), w.weights.tolist()):
+        weight[f] = weight.get(f, 0.0) + x
+    maps = []
+    for src, sign in arr.symmetries:
+        def image(x, src=src, sign=sign):
+            return tuple(int(e) * x[int(j)] for j, e in zip(src, sign))
+        g = [chambers.get(image(c)) for c in map(tuple, arr.signs.tolist())]
+        if None not in g and all(weight.get(image(f)) == x for f, x in weight.items()):
+            maps.append(g)
+    return maps
+
+
+def test_stacked_symmetry_check_equals_the_candidate_loop():
+    # braid(4..6) at equal, two-class and all-distinct card weights, and the
+    # coordinate flips of boolean(3..5) at unequal w_plus / w_minus
+    braids = [tsetlin(np.full(n, 1 / n)) for n in (4, 5, 6)]
+    braids += [tsetlin([0.3, 0.3, 0.2, 0.2]), tsetlin(TWO_HEAVY_OF_SIX),
+               tsetlin([0.1, 0.15, 0.2, 0.25, 0.3]), tsetlin([0.05, 0.1, 0.15, 0.2, 0.22, 0.28]),
+               (cw.build_braid(5), cw.riffle_faces(5, 2)),
+               (cw.build_braid(5), cw.k_to_top_faces(5, 2))]
+    flips = [(cw.build_boolean(len(p)), cw.hypercube_nn_faces(p, m)) for p, m in [
+        ([0.1, 0.2, 0.15], [0.2, 0.25, 0.1]),
+        ([0.1, 0.05, 0.05, 0.1], [0.2, 0.1, 0.3, 0.1]),
+        ([0.1, 0.1, 0.05, 0.1, 0.1], [0.1, 0.1, 0.15, 0.15, 0.05])]]
+    passed = []
+    for arr, w in braids + flips:
+        want = loop_symmetries(arr, w)
+        assert [g.tolist() for g in exact._symmetries(arr, w)] == want
+        passed.append(len(want))
+    assert len(cw.build_braid(6).symmetries) == 15 and passed[:3] == [6, 10, 15]  # all pass
+    assert passed[3:7] == [2, 7, 0, 0]  # a transposition of unequal cards fails on its weights
+    assert passed[-3:] == [0, 1, 2]  # the flips of w_plus(i) == w_minus(i) alone
+    custom = cw.build_custom(2, cw.build_boolean(2).chambers,
+                             list(itertools.product((1, -1, 0), repeat=2)))
+    assert custom.symmetries == () and exact._symmetries(custom, boolean2_uniform()[1]) == []
+
+
 def test_orbits_keep_the_symmetries_that_pass():
     # cards 0, 1 and cards 2, 3 share weights: of the six card transpositions
     # only (0 1) and (2 3) pass, and their group has 4! / (2! 2!) orbits
@@ -596,9 +643,12 @@ def test_orbits_keep_the_symmetries_that_pass():
         assert np.abs(np.subtract(got[t], every_row[t])).max() <= 1e-13
 
 
-def test_profiles_are_the_maxima_over_single_row_pushes():
-    # each start's law walked on its own, one _push a step, and read out here
-    # as 1 - min nu (1 / pi) and half the l1 distance to pi
+def test_profiles_are_the_maxima_over_single_row_pushes(monkeypatch):
+    # each start's law walked on its own, one row's bincount a step (the batched
+    # _push must match it bit for bit), and read out here as 1 - min nu (1 / pi)
+    # and half the l1 distance to pi; the 15 rows of two heavy cards go in blocks
+    # of 4, 4, 4 and 3 (4 x 6 x 720 entries)
+    monkeypatch.setattr(exact, "_READ_CELLS", 4 * 6 * 720)
     for arr, w in [tsetlin([0.5, 0.3, 0.2]),
                    (cw.build_boolean(3),
                     cw.hypercube_nn_faces([0.1, 0.2, 0.15], [0.2, 0.25, 0.1])),
@@ -612,7 +662,7 @@ def test_profiles_are_the_maxima_over_single_row_pushes():
             for t in grid:
                 s[t].append(1.0 - (nu[on] * (1.0 / pi[on])).min())
                 tv[t].append(0.5 * np.abs(nu - pi).sum())
-                nu = exact._push(succ, prob, nu)
+                nu = np.bincount(succ.ravel(), (prob * nu).ravel(), nu.size)
         path, starts, got = profiles(arr, w, grid)
         assert path != "one-start" and starts == len(s[0])
         assert got == {t: (max(s[t]), max(tv[t])) for t in grid}

@@ -37,8 +37,14 @@ def test_ising_rejects_negative_beta_and_capacity():
         with pytest.raises(ValueError, match="probabilities in"):
             cw.product_system(2, probs_up)
     for beta, field in [(89.0, 0.0), (0.0, 94.0), (2.25e307, 0.0)]:  # pi below the floats
-        with pytest.raises(ValueError, match="stationary probability"):
+        with pytest.raises(ValueError, match="stationary probability") as err:
             cw.glauber_separation_profile(cw.ising_system(2, 2, beta, field), [1])
+        assert "np.float64" not in str(err.value)  # a plain float: 3.02899732099947e-310 at 89
+    nan_weight = cw.MonotoneSystem(n_sites=2, spins=(-1, 1), log_weight=lambda sigma: math.nan)
+    for sys_ in (cw.ising_system(3, 3, 700.0), nan_weight):
+        with pytest.raises(ValueError, match=r"probability (0\.0|nan) is") as err:
+            cw.glauber_separation_profile(sys_, [1])
+        assert "np.float64" not in str(err.value)
     with pytest.raises(CapacityError):
         cw.ising_system(5, 5, beta=0.1)
 

@@ -6,7 +6,8 @@ The stationary law against the sampling-without-replacement law.
 One start per orbit: class-constant card weights on braid(3..5), and Ising
 grids of at most 9 sites.  The sign lists: braid_signs against
 partition_to_sign_vector, chamber_index against a search of the chamber
-tuples, and each built-in face list against a loop that lists it face by face.
+tuples, their packed bits against np.packbits along the last axis, and each
+built-in face list against a loop that lists it face by face.
 The exact rates of the Möbius form, on int64 and past it, against a loop over
 the sets.  The Tsetlin P(T > t) over count vectors of tied weights against the
 card-set sum and the braid walk, with its term count.  The guide-table search
@@ -26,6 +27,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.stats import binom
 
 import chamberwalk as cw
@@ -380,8 +382,8 @@ def rowwise_separation(Pt, pi):
 def test_separation_reduces_over_the_starts_first_bit_for_bit(case):
     rows, pi = np.array(case[0]), np.array(case[1])
     assume(pi.max() > 0)
-    assert exact.separation(rows, pi) == rowwise_separation(rows, pi)
-    assert exact.separation(rows.T.copy().T, pi) == rowwise_separation(rows, pi)  # strided rows
+    assert exact.separation(pi)(rows) == rowwise_separation(rows, pi)
+    assert exact.separation(pi)(rows.T.copy().T) == rowwise_separation(rows, pi)  # strided rows
 
 
 @st.composite
@@ -416,6 +418,18 @@ def test_braid_signs_equal_partition_to_sign_vector(labels):
     want = list(partition_to_sign_vector(blocks, len(labels)))
     assert braid_signs(labels).tolist() == want
     assert braid_signs(np.stack([labels, labels])).tolist() == [want, want]
+
+
+@pytest.mark.parametrize("m", [0, 1, 7, 8, 9, 63, 64, 65])  # whole bytes, one bit either side
+@settings(derandomize=True, database=None, deadline=None, max_examples=10)
+@given(st.data())
+def test_bits_pack_as_packbits_along_the_last_axis(m, data):
+    lead = data.draw(st.lists(st.integers(0, 3), max_size=2))  # 1-D to 3-D, with zero rows
+    x = data.draw(hnp.arrays(np.int8, (*lead, m), elements=st.integers(-1, 1)))
+    for signs in (x, np.zeros((0, m), dtype=np.int8)):
+        want, got = np.packbits(signs > 0, axis=-1), core._bits(signs)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 BRAID3_FACES = [partition_to_sign_vector(p, 3) for p in ordered_set_partitions(range(3))]

@@ -191,8 +191,7 @@ def build_family(family, params):
             raise ConfigError(f"parameter 'n' must be >= 1, got {n}")
         w = _get_weights(params, "weights", n) if "weights" in params else np.full(n, 1.0 / n)
         info["spec"] = spec = TsetlinSpec(w)
-        info["survival"] = (_count_chain_survival(spec.n, 1, spec.n - 1) if spec.equal_weights else
-                            ("count-vectors", functools.partial(tsetlin_survival_profile, spec)))
+        info["survival"] = ("count-chain", functools.partial(tsetlin_survival_profile, spec))
         info["t_sampler"] = lambda trials, seed: sample_card_collection_T(spec, trials, seed)
         n, listing = spec.n, ((tsetlin_faces, spec) if family == "tsetlin" else
                               (top_bottom_faces, spec.n, spec.card_weights))
@@ -214,7 +213,7 @@ def build_family(family, params):
         w_minus = _get_weights(params, "w_minus", n) if "w_minus" in params else half
         if np.all(np.concatenate([w_plus, w_minus]) == half[0]):
             info["profiles"] = functools.partial(hamming_profiles, n, 1)
-            info["survival"] = _count_chain_survival(n, 1, n)
+            info["survival"] = "count-chain", lambda g: {t: coupon_survival_uniform(n, t) for t in g}
         listing = (hypercube_nn_faces, w_plus, w_minus)
     elif family == "hypercube-nonlocal":
         n, k = _get_int(params, "n"), _get_int(params, "k")
@@ -223,7 +222,8 @@ def build_family(family, params):
         info["bd"] = kset_coupling_closed_form(n, k)
         info["t_sampler"] = lambda trials, seed: sample_kset_coupon_T(n, k, trials, seed)
         info["profiles"] = functools.partial(hamming_profiles, n, k)
-        info["survival"] = _count_chain_survival(n, k, n)
+        info["survival"] = "count-chain", lambda g: {
+            t: coupon_survival_uniform(n, t, n, k) for t in g}
         listing = (hypercube_nonlocal_faces, n, k)
     else:
         see = "glauber command" if family in ("ising", "product") else "list subcommand"
@@ -237,11 +237,6 @@ def build_family(family, params):
     info.setdefault("profiles", lambda g, stats: distance_profiles(  # no face listed past the cap
         build(n, exact.DEFAULT_CHAMBER_CAP), faces(), g, stats=stats))
     return faces, info
-
-
-def _count_chain_survival(n, d, need):
-    """("count-chain", P(T > t) over a grid from coupon_survival_uniform, a time at a time)."""
-    return "count-chain", lambda grid: {t: coupon_survival_uniform(n, t, need, d) for t in grid}
 
 
 def build_glauber_family(family, params):

@@ -214,6 +214,13 @@ def total_variation_profile(arr, w, t_grid):
     return {t: tv for t, (_, tv) in distance_profiles(arr, w, t_grid).items()}
 
 
+def _integers(weights):
+    """The weights, exactly, as Python ints over one power of two."""
+    ratios = [float(x).as_integer_ratio() for x in weights]
+    two = max(den for _, den in ratios)
+    return [num * (two // den) for num, den in ratios]
+
+
 def _power_sums(c, q, exact_rates, weights, t_grid, t_first):
     """P(T > t) = sum_i c_i q_i^t over _times(t_grid), for int64 c_i (else
     OverflowError), and 1.0 before t_first, a lower bound on the first time T
@@ -224,12 +231,11 @@ def _power_sums(c, q, exact_rates, weights, t_grid, t_first):
     [0, 1] by no more than that bound is put on the nearer edge.  Where it lies
     further out or the bound exceeds 1e-12, the value is the integer ratio
     sum_i c_i a_i^t / d^t, which Python rounds correctly.  At the first such
-    time alone, the weights (one per face or card) become integers over one
-    power of two, on int64 where their sum d < 2^63 bounds every a_i, else as
-    Python ints; the form's linear map exact_rates gives the a_i on that
-    dtype, and the c_i of equal a_i are summed once on int64.  Where the
-    distinct a_i times the times left from there pass _INT_TERM_CAP, it
-    raises CapacityError before any integer term."""
+    time alone, the face weights become _integers, on int64 where their sum
+    d < 2^63 bounds every a_i, else as Python ints; the form's linear map
+    exact_rates gives the a_i on that dtype, and the c_i of equal a_i are
+    summed once on int64.  Where the distinct a_i times the times left from
+    there pass _INT_TERM_CAP, it raises CapacityError before any integer term."""
     c, (rates, at) = np.asarray(c, dtype=np.int64), np.unique(q, return_inverse=True)
     c_sum, abs_sum = np.bincount(at, c, rates.size), np.bincount(at, np.abs(c), rates.size)
     del at  # not held while the exact rates are read
@@ -246,10 +252,7 @@ def _power_sums(c, q, exact_rates, weights, t_grid, t_first):
                 out[t] = min(max(value, 0.0), 1.0)
                 continue
             if by_rate is None:
-                ratios = [float(x).as_integer_ratio() for x in weights]
-                two = max(den for _, den in ratios)
-                ints = [num * (two // den) for num, den in ratios]
-                d = sum(ints)
+                d = sum(ints := _integers(weights))
                 a = exact_rates(np.array(ints, dtype=np.int64 if d < 2**63 else object))
                 a_rates, at = np.unique(a, return_inverse=True)
                 merged = np.zeros(a_rates.size, dtype=np.int64)

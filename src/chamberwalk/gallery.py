@@ -1,7 +1,7 @@
 """Weighted-face families on the braid and Boolean arrangements, plus the
 move-to-front (Tsetlin library) machinery: the t* solver, the closed-form
-separation bounds, the exact survival formula for "all but one card
-touched", and samplers for large instances, the chain ones by glauber._chain_T;
+separation bounds, P(T > t) for "all but one card touched" off the count
+chain of the card weights, and samplers, the chain ones by glauber._chain_T;
 and the exact s and TV of riffle and the hypercube walks from their lumped
 chains, with no chamber or face.
 """
@@ -17,17 +17,16 @@ import numpy as np
 
 from . import glauber
 from .core import CapacityError, _check_weights, braid_m, braid_signs, weighted_faces
-from .exact import _offsets, _power_sums, _push, _times, _walk
-from .glauber import _chain_T, _horizon, _hypergeometric
+from .exact import _integers, _offsets, _push, _times, _walk
+from .glauber import _chain_at, _chain_cells, _chain_T, _hypergeometric
 
 DEFAULT_ENUM_CAP = 10_000_000  # sign entries, faces x hyperplanes, one face list enumerates
-DEFAULT_TSETLIN_EXACT_CAP = 20
 DEFAULT_RIFFLE_BIT_CAP = 2**24  # bits of the integers riffle_profiles builds over its grid
 _CHUNK_CELLS = 2**16  # trials x n cells per block of the card sampler
-# a cell of the count chain (one state at one step) costs about two of the
-# card sampler's exponentials: 24 ns against 12 ns at n = 500, measured once
-# (numpy 2.4, 2-core x86 host)
-_CHAIN_CELL_COST = 2
+# a cell the count chain pushes (one move of one state at one step) costs about one
+# of the card sampler's exponentials: 5.3 ns against 8.4 ns at n = 500, measured
+# once (numpy 2.4, 2-core x86 host)
+_CHAIN_CELL_COST = 1
 
 
 def _check_entries(faces, m, hint=""):
@@ -51,8 +50,11 @@ class TsetlinSpec:
         return len(self.card_weights)
 
     @property
-    def equal_weights(self):
-        return np.ptp(self.card_weights) <= 1e-15
+    def chain_key(self):
+        """The _count_chain key of T: (count, integer weight) per class, lightest first."""
+        w, counts = np.unique(self.card_weights, return_counts=True)
+        g = math.gcd(*(ints := _integers(w)))
+        return tuple(zip(counts.tolist(), [a // g for a in ints])), 1, self.n - 1
 
 
 def tsetlin_faces(spec):
@@ -195,23 +197,18 @@ def riffle_profiles(n, a, t_grid, stats=None):
 
 
 def hamming_profiles(m, k, t_grid, stats=None):
-    """{t: (s, TV)} of the hypercube walk on m coordinates that
-    re-signs k distinct uniform ones a step, each sign fair (k = 1: the
-    equal-weight nearest-neighbor walk), lumped by the Hamming distance j
-    from the start: i ~ hypergeometric of the k lie among the j that differ,
-    and each of the k then differs with chance 1/2, so j' = j - i + Bin(k, 1/2).
-    The law is pushed along that band of 2k + 1 successors, the hypergeometric
-    chances rounded once from exact integers, and read against pi_j = C(m, j) / 2^m.
-    Where pi_0 = 2^-m is not a normal float (m > 1022), or where m + 2 cells for
-    each of the t + 1 points of the last time pass DEFAULT_COUPON_CELL_CAP, it
-    raises CapacityError before any step.  stats as riffle_profiles fills it."""
+    """{t: (s, TV)} of the hypercube walk on m coordinates that re-signs k distinct
+    uniform ones a step, each sign fair (k = 1: the equal-weight nearest-neighbor walk),
+    lumped by the Hamming distance j from the start: i ~ hypergeometric of the k lie
+    among the j that differ, and each of the k then differs with chance 1/2, so
+    j' = j - i + Bin(k, 1/2).  The law is pushed along that band of 2k + 1 successors,
+    the hypergeometric chances rounded once from exact integers, and read against
+    pi_j = C(m, j) / 2^m.  Where pi_0 = 2^-m is not a normal float (m > 1022), or past
+    _walk's cell cap, it raises CapacityError before any step; stats as riffle_profiles."""
     if not 1 <= k <= m:
         raise ValueError(f"need 1 <= k <= m, got k={k}, m={m}")
     if math.ldexp(1.0, -m) < np.finfo(float).tiny:
         raise CapacityError(f"m={m}: pi_0 = 2^-{m} is not a normal float")
-    times = _times(t_grid)
-    if (cells := (m + 2) * (max(times, default=0) + 1)) > (cap := glauber.DEFAULT_COUPON_CELL_CAP):
-        raise CapacityError(f"Hamming chain of {cells} cells exceeds cap {cap}")
     hyp = _hypergeometric(m, k, m + 1)  # hyp[k - i, j]: i of the k among the j that differ
     band = np.zeros((2 * k + 1, m + 1))  # band[d, j]: the chance of j -> j + d - k
     for l in range(k + 1):  # l of the k differ after the step: d - k = l - i
@@ -221,7 +218,7 @@ def hamming_profiles(m, k, t_grid, stats=None):
     if stats is not None:
         stats.update(exact_path="hamming-chain", chambers=2**m, starts=1)
     push = functools.partial(_push, _offsets(succ, 1), band)
-    walk = _walk(np.eye(1, m + 1), push, times, band.size)
+    walk = _walk(np.eye(1, m + 1), push, t_grid, band.size)
     return {t: _lumped_read(law[0], pi) for t, law in walk}
 
 
@@ -313,54 +310,30 @@ def tsetlin_bounds(spec, c, strict=True):
 
 
 def tsetlin_survival_profile(spec, t_grid):
-    """P(T > t) = P(at least two cards untouched at t) in Möbius form over count vectors:
-    u_i of the n_i cards of the i-th weight w_i lie in the untouched set U, and each u with
-    |u| >= 2 gives c(u) q(u)^t, c(u) = (-1)^|u| (|u| - 1) prod_i C(n_i, u_i) and q(u) the
-    weight outside U: prod_i (n_i + 1) vectors, on axes broadcast against each other."""
-    n = spec.n
-    if n > DEFAULT_TSETLIN_EXACT_CAP:
-        raise CapacityError(f"n={n} exceeds the cap of {DEFAULT_TSETLIN_EXACT_CAP} cards; "
-                            "use sample_card_collection_T")
-    # heaviest class outermost: q(u) then falls in long runs, which _power_sums' search
-    # reads faster (all-distinct n = 20: 0.85 -> 0.56 s)
-    w, counts = (x[::-1].tolist() for x in np.unique(spec.card_weights, return_counts=True))
-    u = np.ogrid[tuple(slice(k + 1) for k in counts)]
-    c = sum(u) - 1  # |u| - 1, then times (-1)^u_i C(n_i, u_i) for each i
-    keep = c >= 1
-    for k, x in zip(counts, u):
-        c *= np.array([(-1) ** j * math.comb(k, j) for j in range(k + 1)])[x]
-    c = c[keep]
-    cards, first = np.repeat(w, counts), np.cumsum(counts) - counts
-
-    def rates(x):  # sum_i (n_i - u_i) w_i on x's dtype at the count vectors in keep, w_i
-        # read from x, one entry per card as in cards, at the first card of class i
-        return sum((k - ui.astype(x.dtype)) * y for k, ui, y in zip(counts, u, x[first]))[keep]
-
-    return _power_sums(c, rates(cards), rates, cards, t_grid, n - 1)
+    """P(T > t) = P(at least two cards untouched at t) over _times(t_grid), read by
+    glauber._chain_at off the count chain of spec.chain_key, the cards' weight classes."""
+    key = spec.chain_key
+    return {t: _chain_at(key, t) for t in _times(t_grid)}
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an inf or nan mean is refused below
 def sample_card_collection_T(spec, trials, seed):
     """Monte Carlo samples of T = first time n-1 distinct cards are touched.
 
-    Equal weights, where the count chain's worst-case cells, n + 2 for each
-    of _horizon((n, 1, n - 1), 2^-53) steps, fit DEFAULT_COUPON_CELL_CAP with
-    a point more and cost less than n - 2 exponentials a trial: T = #{t :
-    S(t) >= 1 - U} by _chain_T, one U a trial, S the curve of _count_chain(n,
-    1, n - 1).  Exact in law up to 2^-53 and the chain's rounding, whatever
-    the cache holds.  Otherwise T is n-1 steps plus one Poisson count of
-    repeats: card i is touched at rate w_i in continuous time, first at
-    tau_i = E_i / w_i, E_i ~ Exp(1); n-1 are touched at s, the second-largest
-    tau, and card i repeats Poisson(w_i (s - tau_i)^+) times before it.
+    Where the cells the count chain of spec.chain_key pushes to fall below 2^-53
+    fit DEFAULT_COUPON_CELL_CAP and cost less than n - 2 exponentials a trial:
+    T = #{t : S(t) >= 1 - U} by _chain_T, S its curve, exact in law up to 2^-53
+    and the chain's rounding, whatever the cache holds.  Otherwise T is n-1
+    steps plus one Poisson count of repeats: card i is first touched at
+    tau_i = E_i / w_i in continuous time, E_i ~ Exp(1), n-1 are touched at s,
+    the second-largest tau, and card i repeats Poisson(w_i (s - tau_i)^+) times.
     """
-    n = spec.n
-    w = spec.card_weights
+    n, w, key = spec.n, spec.card_weights, spec.chain_key
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
-    cells = (n + 2) * _horizon((n, 1, n - 1), 2.0**-53) if spec.equal_weights else math.inf
-    if (cells + n + 2 <= glauber.DEFAULT_COUPON_CELL_CAP
-            and _CHAIN_CELL_COST * cells < trials * (n - 2)):
+    cells = _chain_cells(key, p=2.0**-53)
+    if cells <= glauber.DEFAULT_COUPON_CELL_CAP and _CHAIN_CELL_COST * cells < trials * (n - 2):
         u = rng.random(trials)
-        return _chain_T((n, 1, n - 1), np.subtract(1.0, u, out=u))
+        return _chain_T(key, np.subtract(1.0, u, out=u))
     out = np.empty(trials, dtype=np.int64)
     rows = max(1, _CHUNK_CELLS // n)
     for block in np.split(out, range(rows, trials, rows)):  # views of out
@@ -381,18 +354,15 @@ def sample_kset_coupon_T(m, k, trials, seed):
     of [m] per step; T = first time all m coupons are held.
 
     Matches the chamber-walk T for the non-local hypercube walk (signs never
-    matter for T).  One V = 1 - U per trial and T = #{t : S(t) >= V}, S the
-    curve of _count_chain(m, k, m), cached per (m, k): exact in law up to
-    2^-53 and the chain's rounding, whatever the cache holds.  A cold curve
-    costs m states a step, out to the t where it falls below the least V;
-    where m + 2 cells for each point to _horizon at that V pass
-    DEFAULT_COUPON_CELL_CAP, it raises CapacityError before any chain is built.
+    matter for T).  T = #{t : S(t) >= 1 - U} by _chain_T, S the curve of the
+    count chain of m coupons, k a step: exact in law up to 2^-53 and the chain's
+    rounding.  Past DEFAULT_COUPON_CELL_CAP cells pushed, CapacityError first.
     """
     if not 1 <= k <= m:
         raise ValueError(f"need 1 <= k <= m, got k={k}, m={m}")
     u = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,))).random(trials)
     v = np.subtract(1.0, u, out=u)
-    cells = (m + 2) * (_horizon((m, k, m), v.min(initial=1.0)) + 1)
-    if cells > (cap := glauber.DEFAULT_COUPON_CELL_CAP):
-        raise CapacityError(f"k-set chain of {cells} cells exceeds cap {cap}")
-    return _chain_T((m, k, m), v)
+    if (cells := _chain_cells(key := (((m, 1),), k, m), p=v.min(initial=1.0))) > (
+            cap := glauber.DEFAULT_COUPON_CELL_CAP):
+        raise CapacityError(f"k-set chain of {cells:.4g} cells exceeds cap {cap}")
+    return _chain_T(key, v)

@@ -2,8 +2,8 @@
 
 The heat-bath move table of a spin system, the exact chain on tiny systems,
 the uniform coupon-collector lower bounds on separation and total variation
-mixing, and Erdos-Renyi's count chain: one reader of its cached curves,
-their horizon and the samplers' search.
+mixing, and the count chain of cards drawn by weight class: one reader of
+its cached curves, their cells and horizon, and the samplers' search.
 """
 
 from __future__ import annotations
@@ -175,56 +175,77 @@ def glauber_separation_profile(sys, t_grid, stats=None):
 
 
 def coupon_survival_uniform(n, t, k=None, d=1):
-    """P(fewer than k of n sites picked after t steps of d distinct uniform
-    sites each); k = n, the default, is P(some site unpicked).  Read off the
-    curve of _count_chain(n, d, k), grown to t: O(n t) work once per key, a
-    lookup after.  A chain of more than DEFAULT_COUPON_CELL_CAP cells (n + 2
-    for each of the t + 1 points) raises CapacityError first."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if not 0 <= (k := n if k is None else k) <= n or not 1 <= d <= n:
+    """P(fewer than k of n sites picked after t steps of d distinct uniform sites
+    each), by _chain_at; k = n, the default, is P(some site unpicked)."""
+    if not 0 <= (k := n if k is None else k) <= n or not 1 <= d <= n:  # so n >= 1
         raise ValueError(f"need 0 <= k <= n and 1 <= d <= n, got k={k}, d={d}, n={n}")
     if t < 0 or t % 1:  # the checks of exact._times, on one time (inf % 1 is nan)
         raise ValueError(f"{'negative' if t < 0 else 'fractional'} time {t}")
-    if (t := int(t)) * d < k:
+    return _chain_at((((n, 1),), d, k), int(t))
+
+
+def _chain_at(key, t):
+    """The curve of _count_chain(*key) at the integer t >= 0, 1.0 before need / d and 0.0 past
+    its end; where _chain_cells passes DEFAULT_COUPON_CELL_CAP, CapacityError first."""
+    if t * key[1] < key[2]:
         return 1.0
-    # the curve is 1 before t = k / d, and below 2^-1022, so ended, from _horizon on
-    if (cells := (n + 2) * (t + 1)) > DEFAULT_COUPON_CELL_CAP >= (n + 2) * (k + 1):
-        cells = (n + 2) * (min(t, _horizon((n, d, k), 2.0**-1022)) + 1)
-    if cells > DEFAULT_COUPON_CELL_CAP:
-        raise CapacityError(f"coupon chain of {cells} cells exceeds cap {DEFAULT_COUPON_CELL_CAP}")
-    curve = _count_chain(n, d, k)(t + 1)
+    if (cells := _chain_cells(key, t)) > (cap := DEFAULT_COUPON_CELL_CAP):
+        raise CapacityError(f"count chain of {cells:.4g} cells exceeds cap {cap}")
+    curve = _count_chain(*key)(t + 1)
     return curve[t] if t < len(curve) else 0.0  # past the curve only at its 0
 
 
+def _chain_cells(key, t=2**63, p=2.0**-1022):
+    """The cells _count_chain(*key) pushes to point t >= need / d, or below p: _step_cells
+    times t + 1 points, past the cap those to _horizon(key, p), or the least, ceil(need / d)
+    + 1, where they pass it already: then no binomial is read."""
+    if (cells := (per := _step_cells(*key)) * (t + 1)) > DEFAULT_COUPON_CELL_CAP:
+        least = per * (-(-key[2] // key[1]) + 1)
+        cells = least if least > DEFAULT_COUPON_CELL_CAP else per * (min(t, _horizon(key, p)) + 1)
+    return cells
+
+
 @functools.lru_cache(maxsize=8)
-def _count_chain(n, d, need):
-    """grown(size, low), the one reader of Erdos-Renyi's count chain: each
-    step draws d distinct sites of n uniformly, and curve[t] is the chance
-    of fewer than need distinct sites after t steps, a sum that does not
-    cancel.  grown returns the curve, grown in place to size points and on
-    while it is at least low, never past its first 0: no mass flows back
-    below need.  From j sites a step brings i new ones with chance
-    C(n - j, i) C(j, d - i) / C(n, d), rounded once from exact integers.
-    (n, 1, n) is the coupon collector's survival, (n, 1, n - 1) that of the
-    equal-weight Tsetlin T, (m, k, m) that of the non-local hypercube walk's
-    T.  A mass past 1 by rounding, ((d + 1) t + n) eps at most, is put on 1;
-    further, it is an error, raised again at every read past the curve.
-    Each chance below 2^-1022 is put on 0: the subnormals would not empty
-    (j/n of the least rounds back to it) and step slowly."""
-    f = np.finfo(float)  # new[i][j]: the chance of i new sites from j, for j < need - i
-    new = [p[:need - i] for i, p in enumerate(_hypergeometric(n, d, need)[:need])]
-    curve, law = array.array("d", [need > 0]), np.eye(1, need)[0]  # law[j]: j sites, j < need
+def _step_cells(classes, d, need):
+    """States x moves, the cells a step of _count_chain pushes, as a float (inf past it)."""
+    moves = 1 + min(d, need - 1) * len(classes)
+    return moves * math.prod(float(min(k + 1, need)) for k, _ in classes)
+
+
+@functools.lru_cache(maxsize=8)
+def _count_chain(classes, d, need):
+    """grown(size, low), the one reader of the count chain of n_c cards of integer weight a_c,
+    (n_c, a_c) in classes, lightest first: a step picks card i with chance a_i / D, D the
+    total (d = 1), or d distinct cards of one class.  grown returns curve, the chance of fewer
+    than need cards after t steps (no sign is summed), grown in place to size points and on
+    while at least low, never past its first 0.  The state is the count picked per class, and
+    mass that reaches need leaves; each chance is rounded once from exact integers.  A mass
+    past 1 by (moves t + n) eps at most is put on 1, and further raised, again at every read
+    past the curve; a chance below 2^-1022 is put on 0, as subnormals step slowly for ever."""
+    f, n = np.finfo(float), sum(k for k, _ in classes)
+    if d > 1:  # i new cards from j < need - i: C(n - j, i) C(j, d - i) / C(n, d)
+        stay, *rest = _hypergeometric(n, d, need)[:need or 1]
+        moves = [(slice(i, None), slice(None, -i), p[:need - i]) for i, p in enumerate(rest, 1)]
+    else:  # class c: (n_c - j_c) a_c / D, 0 where need is reached; staying sum_c j_c a_c / D
+        j = np.indices([min(k + 1, need) for k, _ in classes], sparse=True)
+        total, short, moves = sum(k * a for k, a in classes), sum(j) + 1 < need, []
+        stay = (sum(x.astype(object) * a for x, (_, a) in zip(j, classes)) / total).astype(float)
+        for c, (x, (k, a)) in enumerate(zip(j, classes)):
+            src = (slice(None),) * c + (slice(None, -1),)
+            p = np.where(short, (k - x.astype(object)) * a / total, 0.0)[src].astype(float)
+            moves.append((src[:-1] + (slice(1, None),), src, p))
+    curve, law = array.array("d", [need > 0]), np.eye(1, stay.size)[0].reshape(stay.shape)
 
     def grown(size=0, low=math.inf):
         nonlocal law
         while curve[-1] and (len(curve) < size or curve[-1] >= low):
-            step = law * new[0]
-            for i, p in enumerate(new[1:need], 1):
-                step[i:] += law[:-i] * p
+            step = law * stay
+            for dst, src, p in moves:
+                step[dst] += law[src] * p
             step[step < f.tiny] = 0.0
-            if (mass := float(step.sum())) > 1.0 + ((d + 1) * len(curve) + n) * f.eps:
-                raise RuntimeError(f"count chain {n, d, need} at t={len(curve)}: mass {mass!r} > 1")
+            if (mass := float(step.sum())) > 1.0 + ((len(moves) + 1) * len(curve) + n) * f.eps:
+                raise RuntimeError(f"count chain {classes, d, need} at t={len(curve)}: "
+                                   f"mass {mass!r} > 1")
             law = step
             curve.append(min(mass, 1.0))
         return curve
@@ -250,15 +271,20 @@ def _hypergeometric(n, d, cols):
 
 
 def _horizon(key, p):
-    """The first t with C(n, r) (C(n - r, d) / C(n, d))^t < p, key = (n, d, need)
-    and r = n - need + 1: a union bound on the chance that some r sites are all
-    unpicked, so the curve of _count_chain(*key) is below p from t on."""
-    n, d, need = key
+    """The first t (at most 2^63 + 1) with C(n, r) (kept / total)^t < p, r = n - need + 1:
+    a union bound on the chance that some r cards are all unpicked, kept / total the most
+    that a step misses r given cards with, so the curve of _count_chain(*key) is below p."""
+    classes, d, need = key
     if need <= d:
-        return min(need, 1)  # one step picks need sites
-    total = math.comb(n, d)
-    fall = math.log1p((math.comb(need - 1, d) - total) / total)  # one rounding of an exact ratio
-    return math.floor((math.log(math.comb(n, n - need + 1)) - math.log(p)) / -fall) + 1
+        return min(need, 1)  # one step picks need cards
+    r = (n := sum(k for k, _ in classes)) - need + 1
+    if d > 1:
+        total, kept = math.comb(n, d), math.comb(need - 1, d)
+    else:  # all but the r lightest cards
+        total = sum(k * a for k, a in classes)
+        kept = total - sum(itertools.islice((a for k, a in classes for _ in range(k)), r))
+    fall = math.log1p((kept - total) / total)  # one rounding of an exact ratio
+    return math.floor(min((math.log(math.comb(n, r)) - math.log(p)) / -fall, 2.0**63)) + 1
 
 
 def _chain_T(key, v):

@@ -12,6 +12,8 @@ weights, chamber lists and a spin system's fields (``n_sites``, ``spins``,
   transpositions of the braid arrangement, the sign flips of the Boolean one.
 - The stationary law of the chamber walk by sampling faces without
   replacement, enumerated over their orderings.
+- The Tsetlin library's P(T > t), all cards but one touched, as the Möbius
+  sum over the count vectors of the untouched cards, in fractions.
 - Heat-bath Glauber dynamics: a site's conditional, one coupled update,
   the comparable pairs of configurations and the monotonicity check, and
   the law from the top conditioned on every site having been picked.
@@ -19,6 +21,8 @@ weights, chamber lists and a spin system's fields (``n_sites``, ``spins``,
 
 import collections
 import itertools
+import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -127,6 +131,22 @@ def stationary_without_replacement(chambers, faces, weights):
 
     recurse(None, list(range(len(faces))), 1.0)
     return np.array([mass[tuple(c)] for c in chambers])
+
+
+def count_vector_survival(weights, t):
+    """P(T > t) for T the first time all cards but one are touched, card i picked
+    with chance weights[i] over their exact total, as a Fraction: the untouched
+    set U holds u_i of the n_i cards of the i-th distinct weight w_i, and each u
+    with |u| >= 2 adds (-1)^|u| (|u| - 1) prod_i C(n_i, u_i) q(u)^t, q(u) the
+    weight outside U over the total.  prod_i (n_i + 1) terms: for n <= 10 cards."""
+    classes = collections.Counter(map(Fraction, weights))
+    total = sum(k * w for w, k in classes.items())
+    out = Fraction(0)
+    for u in itertools.product(*(range(k + 1) for k in classes.values())):
+        if sum(u) >= 2:
+            c = (-1) ** sum(u) * (sum(u) - 1) * math.prod(map(math.comb, classes.values(), u))
+            out += c * (sum((k - x) * w for (w, k), x in zip(classes.items(), u)) / total) ** t
+    return out
 
 
 def conditional_at_site(sys, sigma, u):

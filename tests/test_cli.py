@@ -103,14 +103,14 @@ def test_exact_tsetlin_uniform_values(tmp_path, monkeypatch):
     meta, _, _ = read_rows(out)
     assert counts == {"transition_matrix": 0, "lstsq": 0}
     assert meta[-5:-1] == ["# exact_path=orbits", "# chambers=6", "# starts=3",
-                           "# survival_path=count-vectors"]
+                           "# survival_path=count-chain"]
     # weights that differ for every card: every start
     run_cli(["exact", "--family", "tsetlin", "--params", "weights=1/2,1/3,1/6",
              "--t-grid", "1..4", "--out", str(out)])
     meta, _, _ = read_rows(out)
     assert counts == {"transition_matrix": 0, "lstsq": 0}
     assert meta[-5:-1] == ["# exact_path=dense", "# chambers=6", "# starts=6",
-                           "# survival_path=count-vectors"]
+                           "# survival_path=count-chain"]
 
 
 def test_mc_rerun_byte_identical(tmp_path):
@@ -852,7 +852,7 @@ def test_bounds_preamble_keeps_the_clamped_raw_values(tmp_path):
 
 
 @pytest.mark.parametrize("params, path", [(["n=12", "c=1"], "count-chain"),
-                                          (["weights=1/2,1/4,1/4", "c=0.5"], "count-vectors")])
+                                          (["weights=1/2,1/4,1/4", "c=0.5"], "count-chain")])
 def test_bounds_reads_the_exact_survival_at_any_weights(params, path, tmp_path):
     out = tmp_path / "bounds.csv"
     run_cli(["bounds", "--family", "tsetlin", "--params", *params, "--trials", "100",
@@ -875,7 +875,7 @@ def test_bounds_leaves_the_exact_survival_blank_past_the_chain_cap(tmp_path):
              "--trials", "10", "--t-grid", "1..2", "--out", str(out)])
     meta, _, rows = read_rows(out)
     assert all(r.split(",")[3] == "" for r in rows)
-    assert any(m.startswith("# survival_exact=refused: coupon chain of") for m in meta)
+    assert any(m.startswith("# survival_exact=refused: count chain of") for m in meta)
 
 
 @pytest.mark.parametrize("n", [8, 10])

@@ -287,10 +287,13 @@ def test_a_cap_set_on_its_module_moves_every_check_of_it(monkeypatch, tmp_path, 
     monkeypatch.setattr(glauber, "DEFAULT_COUPON_CELL_CAP", 1000)
     for call in (lambda: cw.coupon_survival_uniform(64, 100),
                  lambda: cw.sample_kset_coupon_T(64, 2, 100, 0),
-                 lambda: cw.hamming_profiles(64, 2, [100])):
+                 lambda: cw.tsetlin_survival_profile(cw.TsetlinSpec(np.full(9, 1 / 9)), [100])):
         with pytest.raises(cw.CapacityError, match="exceeds cap 1000"):
             call()
-    before = glauber._count_chain.cache_info()  # 3000 trials of 9 cards: 1782 cells of chain
+    with monkeypatch.context() as patch, pytest.raises(cw.CapacityError, match="exceeds cap 1000"):
+        patch.setattr(exact, "DEFAULT_WALK_CELL_CAP", 1000)  # 5 x 65 band cells a step
+        cw.hamming_profiles(64, 2, [100])
+    before = glauber._count_chain.cache_info()  # 3000 trials of 9 cards: 2592 cells of chain
     cw.sample_card_collection_T(cw.TsetlinSpec(np.full(9, 1 / 9)), 3000, 0)
     assert glauber._count_chain.cache_info() == before  # past the cap, the clocks path
     arr, w = cw.build_braid(3), cw.tsetlin_faces(cw.TsetlinSpec(np.full(3, 1 / 3)))

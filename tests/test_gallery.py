@@ -11,6 +11,7 @@ import pytest
 import chamberwalk as cw
 from chamberwalk import gallery, glauber
 from chamberwalk.core import CapacityError
+from reference import count_vector_survival
 
 
 def test_tsetlin_faces_uniform3():
@@ -235,25 +236,12 @@ def test_tsetlin_survival_answers_where_the_float_sum_cancels():
     assert all(0.0 <= p <= 1.0 for p in got.values())
 
 
-def test_tsetlin_survival_reads_the_exact_rates_once_where_the_float_sum_cancels(monkeypatch):
-    # eight cards of 3/32 and eight of 1/32: T >= n - 1 = 15, and the float
-    # sum's rounding bound refuses t = 15, 16, 17 only
+def test_tsetlin_survival_reads_the_exact_rates_once_where_the_float_sum_cancels():
+    # eight cards of 3/32 and eight of 1/32: T >= n - 1 = 15, and a Mobius sum over
+    # their count vectors cancels at t = 15, 16, 17, where the chain sums no sign
     spec = cw.TsetlinSpec([3 / 32] * 8 + [1 / 32] * 8)
-    reads, power_sums = [], gallery._power_sums
-
-    def counted(c, q, exact_rates, *args):  # counts the calls of the exact rates' map
-        return power_sums(c, q, lambda x: reads.append(True) or exact_rates(x), *args)
-
-    def exact_reads(t_grid):
-        reads.clear()
-        return cw.tsetlin_survival_profile(spec, t_grid), reads.count(True)
-
-    monkeypatch.setattr(gallery, "_power_sums", counted)
     grid = range(1, 134)  # to 3 n ln n
-    got, read = exact_reads(grid)
-    assert read == 1
-    assert [exact_reads(g)[1] for g in (range(1, 15), [15], [16], [17], range(18, 134))] == [
-        0, 1, 1, 1, 0]
+    got = cw.tsetlin_survival_profile(spec, grid)
     # the lumped chain on the untouched (heavy, light) card counts, in fractions
     law, want = {(8, 8): Fraction(1)}, {}
     for t in grid:
@@ -265,27 +253,21 @@ def test_tsetlin_survival_reads_the_exact_rates_once_where_the_float_sum_cancels
                     step[state] += p * Fraction(hits, 32)
         law = step
         want[t] = sum(p for (heavy, light), p in law.items() if heavy + light >= 2)
-    assert [got[t] for t in (15, 16, 17)] == [float(want[t]) for t in (15, 16, 17)]
+    assert all(abs(got[t] - want[t]) <= 1e-15 for t in (15, 16, 17))  # a few ulps
     assert all(abs(got[t] - want[t]) <= 1e-12 for t in grid)
 
 
-def test_tsetlin_exact_total_counts_each_card_of_a_class(monkeypatch):
+def test_tsetlin_exact_total_counts_each_card_of_a_class():
     # one card of 2^-11 + 2^-63 sets the denominator 2^63; fifteen cards of w_b,
     # raised until their sum with it is at least 1: each class's integer is
-    # below 2^63, the cards' total is not, so the rates need Python ints
+    # below 2^63, the cards' total is not, and the chances are read against it
     w_s = 2.0**-11 + 2.0**-63
     w_b = (1 - w_s) / 15
     while 15 * Fraction(w_b) + Fraction(w_s) < 1:
         w_b = np.nextafter(w_b, 1.0)
     assert Fraction(w_b) * 2**63 < 2**63 <= (15 * Fraction(w_b) + Fraction(w_s)) * 2**63
-    reads, power_sums = [], gallery._power_sums
-
-    def recorded(c, q, exact_rates, *args):  # the time and dtype of each integer read
-        return power_sums(c, q, lambda x: reads.append(x.dtype) or exact_rates(x), *args)
-
-    monkeypatch.setattr(gallery, "_power_sums", recorded)
     got = cw.tsetlin_survival_profile(cw.TsetlinSpec([w_b] * 15 + [w_s]), range(1, 100))
-    assert reads == [object] and got[14] == 1.0
+    assert got[14] == 1.0
     # the count-vector sum in fractions, against the exact total
     total = 15 * Fraction(w_b) + Fraction(w_s)
     terms = [((-1) ** (b + s) * (b + s - 1) * math.comb(15, b),
@@ -295,14 +277,23 @@ def test_tsetlin_exact_total_counts_each_card_of_a_class(monkeypatch):
     def want(t):
         return sum(c * q**t for c, q in terms)
 
-    assert got[15] == float(want(15))
+    assert abs(got[15] - want(15)) <= 1e-15
     assert all(abs(got[t] - want(t)) <= 1e-12 for t in range(15, 100))
 
 
 def test_tsetlin_survival_capacity():
-    spec = cw.TsetlinSpec(np.full(25, 1 / 25))
-    with pytest.raises(CapacityError):
-        cw.tsetlin_survival_profile(spec, [10])
+    # all-distinct weights on 20 cards: 2^20 states x 21 moves a step, past the cell cap
+    # over the 20 points before the curve can leave 1, so no chain is built
+    spec = cw.TsetlinSpec(np.random.default_rng(7).dirichlet(np.ones(20)))
+    misses = glauber._count_chain.cache_info().misses
+    with pytest.raises(CapacityError, match="cells exceeds cap"):
+        cw.tsetlin_survival_profile(spec, range(1, 181))
+    # 2000 distinct weights: 2^2000 states, past the floats; the sampler takes its clocks
+    spec = cw.TsetlinSpec(np.random.default_rng(7).dirichlet(np.ones(2000)))
+    with pytest.raises(CapacityError, match="count chain of inf cells"):
+        cw.tsetlin_survival_profile(spec, [1999])
+    assert np.all(cw.sample_card_collection_T(spec, 10, 0) >= 1999)
+    assert glauber._count_chain.cache_info().misses == misses
 
 
 @pytest.mark.parametrize("weights", [[1 / 3] * 3, [0.25] * 4, [0.2] * 5])
@@ -464,25 +455,38 @@ def test_card_collection_small_n_both_paths():
         assert T.dtype == np.int64 and np.all(T == 1)
 
 
-def _chain_draws(n, trials, seed):
-    """The chain path's T, from the sampler's own V = 1 - U."""
+def _chain_draws(n, trials, seed, key=None):
+    """The chain path's T, from the sampler's own V = 1 - U; key defaults to n equal cards."""
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
-    return glauber._chain_T((n, 1, n - 1), 1.0 - rng.random(trials))
+    return glauber._chain_T(key or (((n, 1),), 1, n - 1), 1.0 - rng.random(trials))
 
 
 def test_card_collection_equal_weights_chain_matches_the_mobius_form():
     # 20 000 trials of 12 cards take the count chain, draw for draw; the
-    # card-set Mobius sum shares no code with it
+    # count-vector Mobius sum in fractions shares no code with it
     spec, trials = cw.TsetlinSpec(np.full(12, 1 / 12)), 20_000
     T = cw.sample_card_collection_T(spec, trials, seed=76)
     assert np.array_equal(T, _chain_draws(12, trials, 76))
-    _assert_survival_within_4se(T, cw.tsetlin_survival_profile(spec, range(10, 120, 2)))
+    _assert_survival_within_4se(T, {t: float(count_vector_survival([1] * 12, t))
+                                    for t in range(10, 120, 2)})
+
+
+def test_card_collection_unequal_weights_take_the_chain_where_it_pays():
+    # three cards of 3/13 and four of 1/13: 20 states x 3 moves for each of 240 points,
+    # 14 400 cells against 10 000 trials x 5 exponentials, so the chain of their two classes
+    spec, trials = cw.TsetlinSpec([3 / 13] * 3 + [1 / 13] * 4), 10_000
+    assert spec.chain_key == (((4, 1), (3, 3)), 1, 6)
+    T = cw.sample_card_collection_T(spec, trials, seed=80)
+    assert np.array_equal(T, _chain_draws(7, trials, 80, spec.chain_key))
+    _assert_survival_within_4se(T, {t: float(count_vector_survival(spec.card_weights, t))
+                                    for t in range(6, 60, 3)})
 
 
 CHAIN_SAMPLERS = {  # n cards or coupons -> (sampler of trials and seed, its curve's key)
     "card": lambda n: (functools.partial(cw.sample_card_collection_T,
-                                         cw.TsetlinSpec(np.full(n, 1 / n))), (n, 1, n - 1)),
-    "kset": lambda n: (functools.partial(cw.sample_kset_coupon_T, n, 1), (n, 1, n)),
+                                         cw.TsetlinSpec(np.full(n, 1 / n))),
+                       (((n, 1),), 1, n - 1)),
+    "kset": lambda n: (functools.partial(cw.sample_kset_coupon_T, n, 1), (((n, 1),), 1, n)),
 }
 
 
@@ -518,8 +522,8 @@ def test_kset_sampler_of_one_coupon_a_step_reads_the_coupon_curve():
 def test_card_collection_chain_at_one_and_two_cards():
     # V = 1 - U runs from 2^-53 to 1: one card needs no step, two need one
     v = np.array([2.0**-53, 0.5, 1.0])
-    assert glauber._chain_T((1, 1, 0), v).tolist() == [0, 0, 0]
-    assert glauber._chain_T((2, 1, 1), v).tolist() == [1, 1, 1]
+    assert glauber._chain_T((((1, 1),), 1, 0), v).tolist() == [0, 0, 0]
+    assert glauber._chain_T((((2, 1),), 1, 1), v).tolist() == [1, 1, 1]
 
 
 def test_card_collection_takes_the_draws_where_the_chain_does_not_pay():
@@ -541,24 +545,24 @@ def _clock_draws(w, trials, seed):
 
 def test_card_collection_unequal_weights_draw_for_draw():
     # equal weights take the same clocks where the cost rule keeps them off
-    # the chain: 500 trials of 9 cards count 3500 exponentials, fewer than
-    # twice the chain's 1771 cells
-    n, trials, seed = 9, 500, 75
+    # the chain: 350 trials of 9 cards count 2450 exponentials, fewer than
+    # the 2592 cells the chain pushes
+    n, trials, seed = 9, 350, 75
     for w in [np.arange(1, n + 1) / (n * (n + 1) / 2), np.full(n, 1 / n)]:
         got = cw.sample_card_collection_T(cw.TsetlinSpec(w), trials, seed)
         assert np.array_equal(got, _clock_draws(w, trials, seed))
 
 
 def test_card_collection_takes_the_clocks_past_the_cell_cap(monkeypatch):
-    # 3000 trials of 9 cards pay for the chain, whose worst case is 11 cells
-    # for each of 162 points, 1782: a cap of 1782 keeps it, one of 1781 does
-    # not, and then no chain is read or built
+    # 3000 trials of 9 cards pay for the chain, whose worst case is 8 states x
+    # 2 moves for each of 162 points, 2592: a cap of 2592 keeps it, one of 2591
+    # does not, and then no chain is read or built
     n, trials, seed = 9, 3000, 75
     w = np.full(n, 1 / n)
-    monkeypatch.setattr(glauber, "DEFAULT_COUPON_CELL_CAP", 1782)
+    monkeypatch.setattr(glauber, "DEFAULT_COUPON_CELL_CAP", 2592)
     T = cw.sample_card_collection_T(cw.TsetlinSpec(w), trials, seed)
     assert np.array_equal(T, _chain_draws(n, trials, seed))
-    monkeypatch.setattr(glauber, "DEFAULT_COUPON_CELL_CAP", 1781)
+    monkeypatch.setattr(glauber, "DEFAULT_COUPON_CELL_CAP", 2591)
     before = glauber._count_chain.cache_info()
     T = cw.sample_card_collection_T(cw.TsetlinSpec(w), trials, seed)
     assert glauber._count_chain.cache_info() == before
@@ -717,4 +721,4 @@ def test_lumped_refusals_come_before_any_step_or_power(monkeypatch):
     with pytest.raises(CapacityError, match="not a normal float"):
         gallery.hamming_profiles(1023, 2, [1])
     with pytest.raises(CapacityError, match="cells exceeds cap"):
-        gallery.hamming_profiles(512, 2, [10**6])
+        gallery.hamming_profiles(512, 2, [10**8])  # 5 x 513 cells a step

@@ -385,7 +385,7 @@ def test_coupon_chain_refuses_past_its_cell_cap_before_any_allocation():
 
 
 def test_coupon_chain_refuses_a_large_k_without_its_horizon():
-    # the curve is 1 up to t = k, so (n + 2)(k + 1) cells past the cap refuse
+    # the curve is 1 up to t = k, so k + 1 points of k states x 2 moves past the cap refuse
     # before the horizon's C(n, n - k + 1), here a million-bit integer, is formed
     tracemalloc.start()
     try:
@@ -397,27 +397,47 @@ def test_coupon_chain_refuses_a_large_k_without_its_horizon():
     assert peak < 2**16
 
 
+def test_count_chain_refuses_on_states_and_moves_before_any_binomial(monkeypatch):
+    # 100 000 coupons, 50 000 a step: 1e5 states x 50 001 moves a step pass the cap
+    # over the 3 points before the curve can leave 1; the hypergeometric table would
+    # hold 5e9 floats, and the horizon read C(100 000, 50 000)
+    def refuse(*args):
+        raise AssertionError("a binomial was read")
+
+    monkeypatch.setattr(glauber, "_horizon", refuse)
+    monkeypatch.setattr(glauber, "_hypergeometric", refuse)
+    with pytest.raises(CapacityError, match="cells exceeds cap"):
+        cw.sample_kset_coupon_T(100_000, 50_000, 10, 0)
+    with pytest.raises(CapacityError, match="cells exceeds cap"):
+        cw.coupon_survival_uniform(100_000, 2, d=50_000)
+
+
+def _one(n, d, need):
+    """The count chain's key for n sites of one weight, d a step, cut at need."""
+    return ((n, 1),), d, need
+
+
 def test_coupon_curve_ends_at_its_first_zero():
     glauber._count_chain.cache_clear()
     assert cw.coupon_survival_uniform(9, 10**9) == 0.0
-    curve = glauber._count_chain(9, 1, 9)()
+    curve = glauber._count_chain(*_one(9, 1, 9))()
     assert curve[-1] == 0.0 and min(curve[:-1]) > 0.0  # no longer than its first zero
     assert len(curve) < 8192 and min(curve[:-1]) < 1e-307
     # every later t reads 0 without growing the curve
     size = len(curve)
     assert cw.coupon_survival_uniform(9, size) == cw.coupon_survival_uniform(9, 10**12) == 0.0
-    assert len(glauber._count_chain(9, 1, 9)()) == size
+    assert len(glauber._count_chain(*_one(9, 1, 9))()) == size
 
 
 def test_coupon_curve_is_kept_per_n_and_grown_in_place():
     glauber._count_chain.cache_clear()
     first = cw.coupon_survival_uniform(60, 500)
-    curve = glauber._count_chain(60, 1, 60)()
+    curve = glauber._count_chain(*_one(60, 1, 60))()
     assert len(curve) == 501  # stepped to t = 500, no further
     prefix = curve.tolist()
     cw.coupon_survival_uniform(200, 3000)
     cw.coupon_survival_uniform(60, 1000)  # a second n neither evicts nor rebuilds the first
-    assert glauber._count_chain(60, 1, 60)() is curve and len(curve) == 1001
+    assert glauber._count_chain(*_one(60, 1, 60))() is curve and len(curve) == 1001
     assert curve[:501].tolist() == prefix and curve[500] == first
     assert glauber._count_chain.cache_info().misses == 2
 
@@ -439,13 +459,21 @@ def _two_line_recurrence(n, k, t):
     return out
 
 
+def test_single_site_count_chain_values_are_pinned_bit_for_bit():
+    glauber._count_chain.cache_clear()
+    curve = _curve(_one(60, 1, 60), 500)
+    assert [curve[t].hex() for t in (60, 200, 500)] == [
+        "0x1.0000000000000p+0", "0x1.ca90e70a480e7p-1", "0x1.b605b35bf5399p-7"]
+    assert _curve(_one(500, 1, 499), 4000)[4000].hex() == "0x1.9089f5361e16fp-7"
+
+
 @pytest.mark.parametrize("n, k, t", [(60, 60, 3000), (500, 499, 6000), (9, 9, 7000)])
 def test_single_site_count_chain_is_the_two_line_recurrence_bit_for_bit(n, k, t):
     # (9, 9) runs to its first 0, at t = 6034, through the cut at 2^-1022
     glauber._count_chain.cache_clear()
     want = _two_line_recurrence(n, k, t)
     assert len(want) == (6035 if n == 9 else t + 1)
-    assert _curve((n, 1, k), t) == want
+    assert _curve(_one(n, 1, k), t) == want
 
 
 @pytest.mark.parametrize("m, k", [(8, 2), (9, 3), (10, 5), (12, 2)])
@@ -454,7 +482,7 @@ def test_kset_count_chain_matches_the_mobius_form(m, k):
     # which shares no code with the chain of k coupons a step
     times = range(61)
     exact = cw.survival_exact_profile(cw.build_boolean(m), cw.hypercube_nonlocal_faces(m, k), times)
-    assert np.allclose(_curve((m, k, m), 60), [exact[t] for t in times], rtol=0, atol=1e-13)
+    assert np.allclose(_curve(_one(m, k, m), 60), [exact[t] for t in times], rtol=0, atol=1e-13)
 
 
 def _card_horizon(n):
@@ -466,18 +494,21 @@ def _card_horizon(n):
 
 
 def test_horizon_is_the_card_bound_and_the_curve_is_below_p_there():
-    assert all(glauber._horizon((n, 1, n - 1), 2.0**-53) == _card_horizon(n)
+    assert all(glauber._horizon(_one(n, 1, n - 1), 2.0**-53) == _card_horizon(n)
                for n in range(1, 20_001))
     # at 2^-1022 the union bound ends the curve of 9 sites exactly at its first 0
     glauber._count_chain.cache_clear()
-    assert glauber._horizon((9, 1, 9), 2.0**-1022) == 6034 == _curve((9, 1, 9), 7000).index(0.0)
-    for key in [(60, 1, 60), (500, 1, 499), (7, 1, 3), (512, 2, 512)]:
+    key = _one(9, 1, 9)
+    assert glauber._horizon(key, 2.0**-1022) == 6034 == _curve(key, 7000).index(0.0)
+    for key in [_one(60, 1, 60), _one(500, 1, 499), _one(7, 1, 3), _one(512, 2, 512),
+                (((8, 1), (8, 3)), 1, 15), (((2, 1), (3, 5), (1, 9)), 1, 4)]:  # r lightest
         for p in (2.0**-53, 1e-4):
             t = glauber._horizon(key, p)
             assert _curve(key, t)[t] < p, (key, p)
 
 
-@pytest.mark.parametrize("key, trials", [((500, 1, 499), 100_000), ((512, 2, 512), 20_000)])
+@pytest.mark.parametrize("key, trials", [(_one(500, 1, 499), 100_000),
+                                         (_one(512, 2, 512), 20_000)])
 def test_chain_T_is_the_searchsorted_count_draw_for_draw(key, trials):
     # the guide-table search against one np.searchsorted on the curve's
     # running minimum, over the curve the call grew
@@ -492,14 +523,14 @@ def test_count_chain_mass_past_one_raises_at_every_read_past_the_curve(monkeypat
     table = glauber._hypergeometric
     glauber._count_chain.cache_clear()
     try:
-        with monkeypatch.context() as patch:  # every jump chance inflated while (5, 1, 5) is built
+        with monkeypatch.context() as patch:  # every jump chance inflated while (5, 2, 5) is built
             patch.setattr(glauber, "_hypergeometric", lambda *key: table(*key) * 1.25)
-            grown = glauber._count_chain(5, 1, 5)
-        with pytest.raises(RuntimeError, match=r"\(5, 1, 5\) at t=1: mass .* > 1"):
+            grown = glauber._count_chain(*_one(5, 2, 5))
+        with pytest.raises(RuntimeError, match=r"\(\(\(5, 1\),\), 2, 5\) at t=1: mass .* > 1"):
             grown(3)
         # later reads of the key, by either path, raise again and return no value
-        for read in (lambda: cw.coupon_survival_uniform(5, 7),
-                     lambda: glauber._chain_T((5, 1, 5), np.array([0.5]))):
+        for read in (lambda: cw.coupon_survival_uniform(5, 7, 5, 2),
+                     lambda: glauber._chain_T(_one(5, 2, 5), np.array([0.5]))):
             with pytest.raises(RuntimeError, match="mass"):
                 read()
         assert grown().tolist() == [1.0]  # no point was kept past the last good one

@@ -21,7 +21,6 @@ import functools
 import itertools
 import math
 from fractions import Fraction
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,11 +30,11 @@ from hypothesis.extra import numpy as hnp
 from scipy.stats import binom
 
 import chamberwalk as cw
-from chamberwalk import core, exact, gallery
+from chamberwalk import core, exact
 from chamberwalk.core import braid_signs, is_chamber
 
 from reference import face_product, ordered_set_partitions, partition_to_sign_vector
-from reference import stationary_without_replacement
+from reference import count_vector_survival, stationary_without_replacement
 
 TIMES = range(1, 26)
 GLAUBER_TIMES = range(1, 16)
@@ -177,48 +176,28 @@ def card_set_survival(w, t):
                for size in range(2, len(w) + 1) for U in itertools.combinations(cards, size))
 
 
-def tsetlin_terms(spec):
-    """The coefficients, float rates, exact rates' map and card weights that
-    tsetlin_survival_profile hands _power_sums."""
-    with mock.patch.object(gallery, "_power_sums", wraps=gallery._power_sums) as spy:
-        cw.tsetlin_survival_profile(spec, [1])
-    return spy.call_args.args[:4]
-
-
 @CASES
 @given(st.lists(st.floats(0.05, 1.0), min_size=1, max_size=3, unique=True).flatmap(
     lambda pool: st.tuples(st.just(pool), st.lists(st.integers(0, len(pool) - 1),
-                                                   min_size=2, max_size=7))))
+                                                   min_size=2, max_size=8))))
 @example(([1.0], [0] * 7))  # one class
 @example(([1.0, 3.0], [0, 1, 1, 0, 1, 0]))
 @example(([1.0, 1e-30], [0, 1, 0, 1]))  # its denominator lifts the exact total past 2^63
+@example(([0.2, 0.5, 0.9], [0, 1, 2, 0, 1, 2, 0, 1]))  # three classes of eight cards
 def test_tsetlin_survival_over_count_vectors_equals_card_sets_and_the_braid_walk(case):
+    # the count chain of 1 to 3 weight classes against the Mobius sum over their count
+    # vectors in fractions, the card-set sum, and the braid walk up to 6 cards
     pool, pick = case
     raw = np.array(pool)[pick]
     spec = cw.TsetlinSpec(raw / raw.sum())  # equal raw weights stay equal floats
     w, n = spec.card_weights, spec.n
-    times = range(1, 41)
+    times = range(0, 41)
     got = cw.tsetlin_survival_profile(spec, times)
+    assert all(abs(got[t] - count_vector_survival(w.tolist(), t)) <= 1e-12 for t in times)
     assert all(abs(got[t] - card_set_survival(w, t)) <= 1e-12 for t in times)
     if math.comb(n, 2) <= exact.DEFAULT_IE_HYPERPLANE_CAP:  # braid(7) has 21 hyperplanes
         walk = cw.survival_exact_profile(cw.build_braid(n), cw.tsetlin_faces(spec), times)
         assert all(abs(got[t] - walk[t]) <= 1e-12 for t in times)
-    # one term per count vector u with |u| >= 2; its exact rate is the weight outside U
-    classes = collections.Counter(w.tolist())
-    c, q, exact_rates, cards = tsetlin_terms(spec)
-    assert len(c) == len(q) == math.prod(k + 1 for k in classes.values()) - 1 - len(classes)
-    assert sorted(cards.tolist()) == sorted(w.tolist())
-    x, a = integer_rates(exact_rates, cards, len(c))
-    total = sum(x.tolist())
-    assert a.dtype == x.dtype == (np.int64 if total < 2**63 else object)
-    total_weight = sum(map(Fraction, w))
-    want = [sum((k - x) * Fraction(v) for (v, k), x in zip(classes.items(), u)) / total_weight
-            for u in itertools.product(*(range(k + 1) for k in classes.values())) if sum(u) >= 2]
-    assert sorted(Fraction(int(x), total) for x in a) == sorted(want)
-
-
-def test_tsetlin_survival_of_two_classes_of_eight_has_78_terms():
-    assert len(tsetlin_terms(cw.TsetlinSpec([3 / 32] * 8 + [1 / 32] * 8))[0]) == 78
 
 
 @CASES

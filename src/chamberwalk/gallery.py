@@ -362,7 +362,4 @@ def sample_kset_coupon_T(m, k, trials, seed):
         raise ValueError(f"need 1 <= k <= m, got k={k}, m={m}")
     u = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,))).random(trials)
     v = np.subtract(1.0, u, out=u)
-    if (cells := _chain_cells(key := (((m, 1),), k, m), p=v.min(initial=1.0))) > (
-            cap := glauber.DEFAULT_COUPON_CELL_CAP):
-        raise CapacityError(f"k-set chain of {cells:.4g} cells exceeds cap {cap}")
-    return _chain_T(key, v)
+    return _chain_T((((m, 1),), k, m), v)

@@ -9,7 +9,6 @@ its cached curves, their cells and horizon, and the samplers' search.
 from __future__ import annotations
 
 import array
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -102,9 +101,7 @@ def product_system(n, probs_up=None):
         raise ValueError(f"need n={n} probabilities in (0, 1), got {probs_up}")
 
     def log_weight(sigma):
-        return sum(
-            math.log(p if s > 0 else 1.0 - p) for s, p in zip(sigma, probs_up)
-        )
+        return sum(math.log(p if s > 0 else 1.0 - p) for s, p in zip(sigma, probs_up))
 
     return MonotoneSystem(n_sites=n, spins=(-1, 1), log_weight=log_weight, name="product")
 
@@ -185,18 +182,21 @@ def coupon_survival_uniform(n, t, k=None, d=1):
 
 
 def _chain_at(key, t):
-    """The curve of _count_chain(*key) at the integer t >= 0, 1.0 before need / d and 0.0 past
-    its end; where _chain_cells passes DEFAULT_COUPON_CELL_CAP, CapacityError first."""
+    """The curve of _count_chain(key) at the integer t >= 0, 1.0 before need / d and 0.0 past
+    its end; one lookup, then the cap of _chain_cells, its first branch at once for a held key."""
     if t * key[1] < key[2]:
         return 1.0
-    if (cells := _chain_cells(key, t)) > (cap := DEFAULT_COUPON_CELL_CAP):
+    per, _, curve = _CHAINS.get(key, _UNHELD)
+    if per * (t + 1) > DEFAULT_COUPON_CELL_CAP and (
+            (cells := _chain_cells(key, t)) > (cap := DEFAULT_COUPON_CELL_CAP)):
         raise CapacityError(f"count chain of {cells:.4g} cells exceeds cap {cap}")
-    curve = _count_chain(*key)(t + 1)
-    return curve[t] if t < len(curve) else 0.0  # past the curve only at its 0
+    if t >= len(curve) and t >= len(curve := _count_chain(key)(t + 1)):
+        return 0.0  # past the curve only at its 0
+    return curve[t]
 
 
 def _chain_cells(key, t=2**63, p=2.0**-1022):
-    """The cells _count_chain(*key) pushes to point t >= need / d, or below p: _step_cells
+    """The cells _count_chain(key) pushes to point t >= need / d, or below p: _step_cells
     times t + 1 points, past the cap those to _horizon(key, p), or the least, ceil(need / d)
     + 1, where they pass it already: then no binomial is read."""
     if (cells := (per := _step_cells(*key)) * (t + 1)) > DEFAULT_COUPON_CELL_CAP:
@@ -205,24 +205,27 @@ def _chain_cells(key, t=2**63, p=2.0**-1022):
     return cells
 
 
-@functools.lru_cache(maxsize=8)
 def _step_cells(classes, d, need):
     """States x moves, the cells a step of _count_chain pushes, as a float (inf past it)."""
     moves = 1 + min(d, need - 1) * len(classes)
     return moves * math.prod(float(min(k + 1, need)) for k, _ in classes)
 
 
-@functools.lru_cache(maxsize=8)
-def _count_chain(classes, d, need):
-    """grown(size, low), the one reader of the count chain of n_c cards of integer weight a_c,
-    (n_c, a_c) in classes, lightest first: a step picks card i with chance a_i / D, D the
-    total (d = 1), or d distinct cards of one class.  grown returns curve, the chance of fewer
-    than need cards after t steps (no sign is summed), grown in place to size points and on
-    while at least low, never past its first 0.  The state is the count picked per class, and
-    mass that reaches need leaves; each chance is rounded once from exact integers.  A mass
-    past 1 by (moves t + n) eps at most is put on 1, and further raised, again at every read
-    past the curve; a chance below 2^-1022 is put on 0, as subnormals step slowly for ever."""
-    f, n = np.finfo(float), sum(k for k, _ in classes)
+# key -> (_step_cells(*key), grown, curve) of the last 8 keys built or grown, oldest first
+_CHAINS, _UNHELD = {}, (math.inf, None, ())  # an unheld key's read takes the full rule
+
+
+def _count_chain(key):
+    """grown(size, low), the one reader of the count chain of key = (classes, d, need), held in
+    _CHAINS: n_c cards of integer weight a_c, (n_c, a_c) in classes, lightest first; a step
+    picks card i with chance a_i / D, D the total (d = 1), or d distinct cards of one class.
+    The state is the count picked per class; grown returns curve, the chance of fewer than need
+    cards after t steps, grown in place to size points and on while at least low, never past
+    its first 0.  Each chance is rounded once from exact integers, a mass past 1 by (moves t + n)
+    eps at most put on 1 (further, raised at every read past it), one below 2^-1022 on 0."""
+    if held := _CHAINS.pop(key, None):
+        return _CHAINS.setdefault(key, held)[1]  # now the most recent
+    f, n, (classes, d, need) = np.finfo(float), sum(k for k, _ in key[0]), key
     if d > 1:  # i new cards from j < need - i: C(n - j, i) C(j, d - i) / C(n, d)
         stay, *rest = _hypergeometric(n, d, need)[:need or 1]
         moves = [(slice(i, None), slice(None, -i), p[:need - i]) for i, p in enumerate(rest, 1)]
@@ -244,12 +247,14 @@ def _count_chain(classes, d, need):
                 step[dst] += law[src] * p
             step[step < f.tiny] = 0.0
             if (mass := float(step.sum())) > 1.0 + ((len(moves) + 1) * len(curve) + n) * f.eps:
-                raise RuntimeError(f"count chain {classes, d, need} at t={len(curve)}: "
-                                   f"mass {mass!r} > 1")
+                raise RuntimeError(f"count chain {key} at t={len(curve)}: mass {mass!r} > 1")
             law = step
             curve.append(min(mass, 1.0))
         return curve
 
+    if len(_CHAINS) == 8:
+        del _CHAINS[next(iter(_CHAINS))]  # the least recent
+    _CHAINS[key] = (_step_cells(*key), grown, curve)
     return grown
 
 
@@ -273,7 +278,7 @@ def _hypergeometric(n, d, cols):
 def _horizon(key, p):
     """The first t (at most 2^63 + 1) with C(n, r) (kept / total)^t < p, r = n - need + 1:
     a union bound on the chance that some r cards are all unpicked, kept / total the most
-    that a step misses r given cards with, so the curve of _count_chain(*key) is below p."""
+    that a step misses r given cards with, so the curve of _count_chain(key) is below p."""
     classes, d, need = key
     if need <= d:
         return min(need, 1)  # one step picks need cards
@@ -288,11 +293,13 @@ def _horizon(key, p):
 
 
 def _chain_T(key, v):
-    """#{t : S(t) >= v} for each v in (0, 1], S the curve of _count_chain(*key),
-    grown until it falls below min(v) or ends.  The guide search runs on a
-    rising copy of the curve's running minimum: an ulp of upward rounding
-    after the cut would otherwise count where the cut did not."""
-    rising = np.minimum.accumulate(_count_chain(*key)(low=v.min(initial=np.inf)))[::-1].copy()
+    """#{t : S(t) >= v} for each v in (0, 1], S the curve of _count_chain(key), grown until
+    it falls below min(v) or ends, or CapacityError where _chain_cells to min(v) pass the cap.
+    The guide search runs on a rising copy of the curve's running minimum: an ulp of upward
+    rounding after the cut would otherwise count where the cut did not."""
+    if (cells := _chain_cells(key, p=v.min(initial=1.0))) > (cap := DEFAULT_COUPON_CELL_CAP):
+        raise CapacityError(f"count chain of {cells:.4g} cells exceeds cap {cap}")
+    rising = np.minimum.accumulate(_count_chain(key)(low=v.min(initial=np.inf)))[::-1].copy()
     t = _guide(rising, len(v))(v)  # #{t : S(t) < v}
     return np.subtract(len(rising), t, out=t)
 
@@ -312,9 +319,5 @@ def monotone_lower_bounds(n, c):
     if not 0 < c < math.inf:
         raise ValueError(f"need a finite c > 0, got c={c}")
     sep_bound = 1.0 - math.exp(-math.exp(min(c, 709.0)))  # 1.0 from c = 6.62 on; e^c kept finite
-    return MonotoneLowerBounds(
-        sep_time=n * math.log(n) - c * n,
-        sep_bound=sep_bound,
-        tv_time=0.5 * n * math.log(n) - c * n,
-        tv_bound=sep_bound / 4.0,
-    )
+    return MonotoneLowerBounds(sep_time=n * math.log(n) - c * n, sep_bound=sep_bound,
+                               tv_time=0.5 * n * math.log(n) - c * n, tv_bound=sep_bound / 4.0)

@@ -17,6 +17,9 @@ weights, chamber lists and a spin system's fields (``n_sites``, ``spins``,
 - Heat-bath Glauber dynamics: a site's conditional, one coupled update,
   the comparable pairs of configurations and the monotonicity check, and
   the law from the top conditioned on every site having been picked.
+- What a cache of count chains, key -> (cells a step, grower, curve), holds:
+  each key's grower and curve length, so that a chain built, rebuilt or
+  grown shows.
 """
 
 import collections
@@ -219,3 +222,8 @@ def coverage_conditioned_profile(sys, t_grid):
             step.reshape(shape)[..., 1, :] += cond * joint.reshape(shape).sum(1).sum(3)[:, None]
         joint = step
     return configs, out
+
+
+def held_chains(chains):
+    """{key: (grower, curve length)} of a count-chain cache; a rebuild replaces the grower."""
+    return {key: (grown, len(curve)) for key, (_, grown, curve) in chains.items()}

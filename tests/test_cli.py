@@ -700,6 +700,20 @@ def test_exact_lumped_families_build_no_arrangement_and_no_face(argv, tmp_path, 
     assert key == "# s_survival_gap" and 0 <= float(gap) <= 1e-12
 
 
+@pytest.mark.parametrize("n", [6, 7])
+def test_exact_one_start_gap_is_rounding(n, tmp_path):
+    # equal card weights: every chamber alike, so the generic push walks one start, and
+    # its s(t) is the count chain's P(T > t) read another way (2.75e-15 at 7 cards)
+    out = tmp_path / "exact.csv"
+    run_cli(["exact", "--family", "tsetlin", "--params", f"n={n}", "--t-grid", "1..40",
+             "--out", str(out)])
+    meta = read_rows(out)[0]
+    assert meta[-5:-1] == ["# exact_path=one-start", f"# chambers={math.factorial(n)}",
+                           "# starts=1", "# survival_path=count-chain"]
+    key, _, gap = meta[-1].partition("=")
+    assert key == "# s_survival_gap" and 0 <= float(gap) <= 1e-13
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -293,9 +293,9 @@ def test_a_cap_set_on_its_module_moves_every_check_of_it(monkeypatch, tmp_path, 
     with monkeypatch.context() as patch, pytest.raises(cw.CapacityError, match="exceeds cap 1000"):
         patch.setattr(exact, "DEFAULT_WALK_CELL_CAP", 1000)  # 5 x 65 band cells a step
         cw.hamming_profiles(64, 2, [100])
-    before = glauber._count_chain.cache_info()  # 3000 trials of 9 cards: 2592 cells of chain
+    held = reference.held_chains(glauber._CHAINS)  # 3000 trials of 9 cards: 2592 chain cells
     cw.sample_card_collection_T(cw.TsetlinSpec(np.full(9, 1 / 9)), 3000, 0)
-    assert glauber._count_chain.cache_info() == before  # past the cap, the clocks path
+    assert reference.held_chains(glauber._CHAINS) == held  # past the cap, the clocks path
     arr, w = cw.build_braid(3), cw.tsetlin_faces(cw.TsetlinSpec(np.full(3, 1 / 3)))
     monkeypatch.setattr(exact, "DEFAULT_CHAMBER_CAP", 5)
     profiles = (cw.distance_profiles, cw.separation_profile, cw.total_variation_profile)

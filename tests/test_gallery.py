@@ -11,7 +11,7 @@ import pytest
 import chamberwalk as cw
 from chamberwalk import gallery, glauber
 from chamberwalk.core import CapacityError
-from reference import count_vector_survival
+from reference import count_vector_survival, held_chains
 
 
 def test_tsetlin_faces_uniform3():
@@ -285,7 +285,7 @@ def test_tsetlin_survival_capacity():
     # all-distinct weights on 20 cards: 2^20 states x 21 moves a step, past the cell cap
     # over the 20 points before the curve can leave 1, so no chain is built
     spec = cw.TsetlinSpec(np.random.default_rng(7).dirichlet(np.ones(20)))
-    misses = glauber._count_chain.cache_info().misses
+    held = held_chains(glauber._CHAINS)
     with pytest.raises(CapacityError, match="cells exceeds cap"):
         cw.tsetlin_survival_profile(spec, range(1, 181))
     # 2000 distinct weights: 2^2000 states, past the floats; the sampler takes its clocks
@@ -293,7 +293,7 @@ def test_tsetlin_survival_capacity():
     with pytest.raises(CapacityError, match="count chain of inf cells"):
         cw.tsetlin_survival_profile(spec, [1999])
     assert np.all(cw.sample_card_collection_T(spec, 10, 0) >= 1999)
-    assert glauber._count_chain.cache_info().misses == misses
+    assert held_chains(glauber._CHAINS) == held
 
 
 @pytest.mark.parametrize("weights", [[1 / 3] * 3, [0.25] * 4, [0.2] * 5])
@@ -410,11 +410,11 @@ def test_sample_kset_coupon_T_k3_m7_matches_chain():
 
 
 def test_sample_kset_coupon_T_rejects_bad_k():
-    misses = glauber._count_chain.cache_info().misses
+    held = held_chains(glauber._CHAINS)
     for k in (0, 8):
         with pytest.raises(ValueError):
             cw.sample_kset_coupon_T(7, k, 10, seed=0)
-    assert glauber._count_chain.cache_info().misses == misses  # refused before any chain
+    assert held_chains(glauber._CHAINS) == held  # refused before any chain
     assert np.all(cw.sample_kset_coupon_T(7, 7, 10, seed=0) == 1)
 
 
@@ -423,7 +423,7 @@ def test_kset_sampler_refuses_past_the_cell_cap_before_any_chain(m, trials):
     # (m + 2) (horizon at the least V + 1) cells: 5.3e8 at (8192, 2, 1000),
     # where (4096, 2, 1000) needs 1.3e8; at 2^20 coupons the chain would
     # take about a day
-    misses = glauber._count_chain.cache_info().misses
+    held = held_chains(glauber._CHAINS)
     with pytest.raises(CapacityError):  # a first call imports parts of numpy.random
         cw.sample_kset_coupon_T(m, 2, trials, seed=0)
     tracemalloc.start()
@@ -434,7 +434,7 @@ def test_kset_sampler_refuses_past_the_cell_cap_before_any_chain(m, trials):
     finally:
         tracemalloc.stop()
     assert peak < 2**16  # a law of m floats would take m * 8 bytes
-    assert glauber._count_chain.cache_info().misses == misses
+    assert held_chains(glauber._CHAINS) == held
 
 
 def test_samplers_repeat_for_fixed_seed_and_trials():
@@ -494,28 +494,28 @@ CHAIN_SAMPLERS = {  # n cards or coupons -> (sampler of trials and seed, its cur
 def test_card_collection_chain_samples_do_not_depend_on_the_cache(sampler):
     n, trials, seed = 30, 5000, 77
     sample, key = CHAIN_SAMPLERS[sampler](n)
-    glauber._count_chain.cache_clear()
+    glauber._CHAINS.clear()
     cold = sample(trials, seed)
-    size = len(glauber._count_chain(*key)())
+    size = len(glauber._count_chain(key)())
     assert np.array_equal(cold, sample(trials, seed))
     # a curve grown past the cut by coupon_survival_uniform, on this key or
     # the other single-site one, changes no sample
     cw.coupon_survival_uniform(n, 4 * size, n - 1)
     cw.coupon_survival_uniform(n, 4 * size)
-    assert len(glauber._count_chain(*key)()) > size
+    assert len(glauber._count_chain(key)()) > size
     assert np.array_equal(cold, sample(trials, seed))
     # and a curve grown by fewer trials first, a shorter cut, gives the same
-    glauber._count_chain.cache_clear()
+    glauber._CHAINS.clear()
     sample(50, seed + 1)
     assert np.array_equal(cold, sample(trials, seed))
 
 
 def test_kset_sampler_of_one_coupon_a_step_reads_the_coupon_curve():
-    glauber._count_chain.cache_clear()
+    glauber._CHAINS.clear()
     cw.coupon_survival_uniform(40, 2000)
-    misses = glauber._count_chain.cache_info().misses
+    grown = glauber._count_chain(key := (((40, 1),), 1, 40))
     T = cw.sample_kset_coupon_T(40, 1, 1000, seed=79)
-    assert glauber._count_chain.cache_info().misses == misses
+    assert list(glauber._CHAINS) == [key] and glauber._count_chain(key) is grown
     assert np.all(T >= 40)
 
 
@@ -527,9 +527,9 @@ def test_card_collection_chain_at_one_and_two_cards():
 
 
 def test_card_collection_takes_the_draws_where_the_chain_does_not_pay():
-    before = glauber._count_chain.cache_info()
+    held = held_chains(glauber._CHAINS)
     T = cw.sample_card_collection_T(cw.TsetlinSpec(np.full(3000, 1 / 3000)), 10, seed=78)
-    assert glauber._count_chain.cache_info() == before
+    assert held_chains(glauber._CHAINS) == held
     assert T.shape == (10,) and np.all(T >= 2999)
 
 
@@ -563,9 +563,9 @@ def test_card_collection_takes_the_clocks_past_the_cell_cap(monkeypatch):
     T = cw.sample_card_collection_T(cw.TsetlinSpec(w), trials, seed)
     assert np.array_equal(T, _chain_draws(n, trials, seed))
     monkeypatch.setattr(glauber, "DEFAULT_COUPON_CELL_CAP", 2591)
-    before = glauber._count_chain.cache_info()
+    held = held_chains(glauber._CHAINS)
     T = cw.sample_card_collection_T(cw.TsetlinSpec(w), trials, seed)
-    assert glauber._count_chain.cache_info() == before
+    assert held_chains(glauber._CHAINS) == held
     assert np.array_equal(T, _clock_draws(w, trials, seed))
 
 

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import itertools
 import math
@@ -13,7 +14,7 @@ from chamberwalk.core import CapacityError
 from chamberwalk.glauber import grid_edges
 
 from reference import check_monotone, comparable_pairs, conditional_at_site, glauber_step
-from reference import coverage_conditioned_profile
+from reference import coverage_conditioned_profile, held_chains
 
 
 def test_grid_edges():
@@ -372,7 +373,7 @@ def test_coupon_survival_checks_t_before_any_binomial():
 
 
 def test_coupon_chain_refuses_past_its_cell_cap_before_any_allocation():
-    misses = glauber._count_chain.cache_info().misses
+    held = held_chains(glauber._CHAINS)
     tracemalloc.start()
     try:
         with pytest.raises(CapacityError, match="cells exceeds cap"):
@@ -381,7 +382,7 @@ def test_coupon_chain_refuses_past_its_cell_cap_before_any_allocation():
     finally:
         tracemalloc.stop()
     assert peak < 2**16  # the chain's law alone would take 8 MB
-    assert glauber._count_chain.cache_info().misses == misses
+    assert held_chains(glauber._CHAINS) == held
 
 
 def test_coupon_chain_refuses_a_large_k_without_its_horizon():
@@ -418,33 +419,54 @@ def _one(n, d, need):
 
 
 def test_coupon_curve_ends_at_its_first_zero():
-    glauber._count_chain.cache_clear()
+    glauber._CHAINS.clear()
     assert cw.coupon_survival_uniform(9, 10**9) == 0.0
-    curve = glauber._count_chain(*_one(9, 1, 9))()
+    curve = glauber._count_chain(_one(9, 1, 9))()
     assert curve[-1] == 0.0 and min(curve[:-1]) > 0.0  # no longer than its first zero
     assert len(curve) < 8192 and min(curve[:-1]) < 1e-307
     # every later t reads 0 without growing the curve
     size = len(curve)
     assert cw.coupon_survival_uniform(9, size) == cw.coupon_survival_uniform(9, 10**12) == 0.0
-    assert len(glauber._count_chain(*_one(9, 1, 9))()) == size
+    assert len(glauber._count_chain(_one(9, 1, 9))()) == size
 
 
 def test_coupon_curve_is_kept_per_n_and_grown_in_place():
-    glauber._count_chain.cache_clear()
+    glauber._CHAINS.clear()
     first = cw.coupon_survival_uniform(60, 500)
-    curve = glauber._count_chain(*_one(60, 1, 60))()
+    curve = glauber._count_chain(_one(60, 1, 60))()
     assert len(curve) == 501  # stepped to t = 500, no further
     prefix = curve.tolist()
     cw.coupon_survival_uniform(200, 3000)
     cw.coupon_survival_uniform(60, 1000)  # a second n neither evicts nor rebuilds the first
-    assert glauber._count_chain(*_one(60, 1, 60))() is curve and len(curve) == 1001
+    assert glauber._count_chain(_one(60, 1, 60))() is curve and len(curve) == 1001
     assert curve[:501].tolist() == prefix and curve[500] == first
-    assert glauber._count_chain.cache_info().misses == 2
+    assert list(glauber._CHAINS) == [_one(200, 1, 200), _one(60, 1, 60)]  # two chains built
+
+
+def test_a_read_the_curve_covers_is_one_lookup(monkeypatch):
+    # grown past t at the default cap, a read neither counts cells nor builds, grows or
+    # looks up a chain: the cap check is one product, and the value a keyed index
+    glauber._CHAINS.clear()
+    want = {t: cw.coupon_survival_uniform(200, t) for t in (199, 200, 1000, 2500)}
+    spec = cw.TsetlinSpec([1 / 12] * 3 + [1 / 4] * 3)
+    tsetlin = cw.tsetlin_survival_profile(spec, range(1, 61))
+    held, calls = held_chains(glauber._CHAINS), collections.Counter()
+
+    def counted(name, fn):
+        return lambda *args, **kwargs: calls.update([name]) or fn(*args, **kwargs)
+
+    for name in ("_chain_cells", "_step_cells", "_horizon", "_count_chain", "_hypergeometric"):
+        monkeypatch.setattr(glauber, name, counted(name, getattr(glauber, name)))
+    assert {t: cw.coupon_survival_uniform(200, t) for t in want} == want
+    assert cw.tsetlin_survival_profile(spec, range(1, 61)) == tsetlin
+    assert not calls and held_chains(glauber._CHAINS) == held
+    assert cw.coupon_survival_uniform(200, 2501) < want[2500]  # past the curve: grown once
+    assert calls == {"_count_chain": 1}
 
 
 def _curve(key, t):
-    """The first t + 1 points of the curve of _count_chain(*key), grown in place."""
-    return glauber._count_chain(*key)(t + 1)[:t + 1].tolist()
+    """The first t + 1 points of the curve of _count_chain(key), grown in place."""
+    return glauber._count_chain(key)(t + 1)[:t + 1].tolist()
 
 
 def _two_line_recurrence(n, k, t):
@@ -460,7 +482,7 @@ def _two_line_recurrence(n, k, t):
 
 
 def test_single_site_count_chain_values_are_pinned_bit_for_bit():
-    glauber._count_chain.cache_clear()
+    glauber._CHAINS.clear()
     curve = _curve(_one(60, 1, 60), 500)
     assert [curve[t].hex() for t in (60, 200, 500)] == [
         "0x1.0000000000000p+0", "0x1.ca90e70a480e7p-1", "0x1.b605b35bf5399p-7"]
@@ -470,7 +492,7 @@ def test_single_site_count_chain_values_are_pinned_bit_for_bit():
 @pytest.mark.parametrize("n, k, t", [(60, 60, 3000), (500, 499, 6000), (9, 9, 7000)])
 def test_single_site_count_chain_is_the_two_line_recurrence_bit_for_bit(n, k, t):
     # (9, 9) runs to its first 0, at t = 6034, through the cut at 2^-1022
-    glauber._count_chain.cache_clear()
+    glauber._CHAINS.clear()
     want = _two_line_recurrence(n, k, t)
     assert len(want) == (6035 if n == 9 else t + 1)
     assert _curve(_one(n, 1, k), t) == want
@@ -497,7 +519,7 @@ def test_horizon_is_the_card_bound_and_the_curve_is_below_p_there():
     assert all(glauber._horizon(_one(n, 1, n - 1), 2.0**-53) == _card_horizon(n)
                for n in range(1, 20_001))
     # at 2^-1022 the union bound ends the curve of 9 sites exactly at its first 0
-    glauber._count_chain.cache_clear()
+    glauber._CHAINS.clear()
     key = _one(9, 1, 9)
     assert glauber._horizon(key, 2.0**-1022) == 6034 == _curve(key, 7000).index(0.0)
     for key in [_one(60, 1, 60), _one(500, 1, 499), _one(7, 1, 3), _one(512, 2, 512),
@@ -514,18 +536,18 @@ def test_chain_T_is_the_searchsorted_count_draw_for_draw(key, trials):
     # running minimum, over the curve the call grew
     v = 1.0 - np.random.default_rng(81).random(trials)
     T = glauber._chain_T(key, v)
-    rising = np.minimum.accumulate(glauber._count_chain(*key)())[::-1]
+    rising = np.minimum.accumulate(glauber._count_chain(key)())[::-1]
     assert np.array_equal(T, len(rising) - np.searchsorted(rising, v))
     assert v.min() > rising[0] or rising[0] == 0.0  # the curve reached below every V
 
 
 def test_count_chain_mass_past_one_raises_at_every_read_past_the_curve(monkeypatch):
     table = glauber._hypergeometric
-    glauber._count_chain.cache_clear()
+    glauber._CHAINS.clear()
     try:
         with monkeypatch.context() as patch:  # every jump chance inflated while (5, 2, 5) is built
             patch.setattr(glauber, "_hypergeometric", lambda *key: table(*key) * 1.25)
-            grown = glauber._count_chain(*_one(5, 2, 5))
+            grown = glauber._count_chain(_one(5, 2, 5))
         with pytest.raises(RuntimeError, match=r"\(\(\(5, 1\),\), 2, 5\) at t=1: mass .* > 1"):
             grown(3)
         # later reads of the key, by either path, raise again and return no value
@@ -535,7 +557,7 @@ def test_count_chain_mass_past_one_raises_at_every_read_past_the_curve(monkeypat
                 read()
         assert grown().tolist() == [1.0]  # no point was kept past the last good one
     finally:
-        glauber._count_chain.cache_clear()
+        glauber._CHAINS.clear()
 
 
 def orbit_count(n_sites, site_maps, reversal):

@@ -10,7 +10,8 @@ tuples, their packed bits against np.packbits along the last axis, and each
 built-in face list against a loop that lists it face by face.
 The exact rates of the Möbius form, on int64 and past it, against a loop over
 the sets.  The Tsetlin P(T > t) over count vectors of tied weights against the
-card-set sum and the braid walk, with its term count.  The guide-table search
+card-set sum and the braid walk, with its term count.  The count chain's
+refusals against its cell rule, with its cache cold and warm.  The guide-table search
 against np.searchsorted, on both sides and on every cell edge of large CDFs and
 of tables sized to their keys, and over key counts around one block.
 The generic, card-collection and k-set samplers: each Monte Carlo count
@@ -30,11 +31,11 @@ from hypothesis.extra import numpy as hnp
 from scipy.stats import binom
 
 import chamberwalk as cw
-from chamberwalk import core, exact
-from chamberwalk.core import braid_signs, is_chamber
+from chamberwalk import core, exact, glauber
+from chamberwalk.core import CapacityError, braid_signs, is_chamber
 
 from reference import face_product, ordered_set_partitions, partition_to_sign_vector
-from reference import count_vector_survival, stationary_without_replacement
+from reference import count_vector_survival, held_chains, stationary_without_replacement
 
 TIMES = range(1, 26)
 GLAUBER_TIMES = range(1, 16)
@@ -198,6 +199,65 @@ def test_tsetlin_survival_over_count_vectors_equals_card_sets_and_the_braid_walk
     if math.comb(n, 2) <= exact.DEFAULT_IE_HYPERPLANE_CAP:  # braid(7) has 21 hyperplanes
         walk = cw.survival_exact_profile(cw.build_braid(n), cw.tsetlin_faces(spec), times)
         assert all(abs(got[t] - walk[t]) <= 1e-12 for t in times)
+
+
+@st.composite
+def chain_reads(draw):
+    """A small count-chain key, 1 to 3 weight classes one card a step or one class d <= 3
+    a step, a time from need / d on, and a cap near one of the cell counts the cap rule
+    weighs, or any."""
+    d = draw(st.integers(1, 3))
+    counts = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3 if d == 1 else 1))
+    weights = draw(st.lists(st.integers(1, 3), min_size=len(counts), max_size=len(counts),
+                            unique=True)) if d == 1 else [1]
+    assume(d <= (n := sum(counts)))
+    key = (tuple(zip(counts, sorted(weights))), d, need := draw(st.integers(0, n)))
+    t = -(-need // d) + draw(st.integers(0, 60) | st.integers(0, 5000))
+    per = glauber._step_cells(*key)
+    near = [per * (t + 1), per * (-(-need // d) + 1),
+            per * (min(t, glauber._horizon(key, 2.0**-1022)) + 1)]
+    cap = draw(st.sampled_from(near).flatmap(lambda c: st.integers(max(int(c) - 1, 0), int(c) + 1))
+               | st.integers(0, 10**5))
+    return key, t, cap
+
+
+def capped_read(key, t, cap):
+    """glauber._chain_at(key, t) with the cap set to cap on its module, or None where it
+    refuses: exactly where _chain_cells(key, t) passes cap at a t past need / d, and then
+    with the cache as it was."""
+    held = held_chains(glauber._CHAINS)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(glauber, "DEFAULT_COUPON_CELL_CAP", cap)
+        refuse = t * key[1] >= key[2] and glauber._chain_cells(key, t) > cap
+        try:
+            value = glauber._chain_at(key, t)
+        except CapacityError:
+            assert refuse and held_chains(glauber._CHAINS) == held
+            return None
+    assert not refuse
+    return value
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(chain_reads())
+@example(((((2, 1),), 1, 2), 3, 15))  # 2 states x 2 moves: 16 cells to t = 3
+@example(((((2, 1),), 1, 2), 3, 16))
+@example(((((3, 1),), 1, 3), 5000, 10_505))  # 6 cells a step: 30 006 to t = 5000, past the cap,
+@example(((((3, 1),), 1, 3), 5000, 10_506))  # and 10 506 to the horizon, 1750
+@example(((((4, 1),), 3, 4), 2, 47))  # 3 a step: 4 states x 4 moves, 48 cells to t = 2
+@example(((((4, 1),), 3, 4), 2, 48))
+@example(((((4, 1),), 3, 4), 1, 0))  # t d < need: 1.0, with no cell counted
+def test_count_chain_refuses_where_its_cells_pass_the_cap_with_the_cache_cold_or_warm(read):
+    # a held curve's quick admit, per (t + 1) within the cap, is the rule's first branch;
+    # any other read takes the whole rule, so warm or cold refuse the same reads
+    key, t, cap = read
+    glauber._CHAINS.clear()
+    cold = capped_read(key, t, cap)
+    want = glauber._chain_at(key, t)  # at the default cap: grown past t, or to its 0
+    curve = glauber._CHAINS[key][2] if key in glauber._CHAINS else ()
+    assert t * key[1] < key[2] or len(curve) > t or curve[-1] == 0.0
+    warm = capped_read(key, t, cap)
+    assert (cold is None) == (warm is None) and cold in (None, want) and warm in (None, want)
 
 
 @CASES

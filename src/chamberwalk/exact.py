@@ -221,24 +221,19 @@ def _integers(weights):
     return [num * (two // den) for num, den in ratios]
 
 
-def _power_sums(c, q, exact_rates, weights, t_grid, t_first):
-    """P(T > t) = sum_i c_i q_i^t over _times(t_grid), for int64 c_i (else
-    OverflowError), and 1.0 before t_first, a lower bound on the first time T
-    can take.  The terms of float-equal rates are merged once; a table of q_i^t,
-    times by rates in blocks of _POWER_CELLS entries, gives by row sums (each
-    row alone, so no time depends on the others) the value sum c_i q_i^t and
-    its rounding bound (t + 1) eps sum_i |c_i| q_i^t.  A float sum outside
-    [0, 1] by no more than that bound is put on the nearer edge.  Where it lies
-    further out or the bound exceeds 1e-12, the value is the integer ratio
-    sum_i c_i a_i^t / d^t, which Python rounds correctly.  At the first such
-    time alone, the face weights become _integers, on int64 where their sum
-    d < 2^63 bounds every a_i, else as Python ints; the form's linear map
-    exact_rates gives the a_i on that dtype, and the c_i of equal a_i are
-    summed once on int64.  Where the distinct a_i times the times left from
-    there pass _INT_TERM_CAP, it raises CapacityError before any integer term."""
-    c, (rates, at) = np.asarray(c, dtype=np.int64), np.unique(q, return_inverse=True)
-    c_sum, abs_sum = np.bincount(at, c, rates.size), np.bincount(at, np.abs(c), rates.size)
-    del at  # not held while the exact rates are read
+def _power_sums(rates, c_sum, abs_sum, exact_terms, weights, t_grid, t_first):
+    """P(T > t) = sum_i c_i q_i^t over _times(t_grid), and 1.0 before t_first, a lower bound
+    on the first time T can take, from the distinct rates q_i with the sums c_i and |c|_i of
+    their coefficients, integer-valued floats below 2^53 (past the float range OverflowError).
+    A table of q_i^t, times by rates in blocks of _POWER_CELLS entries, gives by row sums (each
+    row alone, so no sum ties a time to the others) the value and its rounding bound (t + 1) eps
+    sum_i |c|_i q_i^t.  A float sum outside [0, 1] by no more than that bound is put on the
+    nearer edge.  Where it lies further out or the bound exceeds 1e-12, the value is the
+    integer ratio sum_j c_j a_j^t / d^t, which Python rounds correctly.  At the first such time
+    alone, the weights become _integers, on int64 where their sum d < 2^63 bounds every a_j,
+    else as Python ints, and exact_terms gives the pairs (a_j, c_j), c_j on int64.  Where the
+    pairs times the times left pass _INT_TERM_CAP, it raises CapacityError before the first."""
+    rates, c_sum, abs_sum = (np.asarray(x, dtype=float) for x in (rates, c_sum, abs_sum))
     times, eps = _times(t_grid), np.finfo(float).eps
     out, by_rate = {t: 1.0 for t in times if t < t_first}, None
     late = np.array([t for t in times if t >= t_first], dtype=np.int64)
@@ -253,11 +248,7 @@ def _power_sums(c, q, exact_rates, weights, t_grid, t_first):
                 continue
             if by_rate is None:
                 d = sum(ints := _integers(weights))
-                a = exact_rates(np.array(ints, dtype=np.int64 if d < 2**63 else object))
-                a_rates, at = np.unique(a, return_inverse=True)
-                merged = np.zeros(a_rates.size, dtype=np.int64)
-                np.add.at(merged, at, c)
-                by_rate = list(zip(a_rates.tolist(), merged.tolist()))
+                by_rate = exact_terms(np.array(ints, dtype=np.int64 if d < 2**63 else object))
                 if (terms := len(by_rate) * (late.size - i - j)) > _INT_TERM_CAP:
                     raise CapacityError(f"{terms} integer terms of the exact fallback "
                                         f"exceed cap {_INT_TERM_CAP}")
@@ -284,22 +275,16 @@ def _rates(masks, m, keep, x):
     return _superset(a, np.add)[keep]
 
 
-def _mobius_form(arr, w):
-    """Arrays (c, q), and the exact rates' map for _power_sums, with
-    P(T > t) = sum c_X q_X^t over the flats X != {}.
-
-    T > t iff every face picked so far lies on some hyperplane.  Over the sets
-    S of hyperplanes, superset transforms give q_S, the weight of the faces
-    on all of S, and the closure cl(S), the AND of their zero masks (all
-    hyperplanes if none, where q_S = 0).  As q_S = q_cl(S), the signs
-    (-1)^(|S|+1) summed per closure are c_X = -mu({}, X) (Rota), integers.
-    """
-    m = arr.m
-    if m > DEFAULT_IE_HYPERPLANE_CAP:
-        raise CapacityError(
-            f"m={m} exceeds inclusion-exclusion cap {DEFAULT_IE_HYPERPLANE_CAP}; "
-            "use Monte Carlo survival estimation"
-        )
+def _form(arr, w):
+    """Over the sets S of hyperplanes: the faces' zero masks, q_S, c_S on floats, the sign
+    array (dead once c is summed) and the flats X != {}, the S with c_S != 0 and q_S > 0.
+    T > t iff every face picked so far lies on some hyperplane.  Superset transforms give
+    q_S, the weight of the faces on all of S, and the closure cl(S), the AND of their zero
+    masks (all hyperplanes if none, where q_S = 0).  As q_S = q_cl(S), the signs
+    (-1)^(|S|+1) summed per closure are c_X = -mu({}, X) (Rota), integers."""
+    if (m := arr.m) > DEFAULT_IE_HYPERPLANE_CAP:
+        raise CapacityError(f"m={m} exceeds inclusion-exclusion cap {DEFAULT_IE_HYPERPLANE_CAP}; "
+                            "use Monte Carlo survival estimation")
     masks = (w.signs == 0) @ (1 << np.arange(m, dtype=np.int64))
     q = _superset(np.bincount(masks, w.weights, minlength=1 << m), np.add)
     cl = np.full(1 << m, (1 << m) - 1, dtype=np.min_scalar_type((1 << m) - 1))
@@ -308,23 +293,43 @@ def _mobius_form(arr, w):
     for i in range(m):
         np.negative(sign[:1 << i], out=sign[1 << i:2 << i])
     c = np.bincount(_superset(cl, np.bitwise_and)[1:], sign[1:], minlength=1 << m)
-    flats = np.flatnonzero((c != 0) & (q > 0))
-    c = c[flats].astype(np.int64)
-    return c, q[flats], functools.partial(_rates, masks, m, flats)
+    c = c.astype(float, copy=False)  # bincount of no sets (m = 0) gives ints
+    return masks, q, c, sign, np.flatnonzero((c != 0) & (q > 0))
+
+
+def _mobius_form(arr, w):
+    """P(T > t) = sum c_X q_X^t over the flats X of _form, merged once for _power_sums: the
+    distinct float rates, ascending, the sums of c_X and |c_X| at each, and the fallback's map
+    _exact_terms.  c and q at the flats go into the dead sign array and c's own storage."""
+    _, q, c, sign, flats = _form(arr, w)  # "clip" takes straight into out, "raise" buffers
+    c, q = (np.take(x, flats, out=y[:flats.size], mode="clip") for x, y in [(c, sign), (q, c)])
+    at = np.searchsorted(rates := np.unique(q), q)  # the bincounts read c, then |c| in place
+    return (rates, np.bincount(at, c, rates.size), np.bincount(at, np.abs(c, out=c), rates.size),
+            functools.partial(_exact_terms, arr, w))
+
+
+def _exact_terms(arr, w, x):
+    """Each distinct exact rate a_X of the flats (_rates of the integer weights
+    x, rebuilt: float-equal q_X can differ), ascending, with its c_X summed on int64."""
+    masks, _, c, _, flats = _form(arr, w)
+    a, at = np.unique(_rates(masks, arr.m, flats, x), return_inverse=True)
+    merged = np.zeros(a.size, dtype=np.int64)
+    np.add.at(merged, at, c[flats].astype(np.int64))
+    return list(zip(a.tolist(), merged.tolist()))
 
 
 def survival_terms(arr, w):
-    """The (c_X, q_X) pairs of _mobius_form, one per flat X != {}, with
+    """The (c_X, q_X) pairs of _form, one per flat X != {}, with
     P(T > t) = sum c_X q_X^t for t >= 1 and c_X = -mu({}, X)."""
-    return list(zip(*(a.tolist() for a in _mobius_form(arr, w)[:2])))
+    _, q, c, _, flats = _form(arr, w)
+    return list(zip(c[flats].astype(np.int64).tolist(), q[flats].tolist()))
 
 
 def survival_exact_profile(arr, w, t_grid):
     """Exact P(T > t) over an integer time grid (T = 0 when m = 0).  As t
     faces of at most s nonzero signs cut at most t s hyperplanes, T >= m / s."""
-    c, q, exact_rates = _mobius_form(arr, w)
     s = max((w.signs != 0).sum(axis=1).max(), 1)
-    return _power_sums(c, q, exact_rates, w.weights, t_grid, -(-arr.m // s))
+    return _power_sums(*_mobius_form(arr, w), w.weights, t_grid, -(-arr.m // s))
 
 
 @dataclass(frozen=True)

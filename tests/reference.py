@@ -20,6 +20,10 @@ weights, chamber lists and a spin system's fields (``n_sites``, ``spins``,
 - What a cache of count chains, key -> (cells a step, grower, curve), holds:
   each key's grower and curve length, so that a chain built, rebuilt or
   grown shows.
+- The Möbius form of P(T > t) from a face list's signs and weights: the
+  superset fold as one block view per coordinate, the terms (c_X, q_X) of
+  each flat X, and the merge of those terms per float rate by a sorting
+  unique.
 """
 
 import collections
@@ -227,3 +231,34 @@ def coverage_conditioned_profile(sys, t_grid):
 def held_chains(chains):
     """{key: (grower, curve length)} of a count-chain cache; a rebuild replaces the grower."""
     return {key: (grown, len(curve)) for key, (_, grown, curve) in chains.items()}
+
+
+def superset_reshape(x, op):
+    """Fold x, indexed by the sets of some m coordinates, in place by op over
+    the supersets of each set: one block view per coordinate."""
+    for i in range(x.size.bit_length() - 1):
+        xs = x.reshape(-1, 2, 1 << i)
+        op(xs[:, 0], xs[:, 1], out=xs[:, 0])
+    return x
+
+
+def mobius_reference(signs, weights):
+    """(c, q, flats) of the faces' sign rows and weights: q_S, the weight of
+    the faces zero on all of S, and c_X = -mu({}, X) at the flats X != {} with
+    q_X > 0, from an int64 closure and signs from bit counts."""
+    m = signs.shape[1]
+    masks = (signs == 0) @ (1 << np.arange(m, dtype=np.int64))
+    q = superset_reshape(np.bincount(masks, weights, minlength=1 << m), np.add)
+    cl = np.full(1 << m, (1 << m) - 1, dtype=np.int64)
+    cl[masks] = masks
+    sign = np.where(np.bitwise_count(np.arange(1, 1 << m)) % 2, 1.0, -1.0)
+    c = np.bincount(superset_reshape(cl, np.bitwise_and)[1:], sign, minlength=1 << m)
+    flats = np.flatnonzero((c != 0) & (q > 0))
+    return c[flats].astype(np.int64), q[flats], flats
+
+
+def merge_reference(c, q):
+    """The per-flat terms merged per float rate by a sorting unique: the
+    distinct rates, ascending, with the sums of c and of |c| at each."""
+    rates, at = np.unique(q, return_inverse=True)
+    return rates, np.bincount(at, c, rates.size), np.bincount(at, np.abs(c), rates.size)

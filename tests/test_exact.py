@@ -15,6 +15,7 @@ from chamberwalk.exact import survival_terms
 
 import reference
 from reference import chamber_to_permutation, face_product, permutation_to_chamber
+from reference import merge_reference, mobius_reference, superset_reshape
 
 
 def boolean2_uniform():
@@ -752,34 +753,28 @@ def test_power_sums_snap_rounding_and_take_the_rest_exactly():
     def unread(x):
         raise AssertionError("exact rates read")
 
-    assert exact._power_sums([1, 1], [1.0, 2.0**-52], unread, [1.0], [0, 1], 1) == {
+    one = np.ones(2)
+    assert exact._power_sums(np.array([2.0**-52, 1.0]), one, one, unread, [1.0], [0, 1], 1) == {
         0: 1.0, 1: 1.0}
-    # 2^60 (3/4)^t cancels in floats with a bound far above 1e-9; in integers
-    # the two terms of rate 3/4 fold into one of coefficient 0.  The weights
-    # 1/2, 1/4, 1/4 are the integers 2, 1, 1 over 4, and the map gives each
-    # rate from them: 2, 2 + 1, 2 + 1
+    # the merged terms 2^60 (3/4)^t and -2^60 (3/4)^t cancel to a sum of 0 with
+    # a bound far above 1e-9; the fallback's pairs hold them as one of
+    # coefficient 0.  The weights 1/2, 1/4, 1/4 are the integers 2, 1, 1 over
+    # 4, and the map gives each exact rate from them: 2 and 2 + 1
     read, big = [], 2**60
 
-    def rates(x):
+    def pairs(x):
         read.append(x.tolist())
-        return np.array([x[0], x[0] + x[1], x[0] + x[2]])
+        return [(int(x[0]), 1), (int(x[0] + x[1]), big - big)]
 
-    assert exact._power_sums([1, big, -big], [0.5, 0.75, 0.75], rates, [0.5, 0.25, 0.25],
+    assert exact._power_sums(np.array([0.5, 0.75]), np.array([1.0, 0.0]),
+                             np.array([1.0, 2.0 * big]), pairs, [0.5, 0.25, 0.25],
                              [1, 7], 1) == {1: 0.5, 7: 0.5**7}
     assert read == [[2, 1, 1]]
-    # every caller's coefficients lie in the int64 range; others are refused
+    # every caller's coefficient sums are floats below 2^53; a Python int past
+    # the float range is refused
     huge = 10**400
     with pytest.raises(OverflowError):
-        exact._power_sums([huge, 1 - huge], [0.5, 0.5], unread, [1.0], [1], 1)
-
-
-def superset_reshape(x, op):
-    """Reference fold: one block view per coordinate, the form _superset takes
-    for its long runs, here at every run."""
-    for i in range(x.size.bit_length() - 1):
-        xs = x.reshape(-1, 2, 1 << i)
-        op(xs[:, 0], xs[:, 1], out=xs[:, 0])
-    return x
+        exact._power_sums(np.array([0.5]), [1], [2 * huge], unread, [1.0], [1], 1)
 
 
 @pytest.mark.parametrize("m", range(11))
@@ -797,20 +792,6 @@ def test_superset_folds_bit_for_bit_as_the_block_view(m):
         assert x.dtype == object or got.tobytes() == want.tobytes()
 
 
-def mobius_reference(arr, w):
-    """(c, q, flats) with an int64 closure, signs from bit counts and the
-    reference fold."""
-    m = arr.m
-    masks = (w.signs == 0) @ (1 << np.arange(m, dtype=np.int64))
-    q = superset_reshape(np.bincount(masks, w.weights, minlength=1 << m), np.add)
-    cl = np.full(1 << m, (1 << m) - 1, dtype=np.int64)
-    cl[masks] = masks
-    sign = np.where(np.bitwise_count(np.arange(1, 1 << m)) % 2, 1.0, -1.0)
-    c = np.bincount(superset_reshape(cl, np.bitwise_and)[1:], sign, minlength=1 << m)
-    flats = np.flatnonzero((c != 0) & (q > 0))
-    return c[flats].astype(np.int64), q[flats], flats
-
-
 @pytest.mark.parametrize("arr, w, closure", [
     (cw.build_braid(4), cw.riffle_faces(4, 2), np.uint8),
     (cw.build_braid(6), cw.riffle_faces(6, 2), np.uint16),
@@ -822,50 +803,56 @@ def test_mobius_form_is_the_int64_form_on_the_narrowest_closure(arr, w, closure,
     folded, superset = [], exact._superset
     monkeypatch.setattr(exact, "_superset",
                         lambda x, op: folded.append(x.dtype) or superset(x, op))
-    c, q, exact_rates = exact._mobius_form(arr, w)
-    want_c, want_q, want_flats = mobius_reference(arr, w)
-    assert c.tobytes() == want_c.tobytes() and q.tobytes() == want_q.tobytes()
-    assert exact_rates.args[2].tobytes() == want_flats.tobytes()
+    # the per-flat terms of the fallback's builder, and the merge of _mobius_form
+    _, q, c, _, flats = exact._form(arr, w)
+    want_c, want_q, want_flats = mobius_reference(w.signs, w.weights)
+    assert flats.tobytes() == want_flats.tobytes()
+    assert c[flats].astype(np.int64).tobytes() == want_c.tobytes()
+    assert q[flats].tobytes() == want_q.tobytes()
     assert folded == [np.float64, closure]
+    *merged, exact_terms = exact._mobius_form(arr, w)
+    assert [x.tobytes() for x in merged] == [x.tobytes() for x in merge_reference(want_c, want_q)]
+    assert exact_terms.args == (arr, w) and folded == [np.float64, closure] * 2
 
 
 @pytest.mark.parametrize("r", [0, 2, 9, 200])
 def test_power_table_gives_each_time_as_its_singleton_grid(r):
-    # r distinct rates k / 4096 with coefficients +-1 down the rates, so that
-    # every value lies in [0, 1]; r = 0 is the form of m = 0
-    k = np.sort(np.random.default_rng(r).choice(np.arange(1, 4096), r, replace=False))[::-1]
-    c, q = (-1) ** np.arange(r), k / 4096
+    # r distinct rates k / 4096, ascending, with coefficients +-1 down the
+    # rates, so that every value lies in [0, 1]; r = 0 is the form of m = 0
+    k = np.sort(np.random.default_rng(r).choice(np.arange(1, 4096), r, replace=False))
+    c, q = (-1.0) ** np.arange(r)[::-1], k / 4096
     weights = [1 - 2.0**-12, 2.0**-12]  # the integers 4095 and 1 over 4096
 
-    def exact_rates(x):  # k x_1, with x_1 = 1
+    def exact_terms(x):  # k x_1, with x_1 = 1
         assert x.tolist() == [4095, 1] and x.dtype == np.int64
-        return k.astype(np.int64) * x[1]
+        return list(zip((k.astype(np.int64) * x[1]).tolist(), c.astype(np.int64).tolist()))
 
     # the table's row sums tie no time to another: 200 rates pass numpy's
     # 8-way and 128-block pairwise sums, and 0..1400 spans five blocks of 327
     grid = [0, 2, 2, 1, 5, 5, 40, 17, 1000, *range(1400)]
     for t_first in (0, 3):
-        got = exact._power_sums(c, q, exact_rates, weights, grid, t_first)
+        got = exact._power_sums(q, c, np.abs(c), exact_terms, weights, grid, t_first)
         assert list(got) == sorted(set(grid))
         assert all(got[t] == 1.0 for t in range(t_first))
         for t in got:
-            assert exact._power_sums(c, q, exact_rates, weights, [t], t_first) == {t: got[t]}, t
+            assert exact._power_sums(q, c, np.abs(c), exact_terms, weights, [t],
+                                     t_first) == {t: got[t]}, t
         for t in (0, 2, 5, 40):
             want = sum(int(ci) * Fraction(qi) ** t for ci, qi in zip(c, q)) if t >= t_first else 1
             assert abs(got[t] - want) <= (t + 1) * np.finfo(float).eps * max(len(c), 1), t
-        assert exact._power_sums(c, q, exact_rates, weights, [], t_first) == {}
+        assert exact._power_sums(q, c, np.abs(c), exact_terms, weights, [], t_first) == {}
 
 
 def test_power_table_is_blocked():
     # 65 519 rates, as all-distinct Tsetlin n = 16, over 133 times: one table
     # would take 66 MiB, a block of 2^16 entries takes 0.5 MiB
     rng = np.random.default_rng(7)
-    q = np.sort(rng.random(65519) / 2)[::-1]
-    c = (-1) ** np.arange(q.size)
+    q = np.sort(rng.random(65519) / 2)
+    c = (-1.0) ** np.arange(q.size)[::-1]
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        got = exact._power_sums(c, q, None, None, range(1, 134), 10)
+        got = exact._power_sums(q, c, np.abs(c), None, None, range(1, 134), 10)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -873,14 +860,44 @@ def test_power_table_is_blocked():
     assert peak < 8 * 2**20
 
 
+def test_mobius_form_holds_no_per_flat_copy_past_its_merge():
+    # hypercube-nonlocal(16, 2): 65 518 flats of 14 float rates, and each
+    # 2^16-set array of floats takes 0.5 MiB; six of them at most are held
+    arr, w = cw.build_boolean(16), cw.hypercube_nonlocal_faces(16, 2)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        got = cw.survival_exact_profile(arr, w, range(1, 301))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(got) == 300 and peak <= 3 * 2**20
+
+
+def test_mobius_survival_values_are_pinned_bit_for_bit():
+    for arr, w, want in [
+            (cw.build_braid(6), cw.riffle_faces(6, 2), {
+                2: "0x1.0000000000000p+0", 5: "0x1.91c4700000000p-2",
+                20: "0x1.dfff56001c200p-17"}),
+            (cw.build_braid(6), cw.k_to_top_faces(6, 2), {
+                3: "0x1.fffffffffffffp-1", 10: "0x1.e113ddd850690p-8",
+                30: "0x1.e4a8339670cf6p-30"}),
+            (cw.build_boolean(16), cw.hypercube_nonlocal_faces(16, 2), {
+                8: "0x1.ffffc03881b30p-1", 40: "0x1.324add1fa23cdp-4",
+                300: "0x1.2763cf89c120ep-54"})]:
+        got = cw.survival_exact_profile(arr, w, list(want))
+        assert {t: v.hex() for t, v in got.items()} == want
+
+
 def test_survival_is_one_before_m_over_the_largest_face_support(monkeypatch):
     # t faces of at most s nonzero signs cut at most t s of the m hyperplanes
     first, fallback = [], []
     power_sums = exact._power_sums
 
-    def recorded(c, q, exact_rates, weights, t_grid, t_first):
+    def recorded(rates, c_sum, abs_sum, exact_terms, weights, t_grid, t_first):
         first.append(t_first)
-        return power_sums(c, q, lambda x: fallback.append(t_first) or exact_rates(x), weights,
+        return power_sums(rates, c_sum, abs_sum,
+                          lambda x: fallback.append(t_first) or exact_terms(x), weights,
                           t_grid, t_first)
 
     monkeypatch.setattr(exact, "_power_sums", recorded)

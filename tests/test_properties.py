@@ -9,8 +9,11 @@ partition_to_sign_vector, chamber_index against a search of the chamber
 tuples, their packed bits against np.packbits along the last axis, and each
 built-in face list against a loop that lists it face by face.
 The exact rates of the Möbius form, on int64 and past it, against a loop over
-the sets.  The Tsetlin P(T > t) over count vectors of tied weights against the
-card-set sum and the braid walk, with its term count.  The count chain's
+the sets; its terms merged per float rate against a sorting unique of its
+flats, bit for bit, on boolean(1..10) and braid(2..5), with its integer
+fallback at the same times and its exact pairs against the loop.  The
+Tsetlin P(T > t) over count vectors of tied weights against the card-set sum
+and the braid walk, with its term count.  The count chain's
 refusals against its cell rule, with its cache cold and warm.  The guide-table search
 against np.searchsorted, on both sides and on every cell edge of large CDFs and
 of tables sized to their keys, and over key counts around one block.
@@ -36,6 +39,7 @@ from chamberwalk.core import CapacityError, braid_signs, is_chamber
 
 from reference import face_product, ordered_set_partitions, partition_to_sign_vector
 from reference import count_vector_survival, held_chains, stationary_without_replacement
+from reference import merge_reference, mobius_reference
 
 TIMES = range(1, 26)
 GLAUBER_TIMES = range(1, 16)
@@ -101,21 +105,27 @@ def test_power_sums_merge_float_equal_rates_and_keep_the_float_times(terms, scal
     # rates k/64 from a set of at most four collide, and each is exact in
     # floats: the weight of the first k of 64 cards of 1/64, the last one split
     # in floats down to 2^-6 / scale, so that the integers are k scale over
-    # 64 scale, as object past 2^63; they are read at most once, and the float
-    # path is taken where the unmerged float sum took it
+    # 64 scale, as object past 2^63; the terms are merged per float rate as
+    # _mobius_form merges its flats, the pairs per exact rate as its fallback
+    # does, they are read at most once, and the float path is taken where the
+    # unmerged float sum took it
     c, k = [ci for ci, _ in terms], [ki for _, ki in terms]
     q, eps = np.array(k, dtype=float) / 64, np.finfo(float).eps
     last = [2.0**-6 - 2.0**-59, 2.0**-59 - 2.0**-66, 2.0**-66] if scale > 1 else [2.0**-6]
     weights = [2.0**-6] * 63 + last
+    merged = merge_reference(np.array(c, dtype=np.int64), q)
 
-    def rates(x):
+    def pairs(x):
         assert sum(x.tolist()) == 64 * scale
         assert x.dtype == (np.int64 if 64 * scale < 2**63 else object)
-        return np.array([x[:ki].sum() for ki in k], dtype=x.dtype)
+        by_rate = collections.Counter()
+        for ci, ki in terms:
+            by_rate[int(x[:ki].sum())] += ci
+        return sorted(by_rate.items())
 
     def power_sums(t_grid):
         read = []
-        got = exact._power_sums(c, q, lambda x: read.append(1) or rates(x), weights, t_grid, 1)
+        got = exact._power_sums(*merged, lambda x: read.append(1) or pairs(x), weights, t_grid, 1)
         assert len(read) <= 1
         return got, bool(read)
 
@@ -131,13 +141,11 @@ def test_power_sums_merge_float_equal_rates_and_keep_the_float_times(terms, scal
         assert power_sums([t]) == ({t: got[t]}, t not in floated), t
 
 
-def integer_rates(exact_rates, weights, terms):
-    """(x, a): the integer weights that _power_sums hands the map exact_rates
-    and the rates a it returns, at one time that a float rate of 2 sends to
-    the integer path."""
-    read = []
-    exact._power_sums([1] + [0] * (terms - 1), [2.0] * terms,
-                      lambda x: read.append((x, exact_rates(x))) or read[-1][1], weights, [1], 1)
+def integer_weights(weights):
+    """x, the integer weights that _power_sums hands its fallback, at one time
+    that a float rate of 2 sends to the integer path."""
+    read, one = [], np.ones(1)
+    exact._power_sums(np.array([2.0]), one, one, lambda x: read.append(x) or [], weights, [1], 1)
     assert len(read) == 1
     return read[0]
 
@@ -163,10 +171,81 @@ def test_exact_rates_are_the_superset_sums_on_int64_and_past_it(case):
     masks, weights = np.array([k for k, _ in faces]), [x for _, x in faces]
     want = superset_loop(masks, weights, m)
     keep = np.arange(1 << m)[::2]
-    x, a = integer_rates(functools.partial(exact._rates, masks, m, keep), weights, keep.size)
+    x = integer_weights(weights)
+    a = exact._rates(masks, m, keep, x)
     assert a.tolist() == want[::2] and sum(x.tolist()) == want[0]
     assert a.dtype == x.dtype == (np.int64 if want[0] < 2**63 else object)
     assert not tiny or a.dtype == object
+
+
+FLAT_ARRANGEMENTS = {("boolean", m): (cw.build_boolean(m), None) for m in range(1, 11)}
+FLAT_ARRANGEMENTS.update({("braid", n): (cw.build_braid(n), [
+    partition_to_sign_vector(p, n) for p in ordered_set_partitions(range(n))])
+    for n in (2, 3, 4, 5)})
+# repeated and non-dyadic weights, normalised: flats share float rates, and a
+# float rate can be one of several exact ones, as fl(0.1 + 0.2) = 0.3 + 2^-54
+FLAT_POOL = [1.0, 1.0, 2.0, 3.0, 0.1, 0.2, 0.1 + 0.2, 1 / 3, 0.7, 50.0]
+
+
+@st.composite
+def flat_forms(draw):
+    """A weighted face set of 2 to 10 faces on boolean(1..10) or braid(2..5)."""
+    key = draw(st.sampled_from(sorted(FLAT_ARRANGEMENTS)))
+    arr, universe = FLAT_ARRANGEMENTS[key]
+    face = st.sampled_from(universe) if universe else st.lists(  # zero at 3 of 5 on average
+        st.sampled_from((1, -1, 0, 0, 0)), min_size=arr.m, max_size=arr.m).map(tuple)
+    faces = draw(st.lists(face, min_size=2, max_size=10))
+    raw = np.array(draw(st.lists(st.sampled_from(FLAT_POOL), min_size=len(faces),
+                                 max_size=len(faces))))
+    return arr, cw.WeightedFaceSet(tuple(faces), raw / raw.sum())
+
+
+FLOAT_EQUAL = (cw.build_boolean(4), cw.WeightedFaceSet(  # q_{0} = fl(0.1 + 0.2) = q_{3}
+    ((0, 0, 1, 1), (0, 1, 0, 1), (1, 1, 1, 0), (1, 1, 1, 1)),
+    [0.1, 0.2, 0.1 + 0.2, 1 - 0.1 - 0.2 - (0.1 + 0.2)]))
+HEAVY_ZERO = (cw.build_boolean(10), cw.WeightedFaceSet(  # 1024 flats of q near 1
+    ((0,) * 10, (1,) * 10) + tuple(tuple(int(i == j) for j in range(10)) for i in range(10)),
+    [0.98, 0.01] + [0.001] * 10))
+
+
+@settings(CASES, max_examples=100)
+@given(flat_forms())
+@example(FLOAT_EQUAL)
+@example(HEAVY_ZERO)  # the integer fallback from t = 4 on
+@example((cw.build_braid(5), cw.top_bottom_faces(5)))
+def test_mobius_form_merges_its_flats_as_the_sorting_unique_bit_for_bit(case):
+    # the merged triple against the per-flat terms merged by a sorting unique;
+    # the fallback's pairs against the exact superset sums at the flats, c
+    # summed per exact rate; over t = 0..40 the profile takes the fallback
+    # exactly where the reference triple's float sums, one table row a time,
+    # fail their bound (a fallback of the pair (d, 2) marks them with 2.0),
+    # and there it is the ratio of integers
+    arr, w = case
+    m, eps = arr.m, np.finfo(float).eps
+    c, q, flats = mobius_reference(w.signs, w.weights)
+    *merged, exact_terms = exact._mobius_form(arr, w)
+    want = merge_reference(c, q)
+    assert [x.tobytes() for x in merged] == [x.tobytes() for x in want]
+    masks = (w.signs == 0) @ (1 << np.arange(m, dtype=np.int64))
+    a, by_rate = superset_loop(masks, w.weights, m), collections.Counter()
+    for X, cX in zip(flats.tolist(), c.tolist()):
+        by_rate[a[X]] += cX
+    x = integer_weights(w.weights)
+    pairs, d = exact_terms(x), sum(x.tolist())
+    assert pairs == sorted(by_rate.items()) and all(type(v) is int for p in pairs for v in p)
+    t_first = -(-m // max((w.signs != 0).sum(axis=1).max(), 1))
+    late = np.arange(t_first, 41)
+    qt = want[0] ** late[:, np.newaxis]
+    values, bounds = (qt * want[1]).sum(axis=1), (late + 1) * eps * (qt * want[2]).sum(axis=1)
+    refused = [t for t, v, b in zip(late.tolist(), values, bounds)
+               if not (b <= 1e-12 and -b <= v <= 1.0 + b)]
+    marked = exact._power_sums(*merged, lambda x: [(sum(x.tolist()), 2)], w.weights,
+                               range(41), t_first)
+    assert [t for t, v in marked.items() if v == 2.0] == refused
+    got = cw.survival_exact_profile(arr, w, range(41))
+    assert all(got[t] == sum(ci * ai**t for ai, ci in pairs) / d**t for t in refused)
+    assert case is not FLOAT_EQUAL or len(pairs) == len(want[0]) + 1
+    assert case is not HEAVY_ZERO or refused[0] == 4
 
 
 def card_set_survival(w, t):

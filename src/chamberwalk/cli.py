@@ -180,8 +180,8 @@ def build_family(family, params):
     families and hypercube-nonlocal, the closed-form (b, d) of families with
     one, m, the hyperplane count, "profiles", (t_grid, stats) -> {t: (s, TV)}
     of the lumped chain where one exists, else of the arrangement built under
-    DEFAULT_CHAMBER_CAP, and "survival", (name, t_grid -> {t: P(T>t)}) of its
-    one exact form.
+    DEFAULT_CHAMBER_CAP, and "survival", (t_grid, stats) -> {t: P(T>t)} of its
+    exact form, which names its route in stats["survival_path"] before it runs.
     """
     info = {"bd": None}
     if family in ("tsetlin", "top-bottom"):  # one T: all cards but one touched
@@ -191,7 +191,7 @@ def build_family(family, params):
             raise ConfigError(f"parameter 'n' must be >= 1, got {n}")
         w = _get_weights(params, "weights", n) if "weights" in params else np.full(n, 1.0 / n)
         info["spec"] = spec = TsetlinSpec(w)
-        info["survival"] = ("count-chain", functools.partial(tsetlin_survival_profile, spec))
+        info["survival"] = _route("count-chain", functools.partial(tsetlin_survival_profile, spec))
         info["t_sampler"] = lambda trials, seed: sample_card_collection_T(spec, trials, seed)
         n, listing = spec.n, ((tsetlin_faces, spec) if family == "tsetlin" else
                               (top_bottom_faces, spec.n, spec.card_weights))
@@ -200,7 +200,7 @@ def build_family(family, params):
         a = _get_int(params, "a", 2)
         info["bd"] = riffle_coupling_closed_form(a)
         info["profiles"] = prof = functools.partial(riffle_profiles, n, a)
-        info["survival"] = ("eulerian", lambda g: {t: s for t, (s, _) in prof(g).items()})
+        info["survival"] = _route("eulerian", lambda g: {t: s for t, (s, _) in prof(g).items()})
         listing = (riffle_faces, n, a)
     elif family == "k-to-top":
         n, k = _get_int(params, "n"), _get_int(params, "k")
@@ -213,7 +213,6 @@ def build_family(family, params):
         w_minus = _get_weights(params, "w_minus", n) if "w_minus" in params else half
         if np.all(np.concatenate([w_plus, w_minus]) == half[0]):
             info["profiles"] = functools.partial(hamming_profiles, n, 1)
-            info["survival"] = "count-chain", lambda g: {t: coupon_survival_uniform(n, t) for t in g}
         listing = (hypercube_nn_faces, w_plus, w_minus)
     elif family == "hypercube-nonlocal":
         n, k = _get_int(params, "n"), _get_int(params, "k")
@@ -222,16 +221,16 @@ def build_family(family, params):
         info["bd"] = kset_coupling_closed_form(n, k)
         info["t_sampler"] = lambda trials, seed: sample_kset_coupon_T(n, k, trials, seed)
         info["profiles"] = functools.partial(hamming_profiles, n, k)
-        info["survival"] = "count-chain", lambda g: {
-            t: coupon_survival_uniform(n, t, n, k) for t in g}
+        info["survival"] = _route("count-chain", lambda g: {
+            t: coupon_survival_uniform(n, t, n, k) for t in g})
         listing = (hypercube_nonlocal_faces, n, k)
     else:
         see = "glauber command" if family in ("ising", "product") else "list subcommand"
         raise ConfigError(f"unknown family {family!r}; see the {see}")
     faces = functools.cache(functools.partial(*listing))
     info.setdefault("t_sampler", lambda trials, seed: sample_T_batch(faces(), trials, seed))
-    # the Mobius form reads arr.m alone, which the faces carry: no arrangement is built
-    info.setdefault("survival", ("mobius", lambda g: survival_exact_profile(w := faces(), w, g)))
+    # survival_exact_profile reads arr.m alone, which the faces carry: no arrangement is built
+    info.setdefault("survival", lambda g, stats: survival_exact_profile(w := faces(), w, g, stats))
     boolean = family.startswith("hypercube")
     build, info["m"] = (build_boolean, n) if boolean else (build_braid, braid_m(n))
     info.setdefault("profiles", lambda g, stats: distance_profiles(  # no face listed past the cap
@@ -287,17 +286,22 @@ def _meta(args, params, extra=()):
     return meta
 
 
+def _route(name, survival):
+    """A survival form of one route: (t_grid, stats) -> survival(t_grid), name in stats."""
+    return lambda g, stats: stats.update(survival_path=name) or survival(g)
+
+
 def _with_survival(info, rows, extra):
     """rows with survival_exact from the family's exact P(T>t); extra gains the
-    form's name, and where a cap refuses, the reason, with the column left blank."""
-    name, survival = info["survival"]
-    extra.append(("survival_path", name))
+    route the form names, and where a cap refuses, the reason, with the column left blank."""
+    stats = {}
     try:
-        surv = survival([row[0] for row in rows])
+        surv = info["survival"]([row[0] for row in rows], stats)
+        rows = [(t, s, tv, surv[t], *mc) for t, s, tv, _, *mc in rows]
     except CapacityError as exc:
-        extra.append(("survival_exact", f"refused: {exc}"))
-        return rows
-    return [(t, s, tv, surv[t], *mc) for t, s, tv, _, *mc in rows]
+        stats["survival_exact"] = f"refused: {exc}"
+    extra.extend(stats.items())
+    return rows
 
 
 def cmd_exact(args, params):

@@ -325,11 +325,25 @@ def survival_terms(arr, w):
     return list(zip(c[flats].astype(np.int64).tolist(), q[flats].tolist()))
 
 
-def survival_exact_profile(arr, w, t_grid):
-    """Exact P(T > t) over an integer time grid (T = 0 when m = 0).  As t
-    faces of at most s nonzero signs cut at most t s hyperplanes, T >= m / s."""
-    s = max((w.signs != 0).sum(axis=1).max(), 1)
-    return _power_sums(*_mobius_form(arr, w), w.weights, t_grid, -(-arr.m // s))
+def survival_exact_profile(arr, w, t_grid, stats=None):
+    """Exact P(T > t) over an integer time grid (T = 0 when m = 0).  As t faces of at most
+    s nonzero signs cut at most t s hyperplanes, T >= m / s.  Where each face cuts s and the
+    C(m, s) supports weigh the same, bit for bit, the count of hyperplanes cut is the count
+    chain of s distinct coupons of m a step (glauber._chain_at, no 2^m sets), else the Mobius
+    form is summed.  stats, if a dict, receives survival_path: count-chain or mobius."""
+    from .glauber import _chain_at  # glauber imports exact: read at the call, one chain
+    m, size = arr.m, (cut := w.signs != 0).sum(axis=1)
+    s = max(int(size.max()), 1)
+    if chain := size.min() == s and len(size) >= (sets := math.comb(m, s)):
+        keys = _keys(_bits(cut))
+        each = np.bincount(_search(_lookup(keys), keys), w.weights)  # at each support's first face
+        each = each[each > 0]  # the bins of first faces: every weight is > 0
+        chain = len(each) == sets and (each == each[0]).all()
+    if stats is not None:
+        stats.update(survival_path="count-chain" if chain else "mobius")
+    if chain:
+        return {t: _chain_at((((m, 1),), s, m), t) for t in _times(t_grid)}
+    return _power_sums(*_mobius_form(arr, w), w.weights, t_grid, -(-m // s))
 
 
 @dataclass(frozen=True)

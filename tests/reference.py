@@ -14,6 +14,8 @@ weights, chamber lists and a spin system's fields (``n_sites``, ``spins``,
   replacement, enumerated over their orderings.
 - The Tsetlin library's P(T > t), all cards but one touched, as the Möbius
   sum over the count vectors of the untouched cards, in fractions.
+- P(T > t) of faces whose supports are uniform k-sets of m hyperplanes, by
+  inclusion-exclusion over the hyperplanes missed, in fractions.
 - Heat-bath Glauber dynamics: a site's conditional, one coupled update,
   the comparable pairs of configurations and the monotonicity check, and
   the law from the top conditioned on every site having been picked.
@@ -154,6 +156,15 @@ def count_vector_survival(weights, t):
             c = (-1) ** sum(u) * (sum(u) - 1) * math.prod(map(math.comb, classes.values(), u))
             out += c * (sum((k - x) * w for (w, k), x in zip(classes.items(), u)) / total) ** t
     return out
+
+
+def kset_survival(m, k, t):
+    """P(T > t) for T the first time that t uniform k-sets of m hyperplanes
+    cover them all: the sum over the j >= 1 hyperplanes missed of
+    (-1)^(j+1) C(m, j) (C(m - j, k) / C(m, k))^t, as a Fraction."""
+    total = math.comb(m, k)
+    return sum((-1) ** (j + 1) * math.comb(m, j) * Fraction(math.comb(m - j, k), total) ** t
+               for j in range(1, m + 1))
 
 
 def conditional_at_site(sys, sigma, u):

@@ -324,10 +324,14 @@ def test_survival_terms_leave_no_garbage():
 
 
 def test_survival_exact_capacity(monkeypatch):
-    arr, w = boolean2_uniform()
+    # the cap sizes the Mobius form's 2^m sets: it refuses faces whose supports
+    # weigh unequally, while equal ones take the count chain, which builds none
     monkeypatch.setattr(exact, "DEFAULT_IE_HYPERPLANE_CAP", 1)
+    arr, w = cw.build_boolean(2), cw.hypercube_nn_faces([0.25, 0.25], [0.3, 0.2])
     with pytest.raises(CapacityError):
         cw.survival_exact_profile(arr, w, [3])
+    arr, w = boolean2_uniform()
+    assert cw.survival_exact_profile(arr, w, [3]) == {3: 0.25}
 
 
 def test_survival_mc_agreement():
@@ -860,6 +864,12 @@ def test_power_table_is_blocked():
     assert peak < 8 * 2**20
 
 
+def mobius_profile(arr, w, t_grid):
+    """The Mobius route of survival_exact_profile, taken whatever the supports weigh."""
+    t_first = -(-arr.m // max(int((w.signs != 0).sum(axis=1).max()), 1))
+    return exact._power_sums(*exact._mobius_form(arr, w), w.weights, t_grid, t_first)
+
+
 def test_mobius_form_holds_no_per_flat_copy_past_its_merge():
     # hypercube-nonlocal(16, 2): 65 518 flats of 14 float rates, and each
     # 2^16-set array of floats takes 0.5 MiB; six of them at most are held
@@ -867,7 +877,7 @@ def test_mobius_form_holds_no_per_flat_copy_past_its_merge():
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        got = cw.survival_exact_profile(arr, w, range(1, 301))
+        got = mobius_profile(arr, w, range(1, 301))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -875,18 +885,48 @@ def test_mobius_form_holds_no_per_flat_copy_past_its_merge():
 
 
 def test_mobius_survival_values_are_pinned_bit_for_bit():
-    for arr, w, want in [
-            (cw.build_braid(6), cw.riffle_faces(6, 2), {
+    # riffle and k-to-top take the Mobius route themselves; nonlocal(16, 2), whose
+    # supports weigh the same, takes the count chain, so its pins read the form directly
+    for survival, arr, w, want in [
+            (cw.survival_exact_profile, cw.build_braid(6), cw.riffle_faces(6, 2), {
                 2: "0x1.0000000000000p+0", 5: "0x1.91c4700000000p-2",
                 20: "0x1.dfff56001c200p-17"}),
-            (cw.build_braid(6), cw.k_to_top_faces(6, 2), {
+            (cw.survival_exact_profile, cw.build_braid(6), cw.k_to_top_faces(6, 2), {
                 3: "0x1.fffffffffffffp-1", 10: "0x1.e113ddd850690p-8",
                 30: "0x1.e4a8339670cf6p-30"}),
-            (cw.build_boolean(16), cw.hypercube_nonlocal_faces(16, 2), {
+            (mobius_profile, cw.build_boolean(16), cw.hypercube_nonlocal_faces(16, 2), {
                 8: "0x1.ffffc03881b30p-1", 40: "0x1.324add1fa23cdp-4",
                 300: "0x1.2763cf89c120ep-54"})]:
-        got = cw.survival_exact_profile(arr, w, list(want))
+        got = survival(arr, w, list(want))
         assert {t: v.hex() for t, v in got.items()} == want
+
+
+def test_count_chain_survival_values_are_pinned_bit_for_bit():
+    # nonlocal(16, 2)'s 120 supports weigh 4/480 each: the count chain of two coupons
+    # of 16 a step, within 5 ulp of the fractions at these times, where the Mobius
+    # pins above are off by up to 3.8e-14 relative
+    arr, w, stats = cw.build_boolean(16), cw.hypercube_nonlocal_faces(16, 2), {}
+    got = cw.survival_exact_profile(arr, w, [8, 40, 300], stats)
+    assert stats == {"survival_path": "count-chain"}
+    assert {t: v.hex() for t, v in got.items()} == {
+        8: "0x1.ffffc03881b04p-1", 40: "0x1.324add1fa23e2p-4", 300: "0x1.2763cf89c12d3p-54"}
+    assert got == {t: cw.coupon_survival_uniform(16, t, 16, 2) for t in got}
+    for t, v in got.items():
+        assert abs(v - float(reference.kset_survival(16, 2, t))) <= 5 * np.spacing(v)
+
+
+def test_count_chain_route_admits_hyperplanes_past_the_mobius_cap():
+    # 24 coordinates, past DEFAULT_IE_HYPERPLANE_CAP = 20: the faces of every
+    # pair of them, equally weighted, read off the count chain of that key,
+    # no arrangement built (the faces carry m)
+    w, stats = cw.hypercube_nonlocal_faces(24, 2), {}
+    assert w.m > exact.DEFAULT_IE_HYPERPLANE_CAP
+    grid = range(0, 401, 7)
+    got = cw.survival_exact_profile(w, w, grid, stats)
+    assert stats == {"survival_path": "count-chain"}
+    assert got == {t: cw.coupon_survival_uniform(24, t, 24, 2) for t in grid}
+    assert got[7] == 1.0 and got[14] < 1.0  # T >= 24 / 2
+    assert all(abs(got[t] - float(reference.kset_survival(24, 2, t))) <= 1e-15 for t in grid)
 
 
 def test_survival_is_one_before_m_over_the_largest_face_support(monkeypatch):
@@ -902,8 +942,12 @@ def test_survival_is_one_before_m_over_the_largest_face_support(monkeypatch):
 
     monkeypatch.setattr(exact, "_power_sums", recorded)
     # the non-local hypercube's faces cut two of 16 coordinates: T >= 8, and
-    # from t = 8 on every float sum passes its bound
-    got = cw.survival_exact_profile(cw.build_boolean(16), cw.hypercube_nonlocal_faces(16, 2),
+    # from t = 8 on every float sum passes its bound; one weight made unequal
+    # keeps the supports off the count chain
+    w = cw.hypercube_nonlocal_faces(16, 2)
+    weights = w.weights.copy()
+    weights[0] *= 1 + 2.0**-40
+    got = cw.survival_exact_profile(cw.build_boolean(16), cw.WeightedFaceSet(w.signs, weights),
                                     range(1, 301))
     assert first == [8] and fallback == []
     assert [got[t] for t in range(1, 8)] == [1.0] * 7 and got[8] < 1.0

@@ -13,7 +13,9 @@ the sets; its terms merged per float rate against a sorting unique of its
 flats, bit for bit, on boolean(1..10) and braid(2..5), with its integer
 fallback at the same times and its exact pairs against the loop.  The
 Tsetlin P(T > t) over count vectors of tied weights against the card-set sum
-and the braid walk, with its term count.  The count chain's
+and the braid walk, with its term count.  Faces whose supports are all the
+k-sets of boolean(1..10), equally weighted: the count chain against the
+k-set law in fractions and the Möbius form.  The count chain's
 refusals against its cell rule, with its cache cold and warm.  The guide-table search
 against np.searchsorted, on both sides and on every cell edge of large CDFs and
 of tables sized to their keys, and over key counts around one block.
@@ -39,7 +41,7 @@ from chamberwalk.core import CapacityError, braid_signs, is_chamber
 
 from reference import face_product, ordered_set_partitions, partition_to_sign_vector
 from reference import count_vector_survival, held_chains, stationary_without_replacement
-from reference import merge_reference, mobius_reference
+from reference import kset_survival, merge_reference, mobius_reference
 
 TIMES = range(1, 26)
 GLAUBER_TIMES = range(1, 16)
@@ -278,6 +280,54 @@ def test_tsetlin_survival_over_count_vectors_equals_card_sets_and_the_braid_walk
     if math.comb(n, 2) <= exact.DEFAULT_IE_HYPERPLANE_CAP:  # braid(7) has 21 hyperplanes
         walk = cw.survival_exact_profile(cw.build_braid(n), cw.tsetlin_faces(spec), times)
         assert all(abs(got[t] - walk[t]) <= 1e-12 for t in times)
+
+
+@st.composite
+def exchangeable_faces(draw):
+    """(m, k, faces) on boolean(m <= 10) whose supports are all the k-sets of the m
+    hyperplanes, each holding 1 to 2^p distinct random sign rows, in random order, of
+    weights a x / 2^p, the a summing to 2^p: x = N / 2^52, N the integer nearest
+    2^52 / C(m, k), and 2^p <= C(m, k), so every partial sum of a support is exact
+    and each sums to x bit for bit."""
+    m = draw(st.integers(1, 10))
+    k = draw(st.integers(1, m))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sets, signs, weights = math.comb(m, k), [], []
+    n_top, p = round(2**52 / sets), min(sets.bit_length() - 1, k, 3)
+    for support in itertools.combinations(range(m), k):
+        j = int(rng.integers(1, 2**p + 1))
+        cuts = np.sort(rng.choice(np.arange(1, 2**p), j - 1, replace=False))
+        for a, row in zip(np.diff([0, *cuts, 2**p]), rng.choice(2**k, j, replace=False)):
+            face = np.zeros(m, dtype=np.int8)
+            face[list(support)] = 1 - 2 * (row >> np.arange(k) & 1)
+            signs.append(face)
+            weights.append(int(a) * n_top / 2**(52 + p))  # an exact float: a N < 2^53
+    order = rng.permutation(len(signs))
+    return m, k, cw.WeightedFaceSet(np.array(signs)[order], np.array(weights)[order])
+
+
+@CASES
+@given(exchangeable_faces())
+@example((3, 1, cw.hypercube_nn_faces([1 / 6] * 3, [1 / 6] * 3)))
+@example((4, 4, cw.WeightedFaceSet([(1, 1, 1, 1), (1, -1, 1, -1)], [0.75, 0.25])))
+def test_exchangeable_supports_read_the_count_chain(case):
+    # the count chain against the k-set law in fractions and against the Mobius
+    # form of the same faces; one weight made unequal sends them to that form
+    m, k, w = case
+    arr, times, stats = cw.build_boolean(m), range(41), {}
+    got = cw.survival_exact_profile(arr, w, times, stats)
+    assert stats == {"survival_path": "count-chain"}
+    assert all(abs(got[t] - kset_survival(m, k, t)) <= 1e-13 for t in times)
+    mobius = exact._power_sums(*exact._mobius_form(arr, w), w.weights, times, -(-m // k))
+    assert all(abs(got[t] - mobius[t]) <= 1e-12 for t in times)
+    if math.comb(m, k) > 1:  # one support weighs the same as itself at any weights
+        weights = w.weights.copy()
+        weights[0] *= 1 + 2.0**-40
+        w = cw.WeightedFaceSet(w.signs, weights)
+        got = cw.survival_exact_profile(arr, w, times, stats)
+        assert stats == {"survival_path": "mobius"}
+        mobius = exact._power_sums(*exact._mobius_form(arr, w), w.weights, times, -(-m // k))
+        assert [v.hex() for v in got.values()] == [v.hex() for v in mobius.values()]
 
 
 @st.composite

@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, exact
+from . import __version__
 from .core import CapacityError, braid_m, build_boolean, build_braid
 from .exact import coupling_parameters, cutoff_prediction, distance_profiles
 from .exact import survival_exact_profile
@@ -179,8 +179,8 @@ def build_family(family, params):
     T sampler, (trials, seed) -> samples, which reads no faces for the card
     families and hypercube-nonlocal, the closed-form (b, d) of families with
     one, m, the hyperplane count, "profiles", (t_grid, stats) -> {t: (s, TV)}
-    of the lumped chain where one exists, else of the arrangement built under
-    DEFAULT_CHAMBER_CAP, and "survival", (t_grid, stats) -> {t: P(T>t)} of its
+    of the lumped chain where one exists, else of distance_profiles on the
+    arrangement, and "survival", (t_grid, stats) -> {t: P(T>t)} of its
     exact form, which names its route in stats["survival_path"] before it runs.
     """
     info = {"bd": None}
@@ -234,7 +234,7 @@ def build_family(family, params):
     boolean = family.startswith("hypercube")
     build, info["m"] = (build_boolean, n) if boolean else (build_braid, braid_m(n))
     info.setdefault("profiles", lambda g, stats: distance_profiles(  # no face listed past the cap
-        build(n, exact.DEFAULT_CHAMBER_CAP), faces(), g, stats=stats))
+        build(n), faces(), g, stats=stats))
     return faces, info
 
 

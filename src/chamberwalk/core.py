@@ -21,9 +21,8 @@ ZERO = 0
 
 _SIGN_TO_CHAR = {PLUS: "+", MINUS: "-", ZERO: "0"}
 
-# Default caps on built-in chambers and on face products checked for closure.
-DEFAULT_FACE_LIMIT = 1_000_000
-DEFAULT_CLOSURE_PRODUCT_LIMIT = 1_000_000
+DEFAULT_ENUM_CAP = 10_000_000  # sign entries, rows x hyperplanes, one chamber or face list holds
+DEFAULT_CLOSURE_PRODUCT_LIMIT = 1_000_000  # face products that validate_closure checks
 _PRODUCT_CELLS = 2**18  # sign entries of the face products validate_closure takes at once
 _GUIDE_CELLS = 2**14  # least cells of a _guide table
 _GUIDE_CELL_CAP = 2**20  # most cells of a _guide table
@@ -36,6 +35,13 @@ class DimensionError(ValueError):
 
 class CapacityError(RuntimeError):
     """An exact enumeration would exceed the configured size limit."""
+
+
+def _check_entries(rows, m, hint=""):
+    """Refuse a list of rows x m sign entries above DEFAULT_ENUM_CAP before listing a row."""
+    if rows * m > DEFAULT_ENUM_CAP:
+        raise CapacityError(f"{rows} sign vectors x {m} hyperplanes exceeds the cap of "
+                            f"{DEFAULT_ENUM_CAP} sign entries{hint}")
 
 
 def format_sign_vector(f):
@@ -216,13 +222,12 @@ def weighted_faces(signs, weights):
     return WeightedFaceSet(w.signs[kept], np.bincount((np.cumsum(kept) - 1)[first], w.weights))
 
 
-def build_boolean(n, face_limit=DEFAULT_FACE_LIMIT):
+def build_boolean(n):
     """Arrangement of the n coordinate hyperplanes: chambers are the 2^n
-    orthants (at most ``face_limit``); the faces {+,-,0}^n are not listed."""
+    orthants, 2^n x n sign entries; the faces {+,-,0}^n are not listed."""
     if n < 1:
         raise ValueError("boolean arrangement needs n >= 1")
-    if 2**n > face_limit:
-        raise CapacityError(f"2^{n} chambers exceeds limit {face_limit}")
+    _check_entries(2**n, n)
     signs = 1 - 2 * np.indices((2,) * n, dtype=np.int8).reshape(n, -1).T  # product((1, -1))
     flips = tuple(zip(itertools.repeat(np.arange(n)), 1 - 2 * np.eye(n, dtype=int)))
     return Arrangement(m=n, signs=signs, faces=None, family_tag=f"boolean({n})", symmetries=flips)
@@ -241,14 +246,13 @@ def braid_signs(pos):
     return np.sign(pos[..., j] - pos[..., i]).astype(np.int8)
 
 
-def build_braid(n, face_limit=DEFAULT_FACE_LIMIT):
+def build_braid(n):
     """Braid arrangement on n cards: hyperplanes x_i = x_j, chambers are the
-    n! orderings (at most ``face_limit``); the faces, ordered set partitions
+    n! orderings, n! x C(n, 2) sign entries; the faces, ordered set partitions
     of {0, .., n-1}, are not listed."""
     if n < 2:
         raise ValueError("braid arrangement needs n >= 2")
-    if math.factorial(n) > face_limit:
-        raise CapacityError(f"{n}! chambers exceeds limit {face_limit}")
+    _check_entries(math.factorial(n), braid_m(n))
     perms = np.fromiter(itertools.chain.from_iterable(itertools.permutations(range(n))), np.int8)
     pos = np.argsort(perms.reshape(-1, n), axis=1).astype(np.int8)  # each card's place
     i, j = np.triu_indices(n, 1)

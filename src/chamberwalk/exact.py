@@ -18,21 +18,18 @@ import numpy as np
 from .core import CapacityError, _bits, _keys, _lookup, _search, _sign_keys, check_separating
 from .core import weighted_faces
 
-DEFAULT_CHAMBER_CAP = 10_000
-DEFAULT_IE_HYPERPLANE_CAP = 20
-DEFAULT_TABLE_CELL_CAP = 2**25  # faces x chambers of the product table, about 19 bytes a cell
+DEFAULT_TABLE_CELL_CAP = 2**25  # cells of one exact table; ~19 bytes a product-table cell at peak
 DEFAULT_WALK_CELL_CAP = 2**36  # steps x rows x table entries that one _walk pushes
 _TABLE_CELLS = 2**20  # bytes of packed products in one block of faces
-_PAIR_CELLS = 2**20  # entries of the m x m pair matrix of coupling_parameters
 _READ_CELLS = 2**18  # entries of start rows read out, or of their table entries pushed, at once
 _POWER_CELLS = 2**16  # entries of the q_i^t table that _power_sums holds at once
 _INT_TERM_CAP = 2**24  # exact rates x times left of _power_sums' fallback, ~1.5 us a term
 
 
-def _check_chambers(arr):
-    if arr.n_chambers > DEFAULT_CHAMBER_CAP:
-        raise CapacityError(
-            f"{arr.n_chambers} chambers exceeds exact-mode cap {DEFAULT_CHAMBER_CAP}")
+def _check_cells(cells, table):
+    """Refuse a table that will hold cells cells past DEFAULT_TABLE_CELL_CAP, before it exists."""
+    if cells > DEFAULT_TABLE_CELL_CAP:
+        raise CapacityError(f"{table} of {cells} cells exceeds cap {DEFAULT_TABLE_CELL_CAP}")
 
 
 def _product_table(arr, w):
@@ -40,8 +37,7 @@ def _product_table(arr, w):
     blocks of faces of at most _TABLE_CELLS bytes (one face at least); a
     product that is not a chamber of arr raises ValueError, and a table of
     more than DEFAULT_TABLE_CELL_CAP cells CapacityError, before any block."""
-    if (cells := len(w.weights) * arr.n_chambers) > DEFAULT_TABLE_CELL_CAP:
-        raise CapacityError(f"product table of {cells} cells exceeds cap {DEFAULT_TABLE_CELL_CAP}")
+    _check_cells(len(w.weights) * arr.n_chambers, "product table")
     C, F = _bits(arr.signs), w.signs
     plus, on = _bits(F)[:, np.newaxis], np.packbits(F != 0, axis=1)[:, np.newaxis]
     rows = max(1, _TABLE_CELLS // max(C.size, 1))
@@ -72,8 +68,8 @@ def _push(index, prob, laws):
 def transition_matrix(arr, w):
     """Row-stochastic matrix P[C, D] = sum of w(F) over faces with FC = D,
     each cell summed in face order."""
-    _check_chambers(arr)
     table, ell = _product_table(arr, w), arr.n_chambers
+    _check_cells(ell * ell, "transition matrix")
     return _push(_offsets(table, ell), w.weights[:, np.newaxis], np.eye(ell))
 
 
@@ -115,8 +111,8 @@ def stationary_solve(arr, w):
     support grows, so a level is complete when it is read.  The faces are
     rows of packed > 0 and < 0 bits, merged by sorted row keys and multiplied
     in blocks of _TABLE_CELLS bytes.  The chambers absorb the mass, so pi is
-    0 off those reached; a product that is not a chamber raises ValueError."""
-    _check_chambers(arr)
+    0 off those reached; a product that is not a chamber raises ValueError.  A level of
+    more than DEFAULT_TABLE_CELL_CAP products, rows x faces, raises CapacityError first."""
     if not check_separating(w):
         raise ValueError("non-separating weights: stationary law not unique")
     m, nb = w.m, -(-w.m // 8)
@@ -127,6 +123,7 @@ def stationary_solve(arr, w):
         rows, mass = (np.concatenate(x) for x in zip(*levels.pop(k)))
         _, first, merged = np.unique(_keys(rows), return_index=True, return_inverse=True)
         rows, mass = rows[first], np.bincount(merged, mass)
+        _check_cells(len(rows) * len(w.weights), "face chain level")
         for i in range(0, len(rows), block):
             G = rows[i:i + block, np.newaxis]
             product = G | faces & ~np.concatenate([G[..., :nb] | G[..., nb:]] * 2, axis=-1)
@@ -185,9 +182,9 @@ def distance_profiles(arr, w, t_grid, stats=None):
     'dense', each chamber its own orbit), chambers and starts."""
     if not check_separating(w):
         raise ValueError("non-separating weights: stationary law not unique")
-    _check_chambers(arr)
     ell = arr.n_chambers
     starts = _orbits(_symmetries(arr, w), ell)
+    _check_cells(len(starts) * ell, "start rows")
     succ, prob = _product_table(arr, w), w.weights[:, np.newaxis]
     pi = np.full(ell, 1.0 / ell) if len(starts) == 1 else stationary_solve(arr, w)
     rows = (starts[:, np.newaxis] == np.arange(ell)).astype(float)
@@ -281,10 +278,9 @@ def _form(arr, w):
     T > t iff every face picked so far lies on some hyperplane.  Superset transforms give
     q_S, the weight of the faces on all of S, and the closure cl(S), the AND of their zero
     masks (all hyperplanes if none, where q_S = 0).  As q_S = q_cl(S), the signs
-    (-1)^(|S|+1) summed per closure are c_X = -mu({}, X) (Rota), integers."""
-    if (m := arr.m) > DEFAULT_IE_HYPERPLANE_CAP:
-        raise CapacityError(f"m={m} exceeds inclusion-exclusion cap {DEFAULT_IE_HYPERPLANE_CAP}; "
-                            "use Monte Carlo survival estimation")
+    (-1)^(|S|+1) summed per closure are c_X = -mu({}, X) (Rota), integers.  q, cl, sign
+    and c are held at once: past DEFAULT_TABLE_CELL_CAP cells, CapacityError first."""
+    _check_cells(4 << (m := arr.m), "Mobius arrays")
     masks = (w.signs == 0) @ (1 << np.arange(m, dtype=np.int64))
     q = _superset(np.bincount(masks, w.weights, minlength=1 << m), np.add)
     cl = np.full(1 << m, (1 << m) - 1, dtype=np.min_scalar_type((1 << m) - 1))
@@ -361,11 +357,10 @@ def coupling_parameters(w):
     the faces' cut matrix (F_i != 0).
 
     The uniform values are set only when all entries agree within 1e-12,
-    which is the regime where the cutoff prediction applies.  More than
-    _PAIR_CELLS pairs raise CapacityError.
+    which is the regime where the cutoff prediction applies.  A pair matrix
+    of more than DEFAULT_TABLE_CELL_CAP cells raises CapacityError first.
     """
-    if (m := w.m) ** 2 > _PAIR_CELLS:
-        raise CapacityError(f"m={m} hyperplanes: {m}^2 pairs exceeds cap {_PAIR_CELLS}")
+    _check_cells((m := w.m) ** 2, "pair matrix")
     cut = w.signs != 0
     b = w.weights @ cut
     d = (cut.T * w.weights) @ cut * ~np.eye(m, dtype=bool)

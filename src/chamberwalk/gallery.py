@@ -16,24 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import glauber
-from .core import CapacityError, _check_weights, braid_m, braid_signs, weighted_faces
+from .core import CapacityError, _check_entries, _check_weights, braid_m, braid_signs
+from .core import weighted_faces
 from .exact import _integers, _offsets, _push, _times, _walk
 from .glauber import _chain_at, _chain_cells, _chain_T, _hypergeometric
 
-DEFAULT_ENUM_CAP = 10_000_000  # sign entries, faces x hyperplanes, one face list enumerates
 DEFAULT_RIFFLE_BIT_CAP = 2**24  # bits of the integers riffle_profiles builds over its grid
 _CHUNK_CELLS = 2**16  # trials x n cells per block of the card sampler
-# a cell the count chain pushes (one move of one state at one step) costs about one
-# of the card sampler's exponentials: 5.3 ns against 8.4 ns at n = 500, measured
-# once (numpy 2.4, 2-core x86 host)
-_CHAIN_CELL_COST = 1
-
-
-def _check_entries(faces, m, hint=""):
-    """Refuse a list of faces x m sign entries above DEFAULT_ENUM_CAP before listing a face."""
-    if faces * m > DEFAULT_ENUM_CAP:
-        raise CapacityError(f"{faces} faces x {m} hyperplanes exceeds the cap of "
-                            f"{DEFAULT_ENUM_CAP} sign entries{hint}")
 
 
 @dataclass(frozen=True)
@@ -331,7 +320,9 @@ def sample_card_collection_T(spec, trials, seed):
     n, w, key = spec.n, spec.card_weights, spec.chain_key
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
     cells = _chain_cells(key, p=2.0**-53)
-    if cells <= glauber.DEFAULT_COUPON_CELL_CAP and _CHAIN_CELL_COST * cells < trials * (n - 2):
+    # a cell the count chain pushes (one move of one state at one step) costs about one of the
+    # exponentials below: 5.3 ns against 8.4 ns at n = 500, measured once (numpy 2.4, 2-core x86)
+    if cells <= glauber.DEFAULT_COUPON_CELL_CAP and cells < trials * (n - 2):
         u = rng.random(trials)
         return _chain_T(key, np.subtract(1.0, u, out=u))
     out = np.empty(trials, dtype=np.int64)

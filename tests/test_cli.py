@@ -496,7 +496,7 @@ def test_hypercube_nonlocal_k_out_of_range_exit_2(k):
         ["mc", "--family", "riffle", "--params", "n=1"],
         ["mc", "--family", "hypercube-nn", "--params", "n=3", "w_plus=0.5,0.1,0.1"],
         ["mc", "--family", "riffle", "--params", "n=21"],
-        ["exact", "--family", "top-bottom", "--params", "n=8"],
+        ["exact", "--family", "top-bottom", "--params", "n=9"],
         ["glauber", "--family", "ising", "--params", "width=2", "height=2", "beta=-0.5"],
         ["glauber", "--family", "product", "--params", "n=0"],
         ["glauber", "--family", "ising", "--params", "width=0", "height=3"],
@@ -507,7 +507,7 @@ def test_hypercube_nonlocal_k_out_of_range_exit_2(k):
         ["mc", "--family", "k-to-top", "--params", "n=30", "k=15"],
         ["cutoff", "--family", "top-bottom", "--params", "n=5000"],
         ["mc", "--family", "hypercube-nn", "--params", "n=100000"],
-        ["cutoff", "--family", "top-bottom", "--params", "n=50"],
+        ["cutoff", "--family", "top-bottom", "--params", "n=109"],
         ["exact", "--family", "tsetlin", "--params", "n=1"],
         ["mc", "--family", "riffle", "--params", "n=5", "a=0"],
         ["mc", "--family", "hypercube-nn", "--params", "n=0"],
@@ -528,9 +528,9 @@ def test_builder_and_capacity_errors_exit_2(argv, monkeypatch, capsys):
     # match n, or a CapacityError is a usage error, not a traceback, and it
     # comes before any braid chamber is built.  The caps: 2^21 riffle mark
     # functions, C(30,15) k-to-top faces, 10^4 top-bottom faces (cutoff's b
-    # and d) and 2*10^5 hypercube-nn faces each exceed 10^7 sign entries;
-    # 1225^2 hyperplane pairs for cutoff's coupling parameters; 8! chambers
-    # for the exact engine; 10^10 Ising sites, refused before any grid edge is built, 2*10^7
+    # and d), 2*10^5 hypercube-nn faces and the 9! chambers of braid(9) each
+    # exceed 10^7 sign entries; 5886^2 hyperplane pairs for cutoff's coupling
+    # parameters pass 2^25 cells; 10^10 Ising sites, refused before any grid edge is built, 2*10^7
     # product sites, refused before any site is listed, and card weights of
     # 1e-200, whose T would pass int64 (once wrapped to -2^63, exit 0).  The
     # bounds' c past its lower-bound limit or at 0, riffle(1)'s m = 0 in the
@@ -704,16 +704,20 @@ def test_exact_lumped_families_build_no_arrangement_and_no_face(argv, tmp_path, 
     assert key == "# s_survival_gap" and 0 <= float(gap) <= 1e-12
 
 
-@pytest.mark.parametrize("n", [6, 7])
-def test_exact_one_start_gap_is_rounding(n, tmp_path):
+@pytest.mark.parametrize("family, params, n, path", [
+    ("tsetlin", ["n=6"], 6, "count-chain"), ("tsetlin", ["n=7"], 7, "count-chain"),
+    ("tsetlin", ["n=8"], 8, "count-chain"), ("k-to-top", ["n=7", "k=2"], 7, "mobius")],
+    ids=["6", "7", "8", "k-to-top-7-2"])
+def test_exact_one_start_gap_is_rounding(family, params, n, path, tmp_path):
     # equal card weights: every chamber alike, so the generic push walks one start, and
-    # its s(t) is the count chain's P(T > t) read another way (2.75e-15 at 7 cards)
+    # its s(t) is P(T > t) read another way (2.75e-15 at 7 cards, 2.4e-15 for k-to-top,
+    # whose Mobius form over 2^21 sets fits the table cell cap)
     out = tmp_path / "exact.csv"
-    run_cli(["exact", "--family", "tsetlin", "--params", f"n={n}", "--t-grid", "1..40",
+    run_cli(["exact", "--family", family, "--params", *params, "--t-grid", "1..40",
              "--out", str(out)])
     meta = read_rows(out)[0]
     assert meta[-5:-1] == ["# exact_path=one-start", f"# chambers={math.factorial(n)}",
-                           "# starts=1", "# survival_path=count-chain"]
+                           "# starts=1", f"# survival_path={path}"]
     key, _, gap = meta[-1].partition("=")
     assert key == "# s_survival_gap" and 0 <= float(gap) <= 1e-13
 
@@ -841,7 +845,7 @@ def test_main_calls_share_no_state(tmp_path, monkeypatch, capsys):
     meta, _, rows = read_rows(out)
     assert "# seed=0" in meta and len(rows) == 2
     with pytest.raises(SystemExit) as exc:
-        main(["exact", "--family", "top-bottom", "--params", "n=8", "--t-grid", "1..2"])
+        main(["exact", "--family", "top-bottom", "--params", "n=9", "--t-grid", "1..2"])
     assert exc.value.code == 2
 
 

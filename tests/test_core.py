@@ -262,9 +262,8 @@ def test_arrangement_refuses_a_candidate_that_is_no_signed_permutation(what, src
 
 
 def test_no_public_function_moves_a_size_limit():
-    # each size limit is one module constant, read where it is checked; only
-    # the two arrangement builders take theirs, as their callers differ
-    seen, limits = set(), set()
+    # each size limit is one module constant, read where it is checked
+    seen = set()
     for module in (cw, core, exact, gallery, glauber, walk):
         for name, obj in vars(module).items():
             if name.startswith("_") or not getattr(obj, "__module__", "").startswith("chamberwalk"):
@@ -274,11 +273,10 @@ def test_no_public_function_moves_a_size_limit():
             except (TypeError, ValueError):  # not callable, or an exception class
                 continue
             seen.add(name)
-            assert not [p for p in params if p.endswith("_cap") or p == "max_enum_faces"], name
-            if "face_limit" in params:
-                limits.add(name)
-    assert {"transition_matrix", "riffle_faces", "sample_T_batch", "survival_terms"} <= seen
-    assert limits == {"build_braid", "build_boolean"}
+            limits = ("max_enum_faces", "face_limit")
+            assert not [p for p in params if p.endswith("_cap") or p in limits], name
+    assert {"transition_matrix", "riffle_faces", "sample_T_batch", "survival_terms",
+            "build_braid", "build_boolean"} <= seen
 
 
 def test_a_cap_set_on_its_module_moves_every_check_of_it(monkeypatch, tmp_path, capsys):
@@ -297,17 +295,26 @@ def test_a_cap_set_on_its_module_moves_every_check_of_it(monkeypatch, tmp_path, 
     cw.sample_card_collection_T(cw.TsetlinSpec(np.full(9, 1 / 9)), 3000, 0)
     assert reference.held_chains(glauber._CHAINS) == held  # past the cap, the clocks path
     arr, w = cw.build_braid(3), cw.tsetlin_faces(cw.TsetlinSpec(np.full(3, 1 / 3)))
-    monkeypatch.setattr(exact, "DEFAULT_CHAMBER_CAP", 5)
+    monkeypatch.setattr(exact, "DEFAULT_TABLE_CELL_CAP", 2)  # 3 faces, 6 chambers, 1 start
     profiles = (cw.distance_profiles, cw.separation_profile, cw.total_variation_profile)
     for call in (cw.transition_matrix, cw.stationary_solve,
-                 *(lambda a, x, f=f: f(a, x, [1]) for f in profiles)):
-        with pytest.raises(cw.CapacityError, match="exceeds exact-mode cap 5"):
+                 *(lambda a, x, f=f: f(a, x, [1]) for f in profiles),
+                 lambda a, x: cw.coupling_parameters(x), exact.survival_terms):
+        with pytest.raises(cw.CapacityError, match="cells exceeds cap 2$"):
             call(arr, w)
     argv = ["exact", "--family", "tsetlin", "--params", "n=3", "--t-grid", "1..3"]
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--out", str(tmp_path / "out.csv")])
-    assert exc.value.code == 2 and "3! chambers exceeds limit 5" in capsys.readouterr().err
-    monkeypatch.setattr(exact, "DEFAULT_CHAMBER_CAP", 50_000)  # 8! = 40320 chambers
+    assert exc.value.code == 2 and "start rows of 6 cells exceeds cap 2" in capsys.readouterr().err
+    monkeypatch.undo()
+    monkeypatch.setattr(core, "DEFAULT_ENUM_CAP", 17)  # 3! chambers x 3 hyperplanes
+    for call in (lambda: cw.build_braid(3), lambda: cw.tsetlin_faces(cw.TsetlinSpec([0.25] * 4))):
+        with pytest.raises(cw.CapacityError, match="exceeds the cap of 17 sign entries"):
+            call()
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path / "out.csv")])
+    assert exc.value.code == 2 and "6 sign vectors x 3 hyperplanes" in capsys.readouterr().err
+    monkeypatch.undo()  # 8! = 40320 chambers, one start: refused by no cell cap
     argv = ["exact", "--family", "tsetlin", "--params", "n=8", "--t-grid", "1..3"]
     assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 0
 

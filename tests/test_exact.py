@@ -58,9 +58,50 @@ def test_transition_matrix_boolean2_row():
 
 def test_transition_matrix_capacity(monkeypatch):
     arr, w = boolean2_uniform()
-    monkeypatch.setattr(exact, "DEFAULT_CHAMBER_CAP", 3)
+    monkeypatch.setattr(exact, "DEFAULT_TABLE_CELL_CAP", 3)
     with pytest.raises(CapacityError):
         cw.transition_matrix(arr, w)
+
+
+def nn_faces(plus, minus):
+    return cw.build_boolean(len(plus)), cw.hypercube_nn_faces(plus, minus)
+
+
+@pytest.mark.parametrize("build, call, cells, table", [
+    # 6 starts x 6 chambers, over a product table of 3 x 6 and face chain levels of 3 x 3
+    (lambda: tsetlin([0.5, 0.3, 0.2]), lambda a, w: cw.distance_profiles(a, w, [1]), 36,
+     "start rows"),
+    # 8 x 8 chambers, over a product table of 6 faces x 8 chambers
+    (lambda: nn_faces([1 / 6] * 3, [1 / 6] * 3), cw.transition_matrix, 64, "transition matrix"),
+    (lambda: tsetlin([0.5, 0.3, 0.2]), cw.stationary_solve, 9, "face chain level"),
+    (lambda: nn_faces([0.25, 0.25, 0.1], [0.1, 0.1, 0.2]), lambda a, w: cw.coupling_parameters(w),
+     9, "pair matrix"),
+    (lambda: nn_faces([0.25, 0.25], [0.3, 0.2]), survival_terms, 4 * 2**2, "Mobius arrays"),
+])
+def test_each_exact_table_is_admitted_at_its_cells_and_refused_one_below(
+        monkeypatch, build, call, cells, table):
+    # the one cell cap counts each table the exact engine holds, before it is allocated
+    arr, w = build()
+    monkeypatch.setattr(exact, "DEFAULT_TABLE_CELL_CAP", cells)
+    call(arr, w)
+    monkeypatch.setattr(exact, "DEFAULT_TABLE_CELL_CAP", cells - 1)
+    with pytest.raises(CapacityError, match=f"{table} of {cells} cells exceeds cap {cells - 1}"):
+        call(arr, w)
+
+
+def test_distinct_card_weights_refuse_before_any_start_row():
+    # 8 distinct weights: every one of the 8! chambers is its own orbit, and the
+    # 40320 x 40320 float start rows would take 13 GB
+    arr, w = tsetlin(np.arange(1, 9) / 36)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        with pytest.raises(CapacityError, match="start rows of 1625702400 cells"):
+            cw.distance_profiles(arr, w, [1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_product_table_capacity_refuses_before_any_block(monkeypatch):
@@ -324,11 +365,11 @@ def test_survival_terms_leave_no_garbage():
 
 
 def test_survival_exact_capacity(monkeypatch):
-    # the cap sizes the Mobius form's 2^m sets: it refuses faces whose supports
-    # weigh unequally, while equal ones take the count chain, which builds none
-    monkeypatch.setattr(exact, "DEFAULT_IE_HYPERPLANE_CAP", 1)
+    # the cap counts the Mobius form's four arrays of 2^m sets: it refuses faces whose
+    # supports weigh unequally, while equal ones take the count chain, which builds none
+    monkeypatch.setattr(exact, "DEFAULT_TABLE_CELL_CAP", 4 * 2**2 - 1)
     arr, w = cw.build_boolean(2), cw.hypercube_nn_faces([0.25, 0.25], [0.3, 0.2])
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError, match="Mobius arrays"):
         cw.survival_exact_profile(arr, w, [3])
     arr, w = boolean2_uniform()
     assert cw.survival_exact_profile(arr, w, [3]) == {3: 0.25}
@@ -369,11 +410,16 @@ def test_coupling_parameters_hypercube_nonlocal():
         assert d == pytest.approx(k * (k - 1) / (n * (n - 1)), abs=1e-15)
 
 
-def test_coupling_parameters_pair_cap():
-    # the m x m pair matrix is refused past 2^20 entries, before it is built
+def test_coupling_parameters_pair_cap(monkeypatch):
+    # the m x m pair matrix is refused past DEFAULT_TABLE_CELL_CAP cells, before it is
+    # built: top-bottom on 109 cards has 5886^2 pairs over 218 faces
+    with pytest.raises(CapacityError, match="pair matrix of 34644996 cells"):
+        cw.coupling_parameters(cw.top_bottom_faces(109))
+
     def faces(m):
         return cw.hypercube_nn_faces(np.full(m, 0.5 / m), np.full(m, 0.5 / m))
 
+    monkeypatch.setattr(exact, "DEFAULT_TABLE_CELL_CAP", 1024**2)
     assert cw.coupling_parameters(faces(1024)).uniform_b == pytest.approx(1 / 1024)
     with pytest.raises(CapacityError):
         cw.coupling_parameters(faces(1025))
@@ -916,11 +962,11 @@ def test_count_chain_survival_values_are_pinned_bit_for_bit():
 
 
 def test_count_chain_route_admits_hyperplanes_past_the_mobius_cap():
-    # 24 coordinates, past DEFAULT_IE_HYPERPLANE_CAP = 20: the faces of every
-    # pair of them, equally weighted, read off the count chain of that key,
-    # no arrangement built (the faces carry m)
+    # 24 coordinates, whose four Mobius arrays of 2^24 sets pass DEFAULT_TABLE_CELL_CAP:
+    # the faces of every pair of them, equally weighted, read off the count chain of
+    # that key, no arrangement built (the faces carry m)
     w, stats = cw.hypercube_nonlocal_faces(24, 2), {}
-    assert w.m > exact.DEFAULT_IE_HYPERPLANE_CAP
+    assert 4 << w.m > exact.DEFAULT_TABLE_CELL_CAP
     grid = range(0, 401, 7)
     got = cw.survival_exact_profile(w, w, grid, stats)
     assert stats == {"survival_path": "count-chain"}

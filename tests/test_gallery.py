@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import chamberwalk as cw
-from chamberwalk import gallery, glauber
+from chamberwalk import core, gallery, glauber
 from chamberwalk.core import CapacityError
 from reference import count_vector_survival, held_chains
 
@@ -67,7 +67,7 @@ def test_riffle_n2_a2():
 
 
 def test_riffle_capacity(monkeypatch):
-    monkeypatch.setattr(gallery, "DEFAULT_ENUM_CAP", 1000)
+    monkeypatch.setattr(core, "DEFAULT_ENUM_CAP", 1000)
     with pytest.raises(CapacityError):
         cw.riffle_faces(30, 2)
 
@@ -81,13 +81,15 @@ def test_riffle_capacity(monkeypatch):
         (lambda: cw.top_bottom_faces(4), 8 * 6),
         (lambda: cw.hypercube_nn_faces([1 / 8] * 4, [1 / 8] * 4), 8 * 4),
         (lambda: cw.hypercube_nonlocal_faces(4, 2), 24 * 4),
+        (lambda: cw.build_braid(4), 24 * 6),
+        (lambda: cw.build_boolean(4), 16 * 4),
     ],
 )
 def test_face_lists_refuse_past_their_cap(monkeypatch, build, entries):
-    # the cap counts the sign entries enumerated, faces x hyperplanes
-    monkeypatch.setattr(gallery, "DEFAULT_ENUM_CAP", entries)
+    # the cap counts the sign entries enumerated, faces (or chambers) x hyperplanes
+    monkeypatch.setattr(core, "DEFAULT_ENUM_CAP", entries)
     build()
-    monkeypatch.setattr(gallery, "DEFAULT_ENUM_CAP", entries - 1)
+    monkeypatch.setattr(core, "DEFAULT_ENUM_CAP", entries - 1)
     with pytest.raises(CapacityError):
         build()
 

@@ -2,9 +2,11 @@
 
 Stationary distribution (absorbed from the forward face chain), separation
 and total-variation distance from start rows pushed along the face x chamber
-product table (the dense transition matrix is their oracle), the Möbius
-form of P(T > t) over the flats of the faces' zero sets, and the coupling
-parameters b, d with the cutoff prediction they determine.
+product table (the dense transition matrix is their oracle), P(T > t) as the
+live mass of the chain on the zero sets of the face product, or of the count
+chain where the supports allow, with the Möbius form over the flats as its
+reference, and the coupling parameters b, d with the cutoff prediction they
+determine.
 """
 
 from __future__ import annotations
@@ -22,8 +24,6 @@ DEFAULT_TABLE_CELL_CAP = 2**25  # cells of one exact table; ~19 bytes a product-
 DEFAULT_WALK_CELL_CAP = 2**36  # steps x rows x table entries that one _walk pushes
 _TABLE_CELLS = 2**20  # bytes of packed products in one block of faces
 _READ_CELLS = 2**18  # entries of start rows read out, or of their table entries pushed, at once
-_POWER_CELLS = 2**16  # entries of the q_i^t table that _power_sums holds at once
-_INT_TERM_CAP = 2**24  # exact rates x times left of _power_sums' fallback, ~1.5 us a term
 
 
 def _check_cells(cells, table):
@@ -211,48 +211,6 @@ def total_variation_profile(arr, w, t_grid):
     return {t: tv for t, (_, tv) in distance_profiles(arr, w, t_grid).items()}
 
 
-def _integers(weights):
-    """The weights, exactly, as Python ints over one power of two."""
-    ratios = [float(x).as_integer_ratio() for x in weights]
-    two = max(den for _, den in ratios)
-    return [num * (two // den) for num, den in ratios]
-
-
-def _power_sums(rates, c_sum, abs_sum, exact_terms, weights, t_grid, t_first):
-    """P(T > t) = sum_i c_i q_i^t over _times(t_grid), and 1.0 before t_first, a lower bound
-    on the first time T can take, from the distinct rates q_i with the sums c_i and |c|_i of
-    their coefficients, integer-valued floats below 2^53 (past the float range OverflowError).
-    A table of q_i^t, times by rates in blocks of _POWER_CELLS entries, gives by row sums (each
-    row alone, so no sum ties a time to the others) the value and its rounding bound (t + 1) eps
-    sum_i |c|_i q_i^t.  A float sum outside [0, 1] by no more than that bound is put on the
-    nearer edge.  Where it lies further out or the bound exceeds 1e-12, the value is the
-    integer ratio sum_j c_j a_j^t / d^t, which Python rounds correctly.  At the first such time
-    alone, the weights become _integers, on int64 where their sum d < 2^63 bounds every a_j,
-    else as Python ints, and exact_terms gives the pairs (a_j, c_j), c_j on int64.  Where the
-    pairs times the times left pass _INT_TERM_CAP, it raises CapacityError before the first."""
-    rates, c_sum, abs_sum = (np.asarray(x, dtype=float) for x in (rates, c_sum, abs_sum))
-    times, eps = _times(t_grid), np.finfo(float).eps
-    out, by_rate = {t: 1.0 for t in times if t < t_first}, None
-    late = np.array([t for t in times if t >= t_first], dtype=np.int64)
-    block = max(1, _POWER_CELLS // max(rates.size, 1))
-    for i in range(0, late.size, block):
-        ts = late[i:i + block]
-        qt = rates ** ts[:, np.newaxis]
-        values, bounds = (qt * c_sum).sum(axis=1), (ts + 1) * eps * (qt * abs_sum).sum(axis=1)
-        for j, (t, value, bound) in enumerate(zip(ts.tolist(), values.tolist(), bounds.tolist())):
-            if bound <= 1e-12 and -bound <= value <= 1.0 + bound:
-                out[t] = min(max(value, 0.0), 1.0)
-                continue
-            if by_rate is None:
-                d = sum(ints := _integers(weights))
-                by_rate = exact_terms(np.array(ints, dtype=np.int64 if d < 2**63 else object))
-                if (terms := len(by_rate) * (late.size - i - j)) > _INT_TERM_CAP:
-                    raise CapacityError(f"{terms} integer terms of the exact fallback "
-                                        f"exceed cap {_INT_TERM_CAP}")
-            out[t] = sum(ci * ai**t for ai, ci in by_rate) / d**t
-    return out
-
-
 def _superset(x, op):
     """Fold x, indexed by the sets S of some m coordinates, in place by op
     over the supersets of each S, one coordinate at a time: a run of 2^i < 16
@@ -265,21 +223,10 @@ def _superset(x, op):
     return x
 
 
-def _rates(masks, m, keep, x):
-    """a_S, the sum of x over the masks that contain S, at the S in keep, on x's dtype."""
-    a = np.zeros(1 << m, dtype=x.dtype)
-    np.add.at(a, masks, x)
-    return _superset(a, np.add)[keep]
-
-
 def _form(arr, w):
-    """Over the sets S of hyperplanes: the faces' zero masks, q_S, c_S on floats, the sign
-    array (dead once c is summed) and the flats X != {}, the S with c_S != 0 and q_S > 0.
-    T > t iff every face picked so far lies on some hyperplane.  Superset transforms give
-    q_S, the weight of the faces on all of S, and the closure cl(S), the AND of their zero
-    masks (all hyperplanes if none, where q_S = 0).  As q_S = q_cl(S), the signs
-    (-1)^(|S|+1) summed per closure are c_X = -mu({}, X) (Rota), integers.  q, cl, sign
-    and c are held at once: past DEFAULT_TABLE_CELL_CAP cells, CapacityError first."""
+    """q_S, the faces' weight on all of S, and c_S over the sets S of hyperplanes, and the flats
+    c_S != 0 < q_S: c_X = -mu({}, X) is the sum of (-1)^(|S|+1) over the S of closure X (Rota).
+    Four 2^m arrays, checked first against DEFAULT_TABLE_CELL_CAP, hold the superset folds."""
     _check_cells(4 << (m := arr.m), "Mobius arrays")
     masks = (w.signs == 0) @ (1 << np.arange(m, dtype=np.int64))
     q = _superset(np.bincount(masks, w.weights, minlength=1 << m), np.add)
@@ -289,57 +236,80 @@ def _form(arr, w):
     for i in range(m):
         np.negative(sign[:1 << i], out=sign[1 << i:2 << i])
     c = np.bincount(_superset(cl, np.bitwise_and)[1:], sign[1:], minlength=1 << m)
-    c = c.astype(float, copy=False)  # bincount of no sets (m = 0) gives ints
-    return masks, q, c, sign, np.flatnonzero((c != 0) & (q > 0))
-
-
-def _mobius_form(arr, w):
-    """P(T > t) = sum c_X q_X^t over the flats X of _form, merged once for _power_sums: the
-    distinct float rates, ascending, the sums of c_X and |c_X| at each, and the fallback's map
-    _exact_terms.  c and q at the flats go into the dead sign array and c's own storage."""
-    _, q, c, sign, flats = _form(arr, w)  # "clip" takes straight into out, "raise" buffers
-    c, q = (np.take(x, flats, out=y[:flats.size], mode="clip") for x, y in [(c, sign), (q, c)])
-    at = np.searchsorted(rates := np.unique(q), q)  # the bincounts read c, then |c| in place
-    return (rates, np.bincount(at, c, rates.size), np.bincount(at, np.abs(c, out=c), rates.size),
-            functools.partial(_exact_terms, arr, w))
-
-
-def _exact_terms(arr, w, x):
-    """Each distinct exact rate a_X of the flats (_rates of the integer weights
-    x, rebuilt: float-equal q_X can differ), ascending, with its c_X summed on int64."""
-    masks, _, c, _, flats = _form(arr, w)
-    a, at = np.unique(_rates(masks, arr.m, flats, x), return_inverse=True)
-    merged = np.zeros(a.size, dtype=np.int64)
-    np.add.at(merged, at, c[flats].astype(np.int64))
-    return list(zip(a.tolist(), merged.tolist()))
+    return q, c, np.flatnonzero((c != 0) & (q > 0))
 
 
 def survival_terms(arr, w):
-    """The (c_X, q_X) pairs of _form, one per flat X != {}, with
-    P(T > t) = sum c_X q_X^t for t >= 1 and c_X = -mu({}, X)."""
-    _, q, c, _, flats = _form(arr, w)
+    """(c_X, q_X) per flat X of _form: P(T > t) = sum c_X q_X^t for t >= 1, the Mobius reference."""
+    q, c, flats = _form(arr, w)
     return list(zip(c[flats].astype(np.int64).tolist(), q[flats].tolist()))
 
 
+def _zero_set_chain(m, zero, p, t_grid, t_first):
+    """{t: P(T > t)} over _times(t_grid), 1.0 before t_first: the live mass of the chain on the
+    non-empty zero sets of the product, from all m hyperplanes, a step ANDing row k of zero with
+    chance p[k]; sets are rows of words, searched in blocks of _READ_CELLS products into
+    merged (state, successor) pairs, and a step is one bincount.  Mass past 1 by at most the
+    rounding, ((2 K + n + 1) t + n) eps for K supports and n states, is put on 1, further raises."""
+    width, n_zero = max(-(-m // 64), 1), len(p)
+
+    def words(x):  # rows of bools as words: to 64 hyperplanes one unsigned of the fewest bytes
+        pad = np.zeros((len(x), 64 * width - m), dtype=bool)
+        x = np.packbits(np.concatenate([x, pad], axis=1), axis=1).view("<u8")
+        return x if width > 1 else x.astype(np.min_scalar_type(256 ** -(-m // 8) - 1))
+
+    def keys(x):  # rows of words as scalars (raw bytes past one word), back by .view(zero.dtype)
+        return x.view(np.dtype((np.void, 8 * width)))[..., 0] if width > 1 else x[..., 0]
+
+    zero, todo, empty = words(zero), words(np.ones((1, m), bool)), keys(words(zero[:1]) & 0)[0]
+    known = start = keys(todo := todo[keys(todo) != empty])  # m = 0: no state, T = 0
+    pairs, block = [(start[:0], start[:0], np.empty(0))], max(1, _READ_CELLS // n_zero)
+    while len(todo):
+        _check_cells(len(known) * n_zero, "zero-set table")
+        rows, todo = todo[:block], todo[block:]
+        prod = keys(rows[:, np.newaxis] & zero)
+        ranked = np.sort(prod, axis=1).ravel()  # each row's products in key order
+        first = np.concatenate([[True], ranked[1:] != ranked[:-1]])  # first of each run,
+        first[::n_zero] = True  # and of each row
+        order = np.argsort(prod, axis=1, kind="stable")  # ties in zero's row order (radix: 16 bits)
+        chance = np.add.reduceat(p[order].ravel(), at := np.flatnonzero(first))
+        live = (to := ranked[at]) != empty
+        pairs.append((keys(rows)[at[live] // n_zero], to[live], chance[live]))
+        new = np.sort(to[live])
+        fresh = np.concatenate([[True], new[1:] != new[:-1]])[:new.size]  # each value once
+        fresh &= known[np.searchsorted(known, new).clip(max=len(known) - 1)] != new  # unknown
+        known = np.sort(np.concatenate([known, new[fresh]]))
+        todo = np.concatenate([todo, new[fresh].view(zero.dtype).reshape(-1, width)])
+    src, dst, chance = (np.concatenate(x) for x in zip(*pairs))
+    src, dst, n, out = np.searchsorted(known, src), np.searchsorted(known, dst), len(known), {}
+    for t, law in _walk((known == start).astype(float),
+                        lambda law: np.bincount(dst, law[src] * chance, n), t_grid, len(chance)):
+        if (mass := float(law.sum())) > 1.0 + ((2 * n_zero + n + 1) * t + n) * np.finfo(float).eps:
+            raise RuntimeError(f"zero-set chain at t={t}: mass {mass!r} > 1")
+        out[t] = 1.0 if t < t_first else min(mass, 1.0)
+    return out
+
+
 def survival_exact_profile(arr, w, t_grid, stats=None):
-    """Exact P(T > t) over an integer time grid (T = 0 when m = 0).  As t faces of at most
-    s nonzero signs cut at most t s hyperplanes, T >= m / s.  Where each face cuts s and the
-    C(m, s) supports weigh the same, bit for bit, the count of hyperplanes cut is the count
-    chain of s distinct coupons of m a step (glauber._chain_at, no 2^m sets), else the Mobius
-    form is summed.  stats, if a dict, receives survival_path: count-chain or mobius."""
-    from .glauber import _chain_at  # glauber imports exact: read at the call, one chain
-    m, size = arr.m, (cut := w.signs != 0).sum(axis=1)
-    s = max(int(size.max()), 1)
-    if chain := size.min() == s and len(size) >= (sets := math.comb(m, s)):
-        keys = _keys(_bits(cut))
-        each = np.bincount(_search(_lookup(keys), keys), w.weights)  # at each support's first face
-        each = each[each > 0]  # the bins of first faces: every weight is > 0
-        chain = len(each) == sets and (each == each[0]).all()
+    """Exact P(T > t) over an integer time grid (T = 0 when m = 0), 1.0 before ceil(m / s): t
+    faces of at most s nonzero signs cut at most t s hyperplanes.  Where each face cuts s and all
+    C(m, s) supports are present, at s > 1 of one weight bit for bit, it is the count chain of m
+    coupons, s a step, or at s = 1 of m cards in their supports' _classes; else, or past the
+    chain's cap, _zero_set_chain.  stats gets survival_path, the route's name."""
+    from .glauber import DEFAULT_COUPON_CELL_CAP, _chain_at, _chain_cells, _classes
+    m, size, times = arr.m, (cut := w.signs != 0).sum(axis=1), _times(t_grid)
+    s, keys = max(int(size.max()), 1), _keys(_bits(cut))
+    each = np.bincount(_search(_lookup(keys), keys), w.weights)  # at each support's first face
+    each = each[first := np.flatnonzero(each)]  # the bins of first faces: every weight is > 0
+    if chain := size.min() == s and len(each) == math.comb(m, s) and (
+            s == 1 or (each == each[0]).all()):
+        key = (_classes(each) if s == 1 else ((m, 1),), s, m)
+        chain = _chain_cells(key, max(times, default=0)) <= DEFAULT_COUPON_CELL_CAP
     if stats is not None:
-        stats.update(survival_path="count-chain" if chain else "mobius")
+        stats.update(survival_path="count-chain" if chain else "zero-set-chain")
     if chain:
-        return {t: _chain_at((((m, 1),), s, m), t) for t in _times(t_grid)}
-    return _power_sums(*_mobius_form(arr, w), w.weights, t_grid, -(-m // s))
+        return {t: _chain_at(key, t) for t in times}
+    return _zero_set_chain(m, ~cut[first], each / each.sum(), times, -(-m // s))
 
 
 @dataclass(frozen=True)

@@ -18,8 +18,8 @@ import numpy as np
 from . import glauber
 from .core import CapacityError, _check_entries, _check_weights, braid_m, braid_signs
 from .core import weighted_faces
-from .exact import _integers, _offsets, _push, _times, _walk
-from .glauber import _chain_at, _chain_cells, _chain_T, _hypergeometric
+from .exact import _offsets, _push, _times, _walk
+from .glauber import _chain_at, _chain_cells, _chain_T, _classes, _hypergeometric
 
 DEFAULT_RIFFLE_BIT_CAP = 2**24  # bits of the integers riffle_profiles builds over its grid
 _CHUNK_CELLS = 2**16  # trials x n cells per block of the card sampler
@@ -40,10 +40,8 @@ class TsetlinSpec:
 
     @property
     def chain_key(self):
-        """The _count_chain key of T: (count, integer weight) per class, lightest first."""
-        w, counts = np.unique(self.card_weights, return_counts=True)
-        g = math.gcd(*(ints := _integers(w)))
-        return tuple(zip(counts.tolist(), [a // g for a in ints])), 1, self.n - 1
+        """The _count_chain key of T: the weight classes of the cards, one a step."""
+        return _classes(self.card_weights), 1, self.n - 1
 
 
 def tsetlin_faces(spec):

@@ -181,6 +181,13 @@ def coupon_survival_uniform(n, t, k=None, d=1):
     return _chain_at((((n, 1),), d, k), int(t))
 
 
+def _classes(weights):
+    """_count_chain classes: (count, exact weight over the gcd) per weight, lightest first."""
+    w, counts = np.unique(weights, return_counts=True)
+    g = math.gcd(*(ints := [a * 2**1074 // b for a, b in map(float.as_integer_ratio, w.tolist())]))
+    return tuple(zip(counts.tolist(), [a // g for a in ints]))
+
+
 def _chain_at(key, t):
     """The curve of _count_chain(key) at the integer t >= 0, 1.0 before need / d and 0.0 past
     its end; one lookup, then the cap of _chain_cells, its first branch at once for a held key."""

@@ -16,6 +16,8 @@ weights, chamber lists and a spin system's fields (``n_sites``, ``spins``,
   sum over the count vectors of the untouched cards, in fractions.
 - P(T > t) of faces whose supports are uniform k-sets of m hyperplanes, by
   inclusion-exclusion over the hyperplanes missed, in fractions.
+- P(T > t) of any face list as the live mass of the chain on the zero sets
+  of the product, stepped on integers and read in fractions.
 - Heat-bath Glauber dynamics: a site's conditional, one coupled update,
   the comparable pairs of configurations and the monotonicity check, and
   the law from the top conditioned on every site having been picked.
@@ -23,9 +25,8 @@ weights, chamber lists and a spin system's fields (``n_sites``, ``spins``,
   each key's grower and curve length, so that a chain built, rebuilt or
   grown shows.
 - The Möbius form of P(T > t) from a face list's signs and weights: the
-  superset fold as one block view per coordinate, the terms (c_X, q_X) of
-  each flat X, and the merge of those terms per float rate by a sorting
-  unique.
+  superset fold as one block view per coordinate and the terms (c_X, q_X)
+  of each flat X.
 """
 
 import collections
@@ -167,6 +168,37 @@ def kset_survival(m, k, t):
                for j in range(1, m + 1))
 
 
+def zero_set_survival(signs, weights, times):
+    """({t: P(T > t)} as Fractions, states, supports) for faces of the sign rows drawn with
+    chances weights over their exact total: the law of the zero set of the product of the
+    faces drawn, a bit mask of hyperplanes from all of them, ANDed a step with the zero mask
+    of the face drawn; T > t while it is not empty.  Each weight is its float's exact value,
+    the law is integers over total^t, states counts the non-empty sets reached and supports
+    the distinct zero masks."""
+    exact = [Fraction(float(x)) for x in weights]
+    den = math.lcm(*(x.denominator for x in exact))
+    supports = collections.Counter()
+    for row, x in zip(signs, exact):
+        supports[sum(1 << i for i, v in enumerate(row) if v == 0)] += int(x * den)
+    total, full = sum(supports.values()), (1 << len(signs[0])) - 1
+    states, todo = set(), [full] if full else []
+    while todo:
+        if (s := todo.pop()) not in states:
+            states.add(s)
+            todo += [s & z for z in supports if s & z]
+    law, out = collections.Counter({full: 1} if full else {}), {}
+    for t in range(max(times) + 1):
+        if t in times:
+            out[t] = Fraction(sum(law.values()), total**t)
+        step = collections.Counter()
+        for s, x in law.items():
+            for z, a in supports.items():
+                if s & z:
+                    step[s & z] += x * a
+        law = step
+    return out, len(states), len(supports)
+
+
 def conditional_at_site(sys, sigma, u):
     """Heat-bath conditional at site u given the rest of sigma; array over
     sys.spins in spin order."""
@@ -267,9 +299,3 @@ def mobius_reference(signs, weights):
     flats = np.flatnonzero((c != 0) & (q > 0))
     return c[flats].astype(np.int64), q[flats], flats
 
-
-def merge_reference(c, q):
-    """The per-flat terms merged per float rate by a sorting unique: the
-    distinct rates, ascending, with the sums of c and of |c| at each."""
-    rates, at = np.unique(q, return_inverse=True)
-    return rates, np.bincount(at, c, rates.size), np.bincount(at, np.abs(c), rates.size)

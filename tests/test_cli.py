@@ -706,12 +706,11 @@ def test_exact_lumped_families_build_no_arrangement_and_no_face(argv, tmp_path, 
 
 @pytest.mark.parametrize("family, params, n, path", [
     ("tsetlin", ["n=6"], 6, "count-chain"), ("tsetlin", ["n=7"], 7, "count-chain"),
-    ("tsetlin", ["n=8"], 8, "count-chain"), ("k-to-top", ["n=7", "k=2"], 7, "mobius")],
+    ("tsetlin", ["n=8"], 8, "count-chain"), ("k-to-top", ["n=7", "k=2"], 7, "zero-set-chain")],
     ids=["6", "7", "8", "k-to-top-7-2"])
 def test_exact_one_start_gap_is_rounding(family, params, n, path, tmp_path):
     # equal card weights: every chamber alike, so the generic push walks one start, and
-    # its s(t) is P(T > t) read another way (2.75e-15 at 7 cards, 2.4e-15 for k-to-top,
-    # whose Mobius form over 2^21 sets fits the table cell cap)
+    # its s(t) is P(T > t) read another way (2.75e-15 at 7 cards; k-to-top's 429 zero sets)
     out = tmp_path / "exact.csv"
     run_cli(["exact", "--family", family, "--params", *params, "--t-grid", "1..40",
              "--out", str(out)])
@@ -898,6 +897,19 @@ def test_bounds_leaves_the_exact_survival_blank_past_the_chain_cap(tmp_path):
     meta, _, rows = read_rows(out)
     assert all(r.split(",")[3] == "" for r in rows)
     assert any(m.startswith("# survival_exact=refused: count chain of") for m in meta)
+
+
+def test_mc_fills_the_k_to_top_survival_from_its_zero_sets(tmp_path):
+    # k-to-top(8, 2): each face cuts 12 of 28 pairs, so T >= 3; its 1325 zero sets are
+    # stepped, and no array over the 2^28 sets of pairs is held
+    out = tmp_path / "mc.csv"
+    run_cli(["mc", "--family", "k-to-top", "--params", "n=8", "k=2", "--trials", "100",
+             "--t-grid", "1..60", "--out", str(out)])
+    meta, _, rows = read_rows(out)
+    assert "# survival_path=zero-set-chain" in meta
+    assert not any(m.startswith("# survival_exact=") for m in meta)
+    surv = np.array([float(r.split(",")[3]) for r in rows])
+    assert list(surv[:2]) == [1.0, 1.0] and np.all(np.diff(surv) <= 0) and 0 < surv[-1] < 1e-3
 
 
 @pytest.mark.parametrize("n", [8, 10])

@@ -9,13 +9,13 @@ import numpy as np
 import pytest
 
 import chamberwalk as cw
-from chamberwalk import exact
+from chamberwalk import exact, glauber
 from chamberwalk.core import CapacityError
 from chamberwalk.exact import survival_terms
 
 import reference
 from reference import chamber_to_permutation, face_product, permutation_to_chamber
-from reference import merge_reference, mobius_reference, superset_reshape
+from reference import mobius_reference, superset_reshape, zero_set_survival
 
 
 def boolean2_uniform():
@@ -77,6 +77,9 @@ def nn_faces(plus, minus):
     (lambda: nn_faces([0.25, 0.25, 0.1], [0.1, 0.1, 0.2]), lambda a, w: cw.coupling_parameters(w),
      9, "pair matrix"),
     (lambda: nn_faces([0.25, 0.25], [0.3, 0.2]), survival_terms, 4 * 2**2, "Mobius arrays"),
+    # 4 zero sets x 3 supports: faces {j}{rest} of unequal weights take the zero-set chain
+    (lambda: tsetlin([0.5, 0.3, 0.2]), lambda a, w: cw.survival_exact_profile(a, w, [3]), 12,
+     "zero-set table"),
 ])
 def test_each_exact_table_is_admitted_at_its_cells_and_refused_one_below(
         monkeypatch, build, call, cells, table):
@@ -365,14 +368,28 @@ def test_survival_terms_leave_no_garbage():
 
 
 def test_survival_exact_capacity(monkeypatch):
-    # the cap counts the Mobius form's four arrays of 2^m sets: it refuses faces whose
-    # supports weigh unequally, while equal ones take the count chain, which builds none
-    monkeypatch.setattr(exact, "DEFAULT_TABLE_CELL_CAP", 4 * 2**2 - 1)
-    arr, w = cw.build_boolean(2), cw.hypercube_nn_faces([0.25, 0.25], [0.3, 0.2])
-    with pytest.raises(CapacityError, match="Mobius arrays"):
+    # the cap counts the zero-set table, states found x supports, before each block of
+    # products: top-bottom(4) has 4 supports, and its start reaches 4 more states, so the
+    # second block is refused at 5 x 4 cells; the nearest-neighbour faces, one hyperplane
+    # each, take the count chain of their supports' weights and build no table
+    monkeypatch.setattr(exact, "DEFAULT_TABLE_CELL_CAP", 5 * 4 - 1)
+    arr, w = cw.build_braid(4), cw.top_bottom_faces(4, [0.4, 0.3, 0.2, 0.1])
+    with pytest.raises(CapacityError, match="zero-set table of 20 cells exceeds cap 19"):
         cw.survival_exact_profile(arr, w, [3])
-    arr, w = boolean2_uniform()
-    assert cw.survival_exact_profile(arr, w, [3]) == {3: 0.25}
+    arr, w, stats = cw.build_boolean(2), cw.hypercube_nn_faces([0.25, 0.25], [0.3, 0.2]), {}
+    got = cw.survival_exact_profile(arr, w, [3], stats)  # all three draws on one hyperplane
+    assert got == {3: pytest.approx(0.55**3 + 0.45**3, abs=1e-15)}
+    assert stats == {"survival_path": "count-chain"}
+
+
+def test_zero_set_chain_checks_its_walk_cells_before_the_first_step(monkeypatch):
+    # tsetlin(0.5, 0.3, 0.2): 6 pairs of states pushed a step, 18 to t = 3
+    arr, w = tsetlin([0.5, 0.3, 0.2])
+    monkeypatch.setattr(exact, "DEFAULT_WALK_CELL_CAP", 18)
+    assert cw.survival_exact_profile(arr, w, [1, 3]) == {1: 1.0, 3: pytest.approx(0.16)}
+    monkeypatch.setattr(exact, "DEFAULT_WALK_CELL_CAP", 17)
+    with pytest.raises(CapacityError, match="walk of 18 cells exceeds cap 17"):
+        cw.survival_exact_profile(arr, w, [1, 3])
 
 
 def test_survival_mc_agreement():
@@ -799,34 +816,6 @@ def test_survival_terms_count_flats_with_integer_coefficients():
         assert sum(c for c, _ in terms) == total
 
 
-def test_power_sums_snap_rounding_and_take_the_rest_exactly():
-    def unread(x):
-        raise AssertionError("exact rates read")
-
-    one = np.ones(2)
-    assert exact._power_sums(np.array([2.0**-52, 1.0]), one, one, unread, [1.0], [0, 1], 1) == {
-        0: 1.0, 1: 1.0}
-    # the merged terms 2^60 (3/4)^t and -2^60 (3/4)^t cancel to a sum of 0 with
-    # a bound far above 1e-9; the fallback's pairs hold them as one of
-    # coefficient 0.  The weights 1/2, 1/4, 1/4 are the integers 2, 1, 1 over
-    # 4, and the map gives each exact rate from them: 2 and 2 + 1
-    read, big = [], 2**60
-
-    def pairs(x):
-        read.append(x.tolist())
-        return [(int(x[0]), 1), (int(x[0] + x[1]), big - big)]
-
-    assert exact._power_sums(np.array([0.5, 0.75]), np.array([1.0, 0.0]),
-                             np.array([1.0, 2.0 * big]), pairs, [0.5, 0.25, 0.25],
-                             [1, 7], 1) == {1: 0.5, 7: 0.5**7}
-    assert read == [[2, 1, 1]]
-    # every caller's coefficient sums are floats below 2^53; a Python int past
-    # the float range is refused
-    huge = 10**400
-    with pytest.raises(OverflowError):
-        exact._power_sums(np.array([0.5]), [1], [2 * huge], unread, [1.0], [1], 1)
-
-
 @pytest.mark.parametrize("m", range(11))
 def test_superset_folds_bit_for_bit_as_the_block_view(m):
     # runs below 16 go as strided slices, from m = 5 on the block view too
@@ -834,12 +823,9 @@ def test_superset_folds_bit_for_bit_as_the_block_view(m):
     cases = [(rng.random(1 << m), np.add)] + [
         (rng.integers(0, 1 << min(m, 16), 1 << m).astype(dtype), np.bitwise_and)
         for dtype in (np.uint16, np.uint32, np.int64)]
-    cases.append((np.array([2**64 + int(k) for k in rng.integers(0, 2**40, 1 << m)],
-                           dtype=object), np.add))  # exact rates past int64
     for x, op in cases:
         got, want = exact._superset(x.copy(), op), superset_reshape(x.copy(), op)
-        assert got.dtype == want.dtype and got.tolist() == want.tolist()
-        assert x.dtype == object or got.tobytes() == want.tobytes()
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("arr, w, closure", [
@@ -850,107 +836,129 @@ def test_superset_folds_bit_for_bit_as_the_block_view(m):
     (cw.build_boolean(17), cw.hypercube_nonlocal_faces(17, 2), np.uint32),
 ])
 def test_mobius_form_is_the_int64_form_on_the_narrowest_closure(arr, w, closure, monkeypatch):
+    # the terms of _form, the Mobius reference that survival_terms lists
     folded, superset = [], exact._superset
     monkeypatch.setattr(exact, "_superset",
                         lambda x, op: folded.append(x.dtype) or superset(x, op))
-    # the per-flat terms of the fallback's builder, and the merge of _mobius_form
-    _, q, c, _, flats = exact._form(arr, w)
+    q, c, flats = exact._form(arr, w)
     want_c, want_q, want_flats = mobius_reference(w.signs, w.weights)
     assert flats.tobytes() == want_flats.tobytes()
     assert c[flats].astype(np.int64).tobytes() == want_c.tobytes()
     assert q[flats].tobytes() == want_q.tobytes()
     assert folded == [np.float64, closure]
-    *merged, exact_terms = exact._mobius_form(arr, w)
-    assert [x.tobytes() for x in merged] == [x.tobytes() for x in merge_reference(want_c, want_q)]
-    assert exact_terms.args == (arr, w) and folded == [np.float64, closure] * 2
 
 
-@pytest.mark.parametrize("r", [0, 2, 9, 200])
-def test_power_table_gives_each_time_as_its_singleton_grid(r):
-    # r distinct rates k / 4096, ascending, with coefficients +-1 down the
-    # rates, so that every value lies in [0, 1]; r = 0 is the form of m = 0
-    k = np.sort(np.random.default_rng(r).choice(np.arange(1, 4096), r, replace=False))
-    c, q = (-1.0) ** np.arange(r)[::-1], k / 4096
-    weights = [1 - 2.0**-12, 2.0**-12]  # the integers 4095 and 1 over 4096
-
-    def exact_terms(x):  # k x_1, with x_1 = 1
-        assert x.tolist() == [4095, 1] and x.dtype == np.int64
-        return list(zip((k.astype(np.int64) * x[1]).tolist(), c.astype(np.int64).tolist()))
-
-    # the table's row sums tie no time to another: 200 rates pass numpy's
-    # 8-way and 128-block pairwise sums, and 0..1400 spans five blocks of 327
-    grid = [0, 2, 2, 1, 5, 5, 40, 17, 1000, *range(1400)]
-    for t_first in (0, 3):
-        got = exact._power_sums(q, c, np.abs(c), exact_terms, weights, grid, t_first)
-        assert list(got) == sorted(set(grid))
-        assert all(got[t] == 1.0 for t in range(t_first))
-        for t in got:
-            assert exact._power_sums(q, c, np.abs(c), exact_terms, weights, [t],
-                                     t_first) == {t: got[t]}, t
-        for t in (0, 2, 5, 40):
-            want = sum(int(ci) * Fraction(qi) ** t for ci, qi in zip(c, q)) if t >= t_first else 1
-            assert abs(got[t] - want) <= (t + 1) * np.finfo(float).eps * max(len(c), 1), t
-        assert exact._power_sums(q, c, np.abs(c), exact_terms, weights, [], t_first) == {}
+@pytest.mark.parametrize("t", [0, 2, 9, 200])
+def test_each_time_is_the_value_of_its_singleton_grid(t):
+    # one flat of rate 1/3 on boolean(6): every time is stepped alike whatever else its
+    # grid holds, so (1/3)^t is the same bits on [t], on 0..t and on an unsorted grid
+    # with repeats; every time up to 40 is checked against its own singleton too
+    arr, w = cw.build_boolean(6), cw.WeightedFaceSet(((1,) * 6, (1,) * 6, (1,) * 5 + (0,)),
+                                                     [1 / 3] * 3)
+    grid = [0, 2, 2, 1, 5, 5, 40, 17, 200, *range(41)]
+    whole = cw.survival_exact_profile(arr, w, grid)
+    assert list(whole) == sorted(set(grid))
+    assert cw.survival_exact_profile(arr, w, [t]) == {t: whole[t]}
+    assert whole[t].hex() == cw.survival_exact_profile(arr, w, range(t + 1))[t].hex()
+    assert all(cw.survival_exact_profile(arr, w, [u]) == {u: whole[u]} for u in range(41))
+    assert whole[t] == pytest.approx(3.0**-t, rel=(t + 2) * np.finfo(float).eps, abs=0)
 
 
-def test_power_table_is_blocked():
-    # 65 519 rates, as all-distinct Tsetlin n = 16, over 133 times: one table
-    # would take 66 MiB, a block of 2^16 entries takes 0.5 MiB
-    rng = np.random.default_rng(7)
-    q = np.sort(rng.random(65519) / 2)
-    c = (-1.0) ** np.arange(q.size)[::-1]
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        got = exact._power_sums(q, c, np.abs(c), None, None, range(1, 134), 10)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(got) == 133 and all(0.0 <= v <= 1.0 for v in got.values())
-    assert peak < 8 * 2**20
-
-
-def mobius_profile(arr, w, t_grid):
-    """The Mobius route of survival_exact_profile, taken whatever the supports weigh."""
-    t_first = -(-arr.m // max(int((w.signs != 0).sum(axis=1).max()), 1))
-    return exact._power_sums(*exact._mobius_form(arr, w), w.weights, t_grid, t_first)
-
-
-def test_mobius_form_holds_no_per_flat_copy_past_its_merge():
-    # hypercube-nonlocal(16, 2): 65 518 flats of 14 float rates, and each
-    # 2^16-set array of floats takes 0.5 MiB; six of them at most are held
-    arr, w = cw.build_boolean(16), cw.hypercube_nonlocal_faces(16, 2)
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        got = mobius_profile(arr, w, range(1, 301))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(got) == 300 and peak <= 3 * 2**20
-
-
-def test_mobius_survival_values_are_pinned_bit_for_bit():
-    # riffle and k-to-top take the Mobius route themselves; nonlocal(16, 2), whose
-    # supports weigh the same, takes the count chain, so its pins read the form directly
-    for survival, arr, w, want in [
-            (cw.survival_exact_profile, cw.build_braid(6), cw.riffle_faces(6, 2), {
+def test_zero_set_chain_survival_values_are_pinned_bit_for_bit():
+    # riffle, k-to-top and weighted top-bottom take the zero-set chain; k-to-top(6, 2)
+    # cannot freeze by t = 3 (three 2-sets leave two of six cards unseparated), and reads 1
+    for arr, w, want in [
+            (cw.build_braid(6), cw.riffle_faces(6, 2), {
                 2: "0x1.0000000000000p+0", 5: "0x1.91c4700000000p-2",
                 20: "0x1.dfff56001c200p-17"}),
-            (cw.survival_exact_profile, cw.build_braid(6), cw.k_to_top_faces(6, 2), {
-                3: "0x1.fffffffffffffp-1", 10: "0x1.e113ddd850690p-8",
-                30: "0x1.e4a8339670cf6p-30"}),
-            (mobius_profile, cw.build_boolean(16), cw.hypercube_nonlocal_faces(16, 2), {
-                8: "0x1.ffffc03881b30p-1", 40: "0x1.324add1fa23cdp-4",
-                300: "0x1.2763cf89c120ep-54"})]:
-        got = survival(arr, w, list(want))
+            (cw.build_braid(6), cw.k_to_top_faces(6, 2), {
+                3: "0x1.0000000000000p+0", 10: "0x1.e113ddd850693p-8",
+                30: "0x1.e4a8339670cfap-30"}),
+            (cw.build_braid(6), cw.top_bottom_faces(6, [0.3, 0.1, 0.2, 0.15, 0.15, 0.1]), {
+                5: "0x1.dd70a3d70a3cdp-1", 20: "0x1.aaf91b62056dcp-6",
+                60: "0x1.be067a982af72p-20"})]:
+        stats = {}
+        got = cw.survival_exact_profile(arr, w, list(want), stats)
+        assert stats == {"survival_path": "zero-set-chain"}
         assert {t: v.hex() for t, v in got.items()} == want
+
+
+@pytest.mark.parametrize("w, end", [
+    (cw.k_to_top_faces(5, 2), 260),
+    (cw.riffle_faces(5, 2), 340),
+    (cw.top_bottom_faces(5, [0.24, 0.22, 0.2, 0.18, 0.16]), 560),
+], ids=["k-to-top-5-2", "riffle-5-2", "top-bottom-5-weighted"])
+def test_zero_set_chain_is_within_its_rounding_bound_of_the_fractions(w, end):
+    # nothing is subtracted, so every entry keeps a relative error: a step rounds each
+    # chance (its support's F faces summed, the K supports' total, the division), merges
+    # at most K, multiplies once and bins at most n states, and the read sums n: within
+    # N eps / (1 - N eps), N = (2 K + F + n) t + n, relatively, down to P(T > t) < 1e-100
+    arr, eps, times = cw.build_braid(5), Fraction(np.finfo(float).eps), range(end + 1)
+    want, n, K = zero_set_survival(w.signs, w.weights, set(times))
+    got = cw.survival_exact_profile(arr, w, times)
+    assert want[end] < Fraction(1, 10**100)
+    for t in times:
+        N = (2 * K + len(w.weights) + n) * t + n
+        assert abs(Fraction(got[t]) - want[t]) <= N * eps / (1 - N * eps) * want[t], t
+
+
+def test_zero_set_chain_puts_mass_within_its_bound_on_one_and_raises_past_it():
+    # one hyperplane, left uncut by the first support and cut by the second, so the live
+    # mass is p_0^t: 1 + 2^-52 lies within ((2 K + n + 1) t + n) eps = 7 eps at t = 1 and
+    # reads 1, and 1 + 2^-40 lies past it and raises; t = 0 is before t_first = 1
+    zero = np.array([[True], [False]])
+    assert exact._zero_set_chain(1, zero, np.array([1 + 2.0**-52, 0.0]), [0, 1], 1) == {
+        0: 1.0, 1: 1.0}
+    with pytest.raises(RuntimeError, match="mass 1.0000000000009095 > 1"):
+        exact._zero_set_chain(1, zero, np.array([1 + 2.0**-40, 0.0]), [0, 1], 1)
+
+
+def test_zero_set_chain_holds_no_array_of_the_sets():
+    # k-to-top(8, 2) cuts 12 of 28 pairs a face: 1325 zero sets x 28 supports, where one
+    # float over each of the 2^28 sets of pairs would take 2 GiB
+    w = cw.k_to_top_faces(8, 2)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        got = cw.survival_exact_profile(w, w, range(1, 201))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got[1] == 1.0 and 0 < got[200] < got[60] < 1e-12 and peak < 4 * 2**20
+
+
+def test_zero_set_chain_runs_past_64_hyperplanes_with_no_arrangement():
+    # two faces of weight 1/2, each cutting one half of 70 coordinates: the zero sets are
+    # all 70, either half, or none, so P(T > t) = 2 (1/2)^t from t = 1, exactly while each
+    # half holds 2^-t >= 2^-1074; a set is two 64-bit words, and the faces carry m, so no
+    # arrangement is built
+    w, stats = cw.WeightedFaceSet(np.repeat(np.eye(2, dtype=np.int8), 35, axis=1), [0.5] * 2), {}
+    got = cw.survival_exact_profile(w, w, range(1075), stats)
+    assert stats == {"survival_path": "zero-set-chain"}
+    assert got == {0: 1.0, **{t: 2.0 ** (1 - t) for t in range(1, 1075)}}
+
+
+def test_single_hyperplane_supports_read_the_count_chain_of_their_weight_classes():
+    # hypercube-nn(16) with w_minus alternating 3/128, 5/128: supports of 7/128 and 9/128,
+    # two classes of 8 cards, 81 count vectors where the zero sets number 2^16; against
+    # the Mobius sum of survival_terms.  Equal weights keep the one-class key bit for bit
+    arr, grid = cw.build_boolean(16), np.arange(0, 301, 10)
+    w, stats = cw.hypercube_nn_faces([1 / 32] * 16, [3 / 128, 5 / 128] * 8), {}
+    got = cw.survival_exact_profile(arr, w, grid, stats)
+    assert stats == {"survival_path": "count-chain"}
+    assert got == {t: glauber._chain_at((((8, 7), (8, 9)), 1, 16), t) for t in grid}
+    c, q = np.array(survival_terms(arr, w)).T
+    mobius = (c * q ** grid[1:, np.newaxis]).sum(axis=1)
+    assert np.abs([got[t] for t in grid[1:]] - mobius).max() <= 1e-12
+    w = cw.hypercube_nn_faces([1 / 32] * 16, [1 / 32] * 16)
+    got = cw.survival_exact_profile(arr, w, grid, stats)
+    assert stats == {"survival_path": "count-chain"}
+    assert got == {t: cw.coupon_survival_uniform(16, t) for t in grid}
 
 
 def test_count_chain_survival_values_are_pinned_bit_for_bit():
     # nonlocal(16, 2)'s 120 supports weigh 4/480 each: the count chain of two coupons
-    # of 16 a step, within 5 ulp of the fractions at these times, where the Mobius
-    # pins above are off by up to 3.8e-14 relative
+    # of 16 a step, within 5 ulp of the fractions at these times
     arr, w, stats = cw.build_boolean(16), cw.hypercube_nonlocal_faces(16, 2), {}
     got = cw.survival_exact_profile(arr, w, [8, 40, 300], stats)
     assert stats == {"survival_path": "count-chain"}
@@ -975,31 +983,19 @@ def test_count_chain_route_admits_hyperplanes_past_the_mobius_cap():
     assert all(abs(got[t] - float(reference.kset_survival(24, 2, t))) <= 1e-15 for t in grid)
 
 
-def test_survival_is_one_before_m_over_the_largest_face_support(monkeypatch):
-    # t faces of at most s nonzero signs cut at most t s of the m hyperplanes
-    first, fallback = [], []
-    power_sums = exact._power_sums
-
-    def recorded(rates, c_sum, abs_sum, exact_terms, weights, t_grid, t_first):
-        first.append(t_first)
-        return power_sums(rates, c_sum, abs_sum,
-                          lambda x: fallback.append(t_first) or exact_terms(x), weights,
-                          t_grid, t_first)
-
-    monkeypatch.setattr(exact, "_power_sums", recorded)
-    # the non-local hypercube's faces cut two of 16 coordinates: T >= 8, and
-    # from t = 8 on every float sum passes its bound; one weight made unequal
-    # keeps the supports off the count chain
-    w = cw.hypercube_nonlocal_faces(16, 2)
+def test_survival_is_one_before_m_over_the_largest_face_support():
+    # t faces of at most s nonzero signs cut at most t s hyperplanes: the non-local
+    # hypercube's faces cut two of 8 coordinates, so T >= 4, read off the count chain
+    # and, one weight made unequal, off the zero-set chain
+    w, stats = cw.hypercube_nonlocal_faces(8, 2), {}
     weights = w.weights.copy()
     weights[0] *= 1 + 2.0**-40
-    got = cw.survival_exact_profile(cw.build_boolean(16), cw.WeightedFaceSet(w.signs, weights),
-                                    range(1, 301))
-    assert first == [8] and fallback == []
-    assert [got[t] for t in range(1, 8)] == [1.0] * 7 and got[8] < 1.0
+    for w, path in [(w, "count-chain"), (cw.WeightedFaceSet(w.signs, weights), "zero-set-chain")]:
+        got = cw.survival_exact_profile(cw.build_boolean(8), w, range(1, 61), stats)
+        assert stats == {"survival_path": path}
+        assert [got[t] for t in range(1, 4)] == [1.0] * 3 and got[4] < 1.0
     # riffle(6, 2)'s largest face splits the deck 3|3 and cuts 9 of the 15 pairs
     got = cw.survival_exact_profile(cw.build_braid(6), cw.riffle_faces(6, 2), range(1, 41))
-    assert first[1:] == [2]
     assert got == {t: pytest.approx(riffle_separation(6, t), abs=1e-15) for t in range(1, 41)}
     assert got[1] == got[2] == 1.0
 

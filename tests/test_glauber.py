@@ -500,13 +500,12 @@ def test_single_site_count_chain_is_the_two_line_recurrence_bit_for_bit(n, k, t)
 
 @pytest.mark.parametrize("m, k", [(8, 2), (9, 3), (10, 5), (12, 2)])
 def test_kset_count_chain_matches_the_mobius_form(m, k):
-    # P(T > t) of hypercube-nonlocal(m, k) by the Mobius sum over its flats, which
-    # shares no code with the chain of k coupons a step (survival_exact_profile
-    # reads these equal supports off the chain itself, so the form is called here)
-    times, w = range(61), cw.hypercube_nonlocal_faces(m, k)
-    exact = cw.exact._power_sums(*cw.exact._mobius_form(cw.build_boolean(m), w), w.weights,
-                                 times, -(-m // k))
-    assert np.allclose(_curve(_one(m, k, m), 60), [exact[t] for t in times], rtol=0, atol=1e-13)
+    # P(T > t) of hypercube-nonlocal(m, k) by the float sum of survival_terms over its
+    # flats, which shares no code with the chain of k coupons a step
+    times, w = np.arange(1, 61), cw.hypercube_nonlocal_faces(m, k)
+    c, q = np.array(cw.exact.survival_terms(cw.build_boolean(m), w)).T
+    mobius = (c * q ** times[:, np.newaxis]).sum(axis=1)
+    assert np.allclose(_curve(_one(m, k, m), 60)[1:], mobius, rtol=0, atol=1e-13)
 
 
 def _card_horizon(n):

@@ -8,14 +8,12 @@ grids of at most 9 sites.  The sign lists: braid_signs against
 partition_to_sign_vector, chamber_index against a search of the chamber
 tuples, their packed bits against np.packbits along the last axis, and each
 built-in face list against a loop that lists it face by face.
-The exact rates of the Möbius form, on int64 and past it, against a loop over
-the sets; its terms merged per float rate against a sorting unique of its
-flats, bit for bit, on boolean(1..10) and braid(2..5), with its integer
-fallback at the same times and its exact pairs against the loop.  The
-Tsetlin P(T > t) over count vectors of tied weights against the card-set sum
-and the braid walk, with its term count.  Faces whose supports are all the
-k-sets of boolean(1..10), equally weighted: the count chain against the
-k-set law in fractions and the Möbius form.  The count chain's
+P(T > t) on random faces of build_custom's arrangements of 2 to 6 lines in
+the plane against the summed Möbius terms.  The Tsetlin P(T > t) over count
+vectors of tied weights against the card-set sum and the braid walk, with
+its term count.  Faces whose supports are all the k-sets of boolean(1..10),
+equally weighted: the count chain against the k-set law in fractions, and
+with one weight made unequal, within its move of that law.  The count chain's
 refusals against its cell rule, with its cache cold and warm.  The guide-table search
 against np.searchsorted, on both sides and on every cell edge of large CDFs and
 of tables sized to their keys, and over key counts around one block.
@@ -26,7 +24,6 @@ import collections
 import functools
 import itertools
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -41,7 +38,7 @@ from chamberwalk.core import CapacityError, braid_signs, is_chamber
 
 from reference import face_product, ordered_set_partitions, partition_to_sign_vector
 from reference import count_vector_survival, held_chains, stationary_without_replacement
-from reference import kset_survival, merge_reference, mobius_reference
+from reference import kset_survival
 
 TIMES = range(1, 26)
 GLAUBER_TIMES = range(1, 16)
@@ -97,157 +94,34 @@ def test_survival_equals_inclusion_exclusion_over_hyperplane_subsets(walk):
         assert abs(got[t] - inclusion_exclusion(arr, w, t)) <= 1e-12, t
 
 
-@CASES
-@given(st.lists(st.integers(1, 63), min_size=1, max_size=4, unique=True).flatmap(
-    lambda ks: st.lists(st.tuples(st.integers(-9, 9), st.sampled_from(ks)), min_size=2,
-                        max_size=12)), st.sampled_from([1, 2**60]))
-@example([(1, 32), (10**4, 48), (-10**4, 48)], 1)  # the bound refuses t <= 14, not t >= 15
-@example([(1, 32), (10**4, 48), (-10**4, 48)], 2**60)  # and 48 * 2^60 passes 2^63
-def test_power_sums_merge_float_equal_rates_and_keep_the_float_times(terms, scale):
-    # rates k/64 from a set of at most four collide, and each is exact in
-    # floats: the weight of the first k of 64 cards of 1/64, the last one split
-    # in floats down to 2^-6 / scale, so that the integers are k scale over
-    # 64 scale, as object past 2^63; the terms are merged per float rate as
-    # _mobius_form merges its flats, the pairs per exact rate as its fallback
-    # does, they are read at most once, and the float path is taken where the
-    # unmerged float sum took it
-    c, k = [ci for ci, _ in terms], [ki for _, ki in terms]
-    q, eps = np.array(k, dtype=float) / 64, np.finfo(float).eps
-    last = [2.0**-6 - 2.0**-59, 2.0**-59 - 2.0**-66, 2.0**-66] if scale > 1 else [2.0**-6]
-    weights = [2.0**-6] * 63 + last
-    merged = merge_reference(np.array(c, dtype=np.int64), q)
-
-    def pairs(x):
-        assert sum(x.tolist()) == 64 * scale
-        assert x.dtype == (np.int64 if 64 * scale < 2**63 else object)
-        by_rate = collections.Counter()
-        for ci, ki in terms:
-            by_rate[int(x[:ki].sum())] += ci
-        return sorted(by_rate.items())
-
-    def power_sums(t_grid):
-        read = []
-        got = exact._power_sums(*merged, lambda x: read.append(1) or pairs(x), weights, t_grid, 1)
-        assert len(read) <= 1
-        return got, bool(read)
-
-    got, _ = power_sums(TIMES)
-    floated = set()
-    for t in TIMES:
-        want = sum(ci * Fraction(ki, 64) ** t for ci, ki in terms)
-        assert abs(got[t] - float(want)) <= 1e-12, t
-        unmerged = np.array(c, dtype=float) * q**t
-        bound = (t + 1) * eps * np.abs(unmerged).sum()
-        if bound <= 1e-12 and -bound <= unmerged.sum() <= 1.0 + bound:
-            floated.add(t)
-        assert power_sums([t]) == ({t: got[t]}, t not in floated), t
-
-
-def integer_weights(weights):
-    """x, the integer weights that _power_sums hands its fallback, at one time
-    that a float rate of 2 sends to the integer path."""
-    read, one = [], np.ones(1)
-    exact._power_sums(np.array([2.0]), one, one, lambda x: read.append(x) or [], weights, [1], 1)
-    assert len(read) == 1
-    return read[0]
-
-
-def superset_loop(masks, weights, m):
-    """a_S = sum of d w_i over the masks_i that contain S, for every set S of
-    m coordinates, with d the least common denominator of the weights."""
-    d = math.lcm(*(Fraction(x).denominator for x in weights))
-    return [int(sum(Fraction(x) * d for x, k in zip(weights, masks) if k & S == S))
-            for S in range(1 << m)]
-
-
-@CASES
-@given(st.integers(1, 6).flatmap(lambda m: st.tuples(
-    st.just(m), st.lists(st.tuples(st.integers(0, (1 << m) - 1), st.floats(1e-3, 1.0)),
-                         min_size=1, max_size=8), st.booleans())))
-@example((3, [(0, 0.5), (5, 0.25), (7, 0.25)], False))  # int64
-@example((3, [(0, 0.5), (5, 0.25), (7, 0.25)], True))
-@example((2, [(0, 3e-4), (1, 0.4999), (2, 0.4998)], False))  # 2^64 total of int64 parts
-def test_exact_rates_are_the_superset_sums_on_int64_and_past_it(case):
-    m, faces, tiny = case
-    faces = faces + [(0, 1e-30)] * tiny  # its denominator lifts every a_S, and a_{} past 2^63
-    masks, weights = np.array([k for k, _ in faces]), [x for _, x in faces]
-    want = superset_loop(masks, weights, m)
-    keep = np.arange(1 << m)[::2]
-    x = integer_weights(weights)
-    a = exact._rates(masks, m, keep, x)
-    assert a.tolist() == want[::2] and sum(x.tolist()) == want[0]
-    assert a.dtype == x.dtype == (np.int64 if want[0] < 2**63 else object)
-    assert not tiny or a.dtype == object
-
-
-FLAT_ARRANGEMENTS = {("boolean", m): (cw.build_boolean(m), None) for m in range(1, 11)}
-FLAT_ARRANGEMENTS.update({("braid", n): (cw.build_braid(n), [
-    partition_to_sign_vector(p, n) for p in ordered_set_partitions(range(n))])
-    for n in (2, 3, 4, 5)})
-# repeated and non-dyadic weights, normalised: flats share float rates, and a
-# float rate can be one of several exact ones, as fl(0.1 + 0.2) = 0.3 + 2^-54
-FLAT_POOL = [1.0, 1.0, 2.0, 3.0, 0.1, 0.2, 0.1 + 0.2, 1 / 3, 0.7, 50.0]
-
-
 @st.composite
-def flat_forms(draw):
-    """A weighted face set of 2 to 10 faces on boolean(1..10) or braid(2..5)."""
-    key = draw(st.sampled_from(sorted(FLAT_ARRANGEMENTS)))
-    arr, universe = FLAT_ARRANGEMENTS[key]
-    face = st.sampled_from(universe) if universe else st.lists(  # zero at 3 of 5 on average
-        st.sampled_from((1, -1, 0, 0, 0)), min_size=arr.m, max_size=arr.m).map(tuple)
-    faces = draw(st.lists(face, min_size=2, max_size=10))
-    raw = np.array(draw(st.lists(st.sampled_from(FLAT_POOL), min_size=len(faces),
-                                 max_size=len(faces))))
+def line_arrangements(draw):
+    """A weighted face set on build_custom's arrangement of 2 to 6 distinct lines through
+    the origin of the plane, normals at angles k pi / 12: its faces are the origin, two rays
+    a line and the 2 m sectors, each the signs of one point on it; 1 to 8 of them, weighted."""
+    angles = np.array(draw(st.lists(st.integers(0, 11), min_size=2, max_size=6, unique=True)))
+    normals = np.stack([np.cos(angles * np.pi / 12), np.sin(angles * np.pi / 12)], axis=1)
+    rays = np.sort(np.concatenate([angles * np.pi / 12 + np.pi / 2] * 2) + np.repeat([0, np.pi],
+                                                                                  len(angles)))
+    sectors = (rays + np.roll(rays, -1) + 2 * np.pi * (np.arange(len(rays)) == len(rays) - 1)) / 2
+    points = [np.stack([np.cos(x), np.sin(x)], axis=1) for x in (rays, sectors)]
+    signs = [np.where(np.abs(d := p @ normals.T) < 1e-9, 0, np.sign(d)).astype(int).tolist()
+             for p in points]
+    arr = cw.build_custom(len(angles), signs[1], [[0] * len(angles)] + signs[0] + signs[1])
+    faces = draw(st.lists(st.sampled_from(arr.faces), min_size=1, max_size=8, unique=True))
+    raw = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=len(faces), max_size=len(faces))))
     return arr, cw.WeightedFaceSet(tuple(faces), raw / raw.sum())
 
 
-FLOAT_EQUAL = (cw.build_boolean(4), cw.WeightedFaceSet(  # q_{0} = fl(0.1 + 0.2) = q_{3}
-    ((0, 0, 1, 1), (0, 1, 0, 1), (1, 1, 1, 0), (1, 1, 1, 1)),
-    [0.1, 0.2, 0.1 + 0.2, 1 - 0.1 - 0.2 - (0.1 + 0.2)]))
-HEAVY_ZERO = (cw.build_boolean(10), cw.WeightedFaceSet(  # 1024 flats of q near 1
-    ((0,) * 10, (1,) * 10) + tuple(tuple(int(i == j) for j in range(10)) for i in range(10)),
-    [0.98, 0.01] + [0.001] * 10))
-
-
-@settings(CASES, max_examples=100)
-@given(flat_forms())
-@example(FLOAT_EQUAL)
-@example(HEAVY_ZERO)  # the integer fallback from t = 4 on
-@example((cw.build_braid(5), cw.top_bottom_faces(5)))
-def test_mobius_form_merges_its_flats_as_the_sorting_unique_bit_for_bit(case):
-    # the merged triple against the per-flat terms merged by a sorting unique;
-    # the fallback's pairs against the exact superset sums at the flats, c
-    # summed per exact rate; over t = 0..40 the profile takes the fallback
-    # exactly where the reference triple's float sums, one table row a time,
-    # fail their bound (a fallback of the pair (d, 2) marks them with 2.0),
-    # and there it is the ratio of integers
+@CASES
+@given(line_arrangements())
+def test_survival_equals_the_summed_mobius_terms_on_line_arrangements(case):
+    # the zero-set chain, or the count chain where the supports allow it, against the
+    # float sum of survival_terms over the flats, which shares no step with either
     arr, w = case
-    m, eps = arr.m, np.finfo(float).eps
-    c, q, flats = mobius_reference(w.signs, w.weights)
-    *merged, exact_terms = exact._mobius_form(arr, w)
-    want = merge_reference(c, q)
-    assert [x.tobytes() for x in merged] == [x.tobytes() for x in want]
-    masks = (w.signs == 0) @ (1 << np.arange(m, dtype=np.int64))
-    a, by_rate = superset_loop(masks, w.weights, m), collections.Counter()
-    for X, cX in zip(flats.tolist(), c.tolist()):
-        by_rate[a[X]] += cX
-    x = integer_weights(w.weights)
-    pairs, d = exact_terms(x), sum(x.tolist())
-    assert pairs == sorted(by_rate.items()) and all(type(v) is int for p in pairs for v in p)
-    t_first = -(-m // max((w.signs != 0).sum(axis=1).max(), 1))
-    late = np.arange(t_first, 41)
-    qt = want[0] ** late[:, np.newaxis]
-    values, bounds = (qt * want[1]).sum(axis=1), (late + 1) * eps * (qt * want[2]).sum(axis=1)
-    refused = [t for t, v, b in zip(late.tolist(), values, bounds)
-               if not (b <= 1e-12 and -b <= v <= 1.0 + b)]
-    marked = exact._power_sums(*merged, lambda x: [(sum(x.tolist()), 2)], w.weights,
-                               range(41), t_first)
-    assert [t for t, v in marked.items() if v == 2.0] == refused
-    got = cw.survival_exact_profile(arr, w, range(41))
-    assert all(got[t] == sum(ci * ai**t for ai, ci in pairs) / d**t for t in refused)
-    assert case is not FLOAT_EQUAL or len(pairs) == len(want[0]) + 1
-    assert case is not HEAVY_ZERO or refused[0] == 4
+    got, terms = cw.survival_exact_profile(arr, w, TIMES), exact.survival_terms(arr, w)
+    for t in TIMES:
+        assert abs(got[t] - sum(c * q**t for c, q in terms)) <= 1e-12, t
 
 
 def card_set_survival(w, t):
@@ -268,7 +142,7 @@ def card_set_survival(w, t):
 @example(([0.2, 0.5, 0.9], [0, 1, 2, 0, 1, 2, 0, 1]))  # three classes of eight cards
 def test_tsetlin_survival_over_count_vectors_equals_card_sets_and_the_braid_walk(case):
     # the count chain of 1 to 3 weight classes against the Mobius sum over their count
-    # vectors in fractions, the card-set sum, and the braid walk up to 6 cards
+    # vectors in fractions, the card-set sum, and the zero-set chain of the braid walk
     pool, pick = case
     raw = np.array(pool)[pick]
     spec = cw.TsetlinSpec(raw / raw.sum())  # equal raw weights stay equal floats
@@ -277,9 +151,9 @@ def test_tsetlin_survival_over_count_vectors_equals_card_sets_and_the_braid_walk
     got = cw.tsetlin_survival_profile(spec, times)
     assert all(abs(got[t] - count_vector_survival(w.tolist(), t)) <= 1e-12 for t in times)
     assert all(abs(got[t] - card_set_survival(w, t)) <= 1e-12 for t in times)
-    if n <= 6:  # the Mobius form of braid(7), 4 x 2^21 cells, takes 0.1 s an example
-        walk = cw.survival_exact_profile(cw.build_braid(n), cw.tsetlin_faces(spec), times)
-        assert all(abs(got[t] - walk[t]) <= 1e-12 for t in times)
+    faces = cw.tsetlin_faces(spec)  # which carry m: no braid arrangement is built
+    walk = cw.survival_exact_profile(faces, faces, times)
+    assert all(abs(got[t] - walk[t]) <= 1e-12 for t in times)
 
 
 @st.composite
@@ -311,23 +185,21 @@ def exchangeable_faces(draw):
 @example((3, 1, cw.hypercube_nn_faces([1 / 6] * 3, [1 / 6] * 3)))
 @example((4, 4, cw.WeightedFaceSet([(1, 1, 1, 1), (1, -1, 1, -1)], [0.75, 0.25])))
 def test_exchangeable_supports_read_the_count_chain(case):
-    # the count chain against the k-set law in fractions and against the Mobius
-    # form of the same faces; one weight made unequal sends them to that form
+    # the count chain against the k-set law in fractions; one weight made unequal keeps
+    # single-hyperplane supports on the chain of their two weight classes, and sends
+    # larger ones to the zero-set chain, which moves by at most 41 x 2^-40 from that law
     m, k, w = case
     arr, times, stats = cw.build_boolean(m), range(41), {}
     got = cw.survival_exact_profile(arr, w, times, stats)
     assert stats == {"survival_path": "count-chain"}
     assert all(abs(got[t] - kset_survival(m, k, t)) <= 1e-13 for t in times)
-    mobius = exact._power_sums(*exact._mobius_form(arr, w), w.weights, times, -(-m // k))
-    assert all(abs(got[t] - mobius[t]) <= 1e-12 for t in times)
     if math.comb(m, k) > 1:  # one support weighs the same as itself at any weights
         weights = w.weights.copy()
         weights[0] *= 1 + 2.0**-40
         w = cw.WeightedFaceSet(w.signs, weights)
         got = cw.survival_exact_profile(arr, w, times, stats)
-        assert stats == {"survival_path": "mobius"}
-        mobius = exact._power_sums(*exact._mobius_form(arr, w), w.weights, times, -(-m // k))
-        assert [v.hex() for v in got.values()] == [v.hex() for v in mobius.values()]
+        assert stats == {"survival_path": "count-chain" if k == 1 else "zero-set-chain"}
+        assert all(abs(got[t] - kset_survival(m, k, t)) <= 1e-10 for t in times)
 
 
 @st.composite
